@@ -1,19 +1,15 @@
 #include "engine/engine.hpp"
 
 #include <chrono>
-#include <filesystem>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
-#include "io/atomic_file.hpp"
 #include "sched/parallel_search.hpp"
 #include "taskgraph/fingerprint.hpp"
 
 namespace fppn {
 namespace engine {
-
-namespace fs = std::filesystem;
 
 namespace {
 
@@ -70,38 +66,6 @@ ResolvedInput resolve_input(const SolveRequest& request) {
   in.derive_ms = ms_since(derive_begin);
   in.graph = &in.derived->graph;
   return in;
-}
-
-/// Runs the sharded orchestrator, owning the temp shard directory when the
-/// request did not pin one — every error path unwinds through the same
-/// cleanup chain.
-sched::ParallelSearchResult run_sharded(const TaskGraph& tg,
-                                        sched::ParallelSearchOptions& opts,
-                                        const SolveRequest& request) {
-  const SearchConfig& config = request.config;
-  const bool private_dir = !config.shard_dir.has_value();
-  const std::string shard_dir =
-      private_dir ? io::make_temp_directory("fppn-shards-") : *config.shard_dir;
-  sched::ShardedSearchOptions sharding;
-  sharding.shards = config.shards;
-  sharding.shard_dir = shard_dir;
-  sharding.launcher = request.make_shard_launcher
-                          ? request.make_shard_launcher(shard_dir)
-                          : sched::inprocess_shard_launcher(tg, opts, shard_dir);
-  try {
-    const sched::ParallelSearchResult result = sched::sharded_search(tg, opts, sharding);
-    if (private_dir) {
-      std::error_code ec;
-      fs::remove_all(shard_dir, ec);
-    }
-    return result;
-  } catch (...) {
-    if (private_dir) {
-      std::error_code ec;
-      fs::remove_all(shard_dir, ec);
-    }
-    throw;
-  }
 }
 
 }  // namespace
@@ -161,12 +125,7 @@ SolveReport Engine::solve(const SolveRequest& request) {
 
   SolveReport report;
   const Clock::time_point search_begin = Clock::now();
-  if (request.config.shards > 0) {
-    report.search = run_sharded(tg, opts, request);
-    report.sharded = true;
-  } else {
-    report.search = sched::parallel_search(tg, opts);
-  }
+  report.search = sched::parallel_search(tg, opts);
   report.search_ms = ms_since(search_begin);
 
   report.fingerprint = fingerprint(tg);
@@ -183,18 +142,6 @@ SolveReport Engine::solve(const SolveRequest& request) {
   report.derived = std::move(input.derived);
   report.total_ms = ms_since(solve_begin);
   return report;
-}
-
-void Engine::solve_shard(const SolveRequest& request, int shard_index) {
-  if (!request.config.shard_dir.has_value()) {
-    throw std::invalid_argument("solve_shard: request.config.shard_dir is required");
-  }
-  const ResolvedInput input = resolve_input(request);
-  const TaskGraph& tg = *input.graph;
-  sched::ParallelSearchOptions opts = request.config.search_options();
-  opts.cache = cache_for(request.config);
-  const sched::ShardPlan plan = sched::make_shard_plan(tg, opts, request.config.shards);
-  (void)sched::evaluate_shard(tg, opts, plan, shard_index, *request.config.shard_dir);
 }
 
 SolveReport solve_once(const SolveRequest& request) {

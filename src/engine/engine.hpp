@@ -1,15 +1,14 @@
 // engine::Engine — the one SolveRequest -> SolveReport pipeline every
-// entry point (fppn_tool subcommands, fppn_serve, benches, the fuzz loop,
-// the shard worker) goes through.
+// entry point (fppn_tool subcommands, fppn_serve, benches, the fuzz loop)
+// goes through.
 //
-// solve() runs parse -> derive -> cache-attach -> search (in-process or
-// sharded) -> warm-start overlay and reports structured stats instead of
-// printing them. The pipeline is deterministic end to end: for a fixed
-// request (and fixed cache contents when warm-start applies), the winning
-// schedule is bit-identical regardless of worker threads, shard count,
-// cache warmth or which entry point issued the request — the contract the
-// lower layers (sched/parallel_search.hpp, sched/sharded_search.hpp)
-// document, enforced here in the single place requests are translated.
+// solve() runs parse -> derive -> cache-attach -> search -> warm-start
+// overlay and reports structured stats instead of printing them. The
+// pipeline is deterministic end to end: for a fixed request (and fixed
+// cache contents when warm-start applies), the winning schedule is
+// bit-identical regardless of worker threads, cache warmth or which entry
+// point issued the request — the contract sched/parallel_search.hpp
+// documents, enforced here in the single place requests are translated.
 //
 // An Engine is long-lived: it owns the shared in-memory ScheduleCache
 // (the L1 of fppn_serve — SearchConfig::memory_cache) and one
@@ -17,7 +16,7 @@
 // solves so repeat requests hit warm in-memory state. One-shot callers
 // (the tool) simply construct, solve once and discard.
 //
-// Thread safety: solve()/solve_shard() are safe to call concurrently on
+// Thread safety: solve() is safe to call concurrently on
 // one Engine — cache instances are internally synchronized and per-solve
 // state is local. This is what lets fppn_serve run one Engine under a
 // worker pool.
@@ -30,7 +29,6 @@
 
 #include "engine/solve.hpp"
 #include "sched/schedule_cache.hpp"
-#include "sched/sharded_search.hpp"
 
 namespace fppn {
 namespace engine {
@@ -43,18 +41,10 @@ class Engine {
 
   /// Runs the full pipeline for `request` and returns the structured
   /// report. Throws std::runtime_error for unreadable files / missing
-  /// WCETs / bad cache or shard directories, io::ParseError for malformed
+  /// WCETs / bad cache directories, io::ParseError for malformed
   /// network text, std::invalid_argument for bad options, and rethrows
   /// strategy exceptions — callers map these to their own exit codes.
   [[nodiscard]] SolveReport solve(const SolveRequest& request);
-
-  /// The worker side of a sharded solve: recomputes the deterministic
-  /// shard plan from the same request the orchestrator used and publishes
-  /// shard `shard_index`'s results into the request's shard_dir (which is
-  /// required here). The candidate matrix, the plan and the evaluation go
-  /// through exactly the same translation as solve(), so orchestrator and
-  /// workers can never disagree.
-  void solve_shard(const SolveRequest& request, int shard_index);
 
   /// The shared in-memory L1 attached by SearchConfig::memory_cache.
   /// Exposed so a daemon can report cumulative cache stats.

@@ -3,29 +3,27 @@
 // (SearchConfig) and one structured outcome (SolveReport).
 //
 // Before this layer existed, every entry point — the tool's subcommands,
-// the benches, the fuzz loop and the shard worker — hand-rolled the same
+// the benches and the fuzz loop — hand-rolled the same
 // parse -> derive -> compile -> cache-attach -> search pipeline and
-// threaded four overlapping options structs (LocalSearchOptions,
-// StrategyOptions, ParallelSearchOptions, ShardedSearchOptions) by hand.
+// threaded three overlapping options structs (LocalSearchOptions,
+// StrategyOptions, ParallelSearchOptions) by hand.
 // SearchConfig is now the single user-facing source of that plumbing: it
 // subsumes every toggle the lower-level structs expose (strategy
-// restriction, seeds, workers, shards, cache directory/bounds,
-// warm-start, fast-evaluator/incremental/visited-set) and derives the
-// lower-level options in exactly one place (search_options()), so the
-// determinism contract — same request, bit-identical winner, regardless
-// of workers, shards or cache warmth — is enforced once, for every
-// caller (engine/engine.hpp holds the Engine that executes requests).
+// restriction, seeds, workers, cache directory/bounds, warm-start,
+// fast-evaluator/incremental/visited-set) and derives the lower-level
+// options in exactly one place (search_options()), so the determinism
+// contract — same request, bit-identical winner, regardless of workers or
+// cache warmth — is enforced once, for every caller (engine/engine.hpp
+// holds the Engine that executes requests).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "io/text_format.hpp"
 #include "sched/parallel_search.hpp"
-#include "sched/sharded_search.hpp"
 #include "taskgraph/derivation.hpp"
 
 namespace fppn {
@@ -35,8 +33,7 @@ namespace engine {
 /// the lower layers as follows: processors/workers/strategies/seed and
 /// the budget resolve into sched::ParallelSearchOptions (and from there
 /// into StrategyOptions/LocalSearchOptions per candidate); the cache
-/// group selects the ScheduleCache the Engine attaches; the shard group
-/// selects the sharded orchestrator (ShardedSearchOptions); the kernel
+/// group selects the ScheduleCache the Engine attaches; the kernel
 /// toggles ride through unchanged. search_options() is the only
 /// translation site.
 struct SearchConfig {
@@ -75,22 +72,13 @@ struct SearchConfig {
   /// or strictly improves the winner.
   bool warm_start = true;
 
-  // --- sharding ---------------------------------------------------------
-  /// > 0: split the candidate matrix across this many shards
-  /// (sched::sharded_search) instead of searching in-process.
-  int shards = 0;
-  /// Directory the shards publish into; unset = a private temp directory
-  /// created and removed by the Engine. A pre-populated directory (every
-  /// manifest present) is merged without launching anything.
-  std::optional<std::string> shard_dir;
-
   // --- kernel toggles (all outside every cache key) ---------------------
   bool use_fast_evaluator = true;
   bool use_incremental = true;
   bool use_visited_set = true;
 
   /// The resolved low-level options — the single place SearchConfig is
-  /// translated for the search layers. Cache/shard fields are handled by
+  /// translated for the search layers. Cache fields are handled by
   /// the Engine, not here. Deterministic; never throws.
   [[nodiscard]] sched::ParallelSearchOptions search_options() const;
 };
@@ -112,12 +100,6 @@ struct SolveRequest {
   std::optional<Duration> uniform_wcet;
 
   SearchConfig config;
-
-  /// Builds the launcher for a sharded solve (the tool spawns
-  /// `fppn_tool search-worker` processes of itself). Null with shards > 0
-  /// falls back to evaluating every shard in-process — same winner, by
-  /// the sharded determinism contract.
-  std::function<sched::ShardLauncher(const std::string& shard_dir)> make_shard_launcher;
 };
 
 /// Structured outcome of one solve — everything the printf-scattered
@@ -129,7 +111,6 @@ struct SolveReport {
   std::uint64_t fingerprint = 0;   ///< canonical task-graph fingerprint
   std::size_t jobs = 0;            ///< derived job count
   std::int64_t processors = 0;     ///< processor count solved for
-  bool sharded = false;            ///< went through sched::sharded_search
 
   /// Cache accounting *of this solve* (stat deltas, not cumulative engine
   /// counters) when a cache was attached.

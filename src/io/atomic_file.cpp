@@ -5,11 +5,9 @@
 
 #include <atomic>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <stdexcept>
-#include <vector>
 
 #include "testing/fault_injector.hpp"
 
@@ -107,22 +105,6 @@ void ensure_directory(const std::string& directory, const std::string& context) 
                                "': " + create_ec.message());
     }
   }
-}
-
-std::string make_temp_directory(const std::string& prefix) {
-  std::error_code ec;
-  const fs::path base = fs::temp_directory_path(ec);
-  if (ec) {
-    throw std::runtime_error("cannot resolve the system temp directory: " +
-                             ec.message());
-  }
-  std::string templ = (base / (prefix + "XXXXXX")).string();
-  std::vector<char> buf(templ.begin(), templ.end());
-  buf.push_back('\0');
-  if (::mkdtemp(buf.data()) == nullptr) {
-    throw std::runtime_error("cannot create temporary directory '" + templ + "'");
-  }
-  return std::string(buf.data());
 }
 
 }  // namespace fppn::io

@@ -1,5 +1,5 @@
 // Atomic whole-file publication, shared by every on-disk format writer
-// (schedule-cache entries, shard result entries, shard manifests).
+// (schedule-cache entries, fuzz repro files).
 #pragma once
 
 #include <string>
@@ -21,16 +21,10 @@ void write_file_atomic(const std::string& path, const std::string& content);
 /// missing, refuses a missing parent (a typo'd path must fail loudly, not
 /// scatter files somewhere unexpected), and tolerates losing a creation
 /// race to a concurrent process. Throws std::runtime_error — messages
-/// prefixed with `context` ("schedule cache", "sharded_search") — when
-/// the path exists as a non-directory, the parent is missing, or
+/// prefixed with `context` ("schedule cache", "fuzz repro directory") —
+/// when the path exists as a non-directory, the parent is missing, or
 /// creation genuinely fails. The shared loud-error contract of
-/// ScheduleCache and the sharded search.
+/// ScheduleCache and the fuzz loop.
 void ensure_directory(const std::string& directory, const std::string& context);
-
-/// Creates a fresh private directory under the system temp dir, named
-/// "<prefix>XXXXXX" (mkdtemp), and returns its path. Throws
-/// std::runtime_error on failure — callers' cleanup/catch paths see one
-/// exception contract instead of a process exit. Thread-safe.
-[[nodiscard]] std::string make_temp_directory(const std::string& prefix);
 
 }  // namespace fppn::io

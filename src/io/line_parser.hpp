@@ -1,5 +1,5 @@
 // Shared scaffolding for the line-oriented text formats (schedule
-// entries, shard manifests): 1-based line counting for ParseError
+// entries, the cache index): 1-based line counting for ParseError
 // positions, whitespace tokenization, checked integer parses, and the
 // trailing-garbage guard after an "end" trailer. Header-only; one
 // instance parses one stream.

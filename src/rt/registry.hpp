@@ -28,7 +28,7 @@ class NameRegistry {
   /// Registers a factory. Throws std::invalid_argument when the name is
   /// empty, not lowercase/digits/dashes, already taken, or the factory is
   /// null. The character restriction is load-bearing, not cosmetic: names
-  /// become cache-entry file names, shard-manifest tokens and worker argv
+  /// become cache-entry file names, schedule-entry tokens and command-line
   /// words, so whitespace or '/' would corrupt those downstream formats.
   void add(const std::string& name, Factory factory) {
     if (name.empty()) {

@@ -70,8 +70,8 @@
 // instants, same rank tie-breaks, same smallest-index processor choice —
 // on either timebase (regression-proved by the randomized differential
 // suite in tests/evaluator_test.cpp). Search winners are therefore
-// identical with the kernel on or off, cold and warm, 1-process and
-// sharded.
+// identical with the kernel on or off, cold and warm, on any worker
+// count.
 //
 // Thread safety: an Evaluator is mutable scratch — one per search worker,
 // never shared concurrently. Construction is read-only on the task graph.

@@ -63,7 +63,7 @@ StrategyOptions strategy_options_for(const ParallelSearchOptions& opts,
   sopts.use_incremental = opts.use_incremental;
   // Deliberately NOT the visited-set pointer: these options double as the
   // cache-key basis, and the set is per-evaluation-wave scratch that
-  // evaluate_candidates attaches itself.
+  // parallel_search attaches itself.
   return sopts;
 }
 
@@ -87,140 +87,6 @@ bool better_search_candidate(const StrategyResult& a, std::uint64_t a_seed,
     return a.strategy < b.strategy;
   }
   return a_seed < b_seed;
-}
-
-CandidateEvaluation evaluate_candidates(const TaskGraph& tg,
-                                        const ParallelSearchOptions& opts,
-                                        const std::vector<SearchCandidate>& candidates,
-                                        const StrategyRegistry& registry) {
-  if (opts.processors < 1) {
-    throw std::invalid_argument("parallel_search: processors must be >= 1");
-  }
-
-  // Cache probe, before any evaluation: a hit fills the candidate's result
-  // slot directly; only misses go to the worker pool. Lookups re-score the
-  // cached schedule against `tg`, so hits and fresh evaluations are ranked
-  // by the exact same numbers — cache warmth cannot change the winner.
-  std::vector<std::optional<StrategyResult>> results(candidates.size());
-  std::vector<std::size_t> pending;
-  std::size_t cache_hits = 0;
-  const std::uint64_t fp = opts.cache != nullptr ? fingerprint(tg) : 0;
-  const auto key_for = [&](std::size_t i) {
-    return make_cache_key(fp, candidates[i].strategy,
-                          strategy_options_for(opts, candidates[i]));
-  };
-  if (opts.cache != nullptr) {
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      results[i] = opts.cache->lookup(key_for(i), tg);
-      if (results[i].has_value()) {
-        ++cache_hits;
-      } else {
-        pending.push_back(i);
-      }
-    }
-  } else {
-    pending.resize(candidates.size());
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      pending[i] = i;
-    }
-  }
-
-  int workers = opts.workers > 0
-                    ? opts.workers
-                    : static_cast<int>(std::max(1U, std::thread::hardware_concurrency()));
-  workers = std::min<int>(workers, static_cast<int>(std::max<std::size_t>(pending.size(), 1)));
-
-  // One visited-set shared by every worker of this wave: a local-search
-  // worker that reaches an SP order any other worker already scored skips
-  // the simulation. Sized for the worst case (every candidate explores its
-  // full move budget); seeded from the graph fingerprint so the hash is a
-  // pure function of the job orders, not of this process.
-  std::optional<VisitedSet> visited;
-  if (opts.use_visited_set && opts.use_fast_evaluator && !pending.empty()) {
-    const std::uint64_t orders_per_candidate =
-        static_cast<std::uint64_t>(std::max(opts.max_iterations, 0)) *
-            (static_cast<std::uint64_t>(std::max(opts.restarts, 0)) + 1) +
-        8;
-    visited.emplace(fingerprint(tg), orders_per_candidate * pending.size());
-  }
-
-  // Each slot is written by exactly one worker; callers rank over the
-  // index-ordered vector after the join, so the outcome cannot depend on
-  // thread interleaving.
-  std::atomic<std::size_t> next{0};
-  std::mutex error_mu;
-  std::exception_ptr first_error;
-
-  const auto run_candidate = [&](std::size_t index) {
-    const SearchCandidate& c = candidates[index];
-    StrategyOptions sopts = strategy_options_for(opts, c);
-    sopts.visited_set = visited.has_value() ? &*visited : nullptr;
-    results[index] = registry.create(c.strategy)->schedule(tg, sopts);
-    // Rank by the candidate's registry key, not the strategy's
-    // self-reported name(): cache hits and sharded-merge results rebuild
-    // the name from the key, and a strategy registered under a different
-    // name must not rank differently fresh vs. shipped.
-    results[index]->strategy = c.strategy;
-  };
-
-  const auto worker_loop = [&] {
-    for (;;) {
-      const std::size_t p = next.fetch_add(1, std::memory_order_relaxed);
-      if (p >= pending.size()) {
-        return;
-      }
-      try {
-        run_candidate(pending[p]);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) {
-          first_error = std::current_exception();
-        }
-      }
-    }
-  };
-
-  if (!pending.empty()) {
-    if (workers <= 1) {
-      worker_loop();
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(static_cast<std::size_t>(workers));
-      for (int w = 0; w < workers; ++w) {
-        pool.emplace_back(worker_loop);
-      }
-      for (std::thread& t : pool) {
-        t.join();
-      }
-    }
-  }
-  if (first_error) {
-    std::rethrow_exception(first_error);
-  }
-
-  // Persist every fresh evaluation (the eventual winner among them), so a
-  // repeat of this exact search is answered entirely from the cache.
-  if (opts.cache != nullptr) {
-    for (const std::size_t i : pending) {
-      opts.cache->store(key_for(i), *results[i]);
-    }
-  }
-
-  CandidateEvaluation out;
-  out.results.reserve(results.size());
-  for (std::optional<StrategyResult>& r : results) {
-    out.results.push_back(std::move(*r));
-  }
-  out.evaluated = pending.size();
-  out.cache_hits = cache_hits;
-  out.workers_used = workers;
-  for (const std::size_t i : pending) {
-    out.evals_full += out.results[i].full_evals;
-    out.evals_incremental += out.results[i].incremental_evals;
-    out.evals_spliced += out.results[i].spliced_evals;
-    out.visited_skips += out.results[i].visited_skips;
-  }
-  return out;
 }
 
 /// True when `a` is strictly better than `b` on the score prefix of
@@ -294,27 +160,138 @@ ParallelSearchResult parallel_search(const TaskGraph& tg,
                                      const StrategyRegistry& registry) {
   const std::vector<SearchCandidate> candidates =
       enumerate_search_candidates(opts, registry);
-  CandidateEvaluation eval = evaluate_candidates(tg, opts, candidates, registry);
 
-  std::size_t best_index = 0;
-  for (std::size_t i = 1; i < eval.results.size(); ++i) {
-    if (better_search_candidate(eval.results[i], candidates[i].seed,
-                                eval.results[best_index], candidates[best_index].seed)) {
-      best_index = i;
+  // Cache probe, before any evaluation: a hit fills the candidate's result
+  // slot directly; only misses go to the worker pool. Lookups re-score the
+  // cached schedule against `tg`, so hits and fresh evaluations are ranked
+  // by the exact same numbers — cache warmth cannot change the winner.
+  std::vector<std::optional<StrategyResult>> results(candidates.size());
+  std::vector<std::size_t> pending;
+  std::size_t cache_hits = 0;
+  const std::uint64_t fp = opts.cache != nullptr ? fingerprint(tg) : 0;
+  const auto key_for = [&](std::size_t i) {
+    return make_cache_key(fp, candidates[i].strategy,
+                          strategy_options_for(opts, candidates[i]));
+  };
+  if (opts.cache != nullptr) {
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      results[i] = opts.cache->lookup(key_for(i), tg);
+      if (results[i].has_value()) {
+        ++cache_hits;
+      } else {
+        pending.push_back(i);
+      }
+    }
+  } else {
+    pending.resize(candidates.size());
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      pending[i] = i;
+    }
+  }
+
+  int workers = opts.workers > 0
+                    ? opts.workers
+                    : static_cast<int>(std::max(1U, std::thread::hardware_concurrency()));
+  workers = std::min<int>(workers, static_cast<int>(std::max<std::size_t>(pending.size(), 1)));
+
+  // One visited-set shared by every worker of this wave: a local-search
+  // worker that reaches an SP order any other worker already scored skips
+  // the simulation. Sized for the worst case (every candidate explores its
+  // full move budget); seeded from the graph fingerprint so the hash is a
+  // pure function of the job orders, not of this process.
+  std::optional<VisitedSet> visited;
+  if (opts.use_visited_set && opts.use_fast_evaluator && !pending.empty()) {
+    const std::uint64_t orders_per_candidate =
+        static_cast<std::uint64_t>(std::max(opts.max_iterations, 0)) *
+            (static_cast<std::uint64_t>(std::max(opts.restarts, 0)) + 1) +
+        8;
+    visited.emplace(fingerprint(tg), orders_per_candidate * pending.size());
+  }
+
+  // Each slot is written by exactly one worker; the selection below ranks
+  // over the index-ordered vector after the join, so the outcome cannot
+  // depend on thread interleaving.
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mu;
+  std::exception_ptr first_error;
+
+  const auto run_candidate = [&](std::size_t index) {
+    const SearchCandidate& c = candidates[index];
+    StrategyOptions sopts = strategy_options_for(opts, c);
+    sopts.visited_set = visited.has_value() ? &*visited : nullptr;
+    results[index] = registry.create(c.strategy)->schedule(tg, sopts);
+    // Rank by the candidate's registry key, not the strategy's
+    // self-reported name(): cache hits rebuild the name from the key, and
+    // a strategy registered under a different name must not rank
+    // differently fresh vs. cached.
+    results[index]->strategy = c.strategy;
+  };
+
+  const auto worker_loop = [&] {
+    for (;;) {
+      const std::size_t p = next.fetch_add(1, std::memory_order_relaxed);
+      if (p >= pending.size()) {
+        return;
+      }
+      try {
+        run_candidate(pending[p]);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(error_mu);
+        if (!first_error) {
+          first_error = std::current_exception();
+        }
+      }
+    }
+  };
+
+  if (!pending.empty()) {
+    if (workers <= 1) {
+      worker_loop();
+    } else {
+      std::vector<std::thread> pool;
+      pool.reserve(static_cast<std::size_t>(workers));
+      for (int w = 0; w < workers; ++w) {
+        pool.emplace_back(worker_loop);
+      }
+      for (std::thread& t : pool) {
+        t.join();
+      }
+    }
+  }
+  if (first_error) {
+    std::rethrow_exception(first_error);
+  }
+
+  // Persist every fresh evaluation (the eventual winner among them), so a
+  // repeat of this exact search is answered entirely from the cache.
+  if (opts.cache != nullptr) {
+    for (const std::size_t i : pending) {
+      opts.cache->store(key_for(i), *results[i]);
     }
   }
 
   ParallelSearchResult out;
-  out.best = std::move(eval.results[best_index]);
+  for (const std::size_t i : pending) {
+    out.evals_full += results[i]->full_evals;
+    out.evals_incremental += results[i]->incremental_evals;
+    out.evals_spliced += results[i]->spliced_evals;
+    out.visited_skips += results[i]->visited_skips;
+  }
+
+  std::size_t best_index = 0;
+  for (std::size_t i = 1; i < results.size(); ++i) {
+    if (better_search_candidate(*results[i], candidates[i].seed, *results[best_index],
+                                candidates[best_index].seed)) {
+      best_index = i;
+    }
+  }
+
+  out.best = std::move(*results[best_index]);
   out.seed = candidates[best_index].seed;
   out.candidates = candidates.size();
-  out.evaluated = eval.evaluated;
-  out.cache_hits = eval.cache_hits;
-  out.workers_used = eval.workers_used;
-  out.evals_full = eval.evals_full;
-  out.evals_incremental = eval.evals_incremental;
-  out.evals_spliced = eval.evals_spliced;
-  out.visited_skips = eval.visited_skips;
+  out.evaluated = pending.size();
+  out.cache_hits = cache_hits;
+  out.workers_used = workers;
   apply_cached_warm_start(tg, opts, out);
   return out;
 }

@@ -7,7 +7,10 @@
 // violations, then smallest makespan, then strategy name, then seed. The
 // candidate list and the selection are both independent of the worker
 // count, so the chosen schedule is bit-identical whether the search runs
-// on 1 or 64 threads.
+// on 1 or 64 threads. The search stays in one process on purpose: worker
+// threads share the graph, the cache and the visited-set for free, and on
+// the same core count they beat separate worker processes (measured in
+// docs/ARCHITECTURE.md, "Why the search runs in one process").
 //
 // With a ScheduleCache attached (ParallelSearchOptions::cache), candidates
 // whose (fingerprint, strategy, seed, processors, budget) key is cached
@@ -15,7 +18,9 @@
 // evaluated candidate — the winner included — is stored afterwards.
 // Cached results are re-scored against the query graph, so a fully warm
 // search evaluates zero candidates yet selects the bit-identical winner of
-// the cold run (regression-tested in parallel_search_test.cpp).
+// the cold run — also when the warm run is a later process opening the
+// same cache directory through a fresh ScheduleCache (regression-tested in
+// parallel_search_test.cpp).
 //
 // With warm_start additionally enabled, the search ends with a warm-start
 // overlay (apply_cached_warm_start): cached feasible schedules for the
@@ -74,8 +79,8 @@ struct ParallelSearchOptions {
   bool use_fast_evaluator = true;
   /// Forwarded to every candidate: score local-search moves through the
   /// kernel's checkpointed incremental API. Bit-identical winners either
-  /// way; escape hatch for differential tests (`--no-incremental` in
-  /// fppn_tool). Not part of any cache key.
+  /// way; the from-scratch path exists for differential tests and the
+  /// fuzz loop's reference run. Not part of any cache key.
   bool use_incremental = true;
   /// Share one sched::VisitedSet across the candidate workers of each
   /// evaluation wave: exact scores of already-seen SP orders are memoized
@@ -128,9 +133,8 @@ struct SearchCandidate {
 /// — its result depends on cache contents, so it joins searches through
 /// the warm-start overlay, not the plan. Naming it in opts.strategies
 /// explicitly still works and behaves like plain local search).
-/// Single source of truth for the candidate matrix:
-/// parallel_search evaluates exactly this list and the sharded search
-/// (sched/sharded_search.hpp) partitions it. Throws std::invalid_argument
+/// Single source of truth for the candidate matrix: parallel_search
+/// evaluates exactly this list. Throws std::invalid_argument
 /// for bad options / an empty list and UnknownStrategyError for unknown
 /// names, before any scheduling work starts.
 [[nodiscard]] std::vector<SearchCandidate> enumerate_search_candidates(
@@ -149,48 +153,23 @@ struct SearchCandidate {
 /// even for makespans whose cross products exceed 64 bits), then strategy
 /// name, then seed. A strict total order over distinct (strategy, seed)
 /// pairs, so the minimum is unique and independent of evaluation order —
-/// shared by the in-process selection and the sharded merge so the two
+/// shared by the plan selection and the warm-start overlay so the two
 /// can never disagree.
 [[nodiscard]] bool better_search_candidate(const StrategyResult& a, std::uint64_t a_seed,
                                            const StrategyResult& b, std::uint64_t b_seed);
 
-/// Outcome of evaluating one candidate list, results index-aligned with
-/// the input.
-struct CandidateEvaluation {
-  std::vector<StrategyResult> results;
-  std::size_t evaluated = 0;   ///< candidates actually run (cache misses)
-  std::size_t cache_hits = 0;  ///< candidates answered by opts.cache
-  int workers_used = 1;
-  // Summed per-candidate evaluation counters (freshly run candidates only).
-  std::uint64_t evals_full = 0;
-  std::uint64_t evals_incremental = 0;
-  std::uint64_t evals_spliced = 0;
-  std::uint64_t visited_skips = 0;
-};
-
-/// Evaluates `candidates` on a worker pool (opts.workers threads, cache
-/// probe/store through opts.cache) without selecting a winner — the
-/// shared engine behind parallel_search and the sharded search worker.
-/// An empty candidate list is allowed (a shard can be empty) and returns
-/// an empty evaluation. Same determinism, thread-safety and throw
-/// behavior as parallel_search.
-[[nodiscard]] CandidateEvaluation evaluate_candidates(
-    const TaskGraph& tg, const ParallelSearchOptions& opts,
-    const std::vector<SearchCandidate>& candidates,
-    const StrategyRegistry& registry = StrategyRegistry::global());
-
-/// The warm-start overlay, shared by parallel_search and sharded_search:
-/// collects every cached feasible schedule for fingerprint(tg) from
-/// opts.cache, evaluates opts.seeds_per_strategy "cached-warm-start"
-/// candidates with those start points (serially, never cached, ranked
-/// among themselves by better_search_candidate), and replaces
-/// result.best/seed only when the best warm candidate is *strictly*
-/// better on the (feasibility, violations, makespan) score prefix — an
-/// equal-scoring warm candidate keeps the plan winner, so a warm rerun
-/// reports the bit-identical winner of the cold run unless it genuinely
-/// improved on it. Fills result.warm_starts/warm_candidates/
-/// warm_start_won. No-op when opts.warm_start is false, opts.cache is
-/// null, or the cache holds no feasible schedule for this graph.
+/// The warm-start overlay, run at the end of parallel_search: collects
+/// every cached feasible schedule for fingerprint(tg) from opts.cache,
+/// evaluates opts.seeds_per_strategy "cached-warm-start" candidates with
+/// those start points (serially, never cached, ranked among themselves by
+/// better_search_candidate), and replaces result.best/seed only when the
+/// best warm candidate is *strictly* better on the (feasibility,
+/// violations, makespan) score prefix — an equal-scoring warm candidate
+/// keeps the plan winner, so a warm rerun reports the bit-identical winner
+/// of the cold run unless it genuinely improved on it. Fills
+/// result.warm_starts/warm_candidates/warm_start_won. No-op when
+/// opts.warm_start is false, opts.cache is null, or the cache holds no
+/// feasible schedule for this graph.
 /// Deterministic for fixed (tg, opts, cache contents); rethrows strategy
 /// exceptions.
 void apply_cached_warm_start(const TaskGraph& tg, const ParallelSearchOptions& opts,

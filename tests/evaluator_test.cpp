@@ -3,9 +3,8 @@
 // reference list_schedule + feasibility pipeline — across random graphs
 // (fractional WCETs, staggered arrivals, varied processor counts), on the
 // int64 tick timebase and on the Rational overflow fallback, and all the
-// way up the search stack (optimize_priority, parallel_search,
-// sharded_search: fast vs. reference winners are identical, cold and
-// warm, 1-process and sharded).
+// way up the search stack (optimize_priority, parallel_search: fast vs.
+// reference winners are identical, cold and warm, on any worker count).
 #include "sched/evaluator.hpp"
 
 #include <gtest/gtest.h>
@@ -21,7 +20,6 @@
 #include "sched/parallel_search.hpp"
 #include "sched/partitioned.hpp"
 #include "sched/schedule_cache.hpp"
-#include "sched/sharded_search.hpp"
 #include "sched/visited_set.hpp"
 #include "taskgraph/fingerprint.hpp"
 #include "taskgraph/task_graph.hpp"
@@ -390,13 +388,19 @@ void expect_identical_winner(const sched::ParallelSearchResult& a,
 }
 
 TEST(EvaluatorSearch, ParallelSearchWinnerIdenticalFastVsReference) {
-  const TaskGraph tg = random_task_graph(101);
-  sched::ParallelSearchOptions opts = search_options(2);
-  opts.use_fast_evaluator = true;
-  const sched::ParallelSearchResult fast = sched::parallel_search(tg, opts);
-  opts.use_fast_evaluator = false;
-  const sched::ParallelSearchResult ref = sched::parallel_search(tg, opts);
-  expect_identical_winner(fast, ref, "parallel fast-vs-reference");
+  for (const std::uint64_t g : {101ULL, 202ULL}) {
+    const TaskGraph tg = random_task_graph(g);
+    sched::ParallelSearchOptions opts = search_options(2);
+    opts.use_fast_evaluator = false;
+    const sched::ParallelSearchResult ref = sched::parallel_search(tg, opts);
+    opts.use_fast_evaluator = true;
+    for (const int workers : {1, 2, 3}) {
+      opts.workers = workers;
+      expect_identical_winner(sched::parallel_search(tg, opts), ref,
+                              "parallel fast-vs-reference, graph " + std::to_string(g) +
+                                  ", " + std::to_string(workers) + " worker(s)");
+    }
+  }
 }
 
 TEST(EvaluatorSearch, WarmSearchWithKernelMatchesColdReferenceWinnerOrBeatsIt) {
@@ -670,22 +674,6 @@ TEST(EvaluatorSearch, ParallelSearchVisitedSetToggleIdenticalWinner) {
   EXPECT_GT(on.evals_incremental, 0u);
   EXPECT_EQ(off.evals_incremental, 0u);
   EXPECT_GT(off.evals_full, 0u);
-}
-
-TEST(EvaluatorSearch, ShardedSearchWithKernelMatchesReferenceInProcess) {
-  const TaskGraph tg = random_task_graph(202);
-  sched::ParallelSearchOptions opts = search_options(2);
-  opts.use_fast_evaluator = false;
-  const sched::ParallelSearchResult ref = sched::parallel_search(tg, opts);
-
-  opts.use_fast_evaluator = true;
-  TempDir dir("sharded_kernel");
-  sched::ShardedSearchOptions sharding;
-  sharding.shards = 3;
-  sharding.shard_dir = dir.path();
-  sharding.launcher = sched::inprocess_shard_launcher(tg, opts, dir.path());
-  const sched::ParallelSearchResult sharded = sched::sharded_search(tg, opts, sharding);
-  expect_identical_winner(sharded, ref, "sharded kernel vs in-process reference");
 }
 
 }  // namespace

@@ -96,6 +96,10 @@ struct BadCase {
   std::size_t error_line;
 };
 
+// Without this, gtest prints the raw bytes of the two pointers, and the test
+// names that CTest discovers change with every address-space layout.
+void PrintTo(const BadCase& bad, std::ostream* os) { *os << bad.name; }
+
 class TextFormatErrors : public ::testing::TestWithParam<BadCase> {};
 
 TEST_P(TextFormatErrors, ReportsLineNumber) {
@@ -190,8 +194,8 @@ TEST(TextFormat, BadCapacityKeyRejected) {
 }
 
 /// write -> parse -> re-derive must reproduce the exact task graph: the
-/// writer is the wire format of fuzz repros and shard corpora, so "close
-/// enough" round-trips are format bugs.
+/// writer is the format of fuzz repros and `fppn_tool roundtrip`, so
+/// "close enough" round-trips are format bugs.
 void expect_lossless_roundtrip(const Network& net, const WcetMap& wcets,
                                const std::string& context) {
   const std::string emitted = write_network(net, wcets);

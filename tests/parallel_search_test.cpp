@@ -1,5 +1,6 @@
 // Parallel schedule search: bit-identical winner selection regardless of
-// worker-thread count, never-worse-than-any-single-strategy, and option
+// worker-thread count and cache warmth (memory or disk, same or fresh
+// cache instance), never-worse-than-any-single-strategy, and option
 // validation.
 #include <gtest/gtest.h>
 
@@ -7,6 +8,7 @@
 
 #include <filesystem>
 #include <limits>
+#include <memory>
 #include <random>
 
 #include "apps/fig1.hpp"
@@ -218,30 +220,54 @@ TEST(ParallelSearch, RanksMakespansNearInt64OverflowWithoutThrowing) {
 TEST(ParallelSearch, ColdVsWarmCachePickBitIdenticalWinner) {
   // Acceptance criterion: a warm-cache search on a repeated graph
   // evaluates 0 candidates yet returns the bit-identical winner of the
-  // cold run.
+  // cold run — on any worker count, and also when the warm run opens the
+  // cold run's disk directory through a fresh ScheduleCache instance, as
+  // a later fppn_tool process does.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("fppn_cold_warm_" + std::to_string(::getpid())))
+          .string();
   for (const std::uint64_t graph_seed : {0ULL, 7ULL}) {
-    const TaskGraph tg = random_task_graph(graph_seed);
-    sched::ScheduleCache cache;
-    sched::ParallelSearchOptions opts = base_options(3);
-    opts.cache = &cache;
+    for (const bool on_disk : {false, true}) {
+      const std::string context = "graph seed " + std::to_string(graph_seed) +
+                                  (on_disk ? ", disk cache" : ", memory cache");
+      const TaskGraph tg = random_task_graph(graph_seed);
+      std::filesystem::remove_all(dir);
+      const auto open_cache = [&] {
+        return on_disk ? std::make_unique<sched::ScheduleCache>(dir)
+                       : std::make_unique<sched::ScheduleCache>();
+      };
+      const std::unique_ptr<sched::ScheduleCache> cache = open_cache();
+      sched::ParallelSearchOptions opts = base_options(3);
+      opts.cache = cache.get();
 
-    const auto cold = sched::parallel_search(tg, opts);
-    EXPECT_EQ(cold.evaluated, cold.candidates);
-    EXPECT_EQ(cold.cache_hits, 0u);
+      const auto cold = sched::parallel_search(tg, opts);
+      EXPECT_EQ(cold.evaluated, cold.candidates) << context;
+      EXPECT_EQ(cold.cache_hits, 0u) << context;
 
-    const auto warm = sched::parallel_search(tg, opts);
-    EXPECT_EQ(warm.evaluated, 0u) << "graph seed " << graph_seed;
-    EXPECT_EQ(warm.cache_hits, warm.candidates);
-    EXPECT_EQ(warm.candidates, cold.candidates);
+      for (const int workers : {1, 4}) {
+        const std::unique_ptr<sched::ScheduleCache> fresh =
+            on_disk ? open_cache() : nullptr;
+        opts.cache = fresh != nullptr ? fresh.get() : cache.get();
+        opts.workers = workers;
+        const auto warm = sched::parallel_search(tg, opts);
+        const std::string where = context + ", " + std::to_string(workers) + " worker(s)";
+        EXPECT_EQ(warm.evaluated, 0u) << where;
+        EXPECT_EQ(warm.cache_hits, warm.candidates) << where;
+        EXPECT_EQ(warm.candidates, cold.candidates) << where;
 
-    EXPECT_EQ(warm.best.strategy, cold.best.strategy);
-    EXPECT_EQ(warm.seed, cold.seed);
-    EXPECT_EQ(warm.best.detail, cold.best.detail);
-    EXPECT_EQ(warm.best.makespan, cold.best.makespan);
-    EXPECT_EQ(warm.best.deadline_violations, cold.best.deadline_violations);
-    EXPECT_EQ(warm.best.feasible, cold.best.feasible);
-    expect_identical_schedules(warm.best.schedule, cold.best.schedule, tg.job_count());
+        EXPECT_EQ(warm.best.strategy, cold.best.strategy) << where;
+        EXPECT_EQ(warm.seed, cold.seed) << where;
+        EXPECT_EQ(warm.best.detail, cold.best.detail) << where;
+        EXPECT_EQ(warm.best.makespan, cold.best.makespan) << where;
+        EXPECT_EQ(warm.best.deadline_violations, cold.best.deadline_violations) << where;
+        EXPECT_EQ(warm.best.feasible, cold.best.feasible) << where;
+        expect_identical_schedules(warm.best.schedule, cold.best.schedule,
+                                   tg.job_count());
+      }
+    }
   }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ParallelSearch, CacheMatchesUncachedWinner) {

@@ -60,8 +60,8 @@ TEST(StrategyRegistry, RejectsBadRegistrations) {
                             }),
                std::invalid_argument);
   EXPECT_THROW(registry.add("null-factory", nullptr), std::invalid_argument);
-  // Names become cache-entry file names, shard-manifest tokens and worker
-  // argv words, so the lowercase/digits/dashes contract is enforced.
+  // Names become cache-entry file names, schedule-entry tokens and
+  // command-line words, so the lowercase/digits/dashes contract is enforced.
   const auto factory = [] {
     return sched::StrategyRegistry::global().create("alap-edf");
   };

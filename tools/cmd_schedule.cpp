@@ -7,17 +7,8 @@ namespace fppn {
 namespace tool {
 
 int cmd_schedule(const Args& args) {
-  if (args.shard_dir.has_value() && args.shards < 1) {
-    // Silently recomputing in-process would drop shipped shard results.
-    std::fprintf(stderr, "fppn_tool: --shard-dir requires --shards N\n");
-    return 2;
-  }
   const engine::SolveReport report = engine::solve_once(solve_request(args));
-  // The sharded orchestrator stays quiet about the cache (the workers own
-  // their instances); only the in-process path reports per-solve stats.
-  if (!report.sharded) {
-    print_cache_line(report);
-  }
+  print_cache_line(report);
   print_search_report(report);
   if (!report.feasible()) {
     const FeasibilityReport feas =

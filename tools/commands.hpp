@@ -12,7 +12,6 @@ namespace tool {
 int cmd_check(const Args& args);
 int cmd_taskgraph(const Args& args);
 int cmd_schedule(const Args& args);
-int cmd_search_worker(const Args& args);
 int cmd_simulate(const Args& args);
 int cmd_roundtrip(const Args& args);
 int cmd_cache_gc(const Args& args);

@@ -7,16 +7,14 @@
 // engine::SolveRequest translation live in tools/tool_common.*; each
 // subcommand is one thin module in tools/cmd_*.cpp (declared in
 // tools/commands.hpp); all scheduling behavior — presets, cache
-// attachment, sharding, the determinism contract — lives in src/engine,
-// shared with fppn_serve, the benches and the fuzz loop.
+// attachment, the determinism contract — lives in src/engine, shared with
+// fppn_serve, the benches and the fuzz loop.
 //
 // Scheduling goes through the strategy registry (pass any registered name
 // to --strategy; `fppn_tool --help` lists them) and --optimize runs the
 // parallel multi-strategy/multi-seed search. Execution goes through the
-// runtime registry (--runtime vm|threads). `--shards N` splits the
-// schedule search across N `fppn_tool search-worker` processes
-// (sched::sharded_search) and merges the bit-identical winner of the
-// single-process run.
+// runtime registry (--runtime vm|threads). `--jobs W` sets the search's
+// worker threads; the winner is bit-identical for every W.
 //
 // Usage:
 //   fppn_tool check     <file>
@@ -25,9 +23,7 @@
 //                       [--jobs W] [--seed S] [--wcet C] [--unfold U]
 //                       [--cache-dir D] [--cache-max-entries N]
 //                       [--cache-max-bytes B] [--no-cache]
-//                       [--shards N [--shard-dir D]] [--dot|--gantt]
-//   fppn_tool search-worker <file> -m N --shards N --shard-index I
-//                       --shard-dir D [schedule options]
+//                       [--dot|--gantt]
 //   fppn_tool simulate  <file> -m N [--runtime NAME] [--frames F]
 //                       [--overhead F1,Fn] [--wcet C] [--seed S]
 //                       [--cache-dir D] [--cache-max-entries N] [--no-cache]
@@ -48,12 +44,10 @@
 // re-evaluated, with the bit-identical winner, and cached feasible
 // schedules warm-start the local search (strict-improvement overlay: a
 // warm rerun matches the cold winner or beats it, never anything else).
-// A bad cache path is a hard error (exit 1), never a silent miss. Shard
-// worker processes share the same cache directory, so sharded searches
-// are warm-cache friendly too. --cache-max-entries bounds the directory's
-// entry count and --cache-max-bytes its total entry-file size (LRU-style
-// eviction after every store); `cache-gc` runs the same reconcile+evict
-// pass on demand.
+// A bad cache path is a hard error (exit 1), never a silent miss.
+// --cache-max-entries bounds the directory's entry count and
+// --cache-max-bytes its total entry-file size (LRU-style eviction after
+// every store); `cache-gc` runs the same reconcile+evict pass on demand.
 //
 // Every numeric flag is parsed with a checked helper: a non-integer or
 // out-of-range value exits 2 with an actionable message — never a raw
@@ -67,7 +61,6 @@ using namespace fppn;
 using namespace fppn::tool;
 
 int main(int argc, char** argv) {
-  g_argv0 = argc > 0 ? argv[0] : "fppn_tool";
   try {
     const Args args = parse_args(argc, argv);
     if (args.command == "check") {
@@ -78,9 +71,6 @@ int main(int argc, char** argv) {
     }
     if (args.command == "schedule") {
       return cmd_schedule(args);
-    }
-    if (args.command == "search-worker") {
-      return cmd_search_worker(args);
     }
     if (args.command == "simulate") {
       return cmd_simulate(args);

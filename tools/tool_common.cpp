@@ -1,25 +1,19 @@
 #include "tool_common.hpp"
 
-#include <unistd.h>
-
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
-#include <vector>
 
 #include "runtime/runtime.hpp"
-#include "sched/process_launcher.hpp"
 #include "sched/registry.hpp"
 
 namespace fppn {
 namespace tool {
 
-std::string g_argv0;
-
 void print_usage(std::FILE* out) {
   std::fprintf(out,
                "usage: fppn_tool "
-               "<check|taskgraph|schedule|search-worker|simulate|roundtrip> "
+               "<check|taskgraph|schedule|simulate|roundtrip> "
                "<file> [options]\n"
                "       fppn_tool cache-gc --cache-dir D [--cache-max-entries N]\n"
                "                          [--cache-max-bytes B]\n"
@@ -31,15 +25,6 @@ void print_usage(std::FILE* out) {
                "  --strategy NAME  scheduling strategy (schedule)\n"
                "  --optimize       parallel multi-strategy/multi-seed search\n"
                "  --jobs W         parallel-search worker threads (0 = auto)\n"
-               "  --shards N       split the search across N worker processes\n"
-               "                   (schedule); same winner as the in-process run\n"
-               "  --shard-dir D    directory the shards publish into; with all\n"
-               "                   manifests pre-populated (e.g. from other\n"
-               "                   machines) no workers are spawned, only merged\n"
-               "  --shard-index I  shard owned by this process (search-worker)\n"
-               "  --shard-retries R  re-run a failed shard worker up to R times\n"
-               "                   (default 1; same deterministic slice, so the\n"
-               "                   merged winner is unchanged)\n"
                "  --runtime NAME   execution backend (simulate)\n"
                "  --frames F       schedule-frame repetitions (simulate)\n"
                "  --overhead F1,Fn frame overhead model (simulate)\n"
@@ -55,10 +40,6 @@ void print_usage(std::FILE* out) {
                "                   with --cache-max-entries, also honored by\n"
                "                   cache-gc)\n"
                "  --no-cache       disable the schedule cache even with --cache-dir\n"
-               "  --no-incremental score local-search moves from scratch instead of\n"
-               "                   resuming from checkpoints (bit-identical winner)\n"
-               "  --no-visited-set disable the shared order-score memo across search\n"
-               "                   workers (bit-identical winner)\n"
                "  --dot | --gantt  graph/schedule rendering\n"
                "  --seeds N        fuzz: scenario count (default 100)\n"
                "  --families LIST  fuzz: comma-separated scenario families\n"
@@ -149,64 +130,6 @@ void require_known(const Registry& registry, const char* kind, const char* kind_
   std::exit(2);
 }
 
-/// Full path of this executable, for re-spawning shard workers.
-std::string self_exe_path() {
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n > 0) {
-    buf[n] = '\0';
-    return std::string(buf);
-  }
-  return g_argv0;
-}
-
-/// Command line of one shard worker: the search-relevant flags of this
-/// invocation plus the shard coordinates. Workers share --cache-dir, so a
-/// sharded search warms (and is warmed by) the same cache as the
-/// in-process run.
-std::vector<std::string> worker_argv(const Args& args, const std::string& shard_dir,
-                                     int shard_index) {
-  std::vector<std::string> argv = {
-      self_exe_path(), "search-worker", args.file,
-      "-m", std::to_string(args.processors),
-      "--shards", std::to_string(args.shards),
-      "--shard-index", std::to_string(shard_index),
-      "--shard-dir", shard_dir,
-      "--seed", std::to_string(args.seed),
-      "--unfold", std::to_string(args.unfold),
-      "--jobs", std::to_string(args.jobs)};
-  if (args.strategy.has_value()) {
-    argv.push_back("--strategy");
-    argv.push_back(*args.strategy);
-  }
-  if (args.optimize) {
-    argv.push_back("--optimize");
-  }
-  if (args.no_incremental) {
-    argv.push_back("--no-incremental");
-  }
-  if (args.no_visited_set) {
-    argv.push_back("--no-visited-set");
-  }
-  if (args.uniform_wcet.has_value()) {
-    argv.push_back("--wcet");
-    argv.push_back(args.uniform_wcet->to_string());
-  }
-  if (args.cache_dir.has_value() && !args.no_cache) {
-    argv.push_back("--cache-dir");
-    argv.push_back(*args.cache_dir);
-    if (args.cache_max_entries > 0) {
-      argv.push_back("--cache-max-entries");
-      argv.push_back(std::to_string(args.cache_max_entries));
-    }
-    if (args.cache_max_bytes > 0) {
-      argv.push_back("--cache-max-bytes");
-      argv.push_back(std::to_string(args.cache_max_bytes));
-    }
-  }
-  return argv;
-}
-
 }  // namespace
 
 Args parse_args(int argc, char** argv) {
@@ -263,17 +186,6 @@ Args parse_args(int argc, char** argv) {
     } else if (arg == "--jobs") {
       a.jobs = static_cast<int>(
           parse_int_flag("--jobs", next(), 0, std::numeric_limits<int>::max()));
-    } else if (arg == "--shards") {
-      a.shards = static_cast<int>(
-          parse_int_flag("--shards", next(), 1, std::numeric_limits<int>::max()));
-    } else if (arg == "--shard-index") {
-      a.shard_index = static_cast<int>(
-          parse_int_flag("--shard-index", next(), 0, std::numeric_limits<int>::max()));
-    } else if (arg == "--shard-dir") {
-      a.shard_dir = next();
-    } else if (arg == "--shard-retries") {
-      a.shard_retries = static_cast<int>(
-          parse_int_flag("--shard-retries", next(), 0, std::numeric_limits<int>::max()));
     } else if (arg == "--seed") {
       a.seed = parse_u64_flag("--seed", next());
     } else if (arg == "--wcet") {
@@ -297,10 +209,6 @@ Args parse_args(int argc, char** argv) {
           parse_int_flag("--cache-max-bytes", next(), 1));
     } else if (arg == "--no-cache") {
       a.no_cache = true;
-    } else if (arg == "--no-incremental") {
-      a.no_incremental = true;
-    } else if (arg == "--no-visited-set") {
-      a.no_visited_set = true;
     } else if (arg == "--optimize") {
       a.optimize = true;
     } else if (arg == "--dot") {
@@ -340,27 +248,9 @@ engine::SolveRequest solve_request(const Args& args) {
   config.no_cache = args.no_cache;
   config.cache_max_entries = args.cache_max_entries;
   config.cache_max_bytes = args.cache_max_bytes;
-  config.shards = args.shards;
-  config.shard_dir = args.shard_dir;
-  config.use_incremental = !args.no_incremental;
-  config.use_visited_set = !args.no_visited_set;
   // Warm-start stays on (the SearchConfig default): the overlay only ever
   // matches or strictly improves the winner, so it is always safe on.
 
-  if (args.shards > 0) {
-    // One `fppn_tool search-worker` process per shard, re-spawned from
-    // this binary with the search-relevant flags of this invocation.
-    const Args captured = args;
-    request.make_shard_launcher = [captured](const std::string& shard_dir) {
-      sched::LaunchPolicy policy;
-      policy.max_attempts = 1 + captured.shard_retries;
-      return sched::process_shard_launcher(
-          [captured, shard_dir](int shard) {
-            return worker_argv(captured, shard_dir, shard);
-          },
-          policy);
-    };
-  }
   return request;
 }
 
@@ -379,14 +269,10 @@ void print_search_report(const engine::SolveReport& report) {
               result.best.detail.c_str(), static_cast<long long>(report.processors),
               result.best.feasible ? "FEASIBLE" : "infeasible",
               result.best.makespan.to_string().c_str());
-  const std::string workers_phrase =
-      report.sharded
-          ? "in " + std::to_string(result.workers_used) + " shard process(es)"
-          : "on " + std::to_string(result.workers_used) + " worker(s)";
   std::printf(
-      "(searched %zu candidate(s), %zu evaluated + %zu cached, %s; "
+      "(searched %zu candidate(s), %zu evaluated + %zu cached, on %d worker(s); "
       "winner: %s, seed %llu)\n",
-      result.candidates, result.evaluated, result.cache_hits, workers_phrase.c_str(),
+      result.candidates, result.evaluated, result.cache_hits, result.workers_used,
       result.best.strategy.c_str(), static_cast<unsigned long long>(result.seed));
   if (result.warm_candidates > 0) {
     std::printf("warm-start overlay: %zu cached start(s), %zu candidate(s)%s\n",
@@ -394,7 +280,7 @@ void print_search_report(const engine::SolveReport& report) {
                 result.warm_start_won ? ", improved the plan winner" : "");
   }
   // Evaluation accounting of the fresh candidate runs (zero when every
-  // candidate came from the cache or shard processes did the evaluating).
+  // candidate came from the cache).
   if (result.evals_full + result.evals_incremental + result.visited_skips > 0) {
     std::printf(
         "evaluations: %llu full, %llu incremental (%llu spliced), "

@@ -6,7 +6,7 @@
 // Subcommands are thin by design: they parse flags into a SolveRequest,
 // call engine::Engine::solve() (tools/cmd_*.cpp declare themselves in
 // tools/commands.hpp) and format the SolveReport. All scheduling
-// behavior — presets, cache attachment, sharding, determinism — lives in
+// behavior — presets, cache attachment, determinism — lives in
 // src/engine, shared with fppn_serve, the benches and the fuzz loop.
 #pragma once
 
@@ -30,16 +30,12 @@ struct Args {
   std::int64_t frames = 1;
   int unfold = 1;
   int jobs = 0;  ///< parallel-search workers; 0 = hardware concurrency
-  int shards = 0;       ///< >0: split the schedule search across processes
-  int shard_index = -1; ///< search-worker only: which shard this process owns
-  int shard_retries = 1;  ///< failover attempts per failed shard worker
   std::uint64_t seed = 1;
   std::size_t cache_max_entries = 0;  ///< 0 = unbounded cache directory
   std::uint64_t cache_max_bytes = 0;  ///< 0 = no byte-size bound
   std::optional<Duration> uniform_wcet;
   std::optional<std::string> strategy;
   std::optional<std::string> cache_dir;
-  std::optional<std::string> shard_dir;
   std::string runtime = "vm";
   // fuzz subcommand
   std::int64_t fuzz_seeds = 100;
@@ -50,17 +46,11 @@ struct Args {
   bool inject_bug = false;
   bool processors_given = false;
   bool no_cache = false;
-  bool no_incremental = false;  ///< escape hatch: from-scratch move scoring
-  bool no_visited_set = false;  ///< escape hatch: no cross-worker score memo
   bool optimize = false;
   bool dot = false;
   bool gantt = false;
   OverheadModel overhead;
 };
-
-/// argv[0], kept for re-spawning shard workers when /proc/self/exe is
-/// unavailable.
-extern std::string g_argv0;
 
 void print_usage(std::FILE* out);
 
@@ -79,9 +69,7 @@ std::uint64_t parse_u64_flag(const char* flag, const std::string& value);
 Args parse_args(int argc, char** argv);
 
 /// The engine request this invocation describes: network file input,
-/// derivation knobs, the consolidated SearchConfig, and — when sharding —
-/// a process launcher that re-spawns this binary as
-/// `fppn_tool search-worker` (one worker per shard, sharing --cache-dir).
+/// derivation knobs and the consolidated SearchConfig.
 [[nodiscard]] engine::SolveRequest solve_request(const Args& args);
 
 /// The per-solve cache stats line ("cache '<dir>': N hit(s), ...") the
@@ -89,8 +77,7 @@ Args parse_args(int argc, char** argv);
 /// attached.
 void print_cache_line(const engine::SolveReport& report);
 
-/// The schedule-search result block shared by `schedule` (and its shard
-/// accounting variant): result line, candidate/cache/worker counts, the
+/// The schedule-search result block `schedule` prints: result line, candidate/cache/worker counts, the
 /// warm-start overlay line and the evaluation accounting. Byte-identical
 /// to the pre-engine tool output.
 void print_search_report(const engine::SolveReport& report);
