@@ -1,5 +1,5 @@
 // Fuzz-loop throughput and self-check: scenario generation rate, the
-// full differential-check rate (reference + toggled search, TA oracle,
+// full differential-check rate (reference vs production search, TA oracle,
 // policy trace), and two hard gates — a mismatch-free sweep and the
 // injected-bug shrink/repro/replay pipeline — emitted as gate bits in
 // BENCH_fuzz.json so CI fails when either contract breaks.

@@ -1,8 +1,8 @@
 // The evaluation kernel's headline numbers: candidate-evaluations/sec of
 // sched::Evaluator vs. the reference list_schedule + feasibility pipeline
 // on a 256-job synthetic graph (the ISSUE-5 acceptance metric), plus a
-// fast-vs-reference winner-equality smoke on the paper's fig7 FMS example
-// that CI runs on every push (exit 1 on any divergence).
+// winner-equality smoke against the reference search oracle on the paper's
+// fig7 FMS example that CI runs on every push (exit 1 on any divergence).
 //
 // Emits BENCH_local_search.json (bench_json.hpp). `--smoke` runs the
 // report + equality check only, skipping the google-benchmark loops.
@@ -21,6 +21,7 @@
 #include "sched/local_search.hpp"
 #include "sched/parallel_search.hpp"
 #include "taskgraph/derivation.hpp"
+#include "testing/reference_search.hpp"
 
 namespace {
 
@@ -28,15 +29,7 @@ using namespace fppn;
 
 using benchgraphs::periodic_pipeline_graph;
 using benchgraphs::random_task_graph;
-
-sched::EvalScore reference_score(const TaskGraph& tg, const std::vector<JobId>& order,
-                                 std::int64_t processors) {
-  const StaticSchedule s = list_schedule(tg, order, processors);
-  sched::EvalScore score;
-  score.makespan = s.makespan(tg);
-  score.deadline_violations = s.count_violations(tg).deadline;
-  return score;
-}
+using testing::reference_score;
 
 /// Evaluations/sec of one evaluation function over a rotating set of
 /// orders (a small pool so the measurement is not one memoized order).
@@ -75,8 +68,9 @@ bool placements_equal(const StaticSchedule& a, const StaticSchedule& b) {
 }
 
 /// Winner-equality smoke on fig7 (the FMS avionics application): the full
-/// parallel search with the kernel on vs. off must pick the bit-identical
-/// winner. Returns true on equality.
+/// parallel search must pick the bit-identical winner of the serial
+/// reference search (testing/reference_search.hpp). Returns true on
+/// equality.
 bool fms_winner_equality(benchjson::Report& report) {
   const auto app = apps::build_fms();
   const auto derived = derive_task_graph(app.net, app.default_wcets());
@@ -87,12 +81,10 @@ bool fms_winner_equality(benchjson::Report& report) {
   config.max_iterations = 400;
   config.restarts = 1;
   config.warm_start = false;
-  config.use_fast_evaluator = true;
   const sched::ParallelSearchResult fast =
       engine::solve_graph(derived.graph, config).search;
-  config.use_fast_evaluator = false;
   const sched::ParallelSearchResult reference =
-      engine::solve_graph(derived.graph, config).search;
+      testing::reference_search(derived.graph, config.search_options());
   const bool equal = fast.best.strategy == reference.best.strategy &&
                      fast.seed == reference.seed &&
                      fast.best.makespan == reference.best.makespan &&
@@ -353,15 +345,17 @@ BENCHMARK(BM_ReferenceEvaluate)->Arg(8)->Arg(16);
 
 void BM_OptimizePriority(benchmark::State& state) {
   const TaskGraph tg = random_task_graph(10, 10, 500, 7);
-  LocalSearchOptions opts;
+  sched::StrategyOptions opts;
   opts.processors = 4;
   opts.max_iterations = 500;
   opts.restarts = 1;
-  opts.use_fast_evaluator = state.range(0) != 0;
+  const bool kernel = state.range(0) != 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(optimize_priority(tg, opts).makespan);
+    benchmark::DoNotOptimize((kernel ? optimize_priority(tg, opts)
+                                     : testing::reference_optimize_priority(tg, opts))
+                                 .makespan);
   }
-  state.SetLabel(opts.use_fast_evaluator ? "kernel" : "reference");
+  state.SetLabel(kernel ? "kernel" : "reference");
 }
 BENCHMARK(BM_OptimizePriority)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 

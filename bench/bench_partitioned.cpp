@@ -82,14 +82,16 @@ bool print_kernel_report(benchjson::Report& report) {
   std::printf("=== partition kernel vs reference rescan, %zu jobs, M=%lld ===\n\n",
               n, static_cast<long long>(kProcessors));
 
-  PartitionedScheduler kernel(tg, kProcesses, kProcessors, /*use_kernel=*/true);
-  PartitionedScheduler reference(tg, kProcesses, kProcessors, /*use_kernel=*/false);
+  PartitionedScheduler kernel(tg, kProcesses, kProcessors);
+  const auto reference_schedule = [&](const std::vector<JobId>& order) {
+    return partitioned_list_schedule(tg, kernel.assignment(), order, kProcessors);
+  };
 
   // Equality first: every order's schedule, placement by placement.
   bool agree = true;
   for (const std::vector<JobId>& order : orders) {
     const StaticSchedule fast = kernel.schedule_order(order);
-    const StaticSchedule slow = reference.schedule_order(order);
+    const StaticSchedule slow = reference_schedule(order);
     const sched::EvalScore fast_score = score_of(tg, fast);
     const sched::EvalScore slow_score = score_of(tg, slow);
     agree = agree && placements_equal(fast, slow) &&
@@ -117,7 +119,7 @@ bool print_kernel_report(benchjson::Report& report) {
     return kernel.evaluate_order(order).deadline_violations;
   });
   const double reference_rate = rate_of([&](const std::vector<JobId>& order) {
-    return score_of(tg, reference.schedule_order(order)).deadline_violations;
+    return score_of(tg, reference_schedule(order)).deadline_violations;
   });
   const double speedup = reference_rate > 0.0 ? kernel_rate / reference_rate : 0.0;
 
@@ -218,12 +220,12 @@ BENCHMARK(BM_PartitionKernel)->Arg(8)->Arg(16);
 void BM_PartitionReference(benchmark::State& state) {
   const TaskGraph tg = periodic_pipeline_graph(
       static_cast<int>(state.range(0)), kFrames, kPeriod, 7);
-  PartitionedScheduler scheduler(tg, static_cast<std::size_t>(state.range(0)),
-                                 kProcessors, /*use_kernel=*/false);
+  const std::vector<ProcessorId> assignment =
+      wfd_assignment(tg, static_cast<std::size_t>(state.range(0)), kProcessors);
   const std::vector<JobId> order =
       schedule_priority(tg, PriorityHeuristic::kAlapEdf);
   for (auto _ : state) {
-    const StaticSchedule s = scheduler.schedule_order(order);
+    const StaticSchedule s = partitioned_list_schedule(tg, assignment, order, kProcessors);
     benchmark::DoNotOptimize(s.count_violations(tg).deadline);
   }
   state.SetLabel(std::to_string(tg.job_count()) + " jobs");

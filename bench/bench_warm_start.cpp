@@ -67,7 +67,7 @@ BENCHMARK(BM_WarmSearchWithOverlay)->Arg(6)->Arg(10)->Unit(benchmark::kMilliseco
 
 void BM_LocalSearchColdStart(benchmark::State& state) {
   const TaskGraph tg = random_task_graph(8, 8, 500, 11);
-  LocalSearchOptions opts;
+  sched::StrategyOptions opts;
   opts.processors = 4;
   opts.max_iterations = 1000;
   opts.restarts = 1;
@@ -82,12 +82,12 @@ void BM_LocalSearchWarmStart(benchmark::State& state) {
   // Seed the search with its own best-known answer — the steady state of
   // a long-lived cache directory.
   const TaskGraph tg = random_task_graph(8, 8, 500, 11);
-  LocalSearchOptions opts;
+  sched::StrategyOptions opts;
   opts.processors = 4;
   opts.max_iterations = 1000;
   opts.restarts = 1;
   const LocalSearchResult cold = optimize_priority(tg, opts);
-  opts.start_priorities = {cold.priority};
+  opts.warm_starts = {cold.priority};
   for (auto _ : state) {
     benchmark::DoNotOptimize(optimize_priority(tg, opts).makespan);
   }
@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
     // Machine-readable headline: cold vs. warm-seeded local search time.
     using Clock = std::chrono::steady_clock;
     const TaskGraph tg = random_task_graph(8, 8, 500, 11);
-    LocalSearchOptions opts;
+    sched::StrategyOptions opts;
     opts.processors = 4;
     opts.max_iterations = 1000;
     opts.restarts = 1;
@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
     const LocalSearchResult cold = optimize_priority(tg, opts);
     const double cold_ms =
         std::chrono::duration<double, std::milli>(Clock::now() - cold_begin).count();
-    opts.start_priorities = {cold.priority};
+    opts.warm_starts = {cold.priority};
     const auto warm_begin = Clock::now();
     const LocalSearchResult warm = optimize_priority(tg, opts);
     const double warm_ms =

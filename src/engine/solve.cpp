@@ -34,9 +34,6 @@ sched::ParallelSearchOptions SearchConfig::search_options() const {
     opts.restarts = *restarts;
   }
   opts.warm_start = warm_start;
-  opts.use_fast_evaluator = use_fast_evaluator;
-  opts.use_incremental = use_incremental;
-  opts.use_visited_set = use_visited_set;
   return opts;
 }
 

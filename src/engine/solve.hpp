@@ -2,19 +2,17 @@
 // describe a scheduling problem (SolveRequest), one consolidated knob set
 // (SearchConfig) and one structured outcome (SolveReport).
 //
-// Before this layer existed, every entry point — the tool's subcommands,
-// the benches and the fuzz loop — hand-rolled the same
-// parse -> derive -> compile -> cache-attach -> search pipeline and
-// threaded three overlapping options structs (LocalSearchOptions,
-// StrategyOptions, ParallelSearchOptions) by hand.
-// SearchConfig is now the single user-facing source of that plumbing: it
-// subsumes every toggle the lower-level structs expose (strategy
-// restriction, seeds, workers, cache directory/bounds, warm-start,
-// fast-evaluator/incremental/visited-set) and derives the lower-level
-// options in exactly one place (search_options()), so the determinism
-// contract — same request, bit-identical winner, regardless of workers or
-// cache warmth — is enforced once, for every caller (engine/engine.hpp
-// holds the Engine that executes requests).
+// SearchConfig is the single user-facing source of the search plumbing:
+// strategy restriction, seeds, workers, budget, cache directory/bounds
+// and warm-start. It derives the lower-level options in exactly one place
+// (search_options()), and those pass down unchanged: ParallelSearchOptions
+// yields one StrategyOptions per candidate, which the strategy (and
+// optimize_priority) take as is. The determinism contract — same request,
+// bit-identical winner, regardless of workers or cache warmth — is
+// therefore enforced once, for every caller (engine/engine.hpp holds the
+// Engine that executes requests). Production search always runs the
+// incremental evaluation kernel with the shared visited-set; the naive
+// reference pipeline it must match lives in testing/reference_search.hpp.
 #pragma once
 
 #include <cstdint>
@@ -32,9 +30,8 @@ namespace engine {
 /// Every knob a solve may depend on, consolidated. Field groups map onto
 /// the lower layers as follows: processors/workers/strategies/seed and
 /// the budget resolve into sched::ParallelSearchOptions (and from there
-/// into StrategyOptions/LocalSearchOptions per candidate); the cache
-/// group selects the ScheduleCache the Engine attaches; the kernel
-/// toggles ride through unchanged. search_options() is the only
+/// into one StrategyOptions per candidate); the cache group selects the
+/// ScheduleCache the Engine attaches. search_options() is the only
 /// translation site.
 struct SearchConfig {
   std::int64_t processors = 2;
@@ -71,11 +68,6 @@ struct SearchConfig {
   /// cache). Defaults on, like fppn_tool: the overlay only ever matches
   /// or strictly improves the winner.
   bool warm_start = true;
-
-  // --- kernel toggles (all outside every cache key) ---------------------
-  bool use_fast_evaluator = true;
-  bool use_incremental = true;
-  bool use_visited_set = true;
 
   /// The resolved low-level options — the single place SearchConfig is
   /// translated for the search layers. Cache fields are handled by

@@ -12,6 +12,7 @@
 #include "runtime/vm_runtime.hpp"
 #include "ta/translate.hpp"
 #include "taskgraph/fingerprint.hpp"
+#include "testing/reference_search.hpp"
 
 namespace fppn::gen {
 namespace {
@@ -20,29 +21,19 @@ std::int64_t sample_processors(std::uint64_t seed) {
   return 1 + static_cast<std::int64_t>((seed >> 8) % 3);
 }
 
-FuzzToggles sample_toggles(std::uint64_t seed) {
-  FuzzToggles t;
-  t.incremental = ((seed >> 4) & 1) != 0;
-  t.visited_set = ((seed >> 5) & 1) != 0;
-  return t;
-}
-
-/// The reference run's engine config: single worker, single seed, every
-/// kernel toggle off — the slow-but-simple baseline the toggled run must
-/// match bit for bit.
+/// The search config both runs share: single seed, small budget, no
+/// cache, and 1-2 workers sampled from the seed (the reference run is
+/// serial whatever the count).
 engine::SearchConfig search_config(const FuzzConfig& cfg, std::uint64_t seed,
                                    std::int64_t processors) {
   engine::SearchConfig config;
   config.processors = processors;
-  config.workers = 1;
+  config.workers = 1 + static_cast<int>((seed >> 2) % 2);
   config.seeds_per_strategy = 1;
   config.seed = seed;
   config.max_iterations = cfg.max_iterations;
   config.restarts = cfg.restarts;
   config.warm_start = false;  // no cache attached; keep the run pure
-  config.use_fast_evaluator = false;
-  config.use_incremental = false;
-  config.use_visited_set = false;
   return config;
 }
 
@@ -54,11 +45,11 @@ std::optional<std::string> compare_results(const TaskGraph& tg,
                                            const sched::ParallelSearchResult& got) {
   if (ref.best.strategy != got.best.strategy) {
     return "winning strategy differs: reference=" + ref.best.strategy +
-           " toggled=" + got.best.strategy;
+           " production=" + got.best.strategy;
   }
   if (ref.seed != got.seed) {
     return "winning seed differs: reference=" + std::to_string(ref.seed) +
-           " toggled=" + std::to_string(got.seed);
+           " production=" + std::to_string(got.seed);
   }
   if (ref.best.feasible != got.best.feasible) {
     return "feasibility differs";
@@ -66,11 +57,11 @@ std::optional<std::string> compare_results(const TaskGraph& tg,
   if (ref.best.deadline_violations != got.best.deadline_violations) {
     return "deadline violation count differs: reference=" +
            std::to_string(ref.best.deadline_violations) +
-           " toggled=" + std::to_string(got.best.deadline_violations);
+           " production=" + std::to_string(got.best.deadline_violations);
   }
   if (ref.best.makespan != got.best.makespan) {
     return "makespan differs: reference=" + time_str(ref.best.makespan) +
-           " toggled=" + time_str(got.best.makespan);
+           " production=" + time_str(got.best.makespan);
   }
   for (std::size_t i = 0; i < tg.job_count(); ++i) {
     const JobId j(i);
@@ -85,7 +76,7 @@ std::optional<std::string> compare_results(const TaskGraph& tg,
     if (a.processor != b.processor || a.start != b.start) {
       return "placement differs for " + tg.job(j).name + ": reference=(proc " +
              std::to_string(a.processor.value()) + ", " + time_str(a.start) +
-             ") toggled=(proc " + std::to_string(b.processor.value()) + ", " +
+             ") production=(proc " + std::to_string(b.processor.value()) + ", " +
              time_str(b.start) + ")";
     }
   }
@@ -249,17 +240,14 @@ std::string sanitize_line(std::string text) {
 
 FuzzVerdict check_network(const Network& net, const WcetMap& wcets,
                           std::uint64_t seed, const FuzzConfig& cfg,
-                          std::int64_t processors,
-                          const std::optional<FuzzToggles>& toggles) {
+                          std::int64_t processors) {
   FuzzVerdict v;
   const std::int64_t procs = processors > 0 ? processors : sample_processors(seed);
-  const FuzzToggles tog = toggles ? *toggles : sample_toggles(seed);
   const auto fail = [&](std::string check, std::string detail) {
     FuzzMismatch m;
     m.check = std::move(check);
     m.detail = std::move(detail);
     m.processors = procs;
-    m.toggles = tog;
     v.mismatch = std::move(m);
   };
 
@@ -300,34 +288,30 @@ FuzzVerdict check_network(const Network& net, const WcetMap& wcets,
   }
 
   sched::ParallelSearchResult reference;
-  sched::ParallelSearchResult toggled;
+  sched::ParallelSearchResult production;
   try {
-    // Both runs go through the engine layer, like every other entry
-    // point — the differential check therefore also covers the request
-    // translation, not just the search kernel.
-    const engine::SearchConfig ref_config = search_config(cfg, seed, procs);
-    reference = engine::solve_graph(derived.graph, ref_config).search;
-    engine::SearchConfig tog_config = ref_config;
-    tog_config.use_fast_evaluator = true;
-    tog_config.use_incremental = tog.incremental;
-    tog_config.use_visited_set = tog.visited_set;
-    tog_config.workers = 1 + static_cast<int>((seed >> 2) % 2);
-    toggled = engine::solve_graph(derived.graph, tog_config).search;
+    // The production run goes through the engine layer, like every other
+    // entry point, and the oracle reads the options it translates to — the
+    // differential check therefore also covers the request translation,
+    // not just the search kernel.
+    const engine::SearchConfig config = search_config(cfg, seed, procs);
+    reference = testing::reference_search(derived.graph, config.search_options());
+    production = engine::solve_graph(derived.graph, config).search;
   } catch (const std::exception& e) {
     fail("reference-winner", std::string("search threw: ") + e.what());
     return v;
   }
-  if (auto diff = compare_results(derived.graph, reference, toggled)) {
+  if (auto diff = compare_results(derived.graph, reference, production)) {
     fail("reference-winner", *diff);
     return v;
   }
 
   const ViolationCounts counts =
-      toggled.best.schedule.count_violations(derived.graph);
-  if (ta_gate(derived.graph, toggled.best, counts, derived.hyperperiod)) {
+      production.best.schedule.count_violations(derived.graph);
+  if (ta_gate(derived.graph, production.best, counts, derived.hyperperiod)) {
     v.ta_checked = true;
     try {
-      if (auto diff = check_ta_oracle(derived.graph, toggled.best)) {
+      if (auto diff = check_ta_oracle(derived.graph, production.best)) {
         fail("ta-oracle", *diff);
         return v;
       }
@@ -340,7 +324,7 @@ FuzzVerdict check_network(const Network& net, const WcetMap& wcets,
   if (!derived.servers.empty() && counts.unscheduled == 0) {
     v.trace_checked = true;
     try {
-      if (auto diff = check_policy_trace(net, derived, toggled.best.schedule, seed)) {
+      if (auto diff = check_policy_trace(net, derived, production.best.schedule, seed)) {
         fail("policy-trace", *diff);
         return v;
       }
@@ -354,7 +338,7 @@ FuzzVerdict check_network(const Network& net, const WcetMap& wcets,
 
 FuzzVerdict check_scenario(const Scenario& scenario, const FuzzConfig& cfg) {
   return check_network(scenario.net, scenario.wcets, scenario.seed, cfg,
-                       cfg.processors, std::nullopt);
+                       cfg.processors);
 }
 
 Scenario shrink_scenario(const Scenario& scenario, const FuzzMismatch& mismatch,
@@ -372,7 +356,7 @@ Scenario shrink_scenario(const Scenario& scenario, const FuzzMismatch& mismatch,
       BuiltScenario built = build_scenario(spec);
       const FuzzVerdict v =
           check_network(built.net, built.wcets, scenario.seed, cfg,
-                        mismatch.processors, mismatch.toggles);
+                        mismatch.processors);
       if (v.mismatch.has_value() && v.mismatch->check == mismatch.check) {
         current.spec = spec;
         current.net = std::move(built.net);
@@ -479,9 +463,7 @@ std::string write_repro(const Scenario& scenario, const FuzzMismatch& mismatch,
   out << "# fppn-fuzz v1 repro\n";
   out << "# fppn-fuzz seed=" << scenario.seed
       << " family=" << to_string(scenario.family) << "\n";
-  out << "# fppn-fuzz processors=" << mismatch.processors
-      << " incremental=" << (mismatch.toggles.incremental ? 1 : 0)
-      << " visited=" << (mismatch.toggles.visited_set ? 1 : 0) << "\n";
+  out << "# fppn-fuzz processors=" << mismatch.processors << "\n";
   out << "# fppn-fuzz check=" << mismatch.check << "\n";
   out << "# detail: " << sanitize_line(mismatch.detail) << "\n";
   out << scenario_text(scenario);
@@ -503,8 +485,6 @@ ReplayOutcome replay_repro(const std::string& path, const FuzzConfig& cfg) {
 
   ReplayOutcome out;
   std::int64_t processors = 0;
-  FuzzToggles toggles;
-  bool have_toggles = false;
   std::istringstream lines(text);
   std::string line;
   while (std::getline(lines, line)) {
@@ -526,12 +506,6 @@ ReplayOutcome replay_repro(const std::string& path, const FuzzConfig& cfg) {
           out.seed = std::stoull(value);
         } else if (key == "processors") {
           processors = std::stoll(value);
-        } else if (key == "incremental") {
-          toggles.incremental = value != "0";
-          have_toggles = true;
-        } else if (key == "visited") {
-          toggles.visited_set = value != "0";
-          have_toggles = true;
         } else if (key == "check") {
           out.expected_check = value;
         }
@@ -552,9 +526,7 @@ ReplayOutcome replay_repro(const std::string& path, const FuzzConfig& cfg) {
     throw std::runtime_error("repro file " + path +
                              " lacks wcet= on some process; cannot replay");
   }
-  out.verdict = check_network(
-      parsed.net, parsed.wcets, out.seed, cfg, processors,
-      have_toggles ? std::optional<FuzzToggles>(toggles) : std::nullopt);
+  out.verdict = check_network(parsed.net, parsed.wcets, out.seed, cfg, processors);
   return out;
 }
 

@@ -4,9 +4,9 @@
 // the parallel search's winning schedule three ways —
 //  1. roundtrip: write_network -> parse -> re-derive must be
 //     fingerprint-identical (the repro path must be lossless),
-//  2. reference: the toggled search (fast evaluator + a seed-sampled
-//     incremental/visited-set combination) must pick a bit-identical
-//     winner to the all-toggles-off naive reference search,
+//  2. reference: the production search (evaluation kernel, visited-set,
+//     1-2 workers) must pick a bit-identical winner to the naive serial
+//     reference search (testing/reference_search.hpp),
 //  3. ta-oracle: the timed-automata translation executed one frame must
 //     reproduce the winning schedule's exact start/end times (gated on
 //     structurally clean schedules that fit the oracle horizon),
@@ -30,13 +30,6 @@
 
 namespace fppn::gen {
 
-/// Which fast paths the toggled search run enables on top of the fast
-/// evaluator (the reference run disables everything).
-struct FuzzToggles {
-  bool incremental = true;
-  bool visited_set = true;
-};
-
 struct FuzzConfig {
   /// Fixed processor count; 0 samples 1..3 per scenario from the seed.
   std::int64_t processors = 0;
@@ -58,7 +51,6 @@ struct FuzzMismatch {
                        ///< "ta-oracle", "policy-trace", "injected-bug"
   std::string detail;  ///< human-readable specifics
   std::int64_t processors = 2;
-  FuzzToggles toggles;
 };
 
 struct FuzzVerdict {
@@ -69,12 +61,11 @@ struct FuzzVerdict {
 };
 
 /// Runs every check on an already-built network. `seed` drives the
-/// toggle/processor sampling and the jittered scripts; `processors` <= 0
-/// samples from the seed.
+/// worker-count/processor sampling and the jittered scripts; `processors`
+/// <= 0 samples from the seed.
 [[nodiscard]] FuzzVerdict check_network(const Network& net, const WcetMap& wcets,
                                         std::uint64_t seed, const FuzzConfig& cfg,
-                                        std::int64_t processors,
-                                        const std::optional<FuzzToggles>& toggles);
+                                        std::int64_t processors);
 
 [[nodiscard]] FuzzVerdict check_scenario(const Scenario& scenario,
                                          const FuzzConfig& cfg);
@@ -103,7 +94,7 @@ struct ReplayOutcome {
 };
 
 /// Parses a repro file (or any plain `.fppn` with complete WCETs) and
-/// re-runs the checks with the header's seed/processors/toggles. Throws
+/// re-runs the checks with the header's seed/processors. Throws
 /// std::runtime_error when the file is unreadable or WCETs are missing.
 [[nodiscard]] ReplayOutcome replay_repro(const std::string& path,
                                          const FuzzConfig& cfg);

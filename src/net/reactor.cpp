@@ -36,6 +36,7 @@ void Reactor::open_wakeup_pipe() {
     make_nonblocking(fds[0]);
     make_nonblocking(fds[1]);
     wakeup_read_ = fds[0];
+    const std::lock_guard<std::mutex> lock(mu_);
     wakeup_write_ = fds[1];
   }
 }
@@ -51,16 +52,16 @@ void Reactor::submit_response(std::uint64_t conn, std::string text) {
   {
     const std::lock_guard<std::mutex> lock(mu_);
     pending_responses_.emplace_back(conn, std::move(text));
+    wake();
   }
-  wake();
 }
 
 void Reactor::request_stop() {
   {
     const std::lock_guard<std::mutex> lock(mu_);
     stop_requested_ = true;
+    wake();
   }
-  wake();
 }
 
 void Reactor::apply_pending_responses() {
@@ -453,8 +454,10 @@ void Reactor::run() {
   connections_.clear();
   if (wakeup_read_ >= 0) {
     ::close(wakeup_read_);
+    wakeup_read_ = -1;
+    const std::lock_guard<std::mutex> lock(mu_);
     ::close(wakeup_write_);
-    wakeup_read_ = wakeup_write_ = -1;
+    wakeup_write_ = -1;
   }
 }
 

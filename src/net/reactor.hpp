@@ -172,6 +172,8 @@ class Reactor {
   };
 
   void open_wakeup_pipe();
+  /// Writes one byte to the wakeup pipe; the caller holds mu_, which
+  /// guards wakeup_write_ against run() opening and closing the pipe.
   void wake();
   void apply_pending_responses();
   void begin_drain();
@@ -193,7 +195,7 @@ class Reactor {
   std::vector<Listener> listeners_;
   int stop_fd_ = -1;
   int wakeup_read_ = -1;
-  int wakeup_write_ = -1;
+  int wakeup_write_ = -1;  ///< guarded by mu_
 
   std::map<std::uint64_t, Connection> connections_;
   std::uint64_t next_id_ = 1;

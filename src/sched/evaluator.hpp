@@ -69,9 +69,9 @@
 // list_schedule + check_feasibility pipeline produces — same decision
 // instants, same rank tie-breaks, same smallest-index processor choice —
 // on either timebase (regression-proved by the randomized differential
-// suite in tests/evaluator_test.cpp). Search winners are therefore
-// identical with the kernel on or off, cold and warm, on any worker
-// count.
+// suite in tests/evaluator_test.cpp). Search winners therefore equal
+// those of the reference oracle (testing/reference_search.hpp), cold and
+// warm, on any worker count.
 //
 // Thread safety: an Evaluator is mutable scratch — one per search worker,
 // never shared concurrently. Construction is read-only on the task graph.

@@ -1,221 +1,20 @@
 #include "sched/local_search.hpp"
 
-#include <algorithm>
-#include <optional>
-#include <random>
-
-#include "sched/evaluator.hpp"
-#include "sched/visited_set.hpp"
+#include "sched/hill_climb.hpp"
 
 namespace fppn {
-namespace {
-
-using sched::EvalScore;
-
-/// Reference scorer — the semantics the kernel reproduces bit-identically:
-/// full list schedule, then the counts-only feasibility pass.
-EvalScore reference_score(const TaskGraph& tg, const StaticSchedule& schedule) {
-  EvalScore s;
-  s.makespan = schedule.makespan(tg);
-  s.deadline_violations = schedule.count_violations(tg).deadline;
-  return s;
-}
-
-}  // namespace
 
 LocalSearchResult optimize_priority(const TaskGraph& tg,
-                                    const LocalSearchOptions& opts) {
-  const std::size_t n = tg.job_count();
-  LocalSearchResult best;
-
+                                    const sched::StrategyOptions& opts) {
   // The kernel owns all simulation scratch and is reused for every
-  // candidate this search evaluates — the steady-state inner loop below
+  // candidate this search evaluates — the steady-state inner loop
   // performs no heap allocation.
-  std::optional<sched::Evaluator> kernel;
-  if (opts.use_fast_evaluator) {
-    kernel.emplace(tg, opts.processors);
-  }
-  const bool incremental = opts.use_fast_evaluator && opts.use_incremental;
-  sched::VisitedSet* const visited =
-      opts.use_fast_evaluator ? opts.visited_set : nullptr;
-  const auto score_of = [&](const std::vector<JobId>& order) {
-    if (kernel.has_value()) {
-      return kernel->evaluate(order);
-    }
-    return reference_score(tg, list_schedule(tg, order, opts.processors));
-  };
-  // Exact scorer that also (re)builds the kernel's checkpoint store so
-  // `order` becomes the incremental baseline. Used on every climb start
-  // and every accepted move; bit-identical to score_of.
-  const auto score_as_baseline = [&](const std::vector<JobId>& order) {
-    return incremental ? kernel->evaluate_baseline(order) : score_of(order);
-  };
-  // Publish a freshly computed exact score to the shared visited-set.
-  const auto publish = [&](const std::vector<JobId>& order, const EvalScore& score) {
-    if (visited != nullptr) {
-      visited->insert(visited->hash_order(order), score);
-    }
-  };
-  const auto materialize = [&](const std::vector<JobId>& order) {
-    return kernel.has_value() ? kernel->materialize(order)
-                              : list_schedule(tg, order, opts.processors);
-  };
-  EvalScore best_score;
-  const auto adopt = [&](const EvalScore& score) {
-    best_score = score;
-    best.violations = score.deadline_violations;
-    best.makespan = score.makespan;
-  };
-
-  // Seed with the best plain heuristic, then let any supplied start
-  // points (the warm-start hook) compete on the same strict-improvement
-  // terms: a start priority displaces the heuristic seed only when its
-  // score is strictly better, so equal-scoring warm starts keep the
-  // heuristic provenance (and the bit-identical cold result).
-  for (const PriorityHeuristic h : all_heuristics()) {
-    std::vector<JobId> order = schedule_priority(tg, h);
-    const EvalScore score = score_of(order);
-    publish(order, score);
-    if (best.priority.empty() || score.better_than(best_score)) {
-      adopt(score);
-      best.priority = std::move(order);
-      best.start_heuristic = h;
-    }
-  }
-  for (std::size_t p = 0; p < opts.start_priorities.size(); ++p) {
-    const EvalScore score = score_of(opts.start_priorities[p]);
-    publish(opts.start_priorities[p], score);
-    if (score.better_than(best_score)) {
-      adopt(score);
-      best.priority = opts.start_priorities[p];
-      best.start_priority_index = static_cast<int>(p);
-    }
-  }
-  const auto fill_counters = [&]() {
-    if (kernel.has_value()) {
-      const sched::EvalStats& st = kernel->stats();
-      best.full_evals = st.full_evals;
-      best.incremental_evals = st.incremental_evals;
-      best.spliced_evals = st.spliced_evals;
-    }
-  };
-  if (n < 2) {
-    best.schedule = materialize(best.priority);
-    best.feasible = best.violations == 0;
-    fill_counters();
-    return best;
-  }
-
-  std::mt19937_64 rng(opts.seed);
-  std::uniform_int_distribution<std::size_t> pick(0, n - 1);
-
-  for (int restart = 0; restart <= opts.restarts; ++restart) {
-    std::vector<JobId> current = best.priority;
-    if (restart > 0) {
-      // Perturb the incumbent rather than starting from random noise.
-      for (std::size_t k = 0; k < n / 4 + 1; ++k) {
-        std::swap(current[pick(rng)], current[pick(rng)]);
-      }
-    }
-    EvalScore current_score = score_as_baseline(current);
-    publish(current, current_score);
-
-    int stale = 0;
-    for (int it = 0; it < opts.max_iterations && stale < opts.stale_limit; ++it) {
-      ++best.iterations_used;
-      // Move: pull a job earlier (insertion) three times out of four,
-      // swap two positions otherwise. Insertion is the workhorse
-      // neighborhood for permutation scheduling — it fixes late chains
-      // with a minimal perturbation, and its divergence window under the
-      // incremental kernel is just the pulled job's frame, so these moves
-      // also re-score cheapest. Swaps stay in the mix to fix local
-      // inversions insertion cannot express in one step. Applied in place
-      // on the reusable buffer and undone on rejection — no per-candidate
-      // copy.
-      const std::size_t i = pick(rng);
-      std::size_t j = pick(rng);
-      if (i == j) {
-        j = (j + 1) % n;
-      }
-      const std::size_t lo = std::min(i, j);
-      const std::size_t hi = std::max(i, j);
-      const bool swap_move = (rng() & 3U) == 0U;
-      if (swap_move) {
-        std::swap(current[i], current[j]);
-      } else {
-        // current[hi] moves to position lo; [lo, hi) shifts right.
-        std::rotate(current.begin() + static_cast<std::ptrdiff_t>(lo),
-                    current.begin() + static_cast<std::ptrdiff_t>(hi),
-                    current.begin() + static_cast<std::ptrdiff_t>(hi) + 1);
-      }
-      // Score the move: visited-set hit (skips the simulation entirely),
-      // else the incremental kernel resumed from the last compatible
-      // checkpoint, else a from-scratch evaluation. All three produce
-      // the bit-identical score for this order.
-      EvalScore score;
-      bool from_visited = false;
-      std::uint64_t order_hash = 0;
-      if (visited != nullptr) {
-        order_hash = visited->hash_order(current);
-        from_visited = visited->lookup(order_hash, score);
-      }
-      if (from_visited) {
-        ++best.visited_skips;
-      } else {
-        score = incremental
-                    ? kernel->evaluate_move(
-                          current, lo, hi,
-                          swap_move ? sched::MoveKind::kSwap : sched::MoveKind::kRotate)
-                    : score_of(current);
-        if (visited != nullptr) {
-          visited->insert(order_hash, score);
-        }
-      }
-      bool accept = score.better_than(current_score);
-      bool rebaselined = false;
-      if (accept && (from_visited || incremental)) {
-        // The incumbent path is always exact: a memoized score may only
-        // steer rejections, so a would-be acceptance from the visited-set
-        // is re-verified by an exact evaluation of the exact order (which
-        // also rebuilds the checkpoint baseline for the new incumbent —
-        // the incremental path needs that refresh on every acceptance).
-        score = score_as_baseline(current);
-        rebaselined = true;
-        accept = score.better_than(current_score);
-      }
-      if (accept) {
-        current_score = score;
-        stale = 0;
-        if (score.better_than(best_score)) {
-          adopt(score);
-          best.priority = current;
-        }
-      } else {
-        ++stale;
-        if (swap_move) {
-          std::swap(current[i], current[j]);
-        } else {
-          std::rotate(current.begin() + static_cast<std::ptrdiff_t>(lo),
-                      current.begin() + static_cast<std::ptrdiff_t>(lo) + 1,
-                      current.begin() + static_cast<std::ptrdiff_t>(hi) + 1);
-        }
-        if (rebaselined) {
-          // A hash-collision acceptance that failed re-verification moved
-          // the checkpoint baseline to the rejected order; point it back
-          // at the (restored) incumbent.
-          (void)score_as_baseline(current);
-        }
-      }
-      if (best.violations == 0 && restart == opts.restarts) {
-        break;  // feasible and no more restarts pending: good enough
-      }
-    }
-  }
-  // The schedule is materialized once, for the winner only — score-only
-  // evaluations above never build a StaticSchedule.
-  best.schedule = materialize(best.priority);
-  best.feasible = best.violations == 0;
-  fill_counters();
+  sched::Evaluator kernel(tg, opts.processors);
+  LocalSearchResult best = sched::hill_climb(tg, opts, kernel, opts.visited_set);
+  const sched::EvalStats& st = kernel.stats();
+  best.full_evals = st.full_evals;
+  best.incremental_evals = st.incremental_evals;
+  best.spliced_evals = st.spliced_evals;
   return best;
 }
 

@@ -12,54 +12,9 @@
 #include <vector>
 
 #include "sched/list_scheduler.hpp"
+#include "sched/strategy.hpp"
 
 namespace fppn {
-
-namespace sched {
-class VisitedSet;
-}  // namespace sched
-
-struct LocalSearchOptions {
-  std::int64_t processors = 2;
-  int max_iterations = 2000;   ///< move evaluations per start point
-  int restarts = 2;            ///< random restarts after the heuristic start
-  std::uint64_t seed = 1;      ///< RNG seed (restart shuffles, move picks)
-  /// Consecutive non-improving moves before a start point is abandoned
-  /// (previously a hard-coded 200). The default keeps the historical
-  /// behavior bit-identically.
-  int stale_limit = 200;
-  /// Evaluate candidates through the sched::Evaluator kernel
-  /// (sched/evaluator.hpp) instead of the naive list_schedule +
-  /// check_feasibility pipeline. Scores, placements and the returned
-  /// result are bit-identical either way (the kernel's determinism
-  /// contract); the flag exists so tests and benches can run the
-  /// reference path side by side. Not part of any cache key.
-  bool use_fast_evaluator = true;
-  /// Score moves through the kernel's checkpointed incremental API
-  /// (evaluate_baseline + evaluate_move) instead of a from-scratch
-  /// evaluation per move. Scores and trajectories are bit-identical
-  /// either way (the incremental layer is exact by construction); the
-  /// flag exists for differential tests and as an escape hatch. Only
-  /// meaningful when use_fast_evaluator is set. Not part of any cache
-  /// key.
-  bool use_incremental = true;
-  /// Optional shared visited-set (sched/visited_set.hpp): memoized
-  /// scores of already-seen orders skip re-evaluation. Hits may only
-  /// steer rejections; a would-be acceptance is re-verified exactly, so
-  /// the trajectory, winner and iterations_used are bit-identical with
-  /// the set attached or not. The caller owns the set (parallel_search
-  /// shares one across its workers). Ignored when use_fast_evaluator is
-  /// false. Not part of any cache key.
-  sched::VisitedSet* visited_set = nullptr;
-  /// Extra SP start points evaluated alongside the plain heuristics when
-  /// seeding the search (the warm-start hook: sched::parallel_search
-  /// feeds priority orders recovered from cached feasible schedules in
-  /// here). Each must be a permutation of all jobs — list_schedule throws
-  /// std::invalid_argument otherwise. The search starts from the best of
-  /// heuristics ∪ start_priorities and only accepts improvements, so
-  /// adding start points can never make the result worse.
-  std::vector<std::vector<JobId>> start_priorities;
-};
 
 struct LocalSearchResult {
   StaticSchedule schedule;
@@ -69,8 +24,8 @@ struct LocalSearchResult {
   bool feasible = false;
   int iterations_used = 0;
   PriorityHeuristic start_heuristic = PriorityHeuristic::kAlapEdf;
-  /// Index into LocalSearchOptions::start_priorities when one of the
-  /// supplied start points beat every heuristic at seeding time; -1 when
+  /// Index into StrategyOptions::warm_starts when one of the supplied
+  /// start points beat every heuristic at seeding time; -1 when
   /// a plain heuristic won (start_heuristic names it).
   int start_priority_index = -1;
   // Evaluation accounting (informational; deliberately excluded from
@@ -82,15 +37,25 @@ struct LocalSearchResult {
   std::uint64_t visited_skips = 0;      ///< evaluations skipped via the visited-set
 };
 
-/// Optimizes SP for `tg`. Never returns a schedule worse than the best
-/// plain heuristic (the search starts there and only accepts improvements).
+/// Optimizes SP for `tg` with `opts.max_iterations` moves per start
+/// point and `opts.restarts` restarts, scoring through the sched::Evaluator
+/// kernel. Never returns a schedule worse than the best plain heuristic
+/// or any of `opts.warm_starts` (the search starts from the best of them
+/// and only accepts improvements). Each warm start must be a permutation
+/// of all jobs, or std::invalid_argument is thrown. A start point is
+/// abandoned after 200 consecutive non-improving moves.
+///
+/// `opts.visited_set` (optional, caller-owned) memoizes exact scores of
+/// already-seen orders; hits may only steer rejections, so the trajectory,
+/// winner and iterations_used are bit-identical with or without it.
 ///
 /// Deterministic: a pure function of (tg, opts) — all randomness comes
 /// from opts.seed, so equal inputs yield the bit-identical schedule on
-/// any platform. Thread safety: no shared state; safe to call
-/// concurrently. Throws std::invalid_argument when processors < 1 or the
-/// graph is cyclic (via the underlying list scheduler).
+/// any platform. Bit-identical to the naive reference climb
+/// (testing/reference_search.hpp). Thread safety: no shared state beyond
+/// the visited-set; safe to call concurrently. Throws
+/// std::invalid_argument when processors < 1 or the graph is cyclic.
 [[nodiscard]] LocalSearchResult optimize_priority(const TaskGraph& tg,
-                                                  const LocalSearchOptions& opts = {});
+                                                  const sched::StrategyOptions& opts = {});
 
 }  // namespace fppn

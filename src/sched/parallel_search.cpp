@@ -59,8 +59,6 @@ StrategyOptions strategy_options_for(const ParallelSearchOptions& opts,
   sopts.seed = candidate.seed;
   sopts.max_iterations = opts.max_iterations;
   sopts.restarts = opts.restarts;
-  sopts.use_fast_evaluator = opts.use_fast_evaluator;
-  sopts.use_incremental = opts.use_incremental;
   // Deliberately NOT the visited-set pointer: these options double as the
   // cache-key basis, and the set is per-evaluation-wave scratch that
   // parallel_search attaches itself.
@@ -125,15 +123,11 @@ void apply_cached_warm_start(const TaskGraph& tg, const ParallelSearchOptions& o
   std::uint64_t best_warm_seed = 0;
   const CachedWarmStartStrategy warm_strategy;
   for (int s = 0; s < opts.seeds_per_strategy; ++s) {
-    StrategyOptions sopts;
-    sopts.processors = opts.processors;
-    sopts.seed = opts.base_seed + static_cast<std::uint64_t>(s);
-    sopts.max_iterations = opts.max_iterations;
-    sopts.restarts = opts.restarts;
-    sopts.use_fast_evaluator = opts.use_fast_evaluator;
-    sopts.use_incremental = opts.use_incremental;
     // No visited-set: the overlay is serial and small, and its score
     // accounting should stay attributable to the overlay alone.
+    StrategyOptions sopts = strategy_options_for(
+        opts, SearchCandidate{warm_strategy.name(),
+                              opts.base_seed + static_cast<std::uint64_t>(s)});
     sopts.warm_starts = starts;
     StrategyResult warm = warm_strategy.schedule(tg, sopts);
     warm.strategy = warm_strategy.name();
@@ -200,7 +194,7 @@ ParallelSearchResult parallel_search(const TaskGraph& tg,
   // full move budget); seeded from the graph fingerprint so the hash is a
   // pure function of the job orders, not of this process.
   std::optional<VisitedSet> visited;
-  if (opts.use_visited_set && opts.use_fast_evaluator && !pending.empty()) {
+  if (!pending.empty()) {
     const std::uint64_t orders_per_candidate =
         static_cast<std::uint64_t>(std::max(opts.max_iterations, 0)) *
             (static_cast<std::uint64_t>(std::max(opts.restarts, 0)) + 1) +

@@ -33,6 +33,12 @@
 // capture the cache contents they depend on), and "cached-warm-start" is
 // never enumerated as a plan candidate.
 //
+// Every candidate runs on the evaluation kernel (sched/evaluator.hpp),
+// and the local-search workers of one evaluation wave share a
+// sched::VisitedSet. Neither can change a result bit: the serial naive
+// search in testing/reference_search.hpp picks the bit-identical winner,
+// which the differential suites and the fuzz loop check.
+//
 // This is the default scheduling path of fppn_tool and the benches.
 #pragma once
 
@@ -70,26 +76,6 @@ struct ParallelSearchOptions {
   /// without one. Off by default because the overlay's outcome depends on
   /// the cache *contents* (monotonically: match or beat, never worse).
   bool warm_start = false;
-  /// Forwarded to every candidate's StrategyOptions: evaluate iterative
-  /// strategies through the sched::Evaluator kernel. Winners are
-  /// bit-identical with the flag on or off (the kernel's determinism
-  /// contract, regression-tested in evaluator_test.cpp); the reference
-  /// path exists for differential tests and benches. Not part of any
-  /// cache key.
-  bool use_fast_evaluator = true;
-  /// Forwarded to every candidate: score local-search moves through the
-  /// kernel's checkpointed incremental API. Bit-identical winners either
-  /// way; the from-scratch path exists for differential tests and the
-  /// fuzz loop's reference run. Not part of any cache key.
-  bool use_incremental = true;
-  /// Share one sched::VisitedSet across the candidate workers of each
-  /// evaluation wave: exact scores of already-seen SP orders are memoized
-  /// so concurrent searches skip duplicate simulations. Hits only steer
-  /// rejections (would-be acceptances are re-verified exactly), so
-  /// winners, placements and iterations are bit-identical with the set on
-  /// or off — regression-tested in evaluator_test.cpp. Ignored without
-  /// use_fast_evaluator. Not part of any cache key.
-  bool use_visited_set = true;
 };
 
 struct ParallelSearchResult {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 
 namespace fppn {
@@ -149,45 +150,28 @@ std::vector<ProcessorId> wfd_assignment(const TaskGraph& tg,
 PartitionedResult partition_and_schedule(const TaskGraph& tg,
                                          std::size_t process_count,
                                          std::int64_t processors,
-                                         PriorityHeuristic heuristic,
-                                         bool use_kernel) {
+                                         PriorityHeuristic heuristic) {
   PartitionedResult result;
   result.assignment = wfd_assignment(tg, process_count, processors);
-  if (use_kernel) {
-    sched::Evaluator kernel(tg, processors, result.assignment);
-    result.schedule = kernel.materialize(schedule_priority(tg, heuristic));
-  } else {
-    result.schedule = partitioned_list_schedule(
-        tg, result.assignment, schedule_priority(tg, heuristic), processors);
-  }
+  sched::Evaluator kernel(tg, processors, result.assignment);
+  result.schedule = kernel.materialize(schedule_priority(tg, heuristic));
   result.feasible = result.schedule.count_violations(tg).feasible();
   return result;
 }
 
 PartitionedScheduler::PartitionedScheduler(const TaskGraph& tg,
                                            std::size_t process_count,
-                                           std::int64_t processors, bool use_kernel)
+                                           std::int64_t processors)
     : processors_(processors),
-      assignment_(wfd_assignment(tg, process_count, processors)) {
-  if (use_kernel) {
-    kernel_.emplace(tg, processors, assignment_);
-  } else {
-    tg_ = &tg;
-  }
-}
+      assignment_(wfd_assignment(tg, process_count, processors)),
+      kernel_(tg, processors, assignment_) {}
 
 StaticSchedule PartitionedScheduler::schedule_order(const std::vector<JobId>& priority) {
-  if (kernel_.has_value()) {
-    return kernel_->materialize(priority);
-  }
-  return partitioned_list_schedule(*tg_, assignment_, priority, processors_);
+  return kernel_.materialize(priority);
 }
 
 sched::EvalScore PartitionedScheduler::evaluate_order(const std::vector<JobId>& priority) {
-  if (!kernel_.has_value()) {
-    throw std::logic_error("partitioned scheduler: score-only needs kernel mode");
-  }
-  return kernel_->evaluate(priority);
+  return kernel_.evaluate(priority);
 }
 
 }  // namespace fppn

@@ -11,7 +11,7 @@
 //
 // These are the low-level entry points; the engine path is the
 // "partitioned-wfd" SchedulerStrategy registered in the strategy registry
-// (sched/registry.hpp), which wraps partition_and_schedule and thereby
+// (sched/registry.hpp), which wraps PartitionedScheduler and thereby
 // participates in parallel_search, the schedule cache and
 // `fppn_tool --strategy`.
 //
@@ -21,7 +21,6 @@
 // call concurrently.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "sched/evaluator.hpp"
@@ -63,33 +62,30 @@ struct PartitionedResult {
 /// by the jobs' ProcessId values, which must be < process_count).
 /// Throws std::invalid_argument when processors < 1 or a job's process id
 /// is >= process_count.
-/// `use_kernel` selects the evaluator's partition-constrained mode
-/// (per-processor ready heaps, O((n+E) log n)) over the reference
-/// partitioned_list_schedule rescan (O(n²)); schedules and feasibility
-/// are bit-identical either way — the flag exists for the differential
-/// suite. (Edge-case nit: on a *cyclic* graph the kernel path rejects up
-/// front with std::invalid_argument where the reference stalls with
-/// std::logic_error mid-simulation.)
+/// Schedules through the evaluator's partition-constrained mode
+/// (per-processor ready heaps, O((n+E) log n)), bit-identical to the
+/// partitioned_list_schedule rescan (O(n²)) under the same assignment.
+/// (Edge-case nit: on a *cyclic* graph the kernel rejects up front with
+/// std::invalid_argument where the rescan stalls with std::logic_error
+/// mid-simulation.)
 [[nodiscard]] PartitionedResult partition_and_schedule(
     const TaskGraph& tg, std::size_t process_count, std::int64_t processors,
-    PriorityHeuristic heuristic = PriorityHeuristic::kAlapEdf,
-    bool use_kernel = true);
+    PriorityHeuristic heuristic = PriorityHeuristic::kAlapEdf);
 
 /// Reusable partitioned-scheduling scratch: computes the WFD assignment
 /// and compiles the partition-constrained evaluator once, then schedules
 /// any number of SP orders against them. partition_and_schedule re-derives
 /// both on every call — a pure setup cost when only the heuristic varies
 /// (exactly what "partitioned-wfd" does across parallel_search seeds).
-/// Kernel mode retains no reference to the TaskGraph after construction,
-/// so an instance may outlive it (the strategy keeps one per thread,
-/// keyed by graph fingerprint); reference mode (use_kernel = false) keeps
-/// a pointer and must not outlive the graph.
+/// An instance retains no reference to the TaskGraph after construction,
+/// so it may outlive it (the strategy keeps one per thread, keyed by
+/// graph fingerprint).
 class PartitionedScheduler {
  public:
   /// Throws like partition_and_schedule (same conditions, same messages,
   /// plus the eager no-valid-assignment check of the partition evaluator).
   PartitionedScheduler(const TaskGraph& tg, std::size_t process_count,
-                       std::int64_t processors, bool use_kernel = true);
+                       std::int64_t processors);
 
   [[nodiscard]] const std::vector<ProcessorId>& assignment() const noexcept {
     return assignment_;
@@ -100,15 +96,13 @@ class PartitionedScheduler {
   /// partitioned_list_schedule(tg, assignment(), priority, processors).
   [[nodiscard]] StaticSchedule schedule_order(const std::vector<JobId>& priority);
 
-  /// Score one SP order without materializing (kernel mode only; throws
-  /// std::logic_error in reference mode).
+  /// Score one SP order without materializing.
   [[nodiscard]] sched::EvalScore evaluate_order(const std::vector<JobId>& priority);
 
  private:
   std::int64_t processors_ = 1;
-  const TaskGraph* tg_ = nullptr;  ///< reference mode only
   std::vector<ProcessorId> assignment_;
-  std::optional<sched::Evaluator> kernel_;
+  sched::Evaluator kernel_;
 };
 
 }  // namespace fppn

@@ -128,7 +128,7 @@ class StaticSchedule {
   /// violation tallies with no report, no Violation records and no
   /// per-processor vector-of-vectors — the mutex pass sorts one flat
   /// index array instead. The choice for callers that only need scores
-  /// (finalize_result, the local search's reference path). Deterministic;
+  /// (finalize_result, the reference search oracle). Deterministic;
   /// never throws.
   [[nodiscard]] ViolationCounts count_violations(const TaskGraph& tg) const;
 

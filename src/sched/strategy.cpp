@@ -62,15 +62,7 @@ class LocalSearchStrategy final : public SchedulerStrategy {
 
   [[nodiscard]] StrategyResult schedule(const TaskGraph& tg,
                                         const StrategyOptions& opts) const override {
-    LocalSearchOptions ls;
-    ls.processors = opts.processors;
-    ls.seed = opts.seed;
-    ls.max_iterations = opts.max_iterations;
-    ls.restarts = opts.restarts;
-    ls.use_fast_evaluator = opts.use_fast_evaluator;
-    ls.use_incremental = opts.use_incremental;
-    ls.visited_set = opts.visited_set;
-    LocalSearchResult ls_result = optimize_priority(tg, ls);
+    LocalSearchResult ls_result = optimize_priority(tg, opts);
 
     StrategyResult result;
     result.strategy = name();
@@ -121,31 +113,25 @@ class PartitionedStrategy final : public SchedulerStrategy {
     StrategyResult result;
     result.strategy = name();
     result.detail = "partitioned WFD pinning, SP heuristic " + to_string(h);
-    if (opts.use_fast_evaluator) {
-      // parallel_search calls this strategy once per (seed, heuristic) on
-      // the same graph; the WFD assignment and the compiled partition
-      // kernel depend only on (graph, processors), so one scratch per
-      // worker thread serves every seed. Kernel mode holds no TaskGraph
-      // reference, making the thread-local cache safe across graphs.
-      struct CachedScheduler {
-        std::uint64_t fp = 0;
-        std::int64_t processors = 0;
-        std::optional<PartitionedScheduler> scheduler;
-      };
-      thread_local CachedScheduler cache;
-      const std::uint64_t fp = fingerprint(tg);
-      if (!cache.scheduler.has_value() || cache.fp != fp ||
-          cache.processors != opts.processors) {
-        cache.scheduler.emplace(tg, process_count, opts.processors);
-        cache.fp = fp;
-        cache.processors = opts.processors;
-      }
-      result.schedule = cache.scheduler->schedule_order(schedule_priority(tg, h));
-    } else {
-      PartitionedResult p = partition_and_schedule(tg, process_count, opts.processors,
-                                                   h, /*use_kernel=*/false);
-      result.schedule = std::move(p.schedule);
+    // parallel_search calls this strategy once per (seed, heuristic) on
+    // the same graph; the WFD assignment and the compiled partition
+    // kernel depend only on (graph, processors), so one scratch per
+    // worker thread serves every seed. The scheduler holds no TaskGraph
+    // reference, making the thread-local cache safe across graphs.
+    struct CachedScheduler {
+      std::uint64_t fp = 0;
+      std::int64_t processors = 0;
+      std::optional<PartitionedScheduler> scheduler;
+    };
+    thread_local CachedScheduler cache;
+    const std::uint64_t fp = fingerprint(tg);
+    if (!cache.scheduler.has_value() || cache.fp != fp ||
+        cache.processors != opts.processors) {
+      cache.scheduler.emplace(tg, process_count, opts.processors);
+      cache.fp = fp;
+      cache.processors = opts.processors;
     }
+    result.schedule = cache.scheduler->schedule_order(schedule_priority(tg, h));
     finalize_result(tg, result);
     return result;
   }

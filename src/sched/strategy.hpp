@@ -2,11 +2,14 @@
 // engine implements (§III-B policies: the four SP heuristics and the
 // local-search optimizer, plus anything users register).
 //
-// A strategy maps a task graph to a static schedule under a common options
-// contract; callers discover strategies by name through the
+// A strategy maps a task graph and one config value (StrategyOptions) to
+// a static schedule; callers discover strategies by name through the
 // StrategyRegistry (sched/registry.hpp) and never name concrete heuristic
 // functions. The parallel schedule search (sched/parallel_search.hpp) fans
-// out over registered strategies and seeds.
+// out over registered strategies and seeds. The built-in iterative and
+// partitioned strategies always score through the evaluation kernel; the
+// naive pipeline they reproduce bit for bit is a test oracle
+// (testing/reference_search.hpp), not a strategy option.
 #pragma once
 
 #include <cstdint>
@@ -21,29 +24,22 @@ namespace sched {
 
 class VisitedSet;
 
-/// Options understood by every strategy. Iteration/seed fields are ignored
-/// by strategies that are not iterative/seedable.
+/// Options understood by every strategy — the one config value a
+/// strategy receives, passed down unchanged (optimize_priority takes it
+/// as is). Iteration/seed fields are ignored by strategies that are not
+/// iterative/seedable.
 struct StrategyOptions {
   std::int64_t processors = 2;
   std::uint64_t seed = 1;      ///< RNG seed, seedable strategies only
   int max_iterations = 2000;   ///< move budget, iterative strategies only
   int restarts = 2;            ///< restart count, iterative strategies only
-  /// Extra SP start points for warm-startable strategies (today:
-  /// "cached-warm-start", which forwards them to optimize_priority).
-  /// Ignored by every other strategy, and deliberately NOT part of the
-  /// cache key (sched/schedule_cache.hpp): results that depend on warm
-  /// starts must never be cached — see parallel_search's warm-start
-  /// overlay.
+  /// Extra SP start points for the local-search strategies
+  /// ("local-search" and "cached-warm-start" hand them to
+  /// optimize_priority; parallel_search sets them only in its warm-start
+  /// overlay). Ignored by every other strategy, and deliberately NOT part
+  /// of the cache key (sched/schedule_cache.hpp): results that depend on
+  /// warm starts must never be cached.
   std::vector<std::vector<JobId>> warm_starts;
-  /// Evaluate through the sched::Evaluator kernel (iterative strategies
-  /// only). Results are bit-identical with the flag on or off — it exists
-  /// so tests/benches can pit the kernel against the reference pipeline —
-  /// and is therefore NOT part of the cache key.
-  bool use_fast_evaluator = true;
-  /// Score moves through the kernel's checkpointed incremental API
-  /// (iterative strategies only). Bit-identical results either way; like
-  /// use_fast_evaluator it is NOT part of the cache key.
-  bool use_incremental = true;
   /// Optional shared visited-set (sched/visited_set.hpp) memoizing exact
   /// scores of already-seen SP orders across strategy invocations —
   /// parallel_search attaches one per evaluation wave. Hits only skip

@@ -45,14 +45,7 @@ std::vector<std::vector<JobId>> collect_warm_starts(ScheduleCache& cache,
 
 StrategyResult CachedWarmStartStrategy::schedule(const TaskGraph& tg,
                                                  const StrategyOptions& opts) const {
-  LocalSearchOptions ls;
-  ls.processors = opts.processors;
-  ls.seed = opts.seed;
-  ls.max_iterations = opts.max_iterations;
-  ls.restarts = opts.restarts;
-  ls.use_fast_evaluator = opts.use_fast_evaluator;
-  ls.start_priorities = opts.warm_starts;
-  LocalSearchResult ls_result = optimize_priority(tg, ls);
+  LocalSearchResult ls_result = optimize_priority(tg, opts);
 
   StrategyResult result;
   result.strategy = name();

@@ -1,0 +1,57 @@
+// The naive reference search — the semantics production search must
+// reproduce bit for bit, kept as a test oracle rather than a production
+// option. Production scores through the incremental evaluation kernel
+// (sched/evaluator.hpp), shares a visited-set across workers and runs
+// candidates on a thread pool; the oracle does none of that:
+//
+//   reference_score               list_schedule + count_violations
+//   reference_optimize_priority   the same hill-climb as optimize_priority
+//                                 (sched/hill_climb.hpp), every score from
+//                                 scratch through reference_score
+//   reference_search              parallel_search's candidate matrix, run
+//                                 serially: the local-search strategies
+//                                 via the reference climb, partitioned-wfd
+//                                 via wfd_assignment +
+//                                 partitioned_list_schedule, the rest (the
+//                                 list_schedule heuristics) as registered;
+//                                 ranked by better_search_candidate
+//
+// The differential suites (tests/evaluator_test.cpp) and the fuzz loop's
+// reference-winner check (gen/fuzz.cpp) compare production against these.
+// Deterministic and stateless; safe to call concurrently.
+#pragma once
+
+#include <cstdint>
+#include <vector>
+
+#include "sched/evaluator.hpp"
+#include "sched/local_search.hpp"
+#include "sched/parallel_search.hpp"
+
+namespace fppn {
+namespace testing {
+
+/// The score of `order`: full list schedule, then the counts-only
+/// feasibility pass. Throws like list_schedule.
+[[nodiscard]] sched::EvalScore reference_score(const TaskGraph& tg,
+                                               const std::vector<JobId>& order,
+                                               std::int64_t processors);
+
+/// optimize_priority with every candidate scored from scratch by
+/// reference_score and no visited-set (opts.visited_set is ignored). Every
+/// result field equals optimize_priority's except the evaluation counters,
+/// which stay zero. Throws like optimize_priority.
+[[nodiscard]] LocalSearchResult reference_optimize_priority(
+    const TaskGraph& tg, const sched::StrategyOptions& opts = {});
+
+/// The winner parallel_search(tg, opts) must pick: every candidate of
+/// enumerate_search_candidates(opts) evaluated serially by its reference
+/// pipeline and ranked by better_search_candidate. opts.workers,
+/// opts.cache and opts.warm_start are ignored, so the result is the cold
+/// plan winner (warm_start_won stays false). Fills best, seed, candidates
+/// and evaluated. Throws like parallel_search.
+[[nodiscard]] sched::ParallelSearchResult reference_search(
+    const TaskGraph& tg, const sched::ParallelSearchOptions& opts = {});
+
+}  // namespace testing
+}  // namespace fppn

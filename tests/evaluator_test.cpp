@@ -3,8 +3,9 @@
 // reference list_schedule + feasibility pipeline — across random graphs
 // (fractional WCETs, staggered arrivals, varied processor counts), on the
 // int64 tick timebase and on the Rational overflow fallback, and all the
-// way up the search stack (optimize_priority, parallel_search: fast vs.
-// reference winners are identical, cold and warm, on any worker count).
+// way up the search stack (optimize_priority and parallel_search against
+// the test oracle in testing/reference_search.hpp: identical winners,
+// cold and warm, on any worker count).
 #include "sched/evaluator.hpp"
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include "sched/visited_set.hpp"
 #include "taskgraph/fingerprint.hpp"
 #include "taskgraph/task_graph.hpp"
+#include "testing/reference_search.hpp"
 
 namespace fppn {
 namespace {
@@ -93,22 +95,12 @@ void expect_identical_placements(const StaticSchedule& a, const StaticSchedule& 
   }
 }
 
-/// Scores `order` through the reference pipeline the kernel replaces.
-sched::EvalScore reference_score(const TaskGraph& tg, const std::vector<JobId>& order,
-                                 std::int64_t processors) {
-  const StaticSchedule s = list_schedule(tg, order, processors);
-  sched::EvalScore score;
-  score.makespan = s.makespan(tg);
-  score.deadline_violations = s.count_violations(tg).deadline;
-  return score;
-}
-
 void expect_kernel_matches_reference(const TaskGraph& tg, std::int64_t processors,
                                      const std::vector<JobId>& order,
                                      sched::Evaluator& kernel,
                                      const std::string& context) {
   const sched::EvalScore fast = kernel.evaluate(order);
-  const sched::EvalScore ref = reference_score(tg, order, processors);
+  const sched::EvalScore ref = testing::reference_score(tg, order, processors);
   EXPECT_EQ(fast.deadline_violations, ref.deadline_violations) << context;
   EXPECT_EQ(fast.makespan, ref.makespan) << context;
   expect_identical_placements(kernel.materialize(order),
@@ -319,21 +311,19 @@ TEST(Evaluator, ScratchReuseAcrossManyEvaluationsStaysExact) {
 }
 
 // ---------------------------------------------------------------------------
-// The search stack: fast vs. reference winners are bit-identical at every
+// The search stack: kernel and oracle winners are bit-identical at every
 // level the kernel feeds.
 TEST(EvaluatorSearch, OptimizePriorityFastVsReferenceBitIdentical) {
   for (std::uint64_t g = 0; g < 12; ++g) {
     const TaskGraph tg = random_task_graph(g * 31 + 5);
     for (const std::uint64_t seed : {1ULL, 9ULL}) {
-      LocalSearchOptions opts;
+      sched::StrategyOptions opts;
       opts.processors = 1 + static_cast<std::int64_t>(g % 3);
       opts.max_iterations = 150;
       opts.restarts = 1;
       opts.seed = seed;
-      opts.use_fast_evaluator = true;
       const LocalSearchResult fast = optimize_priority(tg, opts);
-      opts.use_fast_evaluator = false;
-      const LocalSearchResult ref = optimize_priority(tg, opts);
+      const LocalSearchResult ref = testing::reference_optimize_priority(tg, opts);
       const std::string context = "graph " + std::to_string(g) + " seed " +
                                   std::to_string(seed);
       EXPECT_EQ(fast.priority, ref.priority) << context;
@@ -349,17 +339,16 @@ TEST(EvaluatorSearch, OptimizePriorityFastVsReferenceBitIdentical) {
 
 TEST(EvaluatorSearch, WarmStartPointsBehaveIdenticallyFastVsReference) {
   const TaskGraph tg = random_task_graph(77);
-  LocalSearchOptions opts;
+  sched::StrategyOptions opts;
   opts.processors = 2;
   opts.max_iterations = 120;
   opts.restarts = 1;
   const LocalSearchResult cold = optimize_priority(tg, opts);
-  opts.start_priorities = {cold.priority};
-  opts.use_fast_evaluator = true;
+  opts.warm_starts = {cold.priority};
   const LocalSearchResult fast = optimize_priority(tg, opts);
-  opts.use_fast_evaluator = false;
-  const LocalSearchResult ref = optimize_priority(tg, opts);
+  const LocalSearchResult ref = testing::reference_optimize_priority(tg, opts);
   EXPECT_EQ(fast.priority, ref.priority);
+  EXPECT_EQ(fast.iterations_used, ref.iterations_used);
   EXPECT_EQ(fast.makespan, ref.makespan);
   EXPECT_EQ(fast.violations, ref.violations);
   EXPECT_EQ(fast.start_priority_index, ref.start_priority_index);
@@ -391,9 +380,7 @@ TEST(EvaluatorSearch, ParallelSearchWinnerIdenticalFastVsReference) {
   for (const std::uint64_t g : {101ULL, 202ULL}) {
     const TaskGraph tg = random_task_graph(g);
     sched::ParallelSearchOptions opts = search_options(2);
-    opts.use_fast_evaluator = false;
-    const sched::ParallelSearchResult ref = sched::parallel_search(tg, opts);
-    opts.use_fast_evaluator = true;
+    const sched::ParallelSearchResult ref = testing::reference_search(tg, opts);
     for (const int workers : {1, 2, 3}) {
       opts.workers = workers;
       expect_identical_winner(sched::parallel_search(tg, opts), ref,
@@ -404,26 +391,24 @@ TEST(EvaluatorSearch, ParallelSearchWinnerIdenticalFastVsReference) {
 }
 
 TEST(EvaluatorSearch, WarmSearchWithKernelMatchesColdReferenceWinnerOrBeatsIt) {
-  // Cold with the reference pipeline, then warm (cache + overlay) with
-  // the kernel: the extended determinism contract — cache warmth and the
-  // evaluator choice together still yield the match-or-beat outcome, and
-  // for this instance the warm winner must match outright.
+  // The reference plan winner, then the kernel search cold and warm
+  // (cache + overlay): cache warmth still yields the match-or-beat
+  // outcome, and for this instance the warm winner must match outright.
   const TaskGraph tg = random_task_graph(55);
   TempDir dir("warm_kernel");
   sched::ScheduleCache cache(dir.path());
   sched::ParallelSearchOptions opts = search_options(2);
+  const sched::ParallelSearchResult ref = testing::reference_search(tg, opts);
   opts.cache = &cache;
   opts.warm_start = true;
-  opts.use_fast_evaluator = false;
-  const sched::ParallelSearchResult cold = sched::parallel_search(tg, opts);
-  opts.use_fast_evaluator = true;
+  (void)sched::parallel_search(tg, opts);
   const sched::ParallelSearchResult warm = sched::parallel_search(tg, opts);
   EXPECT_EQ(warm.evaluated, 0u) << "second run must be answered by the cache";
   if (!warm.warm_start_won) {
-    expect_identical_winner(warm, cold, "warm kernel vs cold reference");
+    expect_identical_winner(warm, ref, "warm kernel vs cold reference");
   } else {
     EXPECT_TRUE(warm.best.feasible || warm.best.deadline_violations <=
-                                          cold.best.deadline_violations);
+                                          ref.best.deadline_violations);
   }
 }
 
@@ -630,15 +615,12 @@ TEST(EvaluatorPartition, KernelMatchesNaivePartitionedPipeline) {
 TEST(EvaluatorSearch, VisitedSetAndIncrementalTogglesPreserveTrajectory) {
   for (const std::uint64_t g : {3ULL, 14ULL, 27ULL}) {
     const TaskGraph tg = random_task_graph(g);
-    LocalSearchOptions opts;
+    sched::StrategyOptions opts;
     opts.processors = 2;
     opts.max_iterations = 150;
     opts.restarts = 1;
-    opts.use_fast_evaluator = false;
-    const LocalSearchResult ref = optimize_priority(tg, opts);
+    const LocalSearchResult ref = testing::reference_optimize_priority(tg, opts);
 
-    opts.use_fast_evaluator = true;
-    opts.use_incremental = true;
     sched::VisitedSet set(fingerprint(tg), 4096);
     opts.visited_set = &set;
     const std::string context = "graph " + std::to_string(g);
@@ -662,18 +644,15 @@ TEST(EvaluatorSearch, VisitedSetAndIncrementalTogglesPreserveTrajectory) {
 }
 
 TEST(EvaluatorSearch, ParallelSearchVisitedSetToggleIdenticalWinner) {
+  // parallel_search shares one visited-set across its workers; with two
+  // workers racing over it, the winner still equals the serial reference.
   const TaskGraph tg = random_task_graph(303);
-  sched::ParallelSearchOptions opts = search_options(2);
-  opts.use_visited_set = true;
-  opts.use_incremental = true;
-  const sched::ParallelSearchResult on = sched::parallel_search(tg, opts);
-  opts.use_visited_set = false;
-  opts.use_incremental = false;
-  const sched::ParallelSearchResult off = sched::parallel_search(tg, opts);
-  expect_identical_winner(on, off, "visited-set toggle");
-  EXPECT_GT(on.evals_incremental, 0u);
-  EXPECT_EQ(off.evals_incremental, 0u);
-  EXPECT_GT(off.evals_full, 0u);
+  const sched::ParallelSearchOptions opts = search_options(2);
+  const sched::ParallelSearchResult kernel = sched::parallel_search(tg, opts);
+  expect_identical_winner(kernel, testing::reference_search(tg, opts),
+                          "shared visited-set vs reference");
+  EXPECT_GT(kernel.evals_incremental, 0u);
+  EXPECT_GT(kernel.evals_full, 0u);
 }
 
 }  // namespace

@@ -173,6 +173,27 @@ TEST(FuzzReplay, MissingFileAndIncompleteWcetsThrow) {
   EXPECT_THROW((void)replay_repro(path, quick_config()), std::runtime_error);
 }
 
+TEST(FuzzReplay, LegacyToggleHeaderStillReplays) {
+  // Older repros pinned kernel toggles (incremental=, visited=) that no
+  // longer exist; the reader skips them like any unknown token.
+  const Scenario scenario = make_scenario(Family::kPipeline, 5);
+  TempDir dir("legacy_header");
+  const std::string path = dir.path() + "/legacy.fppn";
+  {
+    std::ofstream out(path);
+    out << "# fppn-fuzz v1 repro\n"
+        << "# fppn-fuzz seed=" << scenario.seed << " family=pipeline\n"
+        << "# fppn-fuzz processors=2 incremental=1 visited=0\n"
+        << "# fppn-fuzz check=reference-winner\n"
+        << scenario_text(scenario);
+  }
+  const ReplayOutcome out = replay_repro(path, quick_config());
+  EXPECT_EQ(out.seed, scenario.seed);
+  EXPECT_EQ(out.expected_check, "reference-winner");
+  EXPECT_GT(out.verdict.jobs, 0u);
+  EXPECT_FALSE(out.verdict.mismatch.has_value());
+}
+
 TEST(FuzzCheck, VerdictGatesAreReported) {
   // A periodic-only scenario has no servers: TA-checked but never
   // trace-checked. A sporadic scenario is trace-checked.

@@ -25,7 +25,7 @@ Job make_job(const std::string& name, std::int64_t a, std::int64_t d, std::int64
 TEST(LocalSearch, FeasibleInstanceSolved) {
   const auto app = apps::build_fig1();
   const auto derived = derive_task_graph(app.net, app.fig3_wcets());
-  LocalSearchOptions opts;
+  sched::StrategyOptions opts;
   opts.processors = 2;
   const LocalSearchResult result = optimize_priority(derived.graph, opts);
   EXPECT_TRUE(result.feasible);
@@ -40,7 +40,7 @@ TEST(LocalSearch, FeasibleInstanceSolved) {
 TEST(LocalSearch, NeverWorseThanHeuristics) {
   const auto app = apps::build_fms();
   const auto derived = derive_task_graph(app.net, app.default_wcets());
-  LocalSearchOptions opts;
+  sched::StrategyOptions opts;
   opts.processors = 1;
   opts.max_iterations = 50;  // tiny budget: must still match the best start
   opts.restarts = 0;
@@ -58,7 +58,7 @@ TEST(LocalSearch, NeverWorseThanHeuristics) {
 TEST(LocalSearch, DeterministicPerSeed) {
   const auto app = apps::build_fig1();
   const auto derived = derive_task_graph(app.net, app.fig3_wcets());
-  LocalSearchOptions opts;
+  sched::StrategyOptions opts;
   opts.processors = 2;
   opts.seed = 77;
   const LocalSearchResult a = optimize_priority(derived.graph, opts);
@@ -82,7 +82,7 @@ TEST(LocalSearch, FixesHeuristicAdversarialInstance) {
   tg.add_edge(j1, j3);
   (void)j0;
   (void)j2;
-  LocalSearchOptions opts;
+  sched::StrategyOptions opts;
   opts.processors = 2;
   opts.max_iterations = 3000;
   opts.restarts = 4;
@@ -92,12 +92,12 @@ TEST(LocalSearch, FixesHeuristicAdversarialInstance) {
 
 TEST(LocalSearch, StartPrioritiesNeverMakeTheResultWorse) {
   // The warm-start hook's core guarantee: the search seeds from the best
-  // of heuristics ∪ start_priorities and only accepts improvements, so
+  // of heuristics ∪ warm_starts and only accepts improvements, so
   // supplying start points — even deliberately bad ones — can never
   // produce a worse schedule than the plain heuristic start.
   const auto app = apps::build_fms();
   const auto derived = derive_task_graph(app.net, app.default_wcets());
-  LocalSearchOptions opts;
+  sched::StrategyOptions opts;
   opts.processors = 2;
   opts.max_iterations = 100;
   opts.restarts = 0;
@@ -108,7 +108,7 @@ TEST(LocalSearch, StartPrioritiesNeverMakeTheResultWorse) {
   for (std::size_t i = derived.graph.job_count(); i > 0; --i) {
     reversed.push_back(JobId(i - 1));
   }
-  opts.start_priorities = {reversed};
+  opts.warm_starts = {reversed};
   const LocalSearchResult warm = optimize_priority(derived.graph, opts);
   EXPECT_LE(warm.violations, plain.violations);
   if (warm.violations == plain.violations) {
@@ -123,12 +123,12 @@ TEST(LocalSearch, EqualScoringStartPriorityKeepsTheHeuristicTrajectory) {
   // of the warm-start match-or-beat contract.
   const auto app = apps::build_fig1();
   const auto derived = derive_task_graph(app.net, app.fig3_wcets());
-  LocalSearchOptions opts;
+  sched::StrategyOptions opts;
   opts.processors = 2;
   opts.seed = 5;
   const LocalSearchResult plain = optimize_priority(derived.graph, opts);
 
-  opts.start_priorities = {plain.priority};  // scores exactly like the incumbent
+  opts.warm_starts = {plain.priority};  // scores exactly like the incumbent
   const LocalSearchResult warm = optimize_priority(derived.graph, opts);
   EXPECT_EQ(warm.priority, plain.priority);
   EXPECT_EQ(warm.makespan, plain.makespan);
@@ -148,14 +148,14 @@ TEST(LocalSearch, StrictlyBetterStartPriorityIsAdopted) {
   const JobId c = tg.add_job(make_job("C", 0, 100, 3, 2));
   const JobId d = tg.add_job(make_job("D", 0, 100, 3, 3));
   const JobId e = tg.add_job(make_job("E", 0, 100, 2, 4));
-  LocalSearchOptions opts;
+  sched::StrategyOptions opts;
   opts.processors = 2;
   opts.max_iterations = 0;
   opts.restarts = 0;
   const LocalSearchResult plain = optimize_priority(tg, opts);
   ASSERT_GT(plain.makespan, Time::ms(8)) << "heuristics already pack optimally";
 
-  opts.start_priorities = {{a, c, d, b, e}};
+  opts.warm_starts = {{a, c, d, b, e}};
   const LocalSearchResult warm = optimize_priority(tg, opts);
   EXPECT_EQ(warm.makespan, Time::ms(8));
   EXPECT_EQ(warm.start_priority_index, 0);
@@ -164,44 +164,10 @@ TEST(LocalSearch, StrictlyBetterStartPriorityIsAdopted) {
 TEST(LocalSearch, MalformedStartPriorityThrows) {
   const auto app = apps::build_fig1();
   const auto derived = derive_task_graph(app.net, app.fig3_wcets());
-  LocalSearchOptions opts;
+  sched::StrategyOptions opts;
   opts.processors = 2;
-  opts.start_priorities = {{JobId(0)}};  // not a permutation of all jobs
+  opts.warm_starts = {{JobId(0)}};  // not a permutation of all jobs
   EXPECT_THROW((void)optimize_priority(derived.graph, opts), std::invalid_argument);
-}
-
-TEST(LocalSearch, DefaultStaleLimitKeepsHistoricalBehavior) {
-  // stale_limit replaces a hard-coded 200; an explicit 200 must walk the
-  // bit-identical trajectory of the default.
-  const auto app = apps::build_fig1();
-  const auto derived = derive_task_graph(app.net, app.fig3_wcets());
-  LocalSearchOptions opts;
-  opts.processors = 2;
-  opts.seed = 13;
-  const LocalSearchResult implicit = optimize_priority(derived.graph, opts);
-  opts.stale_limit = 200;
-  const LocalSearchResult explicit_200 = optimize_priority(derived.graph, opts);
-  EXPECT_EQ(implicit.priority, explicit_200.priority);
-  EXPECT_EQ(implicit.makespan, explicit_200.makespan);
-  EXPECT_EQ(implicit.iterations_used, explicit_200.iterations_used);
-}
-
-TEST(LocalSearch, TighterStaleLimitCutsIterationsNotCorrectness) {
-  const auto app = apps::build_fms();
-  const auto derived = derive_task_graph(app.net, app.default_wcets());
-  LocalSearchOptions opts;
-  opts.processors = 1;
-  opts.max_iterations = 2000;
-  opts.restarts = 0;
-  const LocalSearchResult roomy = optimize_priority(derived.graph, opts);
-  opts.stale_limit = 5;
-  const LocalSearchResult tight = optimize_priority(derived.graph, opts);
-  EXPECT_LE(tight.iterations_used, roomy.iterations_used);
-  // The search still starts from the best heuristic, so a tight limit
-  // can bound improvement, never correctness.
-  const StaticSchedule replay =
-      list_schedule(derived.graph, tight.priority, opts.processors);
-  EXPECT_EQ(replay.makespan(derived.graph), tight.makespan);
 }
 
 TEST(LocalSearch, TrivialGraphs) {

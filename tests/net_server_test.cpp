@@ -185,16 +185,29 @@ TEST(NetServer, StopDrainsTheBacklogBeforeReturning) {
   constexpr int kClients = 3;
   std::vector<std::string> responses(kClients);
   std::vector<std::thread> clients;
+  std::atomic<int> connected{0};
   for (int i = 0; i < kClients; ++i) {
     clients.emplace_back([&, i] {
-      responses[static_cast<std::size_t>(i)] =
-          roundtrip(socket_path, std::to_string(i));
+      std::string& response = responses[static_cast<std::size_t>(i)];
+      const int fd = fppn::net::connect_endpoint(Endpoint::unix_socket(socket_path));
+      ++connected;
+      if (fd < 0) {
+        response = "<connect failed: " + std::string(std::strerror(errno)) + ">";
+        return;
+      }
+      write_all(fd, std::to_string(i));
+      ::shutdown(fd, SHUT_WR);
+      response = read_to_eof(fd);
+      ::close(fd);
     });
   }
-  // Stop mid-flight: at least one request is being handled, the rest are
-  // queued or about to dispatch. Every admitted request must still be
-  // answered — run() returning means drained, not dropped.
-  for (int i = 0; i < 500 && handled.load() == 0; ++i) {
+  // Stop mid-flight: every client has connected, at least one request is
+  // being handled, the rest are queued or about to dispatch. Every
+  // admitted request must still be answered — run() returning means
+  // drained, not dropped. (Waiting for the connects keeps a slow client
+  // thread from finding the listener already closed.)
+  for (int i = 0; i < 500 && (handled.load() == 0 || connected.load() < kClients);
+       ++i) {
     ::usleep(5 * 1000);
   }
   server.stop();

@@ -233,15 +233,15 @@ TEST(Partitioned, KernelAndNaivePipelinesBitIdentical) {
   for (const Case& c : cases) {
     for (const std::int64_t m : {1, 2, 3, 4}) {
       for (const PriorityHeuristic h : all_heuristics()) {
-        const PartitionedResult fast =
-            partition_and_schedule(*c.tg, c.processes, m, h, /*use_kernel=*/true);
-        const PartitionedResult ref =
-            partition_and_schedule(*c.tg, c.processes, m, h, /*use_kernel=*/false);
+        const PartitionedResult fast = partition_and_schedule(*c.tg, c.processes, m, h);
+        const std::vector<ProcessorId> assignment = wfd_assignment(*c.tg, c.processes, m);
+        const StaticSchedule ref = partitioned_list_schedule(
+            *c.tg, assignment, schedule_priority(*c.tg, h), m);
         const std::string context = std::string(c.name) + " M" + std::to_string(m) +
                                     " " + to_string(h);
-        EXPECT_EQ(fast.assignment, ref.assignment) << context;
-        EXPECT_EQ(fast.feasible, ref.feasible) << context;
-        expect_same_placements(*c.tg, fast.schedule, ref.schedule, context);
+        EXPECT_EQ(fast.assignment, assignment) << context;
+        EXPECT_EQ(fast.feasible, ref.count_violations(*c.tg).feasible()) << context;
+        expect_same_placements(*c.tg, fast.schedule, ref, context);
       }
     }
   }
@@ -269,20 +269,6 @@ TEST(Partitioned, SchedulerReuseMatchesPerCallPipeline) {
         << to_string(h);
     EXPECT_EQ(score.makespan, ref.makespan(derived.graph)) << to_string(h);
   }
-}
-
-TEST(Partitioned, ReferenceModeSchedulerHasNoScoreOnlyPath) {
-  const auto app = apps::build_fig1();
-  const auto derived = derive_task_graph(app.net, app.fig3_wcets());
-  PartitionedScheduler reference(derived.graph, app.net.process_count(), 3,
-                                 /*use_kernel=*/false);
-  const std::vector<JobId> order =
-      schedule_priority(derived.graph, PriorityHeuristic::kAlapEdf);
-  // schedule_order still works (it runs the reference rescan)…
-  const StaticSchedule s = reference.schedule_order(order);
-  EXPECT_EQ(s.job_count(), derived.graph.job_count());
-  // …but score-only evaluation needs the kernel.
-  EXPECT_THROW((void)reference.evaluate_order(order), std::logic_error);
 }
 
 TEST(Partitioned, InvalidInputsRejected) {

@@ -9,11 +9,8 @@ namespace tool {
 namespace {
 
 void print_mismatch(const gen::FuzzMismatch& m, const char* repro_path) {
-  std::fprintf(stderr,
-               "fppn_tool: fuzz MISMATCH [%s] (processors=%lld incremental=%d "
-               "visited=%d): %s\n",
+  std::fprintf(stderr, "fppn_tool: fuzz MISMATCH [%s] (processors=%lld): %s\n",
                m.check.c_str(), static_cast<long long>(m.processors),
-               m.toggles.incremental ? 1 : 0, m.toggles.visited_set ? 1 : 0,
                m.detail.c_str());
   if (repro_path != nullptr) {
     std::fprintf(stderr, "fppn_tool: repro written to %s\n", repro_path);

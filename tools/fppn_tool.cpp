@@ -35,7 +35,7 @@
 //                       [--inject-bug]
 //
 // `fuzz` runs the differential loop of gen/fuzz.*: generated scenarios,
-// reference-vs-toggled search comparison, TA-oracle and policy-trace
+// reference-vs-production search comparison, TA-oracle and policy-trace
 // cross-checks; mismatches are shrunk and written to --repro-dir as
 // replayable `.fppn` files. Exit code 4 = at least one mismatch.
 //
