@@ -1,7 +1,7 @@
 // Partitioned-scheduling throughput: the evaluator's partition-constrained
-// kernel vs. the reference partitioned_list_schedule rescan, on a 256-job
-// periodic pipeline (16 processes x 16 frames — the paper's deployment
-// model, one process pinned per "thread"). Two measurements:
+// kernel vs. the reference testing::partitioned_list_schedule rescan, on a
+// 256-job periodic pipeline (16 processes x 16 frames — the paper's
+// deployment model, one process pinned per "thread"). Two measurements:
 //
 //   1. orders/sec scoring SP orders under a fixed WFD assignment — the
 //      kernel's per-processor ready heaps (O((n+E) log n)) against the
@@ -25,6 +25,7 @@
 #include "bench_json.hpp"
 #include "sched/partitioned.hpp"
 #include "sched/priorities.hpp"
+#include "testing/list_scheduler.hpp"
 
 namespace {
 
@@ -84,7 +85,8 @@ bool print_kernel_report(benchjson::Report& report) {
 
   PartitionedScheduler kernel(tg, kProcesses, kProcessors);
   const auto reference_schedule = [&](const std::vector<JobId>& order) {
-    return partitioned_list_schedule(tg, kernel.assignment(), order, kProcessors);
+    return testing::partitioned_list_schedule(tg, kernel.assignment(), order,
+                                              kProcessors);
   };
 
   // Equality first: every order's schedule, placement by placement.
@@ -225,7 +227,8 @@ void BM_PartitionReference(benchmark::State& state) {
   const std::vector<JobId> order =
       schedule_priority(tg, PriorityHeuristic::kAlapEdf);
   for (auto _ : state) {
-    const StaticSchedule s = partitioned_list_schedule(tg, assignment, order, kProcessors);
+    const StaticSchedule s =
+        testing::partitioned_list_schedule(tg, assignment, order, kProcessors);
     benchmark::DoNotOptimize(s.count_violations(tg).deadline);
   }
   state.SetLabel(std::to_string(tg.job_count()) + " jobs");

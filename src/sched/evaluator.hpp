@@ -1,8 +1,10 @@
 // sched::Evaluator — the allocation-free O((n+E) log n) schedule-evaluation
-// kernel behind the SP local search (§III-B's inner loop, made fast).
+// kernel behind every production list schedule (§III-B), and the local
+// search's inner loop.
 //
-// The naive path evaluates a candidate SP order by running list_schedule
-// (O(n²) ready/next-event scans, a freshly allocated StaticSchedule) and
+// The naive path evaluates a candidate SP order by running the rescan
+// list scheduler (testing/list_scheduler.hpp, now a test oracle: O(n²)
+// ready/next-event scans, a freshly allocated StaticSchedule) and
 // scoring it through check_feasibility (violation records with formatted
 // detail strings) — thousands of times per search. The Evaluator replaces
 // that with an event-driven simulation over a CompiledTaskGraph flat view
@@ -61,15 +63,15 @@
 // process's assigned bin). The simulation then keeps one rank-keyed ready
 // heap per processor and starts, at every instant, the globally
 // lowest-rank job whose own processor is free — bit-identical to the
-// reference partitioned_list_schedule's O(n²) rescan. Checkpoints are a
+// reference testing::partitioned_list_schedule rescan. Checkpoints are a
 // global-mode feature; partition mode supports evaluate()/materialize().
 //
 // Determinism contract: for any valid SP order, evaluate()/materialize()
 // produce the bit-identical score and placements the reference
-// list_schedule + check_feasibility pipeline produces — same decision
-// instants, same rank tie-breaks, same smallest-index processor choice —
-// on either timebase (regression-proved by the randomized differential
-// suite in tests/evaluator_test.cpp). Search winners therefore equal
+// testing::list_schedule + check_feasibility pipeline produces — same
+// decision instants, same rank tie-breaks, same smallest-index processor
+// choice — on either timebase (regression-proved by the randomized
+// differential suite in tests/evaluator_test.cpp). Search winners therefore equal
 // those of the reference oracle (testing/reference_search.hpp), cold and
 // warm, on any worker count.
 //
@@ -199,9 +201,10 @@ class Evaluator {
   [[nodiscard]] EvalScore evaluate(const std::vector<JobId>& priority);
 
   /// Runs the same simulation and materializes the full StaticSchedule —
-  /// bit-identical to list_schedule(tg, priority, processors) (or, in
-  /// partition mode, partitioned_list_schedule). For incumbents only;
-  /// this path allocates the schedule it returns.
+  /// bit-identical to the testing::list_schedule oracle on the same order
+  /// and processor count (or, in partition mode, to
+  /// testing::partitioned_list_schedule). For incumbents and the
+  /// heuristic strategies; this path allocates the schedule it returns.
   [[nodiscard]] StaticSchedule materialize(const std::vector<JobId>& priority);
 
   /// Full evaluation that also (re)builds the checkpoint store, making

@@ -1,10 +1,10 @@
 // The SP hill-climb behind optimize_priority, written once over its
 // scorer. Production instantiates it with sched::Evaluator (checkpointed
 // incremental move scoring, local_search.cpp); the test oracle
-// instantiates it with the naive list_schedule + count_violations scorer
-// (testing/reference_search.cpp). Both walk the identical trajectory —
-// the same seeds, moves, acceptances and iterations — so any divergence
-// between the two is a kernel bug, never a search difference.
+// instantiates it with the naive testing::list_schedule + count_violations
+// scorer (testing/reference_search.cpp). Both walk the identical
+// trajectory — the same seeds, moves, acceptances and iterations — so any
+// divergence between the two is a kernel bug, never a search difference.
 //
 // A Scorer provides, each returning the exact score of `order`:
 //   EvalScore evaluate(order)                      a plain evaluation

@@ -11,7 +11,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "sched/list_scheduler.hpp"
+#include "sched/priorities.hpp"
 #include "sched/strategy.hpp"
 
 namespace fppn {

@@ -2,108 +2,9 @@
 
 #include <algorithm>
 #include <numeric>
-#include <optional>
 #include <stdexcept>
 
 namespace fppn {
-
-StaticSchedule partitioned_list_schedule(const TaskGraph& tg,
-                                         const std::vector<ProcessorId>& assignment,
-                                         const std::vector<JobId>& priority,
-                                         std::int64_t processors) {
-  const std::size_t n = tg.job_count();
-  if (priority.size() != n) {
-    throw std::invalid_argument("partitioned schedule: SP order must cover every job");
-  }
-  StaticSchedule schedule(n, processors);
-  if (n == 0) {
-    return schedule;
-  }
-  const auto proc_of = [&](JobId id) {
-    const std::size_t p = tg.job(id).process.value();
-    if (p >= assignment.size() || !assignment[p].is_valid() ||
-        static_cast<std::int64_t>(assignment[p].value()) >= processors) {
-      throw std::invalid_argument("partitioned schedule: job '" + tg.job(id).name +
-                                  "' has no valid processor assignment");
-    }
-    return assignment[p];
-  };
-
-  std::vector<std::size_t> rank(n, 0);
-  for (std::size_t r = 0; r < priority.size(); ++r) {
-    rank[priority[r].value()] = r;
-  }
-  std::vector<std::size_t> unfinished_preds(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    unfinished_preds[i] = tg.predecessors(JobId(i)).size();
-  }
-  std::vector<bool> started(n, false);
-  std::vector<Time> finish(n);
-  std::vector<Time> proc_free(static_cast<std::size_t>(processors));
-
-  std::size_t remaining = n;
-  Time t = tg.job(JobId(0)).arrival;
-  for (std::size_t i = 1; i < n; ++i) {
-    t = std::min(t, tg.job(JobId(i)).arrival);
-  }
-
-  while (remaining > 0) {
-    // Highest-SP job that is ready AND whose own processor is free.
-    std::optional<std::size_t> best;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (started[i] || unfinished_preds[i] > 0 || tg.job(JobId(i)).arrival > t) {
-        continue;
-      }
-      bool preds_done = true;
-      for (const JobId p : tg.predecessors(JobId(i))) {
-        if (finish[p.value()] > t) {
-          preds_done = false;
-          break;
-        }
-      }
-      if (!preds_done || proc_free[proc_of(JobId(i)).value()] > t) {
-        continue;
-      }
-      if (!best.has_value() || rank[i] < rank[*best]) {
-        best = i;
-      }
-    }
-    if (best.has_value()) {
-      const std::size_t i = *best;
-      const ProcessorId m = proc_of(JobId(i));
-      started[i] = true;
-      finish[i] = t + tg.job(JobId(i)).wcet;
-      schedule.place(JobId(i), m, t);
-      proc_free[m.value()] = finish[i];
-      for (const JobId s : tg.successors(JobId(i))) {
-        --unfinished_preds[s.value()];
-      }
-      --remaining;
-      continue;
-    }
-    std::optional<Time> next;
-    const auto consider = [&](const Time& cand) {
-      if (cand > t && (!next.has_value() || cand < *next)) {
-        next = cand;
-      }
-    };
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!started[i]) {
-        consider(tg.job(JobId(i)).arrival);
-      } else {
-        consider(finish[i]);
-      }
-    }
-    for (const Time& f : proc_free) {
-      consider(f);
-    }
-    if (!next.has_value()) {
-      throw std::logic_error("partitioned schedule: stalled with no future event");
-    }
-    t = *next;
-  }
-  return schedule;
-}
 
 std::vector<ProcessorId> wfd_assignment(const TaskGraph& tg,
                                         std::size_t process_count,

@@ -37,14 +37,6 @@ struct PartitionedResult {
   bool feasible = false;
 };
 
-/// Explicit assignment: schedules `tg` with each job pinned to
-/// `assignment[job.process]`. Throws std::invalid_argument when a job's
-/// process has no (in-range) assignment or `priority` does not cover
-/// every job; std::logic_error if the simulation stalls (cyclic graph).
-[[nodiscard]] StaticSchedule partitioned_list_schedule(
-    const TaskGraph& tg, const std::vector<ProcessorId>& assignment,
-    const std::vector<JobId>& priority, std::int64_t processors);
-
 /// The worst-fit-decreasing processor assignment alone (the partitioning
 /// half of partition_and_schedule): per-process WCET demand, bins chosen
 /// lightest-first with index tie-breaks. Pure function of its arguments —
@@ -64,10 +56,8 @@ struct PartitionedResult {
 /// is >= process_count.
 /// Schedules through the evaluator's partition-constrained mode
 /// (per-processor ready heaps, O((n+E) log n)), bit-identical to the
-/// partitioned_list_schedule rescan (O(n²)) under the same assignment.
-/// (Edge-case nit: on a *cyclic* graph the kernel rejects up front with
-/// std::invalid_argument where the rescan stalls with std::logic_error
-/// mid-simulation.)
+/// test oracle testing::partitioned_list_schedule (an O(n²) rescan,
+/// testing/list_scheduler.hpp) under the same assignment.
 [[nodiscard]] PartitionedResult partition_and_schedule(
     const TaskGraph& tg, std::size_t process_count, std::int64_t processors,
     PriorityHeuristic heuristic = PriorityHeuristic::kAlapEdf);
@@ -93,7 +83,7 @@ class PartitionedScheduler {
   [[nodiscard]] std::int64_t processor_count() const noexcept { return processors_; }
 
   /// Schedule one SP order under the fixed assignment — bit-identical to
-  /// partitioned_list_schedule(tg, assignment(), priority, processors).
+  /// the testing::partitioned_list_schedule oracle under assignment().
   [[nodiscard]] StaticSchedule schedule_order(const std::vector<JobId>& priority);
 
   /// Score one SP order without materializing.

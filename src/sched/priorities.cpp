@@ -82,11 +82,14 @@ std::vector<JobId> schedule_priority(const TaskGraph& tg, PriorityHeuristic heur
       break;
     }
     case PriorityHeuristic::kDeadlineMonotonic: {
+      // D - A once per job, not two Rational subtractions per comparison.
+      std::vector<Duration> relative(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        relative[i] = tg.job(JobId(i)).deadline - tg.job(JobId(i)).arrival;
+      }
       std::sort(order.begin(), order.end(), [&](JobId a, JobId b) {
-        const Duration da = tg.job(a).deadline - tg.job(a).arrival;
-        const Duration db = tg.job(b).deadline - tg.job(b).arrival;
-        if (da != db) {
-          return da < db;
+        if (relative[a.value()] != relative[b.value()]) {
+          return relative[a.value()] < relative[b.value()];
         }
         return tie(a, b);
       });

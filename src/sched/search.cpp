@@ -7,9 +7,9 @@ namespace fppn {
 ScheduleAttempt best_schedule(const TaskGraph& tg, std::int64_t processors) {
   // One compiled kernel scores every heuristic order; only the returned
   // attempt is materialized into a StaticSchedule. Scores, placements and
-  // the first-feasible-in-order selection are bit-identical to the former
-  // list_schedule + count_violations pass (the kernel's determinism
-  // contract).
+  // the first-feasible-in-order selection are bit-identical to a
+  // testing::list_schedule + count_violations pass (the kernel's
+  // determinism contract).
   sched::Evaluator kernel(tg, processors);
   std::optional<PriorityHeuristic> best_h;
   std::vector<JobId> best_order;

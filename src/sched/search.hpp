@@ -1,11 +1,13 @@
-// Schedulability search helpers built on the list scheduler: find a
-// feasible schedule with the best heuristic, and the minimum processor
-// count that admits one (the experiment loop of §V).
+// Schedulability search helpers built on the evaluation kernel's list
+// scheduling (sched/evaluator.hpp): find a feasible schedule with the best
+// heuristic, and the minimum processor count that admits one (the
+// experiment loop of §V).
 #pragma once
 
 #include <optional>
 
-#include "sched/list_scheduler.hpp"
+#include "sched/priorities.hpp"
+#include "sched/static_schedule.hpp"
 #include "taskgraph/analysis.hpp"
 
 namespace fppn {
@@ -20,7 +22,8 @@ struct ScheduleAttempt {
 /// Tries every heuristic on M processors; returns the first feasible
 /// schedule (heuristics in all_heuristics() order), else the attempt with
 /// the fewest deadline violations. Deterministic and safe to call
-/// concurrently; throws like list_schedule (cyclic graph, processors < 1).
+/// concurrently; throws std::invalid_argument like sched::Evaluator
+/// (cyclic graph, processors < 1).
 [[nodiscard]] ScheduleAttempt best_schedule(const TaskGraph& tg, std::int64_t processors);
 
 struct MinProcessorsResult {

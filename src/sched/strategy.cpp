@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <optional>
 
-#include "sched/list_scheduler.hpp"
+#include "sched/evaluator.hpp"
 #include "sched/local_search.hpp"
 #include "sched/partitioned.hpp"
 #include "sched/priorities.hpp"
@@ -26,7 +26,7 @@ void finalize_result(const TaskGraph& tg, StrategyResult& result) {
 namespace {
 
 /// One §III-B priority heuristic behind the strategy interface: compute
-/// the SP total order, list-schedule it.
+/// the SP total order, list-schedule it through the evaluation kernel.
 class HeuristicStrategy final : public SchedulerStrategy {
  public:
   HeuristicStrategy(PriorityHeuristic heuristic, std::string description)
@@ -40,7 +40,8 @@ class HeuristicStrategy final : public SchedulerStrategy {
     StrategyResult result;
     result.strategy = name();
     result.detail = "list schedule, SP heuristic " + name();
-    result.schedule = list_schedule(tg, heuristic_, opts.processors);
+    const std::vector<JobId> order = schedule_priority(tg, heuristic_);
+    result.schedule = Evaluator(tg, opts.processors).materialize(order);
     finalize_result(tg, result);
     return result;
   }

@@ -6,10 +6,12 @@
 // a static schedule; callers discover strategies by name through the
 // StrategyRegistry (sched/registry.hpp) and never name concrete heuristic
 // functions. The parallel schedule search (sched/parallel_search.hpp) fans
-// out over registered strategies and seeds. The built-in iterative and
-// partitioned strategies always score through the evaluation kernel; the
-// naive pipeline they reproduce bit for bit is a test oracle
-// (testing/reference_search.hpp), not a strategy option.
+// out over registered strategies and seeds. Every built-in strategy — the
+// four heuristics, local search and partitioned-wfd — schedules through
+// the evaluation kernel (sched/evaluator.hpp). The O(n²) rescans they
+// reproduce bit for bit are test oracles under src/testing
+// (testing/list_scheduler.hpp, testing/reference_search.hpp), not a
+// strategy option.
 #pragma once
 
 #include <cstdint>

@@ -1,13 +1,20 @@
-#include "sched/list_scheduler.hpp"
+#include "testing/list_scheduler.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <optional>
 #include <stdexcept>
 
 namespace fppn {
+namespace testing {
+namespace {
 
-StaticSchedule list_schedule(const TaskGraph& tg, const std::vector<JobId>& priority,
-                             std::int64_t processors) {
+/// The rescan behind both entry points. Global mode (`assignment` null):
+/// the smallest-index free processor takes the highest-SP ready job.
+/// Partition mode: the highest-SP ready job whose own processor is free
+/// starts there.
+StaticSchedule rescan(const TaskGraph& tg, const std::vector<JobId>& priority,
+                      std::int64_t processors,
+                      const std::vector<ProcessorId>* assignment) {
   const std::size_t n = tg.job_count();
   if (priority.size() != n) {
     throw std::invalid_argument("list_schedule: SP order must cover every job");
@@ -33,6 +40,15 @@ StaticSchedule list_schedule(const TaskGraph& tg, const std::vector<JobId>& prio
       rank[i] = r;
     }
   }
+  const auto pinned_processor = [&](std::size_t i) {
+    const std::size_t p = tg.job(JobId(i)).process.value();
+    if (p >= assignment->size() || !(*assignment)[p].is_valid() ||
+        static_cast<std::int64_t>((*assignment)[p].value()) >= processors) {
+      throw std::invalid_argument("partitioned schedule: job '" + tg.job(JobId(i)).name +
+                                  "' has no valid processor assignment");
+    }
+    return (*assignment)[p].value();
+  };
 
   std::vector<std::size_t> unfinished_preds(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
@@ -43,28 +59,27 @@ StaticSchedule list_schedule(const TaskGraph& tg, const std::vector<JobId>& prio
   std::vector<Time> proc_free(static_cast<std::size_t>(processors));
 
   std::size_t remaining = n;
-  Time t;  // current decision instant; starts at 0
-  // Seed t with the earliest arrival so leading idle time is skipped.
-  {
-    Time first = tg.job(JobId(0)).arrival;
-    for (std::size_t i = 1; i < n; ++i) {
-      first = std::min(first, tg.job(JobId(i)).arrival);
-    }
-    t = first;
+  // Start at the earliest arrival so leading idle time is skipped.
+  Time t = tg.job(JobId(0)).arrival;
+  for (std::size_t i = 1; i < n; ++i) {
+    t = std::min(t, tg.job(JobId(i)).arrival);
   }
 
   while (remaining > 0) {
-    // Free processor with the smallest index among those free at t.
+    // Global mode: the free processor with the smallest index at t.
     std::optional<std::size_t> free_proc;
-    for (std::size_t m = 0; m < proc_free.size(); ++m) {
-      if (proc_free[m] <= t) {
-        free_proc = m;
-        break;
+    if (assignment == nullptr) {
+      for (std::size_t m = 0; m < proc_free.size(); ++m) {
+        if (proc_free[m] <= t) {
+          free_proc = m;
+          break;
+        }
       }
     }
-    // Highest-SP ready job at t.
+    // Highest-SP ready job at t whose processor is free.
     std::optional<std::size_t> best;
-    if (free_proc.has_value()) {
+    std::size_t best_proc = 0;
+    if (assignment != nullptr || free_proc.has_value()) {
       for (std::size_t i = 0; i < n; ++i) {
         if (started[i] || unfinished_preds[i] > 0 || tg.job(JobId(i)).arrival > t) {
           continue;
@@ -80,18 +95,23 @@ StaticSchedule list_schedule(const TaskGraph& tg, const std::vector<JobId>& prio
         if (!preds_done) {
           continue;
         }
+        const std::size_t m = assignment == nullptr ? *free_proc : pinned_processor(i);
+        if (proc_free[m] > t) {
+          continue;
+        }
         if (!best.has_value() || rank[i] < rank[*best]) {
           best = i;
+          best_proc = m;
         }
       }
     }
 
-    if (free_proc.has_value() && best.has_value()) {
+    if (best.has_value()) {
       const std::size_t i = *best;
       started[i] = true;
       finish[i] = t + tg.job(JobId(i)).wcet;
-      schedule.place(JobId(i), ProcessorId(*free_proc), t);
-      proc_free[*free_proc] = finish[i];
+      schedule.place(JobId(i), ProcessorId(best_proc), t);
+      proc_free[best_proc] = finish[i];
       for (const JobId s : tg.successors(JobId(i))) {
         --unfinished_preds[s.value()];
       }
@@ -126,9 +146,24 @@ StaticSchedule list_schedule(const TaskGraph& tg, const std::vector<JobId>& prio
   return schedule;
 }
 
+}  // namespace
+
+StaticSchedule list_schedule(const TaskGraph& tg, const std::vector<JobId>& priority,
+                             std::int64_t processors) {
+  return rescan(tg, priority, processors, nullptr);
+}
+
 StaticSchedule list_schedule(const TaskGraph& tg, PriorityHeuristic heuristic,
                              std::int64_t processors) {
   return list_schedule(tg, schedule_priority(tg, heuristic), processors);
 }
 
+StaticSchedule partitioned_list_schedule(const TaskGraph& tg,
+                                         const std::vector<ProcessorId>& assignment,
+                                         const std::vector<JobId>& priority,
+                                         std::int64_t processors) {
+  return rescan(tg, priority, processors, &assignment);
+}
+
+}  // namespace testing
 }  // namespace fppn

@@ -1,13 +1,21 @@
-// Non-preemptive list scheduling on M identical processors (§III-B).
+// The O(n²) rescan list schedulers of §III-B, kept as test oracles.
 //
 // "For a given SP, list scheduling consists of a simple simulation of the
 // fixed-priority policy using the updated definition of ready jobs": a job
 // is ready at time t when it has arrived (A_i <= t) and all its
 // predecessors have completed. At every decision instant the highest-SP
-// ready job is started on a free processor. The result is a fully static
-// schedule (mu_i, s_i) to be checked against Def. 3.2.
+// ready job is started on a free processor. These implementations rescan
+// every job per decision and per idle step, exactly as written.
+//
+// Production never calls them: every strategy schedules through the
+// evaluation kernel (sched/evaluator.hpp), whose determinism contract is
+// bit-identity with these rescans. The differential suites
+// (tests/evaluator_test.cpp, tests/partitioned_test.cpp), the reference
+// search (testing/reference_search.hpp) and the kernel benches compare
+// the kernel against them.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "sched/priorities.hpp"
@@ -15,6 +23,7 @@
 #include "taskgraph/task_graph.hpp"
 
 namespace fppn {
+namespace testing {
 
 /// Schedules `tg` on `processors` identical processors with the explicit
 /// SP total order `priority` (highest first; must contain every job
@@ -37,4 +46,14 @@ namespace fppn {
                                            PriorityHeuristic heuristic,
                                            std::int64_t processors);
 
+/// Partition-constrained list scheduling: each job runs only on
+/// `assignment[job.process]`, and at every instant the highest-SP ready
+/// job whose own processor is free starts. Throws like list_schedule,
+/// and std::invalid_argument when a job's process has no (in-range)
+/// assignment.
+[[nodiscard]] StaticSchedule partitioned_list_schedule(
+    const TaskGraph& tg, const std::vector<ProcessorId>& assignment,
+    const std::vector<JobId>& priority, std::int64_t processors);
+
+}  // namespace testing
 }  // namespace fppn

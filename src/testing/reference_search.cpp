@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "sched/hill_climb.hpp"
-#include "sched/list_scheduler.hpp"
 #include "sched/partitioned.hpp"
+#include "testing/list_scheduler.hpp"
 
 namespace fppn {
 namespace testing {
@@ -56,6 +57,17 @@ StaticSchedule reference_partitioned(const TaskGraph& tg,
                                    schedule_priority(tg, h), opts.processors);
 }
 
+/// The heuristic a registered heuristic strategy is named after.
+PriorityHeuristic heuristic_named(const std::string& strategy) {
+  for (const PriorityHeuristic h : all_heuristics()) {
+    if (to_string(h) == strategy) {
+      return h;
+    }
+  }
+  throw std::invalid_argument("reference_search: no reference pipeline for strategy '" +
+                              strategy + "'");
+}
+
 }  // namespace
 
 sched::EvalScore reference_score(const TaskGraph& tg, const std::vector<JobId>& order,
@@ -81,17 +93,15 @@ sched::ParallelSearchResult reference_search(const TaskGraph& tg,
   for (const sched::SearchCandidate& c : candidates) {
     const sched::StrategyOptions sopts = sched::strategy_options_for(opts, c);
     sched::StrategyResult r;
+    r.strategy = c.strategy;
     if (c.strategy == "local-search" || c.strategy == "cached-warm-start") {
       r.schedule = reference_optimize_priority(tg, sopts).schedule;
-      sched::finalize_result(tg, r);
     } else if (c.strategy == "partitioned-wfd") {
       r.schedule = reference_partitioned(tg, sopts);
-      sched::finalize_result(tg, r);
     } else {
-      // The heuristics list-schedule directly; they have no kernel path.
-      r = sched::StrategyRegistry::global().create(c.strategy)->schedule(tg, sopts);
+      r.schedule = list_schedule(tg, heuristic_named(c.strategy), sopts.processors);
     }
-    r.strategy = c.strategy;
+    sched::finalize_result(tg, r);
     if (out.candidates == 0 ||
         sched::better_search_candidate(r, c.seed, out.best, out.seed)) {
       out.best = std::move(r);

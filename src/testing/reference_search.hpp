@@ -1,20 +1,25 @@
 // The naive reference search — the semantics production search must
 // reproduce bit for bit, kept as a test oracle rather than a production
-// option. Production scores through the incremental evaluation kernel
-// (sched/evaluator.hpp), shares a visited-set across workers and runs
-// candidates on a thread pool; the oracle does none of that:
+// option. Production schedules every strategy through the incremental
+// evaluation kernel (sched/evaluator.hpp), shares a visited-set across
+// workers and runs candidates on a thread pool; the oracle does none of
+// that, and schedules no candidate through a registered strategy:
 //
 //   reference_score               list_schedule + count_violations
 //   reference_optimize_priority   the same hill-climb as optimize_priority
 //                                 (sched/hill_climb.hpp), every score from
 //                                 scratch through reference_score
 //   reference_search              parallel_search's candidate matrix, run
-//                                 serially: the local-search strategies
-//                                 via the reference climb, partitioned-wfd
-//                                 via wfd_assignment +
-//                                 partitioned_list_schedule, the rest (the
-//                                 list_schedule heuristics) as registered;
-//                                 ranked by better_search_candidate
+//                                 serially and ranked by
+//                                 better_search_candidate:
+//     the four heuristics           list_schedule of the heuristic order
+//     local-search,                 the reference climb
+//     cached-warm-start
+//     partitioned-wfd               wfd_assignment +
+//                                   partitioned_list_schedule
+//
+// list_schedule and partitioned_list_schedule are the O(n²) rescans of
+// testing/list_scheduler.hpp; every result is scored by finalize_result.
 //
 // The differential suites (tests/evaluator_test.cpp) and the fuzz loop's
 // reference-winner check (gen/fuzz.cpp) compare production against these.
@@ -32,7 +37,7 @@ namespace fppn {
 namespace testing {
 
 /// The score of `order`: full list schedule, then the counts-only
-/// feasibility pass. Throws like list_schedule.
+/// feasibility pass. Throws like testing::list_schedule.
 [[nodiscard]] sched::EvalScore reference_score(const TaskGraph& tg,
                                                const std::vector<JobId>& order,
                                                std::int64_t processors);
@@ -49,7 +54,8 @@ namespace testing {
 /// pipeline and ranked by better_search_candidate. opts.workers,
 /// opts.cache and opts.warm_start are ignored, so the result is the cold
 /// plan winner (warm_start_won stays false). Fills best, seed, candidates
-/// and evaluated. Throws like parallel_search.
+/// and evaluated. Throws like parallel_search, and std::invalid_argument
+/// for a candidate strategy outside the built-in set above.
 [[nodiscard]] sched::ParallelSearchResult reference_search(
     const TaskGraph& tg, const sched::ParallelSearchOptions& opts = {});
 

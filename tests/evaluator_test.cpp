@@ -3,9 +3,10 @@
 // reference list_schedule + feasibility pipeline — across random graphs
 // (fractional WCETs, staggered arrivals, varied processor counts), on the
 // int64 tick timebase and on the Rational overflow fallback, and all the
-// way up the search stack (optimize_priority and parallel_search against
-// the test oracle in testing/reference_search.hpp: identical winners,
-// cold and warm, on any worker count).
+// way up the search stack (the four heuristic strategies against the
+// rescan oracle of testing/list_scheduler.hpp; optimize_priority and
+// parallel_search against the test oracle in testing/reference_search.hpp:
+// identical winners, cold and warm, on any worker count).
 #include "sched/evaluator.hpp"
 
 #include <gtest/gtest.h>
@@ -16,14 +17,15 @@
 #include <random>
 
 #include "gen/scenario.hpp"
-#include "sched/list_scheduler.hpp"
 #include "sched/local_search.hpp"
 #include "sched/parallel_search.hpp"
 #include "sched/partitioned.hpp"
+#include "sched/registry.hpp"
 #include "sched/schedule_cache.hpp"
 #include "sched/visited_set.hpp"
 #include "taskgraph/fingerprint.hpp"
 #include "taskgraph/task_graph.hpp"
+#include "testing/list_scheduler.hpp"
 #include "testing/reference_search.hpp"
 
 namespace fppn {
@@ -104,7 +106,35 @@ void expect_kernel_matches_reference(const TaskGraph& tg, std::int64_t processor
   EXPECT_EQ(fast.deadline_violations, ref.deadline_violations) << context;
   EXPECT_EQ(fast.makespan, ref.makespan) << context;
   expect_identical_placements(kernel.materialize(order),
-                              list_schedule(tg, order, processors), context);
+                              testing::list_schedule(tg, order, processors), context);
+}
+
+/// Each registered heuristic strategy against the rescan oracle on M = 1,
+/// 2 and 3: the same placements, the same score, and no kernel
+/// evaluation counted.
+void expect_heuristic_strategies_match_oracle(const TaskGraph& tg,
+                                              const std::string& context) {
+  for (const std::int64_t processors : {1, 2, 3}) {
+    sched::StrategyOptions opts;
+    opts.processors = processors;
+    for (const PriorityHeuristic h : all_heuristics()) {
+      const std::string where =
+          context + " " + to_string(h) + " M=" + std::to_string(processors);
+      const sched::StrategyResult got =
+          sched::StrategyRegistry::global().create(to_string(h))->schedule(tg, opts);
+      const StaticSchedule ref = testing::list_schedule(tg, h, processors);
+      expect_identical_placements(got.schedule, ref, where);
+      const ViolationCounts counts = ref.count_violations(tg);
+      EXPECT_EQ(got.strategy, to_string(h)) << where;
+      EXPECT_EQ(got.makespan, ref.makespan(tg)) << where;
+      EXPECT_EQ(got.deadline_violations, counts.deadline) << where;
+      EXPECT_EQ(got.feasible, counts.feasible()) << where;
+      EXPECT_EQ(got.full_evals + got.incremental_evals + got.spliced_evals +
+                    got.visited_skips,
+                0u)
+          << where;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -129,6 +159,7 @@ TEST(EvaluatorDifferential, RandomGraphsScoreAndPlacementsBitIdentical) {
                                       random_permutation(tg.job_count(), rng), kernel,
                                       context + " random " + std::to_string(k));
     }
+    expect_heuristic_strategies_match_oracle(tg, "graph " + std::to_string(g));
   }
   // Fractional-but-small denominators must stay on the fast tick path.
   EXPECT_EQ(tick_graphs, 220u);
@@ -157,6 +188,7 @@ TEST(EvaluatorDifferential, EdgeCaseFamiliesMatchReference) {
   // The generator's adversarial shapes: zero-WCET chains, all-identical
   // tie storms, tick-overflow denominators (Rational fallback) and
   // trivial/antichain graphs — 40 graphs covering all four variants.
+  std::size_t rational_graphs = 0;
   for (std::uint64_t g = 0; g < 40; ++g) {
     const TaskGraph tg = gen::edge_case_task_graph(g);
     if (tg.job_count() == 0) {
@@ -164,6 +196,7 @@ TEST(EvaluatorDifferential, EdgeCaseFamiliesMatchReference) {
     }
     const std::int64_t processors = 1 + static_cast<std::int64_t>(g % 3);
     sched::Evaluator kernel(tg, processors);
+    rational_graphs += kernel.uses_ticks() ? 0 : 1;
     std::mt19937_64 rng(g * 613 + 7);
     const std::string context =
         "edge graph " + std::to_string(g) + " M=" + std::to_string(processors);
@@ -175,7 +208,10 @@ TEST(EvaluatorDifferential, EdgeCaseFamiliesMatchReference) {
                                       random_permutation(tg.job_count(), rng), kernel,
                                       context + " random " + std::to_string(k));
     }
+    expect_heuristic_strategies_match_oracle(tg, "edge graph " + std::to_string(g));
   }
+  // The heuristic strategies were also checked on the Rational fallback.
+  EXPECT_GT(rational_graphs, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -263,6 +299,23 @@ TEST(Evaluator, RejectsBadInputsLikeTheReference) {
   cyclic.add_edge(u, v);
   cyclic.add_edge(v, u);
   EXPECT_THROW(sched::Evaluator(cyclic, 2), std::invalid_argument);
+
+  // The heuristic strategies reject what the rescan oracle rejects.
+  sched::StrategyOptions two;
+  two.processors = 2;
+  sched::StrategyOptions none;
+  none.processors = 0;
+  for (const PriorityHeuristic h : all_heuristics()) {
+    const auto strategy = sched::StrategyRegistry::global().create(to_string(h));
+    EXPECT_THROW((void)strategy->schedule(cyclic, two), std::invalid_argument)
+        << to_string(h);
+    EXPECT_THROW((void)testing::list_schedule(cyclic, h, 2), std::invalid_argument)
+        << to_string(h);
+    EXPECT_THROW((void)strategy->schedule(tg, none), std::invalid_argument)
+        << to_string(h);
+    EXPECT_THROW((void)testing::list_schedule(tg, h, 0), std::invalid_argument)
+        << to_string(h);
+  }
   (void)b;
 }
 
@@ -283,8 +336,8 @@ TEST(Evaluator, TrivialGraphs) {
   const sched::EvalScore s1 = kernel1.evaluate({solo});
   EXPECT_EQ(s1.deadline_violations, 0u);
   EXPECT_EQ(s1.makespan, Time::ms(15));
-  expect_identical_placements(kernel1.materialize({solo}), list_schedule(one, {solo}, 2),
-                              "single job");
+  expect_identical_placements(kernel1.materialize({solo}),
+                              testing::list_schedule(one, {solo}, 2), "single job");
 }
 
 TEST(Evaluator, ScratchReuseAcrossManyEvaluationsStaysExact) {
@@ -598,7 +651,7 @@ TEST(EvaluatorPartition, KernelMatchesNaivePartitionedPipeline) {
     for (int k = 0; k < 3; ++k) {
       const std::vector<JobId> order = random_permutation(tg.job_count(), rng);
       const StaticSchedule ref =
-          partitioned_list_schedule(tg, assignment, order, processors);
+          testing::partitioned_list_schedule(tg, assignment, order, processors);
       const sched::EvalScore fast = kernel.evaluate(order);
       EXPECT_EQ(fast.deadline_violations, ref.count_violations(tg).deadline)
           << context << " order " << k;

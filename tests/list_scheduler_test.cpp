@@ -1,6 +1,6 @@
 // Non-preemptive list scheduling (§III-B), including the Fig. 4 scenario:
 // a feasible 2-processor schedule for the Fig. 3 task graph.
-#include "sched/list_scheduler.hpp"
+#include "testing/list_scheduler.hpp"
 
 #include <gtest/gtest.h>
 
@@ -25,7 +25,7 @@ TEST(ListScheduler, SingleProcessorSerializes) {
   TaskGraph tg;
   tg.add_job(make_job("A", 0, 100, 10));
   tg.add_job(make_job("B", 0, 100, 10));
-  const auto s = list_schedule(tg, PriorityHeuristic::kAlapEdf, 1);
+  const auto s = testing::list_schedule(tg, PriorityHeuristic::kAlapEdf, 1);
   EXPECT_TRUE(s.check_feasibility(tg).feasible());
   EXPECT_EQ(s.makespan(tg), Time::ms(20));
 }
@@ -34,7 +34,7 @@ TEST(ListScheduler, TwoProcessorsParallelize) {
   TaskGraph tg;
   tg.add_job(make_job("A", 0, 100, 10));
   tg.add_job(make_job("B", 0, 100, 10));
-  const auto s = list_schedule(tg, PriorityHeuristic::kAlapEdf, 2);
+  const auto s = testing::list_schedule(tg, PriorityHeuristic::kAlapEdf, 2);
   EXPECT_EQ(s.makespan(tg), Time::ms(10));
   EXPECT_NE(s.placement(JobId(0)).processor, s.placement(JobId(1)).processor);
 }
@@ -42,7 +42,7 @@ TEST(ListScheduler, TwoProcessorsParallelize) {
 TEST(ListScheduler, RespectsArrivalTimes) {
   TaskGraph tg;
   tg.add_job(make_job("late", 50, 200, 10));
-  const auto s = list_schedule(tg, PriorityHeuristic::kArrivalOrder, 1);
+  const auto s = testing::list_schedule(tg, PriorityHeuristic::kArrivalOrder, 1);
   EXPECT_EQ(s.start(JobId(0)), Time::ms(50));
 }
 
@@ -51,7 +51,7 @@ TEST(ListScheduler, RespectsPrecedence) {
   const JobId a = tg.add_job(make_job("A", 0, 200, 30));
   const JobId b = tg.add_job(make_job("B", 0, 200, 10));
   tg.add_edge(a, b);
-  const auto s = list_schedule(tg, PriorityHeuristic::kAlapEdf, 2);
+  const auto s = testing::list_schedule(tg, PriorityHeuristic::kAlapEdf, 2);
   EXPECT_GE(s.start(b), s.end(a, tg));
   EXPECT_TRUE(s.check_feasibility(tg).feasible());
 }
@@ -61,7 +61,7 @@ TEST(ListScheduler, PriorityDecidesWhoGoesFirst) {
   const JobId a = tg.add_job(make_job("A", 0, 1000, 10));
   const JobId b = tg.add_job(make_job("B", 0, 1000, 10));
   // Explicit SP order: B before A.
-  const auto s = list_schedule(tg, std::vector<JobId>{b, a}, 1);
+  const auto s = testing::list_schedule(tg, std::vector<JobId>{b, a}, 1);
   EXPECT_EQ(s.start(b), Time::ms(0));
   EXPECT_EQ(s.start(a), Time::ms(10));
 }
@@ -72,7 +72,7 @@ TEST(ListScheduler, NonPreemptiveGapFilling) {
   TaskGraph tg;
   tg.add_job(make_job("A", 0, 200, 50));
   tg.add_job(make_job("B", 5, 200, 10));
-  const auto s = list_schedule(tg, PriorityHeuristic::kArrivalOrder, 1);
+  const auto s = testing::list_schedule(tg, PriorityHeuristic::kArrivalOrder, 1);
   EXPECT_EQ(s.start(JobId(1)), Time::ms(50));
 }
 
@@ -81,7 +81,7 @@ TEST(ListScheduler, IdleUntilArrival) {
   TaskGraph tg;
   tg.add_job(make_job("A", 0, 200, 10));
   tg.add_job(make_job("B", 100, 200, 10));
-  const auto s = list_schedule(tg, PriorityHeuristic::kArrivalOrder, 1);
+  const auto s = testing::list_schedule(tg, PriorityHeuristic::kArrivalOrder, 1);
   EXPECT_EQ(s.start(JobId(1)), Time::ms(100));
 }
 
@@ -89,15 +89,15 @@ TEST(ListScheduler, BadPriorityVectorRejected) {
   TaskGraph tg;
   tg.add_job(make_job("A", 0, 100, 10));
   tg.add_job(make_job("B", 0, 100, 10));
-  EXPECT_THROW(list_schedule(tg, std::vector<JobId>{JobId(0)}, 1),
+  EXPECT_THROW(testing::list_schedule(tg, std::vector<JobId>{JobId(0)}, 1),
                std::invalid_argument);
-  EXPECT_THROW(list_schedule(tg, std::vector<JobId>{JobId(0), JobId(0)}, 1),
+  EXPECT_THROW(testing::list_schedule(tg, std::vector<JobId>{JobId(0), JobId(0)}, 1),
                std::invalid_argument);
 }
 
 TEST(ListScheduler, EmptyGraph) {
   TaskGraph tg;
-  const auto s = list_schedule(tg, std::vector<JobId>{}, 1);
+  const auto s = testing::list_schedule(tg, std::vector<JobId>{}, 1);
   EXPECT_EQ(s.makespan(tg), Time::ms(0));
 }
 
@@ -108,7 +108,7 @@ TEST(Fig4, TwoProcessorScheduleIsFeasible) {
   // the 200 ms frame.
   const auto app = apps::build_fig1();
   const auto derived = derive_task_graph(app.net, app.fig3_wcets());
-  const auto s = list_schedule(derived.graph, PriorityHeuristic::kAlapEdf, 2);
+  const auto s = testing::list_schedule(derived.graph, PriorityHeuristic::kAlapEdf, 2);
   const auto report = s.check_feasibility(derived.graph);
   EXPECT_TRUE(report.feasible()) << report.to_string(derived.graph);
   EXPECT_LE(s.makespan(derived.graph), Time::ms(200));
@@ -121,7 +121,7 @@ TEST(Fig4, OneProcessorIsInfeasible) {
   const auto derived = derive_task_graph(app.net, app.fig3_wcets());
   bool any_feasible = false;
   for (const PriorityHeuristic h : all_heuristics()) {
-    const auto s = list_schedule(derived.graph, h, 1);
+    const auto s = testing::list_schedule(derived.graph, h, 1);
     any_feasible |= s.check_feasibility(derived.graph).feasible();
   }
   EXPECT_FALSE(any_feasible);
@@ -130,7 +130,7 @@ TEST(Fig4, OneProcessorIsInfeasible) {
 TEST(Fig4, GanttChartShowsBothProcessors) {
   const auto app = apps::build_fig1();
   const auto derived = derive_task_graph(app.net, app.fig3_wcets());
-  const auto s = list_schedule(derived.graph, PriorityHeuristic::kAlapEdf, 2);
+  const auto s = testing::list_schedule(derived.graph, PriorityHeuristic::kAlapEdf, 2);
   const std::string gantt = s.to_gantt(derived.graph, 100);
   EXPECT_NE(gantt.find("M1"), std::string::npos);
   EXPECT_NE(gantt.find("M2"), std::string::npos);

@@ -7,6 +7,7 @@
 #include "apps/fig1.hpp"
 #include "apps/fms.hpp"
 #include "taskgraph/derivation.hpp"
+#include "testing/list_scheduler.hpp"
 
 namespace fppn {
 namespace {
@@ -33,7 +34,7 @@ TEST(LocalSearch, FeasibleInstanceSolved) {
   EXPECT_LE(result.makespan, Time::ms(200));
   // The priority it reports must reproduce the schedule it reports.
   const StaticSchedule replay =
-      list_schedule(derived.graph, result.priority, opts.processors);
+      testing::list_schedule(derived.graph, result.priority, opts.processors);
   EXPECT_EQ(replay.makespan(derived.graph), result.makespan);
 }
 
@@ -46,7 +47,7 @@ TEST(LocalSearch, NeverWorseThanHeuristics) {
   opts.restarts = 0;
   const LocalSearchResult result = optimize_priority(derived.graph, opts);
   for (const PriorityHeuristic h : all_heuristics()) {
-    const StaticSchedule s = list_schedule(derived.graph, h, 1);
+    const StaticSchedule s = testing::list_schedule(derived.graph, h, 1);
     std::size_t violations = 0;
     for (const Violation& v : s.check_feasibility(derived.graph).violations) {
       violations += v.kind == ViolationKind::kDeadline ? 1 : 0;

@@ -12,6 +12,7 @@
 #include "sched/registry.hpp"
 #include "sched/search.hpp"
 #include "taskgraph/derivation.hpp"
+#include "testing/list_scheduler.hpp"
 
 namespace fppn {
 namespace {
@@ -98,7 +99,7 @@ TEST(Partitioned, ExplicitAssignmentRespected) {
   const auto app = apps::build_fig1();
   const auto derived = derive_task_graph(app.net, app.fig3_wcets());
   std::vector<ProcessorId> everyone_on_one(app.net.process_count(), ProcessorId(1));
-  const StaticSchedule s = partitioned_list_schedule(
+  const StaticSchedule s = testing::partitioned_list_schedule(
       derived.graph, everyone_on_one,
       schedule_priority(derived.graph, PriorityHeuristic::kAlapEdf), 2);
   // Serialized on M2: 250 ms of work; mutex/precedence must still hold.
@@ -235,7 +236,7 @@ TEST(Partitioned, KernelAndNaivePipelinesBitIdentical) {
       for (const PriorityHeuristic h : all_heuristics()) {
         const PartitionedResult fast = partition_and_schedule(*c.tg, c.processes, m, h);
         const std::vector<ProcessorId> assignment = wfd_assignment(*c.tg, c.processes, m);
-        const StaticSchedule ref = partitioned_list_schedule(
+        const StaticSchedule ref = testing::partitioned_list_schedule(
             *c.tg, assignment, schedule_priority(*c.tg, h), m);
         const std::string context = std::string(c.name) + " M" + std::to_string(m) +
                                     " " + to_string(h);
@@ -259,7 +260,7 @@ TEST(Partitioned, SchedulerReuseMatchesPerCallPipeline) {
             wfd_assignment(derived.graph, app.net.process_count(), 3));
   for (const PriorityHeuristic h : all_heuristics()) {
     const std::vector<JobId> order = schedule_priority(derived.graph, h);
-    const StaticSchedule ref = partitioned_list_schedule(
+    const StaticSchedule ref = testing::partitioned_list_schedule(
         derived.graph, scheduler.assignment(), order, 3);
     expect_same_placements(derived.graph, scheduler.schedule_order(order), ref,
                            "reuse " + to_string(h));
@@ -279,7 +280,7 @@ TEST(Partitioned, InvalidInputsRejected) {
   EXPECT_THROW(partition_and_schedule(derived.graph, 2, 2), std::invalid_argument);
   std::vector<ProcessorId> unassigned(app.net.process_count());
   EXPECT_THROW(
-      partitioned_list_schedule(
+      testing::partitioned_list_schedule(
           derived.graph, unassigned,
           schedule_priority(derived.graph, PriorityHeuristic::kAlapEdf), 2),
       std::invalid_argument);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "gen/scenario.hpp"
+
 namespace fppn {
 namespace {
 
@@ -74,6 +76,38 @@ TEST(SchedulePriority, DeadlineMonotonicUsesRelativeDeadlines) {
   const auto order = schedule_priority(tg, PriorityHeuristic::kDeadlineMonotonic);
   EXPECT_EQ(order[0], short_rel);
   EXPECT_EQ(order[1], long_rel);
+}
+
+TEST(SchedulePriority, DeadlineMonotonicTieBreaksOnGeneratedGraphs) {
+  // Generated graphs repeat relative deadlines across frames and
+  // processes (and the edge-case family has all-identical tie storms), so
+  // the (arrival, id) tie-breaks decide much of the order. Every adjacent
+  // pair must be strictly increasing in (D - A, A, id).
+  std::size_t arrival_ties = 0;
+  std::size_t id_ties = 0;
+  for (std::uint64_t seed = 0; seed < 100; ++seed) {
+    const TaskGraph tg =
+        seed % 2 == 0 ? gen::layered_task_graph(seed) : gen::edge_case_task_graph(seed);
+    const auto order = schedule_priority(tg, PriorityHeuristic::kDeadlineMonotonic);
+    ASSERT_EQ(order.size(), tg.job_count());
+    for (std::size_t k = 1; k < order.size(); ++k) {
+      const Job& a = tg.job(order[k - 1]);
+      const Job& b = tg.job(order[k]);
+      const Duration da = a.deadline - a.arrival;
+      const Duration db = b.deadline - b.arrival;
+      if (da != db) {
+        EXPECT_LT(da, db) << "seed " << seed << " position " << k;
+      } else if (a.arrival != b.arrival) {
+        ++arrival_ties;
+        EXPECT_LT(a.arrival, b.arrival) << "seed " << seed << " position " << k;
+      } else {
+        ++id_ties;
+        EXPECT_LT(order[k - 1], order[k]) << "seed " << seed << " position " << k;
+      }
+    }
+  }
+  EXPECT_GT(arrival_ties, 0u);
+  EXPECT_GT(id_ties, 0u);
 }
 
 TEST(SchedulePriority, ArrivalOrderIsFifo) {

@@ -15,8 +15,8 @@
 
 #include "apps/fig1.hpp"
 #include "io/schedule_format.hpp"
-#include "sched/list_scheduler.hpp"
 #include "taskgraph/derivation.hpp"
+#include "testing/list_scheduler.hpp"
 
 namespace fppn {
 namespace {
@@ -52,7 +52,7 @@ sched::StrategyResult evaluate(const TaskGraph& tg, std::int64_t processors) {
   sched::StrategyResult result;
   result.strategy = "alap-edf";
   result.detail = "list schedule, SP heuristic alap-edf";
-  result.schedule = list_schedule(tg, PriorityHeuristic::kAlapEdf, processors);
+  result.schedule = testing::list_schedule(tg, PriorityHeuristic::kAlapEdf, processors);
   sched::finalize_result(tg, result);
   return result;
 }

@@ -9,8 +9,8 @@
 #include "apps/fig1.hpp"
 #include "apps/fft.hpp"
 #include "runtime/vm_runtime.hpp"
-#include "sched/list_scheduler.hpp"
 #include "taskgraph/derivation.hpp"
+#include "testing/list_scheduler.hpp"
 
 namespace fppn {
 namespace {
@@ -63,7 +63,7 @@ std::map<ProcessId, SporadicScript> saturate_sporadics(const Network& net,
 void expect_oracle_matches_vm(const Network& net, const DerivedTaskGraph& derived,
                               std::int64_t processors) {
   const StaticSchedule schedule =
-      list_schedule(derived.graph, PriorityHeuristic::kAlapEdf, processors);
+      testing::list_schedule(derived.graph, PriorityHeuristic::kAlapEdf, processors);
   const auto scripts = saturate_sporadics(net, derived);
   const auto vm = vm_times(net, derived, schedule, scripts);
 
@@ -103,7 +103,7 @@ TEST(TaOracle, SkippedJobsBypassInstantly) {
   const auto app = apps::build_fig1();
   const auto derived = derive_task_graph(app.net, app.fig3_wcets());
   const StaticSchedule schedule =
-      list_schedule(derived.graph, PriorityHeuristic::kAlapEdf, 2);
+      testing::list_schedule(derived.graph, PriorityHeuristic::kAlapEdf, 2);
   std::vector<JobId> skipped;
   for (const JobId id : derived.graph.jobs_of(app.coef_b)) {
     skipped.push_back(id);

@@ -6,8 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "apps/fig1.hpp"
-#include "sched/list_scheduler.hpp"
 #include "taskgraph/derivation.hpp"
+#include "testing/list_scheduler.hpp"
 
 namespace fppn {
 namespace {
@@ -23,7 +23,7 @@ struct Rig {
     s.app = apps::build_fig1();
     s.derived = derive_task_graph(s.app.net, s.app.fig3_wcets());
     s.schedule =
-        list_schedule(s.derived.graph, PriorityHeuristic::kAlapEdf, processors);
+        testing::list_schedule(s.derived.graph, PriorityHeuristic::kAlapEdf, processors);
     s.inputs = s.app.make_inputs({1, 2, 3, 4, 5, 6, 7, 8},
                                  {2.0, 3.0, 4.0, 5.0, 6.0, 7.0});
     return s;

@@ -6,8 +6,8 @@
 
 #include "apps/fig1.hpp"
 #include "runtime/vm_runtime.hpp"
-#include "sched/list_scheduler.hpp"
 #include "taskgraph/derivation.hpp"
+#include "testing/list_scheduler.hpp"
 
 namespace fppn {
 namespace {
@@ -68,7 +68,8 @@ TEST(Vcd, ChangesAreTimeSorted) {
 TEST(Vcd, FullPolicyRunExports) {
   const auto app = apps::build_fig1();
   const auto derived = derive_task_graph(app.net, app.fig3_wcets());
-  const auto schedule = list_schedule(derived.graph, PriorityHeuristic::kAlapEdf, 2);
+  const auto schedule =
+      testing::list_schedule(derived.graph, PriorityHeuristic::kAlapEdf, 2);
   VmRunOptions opts;
   opts.frames = 2;
   opts.overhead = OverheadModel::mppa_measured();

@@ -7,9 +7,9 @@
 #include <gtest/gtest.h>
 
 #include "apps/fig1.hpp"
-#include "sched/list_scheduler.hpp"
 #include "sched/search.hpp"
 #include "taskgraph/derivation.hpp"
+#include "testing/list_scheduler.hpp"
 
 namespace fppn {
 namespace {
@@ -23,7 +23,8 @@ struct Fig1Setup {
     Fig1Setup s;
     s.app = apps::build_fig1();
     s.derived = derive_task_graph(s.app.net, s.app.fig3_wcets());
-    s.schedule = list_schedule(s.derived.graph, PriorityHeuristic::kAlapEdf, processors);
+    s.schedule =
+        testing::list_schedule(s.derived.graph, PriorityHeuristic::kAlapEdf, processors);
     EXPECT_TRUE(s.schedule.check_feasibility(s.derived.graph).feasible());
     return s;
   }
@@ -163,7 +164,7 @@ TEST(VmRuntime, EarlySporadicInvocationMayStartBeforeBoundary) {
   DerivedTaskGraph derived = derive_task_graph(net, Duration::ms(10));
   ASSERT_EQ(derived.hyperperiod, Duration::ms(200));  // 2 subsets per frame
   const StaticSchedule schedule =
-      list_schedule(derived.graph, PriorityHeuristic::kAlapEdf, 1);
+      testing::list_schedule(derived.graph, PriorityHeuristic::kAlapEdf, 1);
   ASSERT_TRUE(schedule.check_feasibility(derived.graph).feasible());
 
   // Invocation at t=10 falls in the (0, 100] window of subset 2 (A_i=100).
