@@ -8,6 +8,7 @@
 // report + equality check only, skipping the google-benchmark loops.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -169,7 +170,7 @@ bool print_report(benchjson::Report& report) {
 /// rebaseline points, with the search's own 3:1 insertion:swap mix — then
 /// replayed identically against both scorers, so the two measurements do
 /// the exact same scheduling work. Returns false when any replayed score
-/// diverges or the speedup misses the 3x acceptance floor.
+/// diverges or the median per-pair speedup misses the 3x acceptance floor.
 bool print_incremental_report(benchjson::Report& report) {
   const TaskGraph tg = periodic_pipeline_graph(16, 16, 100, 7);  // 256 jobs
   const std::int64_t processors = 4;
@@ -229,46 +230,45 @@ bool print_incremental_report(benchjson::Report& report) {
   using Clock = std::chrono::steady_clock;
   bool scores_agree = true;
 
-  // Both scorers replay the identical trace; each is timed three times
-  // and the best pass counts, so a scheduler hiccup in one pass cannot
-  // flip the floor gate. The score vectors come from the first pass
-  // (every pass recomputes the identical values).
-  constexpr int kReps = 3;
+  // Both scorers replay the identical trace in interleaved pairs — one
+  // full pass, then one incremental pass — so a load spike on a shared
+  // host slows both sides of a pair alike. The floor gate reads the
+  // median of the per-pair speedups, so one disturbed pair cannot flip
+  // it. The score vectors come from the first pair (every pass
+  // recomputes the identical values).
+  constexpr int kPairs = 7;
 
   // Full: a from-scratch kernel evaluation per move (what the search does
-  // without the incremental layer).
+  // without the incremental layer). Incremental: evaluate_move per move,
+  // rebaselining on each acceptance exactly like the recorded trajectory.
   sched::Evaluator full(tg, processors);
+  sched::Evaluator inc(tg, processors);
   std::vector<sched::EvalScore> full_scores;
+  std::vector<sched::EvalScore> inc_scores;
   full_scores.reserve(trace.size());
+  inc_scores.reserve(trace.size());
   (void)full.evaluate(start);  // scratch warm-up
-  double full_seconds = 0.0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    const auto begin = Clock::now();
+  std::vector<double> full_passes;
+  std::vector<double> inc_passes;
+  std::vector<double> pair_speedups;
+  sched::EvalStats one_pass_stats;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    auto begin = Clock::now();
     for (const Move& mv : trace) {
       const sched::EvalScore s = full.evaluate(mv.order);
-      if (rep == 0) {
+      if (pair == 0) {
         full_scores.push_back(s);
       }
       benchmark::DoNotOptimize(s.deadline_violations);
     }
-    const double sec = std::chrono::duration<double>(Clock::now() - begin).count();
-    full_seconds = rep == 0 ? sec : std::min(full_seconds, sec);
-  }
+    full_passes.push_back(std::chrono::duration<double>(Clock::now() - begin).count());
 
-  // Incremental: evaluate_move per move, rebaselining on each acceptance
-  // exactly like the recorded trajectory.
-  sched::Evaluator inc(tg, processors);
-  std::vector<sched::EvalScore> inc_scores;
-  inc_scores.reserve(trace.size());
-  double inc_seconds = 0.0;
-  sched::EvalStats one_pass_stats;
-  for (int rep = 0; rep < kReps; ++rep) {
     (void)inc.evaluate_baseline(start);
-    const auto begin = Clock::now();
+    begin = Clock::now();
     for (const Move& mv : trace) {
       const sched::EvalScore s =
           inc.evaluate_move(mv.order, mv.lo, mv.hi, mv.kind);
-      if (rep == 0) {
+      if (pair == 0) {
         inc_scores.push_back(s);
       }
       benchmark::DoNotOptimize(s.deadline_violations);
@@ -276,12 +276,17 @@ bool print_incremental_report(benchjson::Report& report) {
         (void)inc.evaluate_baseline(mv.order);
       }
     }
-    const double sec = std::chrono::duration<double>(Clock::now() - begin).count();
-    inc_seconds = rep == 0 ? sec : std::min(inc_seconds, sec);
-    if (rep == 0) {
+    inc_passes.push_back(std::chrono::duration<double>(Clock::now() - begin).count());
+    if (pair == 0) {
       one_pass_stats = inc.stats();  // counters for exactly one trace replay
     }
+    pair_speedups.push_back(inc_passes.back() > 0.0 ? full_passes.back() / inc_passes.back()
+                                                    : 0.0);
   }
+  const auto median = [](std::vector<double> values) {
+    std::sort(values.begin(), values.end());
+    return values[values.size() / 2];
+  };
 
   for (std::size_t k = 0; k < trace.size(); ++k) {
     scores_agree = scores_agree &&
@@ -290,11 +295,13 @@ bool print_incremental_report(benchjson::Report& report) {
                    inc_scores[k].makespan == full_scores[k].makespan;
   }
 
+  const double full_seconds = median(full_passes);
+  const double inc_seconds = median(inc_passes);
   const double full_rate =
       full_seconds > 0.0 ? static_cast<double>(trace.size()) / full_seconds : 0.0;
   const double inc_rate =
       inc_seconds > 0.0 ? static_cast<double>(trace.size()) / inc_seconds : 0.0;
-  const double speedup = full_rate > 0.0 ? inc_rate / full_rate : 0.0;
+  const double speedup = median(pair_speedups);
   const sched::EvalStats& st = one_pass_stats;
   std::printf("move-score agreement over %zu moves: %s\n", trace.size(),
               scores_agree ? "IDENTICAL" : "DIVERGED");
@@ -302,11 +309,13 @@ bool print_incremental_report(benchjson::Report& report) {
               inc_rate, static_cast<unsigned long long>(st.resumed_evals),
               static_cast<unsigned long long>(st.spliced_evals));
   std::printf("full:        %12.0f moves/sec\n", full_rate);
-  std::printf("speedup:     %12.1fx (acceptance floor: 3x)\n\n", speedup);
+  std::printf("speedup:     %12.1fx (median of %d interleaved pairs; acceptance floor: 3x)\n\n",
+              speedup, kPairs);
 
   report.metric("incremental_moves_per_sec", inc_rate);
   report.metric("full_moves_per_sec", full_rate);
   report.metric("incremental_speedup", speedup);
+  report.metric("incremental_pairs", static_cast<long long>(kPairs));
   report.metric("incremental_resumed", static_cast<long long>(st.resumed_evals));
   report.metric("incremental_spliced", static_cast<long long>(st.spliced_evals));
   report.metric("incremental_scores_agree",

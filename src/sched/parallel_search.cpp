@@ -108,17 +108,41 @@ void apply_cached_warm_start(const TaskGraph& tg, const ParallelSearchOptions& o
   if (!opts.warm_start || opts.cache == nullptr) {
     return;
   }
-  const std::vector<std::vector<JobId>> starts =
-      collect_warm_starts(*opts.cache, fingerprint(tg), tg);
+  const std::uint64_t fp = fingerprint(tg);
+  const std::vector<std::vector<JobId>> starts = collect_warm_starts(*opts.cache, fp, tg);
   if (starts.empty()) {
     return;
   }
   result.warm_starts = starts.size();
 
+  // The overlay is a pure function of (tg, the options below, starts), so
+  // its outcome is memoized under exactly those. The gate against today's
+  // plan winner is re-applied on every hit.
+  const WarmStartKey key{fp,
+                         opts.processors,
+                         opts.base_seed,
+                         opts.seeds_per_strategy,
+                         opts.max_iterations,
+                         opts.restarts,
+                         warm_start_digest(starts)};
+  if (std::optional<WarmStartMemo> memo = opts.cache->lookup_warm_start(key)) {
+    if (!strictly_better_score(memo->best, result.best)) {
+      return;  // the plan winner stands, as a recompute would decide
+    }
+    if (memo->kept) {
+      result.best = std::move(memo->best);
+      finalize_result(tg, result.best);  // rank by numbers from the query graph
+      result.seed = memo->seed;
+      result.warm_start_won = true;
+      return;
+    }
+    // Better than today's plan winner, yet the schedule was not kept: the
+    // plan winner changed since the store. Recompute.
+  }
+
   // One warm candidate per seed, evaluated serially (the plan fan-out is
   // the hot part; the overlay is a handful of local searches), ranked
-  // among themselves by the regular candidate order. Never cached: the
-  // cache key cannot capture the cache contents these depend on.
+  // among themselves by the regular candidate order.
   std::optional<StrategyResult> best_warm;
   std::uint64_t best_warm_seed = 0;
   const CachedWarmStartStrategy warm_strategy;
@@ -142,7 +166,16 @@ void apply_cached_warm_start(const TaskGraph& tg, const ParallelSearchOptions& o
   if (!best_warm.has_value()) {
     return;  // seeds_per_strategy < 1 from a direct caller: nothing ran
   }
-  if (strictly_better_score(*best_warm, result.best)) {
+  // Keep the schedule only when it wins today: a memo that loses needs
+  // just its score to lose again.
+  const bool won = strictly_better_score(*best_warm, result.best);
+  WarmStartMemo memo{*best_warm, best_warm_seed, won};
+  if (!won) {
+    memo.best.schedule = StaticSchedule();
+    memo.best.detail.clear();
+  }
+  opts.cache->store_warm_start(key, std::move(memo));
+  if (won) {
     result.best = std::move(*best_warm);
     result.seed = best_warm_seed;
     result.warm_start_won = true;
@@ -156,9 +189,10 @@ ParallelSearchResult parallel_search(const TaskGraph& tg,
       enumerate_search_candidates(opts, registry);
 
   // Cache probe, before any evaluation: a hit fills the candidate's result
-  // slot directly; only misses go to the worker pool. Lookups re-score the
-  // cached schedule against `tg`, so hits and fresh evaluations are ranked
-  // by the exact same numbers — cache warmth cannot change the winner.
+  // slot directly; only misses go to the worker pool. Lookups score the
+  // cached schedule against `tg` (once per memory entry), so hits and
+  // fresh evaluations are ranked by the exact same numbers — cache warmth
+  // cannot change the winner.
   std::vector<std::optional<StrategyResult>> results(candidates.size());
   std::vector<std::size_t> pending;
   std::size_t cache_hits = 0;

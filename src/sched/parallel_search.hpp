@@ -16,7 +16,8 @@
 // whose (fingerprint, strategy, seed, processors, budget) key is cached
 // are answered from the cache instead of evaluated, and every freshly
 // evaluated candidate — the winner included — is stored afterwards.
-// Cached results are re-scored against the query graph, so a fully warm
+// Cached results are scored against the query graph (once per memory
+// entry, on its first hit), so a fully warm
 // search evaluates zero candidates yet selects the bit-identical winner of
 // the cold run — also when the warm run is a later process opening the
 // same cache directory through a fresh ScheduleCache (regression-tested in
@@ -29,8 +30,10 @@
 // the winner only when strictly better on (feasibility, violations,
 // makespan). A warm search therefore either matches the cold winner
 // bit-identically or beats it — never a different-but-equal winner, and
-// never worse. Warm-start results are not cached (their key could not
-// capture the cache contents they depend on), and "cached-warm-start" is
+// never worse. Warm-start results are cached in the memory tier under a
+// key that captures the warm-start set they read (WarmStartKey), so a
+// repeat search over unchanged cache contents runs no local search at
+// all; they are never stored as plan entries, and "cached-warm-start" is
 // never enumerated as a plan candidate.
 //
 // Every candidate runs on the evaluation kernel (sched/evaluator.hpp),
@@ -85,7 +88,7 @@ struct ParallelSearchResult {
   std::size_t evaluated = 0;       ///< candidates actually run (cache misses)
   std::size_t cache_hits = 0;      ///< candidates answered by the cache
   std::size_t warm_starts = 0;     ///< cached feasible schedules fed as starts
-  std::size_t warm_candidates = 0; ///< warm-start candidates evaluated
+  std::size_t warm_candidates = 0; ///< warm-start candidates evaluated (0 on a memo hit)
   bool warm_start_won = false;     ///< overlay strictly beat the plan winner
   int workers_used = 1;
   // Aggregated evaluation accounting over every candidate run this search
@@ -147,15 +150,22 @@ struct SearchCandidate {
 /// The warm-start overlay, run at the end of parallel_search: collects
 /// every cached feasible schedule for fingerprint(tg) from opts.cache,
 /// evaluates opts.seeds_per_strategy "cached-warm-start" candidates with
-/// those start points (serially, never cached, ranked among themselves by
+/// those start points (serially, ranked among themselves by
 /// better_search_candidate), and replaces result.best/seed only when the
 /// best warm candidate is *strictly* better on the (feasibility,
 /// violations, makespan) score prefix — an equal-scoring warm candidate
 /// keeps the plan winner, so a warm rerun reports the bit-identical winner
-/// of the cold run unless it genuinely improved on it. Fills
-/// result.warm_starts/warm_candidates/warm_start_won. No-op when
-/// opts.warm_start is false, opts.cache is null, or the cache holds no
-/// feasible schedule for this graph.
+/// of the cold run unless it genuinely improved on it.
+/// The outcome is cached in opts.cache's memory tier under a WarmStartKey
+/// (fingerprint, processors, base_seed, seeds_per_strategy, budget, and
+/// the warm_start_digest of the start set it read). A hit evaluates no
+/// candidate and applies the same strictly-better gate against
+/// result.best; when the memo is better but kept no schedule (it lost to
+/// the plan winner it was stored against), the overlay is recomputed.
+/// Fills result.warm_starts/warm_candidates/warm_start_won
+/// (warm_candidates counts candidates evaluated, so a hit reports 0).
+/// No-op when opts.warm_start is false, opts.cache is null, or the cache
+/// holds no feasible schedule for this graph.
 /// Deterministic for fixed (tg, opts, cache contents); rethrows strategy
 /// exceptions.
 void apply_cached_warm_start(const TaskGraph& tg, const ParallelSearchOptions& opts,

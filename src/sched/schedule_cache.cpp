@@ -79,53 +79,57 @@ ScheduleCache::ScheduleCache(const std::string& directory, std::size_t max_entri
 
 std::optional<StrategyResult> ScheduleCache::lookup(const CacheKey& key,
                                                     const TaskGraph& tg) {
-  std::optional<Entry> entry;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    const auto it = memory_.find(key);
-    if (it != memory_.end()) {
-      entry = it->second;
-      if (entry->schedule.job_count() != tg.job_count()) {
-        // Fingerprint collision safety net: never hand back a schedule
-        // that cannot even index this graph's jobs.
-        ++stats_.disk_rejects;
-        memory_.erase(key);
-        entry.reset();
-      }
-    } else if (!directory_.empty()) {
-      entry = load_from_disk(key);
-      if (entry.has_value() && entry->schedule.job_count() != tg.job_count()) {
-        // Same collision safety net — rejected *before* the entry is
-        // promoted or its recency bumped, so a garbage entry file never
-        // ranks newest and outlives valid entries under eviction.
-        ++stats_.disk_rejects;
-        entry.reset();
-      } else if (entry.has_value()) {
-        memory_.emplace(key, *entry);  // promote so the next probe is O(log n)
-        touch_index_locked(key.filename());
-      }
-    }
-    if (entry.has_value()) {
-      ++stats_.hits;
+  const std::lock_guard<std::mutex> lock(mu_);
+  Entry* entry = nullptr;
+  const auto it = memory_.find(key);
+  if (it != memory_.end()) {
+    if (it->second.schedule.job_count() != tg.job_count()) {
+      // Fingerprint collision safety net: never hand back a schedule
+      // that cannot even index this graph's jobs — scored or not.
+      ++stats_.disk_rejects;
+      memory_.erase(it);
     } else {
-      ++stats_.misses;
+      entry = &it->second;
+    }
+  } else if (!directory_.empty()) {
+    std::optional<Entry> loaded = load_from_disk(key);
+    if (loaded.has_value() && loaded->schedule.job_count() != tg.job_count()) {
+      // Same collision safety net — rejected *before* the entry is
+      // promoted or its recency bumped, so a garbage entry file never
+      // ranks newest and outlives valid entries under eviction.
+      ++stats_.disk_rejects;
+    } else if (loaded.has_value()) {
+      // Promote so the next probe is O(log n); scored just below.
+      entry = &memory_.emplace(key, std::move(*loaded)).first->second;
+      touch_index_locked(key.filename());
     }
   }
-  if (!entry.has_value()) {
+  if (entry == nullptr) {
+    ++stats_.misses;
     return std::nullopt;
   }
+  ++stats_.hits;
   StrategyResult result;
-  result.schedule = std::move(entry->schedule);
+  result.schedule = entry->schedule;
   result.strategy = key.strategy;
-  result.detail = std::move(entry->detail);
-  finalize_result(tg, result);
+  result.detail = entry->detail;
+  if (entry->score.has_value()) {
+    result.makespan = entry->score->makespan;
+    result.feasible = entry->score->feasible;
+    result.deadline_violations = entry->score->deadline_violations;
+  } else {
+    // First hit: score against the query graph once, under the lock, so
+    // concurrent first hits of one entry cannot race on the kept score.
+    finalize_result(tg, result);
+    entry->score = Score{result.makespan, result.feasible, result.deadline_violations};
+  }
   return result;
 }
 
 void ScheduleCache::store(const CacheKey& key, const StrategyResult& result) {
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    memory_[key] = Entry{result.schedule, result.detail};
+    memory_[key] = Entry{result.schedule, result.detail, std::nullopt};
     ++stats_.stores;
   }
   if (directory_.empty()) {
@@ -382,23 +386,51 @@ std::vector<StaticSchedule> ScheduleCache::feasible_schedules(
     return out;
   }
   // Memory-only tier: keys sort by fingerprint first, so the matching
-  // range is contiguous and already in deterministic key order.
-  std::vector<StaticSchedule> candidates;
+  // range is contiguous and already in deterministic key order. A scored
+  // entry answers from its kept feasibility; only never-hit entries are
+  // checked, outside the lock.
+  std::vector<std::pair<StaticSchedule, bool>> candidates;  // (schedule, scored)
   {
     const std::lock_guard<std::mutex> lock(mu_);
     for (auto it = memory_.lower_bound(CacheKey{graph_fingerprint, "", 0, 0, 0, 0});
          it != memory_.end() && it->first.fingerprint == graph_fingerprint; ++it) {
-      if (it->second.schedule.job_count() == tg.job_count()) {
-        candidates.push_back(it->second.schedule);
+      const Entry& e = it->second;
+      if (e.schedule.job_count() == tg.job_count() &&
+          (!e.score.has_value() || e.score->feasible)) {
+        candidates.emplace_back(e.schedule, e.score.has_value());
       }
     }
   }
-  for (StaticSchedule& s : candidates) {  // feasibility check outside the lock
-    if (s.count_violations(tg).feasible()) {
-      out.push_back(std::move(s));
+  for (auto& [schedule, scored] : candidates) {
+    if (scored || schedule.count_violations(tg).feasible()) {
+      out.push_back(std::move(schedule));
     }
   }
   return out;
+}
+
+std::optional<WarmStartMemo> ScheduleCache::lookup_warm_start(const WarmStartKey& key) const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  const auto it = warm_memos_.find(key);
+  if (it == warm_memos_.end()) {
+    return std::nullopt;
+  }
+  return it->second;
+}
+
+void ScheduleCache::store_warm_start(const WarmStartKey& key, WarmStartMemo memo) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  // Memos of these options sort contiguously (the digest is the last key
+  // field). Any other digest was read against an older warm-start set;
+  // the cached schedules of a fingerprint rarely shrink back to it, and
+  // if they do, dropping its memo costs one recompute.
+  WarmStartKey first = key;
+  first.starts_digest = {};
+  auto it = warm_memos_.lower_bound(first);
+  while (it != warm_memos_.end() && it->first.options() == key.options()) {
+    it = warm_memos_.erase(it);
+  }
+  warm_memos_.emplace(key, std::move(memo));
 }
 
 std::optional<ScheduleCache::Entry> ScheduleCache::load_from_disk(const CacheKey& key) {
@@ -422,7 +454,7 @@ std::optional<ScheduleCache::Entry> ScheduleCache::load_from_disk(const CacheKey
     ++stats_.disk_rejects;
     return std::nullopt;
   }
-  return Entry{std::move(entry.schedule), std::move(entry.detail)};
+  return Entry{std::move(entry.schedule), std::move(entry.detail), std::nullopt};
 }
 
 CacheStats ScheduleCache::stats() const {

@@ -5,11 +5,21 @@
 // processor count, iteration budget, restart budget) — exactly the inputs
 // a SchedulerStrategy's result may depend on. Values are the produced
 // StaticSchedule plus the strategy's detail line. Scores (makespan,
-// violations, feasibility) are NOT stored: lookup() re-derives them from
-// the schedule with finalize_result, so a cached candidate ranks
-// bit-identically to a freshly evaluated one in parallel_search's winner
-// selection (the cold-vs-warm determinism contract, regression-tested in
+// violations, feasibility) are never taken from the stored result: a
+// memory-tier entry is scored once, with finalize_result, on its first
+// hit against the query graph and keeps that score until store()
+// overwrites the key; the disk tier re-scores an entry when it is
+// promoted into memory. So a cached candidate ranks bit-identically to a
+// freshly evaluated one in parallel_search's winner selection (the
+// cold-vs-warm determinism contract, regression-tested in
 // parallel_search_test.cpp).
+//
+// The memory tier also memoizes the warm-start overlay of
+// parallel_search (WarmStartKey → WarmStartMemo): the overlay's outcome
+// is cached under a key that captures the warm-start set it read, so a
+// repeat solve over unchanged cache contents runs no local search. Memo
+// entries are never schedules of the plan: feasible_schedules, size()
+// and CacheStats do not see them, and they are never written to disk.
 //
 // Two tiers: an in-memory map (always on) and an optional on-disk
 // directory with one versioned text file per entry (io/schedule_format.hpp;
@@ -37,14 +47,16 @@
 // tier is a per-process memo and is not evicted; eviction bounds the
 // *directory*.
 //
-// Thread safety: lookup/store/stats/gc/feasible_schedules are safe to
-// call concurrently on one ScheduleCache (internal mutex). Disk writes —
+// Thread safety: lookup/store/stats/gc/feasible_schedules and the
+// warm-start memo calls are safe to call concurrently on one
+// ScheduleCache (internal mutex). Disk writes —
 // entries and the index — go through a temp file + rename, so concurrent
 // *processes* sharing a cache directory never observe torn files; racing
 // index updates can lose a recency bump, which the next reconcile pass
 // repairs (the bound itself always holds after any store or gc).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -96,6 +108,45 @@ struct CacheKey {
                                       const std::string& strategy,
                                       const StrategyOptions& opts);
 
+/// Everything the warm-start overlay's outcome depends on besides the
+/// graph contents: the options it forwards to its candidates and a 128-bit
+/// digest of the ordered warm-start set it read (warm_start_digest in
+/// sched/warm_start.hpp). A new feasible schedule stored for the
+/// fingerprint changes the set, hence the digest, hence the key.
+struct WarmStartKey {
+  std::uint64_t fingerprint = 0;
+  std::int64_t processors = 0;
+  std::uint64_t base_seed = 0;
+  int seeds_per_strategy = 0;
+  int max_iterations = 0;
+  int restarts = 0;
+  std::array<std::uint64_t, 2> starts_digest{};
+
+  /// Same key up to the digest: the overlay of one options set, read
+  /// against some warm-start set.
+  [[nodiscard]] auto options() const {
+    return std::tie(fingerprint, processors, base_seed, seeds_per_strategy,
+                    max_iterations, restarts);
+  }
+  friend bool operator<(const WarmStartKey& a, const WarmStartKey& b) {
+    if (a.options() != b.options()) {
+      return a.options() < b.options();
+    }
+    return a.starts_digest < b.starts_digest;
+  }
+};
+
+/// The warm-start overlay's outcome under one WarmStartKey: the best warm
+/// candidate and its seed. best always carries the score (feasible,
+/// deadline_violations, makespan) and strategy name; its schedule and
+/// detail are kept only when it strictly beat the plan winner at store
+/// time (`kept`), otherwise they are empty.
+struct WarmStartMemo {
+  StrategyResult best;
+  std::uint64_t seed = 0;
+  bool kept = false;
+};
+
 /// Monotonic counters; a snapshot is returned by ScheduleCache::stats().
 struct CacheStats {
   std::size_t hits = 0;          ///< lookups answered (memory or disk)
@@ -140,21 +191,25 @@ class ScheduleCache {
   explicit ScheduleCache(const std::string& directory, std::size_t max_entries = 0,
                          std::uint64_t max_bytes = 0);
 
-  /// Returns the cached result for `key`, re-scored against `tg`
+  /// Returns the cached result for `key`, scored against `tg`
   /// (finalize_result), or nullopt on a miss. Memory is probed first,
   /// then disk; a disk hit is promoted into memory and (when bounded)
   /// bumps the entry's recency in the index — rejected entries are
-  /// neither promoted nor touched. Entries whose job count, processor
-  /// count or key provenance fields do not match the query are rejected
-  /// (counted in CacheStats::disk_rejects) and treated as misses. Throws
-  /// only on allocation failure — an unwritable index is left stale, not
-  /// an error.
+  /// neither promoted nor touched. A memory entry is scored on its first
+  /// hit (a promoted disk entry on promotion) and keeps that score for
+  /// later hits, until store() overwrites the key. Entries whose job
+  /// count, processor count or key provenance fields do not match the
+  /// query are rejected (counted in CacheStats::disk_rejects) and treated
+  /// as misses, scored or not. Throws only on allocation failure — an
+  /// unwritable index is left stale, not an error.
   [[nodiscard]] std::optional<StrategyResult> lookup(const CacheKey& key,
                                                      const TaskGraph& tg);
 
-  /// Stores `result` under `key`, overwriting any previous entry, in
-  /// memory and (when disk-backed) on disk; a bounded cache then updates
-  /// the recency index and evicts down to max_entries. Entry write
+  /// Stores `result` under `key`, overwriting any previous entry and its
+  /// kept score, in memory and (when disk-backed) on disk. Only the
+  /// schedule and detail are stored; the next lookup scores them. A
+  /// bounded cache then updates the recency index and evicts down to
+  /// max_entries. Entry write
   /// failures throw std::runtime_error with the failing path (the memory
   /// tier is updated first, so the in-process cache stays usable even if
   /// the throw is caught); an unwritable index is left stale, not an
@@ -178,11 +233,21 @@ class ScheduleCache {
   /// its jobs, in deterministic (entry file name / key) order — the
   /// warm-start feed of sched::parallel_search. Disk-backed caches read
   /// the directory (so schedules stored by other processes and earlier
-  /// runs are found); memory-only caches scan the memory tier. Corrupt
-  /// or mismatched disk entries are skipped (counted in disk_rejects),
-  /// never an error.
+  /// runs are found); memory-only caches scan the memory tier and read
+  /// an entry's kept score when it has one. Corrupt or mismatched disk
+  /// entries are skipped (counted in disk_rejects), never an error.
+  /// Warm-start memos are never returned.
   [[nodiscard]] std::vector<StaticSchedule> feasible_schedules(
       std::uint64_t graph_fingerprint, const TaskGraph& tg);
+
+  /// The memoized warm-start overlay outcome for `key`, or nullopt.
+  /// Memory tier only; never touches CacheStats.
+  [[nodiscard]] std::optional<WarmStartMemo> lookup_warm_start(const WarmStartKey& key) const;
+
+  /// Memoizes `memo` under `key`, replacing any memo of the same options
+  /// read against an older warm-start set (at most one memo per options
+  /// set and fingerprint is kept). Memory tier only.
+  void store_warm_start(const WarmStartKey& key, WarmStartMemo memo);
 
   /// Counter snapshot (taken under the lock, so internally consistent).
   [[nodiscard]] CacheStats stats() const;
@@ -200,9 +265,17 @@ class ScheduleCache {
   [[nodiscard]] std::uint64_t max_bytes() const noexcept { return max_bytes_; }
 
  private:
+  /// finalize_result's outputs, kept on a memory entry after its first hit.
+  struct Score {
+    Time makespan;
+    bool feasible = false;
+    std::size_t deadline_violations = 0;
+  };
+
   struct Entry {
     StaticSchedule schedule;
     std::string detail;
+    std::optional<Score> score;  ///< set on the first hit, dropped by store()
   };
 
   /// Disk probe; returns nullopt (and bumps disk_rejects when warranted)
@@ -240,6 +313,7 @@ class ScheduleCache {
   std::uint64_t max_bytes_ = 0;
   mutable std::mutex mu_;
   std::map<CacheKey, Entry> memory_;
+  std::map<WarmStartKey, WarmStartMemo> warm_memos_;
   CacheStats stats_;
 };
 

@@ -40,7 +40,8 @@ struct StrategyOptions {
   /// optimize_priority; parallel_search sets them only in its warm-start
   /// overlay). Ignored by every other strategy, and deliberately NOT part
   /// of the cache key (sched/schedule_cache.hpp): results that depend on
-  /// warm starts must never be cached.
+  /// warm starts are never plan entries; the overlay memoizes its own
+  /// outcome under a WarmStartKey that digests the start set.
   std::vector<std::vector<JobId>> warm_starts;
   /// Optional shared visited-set (sched/visited_set.hpp) memoizing exact
   /// scores of already-seen SP orders across strategy invocations —

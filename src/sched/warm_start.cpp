@@ -43,6 +43,32 @@ std::vector<std::vector<JobId>> collect_warm_starts(ScheduleCache& cache,
   return starts;
 }
 
+std::array<std::uint64_t, 2> warm_start_digest(
+    const std::vector<std::vector<JobId>>& starts) noexcept {
+  // Lane 0: FNV-1a's multiply per word, with an xorshift so high bits
+  // feed back into low ones. Lane 1: a splitmix64 chain. The lanes share
+  // no constants, so a collision has to defeat both at once.
+  std::uint64_t fnv = 14695981039346656037ULL;
+  std::uint64_t chain = 0x243F6A8885A308D3ULL;
+  const auto absorb = [&](std::uint64_t word) {
+    fnv = (fnv ^ word) * 1099511628211ULL;
+    fnv ^= fnv >> 29;
+    std::uint64_t x = chain ^ word;
+    x += 0x9E3779B97F4A7C15ULL;
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+    chain = x ^ (x >> 31);
+  };
+  absorb(starts.size());
+  for (const std::vector<JobId>& order : starts) {
+    absorb(order.size());
+    for (const JobId& job : order) {
+      absorb(job.value());
+    }
+  }
+  return {fnv, chain};
+}
+
 StrategyResult CachedWarmStartStrategy::schedule(const TaskGraph& tg,
                                                  const StrategyOptions& opts) const {
   LocalSearchResult ls_result = optimize_priority(tg, opts);

@@ -19,6 +19,9 @@
 //   collect_warm_starts            pulls every cached feasible schedule
 //                                  for a fingerprint out of a
 //                                  ScheduleCache as priority orders
+//   warm_start_digest              128-bit digest of that ordered set —
+//                                  the part of the overlay memo's key
+//                                  that captures the cache contents
 //
 // Determinism: all three are deterministic in their inputs; what varies
 // is the cache *contents*, so a warm-started result may legitimately
@@ -28,13 +31,16 @@
 // contract tight: a warm-start candidate replaces the cold winner only
 // when strictly better on (feasibility, violations, makespan), so a warm
 // rerun either matches the cold winner bit-identically or beats it —
-// never a different-but-equal winner. Warm-start results are never
-// cached (their key could not capture the cache state they depend on).
+// never a different-but-equal winner. Warm-start results are cached in
+// the memory tier under a key that captures the warm-start set they read
+// (WarmStartKey in sched/schedule_cache.hpp), never in the plan's
+// entries, so they never feed a later warm-start set.
 //
 // Thread safety: everything here is stateless or reads through
 // ScheduleCache's internal lock; safe to call concurrently.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -57,6 +63,13 @@ namespace sched {
 /// parallel_search.
 [[nodiscard]] std::vector<std::vector<JobId>> collect_warm_starts(
     ScheduleCache& cache, std::uint64_t graph_fingerprint, const TaskGraph& tg);
+
+/// Digest of an ordered warm-start set (collect_warm_starts' output): two
+/// independent 64-bit mixes over the set size, each order's length and
+/// its job ids, in order. Collision odds sit below the 2^-64 the cache
+/// already accepts for graph identity. Deterministic; never throws.
+[[nodiscard]] std::array<std::uint64_t, 2> warm_start_digest(
+    const std::vector<std::vector<JobId>>& starts) noexcept;
 
 /// "cached-warm-start": optimize_priority seeded with
 /// StrategyOptions::warm_starts on top of the plain heuristics. With no

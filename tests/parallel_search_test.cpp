@@ -1,7 +1,8 @@
 // Parallel schedule search: bit-identical winner selection regardless of
 // worker-thread count and cache warmth (memory or disk, same or fresh
-// cache instance), never-worse-than-any-single-strategy, and option
-// validation.
+// cache instance), never-worse-than-any-single-strategy, the warm-start
+// overlay's memo (hits equal a memo-free recompute, the key invalidates),
+// concurrent Engine solves, and option validation.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -10,8 +11,12 @@
 #include <limits>
 #include <memory>
 #include <random>
+#include <thread>
 
 #include "apps/fig1.hpp"
+#include "apps/fms.hpp"
+#include "engine/engine.hpp"
+#include "gen/rng.hpp"
 #include "gen/scenario.hpp"
 #include "sched/parallel_search.hpp"
 #include "sched/registry.hpp"
@@ -359,8 +364,10 @@ TEST(ParallelSearch, WarmStartOverlayMatchesOrBeatsTheColdWinner) {
         EXPECT_EQ(run->best.strategy, "cached-warm-start");
       }
     }
-    // Cold and warm see the same cache contents (warm-start results are
-    // never stored), so the two runs are bit-identical end to end.
+    // Cold and warm see the same warm-start set (the overlay's outcome is
+    // cached in the memory tier under a key that captures the set it
+    // read, never as a plan entry), so the two runs are bit-identical end
+    // to end.
     EXPECT_EQ(warm.best.strategy, cold.best.strategy);
     EXPECT_EQ(warm.seed, cold.seed);
     EXPECT_EQ(warm.best.detail, cold.best.detail);
@@ -405,6 +412,234 @@ TEST(ParallelSearch, WarmVsColdBitIdenticalWinnerWithEvictionOn) {
   EXPECT_EQ(warm.best.makespan, cold.best.makespan);
   expect_identical_schedules(warm.best.schedule, cold.best.schedule, tg.job_count());
   std::filesystem::remove_all(dir);
+}
+
+/// The paper's reduced-period FMS (812 jobs) with every process WCET
+/// raised by k/10 ms, k in 0..9 drawn from `jitter` — the serving
+/// benchmark's variant family.
+TaskGraph jittered_fms(std::uint64_t jitter) {
+  const apps::FmsApp app = apps::build_fms(true);
+  WcetMap wcets = app.default_wcets();
+  gen::Rng rng(jitter);
+  for (auto& entry : wcets) {
+    entry.second += Duration::ratio_ms(rng.range(0, 9), 10);
+  }
+  return derive_task_graph(app.net, wcets).graph;
+}
+
+/// The daemon's quick preset on 2 processors, overlay on.
+sched::ParallelSearchOptions quick_warm_options(sched::ScheduleCache* cache) {
+  sched::ParallelSearchOptions opts;
+  opts.processors = 2;
+  opts.workers = 1;
+  opts.seeds_per_strategy = 1;
+  opts.max_iterations = 400;
+  opts.restarts = 1;
+  opts.cache = cache;
+  opts.warm_start = true;
+  return opts;
+}
+
+/// Bit-for-bit winner equality: strategy, seed, detail, score, every
+/// placement and whether the overlay won.
+void expect_same_winner(const sched::ParallelSearchResult& a,
+                        const sched::ParallelSearchResult& b, std::size_t jobs,
+                        const std::string& context) {
+  EXPECT_EQ(a.best.strategy, b.best.strategy) << context;
+  EXPECT_EQ(a.seed, b.seed) << context;
+  EXPECT_EQ(a.best.detail, b.best.detail) << context;
+  EXPECT_EQ(a.best.makespan, b.best.makespan) << context;
+  EXPECT_EQ(a.best.feasible, b.best.feasible) << context;
+  EXPECT_EQ(a.best.deadline_violations, b.best.deadline_violations) << context;
+  EXPECT_EQ(a.warm_start_won, b.warm_start_won) << context;
+  expect_identical_schedules(a.best.schedule, b.best.schedule, jobs);
+}
+
+TEST(ParallelSearch, WarmStartMemoHitMatchesAMemoFreeRecompute) {
+  // A repeat solve answers the overlay from its memo: it evaluates no warm
+  // candidate (warm_candidates == 0, warm_starts still counts the starts
+  // read) and reports the bit-identical winner of a cache that holds the
+  // same plan entries but no memo, so it has to run the overlay.
+  // Jitter 10 is a variant on which the overlay beats the plan winner, so
+  // the memo that keeps a schedule is exercised too.
+  int warm_wins = 0;
+  for (std::uint64_t jitter = 1; jitter <= 10; ++jitter) {
+    const std::string context = "FMS jitter " + std::to_string(jitter);
+    const TaskGraph tg = jittered_fms(jitter);
+
+    sched::ScheduleCache memo_cache;
+    const sched::ParallelSearchOptions opts = quick_warm_options(&memo_cache);
+    const auto cold = sched::parallel_search(tg, opts);
+    EXPECT_GT(cold.warm_candidates, 0u) << context;
+    const auto hit = sched::parallel_search(tg, opts);
+    EXPECT_EQ(hit.evaluated, 0u) << context;
+    EXPECT_GT(hit.warm_starts, 0u) << context;
+    EXPECT_EQ(hit.warm_starts, cold.warm_starts) << context;
+    EXPECT_EQ(hit.warm_candidates, 0u) << context;
+
+    sched::ScheduleCache fresh_cache;
+    sched::ParallelSearchOptions plan_only = quick_warm_options(&fresh_cache);
+    plan_only.warm_start = false;
+    (void)sched::parallel_search(tg, plan_only);
+    const auto recompute = sched::parallel_search(tg, quick_warm_options(&fresh_cache));
+    EXPECT_EQ(recompute.evaluated, 0u) << context;
+    EXPECT_EQ(recompute.warm_candidates, cold.warm_candidates) << context;
+
+    expect_same_winner(hit, recompute, tg.job_count(), context + ", hit vs recompute");
+    expect_same_winner(hit, cold, tg.job_count(), context + ", hit vs cold");
+    warm_wins += hit.warm_start_won ? 1 : 0;
+  }
+  EXPECT_GE(warm_wins, 1) << "no variant exercised a memo that keeps its schedule";
+}
+
+TEST(ParallelSearch, WarmStartMemoRecomputesWhenThePlanWinnerGotWorse) {
+  // The memo keeps a schedule only when it beat the plan winner at store
+  // time. A later search whose plan winner is worse (here: a restricted
+  // strategy list over the same cached entries, so the same warm-start
+  // set and memo key) finds the memo better but without a schedule, and
+  // must recompute — with the result a memo-free cache reports.
+  const TaskGraph tg = jittered_fms(1);
+  sched::ScheduleCache cache;
+  const auto full = sched::parallel_search(tg, quick_warm_options(&cache));
+  ASSERT_FALSE(full.warm_start_won);
+  ASSERT_GT(full.warm_candidates, 0u);
+
+  sched::ParallelSearchOptions narrow = quick_warm_options(&cache);
+  narrow.strategies = {"arrival-order"};
+  const auto recomputed = sched::parallel_search(tg, narrow);
+  EXPECT_EQ(recomputed.evaluated, 0u);
+  EXPECT_EQ(recomputed.warm_starts, full.warm_starts);
+  EXPECT_GT(recomputed.warm_candidates, 0u);
+  EXPECT_TRUE(recomputed.warm_start_won);
+
+  // The recompute stored a memo that keeps the schedule: the next narrow
+  // search is a pure hit with the same winner.
+  const auto hit = sched::parallel_search(tg, narrow);
+  EXPECT_EQ(hit.warm_candidates, 0u);
+  expect_same_winner(hit, recomputed, tg.job_count(), "narrow hit vs recompute");
+
+  sched::ScheduleCache fresh;
+  sched::ParallelSearchOptions plan_only = quick_warm_options(&fresh);
+  plan_only.warm_start = false;
+  (void)sched::parallel_search(tg, plan_only);
+  sched::ParallelSearchOptions fresh_narrow = narrow;
+  fresh_narrow.cache = &fresh;
+  const auto reference = sched::parallel_search(tg, fresh_narrow);
+  expect_same_winner(recomputed, reference, tg.job_count(), "recompute vs memo-free");
+}
+
+TEST(ParallelSearch, NewFeasibleScheduleInvalidatesTheWarmStartMemo) {
+  // The memo key digests the warm-start set, so a feasible schedule
+  // stored for the fingerprint after the memo changes the key: the next
+  // search runs the overlay again over the larger set.
+  const TaskGraph tg = jittered_fms(2);
+  sched::ScheduleCache cache;
+  const sched::ParallelSearchOptions opts = quick_warm_options(&cache);
+  const auto cold = sched::parallel_search(tg, opts);
+  ASSERT_GT(cold.warm_starts, 0u);
+  ASSERT_TRUE(cold.best.feasible);
+  ASSERT_EQ(sched::parallel_search(tg, opts).warm_candidates, 0u);
+
+  sched::StrategyOptions other;
+  other.processors = opts.processors;
+  other.seed = 99;
+  other.max_iterations = opts.max_iterations;
+  other.restarts = opts.restarts;
+  cache.store(sched::make_cache_key(tg, "alap-edf", other), cold.best);
+
+  const auto after = sched::parallel_search(tg, opts);
+  EXPECT_EQ(after.evaluated, 0u);
+  EXPECT_EQ(after.warm_starts, cold.warm_starts + 1);
+  EXPECT_GT(after.warm_candidates, 0u);
+  EXPECT_EQ(sched::parallel_search(tg, opts).warm_candidates, 0u);
+}
+
+TEST(ParallelSearch, WarmStartMemoKeyCoversSeedsAndBudget) {
+  // Over one unchanged warm-start set, the overlay is rerun for any
+  // change of the options it forwards to its candidates.
+  const TaskGraph tg = jittered_fms(3);
+  sched::ScheduleCache cache;
+  sched::ParallelSearchOptions plan_only = quick_warm_options(&cache);
+  plan_only.warm_start = false;
+  const sched::ParallelSearchResult plan = sched::parallel_search(tg, plan_only);
+
+  const auto overlay = [&](const sched::ParallelSearchOptions& opts) {
+    sched::ParallelSearchResult result = plan;
+    sched::apply_cached_warm_start(tg, opts, result);
+    return result;
+  };
+  const sched::ParallelSearchOptions opts = quick_warm_options(&cache);
+  ASSERT_GT(overlay(opts).warm_candidates, 0u);
+  const auto hit = overlay(opts);
+  ASSERT_GT(hit.warm_starts, 0u);
+  ASSERT_EQ(hit.warm_candidates, 0u);
+
+  std::vector<std::pair<std::string, sched::ParallelSearchOptions>> variants;
+  variants.emplace_back("seeds_per_strategy", opts);
+  variants.back().second.seeds_per_strategy = 2;
+  variants.emplace_back("base_seed", opts);
+  variants.back().second.base_seed = 5;
+  variants.emplace_back("max_iterations", opts);
+  variants.back().second.max_iterations = 200;
+  variants.emplace_back("restarts", opts);
+  variants.back().second.restarts = 2;
+  for (const auto& [field, changed] : variants) {
+    const auto miss = overlay(changed);
+    EXPECT_EQ(miss.warm_starts, hit.warm_starts) << field;
+    EXPECT_GT(miss.warm_candidates, 0u) << field;
+    EXPECT_EQ(overlay(changed).warm_candidates, 0u) << field;
+  }
+  EXPECT_EQ(overlay(opts).warm_candidates, 0u) << "original options still memoized";
+}
+
+TEST(ParallelSearch, ConcurrentEngineSolvesMatchSerialOneShotSolves) {
+  // One Engine with the memory L1 and the overlay on, hammered by 4
+  // threads over 4 FMS variants (so threads solve one variant at the same
+  // time): every report equals the serial one-shot solve of its variant.
+  constexpr std::size_t kVariants = 4;
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  std::vector<TaskGraph> graphs;
+  for (std::uint64_t v = 0; v < kVariants; ++v) {
+    graphs.push_back(jittered_fms(v + 7));
+  }
+  engine::SearchConfig config;
+  config.processors = 2;
+  config.workers = 1;
+  config.memory_cache = true;
+  config.warm_start = true;
+  std::vector<sched::ParallelSearchResult> serial;
+  for (const TaskGraph& tg : graphs) {
+    serial.push_back(engine::solve_graph(tg, config).search);
+  }
+
+  engine::Engine shared;
+  std::vector<std::vector<sched::ParallelSearchResult>> reports(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (std::size_t v = 0; v < kVariants; ++v) {
+          engine::SolveRequest request;
+          request.graph = &graphs[(static_cast<std::size_t>(t) + v) % kVariants];
+          request.config = config;
+          reports[static_cast<std::size_t>(t)].push_back(shared.solve(request).search);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(reports[static_cast<std::size_t>(t)].size(), kRounds * kVariants);
+    for (std::size_t k = 0; k < reports[static_cast<std::size_t>(t)].size(); ++k) {
+      const std::size_t v = (static_cast<std::size_t>(t) + k % kVariants) % kVariants;
+      expect_same_winner(reports[static_cast<std::size_t>(t)][k], serial[v],
+                         graphs[v].job_count(),
+                         "thread " + std::to_string(t) + ", solve " + std::to_string(k));
+    }
+  }
 }
 
 TEST(ParallelSearch, RejectsBadOptions) {

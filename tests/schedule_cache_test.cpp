@@ -1,5 +1,6 @@
 // Schedule cache: entry round-trip through the versioned text format,
-// memory/disk lookup semantics, validation of mismatched or corrupt
+// memory/disk lookup semantics (including the score kept on a memory
+// entry after its first hit), validation of mismatched or corrupt
 // entries, and the loud-failure contract for bad cache directories.
 #include "sched/schedule_cache.hpp"
 
@@ -286,6 +287,94 @@ TEST(ScheduleCache, MismatchedJobCountIsRejected) {
   }
   EXPECT_FALSE(cache.lookup(key, bigger).has_value());
   EXPECT_GE(cache.stats().disk_rejects, 1u);
+}
+
+TEST(ScheduleCache, MismatchedJobCountIsRejectedForAScoredMemoryEntry) {
+  // The kept score of a memory entry does not bypass the safety net: an
+  // entry already scored by a hit is still rejected for a graph whose
+  // jobs it cannot index.
+  const auto derived = fig1_graph();
+  const auto key = key_for(derived.graph, 2);
+  sched::ScheduleCache cache;
+  cache.store(key, evaluate(derived.graph, 2));
+  ASSERT_TRUE(cache.lookup(key, derived.graph).has_value());  // scores the entry
+
+  TaskGraph bigger(derived.graph.hyperperiod());
+  for (std::size_t i = 0; i < derived.graph.job_count() + 1; ++i) {
+    Job j;
+    j.process = ProcessId{i};
+    j.arrival = Time::ms(0);
+    j.deadline = Time::ms(100);
+    j.wcet = Duration::ms(1);
+    j.name = "g" + std::to_string(i);
+    bigger.add_job(j);
+  }
+  EXPECT_FALSE(cache.lookup(key, bigger).has_value());
+  EXPECT_EQ(cache.stats().disk_rejects, 1u);
+  EXPECT_EQ(cache.size(), 0u);  // dropped, not kept for a later query
+}
+
+TEST(ScheduleCache, StoreOverAScoredKeyDropsTheKeptScore) {
+  // Lookups keep the score of their first hit; a store over the key must
+  // not leave the old schedule's score behind.
+  const auto derived = fig1_graph();
+  const auto key = key_for(derived.graph, 2);
+  const auto two = evaluate(derived.graph, 2);
+  const auto one = evaluate(derived.graph, 1);  // infeasible: 250 ms of work in 200
+  ASSERT_TRUE(two.feasible);
+  ASSERT_FALSE(one.feasible);
+  ASSERT_NE(one.makespan, two.makespan);
+
+  sched::ScheduleCache cache;
+  cache.store(key, two);
+  const auto first = cache.lookup(key, derived.graph);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->makespan, two.makespan);
+  EXPECT_TRUE(first->feasible);
+
+  cache.store(key, one);
+  const auto second = cache.lookup(key, derived.graph);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->makespan, one.makespan);
+  EXPECT_EQ(second->feasible, one.feasible);
+  EXPECT_EQ(second->deadline_violations, one.deadline_violations);
+  // The memory-only warm-start feed reads the kept feasibility: the
+  // replaced entry no longer counts as feasible.
+  EXPECT_TRUE(cache.feasible_schedules(key.fingerprint, derived.graph).empty());
+}
+
+TEST(ScheduleCache, DiskPromotedEntryIsScoredAgainstTheQueryGraph) {
+  // Disk entries carry no score: promotion scores the schedule against
+  // the graph of the query that promotes it. Doubling every WCET keeps
+  // the job count but makes the stored placements overlap.
+  const TempDir dir("promote_score");
+  const auto app = apps::build_fig1();
+  const auto derived = fig1_graph();
+  WcetMap doubled = app.fig3_wcets();
+  for (auto& entry : doubled) {
+    entry.second = entry.second + entry.second;
+  }
+  const auto slower = derive_task_graph(app.net, doubled);
+  ASSERT_EQ(slower.graph.job_count(), derived.graph.job_count());
+
+  const auto key = key_for(derived.graph, 2);
+  const auto stored = evaluate(derived.graph, 2);
+  {
+    sched::ScheduleCache writer(dir.path());
+    writer.store(key, stored);
+  }
+  sched::StrategyResult expected;
+  expected.schedule = stored.schedule;
+  sched::finalize_result(slower.graph, expected);
+  ASSERT_NE(expected.makespan, stored.makespan);
+
+  sched::ScheduleCache reader(dir.path());
+  const auto hit = reader.lookup(key, slower.graph);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->makespan, expected.makespan);
+  EXPECT_EQ(hit->feasible, expected.feasible);
+  EXPECT_EQ(hit->deadline_violations, expected.deadline_violations);
+  EXPECT_EQ(reader.size(), 1u);  // promoted
 }
 
 TEST(ScheduleCache, ConcurrentSameKeyStoresNeverTearEntries) {
