@@ -12,6 +12,7 @@
 #include <deque>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fppn/value.hpp"
@@ -51,7 +52,8 @@ class ChannelRuntime {
 
   /// Every value ever written, in order — the channel's output history in
   /// the sense of Prop. 2.1.
-  [[nodiscard]] const std::vector<Value>& history() const noexcept { return history_; }
+  [[nodiscard]] const std::vector<Value>& history() const& noexcept { return history_; }
+  [[nodiscard]] std::vector<Value> history() && noexcept { return std::move(history_); }
 
   /// Clears buffered data and history (fresh execution).
   void reset();

@@ -31,8 +31,9 @@ void JobContext::write(const std::string& channel_name, Value v) {
   write(*c, std::move(v));
 }
 
-ExecutionState::ExecutionState(const Network& net, InputScripts inputs)
-    : net_(&net), inputs_(std::move(inputs)) {
+ExecutionState::ExecutionState(const Network& net, InputScripts inputs,
+                               ActionTrace* trace)
+    : net_(&net), inputs_(std::move(inputs)), trace_(trace) {
   channels_.reserve(net.channel_count());
   for (std::size_t i = 0; i < net.channel_count(); ++i) {
     channels_.emplace_back(net.channel(ChannelId{i}).kind);
@@ -54,10 +55,14 @@ ExecutionState::ExecutionState(const Network& net, InputScripts inputs)
 std::int64_t ExecutionState::run_job(ProcessId p, Time now) {
   (void)net_->process(p);  // range check
   const std::int64_t k = ++job_counts_[p.value()];
-  trace_.push(JobStartAction{p, k});
+  if (trace_ != nullptr) {
+    trace_->push(JobStartAction{p, k});
+  }
   JobContext ctx(*this, p, k, now);
   behaviors_[p.value()]->on_job(ctx);
-  trace_.push(JobEndAction{p, k});
+  if (trace_ != nullptr) {
+    trace_->push(JobEndAction{p, k});
+  }
   return k;
 }
 
@@ -65,8 +70,8 @@ void ExecutionState::advance_time(Time t) {
   if (time_started_ && t < current_time_) {
     throw std::logic_error("execution time moved backwards");
   }
-  if (!time_started_ || t != current_time_) {
-    trace_.push(WaitAction{t});
+  if (trace_ != nullptr && (!time_started_ || t != current_time_)) {
+    trace_->push(WaitAction{t});
   }
   current_time_ = t;
   time_started_ = true;
@@ -107,7 +112,9 @@ Value ExecutionState::do_read(ProcessId p, std::int64_t k, ChannelId c) {
       throw std::logic_error("reading from external output channel '" + decl.name +
                              "'");
   }
-  trace_.push(ReadAction{p, k, c, v});
+  if (trace_ != nullptr) {
+    trace_->push(ReadAction{p, k, c, v});
+  }
   return v;
 }
 
@@ -142,18 +149,30 @@ void ExecutionState::do_write(ProcessId p, std::int64_t k, Time now, ChannelId c
     case ChannelScope::kExternalInput:
       throw std::logic_error("writing to external input channel '" + decl.name + "'");
   }
-  trace_.push(WriteAction{p, k, c, std::move(v)});
+  if (trace_ != nullptr) {
+    trace_->push(WriteAction{p, k, c, std::move(v)});
+  }
 }
 
-ExecutionHistories ExecutionState::histories() const {
+ExecutionHistories ExecutionState::histories() const& {
   ExecutionHistories h;
   for (std::size_t i = 0; i < channels_.size(); ++i) {
-    const ChannelId c{i};
     if (!channels_[i].history().empty()) {
-      h.channel_writes.emplace(c, channels_[i].history());
+      h.channel_writes.emplace(ChannelId{i}, channels_[i].history());
     }
   }
   h.output_samples = outputs_;
+  return h;
+}
+
+ExecutionHistories ExecutionState::histories() && {
+  ExecutionHistories h;
+  for (std::size_t i = 0; i < channels_.size(); ++i) {
+    if (!channels_[i].history().empty()) {
+      h.channel_writes.emplace(ChannelId{i}, std::move(channels_[i]).history());
+    }
+  }
+  h.output_samples = std::move(outputs_);
   return h;
 }
 

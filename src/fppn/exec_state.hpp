@@ -4,7 +4,9 @@
 // ExecutionState owns: one ChannelRuntime per internal channel, one fresh
 // behavior instance per process, per-process job counters k, the external
 // input scripts (sample arrays indexed by k, per §II-A: the k-th job run
-// reads sample [k]) and the recorded trace/histories.
+// reads sample [k]) and the histories. The action trace belongs to the
+// caller: the state appends to the ActionTrace it was handed, or records
+// nothing when handed none (the online runtimes compare histories only).
 //
 // Both semantics engines drive the same state object: the zero-delay
 // interpreter (semantics.hpp) runs jobs back-to-back at invocation
@@ -69,7 +71,10 @@ class JobContext {
 class ExecutionState {
  public:
   /// Fresh state: channels empty, behaviors newly constructed, counters 0.
-  explicit ExecutionState(const Network& net, InputScripts inputs = {});
+  /// Every action is appended to `*trace` when it is non-null; the trace
+  /// must outlive the state.
+  explicit ExecutionState(const Network& net, InputScripts inputs = {},
+                          ActionTrace* trace = nullptr);
 
   [[nodiscard]] const Network& network() const noexcept { return *net_; }
 
@@ -77,16 +82,16 @@ class ExecutionState {
   /// incrementing its invocation count. Returns the job index k used.
   std::int64_t run_job(ProcessId p, Time now);
 
-  /// Records w(t) in the trace (time must not decrease).
+  /// Moves model time to t, recording w(t) (time must not decrease).
   void advance_time(Time t);
 
   /// Number of completed job runs of p so far.
   [[nodiscard]] std::int64_t job_count(ProcessId p) const;
 
-  [[nodiscard]] const ActionTrace& trace() const noexcept { return trace_; }
-
   /// Snapshot of all channel histories + external output samples.
-  [[nodiscard]] ExecutionHistories histories() const;
+  [[nodiscard]] ExecutionHistories histories() const&;
+  /// The same, moved out of a state that is finished with.
+  [[nodiscard]] ExecutionHistories histories() &&;
 
   [[nodiscard]] const ChannelRuntime& channel_state(ChannelId c) const;
 
@@ -102,7 +107,7 @@ class ExecutionState {
   std::vector<std::int64_t> job_counts_;                    // per process
   InputScripts inputs_;
   std::map<ChannelId, std::vector<OutputSample>> outputs_;
-  ActionTrace trace_;
+  ActionTrace* trace_;  // the caller's sink; null records nothing
   Time current_time_;
   bool time_started_ = false;
 };

@@ -44,19 +44,26 @@ std::vector<ProcessId> order_simultaneous(const Network& net,
 ZeroDelayResult run_zero_delay(const Network& net, const InvocationPlan& plan,
                                const InputScripts& inputs,
                                SimultaneityTieBreak tie_break) {
-  ExecutionState state(net, inputs);
-  std::size_t jobs = 0;
+  ZeroDelayResult result;
+  ExecutionState state(net, inputs, &result.trace);
+  // order_simultaneous is a pure function of (net, multiset, tie_break),
+  // and a run repeats the same few multisets: order each one once.
+  std::map<std::vector<ProcessId>, std::vector<ProcessId>> orders;
   for (const InvocationGroup& group : plan.groups()) {
     state.advance_time(group.time);
-    for (const ProcessId p : order_simultaneous(net, group.processes, tie_break)) {
+    auto it = orders.find(group.processes);
+    if (it == orders.end()) {
+      it = orders
+               .emplace(group.processes,
+                        order_simultaneous(net, group.processes, tie_break))
+               .first;
+    }
+    for (const ProcessId p : it->second) {
       state.run_job(p, group.time);
-      ++jobs;
+      ++result.jobs_executed;
     }
   }
-  ZeroDelayResult result;
-  result.trace = state.trace();
-  result.histories = state.histories();
-  result.jobs_executed = jobs;
+  result.histories = std::move(state).histories();
   return result;
 }
 

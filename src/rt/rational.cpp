@@ -25,7 +25,37 @@ std::int64_t checked_add(std::int64_t a, std::int64_t b) {
   return out;
 }
 
+std::int64_t checked_sub(std::int64_t a, std::int64_t b) {
+  std::int64_t out = 0;
+  if (__builtin_sub_overflow(a, b, &out)) {
+    throw RationalError("rational arithmetic overflow in subtraction");
+  }
+  return out;
+}
+
+// INT64_MIN has no int64 negation.
+std::int64_t checked_neg(std::int64_t a) {
+  std::int64_t out = 0;
+  if (__builtin_sub_overflow(std::int64_t{0}, a, &out)) {
+    throw RationalError("rational arithmetic overflow in negation");
+  }
+  return out;
+}
+
+// gcd(|a|, b) for b > 0. std::gcd negates a negative argument, which is
+// undefined for INT64_MIN; the unsigned magnitude is not. The result
+// divides b, so it fits.
+std::int64_t gcd_with_positive(std::int64_t a, std::int64_t b) {
+  const std::uint64_t magnitude =
+      a < 0 ? 0 - static_cast<std::uint64_t>(a) : static_cast<std::uint64_t>(a);
+  return static_cast<std::int64_t>(std::gcd(magnitude, static_cast<std::uint64_t>(b)));
+}
+
 }  // namespace
+
+void Rational::throw_overflow(const char* operation) {
+  throw RationalError(std::string("rational arithmetic overflow in ") + operation);
+}
 
 Rational::Rational(std::int64_t num, std::int64_t den) : num_(num), den_(den) {
   if (den_ == 0) {
@@ -36,10 +66,10 @@ Rational::Rational(std::int64_t num, std::int64_t den) : num_(num), den_(den) {
 
 void Rational::normalize() {
   if (den_ < 0) {
-    num_ = -num_;
-    den_ = -den_;
+    num_ = checked_neg(num_);
+    den_ = checked_neg(den_);
   }
-  const std::int64_t g = std::gcd(num_, den_);
+  const std::int64_t g = gcd_with_positive(num_, den_);
   if (g > 1) {
     num_ /= g;
     den_ /= g;
@@ -59,27 +89,29 @@ std::string Rational::to_string() const {
 
 Rational Rational::operator-() const {
   Rational r = *this;
-  r.num_ = -r.num_;
+  r.num_ = checked_neg(r.num_);
   return r;
 }
 
-Rational& Rational::operator+=(const Rational& rhs) {
+// Subtracts directly rather than adding -rhs, so the difference stays
+// exact when rhs's numerator is INT64_MIN.
+Rational& Rational::add_general(const Rational& rhs, bool subtract) {
   // Reduce before cross-multiplying to delay overflow: use den gcd.
   const std::int64_t g = std::gcd(den_, rhs.den_);
   const std::int64_t lhs_scale = rhs.den_ / g;
   const std::int64_t rhs_scale = den_ / g;
-  num_ = checked_add(checked_mul(num_, lhs_scale), checked_mul(rhs.num_, rhs_scale));
+  const std::int64_t lhs_num = checked_mul(num_, lhs_scale);
+  const std::int64_t rhs_num = checked_mul(rhs.num_, rhs_scale);
+  num_ = subtract ? checked_sub(lhs_num, rhs_num) : checked_add(lhs_num, rhs_num);
   den_ = checked_mul(den_, lhs_scale);
   normalize();
   return *this;
 }
 
-Rational& Rational::operator-=(const Rational& rhs) { return *this += -rhs; }
-
-Rational& Rational::operator*=(const Rational& rhs) {
+Rational& Rational::mul_general(const Rational& rhs) {
   // Cross-reduce first so intermediate products stay small.
-  const std::int64_t g1 = std::gcd(num_, rhs.den_);
-  const std::int64_t g2 = std::gcd(rhs.num_, den_);
+  const std::int64_t g1 = gcd_with_positive(num_, rhs.den_);
+  const std::int64_t g2 = gcd_with_positive(rhs.num_, den_);
   num_ = checked_mul(num_ / g1, rhs.num_ / g2);
   den_ = checked_mul(den_ / g2, rhs.den_ / g1);
   normalize();
@@ -93,7 +125,7 @@ Rational& Rational::operator/=(const Rational& rhs) {
   return *this *= Rational(rhs.den_, rhs.num_);
 }
 
-bool operator<(const Rational& lhs, const Rational& rhs) {
+bool Rational::less_general(const Rational& lhs, const Rational& rhs) {
   // lhs.num/lhs.den < rhs.num/rhs.den with positive denominators. Cross
   // products can exceed 64 bits even for canonical values (coprime
   // denominators get no gcd relief), and ordering is used to *rank*

@@ -7,6 +7,12 @@
 // exactly where schedule boundaries must match. All model time in this
 // library is therefore an exact Rational of two 64-bit integers, always
 // stored in canonical form (normalized sign, coprime numerator/denominator).
+//
+// Most model time is integral (every FMS period, WCET and sporadic stamp
+// is a whole number of milliseconds), so +=, -=, *= and < inline a
+// gcd-free path for two integers: one overflow-checked int64 operation
+// giving the same canonical value and the same RationalError as the
+// general path, which stays out of line.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +38,8 @@ class Rational {
   /// Integer value n/1 (implicit: integers are exact rationals).
   constexpr Rational(std::int64_t n) noexcept : num_(n), den_(1) {}  // NOLINT
 
-  /// Value num/den, normalized. Throws RationalError if den == 0.
+  /// Value num/den, normalized. Throws RationalError if den == 0, or if
+  /// den < 0 and either argument is INT64_MIN (the sign fix negates both).
   Rational(std::int64_t num, std::int64_t den);
 
   [[nodiscard]] constexpr std::int64_t num() const noexcept { return num_; }
@@ -49,10 +56,44 @@ class Rational {
   /// "7/3" or "5" when the denominator is 1.
   [[nodiscard]] std::string to_string() const;
 
+  /// Throws RationalError for -INT64_MIN, which int64 cannot hold.
   Rational operator-() const;
-  Rational& operator+=(const Rational& rhs);
-  Rational& operator-=(const Rational& rhs);
-  Rational& operator*=(const Rational& rhs);
+
+  /// Throw RationalError when the exact result leaves int64 and, for
+  /// operands that are not both integers, when a cross product does.
+  Rational& operator+=(const Rational& rhs) {
+    if (den_ == 1 && rhs.den_ == 1) {
+      std::int64_t out = 0;
+      if (__builtin_add_overflow(num_, rhs.num_, &out)) {
+        throw_overflow("addition");
+      }
+      num_ = out;
+      return *this;
+    }
+    return add_general(rhs, false);
+  }
+  Rational& operator-=(const Rational& rhs) {
+    if (den_ == 1 && rhs.den_ == 1) {
+      std::int64_t out = 0;
+      if (__builtin_sub_overflow(num_, rhs.num_, &out)) {
+        throw_overflow("subtraction");
+      }
+      num_ = out;
+      return *this;
+    }
+    return add_general(rhs, true);
+  }
+  Rational& operator*=(const Rational& rhs) {
+    if (den_ == 1 && rhs.den_ == 1) {
+      std::int64_t out = 0;
+      if (__builtin_mul_overflow(num_, rhs.num_, &out)) {
+        throw_overflow("multiplication");
+      }
+      num_ = out;
+      return *this;
+    }
+    return mul_general(rhs);
+  }
   /// Throws RationalError when rhs == 0.
   Rational& operator/=(const Rational& rhs);
 
@@ -71,7 +112,12 @@ class Rational {
   /// Exact total order. Compares via 128-bit cross products, so — unlike
   /// the arithmetic operators — it never throws, even when the operands
   /// sit at the int64 overflow guard.
-  friend bool operator<(const Rational& lhs, const Rational& rhs);
+  friend bool operator<(const Rational& lhs, const Rational& rhs) {
+    if (lhs.den_ == 1 && rhs.den_ == 1) {
+      return lhs.num_ < rhs.num_;
+    }
+    return less_general(lhs, rhs);
+  }
   friend bool operator>(const Rational& a, const Rational& b) { return b < a; }
   friend bool operator<=(const Rational& a, const Rational& b) { return !(b < a); }
   friend bool operator>=(const Rational& a, const Rational& b) { return !(a < b); }
@@ -93,12 +139,20 @@ class Rational {
   /// (footnote 4 of the paper). Throws RationalError if either is <= 0.
   [[nodiscard]] static Rational lcm(const Rational& a, const Rational& b);
 
+  /// Throws RationalError for INT64_MIN, like unary minus.
   [[nodiscard]] static Rational abs(const Rational& r);
   [[nodiscard]] static Rational min(const Rational& a, const Rational& b);
   [[nodiscard]] static Rational max(const Rational& a, const Rational& b);
 
  private:
+  /// Throws RationalError when den_ < 0 and either field is INT64_MIN.
   void normalize();
+
+  [[noreturn]] static void throw_overflow(const char* operation);
+  /// *this + rhs, or *this - rhs when `subtract`.
+  Rational& add_general(const Rational& rhs, bool subtract);
+  Rational& mul_general(const Rational& rhs);
+  static bool less_general(const Rational& lhs, const Rational& rhs);
 
   std::int64_t num_;
   std::int64_t den_;  // invariant: den_ > 0, gcd(|num_|, den_) == 1

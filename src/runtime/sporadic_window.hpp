@@ -17,9 +17,9 @@
 // Every function here is a pure function of its arguments (exact rational
 // arithmetic, no state): deterministic, safe to call concurrently, and
 // non-throwing for the argument ranges produced by the derivation —
-// callers pass `sorted` ascending (both lookup helpers binary-search-free
-// scan and merely return wrong answers on unsorted input, they never
-// throw).
+// callers pass `sorted` ascending (both lookup helpers binary-search it
+// with lower_bound/upper_bound, so on unsorted input they merely return
+// wrong answers; they never throw).
 #pragma once
 
 #include <optional>

@@ -8,12 +8,19 @@
 namespace fppn {
 namespace {
 
-/// Static (frame-independent) execution plan of one job.
+/// Static (frame-independent) execution plan of one job, built once per
+/// run so that a frame only adds its base to the offsets.
 struct JobPlan {
-  JobId id;
   std::size_t proc = 0;
   std::optional<JobId> prev_on_proc;  ///< previous job in the static order
   std::optional<JobId> prev_of_process;  ///< previous job of same process in frame
+  Duration arrival;   ///< A_i, as an offset from the frame base
+  Duration deadline;  ///< D_i, as an offset from the frame base
+  // Server jobs only (server == nullptr otherwise):
+  const ServerInfo* server = nullptr;
+  int burst_rank = 0;      ///< t: the job stands for the t-th invocation of its window
+  Duration subset_offset;  ///< (subset - 1) * T': subset boundary - frame base
+  const std::vector<Time>* invocations = nullptr;  ///< sorted; null: no script
 };
 
 /// Dynamic per-frame resolution of one job.
@@ -43,19 +50,28 @@ RunResult run_static_order_vm(const Network& net, const DerivedTaskGraph& derive
   }
   const Duration h = derived.hyperperiod;
 
-  // Sorted invocation scripts per sporadic process.
-  std::map<ProcessId, std::vector<Time>> invocations;
-  for (const auto& [p, script] : sporadics) {
-    invocations.emplace(p, script.times());  // SporadicScript stores sorted
-  }
-
-  // Static plan: previous job on the same processor / of the same process.
+  // Static plan: frame offsets, server data, previous job on the same
+  // processor / of the same process.
   std::vector<JobPlan> plan(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Job& job = tg.job(JobId(i));
+    JobPlan& jp = plan[i];
+    jp.arrival = job.arrival - Time();
+    jp.deadline = job.deadline - Time();
+    if (job.is_server) {
+      jp.server = &derived.servers.at(job.process);
+      jp.burst_rank = static_cast<int>((job.k - 1) % jp.server->burst) + 1;
+      jp.subset_offset = jp.server->server_period * Rational(job.subset - 1);
+      const auto script = sporadics.find(job.process);
+      if (script != sporadics.end()) {
+        jp.invocations = &script->second.times();  // SporadicScript stores sorted
+      }
+    }
+  }
   const auto order = schedule.per_processor_order();
   for (std::size_t m = 0; m < order.size(); ++m) {
     for (std::size_t pos = 0; pos < order[m].size(); ++pos) {
       JobPlan& jp = plan[order[m][pos].value()];
-      jp.id = order[m][pos];
       jp.proc = m;
       if (pos > 0) {
         jp.prev_on_proc = order[m][pos - 1];
@@ -93,7 +109,8 @@ RunResult run_static_order_vm(const Network& net, const DerivedTaskGraph& derive
   }
 
   RunResult result;
-  ExecutionState state(net, inputs);
+  ExecutionState state(net, inputs);  // nothing reads the action trace
+  result.trace.reserve(static_cast<std::size_t>(opts.frames) * (n + 2));
 
   // Cross-frame carry-over: completion of the last job per processor and
   // per process (the static-order walk is sequential per processor; jobs
@@ -128,59 +145,57 @@ RunResult run_static_order_vm(const Network& net, const DerivedTaskGraph& derive
       const std::size_t i = node.value();
       const JobId id(i);
       const Job& job = tg.job(id);
+      const JobPlan& jp = plan[i];
       JobRun& run = runs[i];
       run = JobRun{};
 
       // ---- Round step 1: synchronize invocation.
-      if (job.is_server) {
-        const ServerInfo& info = derived.servers.at(job.process);
-        const int t = static_cast<int>((job.k - 1) % info.burst) + 1;
-        const Time boundary = subset_boundary(info, frame, job.subset, h);
-        const ServerWindow window = server_window(info, boundary);
-        const auto inv_it = invocations.find(job.process);
+      if (jp.server != nullptr) {
+        const Time boundary = frame_base + jp.subset_offset;
         const std::optional<Time> tth =
-            inv_it == invocations.end()
+            jp.invocations == nullptr
                 ? std::nullopt
-                : tth_invocation_in(inv_it->second, window, t);
+                : tth_invocation_in(*jp.invocations, server_window(*jp.server, boundary),
+                                    jp.burst_rank);
         if (!tth.has_value()) {
           // Marked 'false' at its arrival time A_i (== boundary); the
           // round completes as soon as the processor reaches it and the
           // boundary has passed.
           run.is_false = true;
           Time ready = boundary;
-          if (plan[i].prev_on_proc.has_value()) {
-            ready = std::max(ready, runs[plan[i].prev_on_proc->value()].end);
+          if (jp.prev_on_proc.has_value()) {
+            ready = std::max(ready, runs[jp.prev_on_proc->value()].end);
           }
-          if (frame > 0 && !plan[i].prev_on_proc.has_value()) {
-            ready = std::max(ready, proc_carry[plan[i].proc]);
+          if (frame > 0 && !jp.prev_on_proc.has_value()) {
+            ready = std::max(ready, proc_carry[jp.proc]);
           }
           run.invocation = boundary;
           run.start = ready;
           run.end = ready;
           result.trace.add(TraceEvent{TraceEventKind::kFalseSkip, frame,
-                                      ProcessorId(plan[i].proc), job.name, ready,
+                                      ProcessorId(jp.proc), job.name, ready,
                                       std::nullopt});
           ++result.false_skips;
           continue;
         }
         run.invocation = *tth;  // may precede the subset boundary
       } else {
-        run.invocation = frame_base + (job.arrival - Time());
+        run.invocation = frame_base + jp.arrival;
       }
 
       // ---- Round steps 1+2: the start waits for the invocation, the
       // previous round on this processor, all predecessors, the frame
       // overhead release, and (cross-frame) earlier jobs of this process.
       Time start = std::max(run.invocation, frame_release);
-      if (plan[i].prev_on_proc.has_value()) {
-        start = std::max(start, runs[plan[i].prev_on_proc->value()].end);
+      if (jp.prev_on_proc.has_value()) {
+        start = std::max(start, runs[jp.prev_on_proc->value()].end);
       } else if (frame > 0) {
-        start = std::max(start, proc_carry[plan[i].proc]);
+        start = std::max(start, proc_carry[jp.proc]);
       }
       for (const JobId pred : tg.predecessors(id)) {
         start = std::max(start, runs[pred.value()].end);
       }
-      if (!plan[i].prev_of_process.has_value()) {
+      if (!jp.prev_of_process.has_value()) {
         start = std::max(start, process_carry[job.process.value()]);
       }
 
@@ -194,14 +209,13 @@ RunResult run_static_order_vm(const Network& net, const DerivedTaskGraph& derive
       run.start = start;
       run.end = start + exec;
       executed.push_back(Executed{start, frame, id, run.invocation});
-      result.trace.add(TraceEvent{TraceEventKind::kJobRun, frame,
-                                  ProcessorId(plan[i].proc), job.name, run.start,
-                                  run.end});
-      const Time abs_deadline = frame_base + (job.deadline - Time());
+      result.trace.add(TraceEvent{TraceEventKind::kJobRun, frame, ProcessorId(jp.proc),
+                                  job.name, run.start, run.end});
+      const Time abs_deadline = frame_base + jp.deadline;
       if (run.end > abs_deadline) {
         result.misses.push_back(DeadlineMiss{frame, id, run.end, abs_deadline});
         result.trace.add(TraceEvent{TraceEventKind::kDeadlineMiss, frame,
-                                    ProcessorId(plan[i].proc), job.name, run.end,
+                                    ProcessorId(jp.proc), job.name, run.end,
                                     std::nullopt});
       }
       ++result.jobs_executed;
@@ -240,7 +254,7 @@ RunResult run_static_order_vm(const Network& net, const DerivedTaskGraph& derive
     state.run_job(tg.job(e.id).process, e.invocation);
   }
 
-  result.histories = state.histories();
+  result.histories = std::move(state).histories();
   result.span_end = result.trace.span_end();
   return result;
 }

@@ -35,6 +35,7 @@ struct TraceEvent {
 class TimedTrace {
  public:
   void add(TraceEvent e) { events_.push_back(std::move(e)); }
+  void reserve(std::size_t events) { events_.reserve(events); }
 
   [[nodiscard]] const std::vector<TraceEvent>& events() const noexcept {
     return events_;

@@ -128,10 +128,11 @@ TEST(ExecutionState, TraceRecordsActions) {
   const Fixture f = Fixture::make();
   InputScripts in;
   in.emplace(f.in, std::vector<Value>{Value{std::int64_t{7}}});
-  ExecutionState s(f.net, in);
+  ActionTrace trace;
+  ExecutionState s(f.net, in, &trace);
   s.advance_time(Time::ms(0));
   s.run_job(f.writer, Time::ms(0));
-  const auto& actions = s.trace().actions();
+  const auto& actions = trace.actions();
   // w(0), JobStart, Read, Write, JobEnd.
   ASSERT_EQ(actions.size(), 5u);
   EXPECT_TRUE(std::holds_alternative<WaitAction>(actions[0]));
@@ -139,8 +140,41 @@ TEST(ExecutionState, TraceRecordsActions) {
   EXPECT_TRUE(std::holds_alternative<ReadAction>(actions[2]));
   EXPECT_TRUE(std::holds_alternative<WriteAction>(actions[3]));
   EXPECT_TRUE(std::holds_alternative<JobEndAction>(actions[4]));
-  const std::string rendered = trace_to_string(s.trace(), f.net, false);
+  const std::string rendered = trace_to_string(trace, f.net, false);
   EXPECT_NE(rendered.find("W[1]:read(in)=7"), std::string::npos);
+}
+
+TEST(ExecutionState, NoSinkRecordsNothingButKeepsHistories) {
+  const Fixture f = Fixture::make();
+  InputScripts in;
+  in.emplace(f.in, std::vector<Value>{Value{std::int64_t{7}}});
+  ActionTrace traced;
+  ExecutionState with_sink(f.net, in, &traced);
+  ExecutionState without_sink(f.net, in);
+  for (ExecutionState* s : {&with_sink, &without_sink}) {
+    s->advance_time(Time::ms(0));
+    s->run_job(f.writer, Time::ms(0));
+  }
+  EXPECT_EQ(traced.size(), 5u);
+  EXPECT_TRUE(without_sink.histories().functionally_equal(with_sink.histories()));
+  // Time monotonicity is checked with or without a sink.
+  EXPECT_THROW(without_sink.advance_time(Time::ms(-1)), std::logic_error);
+}
+
+TEST(ExecutionState, MovedHistoriesEqualTheSnapshot) {
+  const Fixture f = Fixture::make();
+  InputScripts in;
+  in.emplace(f.in, std::vector<Value>{Value{std::int64_t{7}}, Value{std::int64_t{8}}});
+  ExecutionState s(f.net, in);
+  s.run_job(f.writer, Time::ms(0));
+  s.run_job(f.reader, Time::ms(0));
+  s.run_job(f.writer, Time::ms(100));
+  const ExecutionHistories snapshot = s.histories();
+  const ExecutionHistories moved = std::move(s).histories();
+  EXPECT_EQ(moved.channel_writes, snapshot.channel_writes);
+  EXPECT_EQ(moved.output_samples, snapshot.output_samples);
+  EXPECT_FALSE(moved.channel_writes.empty());
+  EXPECT_FALSE(moved.output_samples.empty());
 }
 
 TEST(ExecutionState, BehaviorStateIsFreshPerExecution) {

@@ -5,6 +5,8 @@
 #include <limits>
 #include <unordered_set>
 
+#include "gen/rng.hpp"
+
 namespace fppn {
 namespace {
 
@@ -155,9 +157,200 @@ TEST(Rational, OverflowDetected) {
   EXPECT_THROW(big + big, RationalError);
 }
 
+// The integer fast path and the general path report an overflow with
+// the same text.
+TEST(Rational, FastAndGeneralPathsThrowTheSameText) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const auto what = [](const auto& op) -> std::string {
+    try {
+      (void)op();
+    } catch (const RationalError& e) {
+      return e.what();
+    }
+    return "no throw";
+  };
+  EXPECT_EQ(what([&] { return Rational(kMax) + Rational(1); }),
+            "rational arithmetic overflow in addition");
+  EXPECT_EQ(what([&] { return Rational(kMax, 3) + Rational(kMax, 3); }),
+            "rational arithmetic overflow in addition");
+  EXPECT_EQ(what([&] { return Rational(-kMax) - Rational(2); }),
+            "rational arithmetic overflow in subtraction");
+  EXPECT_EQ(what([&] { return Rational(-kMax, 3) - Rational(kMax, 3); }),
+            "rational arithmetic overflow in subtraction");
+  EXPECT_EQ(what([&] { return Rational(kMax) * Rational(2); }),
+            "rational arithmetic overflow in multiplication");
+  EXPECT_EQ(what([&] { return Rational(kMax, 3) * Rational(2, 5); }),
+            "rational arithmetic overflow in multiplication");
+}
+
 TEST(Rational, UnaryMinus) {
   EXPECT_EQ(-Rational(3, 7), Rational(-3, 7));
   EXPECT_EQ(-Rational(0), Rational(0));
+}
+
+// -INT64_MIN does not fit in int64: every negation throws instead of
+// wrapping (signed overflow is undefined behaviour).
+TEST(Rational, NegatingInt64MinThrows) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_THROW((void)-Rational(kMin), RationalError);
+  EXPECT_THROW((void)-Rational(kMin, 3), RationalError);
+  EXPECT_EQ(-Rational(kMin + 1), Rational(kMax));
+  // A negative denominator is normalized by negating both fields.
+  EXPECT_THROW(Rational(1, kMin), RationalError);
+  EXPECT_THROW(Rational(kMin, -1), RationalError);
+  EXPECT_EQ(Rational(kMin, 2), Rational(kMin / 2));
+  EXPECT_EQ(Rational(-1, kMin + 1), Rational(1, kMax));
+  // Division inverts the divisor, so it negates a negative one.
+  EXPECT_THROW((void)(Rational(1) / Rational(kMin)), RationalError);
+  try {
+    (void)-Rational(kMin);
+    ADD_FAILURE() << "no throw";
+  } catch (const RationalError& e) {
+    EXPECT_STREQ(e.what(), "rational arithmetic overflow in negation");
+  }
+}
+
+TEST(Rational, AbsOfInt64MinThrows) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_THROW((void)Rational::abs(Rational(kMin)), RationalError);
+  EXPECT_THROW((void)Rational::abs(Rational(kMin, 5)), RationalError);
+  EXPECT_EQ(Rational::abs(Rational(kMin + 1)), Rational(kMax));
+  EXPECT_EQ(Rational::abs(Rational(kMax)), Rational(kMax));
+  EXPECT_EQ(Rational::abs(Rational(kMin + 1, 7)), Rational(kMax, 7));
+}
+
+// Subtraction is exact where the difference fits, even when the
+// subtrahend's numerator is INT64_MIN (it is not computed as a + (-b)).
+TEST(Rational, SubtractingInt64MinIsExact) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(Rational(-1) - Rational(kMin), Rational(kMax));
+  EXPECT_EQ(Rational(kMin) - Rational(kMin), Rational(0));
+  EXPECT_EQ(Rational(-1, 3) - Rational(kMin, 3), Rational(kMax, 3));
+  EXPECT_THROW((void)(Rational(0) - Rational(kMin)), RationalError);
+}
+
+// Property: on seeded pairs, including values within a few units of
+// +-2^63 and of the +-2^31/2^32 multiplication edge, +, -, * and < agree
+// with a 128-bit oracle. Integer pairs throw RationalError exactly when
+// the result leaves int64. Pairs with one integral and one fractional
+// operand take the general path: a result that leaves int64 throws, and
+// any result returned is exact — only an intermediate cross product that
+// leaves int64 may make it throw early.
+class Oracle {
+ public:
+  /// Reduced num/den of an exact 128-bit fraction (den != 0).
+  Oracle(__int128 num, __int128 den) {
+    if (den < 0) {
+      num = -num;
+      den = -den;
+    }
+    const __int128 g = gcd(num < 0 ? -num : num, den);
+    num_ = num / g;
+    den_ = den / g;
+  }
+
+  [[nodiscard]] bool fits() const {
+    constexpr __int128 kMin = std::numeric_limits<std::int64_t>::min();
+    constexpr __int128 kMax = std::numeric_limits<std::int64_t>::max();
+    return num_ >= kMin && num_ <= kMax && den_ <= kMax;
+  }
+
+  [[nodiscard]] bool equals(const Rational& r) const {
+    return r.num() == num_ && r.den() == den_;
+  }
+
+ private:
+  static __int128 gcd(__int128 a, __int128 b) {
+    while (b != 0) {
+      const __int128 t = a % b;
+      a = b;
+      b = t;
+    }
+    return a == 0 ? 1 : a;
+  }
+
+  __int128 num_;
+  __int128 den_;
+};
+
+std::int64_t draw_near_edges(gen::Rng& rng) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::int64_t off = rng.range(0, 64);
+  switch (rng.range(0, 6)) {
+    case 0:
+      return rng.range(-1000, 1000);
+    case 1:
+      return kMax - off;
+    case 2:
+      return kMin + off;
+    case 3:
+      return (rng.chance(1, 2) ? 1 : -1) * ((std::int64_t{1} << 31) + off - 32);
+    case 4:
+      return (rng.chance(1, 2) ? 1 : -1) * ((std::int64_t{1} << 32) + off - 32);
+    case 5:
+      return rng.range(1 - (std::int64_t{1} << 62), (std::int64_t{1} << 62) - 1);
+    default:
+      return static_cast<std::int64_t>(rng.next());
+  }
+}
+
+enum class Throws : bool { kOnlyWhenResultOverflows, kAlsoOnIntermediates };
+
+template <typename Op>
+void expect_matches_oracle(const Rational& a, const Rational& b, const Op& op,
+                           const Oracle& expected, const char* name, Throws throws) {
+  if (expected.fits()) {
+    try {
+      const Rational got = op(a, b);
+      EXPECT_TRUE(expected.equals(got)) << a << " " << name << " " << b << " = " << got;
+    } catch (const RationalError& e) {
+      if (throws == Throws::kOnlyWhenResultOverflows) {
+        ADD_FAILURE() << a << " " << name << " " << b << " threw: " << e.what();
+      }
+    }
+  } else {
+    EXPECT_THROW((void)op(a, b), RationalError) << a << " " << name << " " << b;
+  }
+}
+
+void check_pair(const Rational& a, const Rational& b, Throws throws) {
+  const __int128 an = a.num();
+  const __int128 ad = a.den();
+  const __int128 bn = b.num();
+  const __int128 bd = b.den();
+  expect_matches_oracle(
+      a, b, [](Rational x, const Rational& y) { return x += y; },
+      Oracle(an * bd + bn * ad, ad * bd), "+", throws);
+  expect_matches_oracle(
+      a, b, [](Rational x, const Rational& y) { return x -= y; },
+      Oracle(an * bd - bn * ad, ad * bd), "-", throws);
+  expect_matches_oracle(
+      a, b, [](Rational x, const Rational& y) { return x *= y; },
+      Oracle(an * bn, ad * bd), "*", throws);
+  EXPECT_EQ(a < b, an * bd < bn * ad) << a << " < " << b;
+  EXPECT_EQ(b < a, bn * ad < an * bd) << b << " < " << a;
+}
+
+TEST(Rational, IntegerPairsMatchInt128Oracle) {
+  gen::Rng rng(0x5eed1234);
+  for (int i = 0; i < 20000; ++i) {
+    check_pair(Rational(draw_near_edges(rng)), Rational(draw_near_edges(rng)),
+               Throws::kOnlyWhenResultOverflows);
+  }
+}
+
+TEST(Rational, MixedIntegerAndFractionStayExact) {
+  gen::Rng rng(0xfac7);
+  for (int i = 0; i < 20000; ++i) {
+    const Rational integer(draw_near_edges(rng));
+    const Rational fraction(draw_near_edges(rng), rng.range(2, 1000));
+    check_pair(integer, fraction, Throws::kAlsoOnIntermediates);
+    check_pair(fraction, integer, Throws::kAlsoOnIntermediates);
+  }
 }
 
 }  // namespace
