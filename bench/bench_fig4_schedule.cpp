@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "apps/fig1.hpp"
-#include "sched/parallel_search.hpp"
+#include "engine/engine.hpp"
 #include "sched/registry.hpp"
 #include "taskgraph/derivation.hpp"
 
@@ -19,7 +19,9 @@ void print_report() {
 
   std::printf("=== Fig. 4: static schedule for the Fig. 3 task graph ===\n");
   for (const std::int64_t m : {1, 2, 3}) {
-    const auto result = sched::quick_parallel_search(derived.graph, m);
+    engine::SearchConfig config;
+    config.processors = m;
+    const auto result = engine::solve_graph(derived.graph, config).search;
     std::printf("\nM = %lld: %s (strategy %s, makespan %s ms)\n",
                 static_cast<long long>(m),
                 result.best.feasible ? "FEASIBLE" : "infeasible",
@@ -65,8 +67,10 @@ BENCHMARK(BM_FeasibilityCheck);
 void BM_ParallelSearchFig3(benchmark::State& state) {
   const auto app = apps::build_fig1();
   const auto derived = derive_task_graph(app.net, app.fig3_wcets());
+  engine::SearchConfig config;
+  config.processors = 2;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sched::quick_parallel_search(derived.graph, 2).best.makespan);
+    benchmark::DoNotOptimize(engine::solve_graph(derived.graph, config).search.best.makespan);
   }
 }
 BENCHMARK(BM_ParallelSearchFig3)->Unit(benchmark::kMillisecond);

@@ -7,8 +7,8 @@
 #include <cstdio>
 
 #include "apps/fft.hpp"
+#include "engine/engine.hpp"
 #include "runtime/runtime.hpp"
-#include "sched/parallel_search.hpp"
 #include "sim/gantt.hpp"
 #include "taskgraph/analysis.hpp"
 #include "taskgraph/derivation.hpp"
@@ -67,7 +67,9 @@ void print_report() {
   std::printf("%-6s %-10s %-12s %-14s %s\n", "procs", "feasible?", "misses/4fr",
               "overhead", "summary");
   for (const std::int64_t m : {1, 2, 3}) {
-    const sched::StrategyResult attempt = sched::quick_parallel_search(derived.graph, m).best;
+    engine::SearchConfig config;
+    config.processors = m;
+    const sched::StrategyResult attempt = engine::solve_graph(derived.graph, config).search.best;
     runtime::RunOptions opts;
     opts.frames = kFrames;
     opts.overhead = OverheadModel::mppa_measured();
@@ -91,7 +93,9 @@ void print_report() {
 void BM_VmRunFft(benchmark::State& state) {
   const auto app = apps::build_fft(8);
   const auto derived = derive_fft(app);
-  const auto attempt = sched::quick_parallel_search(derived.graph, state.range(0)).best;
+  engine::SearchConfig config;
+  config.processors = state.range(0);
+  const auto attempt = engine::solve_graph(derived.graph, config).search.best;
   const InputScripts inputs = fft_inputs(app);
   const auto vm = runtime::make_runtime("vm");
   runtime::RunOptions opts;

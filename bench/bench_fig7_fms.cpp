@@ -6,8 +6,8 @@
 #include <cstdio>
 
 #include "apps/fms.hpp"
+#include "engine/engine.hpp"
 #include "runtime/runtime.hpp"
-#include "sched/parallel_search.hpp"
 #include "sched/registry.hpp"
 #include "taskgraph/analysis.hpp"
 #include "taskgraph/derivation.hpp"
@@ -39,8 +39,12 @@ void print_report() {
               "misses/1fr", "summary");
   const auto scripts = app.random_commands(Time::ms(9000), /*seed=*/17);
   const InputScripts inputs = app.make_inputs(55, /*seed=*/17);
+  engine::SearchConfig config;
+  config.max_iterations = 200;
+  config.restarts = 0;
   for (const std::int64_t m : {1, 2, 3, 4}) {
-    const sched::StrategyResult attempt = sched::quick_parallel_search(derived.graph, m, 200, 0).best;
+    config.processors = m;
+    const sched::StrategyResult attempt = engine::solve_graph(derived.graph, config).search.best;
     runtime::RunOptions opts;
     opts.frames = 1;
     const RunResult run = runtime::make_runtime("vm")->run(
@@ -79,7 +83,11 @@ BENCHMARK(BM_FmsListSchedule)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisec
 void BM_FmsVmOneFrame(benchmark::State& state) {
   const auto app = apps::build_fms();
   const auto derived = derive_task_graph(app.net, app.default_wcets());
-  const auto attempt = sched::quick_parallel_search(derived.graph, state.range(0), 200, 0).best;
+  engine::SearchConfig config;
+  config.processors = state.range(0);
+  config.max_iterations = 200;
+  config.restarts = 0;
+  const auto attempt = engine::solve_graph(derived.graph, config).search.best;
   const auto scripts = app.random_commands(Time::ms(9000), 17);
   const InputScripts inputs = app.make_inputs(55, 17);
   const auto vm = runtime::make_runtime("vm");

@@ -7,10 +7,9 @@
 //      kernel's per-processor ready heaps (O((n+E) log n)) against the
 //      reference O(n^2) ready rescan, with score AND placement equality
 //      checked side by side (exit 1 on any divergence);
-//   2. PartitionedScheduler reuse vs. per-call partition_and_schedule —
-//      what "partitioned-wfd" saves by computing the WFD assignment and
-//      compiling the constrained evaluator once per graph instead of once
-//      per seed.
+//   2. one reused partition-constrained Evaluator vs. a fresh WFD
+//      assignment and Evaluator per call — what "partitioned-wfd" saves
+//      by building both once per graph instead of once per seed.
 //
 // Emits BENCH_partitioned.json (bench_json.hpp). `--smoke` runs the
 // report + equality checks only, skipping the google-benchmark loops.
@@ -23,6 +22,7 @@
 
 #include "bench_graphs.hpp"
 #include "bench_json.hpp"
+#include "sched/evaluator.hpp"
 #include "sched/partitioned.hpp"
 #include "sched/priorities.hpp"
 #include "testing/list_scheduler.hpp"
@@ -83,23 +83,23 @@ bool print_kernel_report(benchjson::Report& report) {
   std::printf("=== partition kernel vs reference rescan, %zu jobs, M=%lld ===\n\n",
               n, static_cast<long long>(kProcessors));
 
-  PartitionedScheduler kernel(tg, kProcesses, kProcessors);
+  const std::vector<ProcessorId> assignment = wfd_assignment(tg, kProcesses, kProcessors);
+  sched::Evaluator kernel(tg, kProcessors, assignment);
   const auto reference_schedule = [&](const std::vector<JobId>& order) {
-    return testing::partitioned_list_schedule(tg, kernel.assignment(), order,
-                                              kProcessors);
+    return testing::partitioned_list_schedule(tg, assignment, order, kProcessors);
   };
 
   // Equality first: every order's schedule, placement by placement.
   bool agree = true;
   for (const std::vector<JobId>& order : orders) {
-    const StaticSchedule fast = kernel.schedule_order(order);
+    const StaticSchedule fast = kernel.materialize(order);
     const StaticSchedule slow = reference_schedule(order);
     const sched::EvalScore fast_score = score_of(tg, fast);
     const sched::EvalScore slow_score = score_of(tg, slow);
     agree = agree && placements_equal(fast, slow) &&
             fast_score.makespan == slow_score.makespan &&
             fast_score.deadline_violations == slow_score.deadline_violations &&
-            kernel.evaluate_order(order).makespan == fast_score.makespan;
+            kernel.evaluate(order).makespan == fast_score.makespan;
   }
 
   using Clock = std::chrono::steady_clock;
@@ -118,7 +118,7 @@ bool print_kernel_report(benchjson::Report& report) {
   // Score-only on the kernel (what the strategy's search loop does) vs.
   // the reference path, which has no score-only mode and must materialize.
   const double kernel_rate = rate_of([&](const std::vector<JobId>& order) {
-    return kernel.evaluate_order(order).deadline_violations;
+    return kernel.evaluate(order).deadline_violations;
   });
   const double reference_rate = rate_of([&](const std::vector<JobId>& order) {
     return score_of(tg, reference_schedule(order)).deadline_violations;
@@ -146,15 +146,15 @@ bool print_kernel_report(benchjson::Report& report) {
   return agree && speedup >= 3.0;
 }
 
-/// PartitionedScheduler reuse vs. fresh-per-round construction: the
-/// per-seed setup cost (WFD assignment + constrained-evaluator compile)
-/// the reusable scratch amortizes away — what "partitioned-wfd" saves by
-/// keeping one scheduler per graph across parallel_search seeds. Returns
+/// One reused partition-constrained Evaluator vs. fresh-per-round
+/// construction: the per-seed setup cost (WFD assignment + constrained-
+/// evaluator compile) that reuse amortizes away — what "partitioned-wfd"
+/// saves by keeping one evaluator per graph across parallel_search seeds. Returns
 /// false on any score divergence between the two paths (no speedup floor
 /// — the ratio is a setup:work balance, not a kernel property).
 bool print_reuse_report(benchjson::Report& report) {
   const TaskGraph tg = periodic_pipeline_graph(kProcesses, kFrames, kPeriod, 7);
-  std::printf("=== scheduler reuse vs per-call setup, %zu jobs ===\n\n",
+  std::printf("=== evaluator reuse vs per-call setup, %zu jobs ===\n\n",
               tg.job_count());
 
   const std::vector<std::vector<JobId>> orders = heuristic_orders(tg);
@@ -162,25 +162,23 @@ bool print_reuse_report(benchjson::Report& report) {
   using Clock = std::chrono::steady_clock;
 
   bool agree = true;
-  // Per-call: a fresh scheduler every round — WFD assignment + evaluator
+  // Per-call: a fresh evaluator every round — WFD assignment + evaluator
   // compile paid per seed, which is what partition_and_schedule does.
   const auto fresh_begin = Clock::now();
   std::size_t fresh_checksum = 0;
   for (std::size_t k = 0; k < kRounds; ++k) {
-    PartitionedScheduler fresh(tg, kProcesses, kProcessors);
-    fresh_checksum +=
-        fresh.evaluate_order(orders[k % orders.size()]).deadline_violations;
+    sched::Evaluator fresh(tg, kProcessors, wfd_assignment(tg, kProcesses, kProcessors));
+    fresh_checksum += fresh.evaluate(orders[k % orders.size()]).deadline_violations;
   }
   const double fresh_seconds =
       std::chrono::duration<double>(Clock::now() - fresh_begin).count();
 
-  // Reuse: one scheduler, score-only per round (the strategy's loop).
+  // Reuse: one evaluator, score-only per round (the strategy's loop).
   const auto reuse_begin = Clock::now();
-  PartitionedScheduler scheduler(tg, kProcesses, kProcessors);
+  sched::Evaluator kernel(tg, kProcessors, wfd_assignment(tg, kProcesses, kProcessors));
   std::size_t reuse_checksum = 0;
   for (std::size_t k = 0; k < kRounds; ++k) {
-    reuse_checksum +=
-        scheduler.evaluate_order(orders[k % orders.size()]).deadline_violations;
+    reuse_checksum += kernel.evaluate(orders[k % orders.size()]).deadline_violations;
   }
   const double reuse_seconds =
       std::chrono::duration<double>(Clock::now() - reuse_begin).count();
@@ -208,12 +206,13 @@ bool print_reuse_report(benchjson::Report& report) {
 void BM_PartitionKernel(benchmark::State& state) {
   const TaskGraph tg = periodic_pipeline_graph(
       static_cast<int>(state.range(0)), kFrames, kPeriod, 7);
-  PartitionedScheduler scheduler(tg, static_cast<std::size_t>(state.range(0)),
-                                 kProcessors);
+  sched::Evaluator kernel(
+      tg, kProcessors,
+      wfd_assignment(tg, static_cast<std::size_t>(state.range(0)), kProcessors));
   const std::vector<JobId> order =
       schedule_priority(tg, PriorityHeuristic::kAlapEdf);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(scheduler.evaluate_order(order).deadline_violations);
+    benchmark::DoNotOptimize(kernel.evaluate(order).deadline_violations);
   }
   state.SetLabel(std::to_string(tg.job_count()) + " jobs");
 }
@@ -240,8 +239,8 @@ BENCHMARK(BM_PartitionReference)->Arg(8)->Arg(16);
 int main(int argc, char** argv) {
   std::printf(
       "partitioned scheduling: the evaluator's partition-constrained\n"
-      "kernel vs the reference rescan, and what the reusable scheduler\n"
-      "scratch saves over per-call setup.\n\n");
+      "kernel vs the reference rescan, and what reusing one evaluator\n"
+      "saves over per-call setup.\n\n");
   benchjson::Report report("partitioned");
   const bool kernel_ok = print_kernel_report(report);
   const bool reuse_ok = print_reuse_report(report);

@@ -5,8 +5,8 @@
 #include <cstdio>
 
 #include "apps/fms.hpp"
+#include "engine/engine.hpp"
 #include "runtime/runtime.hpp"
-#include "sched/parallel_search.hpp"
 #include "taskgraph/analysis.hpp"
 #include "taskgraph/derivation.hpp"
 
@@ -26,7 +26,13 @@ int main() {
               derived.graph.job_count(), derived.graph.edge_count(),
               load.load_value());
 
-  const sched::StrategyResult attempt = sched::quick_parallel_search(derived.graph, 1, 200, 0).best;
+  // The quick search preset with a smaller iteration budget and no
+  // restarts: the 812-job graph fits one processor with room to spare.
+  engine::SearchConfig config;
+  config.processors = 1;
+  config.max_iterations = 200;
+  config.restarts = 0;
+  const sched::StrategyResult attempt = engine::solve_graph(derived.graph, config).search.best;
   std::printf("single-processor schedule: %s, makespan %s ms\n",
               attempt.feasible ? "feasible" : "INFEASIBLE",
               attempt.makespan.to_string().c_str());
@@ -60,7 +66,8 @@ int main() {
               value_to_string(fuel.back().value).c_str());
 
   // Determinism: re-run on two processors and compare histories.
-  const sched::StrategyResult two = sched::quick_parallel_search(derived.graph, 2, 200, 0).best;
+  config.processors = 2;
+  const sched::StrategyResult two = engine::solve_graph(derived.graph, config).search.best;
   const RunResult run2 =
       vm->run(app.net, derived, two.schedule, opts, inputs, commands);
   std::printf("\n2-processor run functionally equal to 1-processor run: %s\n",

@@ -58,13 +58,23 @@
 //   produces — regression-proved move-by-move by the incremental
 //   differential suite in tests/evaluator_test.cpp.
 //
-// Partition-constrained mode (the "partitioned-wfd" strategy): the
-// three-argument constructor pins every job to one processor (its
-// process's assigned bin). The simulation then keeps one rank-keyed ready
-// heap per processor and starts, at every instant, the globally
-// lowest-rank job whose own processor is free — bit-identical to the
-// reference testing::partitioned_list_schedule rescan. Checkpoints are a
-// global-mode feature; partition mode supports evaluate()/materialize().
+// Partition-constrained mode (the "partitioned-wfd" strategy, the §V
+// static mapping mu_i): the three-argument constructor pins every job to
+// one processor (its process's assigned bin). The simulation then keeps
+// one rank-keyed ready heap per processor and starts, at every instant,
+// the globally lowest-rank job whose own processor is free — bit-identical
+// to the reference testing::partitioned_list_schedule rescan. Checkpoints
+// are a global-mode feature; partition mode supports
+// evaluate()/materialize().
+//
+// One simulation loop serves every entry point. evaluate, materialize,
+// evaluate_baseline and evaluate_move each run their own instantiation
+// of one templated simulation (pass x partition mode x timebase). The
+// passes differ only at compile-time branches (recording placements,
+// recording decision logs and checkpoints, resuming and splicing), and
+// partition mode only in how a ready job is queued, how a processor is
+// taken and released, and how the next start is picked. No mode flag is
+// tested inside the loop.
 //
 // Determinism contract: for any valid SP order, evaluate()/materialize()
 // produce the bit-identical score and placements the reference
@@ -150,14 +160,6 @@ struct EvalCheckpoint {
   std::vector<std::uint32_t> free_procs;
 };
 
-/// std::type_identity backport: keeps the checkpoint-store parameter of
-/// Evaluator::run out of template deduction so call sites can pass
-/// nullptr.
-template <class T>
-struct type_identity {
-  using type = T;
-};
-
 /// The checkpoint store for one timebase. `ck` slots are preallocated and
 /// reused across baselines — allocation-free in steady state.
 template <class T>
@@ -165,8 +167,6 @@ struct BaselineStore {
   bool valid = false;
   std::size_t stride = 0;
   std::size_t count = 0;
-  std::size_t total_violations = 0;
-  T total_makespan{};
   std::vector<EvalCheckpoint<T>> ck;
   std::vector<T> finish_log;  ///< finish time of the k-th started job
   // Per-start decision logs, used to compute the exact first pop a move
@@ -175,6 +175,20 @@ struct BaselineStore {
   std::vector<std::uint32_t> second_rank;     ///< next-best ready rank at pop k
   std::vector<std::uint32_t> entry_idx;       ///< pop count when job became ready
   std::vector<std::uint32_t> start_idx;       ///< pop index that started job
+};
+
+/// The simulation scratch of one timebase (int64 ticks or exact Time):
+/// readiness times, the (time, index) event heaps, materialized starts,
+/// the confluence-compare scratch and the checkpoint store. Only the
+/// lane of the graph's active timebase is sized.
+template <class T>
+struct Lane {
+  std::vector<T> ready_at;
+  std::vector<std::pair<T, std::uint32_t>> busy;     ///< (free time, processor)
+  std::vector<std::pair<T, std::uint32_t>> pending;  ///< (ready time, job)
+  std::vector<T> start;
+  std::vector<std::pair<T, std::uint32_t>> cmp_pairs;
+  BaselineStore<T> base;
 };
 
 }  // namespace eval_detail
@@ -248,6 +262,12 @@ class Evaluator {
   [[nodiscard]] std::int64_t processor_count() const noexcept { return processors_; }
 
  private:
+  /// What one simulation pass does besides scoring: kMaterialize records
+  /// starts and processors, kBaseline records decision logs and
+  /// checkpoints, kMove resumes from a checkpoint and probes for
+  /// confluence. Each pass is its own instantiation of simulate().
+  enum class Pass : std::uint8_t { kScore, kMaterialize, kBaseline, kMove };
+
   void init_scratch();
   void reserve_checkpoints();
   void load_rank(const std::vector<JobId>& priority);
@@ -258,44 +278,26 @@ class Evaluator {
   void load_rank_for_move(const std::vector<JobId>& priority, std::size_t lo,
                           std::size_t hi, MoveKind kind);
 
-  template <class T>
-  void finalize_baseline(eval_detail::BaselineStore<T>& base, std::size_t violations,
-                         const T& makespan);
+  /// Calls f(lane, arrival, deadline, wcet) on the active timebase.
+  template <class F>
+  decltype(auto) on_timebase(F&& f);
 
-  // Timebase-keyed scratch selection for the confluence compare.
-  std::vector<std::pair<std::int64_t, std::uint32_t>>& pair_scratch(std::int64_t) {
-    return cmp_pairs_tick_;
-  }
-  std::vector<std::pair<Time, std::uint32_t>>& pair_scratch(const Time&) {
-    return cmp_pairs_time_;
-  }
+  /// Runs pass P on the active timebase, in partition mode when the
+  /// evaluator is partition-constrained (kScore and kMaterialize only).
+  template <Pass P>
+  EvalScore run_pass(std::size_t lo = 0, std::size_t hi = 0,
+                     MoveKind kind = MoveKind::kSwap);
 
-  template <class T, class W>
-  std::size_t run(const std::vector<T>& arrival, const std::vector<T>& deadline,
-                  const std::vector<W>& wcet, std::vector<T>& ready_at,
-                  std::vector<std::pair<T, std::uint32_t>>& busy,
-                  std::vector<std::pair<T, std::uint32_t>>& pending,
-                  std::vector<T>& start, T& makespan, bool record,
-                  typename eval_detail::type_identity<eval_detail::BaselineStore<T>>::type* capture);
-
-  template <class T, class W>
-  std::size_t run_partitioned(const std::vector<T>& arrival,
-                              const std::vector<T>& deadline,
-                              const std::vector<W>& wcet, std::vector<T>& ready_at,
-                              std::vector<std::pair<T, std::uint32_t>>& busy,
-                              std::vector<std::pair<T, std::uint32_t>>& pending,
-                              std::vector<T>& start, T& makespan, bool record);
-
-  template <class T, class W>
-  EvalScore run_move(const std::vector<T>& arrival, const std::vector<T>& deadline,
-                     const std::vector<W>& wcet, std::vector<T>& ready_at,
-                     std::vector<std::pair<T, std::uint32_t>>& busy,
-                     std::vector<std::pair<T, std::uint32_t>>& pending,
-                     const eval_detail::BaselineStore<T>& base, std::size_t lo,
-                     std::size_t hi, MoveKind kind);
+  template <Pass P, bool Partitioned, class T, class W>
+  EvalScore simulate(eval_detail::Lane<T>& lane, const std::vector<T>& arrival,
+                     const std::vector<T>& deadline, const std::vector<W>& wcet,
+                     std::size_t lo, std::size_t hi, MoveKind kind);
 
   template <class T>
-  EvalScore finish_score(std::size_t violations, const T& makespan) const;
+  void finalize_baseline(eval_detail::BaselineStore<T>& base, std::size_t violations);
+
+  [[nodiscard]] Time time_of(std::int64_t ticks) const { return cg_.time_from_ticks(ticks); }
+  [[nodiscard]] static const Time& time_of(const Time& t) { return t; }
 
   CompiledTaskGraph cg_;
   std::int64_t processors_ = 1;
@@ -313,24 +315,12 @@ class Evaluator {
   std::vector<std::uint32_t> free_procs_; ///< free processor-index min-heap
   std::vector<std::uint32_t> placed_proc_;
   std::vector<std::uint32_t> cmp_a_, cmp_b_;  ///< confluence-compare scratch
-  std::vector<std::pair<std::int64_t, std::uint32_t>> cmp_pairs_tick_;
-  std::vector<std::pair<Time, std::uint32_t>> cmp_pairs_time_;
   // Partition-mode scratch.
   std::vector<std::uint32_t> job_proc_;       ///< job -> pinned processor
   std::vector<std::vector<std::uint64_t>> proc_ready_;  ///< per-proc ready heaps
   std::vector<std::uint8_t> proc_free_flag_;
-  // Tick timebase scratch.
-  std::vector<std::int64_t> ready_tick_;
-  std::vector<std::pair<std::int64_t, std::uint32_t>> busy_tick_;
-  std::vector<std::pair<std::int64_t, std::uint32_t>> pending_tick_;
-  std::vector<std::int64_t> start_tick_;
-  eval_detail::BaselineStore<std::int64_t> base_tick_;
-  // Rational fallback scratch.
-  std::vector<Time> ready_time_;
-  std::vector<std::pair<Time, std::uint32_t>> busy_time_;
-  std::vector<std::pair<Time, std::uint32_t>> pending_time_;
-  std::vector<Time> start_time_;
-  eval_detail::BaselineStore<Time> base_time_;
+  eval_detail::Lane<std::int64_t> tick_;
+  eval_detail::Lane<Time> time_;
 };
 
 }  // namespace sched

@@ -324,15 +324,5 @@ ParallelSearchResult parallel_search(const TaskGraph& tg,
   return out;
 }
 
-ParallelSearchResult quick_parallel_search(const TaskGraph& tg, std::int64_t processors,
-                                           int max_iterations, int restarts) {
-  ParallelSearchOptions opts;
-  opts.processors = processors;
-  opts.seeds_per_strategy = 1;
-  opts.max_iterations = max_iterations;
-  opts.restarts = restarts;
-  return parallel_search(tg, opts);
-}
-
 }  // namespace sched
 }  // namespace fppn

@@ -186,14 +186,5 @@ void apply_cached_warm_start(const TaskGraph& tg, const ParallelSearchOptions& o
     const TaskGraph& tg, const ParallelSearchOptions& opts = {},
     const StrategyRegistry& registry = StrategyRegistry::global());
 
-/// Small-budget convenience sweep — one seed per strategy, a bounded
-/// iteration budget, no cache — for callers (benches, examples) that just
-/// need a good schedule for M processors quickly. Same determinism,
-/// thread-safety and throw behavior as parallel_search.
-[[nodiscard]] ParallelSearchResult quick_parallel_search(const TaskGraph& tg,
-                                                         std::int64_t processors,
-                                                         int max_iterations = 400,
-                                                         int restarts = 1);
-
 }  // namespace sched
 }  // namespace fppn

@@ -1,8 +1,11 @@
 #include "sched/partitioned.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
+
+#include "sched/evaluator.hpp"
 
 namespace fppn {
 
@@ -16,11 +19,13 @@ std::vector<ProcessorId> wfd_assignment(const TaskGraph& tg,
 
   // Per-process demand: sum of job WCETs (relative to one frame).
   std::vector<Duration> demand(process_count);
+  std::vector<std::uint8_t> has_jobs(process_count, 0);
   for (const Job& j : tg.jobs()) {
     if (j.process.value() >= process_count) {
       throw std::invalid_argument("partitioning: job process id out of range");
     }
     demand[j.process.value()] += j.wcet;
+    has_jobs[j.process.value()] = 1;
   }
   // Worst-fit decreasing on demand (balances the bins).
   std::vector<std::size_t> order(process_count);
@@ -33,7 +38,7 @@ std::vector<ProcessorId> wfd_assignment(const TaskGraph& tg,
   });
   std::vector<Duration> bin(static_cast<std::size_t>(processors));
   for (const std::size_t p : order) {
-    if (demand[p].is_zero()) {
+    if (has_jobs[p] == 0) {
       continue;  // process with no jobs in this frame
     }
     std::size_t lightest = 0;
@@ -58,21 +63,6 @@ PartitionedResult partition_and_schedule(const TaskGraph& tg,
   result.schedule = kernel.materialize(schedule_priority(tg, heuristic));
   result.feasible = result.schedule.count_violations(tg).feasible();
   return result;
-}
-
-PartitionedScheduler::PartitionedScheduler(const TaskGraph& tg,
-                                           std::size_t process_count,
-                                           std::int64_t processors)
-    : processors_(processors),
-      assignment_(wfd_assignment(tg, process_count, processors)),
-      kernel_(tg, processors, assignment_) {}
-
-StaticSchedule PartitionedScheduler::schedule_order(const std::vector<JobId>& priority) {
-  return kernel_.materialize(priority);
-}
-
-sched::EvalScore PartitionedScheduler::evaluate_order(const std::vector<JobId>& priority) {
-  return kernel_.evaluate(priority);
 }
 
 }  // namespace fppn

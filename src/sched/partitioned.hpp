@@ -11,9 +11,11 @@
 //
 // These are the low-level entry points; the engine path is the
 // "partitioned-wfd" SchedulerStrategy registered in the strategy registry
-// (sched/registry.hpp), which wraps PartitionedScheduler and thereby
-// participates in parallel_search, the schedule cache and
-// `fppn_tool --strategy`.
+// (sched/registry.hpp), which participates in parallel_search, the
+// schedule cache and `fppn_tool --strategy`. It computes wfd_assignment
+// once per (graph, processors) and keeps the partition-constrained
+// sched::Evaluator built from it in a per-thread cache, so every seed
+// after the first only schedules a new SP order.
 //
 // Determinism: both functions are pure functions of their arguments — the
 // WFD bin choice and all scheduling ties are broken by index, never by
@@ -23,7 +25,6 @@
 
 #include <vector>
 
-#include "sched/evaluator.hpp"
 #include "sched/priorities.hpp"
 #include "sched/static_schedule.hpp"
 
@@ -39,9 +40,11 @@ struct PartitionedResult {
 
 /// The worst-fit-decreasing processor assignment alone (the partitioning
 /// half of partition_and_schedule): per-process WCET demand, bins chosen
-/// lightest-first with index tie-breaks. Pure function of its arguments —
-/// in particular independent of any SP heuristic or seed, which is what
-/// makes the assignment cacheable across seeds. Throws
+/// lightest-first with index tie-breaks. Every process with at least one
+/// job gets a processor, including one whose jobs all have zero WCET (it
+/// sorts last and adds nothing to its bin). Pure function of its
+/// arguments — in particular independent of any SP heuristic or seed,
+/// which is what makes the assignment cacheable across seeds. Throws
 /// std::invalid_argument when processors < 1 or a job's process id is
 /// >= process_count.
 [[nodiscard]] std::vector<ProcessorId> wfd_assignment(const TaskGraph& tg,
@@ -61,38 +64,5 @@ struct PartitionedResult {
 [[nodiscard]] PartitionedResult partition_and_schedule(
     const TaskGraph& tg, std::size_t process_count, std::int64_t processors,
     PriorityHeuristic heuristic = PriorityHeuristic::kAlapEdf);
-
-/// Reusable partitioned-scheduling scratch: computes the WFD assignment
-/// and compiles the partition-constrained evaluator once, then schedules
-/// any number of SP orders against them. partition_and_schedule re-derives
-/// both on every call — a pure setup cost when only the heuristic varies
-/// (exactly what "partitioned-wfd" does across parallel_search seeds).
-/// An instance retains no reference to the TaskGraph after construction,
-/// so it may outlive it (the strategy keeps one per thread, keyed by
-/// graph fingerprint).
-class PartitionedScheduler {
- public:
-  /// Throws like partition_and_schedule (same conditions, same messages,
-  /// plus the eager no-valid-assignment check of the partition evaluator).
-  PartitionedScheduler(const TaskGraph& tg, std::size_t process_count,
-                       std::int64_t processors);
-
-  [[nodiscard]] const std::vector<ProcessorId>& assignment() const noexcept {
-    return assignment_;
-  }
-  [[nodiscard]] std::int64_t processor_count() const noexcept { return processors_; }
-
-  /// Schedule one SP order under the fixed assignment — bit-identical to
-  /// the testing::partitioned_list_schedule oracle under assignment().
-  [[nodiscard]] StaticSchedule schedule_order(const std::vector<JobId>& priority);
-
-  /// Score one SP order without materializing.
-  [[nodiscard]] sched::EvalScore evaluate_order(const std::vector<JobId>& priority);
-
- private:
-  std::int64_t processors_ = 1;
-  std::vector<ProcessorId> assignment_;
-  sched::Evaluator kernel_;
-};
 
 }  // namespace fppn

@@ -116,23 +116,24 @@ class PartitionedStrategy final : public SchedulerStrategy {
     result.detail = "partitioned WFD pinning, SP heuristic " + to_string(h);
     // parallel_search calls this strategy once per (seed, heuristic) on
     // the same graph; the WFD assignment and the compiled partition
-    // kernel depend only on (graph, processors), so one scratch per
-    // worker thread serves every seed. The scheduler holds no TaskGraph
+    // kernel depend only on (graph, processors), so one kernel per worker
+    // thread serves every seed. The evaluator holds no TaskGraph
     // reference, making the thread-local cache safe across graphs.
-    struct CachedScheduler {
+    struct CachedKernel {
       std::uint64_t fp = 0;
       std::int64_t processors = 0;
-      std::optional<PartitionedScheduler> scheduler;
+      std::optional<Evaluator> kernel;
     };
-    thread_local CachedScheduler cache;
+    thread_local CachedKernel cache;
     const std::uint64_t fp = fingerprint(tg);
-    if (!cache.scheduler.has_value() || cache.fp != fp ||
+    if (!cache.kernel.has_value() || cache.fp != fp ||
         cache.processors != opts.processors) {
-      cache.scheduler.emplace(tg, process_count, opts.processors);
+      cache.kernel.emplace(tg, opts.processors,
+                           wfd_assignment(tg, process_count, opts.processors));
       cache.fp = fp;
       cache.processors = opts.processors;
     }
-    result.schedule = cache.scheduler->schedule_order(schedule_priority(tg, h));
+    result.schedule = cache.kernel->materialize(schedule_priority(tg, h));
     finalize_result(tg, result);
     return result;
   }

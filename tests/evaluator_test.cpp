@@ -663,6 +663,157 @@ TEST(EvaluatorPartition, KernelMatchesNaivePartitionedPipeline) {
 }
 
 // ---------------------------------------------------------------------------
+// Edge-family differential: the generator's adversarial graphs (zero-WCET
+// chains, tie storms, the Rational fallback, trivial shapes) through the
+// incremental and partition paths, against the oracles.
+
+bool has_zero_wcet_job(const TaskGraph& tg) {
+  for (const Job& j : tg.jobs()) {
+    if (j.wcet.is_zero()) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(EvaluatorIncremental, EdgeCaseMovesMatchReferenceOnEveryStride) {
+  std::size_t moves = 0;
+  std::size_t rational_moves = 0;
+  std::size_t zero_wcet_moves = 0;
+  for (std::uint64_t g = 0; g < 80; ++g) {
+    const TaskGraph tg = gen::edge_case_task_graph(g);
+    const std::size_t n = tg.job_count();
+    if (n == 0) {
+      continue;
+    }
+    const std::int64_t processors = 1 + static_cast<std::int64_t>(g % 3);
+    for (const std::size_t stride : {std::size_t{1}, std::size_t{0}, n}) {
+      sched::Evaluator inc(tg, processors);
+      inc.set_checkpoint_stride(stride);
+      std::mt19937_64 rng(g * 409 + stride);
+      std::vector<JobId> current = schedule_priority(tg, PriorityHeuristic::kAlapEdf);
+      sched::EvalScore cur = inc.evaluate_baseline(current);
+      std::uniform_int_distribution<std::size_t> pick(0, n - 1);
+      for (int mv = 0; mv < 15; ++mv) {
+        const std::size_t i = pick(rng);
+        const std::size_t j = pick(rng);
+        const std::size_t lo = std::min(i, j);
+        const std::size_t hi = std::max(i, j);
+        const bool swap_move = mv % 2 == 0;
+        std::vector<JobId> moved = current;
+        apply_move(moved, i, j, swap_move);
+        const sched::EvalScore fast = inc.evaluate_move(
+            moved, lo, hi, swap_move ? sched::MoveKind::kSwap : sched::MoveKind::kRotate);
+        const sched::EvalScore ref = testing::reference_score(tg, moved, processors);
+        const std::string ctx = "edge graph " + std::to_string(g) + " M=" +
+                                std::to_string(processors) + " stride " +
+                                std::to_string(stride) + " move " + std::to_string(mv);
+        ASSERT_EQ(fast.deadline_violations, ref.deadline_violations) << ctx;
+        ASSERT_EQ(fast.makespan, ref.makespan) << ctx;
+        ++moves;
+        rational_moves += inc.uses_ticks() ? 0 : 1;
+        zero_wcet_moves += has_zero_wcet_job(tg) ? 1 : 0;
+        if (fast.better_than(cur)) {
+          current = std::move(moved);
+          cur = inc.evaluate_baseline(current);
+        }
+      }
+    }
+  }
+  EXPECT_GT(moves, 0u);
+  EXPECT_GT(rational_moves, 0u);
+  EXPECT_GT(zero_wcet_moves, 0u);
+}
+
+TEST(EvaluatorPartition, EdgeCaseKernelMatchesPartitionedOracle) {
+  // The assignment is round-robin over the process ids, so zero-WCET
+  // processes are pinned like any other.
+  std::size_t rational_graphs = 0;
+  std::size_t zero_wcet_graphs = 0;
+  for (std::uint64_t g = 0; g < 80; ++g) {
+    const TaskGraph tg = gen::edge_case_task_graph(g);
+    if (tg.job_count() == 0) {
+      continue;
+    }
+    const std::int64_t processors = 1 + static_cast<std::int64_t>(g % 3);
+    std::vector<ProcessorId> assignment;
+    for (const Job& j : tg.jobs()) {
+      while (assignment.size() <= j.process.value()) {
+        assignment.push_back(
+            ProcessorId(assignment.size() % static_cast<std::size_t>(processors)));
+      }
+    }
+    sched::Evaluator kernel(tg, processors, assignment);
+    rational_graphs += kernel.uses_ticks() ? 0 : 1;
+    zero_wcet_graphs += has_zero_wcet_job(tg) ? 1 : 0;
+    std::mt19937_64 rng(g * 131 + 5);
+    const std::string context =
+        "edge graph " + std::to_string(g) + " M=" + std::to_string(processors);
+    for (int k = 0; k < 3; ++k) {
+      const std::vector<JobId> order =
+          k == 0 ? schedule_priority(tg, PriorityHeuristic::kAlapEdf)
+                 : random_permutation(tg.job_count(), rng);
+      const StaticSchedule ref =
+          testing::partitioned_list_schedule(tg, assignment, order, processors);
+      const sched::EvalScore fast = kernel.evaluate(order);
+      EXPECT_EQ(fast.deadline_violations, ref.count_violations(tg).deadline)
+          << context << " order " << k;
+      EXPECT_EQ(fast.makespan, ref.makespan(tg)) << context << " order " << k;
+      expect_identical_placements(kernel.materialize(order), ref,
+                                  context + " order " + std::to_string(k));
+    }
+  }
+  EXPECT_GT(rational_graphs, 0u);
+  EXPECT_GT(zero_wcet_graphs, 0u);
+}
+
+TEST(EvaluatorIncremental, StatsOnAFixedMoveSequenceArePinned) {
+  // How much work the incremental layer does is not part of any score, so
+  // the differential suites cannot see a resume or a splice silently
+  // turning into a full run. These totals were recorded on a fixed move
+  // sequence and must not change unless the resume or splice rule does.
+  sched::EvalStats total;
+  for (std::uint64_t g = 0; g < 40; ++g) {
+    const TaskGraph tg = g % 2 == 0 ? random_task_graph(g + 7000)
+                                    : gen::edge_case_task_graph(g);
+    const std::size_t n = tg.job_count();
+    if (n == 0) {
+      continue;
+    }
+    const std::int64_t processors = 1 + static_cast<std::int64_t>(g % 4);
+    sched::Evaluator inc(tg, processors);
+    std::mt19937_64 rng(g * 8191 + 3);
+    std::vector<JobId> current = schedule_priority(tg, PriorityHeuristic::kAlapEdf);
+    sched::EvalScore cur = inc.evaluate_baseline(current);
+    std::uniform_int_distribution<std::size_t> pick(0, n - 1);
+    for (int mv = 0; mv < 30; ++mv) {
+      const std::size_t i = pick(rng);
+      const std::size_t j = pick(rng);
+      const bool swap_move = (rng() & 1U) == 0U;
+      std::vector<JobId> moved = current;
+      apply_move(moved, i, j, swap_move);
+      const sched::EvalScore s =
+          inc.evaluate_move(moved, std::min(i, j), std::max(i, j),
+                            swap_move ? sched::MoveKind::kSwap : sched::MoveKind::kRotate);
+      if (s.better_than(cur)) {
+        current = std::move(moved);
+        cur = inc.evaluate_baseline(current);
+      }
+    }
+    total.full_evals += inc.stats().full_evals;
+    total.incremental_evals += inc.stats().incremental_evals;
+    total.resumed_evals += inc.stats().resumed_evals;
+    total.spliced_evals += inc.stats().spliced_evals;
+    total.starts_simulated += inc.stats().starts_simulated;
+  }
+  EXPECT_EQ(total.full_evals, 46u);
+  EXPECT_EQ(total.incremental_evals, 1200u);
+  EXPECT_EQ(total.resumed_evals, 814u);
+  EXPECT_EQ(total.spliced_evals, 588u);
+  EXPECT_EQ(total.starts_simulated, 5953u);
+}
+
+// ---------------------------------------------------------------------------
 // Visited-set determinism: memoized scores may change what gets computed,
 // never what gets chosen.
 TEST(EvaluatorSearch, VisitedSetAndIncrementalTogglesPreserveTrajectory) {

@@ -7,7 +7,9 @@
 
 #include "apps/fig1.hpp"
 #include "apps/fms.hpp"
+#include "gen/scenario.hpp"
 #include "runtime/vm_runtime.hpp"
+#include "sched/evaluator.hpp"
 #include "sched/parallel_search.hpp"
 #include "sched/registry.hpp"
 #include "sched/search.hpp"
@@ -186,6 +188,48 @@ TEST(PartitionedStrategy, AssignmentStableAcrossSeeds) {
   }
 }
 
+TEST(Partitioned, ZeroDemandProcessesStillGetAProcessor) {
+  // A process whose jobs all have zero WCET has jobs; only a process with
+  // no jobs may stay unassigned. The generator's zero-WCET chains put
+  // each job in its own process, so about half of them have zero demand.
+  std::size_t zero_demand = 0;
+  for (std::uint64_t g = 0; g < 40; ++g) {
+    const TaskGraph tg = gen::edge_case_task_graph(g);
+    std::size_t process_count = 0;
+    for (const Job& j : tg.jobs()) {
+      process_count = std::max(process_count, j.process.value() + 1);
+    }
+    for (const std::int64_t m : {1, 2, 3}) {
+      const std::vector<ProcessorId> assignment = wfd_assignment(tg, process_count, m);
+      for (const Job& j : tg.jobs()) {
+        EXPECT_TRUE(assignment[j.process.value()].is_valid())
+            << "edge graph " << g << " M=" << m << " job " << j.name;
+        zero_demand += j.wcet.is_zero() && m == 1 ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(zero_demand, 0u);
+}
+
+TEST(PartitionedStrategy, DefaultSearchCompletesOnEdgeCaseGraphs) {
+  // The default search runs partitioned-wfd among every strategy; a
+  // zero-demand process must not make it throw.
+  for (std::uint64_t g = 0; g < 40; ++g) {
+    const TaskGraph tg = gen::edge_case_task_graph(g);
+    if (tg.job_count() == 0) {
+      continue;
+    }
+    sched::ParallelSearchOptions opts;
+    opts.workers = 2;
+    sched::ParallelSearchResult result;
+    EXPECT_NO_THROW(result = sched::parallel_search(tg, opts)) << "edge graph " << g;
+    ASSERT_EQ(result.best.schedule.job_count(), tg.job_count()) << "edge graph " << g;
+    for (std::size_t i = 0; i < tg.job_count(); ++i) {
+      EXPECT_TRUE(result.best.schedule.is_placed(JobId(i))) << "edge graph " << g;
+    }
+  }
+}
+
 TEST(PartitionedStrategy, ParticipatesInParallelSearchByDefault) {
   // With an empty strategy list, the search enumerates the whole registry —
   // restricting it to partitioned-wfd must also work and tag the result.
@@ -249,23 +293,24 @@ TEST(Partitioned, KernelAndNaivePipelinesBitIdentical) {
 }
 
 TEST(Partitioned, SchedulerReuseMatchesPerCallPipeline) {
-  // One PartitionedScheduler scratch scheduling many orders must be
+  // One partition-constrained evaluator scheduling many orders must be
   // bit-identical to a fresh partitioned_list_schedule per order — the
   // reuse the partitioned-wfd strategy leans on across search seeds.
   const auto app = apps::build_fms();
   const auto derived = derive_task_graph(app.net, app.default_wcets());
-  PartitionedScheduler scheduler(derived.graph, app.net.process_count(), 3);
-  EXPECT_EQ(scheduler.processor_count(), 3);
-  EXPECT_EQ(scheduler.assignment(),
-            wfd_assignment(derived.graph, app.net.process_count(), 3));
+  const std::vector<ProcessorId> assignment =
+      wfd_assignment(derived.graph, app.net.process_count(), 3);
+  sched::Evaluator kernel(derived.graph, 3, assignment);
+  EXPECT_EQ(kernel.processor_count(), 3);
+  EXPECT_TRUE(kernel.partition_mode());
   for (const PriorityHeuristic h : all_heuristics()) {
     const std::vector<JobId> order = schedule_priority(derived.graph, h);
-    const StaticSchedule ref = testing::partitioned_list_schedule(
-        derived.graph, scheduler.assignment(), order, 3);
-    expect_same_placements(derived.graph, scheduler.schedule_order(order), ref,
+    const StaticSchedule ref =
+        testing::partitioned_list_schedule(derived.graph, assignment, order, 3);
+    expect_same_placements(derived.graph, kernel.materialize(order), ref,
                            "reuse " + to_string(h));
     // Score-only evaluation agrees with the materialized schedule.
-    const sched::EvalScore score = scheduler.evaluate_order(order);
+    const sched::EvalScore score = kernel.evaluate(order);
     EXPECT_EQ(score.deadline_violations, ref.count_violations(derived.graph).deadline)
         << to_string(h);
     EXPECT_EQ(score.makespan, ref.makespan(derived.graph)) << to_string(h);
