@@ -11,8 +11,7 @@
 // bit-identical winner, regardless of workers or cache warmth — is
 // therefore enforced once, for every caller (engine/engine.hpp holds the
 // Engine that executes requests). Production search always runs the
-// incremental evaluation kernel with the shared visited-set; the naive
-// reference pipeline it must match lives in testing/reference_search.hpp.
+// incremental evaluation kernel; the naive reference pipeline it must match lives in testing/reference_search.hpp.
 #pragma once
 
 #include <cstdint>

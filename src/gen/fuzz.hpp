@@ -4,8 +4,8 @@
 // the parallel search's winning schedule three ways —
 //  1. roundtrip: write_network -> parse -> re-derive must be
 //     fingerprint-identical (the repro path must be lossless),
-//  2. reference: the production search (evaluation kernel, visited-set,
-//     1-2 workers) must pick a bit-identical winner to the naive serial
+//  2. reference: the production search (evaluation kernel, 1-2 workers)
+//     must pick a bit-identical winner to the naive serial
 //     reference search (testing/reference_search.hpp),
 //  3. ta-oracle: the timed-automata translation executed one frame must
 //     reproduce the winning schedule's exact start/end times (gated on

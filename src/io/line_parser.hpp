@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <istream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -69,6 +70,16 @@ class LineParser {
     } catch (const std::exception&) {
       throw ParseError(lineno_, "expected an integer, got '" + s + "'");
     }
+  }
+
+  /// parse_i64 for an `int` field: a value outside `int` is a ParseError,
+  /// never wrapped.
+  [[nodiscard]] int parse_int(const std::string& s) const {
+    const std::int64_t v = parse_i64(s);
+    if (v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max()) {
+      throw ParseError(lineno_, "integer out of range: '" + s + "'");
+    }
+    return static_cast<int>(v);
   }
 
   /// Whole-token unsigned integer, full uint64 range (seeds are uint64:

@@ -30,7 +30,8 @@ std::string write_schedule_entry(const ScheduleEntry& entry) {
   return out.str();
 }
 
-ScheduleEntry read_schedule_entry(std::istream& in) {
+ScheduleEntry read_schedule_entry(std::istream& in,
+                                  std::optional<std::size_t> expected_jobs) {
   detail::LineParser parser(in);
   constexpr const char* kEof = "unexpected end of schedule entry (no 'end' trailer?)";
 
@@ -93,8 +94,8 @@ ScheduleEntry read_schedule_entry(std::istream& in) {
     if (toks[0] != "budget") {
       throw ParseError(parser.lineno(), "expected 'budget'");
     }
-    entry.max_iterations = static_cast<int>(parser.parse_i64(toks[1]));
-    entry.restarts = static_cast<int>(parser.parse_i64(toks[2]));
+    entry.max_iterations = parser.parse_int(toks[1]);
+    entry.restarts = parser.parse_int(toks[2]);
   }
   {
     // `detail` is free text: everything after the first space, verbatim.
@@ -118,6 +119,11 @@ ScheduleEntry read_schedule_entry(std::istream& in) {
       throw ParseError(parser.lineno(), "negative job count");
     }
     jobs = static_cast<std::size_t>(n);
+    if (expected_jobs.has_value() && jobs != *expected_jobs) {
+      throw ParseError(parser.lineno(), "entry has " + std::to_string(jobs) +
+                                            " job(s), expected " +
+                                            std::to_string(*expected_jobs));
+    }
   }
 
   entry.schedule = StaticSchedule(jobs, processors);
@@ -150,9 +156,10 @@ ScheduleEntry read_schedule_entry(std::istream& in) {
   }
 }
 
-ScheduleEntry read_schedule_entry_string(const std::string& text) {
+ScheduleEntry read_schedule_entry_string(const std::string& text,
+                                         std::optional<std::size_t> expected_jobs) {
   std::istringstream in(text);
-  return read_schedule_entry(in);
+  return read_schedule_entry(in, expected_jobs);
 }
 
 }  // namespace fppn::io

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 
 #include "io/text_format.hpp"
@@ -47,10 +48,14 @@ struct ScheduleEntry {
 
 /// Parses one entry and consumes the stream to its end. Throws ParseError
 /// (with a 1-based line number) on a wrong magic/version line, malformed
-/// or missing fields, out-of-range placements, a missing "end" trailer
-/// (truncation guard), or any non-blank content after "end" — a
-/// truncated-then-concatenated file must not half-parse.
-[[nodiscard]] ScheduleEntry read_schedule_entry(std::istream& in);
-[[nodiscard]] ScheduleEntry read_schedule_entry_string(const std::string& text);
+/// or missing fields, a budget outside `int`, out-of-range placements, a
+/// missing "end" trailer (truncation guard), or any non-blank content
+/// after "end" — a truncated-then-concatenated file must not half-parse.
+/// With `expected_jobs` set, a "jobs" count other than it is a ParseError
+/// too, raised before the schedule is sized by that count.
+[[nodiscard]] ScheduleEntry read_schedule_entry(
+    std::istream& in, std::optional<std::size_t> expected_jobs = std::nullopt);
+[[nodiscard]] ScheduleEntry read_schedule_entry_string(
+    const std::string& text, std::optional<std::size_t> expected_jobs = std::nullopt);
 
 }  // namespace fppn::io

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <vector>
 
+#include "rt/rational.hpp"
+
 namespace fppn::io {
 namespace {
 
@@ -21,12 +23,15 @@ std::vector<std::string> tokenize(const std::string& line) {
   return tokens;
 }
 
-std::int64_t parse_int(const std::string& text) {
-  std::int64_t value = 0;
+/// A whole-token integer of type Int; a value outside Int is an error,
+/// never wrapped.
+template <class Int = std::int64_t>
+Int parse_int(const std::string& text) {
+  Int value = 0;
   const auto [ptr, ec] =
       std::from_chars(text.data(), text.data() + text.size(), value);
   if (ec != std::errc{} || ptr != text.data() + text.size()) {
-    throw std::invalid_argument("not an integer: '" + text + "'");
+    throw std::invalid_argument("not an integer in range: '" + text + "'");
   }
   return value;
 }
@@ -52,8 +57,13 @@ Duration parse_duration(const std::string& text) {
   if (slash == std::string::npos) {
     return Duration(Rational(parse_int(text)));
   }
-  return Duration(
-      Rational(parse_int(text.substr(0, slash)), parse_int(text.substr(slash + 1))));
+  const std::int64_t num = parse_int(text.substr(0, slash));
+  const std::int64_t den = parse_int(text.substr(slash + 1));
+  try {
+    return Duration(Rational(num, den));
+  } catch (const RationalError& e) {  // a zero or unnegatable denominator
+    throw std::invalid_argument("bad duration '" + text + "': " + e.what());
+  }
 }
 
 ParsedNetwork parse_network(std::istream& in) {
@@ -97,9 +107,7 @@ ParsedNetwork parse_network(std::istream& in) {
         };
         const Duration period = parse_duration(need("period"));
         const Duration deadline = parse_duration(need("deadline"));
-        const int burst = kv.count("burst") != 0
-                              ? static_cast<int>(parse_int(kv.at("burst")))
-                              : 1;
+        const int burst = kv.count("burst") != 0 ? parse_int<int>(kv.at("burst")) : 1;
         ProcessId p;
         if (kind == "periodic") {
           p = builder.multi_periodic(name, burst, period, deadline,
@@ -128,7 +136,7 @@ ParsedNetwork parse_network(std::istream& in) {
           if (kv.size() != 1 || kv.count("capacity") == 0) {
             throw ParseError(lineno, "only capacity=N is allowed after the reader");
           }
-          capacity = static_cast<int>(parse_int(kv.at("capacity")));
+          capacity = parse_int<int>(kv.at("capacity"));
         }
         const ChannelKind kind = [&] {
           if (tokens[1] == "fifo") {

@@ -21,7 +21,6 @@
 
 #include "sched/evaluator.hpp"
 #include "sched/local_search.hpp"
-#include "sched/visited_set.hpp"
 
 namespace fppn {
 namespace sched {
@@ -30,22 +29,16 @@ namespace sched {
 inline constexpr int kStaleLimit = 200;
 
 /// Optimizes SP for `tg` under `opts` (processors, seed, budget and the
-/// warm starts; opts.visited_set is ignored — pass it as `visited`).
-/// Scores go through `scorer`; `visited` (nullable) memoizes them across
-/// calls. The eval counters full/incremental/spliced are left zero for
-/// the caller to fill from its scorer.
+/// warm starts). Every score comes from `scorer`, so its evaluation
+/// counts are a pure function of (tg, opts). The eval counters
+/// full/incremental/spliced are left zero for the caller to fill from
+/// its scorer.
 template <class Scorer>
 LocalSearchResult hill_climb(const TaskGraph& tg, const StrategyOptions& opts,
-                             Scorer& scorer, VisitedSet* visited) {
+                             Scorer& scorer) {
   const std::size_t n = tg.job_count();
   LocalSearchResult best;
 
-  // Publish a freshly computed exact score to the shared visited-set.
-  const auto publish = [&](const std::vector<JobId>& order, const EvalScore& score) {
-    if (visited != nullptr) {
-      visited->insert(visited->hash_order(order), score);
-    }
-  };
   EvalScore best_score;
   const auto adopt = [&](const EvalScore& score) {
     best_score = score;
@@ -61,7 +54,6 @@ LocalSearchResult hill_climb(const TaskGraph& tg, const StrategyOptions& opts,
   for (const PriorityHeuristic h : all_heuristics()) {
     std::vector<JobId> order = schedule_priority(tg, h);
     const EvalScore score = scorer.evaluate(order);
-    publish(order, score);
     if (best.priority.empty() || score.better_than(best_score)) {
       adopt(score);
       best.priority = std::move(order);
@@ -70,7 +62,6 @@ LocalSearchResult hill_climb(const TaskGraph& tg, const StrategyOptions& opts,
   }
   for (std::size_t p = 0; p < opts.warm_starts.size(); ++p) {
     const EvalScore score = scorer.evaluate(opts.warm_starts[p]);
-    publish(opts.warm_starts[p], score);
     if (score.better_than(best_score)) {
       adopt(score);
       best.priority = opts.warm_starts[p];
@@ -95,7 +86,6 @@ LocalSearchResult hill_climb(const TaskGraph& tg, const StrategyOptions& opts,
       }
     }
     EvalScore current_score = scorer.evaluate_baseline(current);
-    publish(current, current_score);
 
     int stale = 0;
     for (int it = 0; it < opts.max_iterations && stale < kStaleLimit; ++it) {
@@ -125,41 +115,15 @@ LocalSearchResult hill_climb(const TaskGraph& tg, const StrategyOptions& opts,
                     current.begin() + static_cast<std::ptrdiff_t>(hi),
                     current.begin() + static_cast<std::ptrdiff_t>(hi) + 1);
       }
-      // Score the move: a visited-set hit skips the simulation entirely;
-      // otherwise the scorer scores it off the incumbent baseline. Both
-      // produce the bit-identical score for this order.
-      EvalScore score;
-      bool from_visited = false;
-      std::uint64_t order_hash = 0;
-      if (visited != nullptr) {
-        order_hash = visited->hash_order(current);
-        from_visited = visited->lookup(order_hash, score);
-      }
-      if (from_visited) {
-        ++best.visited_skips;
-      } else {
-        score = scorer.evaluate_move(
-            current, lo, hi, swap_move ? MoveKind::kSwap : MoveKind::kRotate);
-        if (visited != nullptr) {
-          visited->insert(order_hash, score);
-        }
-      }
-      bool accept = score.better_than(current_score);
-      bool rebaselined = false;
-      if (accept) {
-        // The incumbent path is always exact: a memoized score may only
-        // steer rejections, so a would-be acceptance is re-verified by an
-        // exact evaluation of the exact order, which also makes the new
-        // incumbent the baseline of the next move.
-        score = scorer.evaluate_baseline(current);
-        rebaselined = true;
-        accept = score.better_than(current_score);
-      }
-      if (accept) {
-        current_score = score;
+      const EvalScore score = scorer.evaluate_move(
+          current, lo, hi, swap_move ? MoveKind::kSwap : MoveKind::kRotate);
+      if (score.better_than(current_score)) {
+        // Re-score the accepted order as the baseline of the next move;
+        // the score is the same, only the scorer's checkpoints move.
+        current_score = scorer.evaluate_baseline(current);
         stale = 0;
-        if (score.better_than(best_score)) {
-          adopt(score);
+        if (current_score.better_than(best_score)) {
+          adopt(current_score);
           best.priority = current;
         }
       } else {
@@ -170,12 +134,6 @@ LocalSearchResult hill_climb(const TaskGraph& tg, const StrategyOptions& opts,
           std::rotate(current.begin() + static_cast<std::ptrdiff_t>(lo),
                       current.begin() + static_cast<std::ptrdiff_t>(lo) + 1,
                       current.begin() + static_cast<std::ptrdiff_t>(hi) + 1);
-        }
-        if (rebaselined) {
-          // A hash-collision acceptance that failed re-verification moved
-          // the baseline to the rejected order; point it back at the
-          // (restored) incumbent.
-          (void)scorer.evaluate_baseline(current);
         }
       }
       if (best.violations == 0 && restart == opts.restarts) {

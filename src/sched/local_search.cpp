@@ -10,7 +10,7 @@ LocalSearchResult optimize_priority(const TaskGraph& tg,
   // candidate this search evaluates — the steady-state inner loop
   // performs no heap allocation.
   sched::Evaluator kernel(tg, opts.processors);
-  LocalSearchResult best = sched::hill_climb(tg, opts, kernel, opts.visited_set);
+  LocalSearchResult best = sched::hill_climb(tg, opts, kernel);
   const sched::EvalStats& st = kernel.stats();
   best.full_evals = st.full_evals;
   best.incremental_evals = st.incremental_evals;

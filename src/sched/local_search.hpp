@@ -28,13 +28,11 @@ struct LocalSearchResult {
   /// start points beat every heuristic at seeding time; -1 when
   /// a plain heuristic won (start_heuristic names it).
   int start_priority_index = -1;
-  // Evaluation accounting (informational; deliberately excluded from
-  // every determinism contract — visited_skips depends on cross-worker
-  // interleaving when the visited-set is shared).
+  // Evaluation accounting: a pure function of (tg, opts), but
+  // informational only and excluded from every determinism contract.
   std::uint64_t full_evals = 0;         ///< from-scratch simulations
   std::uint64_t incremental_evals = 0;  ///< checkpoint-resumed move scores
   std::uint64_t spliced_evals = 0;      ///< moves that spliced the memoized suffix
-  std::uint64_t visited_skips = 0;      ///< evaluations skipped via the visited-set
 };
 
 /// Optimizes SP for `tg` with `opts.max_iterations` moves per start
@@ -45,15 +43,11 @@ struct LocalSearchResult {
 /// of all jobs, or std::invalid_argument is thrown. A start point is
 /// abandoned after 200 consecutive non-improving moves.
 ///
-/// `opts.visited_set` (optional, caller-owned) memoizes exact scores of
-/// already-seen orders; hits may only steer rejections, so the trajectory,
-/// winner and iterations_used are bit-identical with or without it.
-///
 /// Deterministic: a pure function of (tg, opts) — all randomness comes
 /// from opts.seed, so equal inputs yield the bit-identical schedule on
 /// any platform. Bit-identical to the naive reference climb
-/// (testing/reference_search.hpp). Thread safety: no shared state beyond
-/// the visited-set; safe to call concurrently. Throws
+/// (testing/reference_search.hpp). Thread safety: no shared state; safe
+/// to call concurrently. Throws
 /// std::invalid_argument when processors < 1 or the graph is cyclic.
 [[nodiscard]] LocalSearchResult optimize_priority(const TaskGraph& tg,
                                                   const sched::StrategyOptions& opts = {});

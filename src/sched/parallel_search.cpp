@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "sched/visited_set.hpp"
 #include "sched/warm_start.hpp"
 
 namespace fppn {
@@ -59,9 +58,6 @@ StrategyOptions strategy_options_for(const ParallelSearchOptions& opts,
   sopts.seed = candidate.seed;
   sopts.max_iterations = opts.max_iterations;
   sopts.restarts = opts.restarts;
-  // Deliberately NOT the visited-set pointer: these options double as the
-  // cache-key basis, and the set is per-evaluation-wave scratch that
-  // parallel_search attaches itself.
   return sopts;
 }
 
@@ -147,8 +143,6 @@ void apply_cached_warm_start(const TaskGraph& tg, const ParallelSearchOptions& o
   std::uint64_t best_warm_seed = 0;
   const CachedWarmStartStrategy warm_strategy;
   for (int s = 0; s < opts.seeds_per_strategy; ++s) {
-    // No visited-set: the overlay is serial and small, and its score
-    // accounting should stay attributable to the overlay alone.
     StrategyOptions sopts = strategy_options_for(
         opts, SearchCandidate{warm_strategy.name(),
                               opts.base_seed + static_cast<std::uint64_t>(s)});
@@ -222,20 +216,6 @@ ParallelSearchResult parallel_search(const TaskGraph& tg,
                     : static_cast<int>(std::max(1U, std::thread::hardware_concurrency()));
   workers = std::min<int>(workers, static_cast<int>(std::max<std::size_t>(pending.size(), 1)));
 
-  // One visited-set shared by every worker of this wave: a local-search
-  // worker that reaches an SP order any other worker already scored skips
-  // the simulation. Sized for the worst case (every candidate explores its
-  // full move budget); seeded from the graph fingerprint so the hash is a
-  // pure function of the job orders, not of this process.
-  std::optional<VisitedSet> visited;
-  if (!pending.empty()) {
-    const std::uint64_t orders_per_candidate =
-        static_cast<std::uint64_t>(std::max(opts.max_iterations, 0)) *
-            (static_cast<std::uint64_t>(std::max(opts.restarts, 0)) + 1) +
-        8;
-    visited.emplace(fingerprint(tg), orders_per_candidate * pending.size());
-  }
-
   // Each slot is written by exactly one worker; the selection below ranks
   // over the index-ordered vector after the join, so the outcome cannot
   // depend on thread interleaving.
@@ -245,9 +225,7 @@ ParallelSearchResult parallel_search(const TaskGraph& tg,
 
   const auto run_candidate = [&](std::size_t index) {
     const SearchCandidate& c = candidates[index];
-    StrategyOptions sopts = strategy_options_for(opts, c);
-    sopts.visited_set = visited.has_value() ? &*visited : nullptr;
-    results[index] = registry.create(c.strategy)->schedule(tg, sopts);
+    results[index] = registry.create(c.strategy)->schedule(tg, strategy_options_for(opts, c));
     // Rank by the candidate's registry key, not the strategy's
     // self-reported name(): cache hits rebuild the name from the key, and
     // a strategy registered under a different name must not rank
@@ -303,7 +281,6 @@ ParallelSearchResult parallel_search(const TaskGraph& tg,
     out.evals_full += results[i]->full_evals;
     out.evals_incremental += results[i]->incremental_evals;
     out.evals_spliced += results[i]->spliced_evals;
-    out.visited_skips += results[i]->visited_skips;
   }
 
   std::size_t best_index = 0;

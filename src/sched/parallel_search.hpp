@@ -8,8 +8,8 @@
 // candidate list and the selection are both independent of the worker
 // count, so the chosen schedule is bit-identical whether the search runs
 // on 1 or 64 threads. The search stays in one process on purpose: worker
-// threads share the graph, the cache and the visited-set for free, and on
-// the same core count they beat separate worker processes (measured in
+// threads share the graph and the cache for free, and on the same core
+// count they beat separate worker processes (measured in
 // docs/ARCHITECTURE.md, "Why the search runs in one process").
 //
 // With a ScheduleCache attached (ParallelSearchOptions::cache), candidates
@@ -36,9 +36,9 @@
 // all; they are never stored as plan entries, and "cached-warm-start" is
 // never enumerated as a plan candidate.
 //
-// Every candidate runs on the evaluation kernel (sched/evaluator.hpp),
-// and the local-search workers of one evaluation wave share a
-// sched::VisitedSet. Neither can change a result bit: the serial naive
+// Every candidate runs on the evaluation kernel (sched/evaluator.hpp)
+// and shares no scoring state with the others, so its result and its
+// evaluation counts are the same on any worker count. The serial naive
 // search in testing/reference_search.hpp picks the bit-identical winner,
 // which the differential suites and the fuzz loop check.
 //
@@ -92,12 +92,16 @@ struct ParallelSearchResult {
   bool warm_start_won = false;     ///< overlay strictly beat the plan winner
   int workers_used = 1;
   // Aggregated evaluation accounting over every candidate run this search
-  // (cache hits contribute nothing — they ran no simulation). Informational
-  // only; excluded from every determinism contract.
+  // (cache hits contribute nothing — they ran no simulation). Independent
+  // of the worker count, but informational only; excluded from every
+  // determinism contract.
   std::uint64_t evals_full = 0;         ///< from-scratch simulations
   std::uint64_t evals_incremental = 0;  ///< checkpoint-resumed move scores
   std::uint64_t evals_spliced = 0;      ///< moves spliced into a memoized suffix
-  std::uint64_t visited_skips = 0;      ///< evaluations skipped via the visited-set
+  /// Always 0: no search skips an evaluation. Kept only because the
+  /// benchmark harness (perfbench/src/workloads.cpp) still reads it; it
+  /// goes with that harness's next change.
+  std::uint64_t visited_skips = 0;
 };
 
 /// One (strategy, seed) cell of the search's candidate matrix. The pair is

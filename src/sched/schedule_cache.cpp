@@ -92,13 +92,10 @@ std::optional<StrategyResult> ScheduleCache::lookup(const CacheKey& key,
       entry = &it->second;
     }
   } else if (!directory_.empty()) {
-    std::optional<Entry> loaded = load_from_disk(key);
-    if (loaded.has_value() && loaded->schedule.job_count() != tg.job_count()) {
-      // Same collision safety net — rejected *before* the entry is
-      // promoted or its recency bumped, so a garbage entry file never
-      // ranks newest and outlives valid entries under eviction.
-      ++stats_.disk_rejects;
-    } else if (loaded.has_value()) {
+    // The same collision safety net runs inside the load, so a garbage
+    // entry file is neither promoted nor ranked newest under eviction.
+    std::optional<Entry> loaded = load_from_disk(key, tg.job_count());
+    if (loaded.has_value()) {
       // Promote so the next probe is O(log n); scored just below.
       entry = &memory_.emplace(key, std::move(*loaded)).first->second;
       touch_index_locked(key.filename());
@@ -367,14 +364,13 @@ std::vector<StaticSchedule> ScheduleCache::feasible_schedules(
       }
       io::ScheduleEntry entry;
       try {
-        entry = io::read_schedule_entry(in);
+        entry = io::read_schedule_entry(in, tg.job_count());
       } catch (const io::ParseError&) {
         const std::lock_guard<std::mutex> lock(mu_);
         ++stats_.disk_rejects;
         continue;
       }
-      if (entry.fingerprint != graph_fingerprint ||
-          entry.schedule.job_count() != tg.job_count()) {
+      if (entry.fingerprint != graph_fingerprint) {
         const std::lock_guard<std::mutex> lock(mu_);
         ++stats_.disk_rejects;
         continue;
@@ -433,7 +429,8 @@ void ScheduleCache::store_warm_start(const WarmStartKey& key, WarmStartMemo memo
   warm_memos_.emplace(key, std::move(memo));
 }
 
-std::optional<ScheduleCache::Entry> ScheduleCache::load_from_disk(const CacheKey& key) {
+std::optional<ScheduleCache::Entry> ScheduleCache::load_from_disk(const CacheKey& key,
+                                                                  std::size_t jobs) {
   const fs::path path = fs::path(directory_) / key.filename();
   std::ifstream in(path);
   if (!in) {
@@ -441,9 +438,9 @@ std::optional<ScheduleCache::Entry> ScheduleCache::load_from_disk(const CacheKey
   }
   io::ScheduleEntry entry;
   try {
-    entry = io::read_schedule_entry(in);
+    entry = io::read_schedule_entry(in, jobs);
   } catch (const io::ParseError&) {
-    ++stats_.disk_rejects;  // corrupt or different format version
+    ++stats_.disk_rejects;  // corrupt, different format version or job count
     return std::nullopt;
   }
   // The file name encodes the key, but verify the header provenance too:

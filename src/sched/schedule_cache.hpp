@@ -279,8 +279,9 @@ class ScheduleCache {
   };
 
   /// Disk probe; returns nullopt (and bumps disk_rejects when warranted)
-  /// for missing/corrupt/mismatched entries. Caller holds the lock.
-  [[nodiscard]] std::optional<Entry> load_from_disk(const CacheKey& key);
+  /// for missing/corrupt/mismatched entries, including an entry whose job
+  /// count is not `jobs`. Caller holds the lock.
+  [[nodiscard]] std::optional<Entry> load_from_disk(const CacheKey& key, std::size_t jobs);
 
   /// Reads the index file; rebuilds it from the entry files (ordered by
   /// modification time) when missing or corrupt. Caller holds the lock.

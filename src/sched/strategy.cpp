@@ -73,7 +73,6 @@ class LocalSearchStrategy final : public SchedulerStrategy {
     result.full_evals = ls_result.full_evals;
     result.incremental_evals = ls_result.incremental_evals;
     result.spliced_evals = ls_result.spliced_evals;
-    result.visited_skips = ls_result.visited_skips;
     finalize_result(tg, result);
     return result;
   }

@@ -24,8 +24,6 @@
 namespace fppn {
 namespace sched {
 
-class VisitedSet;
-
 /// Options understood by every strategy — the one config value a
 /// strategy receives, passed down unchanged (optimize_priority takes it
 /// as is). Iteration/seed fields are ignored by strategies that are not
@@ -43,12 +41,6 @@ struct StrategyOptions {
   /// warm starts are never plan entries; the overlay memoizes its own
   /// outcome under a WarmStartKey that digests the start set.
   std::vector<std::vector<JobId>> warm_starts;
-  /// Optional shared visited-set (sched/visited_set.hpp) memoizing exact
-  /// scores of already-seen SP orders across strategy invocations —
-  /// parallel_search attaches one per evaluation wave. Hits only skip
-  /// recomputation (never change any result bit), so this too is NOT part
-  /// of the cache key. The caller owns the set; nullptr disables it.
-  VisitedSet* visited_set = nullptr;
 };
 
 /// Outcome of one strategy invocation, with the schedule already evaluated
@@ -61,13 +53,12 @@ struct StrategyResult {
   Time makespan;
   bool feasible = false;
   // Evaluation accounting (iterative strategies; zero elsewhere).
-  // Informational only: never serialized by the schedule cache and never
-  // part of any determinism contract — visited_skips depends on
-  // cross-worker interleaving when the visited-set is shared.
+  // A pure function of (tg, opts), but informational only: never
+  // serialized by the schedule cache and never part of any determinism
+  // contract.
   std::uint64_t full_evals = 0;         ///< from-scratch simulations
   std::uint64_t incremental_evals = 0;  ///< checkpoint-resumed move scores
   std::uint64_t spliced_evals = 0;      ///< moves spliced into a memoized suffix
-  std::uint64_t visited_skips = 0;      ///< evaluations skipped via the visited-set
 };
 
 class SchedulerStrategy {

@@ -82,7 +82,7 @@ sched::EvalScore reference_score(const TaskGraph& tg, const std::vector<JobId>& 
 LocalSearchResult reference_optimize_priority(const TaskGraph& tg,
                                               const sched::StrategyOptions& opts) {
   ReferenceScorer scorer(tg, opts.processors);
-  return sched::hill_climb(tg, opts, scorer, nullptr);
+  return sched::hill_climb(tg, opts, scorer);
 }
 
 sched::ParallelSearchResult reference_search(const TaskGraph& tg,

@@ -1,9 +1,8 @@
 // The naive reference search — the semantics production search must
 // reproduce bit for bit, kept as a test oracle rather than a production
 // option. Production schedules every strategy through the incremental
-// evaluation kernel (sched/evaluator.hpp), shares a visited-set across
-// workers and runs candidates on a thread pool; the oracle does none of
-// that, and schedules no candidate through a registered strategy:
+// evaluation kernel (sched/evaluator.hpp) and runs candidates on a
+// thread pool; the oracle does neither, and schedules no candidate through a registered strategy:
 //
 //   reference_score               list_schedule + count_violations
 //   reference_optimize_priority   the same hill-climb as optimize_priority
@@ -43,8 +42,7 @@ namespace testing {
                                                std::int64_t processors);
 
 /// optimize_priority with every candidate scored from scratch by
-/// reference_score and no visited-set (opts.visited_set is ignored). Every
-/// result field equals optimize_priority's except the evaluation counters,
+/// reference_score. Every result field equals optimize_priority's except the evaluation counters,
 /// which stay zero. Throws like optimize_priority.
 [[nodiscard]] LocalSearchResult reference_optimize_priority(
     const TaskGraph& tg, const sched::StrategyOptions& opts = {});

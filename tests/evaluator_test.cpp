@@ -22,8 +22,6 @@
 #include "sched/partitioned.hpp"
 #include "sched/registry.hpp"
 #include "sched/schedule_cache.hpp"
-#include "sched/visited_set.hpp"
-#include "taskgraph/fingerprint.hpp"
 #include "taskgraph/task_graph.hpp"
 #include "testing/list_scheduler.hpp"
 #include "testing/reference_search.hpp"
@@ -129,10 +127,7 @@ void expect_heuristic_strategies_match_oracle(const TaskGraph& tg,
       EXPECT_EQ(got.makespan, ref.makespan(tg)) << where;
       EXPECT_EQ(got.deadline_violations, counts.deadline) << where;
       EXPECT_EQ(got.feasible, counts.feasible()) << where;
-      EXPECT_EQ(got.full_evals + got.incremental_evals + got.spliced_evals +
-                    got.visited_skips,
-                0u)
-          << where;
+      EXPECT_EQ(got.full_evals + got.incremental_evals + got.spliced_evals, 0u) << where;
     }
   }
 }
@@ -814,9 +809,9 @@ TEST(EvaluatorIncremental, StatsOnAFixedMoveSequenceArePinned) {
 }
 
 // ---------------------------------------------------------------------------
-// Visited-set determinism: memoized scores may change what gets computed,
-// never what gets chosen.
-TEST(EvaluatorSearch, VisitedSetAndIncrementalTogglesPreserveTrajectory) {
+// The production climb (incremental kernel) walks the reference climb's
+// trajectory: the same order, score, iterations and start point.
+TEST(EvaluatorSearch, OptimizePriorityMatchesReferenceTrajectory) {
   for (const std::uint64_t g : {3ULL, 14ULL, 27ULL}) {
     const TaskGraph tg = random_task_graph(g);
     sched::StrategyOptions opts;
@@ -824,37 +819,25 @@ TEST(EvaluatorSearch, VisitedSetAndIncrementalTogglesPreserveTrajectory) {
     opts.max_iterations = 150;
     opts.restarts = 1;
     const LocalSearchResult ref = testing::reference_optimize_priority(tg, opts);
-
-    sched::VisitedSet set(fingerprint(tg), 4096);
-    opts.visited_set = &set;
+    const LocalSearchResult got = optimize_priority(tg, opts);
     const std::string context = "graph " + std::to_string(g);
-    const auto expect_matches_ref = [&](const LocalSearchResult& got,
-                                        const std::string& what) {
-      EXPECT_EQ(got.priority, ref.priority) << context << " " << what;
-      EXPECT_EQ(got.violations, ref.violations) << context << " " << what;
-      EXPECT_EQ(got.makespan, ref.makespan) << context << " " << what;
-      EXPECT_EQ(got.iterations_used, ref.iterations_used) << context << " " << what;
-      EXPECT_EQ(got.start_heuristic, ref.start_heuristic) << context << " " << what;
-      expect_identical_placements(got.schedule, ref.schedule, context + " " + what);
-    };
-    expect_matches_ref(optimize_priority(tg, opts), "cold set");
-    // Second run against the now-warm set: hits actually fire, the
-    // trajectory still matches the no-set reference bit for bit.
-    const LocalSearchResult rerun = optimize_priority(tg, opts);
-    expect_matches_ref(rerun, "warm set");
-    EXPECT_GT(rerun.visited_skips, 0u) << context;
-    EXPECT_GT(set.hits(), 0u) << context;
+    EXPECT_EQ(got.priority, ref.priority) << context;
+    EXPECT_EQ(got.violations, ref.violations) << context;
+    EXPECT_EQ(got.makespan, ref.makespan) << context;
+    EXPECT_EQ(got.iterations_used, ref.iterations_used) << context;
+    EXPECT_EQ(got.start_heuristic, ref.start_heuristic) << context;
+    expect_identical_placements(got.schedule, ref.schedule, context);
   }
 }
 
-TEST(EvaluatorSearch, ParallelSearchVisitedSetToggleIdenticalWinner) {
-  // parallel_search shares one visited-set across its workers; with two
-  // workers racing over it, the winner still equals the serial reference.
+TEST(EvaluatorSearch, ParallelSearchTwoWorkersMatchReference) {
+  // Two workers running candidates concurrently still pick the winner of
+  // the serial reference search.
   const TaskGraph tg = random_task_graph(303);
   const sched::ParallelSearchOptions opts = search_options(2);
   const sched::ParallelSearchResult kernel = sched::parallel_search(tg, opts);
   expect_identical_winner(kernel, testing::reference_search(tg, opts),
-                          "shared visited-set vs reference");
+                          "2 workers vs reference");
   EXPECT_GT(kernel.evals_incremental, 0u);
   EXPECT_GT(kernel.evals_full, 0u);
 }

@@ -141,7 +141,19 @@ INSTANTIATE_TEST_SUITE_P(
                 "process A periodic period=1 deadline=1\n"
                 "process A periodic period=1 deadline=1\n",
                 2},
-        BadCase{"zero-period", "process A periodic period=0 deadline=1\n", 1}),
+        BadCase{"zero-period", "process A periodic period=0 deadline=1\n", 1},
+        BadCase{"zero-denominator", "process A periodic period=1/0 deadline=1\n", 1},
+        // Values outside int are errors, not wrapped (4294967298 = 2^32 + 2).
+        BadCase{"burst-above-int",
+                "process A sporadic burst=4294967298 period=1 deadline=1\n", 1},
+        BadCase{"burst-below-int",
+                "process A sporadic burst=-2147483649 period=1 deadline=1\n", 1},
+        BadCase{"capacity-above-int",
+                "process A periodic period=1 deadline=1\n"
+                "process B periodic period=1 deadline=1\n"
+                "priority A > B\n"
+                "channel fifo c A -> B capacity=4294967298\n",
+                4}),
     [](const ::testing::TestParamInfo<BadCase>& info) {
       std::string name = info.param.name;
       for (char& c : name) {

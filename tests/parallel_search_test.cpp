@@ -74,6 +74,29 @@ TEST(ParallelSearch, DeterministicAcrossWorkerCounts) {
   }
 }
 
+TEST(ParallelSearch, EvaluationCountsAreIndependentOfWorkerCount) {
+  // Candidates share no scoring state, so the evaluation accounting is a
+  // pure function of (graph, options), like the winner.
+  for (const std::uint64_t graph_seed : {0ULL, 7ULL, 13ULL}) {
+    const TaskGraph tg = random_task_graph(graph_seed);
+    sched::ParallelSearchOptions opts = base_options(2);
+    opts.workers = 1;
+    const auto one = sched::parallel_search(tg, opts);
+    EXPECT_GT(one.evals_incremental, 0u) << "graph seed " << graph_seed;
+    EXPECT_EQ(one.visited_skips, 0u) << "graph seed " << graph_seed;
+    for (const int workers : {2, 4}) {
+      opts.workers = workers;
+      const auto many = sched::parallel_search(tg, opts);
+      const std::string where =
+          "graph seed " + std::to_string(graph_seed) + ", " + std::to_string(workers) + " workers";
+      EXPECT_EQ(many.evals_full, one.evals_full) << where;
+      EXPECT_EQ(many.evals_incremental, one.evals_incremental) << where;
+      EXPECT_EQ(many.evals_spliced, one.evals_spliced) << where;
+      EXPECT_EQ(many.visited_skips, 0u) << where;
+    }
+  }
+}
+
 TEST(ParallelSearch, RepeatedCallsAreIdentical) {
   const TaskGraph tg = random_task_graph(3);
   const auto a = sched::parallel_search(tg, base_options(3));

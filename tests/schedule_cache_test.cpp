@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <thread>
 
@@ -456,6 +457,85 @@ TEST(ScheduleFormat, RejectsLeadingPlusInSignedFields) {
                io::ParseError);
   EXPECT_THROW((void)io::read_schedule_entry_string(with("place 0", "place +0")),
                io::ParseError);
+}
+
+TEST(ScheduleFormat, RejectsBudgetOutsideInt) {
+  // A budget that wraps through int could satisfy the wrong query
+  // (4294969296 = 2^32 + 2000 would read as 2000).
+  const auto derived = fig1_graph();
+  io::ScheduleEntry entry;
+  entry.strategy = "alap-edf";
+  entry.processors = 2;
+  entry.max_iterations = 2000;
+  entry.restarts = 2;
+  entry.schedule = evaluate(derived.graph, 2).schedule;
+  const std::string text = io::write_schedule_entry(entry);
+
+  const auto with = [&](const std::string& budget) {
+    std::string mutated = text;
+    mutated.replace(mutated.find("budget 2000 2"), 13, budget);
+    return mutated;
+  };
+  EXPECT_THROW((void)io::read_schedule_entry_string(with("budget 4294969296 2")),
+               io::ParseError);
+  EXPECT_THROW((void)io::read_schedule_entry_string(with("budget 2000 4294967298")),
+               io::ParseError);
+  EXPECT_THROW((void)io::read_schedule_entry_string(with("budget -2147483649 2")),
+               io::ParseError);
+  const io::ScheduleEntry edge =
+      io::read_schedule_entry_string(with("budget 2147483647 -2147483648"));
+  EXPECT_EQ(edge.max_iterations, std::numeric_limits<int>::max());
+  EXPECT_EQ(edge.restarts, std::numeric_limits<int>::min());
+}
+
+TEST(ScheduleFormat, ExpectedJobCountIsCheckedBeforeSizing) {
+  const auto derived = fig1_graph();
+  io::ScheduleEntry entry;
+  entry.strategy = "alap-edf";
+  entry.processors = 2;
+  entry.schedule = evaluate(derived.graph, 2).schedule;
+  const std::string text = io::write_schedule_entry(entry);
+  const std::size_t jobs = derived.graph.job_count();
+
+  EXPECT_EQ(io::read_schedule_entry_string(text, jobs).schedule.job_count(), jobs);
+  EXPECT_THROW((void)io::read_schedule_entry_string(text, jobs + 1), io::ParseError);
+  // A count no allocation could satisfy fails as a ParseError, not
+  // std::bad_alloc.
+  std::string huge = text;
+  const std::string line = "jobs " + std::to_string(jobs);
+  huge.replace(huge.find(line), line.size(), "jobs 100000000000000");
+  EXPECT_THROW((void)io::read_schedule_entry_string(huge, jobs), io::ParseError);
+}
+
+TEST(ScheduleCache, HugeJobCountOnDiskIsARejectNotAnError) {
+  // A corrupt "jobs" count must not size anything: both disk readers
+  // count the entry in disk_rejects and treat it as a miss.
+  const TempDir dir("hugejobs");
+  const auto derived = fig1_graph();
+  const auto key = key_for(derived.graph, 2);
+  {
+    sched::ScheduleCache cache(dir.path());
+    cache.store(key, evaluate(derived.graph, 2));
+  }
+  const fs::path path = fs::path(dir.path()) / key.filename();
+  std::string text;
+  {
+    std::ifstream in(path);
+    text.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  const std::string line = "jobs " + std::to_string(derived.graph.job_count());
+  ASSERT_NE(text.find(line), std::string::npos);
+  text.replace(text.find(line), line.size(), "jobs 100000000000000");
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << text;
+  }
+
+  sched::ScheduleCache cache(dir.path());
+  EXPECT_FALSE(cache.lookup(key, derived.graph).has_value());
+  EXPECT_EQ(cache.stats().disk_rejects, 1u);
+  EXPECT_TRUE(cache.feasible_schedules(key.fingerprint, derived.graph).empty());
+  EXPECT_EQ(cache.stats().disk_rejects, 2u);
 }
 
 /// Entry file names (no index, no temp files) currently in `dir`.

@@ -281,14 +281,11 @@ void print_search_report(const engine::SolveReport& report) {
   }
   // Evaluation accounting of the fresh candidate runs (zero when every
   // candidate came from the cache).
-  if (result.evals_full + result.evals_incremental + result.visited_skips > 0) {
-    std::printf(
-        "evaluations: %llu full, %llu incremental (%llu spliced), "
-        "%llu visited-set skip(s)\n",
-        static_cast<unsigned long long>(result.evals_full),
-        static_cast<unsigned long long>(result.evals_incremental),
-        static_cast<unsigned long long>(result.evals_spliced),
-        static_cast<unsigned long long>(result.visited_skips));
+  if (result.evals_full + result.evals_incremental > 0) {
+    std::printf("evaluations: %llu full, %llu incremental (%llu spliced)\n",
+                static_cast<unsigned long long>(result.evals_full),
+                static_cast<unsigned long long>(result.evals_incremental),
+                static_cast<unsigned long long>(result.evals_spliced));
   }
 }
 
