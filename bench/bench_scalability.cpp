@@ -10,6 +10,7 @@
 #include "apps/fms.hpp"
 #include "sched/registry.hpp"
 #include "taskgraph/derivation.hpp"
+#include "testing/reference_derivation.hpp"
 
 namespace {
 
@@ -67,6 +68,21 @@ void BM_FmsDerivationByHyperperiod(benchmark::State& state) {
 }
 BENCHMARK(BM_FmsDerivationByHyperperiod)->Arg(1)->Arg(0)
     ->Unit(benchmark::kMillisecond);
+
+// The same derivations through the reference derivation (edge by edge,
+// then reduced on a Digraph copy): the production-vs-oracle ratio of the
+// derivation layer.
+void BM_FmsDerivationOracle(benchmark::State& state) {
+  const bool reduced = state.range(0) == 1;
+  const auto app = apps::build_fms(reduced);
+  const WcetMap wcets = app.default_wcets();
+  for (auto _ : state) {
+    auto derived = testing::reference_derive_task_graph(app.net, wcets);
+    benchmark::DoNotOptimize(derived.graph.job_count());
+  }
+  state.SetLabel(reduced ? "H=10s" : "H=40s");
+}
+BENCHMARK(BM_FmsDerivationOracle)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
 void BM_SyntheticDerivation(benchmark::State& state) {
   const Network net =

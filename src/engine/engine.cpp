@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "sched/parallel_search.hpp"
-#include "taskgraph/fingerprint.hpp"
 
 namespace fppn {
 namespace engine {
@@ -128,7 +127,7 @@ SolveReport Engine::solve(const SolveRequest& request) {
   report.search = sched::parallel_search(tg, opts);
   report.search_ms = ms_since(search_begin);
 
-  report.fingerprint = fingerprint(tg);
+  report.fingerprint = report.search.fingerprint;
   report.jobs = tg.job_count();
   report.processors = request.config.processors;
   if (cache != nullptr) {

@@ -155,6 +155,99 @@ std::size_t transitive_reduction(Digraph& g) {
   return removed;
 }
 
+std::optional<std::vector<EdgeFate>> edge_fates(std::size_t node_count,
+                                                const std::vector<EdgePair>& edges,
+                                                bool reduce) {
+  const std::size_t n = node_count;
+  // Out-adjacency as CSR over edge indices, each source's edges in list
+  // order; a per-target stamp marks the repeats.
+  std::vector<std::uint32_t> start(n + 1, 0);
+  for (const auto& [u, v] : edges) {
+    ++start[u + 1];
+  }
+  for (std::size_t u = 0; u < n; ++u) {
+    start[u + 1] += start[u];
+  }
+  std::vector<std::uint32_t> out(edges.size());
+  {
+    std::vector<std::uint32_t> fill(start.begin(), start.end() - 1);
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      out[fill[edges[e].first]++] = static_cast<std::uint32_t>(e);
+    }
+  }
+  std::vector<EdgeFate> fate(edges.size(), EdgeFate::kRepeat);
+  std::vector<std::uint32_t> indegree(n, 0);
+  {
+    std::vector<std::size_t> linked_from(n, n);
+    for (std::size_t u = 0; u < n; ++u) {
+      for (std::uint32_t k = start[u]; k < start[u + 1]; ++k) {
+        const std::uint32_t v = edges[out[k]].second;
+        if (linked_from[v] != u) {
+          linked_from[v] = u;
+          fate[out[k]] = EdgeFate::kKept;
+          ++indegree[v];
+        }
+      }
+    }
+  }
+
+  std::vector<std::uint32_t> order;
+  order.reserve(n);
+  for (std::size_t u = 0; u < n; ++u) {
+    if (indegree[u] == 0) {
+      order.push_back(static_cast<std::uint32_t>(u));
+    }
+  }
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const std::uint32_t u = order[head];
+    for (std::uint32_t k = start[u]; k < start[u + 1]; ++k) {
+      const std::uint32_t v = edges[out[k]].second;
+      if (fate[out[k]] == EdgeFate::kKept && --indegree[v] == 0) {
+        order.push_back(v);
+      }
+    }
+  }
+  if (order.size() != n) {
+    return std::nullopt;
+  }
+  if (!reduce) {
+    return fate;
+  }
+
+  // reach[u]: the nodes a path of length >= 1 leads to from u. In reverse
+  // topological order, the union of u's successors' rows is what paths of
+  // length >= 2 reach: an edge (u, v) with v in it is redundant.
+  constexpr std::size_t kBits = 64;
+  const std::size_t words = (n + kBits - 1) / kBits;
+  std::vector<std::uint64_t> reach(n * words, 0);
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    std::uint64_t* row = &reach[*it * words];
+    for (std::uint32_t k = start[*it]; k < start[*it + 1]; ++k) {
+      if (fate[out[k]] == EdgeFate::kKept) {
+        const std::uint64_t* vrow = &reach[edges[out[k]].second * words];
+        for (std::size_t w = 0; w < words; ++w) {
+          row[w] |= vrow[w];
+        }
+      }
+    }
+    for (std::uint32_t k = start[*it]; k < start[*it + 1]; ++k) {
+      const std::uint32_t v = edges[out[k]].second;
+      if (fate[out[k]] != EdgeFate::kKept) {
+        continue;
+      }
+      const std::uint64_t bit = std::uint64_t{1} << (v % kBits);
+      if ((row[v / kBits] & bit) != 0) {
+        fate[out[k]] = EdgeFate::kRedundant;
+      }
+    }
+    for (std::uint32_t k = start[*it]; k < start[*it + 1]; ++k) {
+      const std::uint32_t v = edges[out[k]].second;
+      row[v / kBits] |= std::uint64_t{1} << (v % kBits);
+    }
+  }
+  return fate;
+}
+
 std::vector<std::size_t> longest_path_depths(const Digraph& g) {
   const auto order = topological_sort(g);
   if (!order) {

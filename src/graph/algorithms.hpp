@@ -3,13 +3,16 @@
 //    semantics ordering and task-graph construction,
 //  - cycle detection — functional-priority DAG validation (Def. 2.1),
 //  - reachability / transitive closure — redundant-edge detection,
-//  - transitive reduction — task-graph derivation step 5 (§III-A),
+//  - transitive reduction — task-graph derivation step 5 (§III-A), on a
+//    Digraph or, in one pass, on an edge list before any graph is built,
 //  - DOT export for debugging and documentation.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/digraph.hpp"
@@ -52,6 +55,28 @@ class Reachability {
 /// Returns the number of removed edges. This is task-graph derivation
 /// step 5 in §III-A of the paper.
 std::size_t transitive_reduction(Digraph& g);
+
+/// One directed edge of an edge list, as dense (from, to) node indices.
+using EdgePair = std::pair<std::uint32_t, std::uint32_t>;
+
+/// What becomes of one listed edge when a graph is built from its list.
+enum class EdgeFate : std::uint8_t {
+  kRepeat,     ///< an earlier list entry has the same endpoints
+  kRedundant,  ///< another successor of `from` reaches `to`
+  kKept,
+};
+
+/// The fate of every edge of `edges` (endpoints < node_count) — the
+/// transitive reduction of a DAG computed on its edge list, so the
+/// reduced graph is built once, in list order, with no edge removal.
+/// The first occurrence of an edge counts; with `reduce` false no edge is
+/// redundant. One Kahn pass doubles as the acyclicity check: nullopt when
+/// the edges form a cycle (a self-loop included). Reachability is a bitset
+/// per node filled in reverse topological order, node_count²/8 bytes,
+/// freed before returning. The transitive reduction of a DAG is unique,
+/// so the result equals transitive_reduction's on the same graph.
+[[nodiscard]] std::optional<std::vector<EdgeFate>> edge_fates(
+    std::size_t node_count, const std::vector<EdgePair>& edges, bool reduce);
 
 /// Longest path length (in edges) ending at each node; the task-graph
 /// critical path in job counts. Precondition: DAG.

@@ -94,8 +94,8 @@ RunResult run_static_order_vm(const Network& net, const DerivedTaskGraph& derive
   // Topological order over precedence + same-processor chains, computed
   // once (identical in every frame).
   Digraph combined(n);
-  for (const auto& [u, v] : tg.precedence().edges()) {
-    combined.add_edge(u, v);
+  for (const auto& [u, v] : tg.edges()) {
+    combined.add_edge(NodeId(u.value()), NodeId(v.value()));
   }
   for (std::size_t i = 0; i < n; ++i) {
     if (plan[i].prev_on_proc.has_value()) {

@@ -99,12 +99,13 @@ static bool strictly_better_score(const StrategyResult& a, const StrategyResult&
   return a.makespan < b.makespan;
 }
 
-void apply_cached_warm_start(const TaskGraph& tg, const ParallelSearchOptions& opts,
+namespace {
+
+/// The overlay with the graph's fingerprint `fp` given, so
+/// parallel_search fingerprints its graph once.
+void apply_cached_warm_start(const TaskGraph& tg, std::uint64_t fp,
+                             const ParallelSearchOptions& opts,
                              ParallelSearchResult& result) {
-  if (!opts.warm_start || opts.cache == nullptr) {
-    return;
-  }
-  const std::uint64_t fp = fingerprint(tg);
   const std::vector<std::vector<JobId>> starts = collect_warm_starts(*opts.cache, fp, tg);
   if (starts.empty()) {
     return;
@@ -176,6 +177,15 @@ void apply_cached_warm_start(const TaskGraph& tg, const ParallelSearchOptions& o
   }
 }
 
+}  // namespace
+
+void apply_cached_warm_start(const TaskGraph& tg, const ParallelSearchOptions& opts,
+                             ParallelSearchResult& result) {
+  if (opts.warm_start && opts.cache != nullptr) {
+    apply_cached_warm_start(tg, fingerprint(tg), opts, result);
+  }
+}
+
 ParallelSearchResult parallel_search(const TaskGraph& tg,
                                      const ParallelSearchOptions& opts,
                                      const StrategyRegistry& registry) {
@@ -190,7 +200,7 @@ ParallelSearchResult parallel_search(const TaskGraph& tg,
   std::vector<std::optional<StrategyResult>> results(candidates.size());
   std::vector<std::size_t> pending;
   std::size_t cache_hits = 0;
-  const std::uint64_t fp = opts.cache != nullptr ? fingerprint(tg) : 0;
+  const std::uint64_t fp = fingerprint(tg);
   const auto key_for = [&](std::size_t i) {
     return make_cache_key(fp, candidates[i].strategy,
                           strategy_options_for(opts, candidates[i]));
@@ -297,7 +307,10 @@ ParallelSearchResult parallel_search(const TaskGraph& tg,
   out.evaluated = pending.size();
   out.cache_hits = cache_hits;
   out.workers_used = workers;
-  apply_cached_warm_start(tg, opts, out);
+  out.fingerprint = fp;
+  if (opts.warm_start && opts.cache != nullptr) {
+    apply_cached_warm_start(tg, fp, opts, out);
+  }
   return out;
 }
 

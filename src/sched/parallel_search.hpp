@@ -12,6 +12,10 @@
 // count they beat separate worker processes (measured in
 // docs/ARCHITECTURE.md, "Why the search runs in one process").
 //
+// The search fingerprints its graph once (ParallelSearchResult::fingerprint)
+// and keys every cache probe, store and warm-start lookup from that value;
+// Engine::solve reports it rather than hashing the graph again.
+//
 // With a ScheduleCache attached (ParallelSearchOptions::cache), candidates
 // whose (fingerprint, strategy, seed, processors, budget) key is cached
 // are answered from the cache instead of evaluated, and every freshly
@@ -91,6 +95,7 @@ struct ParallelSearchResult {
   std::size_t warm_candidates = 0; ///< warm-start candidates evaluated (0 on a memo hit)
   bool warm_start_won = false;     ///< overlay strictly beat the plan winner
   int workers_used = 1;
+  std::uint64_t fingerprint = 0;   ///< fingerprint(tg), computed once per search
   // Aggregated evaluation accounting over every candidate run this search
   // (cache hits contribute nothing — they ran no simulation). Independent
   // of the worker count, but informational only; excluded from every
@@ -152,7 +157,8 @@ struct SearchCandidate {
                                            const StrategyResult& b, std::uint64_t b_seed);
 
 /// The warm-start overlay, run at the end of parallel_search: collects
-/// every cached feasible schedule for fingerprint(tg) from opts.cache,
+/// every cached feasible schedule for fingerprint(tg) from opts.cache
+/// (computed here; parallel_search passes its own fingerprint instead),
 /// evaluates opts.seeds_per_strategy "cached-warm-start" candidates with
 /// those start points (serially, ranked among themselves by
 /// better_search_candidate), and replaces result.best/seed only when the

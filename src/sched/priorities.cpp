@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "graph/algorithms.hpp"
 #include "taskgraph/analysis.hpp"
 
 namespace fppn {
@@ -30,13 +29,13 @@ const std::vector<PriorityHeuristic>& all_heuristics() {
 }
 
 std::vector<Duration> b_levels(const TaskGraph& tg) {
-  const auto order = topological_sort(tg.precedence());
+  const auto order = tg.topological_order();
   if (!order.has_value()) {
     throw std::invalid_argument("b_levels: task graph is cyclic");
   }
   std::vector<Duration> level(tg.job_count());
   for (auto it = order->rbegin(); it != order->rend(); ++it) {
-    const JobId i{it->value()};
+    const JobId i = *it;
     Duration best;
     for (const JobId j : tg.successors(i)) {
       best = std::max(best, level[j.value()]);

@@ -5,18 +5,15 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "graph/algorithms.hpp"
-
 namespace fppn {
 
 std::vector<Time> asap_times(const TaskGraph& tg) {
-  const auto order = topological_sort(tg.precedence());
+  const auto order = tg.topological_order();
   if (!order.has_value()) {
     throw std::invalid_argument("asap_times: task graph is cyclic");
   }
   std::vector<Time> asap(tg.job_count());
-  for (const NodeId n : *order) {
-    const JobId i{n.value()};
+  for (const JobId i : *order) {
     Time t = tg.job(i).arrival;
     for (const JobId j : tg.predecessors(i)) {
       t = std::max(t, asap[j.value()] + tg.job(j).wcet);
@@ -27,13 +24,13 @@ std::vector<Time> asap_times(const TaskGraph& tg) {
 }
 
 std::vector<Time> alap_times(const TaskGraph& tg) {
-  const auto order = topological_sort(tg.precedence());
+  const auto order = tg.topological_order();
   if (!order.has_value()) {
     throw std::invalid_argument("alap_times: task graph is cyclic");
   }
   std::vector<Time> alap(tg.job_count());
   for (auto it = order->rbegin(); it != order->rend(); ++it) {
-    const JobId i{it->value()};
+    const JobId i = *it;
     Time t = tg.job(i).deadline;
     for (const JobId j : tg.successors(i)) {
       t = std::min(t, alap[j.value()] - tg.job(j).wcet);

@@ -16,8 +16,18 @@
 //  4. Job parameters: periodic p: A = T_p*floor((k-1)/m_p), D = A + d_p;
 //     server p': A = T_p'*floor((k-1)/m_p'), D = A + d_p - T_p'.
 //  5. Truncate D to H (non-pipelined frames) and transitively reduce.
+//
+// The implementation is one pass. Step 2 sorts (instant, process) slots
+// and orders each instant's processes by a min-id Kahn pass over the FP'
+// subgraph the instant induces. Step 3 appends its generating edges, and
+// then the buffered-channel edges, to one list; the transitive reduction
+// runs on that list (graph/algorithms.hpp, edge_fates), and each surviving
+// edge is added to the TaskGraph once, in list order. Job parameters stay
+// exact Rationals. testing/reference_derivation.hpp keeps the edge-by-edge
+// derivation as the oracle this one must equal, adjacency order included.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <string>
 
@@ -25,6 +35,14 @@
 #include "taskgraph/task_graph.hpp"
 
 namespace fppn {
+
+/// The most jobs one derived frame may hold. Derivation counts them
+/// (sum of burst·U·H/T' over PN') before it allocates anything per job, and
+/// rejects a larger network with std::invalid_argument: the reduction's
+/// reachability bitset takes jobs²/8 bytes, 128 MB at this bound, and a
+/// 135-byte request could otherwise ask for ~125 GB. The largest graph in
+/// this repository, the full-period FMS, has 2798 jobs.
+constexpr std::size_t kMaxDerivedJobs = std::size_t{1} << 15;
 
 /// Per-process WCET assignment (C_i for every job of the process).
 using WcetMap = std::map<ProcessId, Duration>;
@@ -65,8 +83,9 @@ struct DerivedTaskGraph {
 };
 
 /// Derives the task graph. Throws std::invalid_argument when the network
-/// is outside the schedulable subclass, a WCET is missing/non-positive, or
-/// (footnote 3) no admissible server period exists.
+/// is outside the schedulable subclass, a WCET is missing/non-positive,
+/// (footnote 3) no admissible server period exists, or the frame would
+/// hold more than kMaxDerivedJobs jobs.
 [[nodiscard]] DerivedTaskGraph derive_task_graph(const Network& net,
                                                  const WcetMap& wcet,
                                                  const DerivationOptions& opts = {});

@@ -71,7 +71,7 @@ std::uint64_t fingerprint(const TaskGraph& tg) {
 
   // Edges: (from, to) pairs, combined commutatively for the same reason.
   std::uint64_t edge_sum = 0;
-  for (const auto& [from, to] : tg.precedence().edges()) {
+  for (const auto& [from, to] : tg.edges()) {
     edge_sum += scramble(Fnv64().u64(from.value()).u64(to.value()).value());
   }
 

@@ -1,6 +1,7 @@
 #include "taskgraph/task_graph.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 
@@ -16,34 +17,53 @@ JobId TaskGraph::add_job(Job job) {
     throw std::invalid_argument("job '" + job.name + "': deadline before arrival");
   }
   jobs_.push_back(std::move(job));
-  prec_.add_node();
   preds_.emplace_back();
   succs_.emplace_back();
   return JobId(jobs_.size() - 1);
 }
 
+void TaskGraph::reserve(std::size_t jobs) {
+  jobs_.reserve(jobs);
+  preds_.reserve(jobs);
+  succs_.reserve(jobs);
+}
+
 bool TaskGraph::add_edge(JobId from, JobId to) {
-  if (!prec_.add_edge(NodeId(from.value()), NodeId(to.value()))) {
+  check_job(from);
+  check_job(to);
+  if (from == to) {
+    throw std::invalid_argument("task graph: self-loop rejected");
+  }
+  auto& out = succs_[from.value()];
+  if (std::find(out.begin(), out.end(), to) != out.end()) {
     return false;
   }
-  succs_[from.value()].push_back(to);
+  out.push_back(to);
   preds_[to.value()].push_back(from);
+  ++edge_count_;
   return true;
 }
 
 bool TaskGraph::remove_edge(JobId from, JobId to) {
-  if (!prec_.remove_edge(NodeId(from.value()), NodeId(to.value()))) {
+  check_job(from);
+  check_job(to);
+  auto& out = succs_[from.value()];
+  const auto it = std::find(out.begin(), out.end(), to);
+  if (it == out.end()) {
     return false;
   }
-  auto& out = succs_[from.value()];
-  out.erase(std::find(out.begin(), out.end(), to));
+  out.erase(it);
   auto& in = preds_[to.value()];
   in.erase(std::find(in.begin(), in.end(), from));
+  --edge_count_;
   return true;
 }
 
 bool TaskGraph::has_edge(JobId from, JobId to) const {
-  return prec_.has_edge(NodeId(from.value()), NodeId(to.value()));
+  check_job(from);
+  check_job(to);
+  const auto& out = succs_[from.value()];
+  return std::find(out.begin(), out.end(), to) != out.end();
 }
 
 const Job& TaskGraph::job(JobId id) const {
@@ -76,25 +96,77 @@ const std::vector<JobId>& TaskGraph::successors(JobId id) const {
   return succs_[id.value()];
 }
 
-void TaskGraph::rebuild_adjacency() {
-  for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    preds_[i].clear();
-    succs_[i].clear();
-    for (const NodeId n : prec_.predecessors(NodeId(i))) {
-      preds_[i].emplace_back(n.value());
-    }
-    for (const NodeId n : prec_.successors(NodeId(i))) {
-      succs_[i].emplace_back(n.value());
+std::vector<std::pair<JobId, JobId>> TaskGraph::edges() const {
+  std::vector<std::pair<JobId, JobId>> result;
+  result.reserve(edge_count_);
+  for (std::size_t u = 0; u < succs_.size(); ++u) {
+    for (const JobId v : succs_[u]) {
+      result.emplace_back(JobId(u), v);
     }
   }
+  return result;
 }
 
-bool TaskGraph::is_acyclic() const { return fppn::is_acyclic(prec_); }
+std::optional<std::vector<JobId>> TaskGraph::topological_order() const {
+  const std::size_t n = jobs_.size();
+  std::vector<std::size_t> indegree(n);
+  // Min-heap on job id, as topological_sort.
+  std::vector<std::size_t> ready;
+  for (std::size_t i = 0; i < n; ++i) {
+    indegree[i] = preds_[i].size();
+    if (indegree[i] == 0) {
+      ready.push_back(i);  // ascending, hence already a min-heap
+    }
+  }
+  std::vector<JobId> order;
+  order.reserve(n);
+  while (!ready.empty()) {
+    std::pop_heap(ready.begin(), ready.end(), std::greater<>());
+    const std::size_t u = ready.back();
+    ready.pop_back();
+    order.emplace_back(u);
+    for (const JobId v : succs_[u]) {
+      if (--indegree[v.value()] == 0) {
+        ready.push_back(v.value());
+        std::push_heap(ready.begin(), ready.end(), std::greater<>());
+      }
+    }
+  }
+  if (order.size() != n) {
+    return std::nullopt;  // cycle
+  }
+  return order;
+}
+
+Digraph TaskGraph::precedence() const {
+  Digraph g(jobs_.size());
+  for (std::size_t u = 0; u < succs_.size(); ++u) {
+    for (const JobId v : succs_[u]) {
+      g.add_edge(NodeId(u), NodeId(v.value()));
+    }
+  }
+  return g;
+}
+
+bool TaskGraph::is_acyclic() const { return topological_order().has_value(); }
 
 std::size_t TaskGraph::transitive_reduce() {
-  const std::size_t removed = transitive_reduction(prec_);
-  if (removed > 0) {
-    rebuild_adjacency();
+  std::vector<EdgePair> list;
+  list.reserve(edge_count_);
+  for (const auto& [u, v] : edges()) {
+    list.emplace_back(static_cast<std::uint32_t>(u.value()),
+                      static_cast<std::uint32_t>(v.value()));
+  }
+  const auto fates = edge_fates(jobs_.size(), list, /*reduce=*/true);
+  if (!fates.has_value()) {
+    throw std::invalid_argument("transitive reduction requires a DAG");
+  }
+  std::size_t removed = 0;
+  for (std::size_t e = 0; e < list.size(); ++e) {
+    if ((*fates)[e] == EdgeFate::kRedundant) {
+      remove_edge(JobId(list[e].first), JobId(list[e].second));
+      ++removed;
+    }
   }
   return removed;
 }
@@ -132,7 +204,7 @@ std::string TaskGraph::to_dot() const {
     return j.name + "\\n(" + j.arrival.to_string() + "," + j.deadline.to_string() +
            "," + j.wcet.to_string() + ")";
   };
-  return fppn::to_dot(prec_, label, "taskgraph");
+  return fppn::to_dot(precedence(), label, "taskgraph");
 }
 
 std::string TaskGraph::to_table() const {

@@ -5,12 +5,20 @@
 // simulation (derivation.hpp), so JobId order == <J order for derived
 // graphs. Synthetic graphs (tests, heuristic benchmarks) can be assembled
 // directly through add_job/add_edge.
+//
+// The precedence relation is stored once: per job, its predecessor and
+// successor JobId lists, each in edge insertion order. Derivation builds
+// the reduced graph in one pass, so the orders it leaves are those of the
+// generating edge list (derivation.hpp). precedence() copies the relation
+// into a Digraph for the cold callers (DOT export, tests, the reference
+// derivation); no hot path calls it.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/digraph.hpp"
@@ -40,28 +48,41 @@ class TaskGraph {
   explicit TaskGraph(Duration hyperperiod) : hyperperiod_(hyperperiod) {}
 
   JobId add_job(Job job);
+  /// Reserves room for `jobs` jobs (derivation knows the count up front).
+  void reserve(std::size_t jobs);
 
   /// Adds a precedence edge; parallel edges are ignored. Throws on
   /// self-loops or out-of-range ids.
   bool add_edge(JobId from, JobId to);
+  /// Removes an edge if present, keeping the order of the other edges.
   bool remove_edge(JobId from, JobId to);
   [[nodiscard]] bool has_edge(JobId from, JobId to) const;
 
   [[nodiscard]] std::size_t job_count() const noexcept { return jobs_.size(); }
-  [[nodiscard]] std::size_t edge_count() const noexcept { return prec_.edge_count(); }
+  [[nodiscard]] std::size_t edge_count() const noexcept { return edge_count_; }
 
   [[nodiscard]] const Job& job(JobId id) const;
   [[nodiscard]] Job& job(JobId id);
   [[nodiscard]] const std::vector<Job>& jobs() const noexcept { return jobs_; }
 
-  /// Pred(i) and Succ(i) of §III-B. Returned by reference into adjacency
-  /// mirrors kept in sync with the precedence digraph — no per-call
-  /// allocation (the schedule-evaluation hot path iterates these for every
-  /// candidate). The reference is invalidated by any mutation of the graph.
+  /// Pred(i) and Succ(i) of §III-B, in edge insertion order. Returned by
+  /// reference — no per-call allocation (the schedule-evaluation hot path
+  /// iterates these for every candidate). The reference is invalidated by
+  /// any mutation of the graph.
   [[nodiscard]] const std::vector<JobId>& predecessors(JobId id) const;
   [[nodiscard]] const std::vector<JobId>& successors(JobId id) const;
 
-  [[nodiscard]] const Digraph& precedence() const noexcept { return prec_; }
+  /// All edges as (from, to) pairs in (from, insertion) order — the order
+  /// of Digraph::edges() on precedence().
+  [[nodiscard]] std::vector<std::pair<JobId, JobId>> edges() const;
+
+  /// Topological order of all jobs, smaller JobId first among ready jobs
+  /// (topological_sort's order), or nullopt when the graph is cyclic.
+  [[nodiscard]] std::optional<std::vector<JobId>> topological_order() const;
+
+  /// The precedence relation as a Digraph, built on every call. Successor
+  /// lists keep this graph's order; predecessor lists are in source order.
+  [[nodiscard]] Digraph precedence() const;
 
   /// Frame period H; zero when not set (synthetic graphs).
   [[nodiscard]] const Duration& hyperperiod() const noexcept { return hyperperiod_; }
@@ -91,15 +112,11 @@ class TaskGraph {
 
  private:
   void check_job(JobId id) const;
-  void rebuild_adjacency();
 
   std::vector<Job> jobs_;
-  Digraph prec_;
-  // JobId-typed mirrors of prec_'s adjacency, same deterministic order
-  // (insertion order per endpoint), so predecessors()/successors() can
-  // return references instead of allocating copies.
   std::vector<std::vector<JobId>> preds_;
   std::vector<std::vector<JobId>> succs_;
+  std::size_t edge_count_ = 0;
   Duration hyperperiod_;
 };
 

@@ -131,6 +131,85 @@ TEST(TransitiveReduction, PreservesReachability) {
   }
 }
 
+TEST(EdgeFates, RepeatsCountOnceAndTheFirstWins) {
+  const std::vector<EdgePair> edges = {{0, 1}, {1, 2}, {0, 1}, {0, 2}, {1, 2}};
+  const auto fates = edge_fates(3, edges, /*reduce=*/false);
+  ASSERT_TRUE(fates.has_value());
+  const std::vector<EdgeFate> expected = {EdgeFate::kKept, EdgeFate::kKept,
+                                          EdgeFate::kRepeat, EdgeFate::kKept,
+                                          EdgeFate::kRepeat};
+  EXPECT_EQ(*fates, expected);
+  const auto reduced = edge_fates(3, edges, /*reduce=*/true);
+  ASSERT_TRUE(reduced.has_value());
+  EXPECT_EQ((*reduced)[3], EdgeFate::kRedundant);  // 0 -> 1 -> 2
+}
+
+TEST(EdgeFates, CyclesAndSelfLoopsAreRejected) {
+  EXPECT_FALSE(edge_fates(3, {{0, 1}, {1, 2}, {2, 0}}, true).has_value());
+  EXPECT_FALSE(edge_fates(3, {{0, 1}, {1, 2}, {2, 0}}, false).has_value());
+  EXPECT_FALSE(edge_fates(2, {{1, 1}}, true).has_value());
+  EXPECT_TRUE(edge_fates(0, {}, true).has_value());
+}
+
+TEST(EdgeFates, ReachesThroughEdgesThatPointToSmallerIds) {
+  // 2 -> 1 is redundant only through 0, the smallest id: reachability
+  // has to be filled in topological order, not in reverse id order.
+  const auto fates = edge_fates(3, {{2, 0}, {0, 1}, {2, 1}}, true);
+  ASSERT_TRUE(fates.has_value());
+  const std::vector<EdgeFate> expected = {EdgeFate::kKept, EdgeFate::kKept,
+                                          EdgeFate::kRedundant};
+  EXPECT_EQ(*fates, expected);
+}
+
+TEST(EdgeFates, AgreesWithTransitiveReductionOnRandomDags) {
+  std::uint64_t state = 12345;
+  const auto next = [&state] {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return state >> 33;
+  };
+  for (int round = 0; round < 200; ++round) {
+    const std::size_t n = 2 + next() % 40;
+    // A random DAG over a random relabelling, so edges point both ways in
+    // id order; every edge is listed twice somewhere.
+    std::vector<std::uint32_t> label(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      label[i] = static_cast<std::uint32_t>(i);
+    }
+    for (std::size_t i = n - 1; i > 0; --i) {
+      std::swap(label[i], label[next() % (i + 1)]);
+    }
+    std::vector<EdgePair> edges;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) {
+        if (next() % 4 == 0) {
+          edges.emplace_back(label[i], label[j]);
+        }
+      }
+    }
+    const std::size_t unique = edges.size();
+    for (std::size_t e = 0; e < unique; ++e) {
+      const EdgePair repeat = edges[next() % unique];
+      edges.push_back(repeat);
+    }
+    Digraph g(n);
+    for (const auto& [u, v] : edges) {
+      g.add_edge(NodeId(u), NodeId(v));
+    }
+    transitive_reduction(g);
+    const auto fates = edge_fates(n, edges, true);
+    ASSERT_TRUE(fates.has_value());
+    std::size_t kept = 0;
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      if ((*fates)[e] == EdgeFate::kKept) {
+        ++kept;
+        EXPECT_TRUE(g.has_edge(NodeId(edges[e].first), NodeId(edges[e].second)))
+            << "round " << round;
+      }
+    }
+    EXPECT_EQ(kept, g.edge_count()) << "round " << round;
+  }
+}
+
 TEST(LongestPathDepths, Chain) {
   Digraph g(4);
   g.add_edge(NodeId(0), NodeId(1));

@@ -1,23 +1,29 @@
-// Byte-mutation sweep over two hand-written parsers that read untrusted
-// text: schedule-cache entries (read back from disk) and the .fppn network
-// format (the body of a serve request). Every byte of a valid input is
-// replaced, in turn, by each of a few bytes that stress the grammar, and
-// the input is truncated at every prefix. Each variant must parse or fail
-// with the parser's documented exception; nothing else may escape.
+// Byte-mutation sweep over three hand-written parsers that read untrusted
+// text: schedule-cache entries and the cache index (read back from disk)
+// and the .fppn network format (the body of a serve request). Every byte
+// of a valid input is replaced, in turn, by each of a few bytes that
+// stress the grammar, and the input is truncated at every prefix. Each
+// variant must parse or fail with the parser's documented exception;
+// nothing else may escape. Every network variant that parses is derived
+// too: it must derive or be rejected with std::invalid_argument, and a
+// derived graph must equal the reference derivation's.
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "apps/fig1.hpp"
+#include "io/cache_index.hpp"
 #include "io/schedule_format.hpp"
 #include "io/text_format.hpp"
 #include "taskgraph/derivation.hpp"
 #include "taskgraph/fingerprint.hpp"
 #include "testing/list_scheduler.hpp"
+#include "testing/reference_derivation.hpp"
 
 namespace fppn {
 namespace {
@@ -102,11 +108,47 @@ TEST(ParserMutation, NetworkTextSurvivesEveryByteMutation) {
   ASSERT_FALSE(text.empty());
   ASSERT_NO_THROW((void)io::parse_network_string(text));
 
+  std::size_t derived = 0;
   const std::size_t parsed = sweep(
-      text, [](const std::string& s) { (void)io::parse_network_string(s); },
+      text,
+      [&](const std::string& s) {
+        const io::ParsedNetwork net = io::parse_network_string(s);
+        std::optional<DerivedTaskGraph> got;
+        try {
+          got = derive_task_graph(net.net, net.wcets);
+        } catch (const std::invalid_argument&) {
+          return;  // the documented rejection
+        }
+        ++derived;
+        std::optional<DerivedTaskGraph> want;
+        try {
+          want = testing::reference_derive_task_graph(net.net, net.wcets);
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << "only the reference threw: " << e.what() << "\ninput:\n" << s;
+          return;
+        }
+        EXPECT_EQ(testing::derivation_difference(*got, *want), "") << "input:\n" << s;
+      },
       [](const std::exception& e) {
         return dynamic_cast<const io::ParseError*>(&e) != nullptr ||
                dynamic_cast<const std::invalid_argument*>(&e) != nullptr;
+      });
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(derived, 0u);  // the sweep reached the derivation
+}
+
+TEST(ParserMutation, CacheIndexSurvivesEveryByteMutation) {
+  io::CacheIndex index;
+  index.touch("00000000000000ff-alap-edf-m2-s1-i2000-r2.sched");
+  index.touch("0123456789abcdef-local-search-m4-s3-i2000-r2.sched");
+  index.touch("00000000000000ff-alap-edf-m2-s1-i2000-r2.sched");
+  const std::string text = io::write_cache_index(index);
+  ASSERT_NO_THROW((void)io::read_cache_index_string(text));
+
+  const std::size_t parsed = sweep(
+      text, [](const std::string& s) { (void)io::read_cache_index_string(s); },
+      [](const std::exception& e) {
+        return dynamic_cast<const io::ParseError*>(&e) != nullptr;
       });
   EXPECT_GT(parsed, 0u);
 }
