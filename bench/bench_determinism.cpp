@@ -84,6 +84,22 @@ void BM_ZeroDelayFmsHyperperiod(benchmark::State& state) {
 }
 BENCHMARK(BM_ZeroDelayFmsHyperperiod)->Unit(benchmark::kMillisecond);
 
+// The execute-fms shape: the untraced reference over 10 FMS hyperperiods
+// with sensor inputs and random sporadic commands (plan build included).
+void BM_ZeroDelayReferenceFms(benchmark::State& state) {
+  const auto app = apps::build_fms();
+  const Duration hyperperiod = derive_task_graph(app.net, app.default_wcets()).hyperperiod;
+  constexpr std::int64_t kFrames = 10;
+  const InputScripts inputs = app.make_inputs(static_cast<std::size_t>(kFrames * 50), 1);
+  const auto commands =
+      app.random_commands(Time() + hyperperiod * Rational(kFrames - 1), 1);
+  for (auto _ : state) {
+    auto res = zero_delay_reference(app.net, hyperperiod, kFrames, inputs, commands);
+    benchmark::DoNotOptimize(res.jobs_executed);
+  }
+}
+BENCHMARK(BM_ZeroDelayReferenceFms)->Unit(benchmark::kMillisecond);
+
 void BM_HistoryFingerprint(benchmark::State& state) {
   const auto app = apps::build_fms();
   const InputScripts inputs = app.make_inputs(55);

@@ -90,6 +90,17 @@ SporadicScript SporadicScript::random(int burst, const Duration& period, Time ho
   return SporadicScript(std::move(times), burst, period);
 }
 
+namespace {
+
+bool slot_before(const Invocation& a, const Invocation& b) {
+  if (a.time != b.time) {
+    return a.time < b.time;
+  }
+  return a.process < b.process;
+}
+
+}  // namespace
+
 void InvocationPlan::add(Time t, ProcessId p, int count) {
   if (t < Time()) {
     throw std::invalid_argument("invocation plan: negative time");
@@ -97,21 +108,24 @@ void InvocationPlan::add(Time t, ProcessId p, int count) {
   if (count < 1) {
     throw std::invalid_argument("invocation plan: count must be >= 1");
   }
-  auto& vec = by_time_[t];
-  for (int i = 0; i < count; ++i) {
-    vec.push_back(p);
-  }
-  total_ += static_cast<std::size_t>(count);
+  slots_.insert(slots_.end(), static_cast<std::size_t>(count), Invocation{t, p});
 }
 
 std::vector<InvocationGroup> InvocationPlan::groups() const {
+  std::vector<Invocation> slots = slots_;
+  std::sort(slots.begin(), slots.end(), slot_before);
   std::vector<InvocationGroup> out;
-  out.reserve(by_time_.size());
-  for (const auto& [t, procs] : by_time_) {
+  for (std::size_t i = 0; i < slots.size();) {
+    std::size_t end = i + 1;
+    while (end < slots.size() && slots[end].time == slots[i].time) {
+      ++end;
+    }
     InvocationGroup g;
-    g.time = t;
-    g.processes = procs;
-    std::sort(g.processes.begin(), g.processes.end());
+    g.time = slots[i].time;
+    g.processes.reserve(end - i);
+    for (; i < end; ++i) {
+      g.processes.push_back(slots[i].process);
+    }
     out.push_back(std::move(g));
   }
   return out;

@@ -7,7 +7,8 @@
 //    length T_e (the minimal-separation generalization).
 // An InvocationPlan is a concrete timed sequence (t_1, P_1), (t_2, P_2) ...
 // of simultaneous invocation multisets — the input of the zero-delay
-// semantics (§II-B) and of task-graph hyperperiod simulation (§III-A).
+// semantics (§II-B). It is stored flat: one vector of (instant, process)
+// slots, which groups() sorts once and cuts into the multisets.
 #pragma once
 
 #include <cstdint>
@@ -93,8 +94,8 @@ class InvocationPlan {
   /// Groups sorted by time; within a group processes sorted by id.
   [[nodiscard]] std::vector<InvocationGroup> groups() const;
 
-  [[nodiscard]] std::size_t invocation_count() const noexcept { return total_; }
-  [[nodiscard]] bool empty() const noexcept { return total_ == 0; }
+  [[nodiscard]] std::size_t invocation_count() const noexcept { return slots_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return slots_.empty(); }
 
   /// Builds the plan for `net` on [0, horizon): periodic generators fire
   /// bursts at every multiple of their period; sporadic process p fires at
@@ -104,8 +105,9 @@ class InvocationPlan {
                               const std::map<ProcessId, SporadicScript>& scripts = {});
 
  private:
-  std::map<Time, std::vector<ProcessId>> by_time_;
-  std::size_t total_ = 0;
+  /// One invocation per slot in add() order; a burst of m is m equal
+  /// slots. groups() sorts them once by (time, process id).
+  std::vector<Invocation> slots_;
 };
 
 }  // namespace fppn

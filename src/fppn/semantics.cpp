@@ -41,11 +41,16 @@ std::vector<ProcessId> order_simultaneous(const Network& net,
   return result;
 }
 
-ZeroDelayResult run_zero_delay(const Network& net, const InvocationPlan& plan,
-                               const InputScripts& inputs,
-                               SimultaneityTieBreak tie_break) {
+namespace {
+
+/// The §II-B interpreter both entry points share: appends every action to
+/// the result's trace when `traced`, else hands ExecutionState the null
+/// sink and keeps the histories only.
+ZeroDelayResult interpret(const Network& net, const InvocationPlan& plan,
+                          const InputScripts& inputs, SimultaneityTieBreak tie_break,
+                          bool traced) {
   ZeroDelayResult result;
-  ExecutionState state(net, inputs, &result.trace);
+  ExecutionState state(net, inputs, traced ? &result.trace : nullptr);
   // order_simultaneous is a pure function of (net, multiset, tie_break),
   // and a run repeats the same few multisets: order each one once.
   std::map<std::vector<ProcessId>, std::vector<ProcessId>> orders;
@@ -65,6 +70,19 @@ ZeroDelayResult run_zero_delay(const Network& net, const InvocationPlan& plan,
   }
   result.histories = std::move(state).histories();
   return result;
+}
+
+}  // namespace
+
+ZeroDelayResult run_zero_delay(const Network& net, const InvocationPlan& plan,
+                               const InputScripts& inputs,
+                               SimultaneityTieBreak tie_break) {
+  return interpret(net, plan, inputs, tie_break, true);
+}
+
+ZeroDelayResult run_zero_delay_histories(const Network& net, const InvocationPlan& plan,
+                                         const InputScripts& inputs) {
+  return interpret(net, plan, inputs, SimultaneityTieBreak::kByProcessId, false);
 }
 
 }  // namespace fppn

@@ -12,6 +12,11 @@
 // deterministic tie-break so traces are reproducible, and expose the
 // tie-break as a parameter so property tests can verify that the observable
 // histories do not depend on it.
+//
+// run_zero_delay records the Act* trace. A run that is only compared with
+// a real execution needs the histories alone: run_zero_delay_histories is
+// the same interpreter handing ExecutionState the null sink, so it builds
+// no Action (and copies no channel Value into one).
 #pragma once
 
 #include <cstdint>
@@ -41,6 +46,12 @@ struct ZeroDelayResult {
 [[nodiscard]] ZeroDelayResult run_zero_delay(
     const Network& net, const InvocationPlan& plan, const InputScripts& inputs = {},
     SimultaneityTieBreak tie_break = SimultaneityTieBreak::kByProcessId);
+
+/// The same run without the trace: equal histories and jobs_executed,
+/// result.trace left empty. Same exceptions as run_zero_delay.
+[[nodiscard]] ZeroDelayResult run_zero_delay_histories(const Network& net,
+                                                       const InvocationPlan& plan,
+                                                       const InputScripts& inputs = {});
 
 /// The job execution order the zero-delay semantics uses for one
 /// simultaneous group: FP-topological, bursts of the same process kept

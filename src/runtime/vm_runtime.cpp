@@ -264,7 +264,7 @@ ZeroDelayResult zero_delay_reference(const Network& net, const Duration& hyperpe
                                      const std::map<ProcessId, SporadicScript>& sporadics) {
   const Time horizon = Time() + hyperperiod * Rational(frames);
   const InvocationPlan plan = InvocationPlan::build(net, horizon, sporadics);
-  return run_zero_delay(net, plan, inputs);
+  return run_zero_delay_histories(net, plan, inputs);
 }
 
 }  // namespace fppn

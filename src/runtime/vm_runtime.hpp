@@ -84,6 +84,9 @@ struct RunResult {
 /// [0, frames*H) plus the sporadic scripts, executed with the zero-delay
 /// semantics. Prop. 4.1 + Prop. 2.1 imply the VM histories must be
 /// functionally equal to this (the property tests verify it).
+/// Histories only: it records no Act* trace (result.trace stays empty);
+/// run_zero_delay on InvocationPlan::build(net, frames*H, sporadics) is
+/// the traced run with equal histories and jobs_executed.
 /// Deterministic and safe to call concurrently; exceptions from the
 /// semantics layer (ill-formed networks) propagate unchanged.
 [[nodiscard]] ZeroDelayResult zero_delay_reference(

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+
+#include "apps/fms.hpp"
 #include "fppn/network.hpp"
 
 namespace fppn {
@@ -130,6 +134,104 @@ TEST(InvocationPlan, BuildUsesSporadicScripts) {
   // Without a script the sporadic never fires.
   const InvocationPlan quiet = InvocationPlan::build(net, Time::ms(400));
   EXPECT_EQ(quiet.invocation_count(), 4u);
+}
+
+/// One add() call: `count` invocations of `process` at `time`.
+struct Add {
+  Time time;
+  ProcessId process;
+  int count = 1;
+};
+
+/// The grouping kept next to the flat plan: a map from instant to the
+/// invoked processes, each group sorted by id, bursts as repeats.
+std::vector<InvocationGroup> map_grouping(const std::vector<Add>& adds) {
+  std::map<Time, std::vector<ProcessId>> by_time;
+  for (const Add& a : adds) {
+    by_time[a.time].insert(by_time[a.time].end(), static_cast<std::size_t>(a.count),
+                           a.process);
+  }
+  std::vector<InvocationGroup> out;
+  for (auto& [t, procs] : by_time) {
+    std::sort(procs.begin(), procs.end());
+    out.push_back({t, procs});
+  }
+  return out;
+}
+
+std::size_t count_of(const std::vector<Add>& adds) {
+  std::size_t total = 0;
+  for (const Add& a : adds) {
+    total += static_cast<std::size_t>(a.count);
+  }
+  return total;
+}
+
+void expect_same_groups(const InvocationPlan& plan, const std::vector<Add>& adds) {
+  const std::vector<InvocationGroup> want = map_grouping(adds);
+  const std::vector<InvocationGroup> got = plan.groups();
+  EXPECT_EQ(plan.invocation_count(), count_of(adds));
+  EXPECT_EQ(plan.empty(), adds.empty());
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].time, want[i].time) << "group " << i;
+    EXPECT_EQ(got[i].processes, want[i].processes) << "group " << i;
+  }
+}
+
+TEST(InvocationPlan, FlatGroupingMatchesMapGrouping) {
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    const std::size_t adds_n = rng() % 120;
+    std::vector<Add> adds;
+    for (std::size_t i = 0; i < adds_n; ++i) {
+      // Few distinct instants, some fractional, so groups collect repeats.
+      const std::int64_t num = static_cast<std::int64_t>(rng() % 25);
+      const std::int64_t den = rng() % 4 == 0 ? 3 : 1;
+      adds.push_back({Time(Rational(num, den)), ProcessId{rng() % 14},
+                      1 + static_cast<int>(rng() % 3)});
+    }
+    // Even seeds add in (time, process) order, odd seeds out of order.
+    if (seed % 2 == 0) {
+      std::sort(adds.begin(), adds.end(), [](const Add& a, const Add& b) {
+        return std::tie(a.time, a.process) < std::tie(b.time, b.process);
+      });
+    }
+    InvocationPlan plan;
+    for (const Add& a : adds) {
+      plan.add(a.time, a.process, a.count);
+    }
+    expect_same_groups(plan, adds);
+    expect_same_groups(plan, adds);  // groups() leaves the plan as it was
+  }
+
+  // build() on the FMS with random sporadic commands; the add sequence is
+  // the one build() documents: periodic bursts at every multiple of the
+  // period, sporadic script times below the horizon.
+  const apps::FmsApp fms = apps::build_fms(true);
+  const Time horizon = Time::ms(25000);
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("fms seed " + std::to_string(seed));
+    const auto commands = fms.random_commands(Time::ms(30000), seed);
+    std::vector<Add> adds;
+    for (std::size_t i = 0; i < fms.net.process_count(); ++i) {
+      const ProcessId p{i};
+      const EventSpec& spec = fms.net.process(p).event;
+      if (spec.kind == EventKind::kPeriodic) {
+        for (Time t; t < horizon; t += spec.period) {
+          adds.push_back({t, p, spec.burst});
+        }
+      } else if (const auto it = commands.find(p); it != commands.end()) {
+        for (const Time& t : it->second.times()) {
+          if (t < horizon) {
+            adds.push_back({t, p, 1});
+          }
+        }
+      }
+    }
+    expect_same_groups(InvocationPlan::build(fms.net, horizon, commands), adds);
+  }
 }
 
 TEST(EventKind, ToString) {

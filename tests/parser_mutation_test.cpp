@@ -6,7 +6,10 @@
 // variant must parse or fail with the parser's documented exception;
 // nothing else may escape. Every network variant that parses is derived
 // too: it must derive or be rejected with std::invalid_argument, and a
-// derived graph must equal the reference derivation's.
+// derived graph must equal the reference derivation's. Last, the serve
+// request path end to end: every single-byte replacement, deletion and
+// insertion of a small solve request and of `stats` is handed to
+// SolveService::handle, which must answer each with a status line.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -17,6 +20,8 @@
 #include <vector>
 
 #include "apps/fig1.hpp"
+#include "engine/engine.hpp"
+#include "engine/service.hpp"
 #include "io/cache_index.hpp"
 #include "io/schedule_format.hpp"
 #include "io/text_format.hpp"
@@ -31,8 +36,8 @@ namespace {
 /// Digits, signs, the rational slash, separators and a non-ASCII byte.
 const std::vector<char> kReplacements = {'0', '9', '-', '+', '/', ' ', '\n', '\xff'};
 
-/// Every single-byte replacement of `text`, then every proper prefix.
-std::vector<std::string> mutations(const std::string& text) {
+/// Every single-byte replacement of `text`.
+std::vector<std::string> replacements(const std::string& text) {
   std::vector<std::string> out;
   for (std::size_t i = 0; i < text.size(); ++i) {
     for (const char c : kReplacements) {
@@ -43,8 +48,28 @@ std::vector<std::string> mutations(const std::string& text) {
       }
     }
   }
+  return out;
+}
+
+/// Every single-byte replacement of `text`, then every proper prefix.
+std::vector<std::string> mutations(const std::string& text) {
+  std::vector<std::string> out = replacements(text);
   for (std::size_t n = 0; n < text.size(); ++n) {
     out.push_back(text.substr(0, n));
+  }
+  return out;
+}
+
+/// Every single-byte replacement, deletion and insertion of `text`.
+std::vector<std::string> byte_edits(const std::string& text) {
+  std::vector<std::string> out = replacements(text);
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    out.push_back(text.substr(0, i) + text.substr(i + 1));
+  }
+  for (std::size_t i = 0; i <= text.size(); ++i) {
+    for (const char c : kReplacements) {
+      out.push_back(text.substr(0, i) + c + text.substr(i));
+    }
   }
   return out;
 }
@@ -65,6 +90,15 @@ std::size_t sweep(const std::string& text, Parse parse, Documented documented) {
     }
   }
   return parsed;
+}
+
+/// `text` without the spaces and newlines around it.
+std::string strip(const std::string& text) {
+  const std::size_t first = text.find_first_not_of(" \n");
+  if (first == std::string::npos) {
+    return {};
+  }
+  return text.substr(first, text.find_last_not_of(" \n") - first + 1);
 }
 
 std::string slurp(const std::string& path) {
@@ -151,6 +185,52 @@ TEST(ParserMutation, CacheIndexSurvivesEveryByteMutation) {
         return dynamic_cast<const io::ParseError*>(&e) != nullptr;
       });
   EXPECT_GT(parsed, 0u);
+}
+
+TEST(ParserMutation, ServiceRequestSurvivesEveryByteMutation) {
+  // Small periods keep a mutated hyperperiod small: an inserted digit
+  // makes at most a few hundred jobs.
+  const std::string request =
+      "process A periodic period=2 deadline=2 wcet=1\n"
+      "process B periodic period=4 deadline=4 wcet=1\n"
+      "process C sporadic burst=1 period=4 deadline=4 wcet=1\n"
+      "channel fifo ab A -> B\n"
+      "channel blackboard cb C -> B\n"
+      "priority A > B\n"
+      "priority C > B\n";
+  engine::Engine engine;
+  engine::ServiceOptions options;  // the quick preset
+  options.search_workers = 1;
+  engine::SolveService service(engine, options);
+  ASSERT_EQ(service.handle(request, 0.0).rfind("fppn-serve ok ", 0), 0u);
+  ASSERT_EQ(service.handle("stats", 0.0).rfind("fppn-serve stats ", 0), 0u);
+
+  std::size_t ok = 0;
+  std::size_t errors = 0;
+  for (const std::string& base : {request, std::string("stats")}) {
+    for (const std::string& input : byte_edits(base)) {
+      std::string response;
+      try {
+        response = service.handle(input, 0.0);
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "escaped: " << e.what() << "\ninput:\n" << input;
+        continue;
+      }
+      // A variant that only adds whitespace around `stats` is still the
+      // stats verb, which has its own status line.
+      const bool stats_verb = strip(input) == "stats";
+      EXPECT_TRUE(!response.empty() && response.back() == '\n') << "input:\n" << input;
+      if (response.rfind("fppn-serve ok", 0) == 0) {
+        ++ok;
+      } else if (response.rfind("fppn-serve error", 0) == 0) {
+        ++errors;
+      } else if (!(stats_verb && response.rfind("fppn-serve stats ", 0) == 0)) {
+        ADD_FAILURE() << "no status line: " << response << "\ninput:\n" << input;
+      }
+    }
+  }
+  EXPECT_GT(ok, 0u);      // some variants still solve
+  EXPECT_GT(errors, 0u);  // and some are rejected with an error line
 }
 
 }  // namespace

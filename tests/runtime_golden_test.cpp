@@ -5,9 +5,11 @@
 // Each digest hashes every observable output — TimedTrace events,
 // deadline misses, job counters, span end and the histories (doubles by
 // their bit pattern) for the vm; the rendered action trace and the
-// histories for the reference. The expected values were recorded before
-// the runtime and rational hot paths were optimized, so any change to an
-// output bit — an event, an instant, an order — fails here.
+// histories for the reference. The reference records no trace, so the
+// trace half comes from the traced run_zero_delay on the same plan. The
+// expected values were recorded before the runtime and rational hot paths
+// were optimized, so any change to an output bit — an event, an instant,
+// an order — fails here.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -125,9 +127,11 @@ std::string digest_of(const RunResult& r) {
   return d.hex();
 }
 
-std::string digest_of(const ZeroDelayResult& r, const Network& net) {
+/// `trace` is the Act* trace of the traced run on the reference's plan.
+std::string digest_of(const ZeroDelayResult& r, const ActionTrace& trace,
+                      const Network& net) {
   Digest d;
-  d.str(trace_to_string(r.trace, net));
+  d.str(trace_to_string(trace, net));
   d.histories(r.histories);
   d.u64(r.jobs_executed);
   return d.hex();
@@ -174,8 +178,13 @@ TEST(RuntimeGolden, FmsVmAndZeroDelayAreBitIdentical) {
         run_static_order_vm(fms.app.net, fms.derived, fms.schedule, opts, in, cmds);
     const ZeroDelayResult ref =
         zero_delay_reference(fms.app.net, fms.derived.hyperperiod, kFrames, in, cmds);
+    const ZeroDelayResult traced = run_zero_delay(
+        fms.app.net,
+        InvocationPlan::build(fms.app.net,
+                              Time() + fms.derived.hyperperiod * Rational(kFrames), cmds),
+        in);
     EXPECT_EQ(digest_of(vm), c.vm);
-    EXPECT_EQ(digest_of(ref, fms.app.net), c.reference);
+    EXPECT_EQ(digest_of(ref, traced.trace, fms.app.net), c.reference);
   }
 }
 

@@ -1,9 +1,21 @@
 // Zero-delay semantics (§II-B): trace construction, FP-ordering of
 // simultaneous invocations, and the worked example from the paper's text:
 //   alpha = w(0), x?[1]I1, x := x^2, x!c1, w(100), y?c1, O1![2]y
+// Also the untraced reference the runtimes are compared with: it must
+// reproduce the traced run's histories on every app and generated family.
 #include "fppn/semantics.hpp"
 
 #include <gtest/gtest.h>
+
+#include <set>
+#include <string>
+
+#include "apps/fft.hpp"
+#include "apps/fig1.hpp"
+#include "apps/fms.hpp"
+#include "gen/scenario.hpp"
+#include "runtime/vm_runtime.hpp"
+#include "taskgraph/derivation.hpp"
 
 namespace fppn {
 namespace {
@@ -172,6 +184,82 @@ TEST(ZeroDelay, EmptyPlanProducesEmptyTrace) {
   const auto res = run_zero_delay(net, InvocationPlan{});
   EXPECT_EQ(res.jobs_executed, 0u);
   EXPECT_TRUE(res.trace.empty());
+}
+
+/// zero_delay_reference against the traced run_zero_delay on the same
+/// plan: equal histories and job counts, and no trace in the reference.
+void expect_reference_matches_traced(const Network& net, const Duration& hyperperiod,
+                                     std::int64_t frames, const InputScripts& inputs,
+                                     const std::map<ProcessId, SporadicScript>& scripts,
+                                     const std::string& what) {
+  SCOPED_TRACE(what);
+  const ZeroDelayResult ref =
+      zero_delay_reference(net, hyperperiod, frames, inputs, scripts);
+  const InvocationPlan plan =
+      InvocationPlan::build(net, Time() + hyperperiod * Rational(frames), scripts);
+  const ZeroDelayResult traced = run_zero_delay(net, plan, inputs);
+  EXPECT_TRUE(ref.histories.functionally_equal(traced.histories))
+      << ref.histories.diff(traced.histories, net);
+  EXPECT_EQ(ref.histories.fingerprint(), traced.histories.fingerprint());
+  EXPECT_EQ(ref.jobs_executed, traced.jobs_executed);
+  EXPECT_GT(ref.jobs_executed, 0u);
+  EXPECT_TRUE(ref.trace.empty());
+  EXPECT_FALSE(traced.trace.empty());
+}
+
+TEST(ZeroDelay, ReferenceMatchesTracedRun) {
+  // FMS over 10 hyperperiods, commands ending one hyperperiod early.
+  const apps::FmsApp fms = apps::build_fms(true);
+  const Duration fms_h = derive_task_graph(fms.net, fms.default_wcets()).hyperperiod;
+  constexpr std::int64_t kFmsFrames = 10;
+  for (const std::uint64_t seed : {1, 7, 42, 20260101}) {
+    expect_reference_matches_traced(
+        fms.net, fms_h, kFmsFrames,
+        fms.make_inputs(static_cast<std::size_t>(kFmsFrames * 50), seed),
+        fms.random_commands(Time() + fms_h * Rational(kFmsFrames - 1), seed),
+        "fms seed " + std::to_string(seed));
+  }
+
+  const apps::Fig1App fig1 = apps::build_fig1();
+  std::map<ProcessId, SporadicScript> coefs;
+  coefs.emplace(fig1.coef_b, SporadicScript({Time::ms(50), Time::ms(50), Time::ms(760)},
+                                            2, Duration::ms(700)));
+  expect_reference_matches_traced(
+      fig1.net, derive_task_graph(fig1.net, fig1.fig3_wcets()).hyperperiod, 5,
+      fig1.make_inputs({3, 1, 4, 1, 5, 9, 2, 6}, {1.5, 2.5, 3.5}), coefs, "fig1");
+
+  const apps::FftApp fft = apps::build_fft();
+  std::vector<std::vector<double>> blocks;
+  for (int frame = 0; frame < 4; ++frame) {
+    std::vector<double> block;
+    for (int i = 0; i < fft.points; ++i) {
+      block.push_back(static_cast<double>((frame + 1) * (i % 3) - i));
+    }
+    blocks.push_back(std::move(block));
+  }
+  expect_reference_matches_traced(
+      fft.net,
+      derive_task_graph(fft.net, fft.uniform_wcets(Duration::ms(10))).hyperperiod, 4,
+      fft.make_inputs(blocks), {}, "fft");
+
+  std::set<gen::Family> derived_families;
+  for (const gen::Family family : gen::all_families()) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      const gen::Scenario s = gen::make_scenario(family, seed);
+      Duration hyperperiod;
+      try {
+        hyperperiod = derive_task_graph(s.net, s.wcets).hyperperiod;
+      } catch (const std::invalid_argument&) {
+        continue;  // only the families that derive have a hyperperiod
+      }
+      derived_families.insert(family);
+      constexpr std::int64_t kFrames = 2;
+      expect_reference_matches_traced(
+          s.net, hyperperiod, kFrames, {},
+          gen::jittered_scripts(s.net, seed, kFrames, hyperperiod), s.name);
+    }
+  }
+  EXPECT_EQ(derived_families.size(), gen::all_families().size());
 }
 
 }  // namespace
