@@ -38,7 +38,6 @@ void print_report() {
       config.seeds_per_strategy = 1;
       config.max_iterations = 2000;  // the pre-engine defaults
       config.restarts = 2;
-      config.warm_start = false;
       const auto attempt = engine::solve_graph(derived.graph, config).search.best;
       runtime::RunOptions opts;
       opts.frames = frames;

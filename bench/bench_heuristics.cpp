@@ -107,7 +107,6 @@ void print_report() {
       config.seed = seed + 1;
       config.max_iterations = 400;
       config.restarts = 1;
-      config.warm_start = false;
       const auto report = engine::solve_graph(tg, config);
       feasible += report.feasible() ? 1 : 0;
       makespan_sum += report.search.best.makespan.to_double_ms();
@@ -160,7 +159,6 @@ void BM_ParallelSearchWorkers(benchmark::State& state) {
   config.seeds_per_strategy = 4;
   config.max_iterations = 400;
   config.restarts = 2;  // the pre-engine ParallelSearchOptions default
-  config.warm_start = false;
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine::solve_graph(tg, config).search.best.makespan);
   }

@@ -81,7 +81,6 @@ bool fms_winner_equality(benchjson::Report& report) {
   config.seeds_per_strategy = 2;
   config.max_iterations = 400;
   config.restarts = 1;
-  config.warm_start = false;
   const sched::ParallelSearchResult fast =
       engine::solve_graph(derived.graph, config).search;
   const sched::ParallelSearchResult reference =

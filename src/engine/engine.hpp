@@ -2,13 +2,13 @@
 // entry point (fppn_tool subcommands, fppn_serve, benches, the fuzz loop)
 // goes through.
 //
-// solve() runs parse -> derive -> cache-attach -> search -> warm-start
-// overlay and reports structured stats instead of printing them. The
-// pipeline is deterministic end to end: for a fixed request (and fixed
-// cache contents when warm-start applies), the winning schedule is
-// bit-identical regardless of worker threads, cache warmth or which entry
-// point issued the request — the contract sched/parallel_search.hpp
-// documents, enforced here in the single place requests are translated.
+// solve() runs parse -> derive -> cache-attach -> search and reports
+// structured stats instead of printing them. The pipeline is
+// deterministic end to end: for a fixed request, the winning schedule is
+// bit-identical regardless of worker threads, cache warmth or contents,
+// or which entry point issued the request — the contract
+// sched/parallel_search.hpp documents, enforced here in the single place
+// requests are translated.
 //
 // An Engine is long-lived: it owns the shared in-memory ScheduleCache
 // (the L1 of fppn_serve — SearchConfig::memory_cache) and one

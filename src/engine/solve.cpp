@@ -33,7 +33,6 @@ sched::ParallelSearchOptions SearchConfig::search_options() const {
   if (restarts.has_value()) {
     opts.restarts = *restarts;
   }
-  opts.warm_start = warm_start;
   return opts;
 }
 

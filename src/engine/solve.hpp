@@ -3,14 +3,14 @@
 // (SearchConfig) and one structured outcome (SolveReport).
 //
 // SearchConfig is the single user-facing source of the search plumbing:
-// strategy restriction, seeds, workers, budget, cache directory/bounds
-// and warm-start. It derives the lower-level options in exactly one place
+// strategy restriction, seeds, workers, budget and cache directory/bounds.
+// It derives the lower-level options in exactly one place
 // (search_options()), and those pass down unchanged: ParallelSearchOptions
 // yields one StrategyOptions per candidate, which the strategy (and
 // optimize_priority) take as is. The determinism contract — same request,
-// bit-identical winner, regardless of workers or cache warmth — is
-// therefore enforced once, for every caller (engine/engine.hpp holds the
-// Engine that executes requests). Production search always runs the
+// bit-identical winner, regardless of workers, cache warmth or cache
+// contents — is therefore enforced once, for every caller
+// (engine/engine.hpp holds the Engine that executes requests). Production search always runs the
 // incremental evaluation kernel; the naive reference pipeline it must match lives in testing/reference_search.hpp.
 #pragma once
 
@@ -63,10 +63,6 @@ struct SearchConfig {
   std::size_t cache_max_entries = 0;
   /// Byte-size bound on the disk directory's entry files; 0 = unbounded.
   std::uint64_t cache_max_bytes = 0;
-  /// Run the warm-start overlay after winner selection (ignored without a
-  /// cache). Defaults on, like fppn_tool: the overlay only ever matches
-  /// or strictly improves the winner.
-  bool warm_start = true;
 
   /// The resolved low-level options — the single place SearchConfig is
   /// translated for the search layers. Cache fields are handled by

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -59,7 +60,13 @@ using Action =
 /// A full execution trace alpha in Act*.
 class ActionTrace {
  public:
-  void push(Action a) { actions_.push_back(std::move(a)); }
+  /// Appends `action`, one of Action's alternatives. The Action is built
+  /// in place: moving a temporary Action instead makes g++ 12 at -O3 warn
+  /// (-Wmaybe-uninitialized) about the other alternatives' members.
+  template <class T>
+  void push(T action) {
+    actions_.emplace_back(std::in_place_type<T>, std::move(action));
+  }
 
   [[nodiscard]] const std::vector<Action>& actions() const noexcept { return actions_; }
   [[nodiscard]] std::size_t size() const noexcept { return actions_.size(); }

@@ -33,7 +33,6 @@ engine::SearchConfig search_config(const FuzzConfig& cfg, std::uint64_t seed,
   config.seed = seed;
   config.max_iterations = cfg.max_iterations;
   config.restarts = cfg.restarts;
-  config.warm_start = false;  // no cache attached; keep the run pure
   return config;
 }
 

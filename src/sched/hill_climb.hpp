@@ -28,11 +28,10 @@ namespace sched {
 /// Consecutive non-improving moves before a start point is abandoned.
 inline constexpr int kStaleLimit = 200;
 
-/// Optimizes SP for `tg` under `opts` (processors, seed, budget and the
-/// warm starts). Every score comes from `scorer`, so its evaluation
-/// counts are a pure function of (tg, opts). The eval counters
-/// full/incremental/spliced are left zero for the caller to fill from
-/// its scorer.
+/// Optimizes SP for `tg` under `opts` (processors, seed and budget).
+/// Every score comes from `scorer`, so its evaluation counts are a pure
+/// function of (tg, opts). The eval counters full/incremental/spliced
+/// are left zero for the caller to fill from its scorer.
 template <class Scorer>
 LocalSearchResult hill_climb(const TaskGraph& tg, const StrategyOptions& opts,
                              Scorer& scorer) {
@@ -46,11 +45,7 @@ LocalSearchResult hill_climb(const TaskGraph& tg, const StrategyOptions& opts,
     best.makespan = score.makespan;
   };
 
-  // Seed with the best plain heuristic, then let any supplied start
-  // points (the warm-start hook) compete on the same strict-improvement
-  // terms: a start priority displaces the heuristic seed only when its
-  // score is strictly better, so equal-scoring warm starts keep the
-  // heuristic provenance (and the bit-identical cold result).
+  // Seed with the best plain heuristic; the first one wins ties.
   for (const PriorityHeuristic h : all_heuristics()) {
     std::vector<JobId> order = schedule_priority(tg, h);
     const EvalScore score = scorer.evaluate(order);
@@ -58,14 +53,6 @@ LocalSearchResult hill_climb(const TaskGraph& tg, const StrategyOptions& opts,
       adopt(score);
       best.priority = std::move(order);
       best.start_heuristic = h;
-    }
-  }
-  for (std::size_t p = 0; p < opts.warm_starts.size(); ++p) {
-    const EvalScore score = scorer.evaluate(opts.warm_starts[p]);
-    if (score.better_than(best_score)) {
-      adopt(score);
-      best.priority = opts.warm_starts[p];
-      best.start_priority_index = static_cast<int>(p);
     }
   }
   if (n < 2) {

@@ -24,10 +24,6 @@ struct LocalSearchResult {
   bool feasible = false;
   int iterations_used = 0;
   PriorityHeuristic start_heuristic = PriorityHeuristic::kAlapEdf;
-  /// Index into StrategyOptions::warm_starts when one of the supplied
-  /// start points beat every heuristic at seeding time; -1 when
-  /// a plain heuristic won (start_heuristic names it).
-  int start_priority_index = -1;
   // Evaluation accounting: a pure function of (tg, opts), but
   // informational only and excluded from every determinism contract.
   std::uint64_t full_evals = 0;         ///< from-scratch simulations
@@ -38,10 +34,8 @@ struct LocalSearchResult {
 /// Optimizes SP for `tg` with `opts.max_iterations` moves per start
 /// point and `opts.restarts` restarts, scoring through the sched::Evaluator
 /// kernel. Never returns a schedule worse than the best plain heuristic
-/// or any of `opts.warm_starts` (the search starts from the best of them
-/// and only accepts improvements). Each warm start must be a permutation
-/// of all jobs, or std::invalid_argument is thrown. A start point is
-/// abandoned after 200 consecutive non-improving moves.
+/// (the search starts from it and only accepts improvements). A start
+/// point is abandoned after 200 consecutive non-improving moves.
 ///
 /// Deterministic: a pure function of (tg, opts) — all randomness comes
 /// from opts.seed, so equal inputs yield the bit-identical schedule on

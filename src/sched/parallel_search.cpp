@@ -7,19 +7,8 @@
 #include <stdexcept>
 #include <thread>
 
-#include "sched/warm_start.hpp"
-
 namespace fppn {
 namespace sched {
-
-namespace {
-
-/// The registry name the warm-start overlay owns. Never expanded into the
-/// plan: its result depends on cache contents, which the deterministic
-/// candidate matrix must not.
-constexpr const char* kWarmStartStrategy = "cached-warm-start";
-
-}  // namespace
 
 std::vector<SearchCandidate> enumerate_search_candidates(const ParallelSearchOptions& opts,
                                                          const StrategyRegistry& registry) {
@@ -29,13 +18,8 @@ std::vector<SearchCandidate> enumerate_search_candidates(const ParallelSearchOpt
   if (opts.seeds_per_strategy < 1) {
     throw std::invalid_argument("parallel_search: seeds_per_strategy must be >= 1");
   }
-  std::vector<std::string> strategy_names =
+  const std::vector<std::string> strategy_names =
       opts.strategies.empty() ? registry.names() : opts.strategies;
-  if (opts.strategies.empty()) {
-    strategy_names.erase(
-        std::remove(strategy_names.begin(), strategy_names.end(), kWarmStartStrategy),
-        strategy_names.end());
-  }
   std::vector<SearchCandidate> candidates;
   for (const std::string& name : strategy_names) {
     const auto strategy = registry.create(name);  // throws on unknown name
@@ -83,108 +67,9 @@ bool better_search_candidate(const StrategyResult& a, std::uint64_t a_seed,
   return a_seed < b_seed;
 }
 
-/// True when `a` is strictly better than `b` on the score prefix of
-/// better_search_candidate — feasibility, then deadline violations, then
-/// makespan — i.e. without the name/seed tie-breaks. The warm-start
-/// overlay's replacement gate: an equal-scoring warm candidate must keep
-/// the plan winner (so a warm rerun matches the cold winner bit for bit),
-/// which the full order's name tie-break would not guarantee.
-static bool strictly_better_score(const StrategyResult& a, const StrategyResult& b) {
-  if (a.feasible != b.feasible) {
-    return a.feasible;
-  }
-  if (a.deadline_violations != b.deadline_violations) {
-    return a.deadline_violations < b.deadline_violations;
-  }
-  return a.makespan < b.makespan;
-}
-
-namespace {
-
-/// The overlay with the graph's fingerprint `fp` given, so
-/// parallel_search fingerprints its graph once.
-void apply_cached_warm_start(const TaskGraph& tg, std::uint64_t fp,
-                             const ParallelSearchOptions& opts,
-                             ParallelSearchResult& result) {
-  const std::vector<std::vector<JobId>> starts = collect_warm_starts(*opts.cache, fp, tg);
-  if (starts.empty()) {
-    return;
-  }
-  result.warm_starts = starts.size();
-
-  // The overlay is a pure function of (tg, the options below, starts), so
-  // its outcome is memoized under exactly those. The gate against today's
-  // plan winner is re-applied on every hit.
-  const WarmStartKey key{fp,
-                         opts.processors,
-                         opts.base_seed,
-                         opts.seeds_per_strategy,
-                         opts.max_iterations,
-                         opts.restarts,
-                         warm_start_digest(starts)};
-  if (std::optional<WarmStartMemo> memo = opts.cache->lookup_warm_start(key)) {
-    if (!strictly_better_score(memo->best, result.best)) {
-      return;  // the plan winner stands, as a recompute would decide
-    }
-    if (memo->kept) {
-      result.best = std::move(memo->best);
-      finalize_result(tg, result.best);  // rank by numbers from the query graph
-      result.seed = memo->seed;
-      result.warm_start_won = true;
-      return;
-    }
-    // Better than today's plan winner, yet the schedule was not kept: the
-    // plan winner changed since the store. Recompute.
-  }
-
-  // One warm candidate per seed, evaluated serially (the plan fan-out is
-  // the hot part; the overlay is a handful of local searches), ranked
-  // among themselves by the regular candidate order.
-  std::optional<StrategyResult> best_warm;
-  std::uint64_t best_warm_seed = 0;
-  const CachedWarmStartStrategy warm_strategy;
-  for (int s = 0; s < opts.seeds_per_strategy; ++s) {
-    StrategyOptions sopts = strategy_options_for(
-        opts, SearchCandidate{warm_strategy.name(),
-                              opts.base_seed + static_cast<std::uint64_t>(s)});
-    sopts.warm_starts = starts;
-    StrategyResult warm = warm_strategy.schedule(tg, sopts);
-    warm.strategy = warm_strategy.name();
-    ++result.warm_candidates;
-    if (!best_warm.has_value() ||
-        better_search_candidate(warm, sopts.seed, *best_warm, best_warm_seed)) {
-      best_warm = std::move(warm);
-      best_warm_seed = sopts.seed;
-    }
-  }
-
-  if (!best_warm.has_value()) {
-    return;  // seeds_per_strategy < 1 from a direct caller: nothing ran
-  }
-  // Keep the schedule only when it wins today: a memo that loses needs
-  // just its score to lose again.
-  const bool won = strictly_better_score(*best_warm, result.best);
-  WarmStartMemo memo{*best_warm, best_warm_seed, won};
-  if (!won) {
-    memo.best.schedule = StaticSchedule();
-    memo.best.detail.clear();
-  }
-  opts.cache->store_warm_start(key, std::move(memo));
-  if (won) {
-    result.best = std::move(*best_warm);
-    result.seed = best_warm_seed;
-    result.warm_start_won = true;
-  }
-}
-
-}  // namespace
-
-void apply_cached_warm_start(const TaskGraph& tg, const ParallelSearchOptions& opts,
-                             ParallelSearchResult& result) {
-  if (opts.warm_start && opts.cache != nullptr) {
-    apply_cached_warm_start(tg, fingerprint(tg), opts, result);
-  }
-}
+void apply_cached_warm_start(const TaskGraph& /*tg*/,
+                             const ParallelSearchOptions& /*opts*/,
+                             ParallelSearchResult& /*result*/) {}
 
 ParallelSearchResult parallel_search(const TaskGraph& tg,
                                      const ParallelSearchOptions& opts,
@@ -308,9 +193,6 @@ ParallelSearchResult parallel_search(const TaskGraph& tg,
   out.cache_hits = cache_hits;
   out.workers_used = workers;
   out.fingerprint = fp;
-  if (opts.warm_start && opts.cache != nullptr) {
-    apply_cached_warm_start(tg, fp, opts, out);
-  }
   return out;
 }
 

@@ -13,32 +13,20 @@
 // docs/ARCHITECTURE.md, "Why the search runs in one process").
 //
 // The search fingerprints its graph once (ParallelSearchResult::fingerprint)
-// and keys every cache probe, store and warm-start lookup from that value;
-// Engine::solve reports it rather than hashing the graph again.
+// and keys every cache probe and store from that value; Engine::solve
+// reports it rather than hashing the graph again.
 //
 // With a ScheduleCache attached (ParallelSearchOptions::cache), candidates
 // whose (fingerprint, strategy, seed, processors, budget) key is cached
 // are answered from the cache instead of evaluated, and every freshly
 // evaluated candidate — the winner included — is stored afterwards.
 // Cached results are scored against the query graph (once per memory
-// entry, on its first hit), so a fully warm
-// search evaluates zero candidates yet selects the bit-identical winner of
-// the cold run — also when the warm run is a later process opening the
-// same cache directory through a fresh ScheduleCache (regression-tested in
-// parallel_search_test.cpp).
-//
-// With warm_start additionally enabled, the search ends with a warm-start
-// overlay (apply_cached_warm_start): cached feasible schedules for the
-// same fingerprint are fed into optimize_priority as start points through
-// the "cached-warm-start" strategy, and the best warm candidate replaces
-// the winner only when strictly better on (feasibility, violations,
-// makespan). A warm search therefore either matches the cold winner
-// bit-identically or beats it — never a different-but-equal winner, and
-// never worse. Warm-start results are cached in the memory tier under a
-// key that captures the warm-start set they read (WarmStartKey), so a
-// repeat search over unchanged cache contents runs no local search at
-// all; they are never stored as plan entries, and "cached-warm-start" is
-// never enumerated as a plan candidate.
+// entry, on its first hit), so a fully warm search evaluates zero
+// candidates yet selects the bit-identical winner of the cold run — also
+// when the warm run is a later process opening the same cache directory
+// through a fresh ScheduleCache. The cache is a pure memo: whatever it
+// holds, even entries of other options or other graphs, the winner is
+// the cacheless one (regression-tested in parallel_search_test.cpp).
 //
 // Every candidate runs on the evaluation kernel (sched/evaluator.hpp)
 // and shares no scoring state with the others, so its result and its
@@ -76,13 +64,6 @@ struct ParallelSearchOptions {
   /// Optional schedule cache (not owned; must outlive the call). Null
   /// disables caching. The same cache may serve concurrent searches.
   ScheduleCache* cache = nullptr;
-  /// Run the warm-start overlay after winner selection: cached feasible
-  /// schedules for this graph seed extra local-search candidates
-  /// ("cached-warm-start"), which replace the winner only when strictly
-  /// better — see apply_cached_warm_start. Requires `cache`; ignored
-  /// without one. Off by default because the overlay's outcome depends on
-  /// the cache *contents* (monotonically: match or beat, never worse).
-  bool warm_start = false;
 };
 
 struct ParallelSearchResult {
@@ -91,9 +72,6 @@ struct ParallelSearchResult {
   std::size_t candidates = 0;      ///< total plan candidates considered
   std::size_t evaluated = 0;       ///< candidates actually run (cache misses)
   std::size_t cache_hits = 0;      ///< candidates answered by the cache
-  std::size_t warm_starts = 0;     ///< cached feasible schedules fed as starts
-  std::size_t warm_candidates = 0; ///< warm-start candidates evaluated (0 on a memo hit)
-  bool warm_start_won = false;     ///< overlay strictly beat the plan winner
   int workers_used = 1;
   std::uint64_t fingerprint = 0;   ///< fingerprint(tg), computed once per search
   // Aggregated evaluation accounting over every candidate run this search
@@ -107,6 +85,9 @@ struct ParallelSearchResult {
   /// benchmark harness (perfbench/src/workloads.cpp) still reads it; it
   /// goes with that harness's next change.
   std::uint64_t visited_skips = 0;
+  /// Always 0: no search runs a candidate outside its plan. Kept only
+  /// because the benchmark harness still reads it, like visited_skips.
+  std::size_t warm_candidates = 0;
 };
 
 /// One (strategy, seed) cell of the search's candidate matrix. The pair is
@@ -127,14 +108,11 @@ struct SearchCandidate {
 /// Builds the deterministic candidate list for (opts, registry): one
 /// candidate per non-seedable strategy, opts.seeds_per_strategy per
 /// seedable one, in the order of opts.strategies (or sorted registry
-/// order when empty; "cached-warm-start" is excluded from that expansion
-/// — its result depends on cache contents, so it joins searches through
-/// the warm-start overlay, not the plan. Naming it in opts.strategies
-/// explicitly still works and behaves like plain local search).
-/// Single source of truth for the candidate matrix: parallel_search
-/// evaluates exactly this list. Throws std::invalid_argument
-/// for bad options / an empty list and UnknownStrategyError for unknown
-/// names, before any scheduling work starts.
+/// order when empty). Single source of truth for the candidate matrix:
+/// parallel_search evaluates exactly this list. Throws
+/// std::invalid_argument for bad options / an empty list and
+/// UnknownStrategyError for unknown names, before any scheduling work
+/// starts.
 [[nodiscard]] std::vector<SearchCandidate> enumerate_search_candidates(
     const ParallelSearchOptions& opts,
     const StrategyRegistry& registry = StrategyRegistry::global());
@@ -150,42 +128,19 @@ struct SearchCandidate {
 /// smallest makespan (exact rational comparison — total and non-throwing
 /// even for makespans whose cross products exceed 64 bits), then strategy
 /// name, then seed. A strict total order over distinct (strategy, seed)
-/// pairs, so the minimum is unique and independent of evaluation order —
-/// shared by the plan selection and the warm-start overlay so the two
-/// can never disagree.
+/// pairs, so the minimum is unique and independent of evaluation order.
 [[nodiscard]] bool better_search_candidate(const StrategyResult& a, std::uint64_t a_seed,
                                            const StrategyResult& b, std::uint64_t b_seed);
 
-/// The warm-start overlay, run at the end of parallel_search: collects
-/// every cached feasible schedule for fingerprint(tg) from opts.cache
-/// (computed here; parallel_search passes its own fingerprint instead),
-/// evaluates opts.seeds_per_strategy "cached-warm-start" candidates with
-/// those start points (serially, ranked among themselves by
-/// better_search_candidate), and replaces result.best/seed only when the
-/// best warm candidate is *strictly* better on the (feasibility,
-/// violations, makespan) score prefix — an equal-scoring warm candidate
-/// keeps the plan winner, so a warm rerun reports the bit-identical winner
-/// of the cold run unless it genuinely improved on it.
-/// The outcome is cached in opts.cache's memory tier under a WarmStartKey
-/// (fingerprint, processors, base_seed, seeds_per_strategy, budget, and
-/// the warm_start_digest of the start set it read). A hit evaluates no
-/// candidate and applies the same strictly-better gate against
-/// result.best; when the memo is better but kept no schedule (it lost to
-/// the plan winner it was stored against), the overlay is recomputed.
-/// Fills result.warm_starts/warm_candidates/warm_start_won
-/// (warm_candidates counts candidates evaluated, so a hit reports 0).
-/// No-op when opts.warm_start is false, opts.cache is null, or the cache
-/// holds no feasible schedule for this graph.
-/// Deterministic for fixed (tg, opts, cache contents); rethrows strategy
-/// exceptions.
+/// Does nothing. Kept only because the benchmark harness's traced replay
+/// (perfbench/src/workloads.cpp) still calls it; it goes with that
+/// harness's next change.
 void apply_cached_warm_start(const TaskGraph& tg, const ParallelSearchOptions& opts,
                              ParallelSearchResult& result);
 
 /// Runs the search. Deterministic: for fixed (tg, opts, registry
 /// contents), the returned winner is bit-identical regardless of worker
-/// count, thread interleaving, or cache warmth (with warm_start enabled,
-/// additionally a pure function of the cache contents — see
-/// apply_cached_warm_start). Throws
+/// count, thread interleaving, cache warmth or cache contents. Throws
 /// std::invalid_argument when the registry/options yield no candidates,
 /// processors < 1, or seeds_per_strategy < 1; UnknownStrategyError for an
 /// unknown strategy name (before any work starts). Any exception thrown by

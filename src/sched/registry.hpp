@@ -48,7 +48,7 @@ class StrategyRegistry
 };
 
 /// Registers the built-in strategies (the four SP heuristics, local
-/// search, partitioned-wfd, cached-warm-start) into any registry;
+/// search, partitioned-wfd) into any registry;
 /// global() calls this once.
 /// Exposed for tests that want a private registry with the same contents.
 /// Throws std::invalid_argument if any of the names is already taken.

@@ -347,88 +347,6 @@ CacheGcStats ScheduleCache::gc() {
   return out;
 }
 
-std::vector<StaticSchedule> ScheduleCache::feasible_schedules(
-    std::uint64_t graph_fingerprint, const TaskGraph& tg) {
-  std::vector<StaticSchedule> out;
-  if (!directory_.empty()) {
-    // The file name starts with the 16-hex-digit fingerprint, so the
-    // directory scan needs to parse only this graph's entries.
-    const std::string prefix = fingerprint_hex(graph_fingerprint) + "-";
-    for (const std::string& file : list_entry_files(directory_)) {
-      if (file.compare(0, prefix.size(), prefix) != 0) {
-        continue;
-      }
-      std::ifstream in(fs::path(directory_) / file);
-      if (!in) {
-        continue;  // evicted between listing and open — not an error
-      }
-      io::ScheduleEntry entry;
-      try {
-        entry = io::read_schedule_entry(in, tg.job_count());
-      } catch (const io::ParseError&) {
-        const std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.disk_rejects;
-        continue;
-      }
-      if (entry.fingerprint != graph_fingerprint) {
-        const std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.disk_rejects;
-        continue;
-      }
-      if (entry.schedule.count_violations(tg).feasible()) {
-        out.push_back(std::move(entry.schedule));
-      }
-    }
-    return out;
-  }
-  // Memory-only tier: keys sort by fingerprint first, so the matching
-  // range is contiguous and already in deterministic key order. A scored
-  // entry answers from its kept feasibility; only never-hit entries are
-  // checked, outside the lock.
-  std::vector<std::pair<StaticSchedule, bool>> candidates;  // (schedule, scored)
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (auto it = memory_.lower_bound(CacheKey{graph_fingerprint, "", 0, 0, 0, 0});
-         it != memory_.end() && it->first.fingerprint == graph_fingerprint; ++it) {
-      const Entry& e = it->second;
-      if (e.schedule.job_count() == tg.job_count() &&
-          (!e.score.has_value() || e.score->feasible)) {
-        candidates.emplace_back(e.schedule, e.score.has_value());
-      }
-    }
-  }
-  for (auto& [schedule, scored] : candidates) {
-    if (scored || schedule.count_violations(tg).feasible()) {
-      out.push_back(std::move(schedule));
-    }
-  }
-  return out;
-}
-
-std::optional<WarmStartMemo> ScheduleCache::lookup_warm_start(const WarmStartKey& key) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const auto it = warm_memos_.find(key);
-  if (it == warm_memos_.end()) {
-    return std::nullopt;
-  }
-  return it->second;
-}
-
-void ScheduleCache::store_warm_start(const WarmStartKey& key, WarmStartMemo memo) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  // Memos of these options sort contiguously (the digest is the last key
-  // field). Any other digest was read against an older warm-start set;
-  // the cached schedules of a fingerprint rarely shrink back to it, and
-  // if they do, dropping its memo costs one recompute.
-  WarmStartKey first = key;
-  first.starts_digest = {};
-  auto it = warm_memos_.lower_bound(first);
-  while (it != warm_memos_.end() && it->first.options() == key.options()) {
-    it = warm_memos_.erase(it);
-  }
-  warm_memos_.emplace(key, std::move(memo));
-}
-
 std::optional<ScheduleCache::Entry> ScheduleCache::load_from_disk(const CacheKey& key,
                                                                   std::size_t jobs) {
   const fs::path path = fs::path(directory_) / key.filename();

@@ -14,12 +14,9 @@
 // cold-vs-warm determinism contract, regression-tested in
 // parallel_search_test.cpp).
 //
-// The memory tier also memoizes the warm-start overlay of
-// parallel_search (WarmStartKey → WarmStartMemo): the overlay's outcome
-// is cached under a key that captures the warm-start set it read, so a
-// repeat solve over unchanged cache contents runs no local search. Memo
-// entries are never schedules of the plan: feasible_schedules, size()
-// and CacheStats do not see them, and they are never written to disk.
+// The cache is a pure memo: an entry answers only the exact key it was
+// stored under, so what else the cache holds never changes a search's
+// winner.
 //
 // Two tiers: an in-memory map (always on) and an optional on-disk
 // directory with one versioned text file per entry (io/schedule_format.hpp;
@@ -47,16 +44,14 @@
 // tier is a per-process memo and is not evicted; eviction bounds the
 // *directory*.
 //
-// Thread safety: lookup/store/stats/gc/feasible_schedules and the
-// warm-start memo calls are safe to call concurrently on one
-// ScheduleCache (internal mutex). Disk writes —
+// Thread safety: lookup/store/stats/gc are safe to call concurrently on
+// one ScheduleCache (internal mutex). Disk writes —
 // entries and the index — go through a temp file + rename, so concurrent
 // *processes* sharing a cache directory never observe torn files; racing
 // index updates can lose a recency bump, which the next reconcile pass
 // repairs (the bound itself always holds after any store or gc).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -107,45 +102,6 @@ struct CacheKey {
 [[nodiscard]] CacheKey make_cache_key(std::uint64_t graph_fingerprint,
                                       const std::string& strategy,
                                       const StrategyOptions& opts);
-
-/// Everything the warm-start overlay's outcome depends on besides the
-/// graph contents: the options it forwards to its candidates and a 128-bit
-/// digest of the ordered warm-start set it read (warm_start_digest in
-/// sched/warm_start.hpp). A new feasible schedule stored for the
-/// fingerprint changes the set, hence the digest, hence the key.
-struct WarmStartKey {
-  std::uint64_t fingerprint = 0;
-  std::int64_t processors = 0;
-  std::uint64_t base_seed = 0;
-  int seeds_per_strategy = 0;
-  int max_iterations = 0;
-  int restarts = 0;
-  std::array<std::uint64_t, 2> starts_digest{};
-
-  /// Same key up to the digest: the overlay of one options set, read
-  /// against some warm-start set.
-  [[nodiscard]] auto options() const {
-    return std::tie(fingerprint, processors, base_seed, seeds_per_strategy,
-                    max_iterations, restarts);
-  }
-  friend bool operator<(const WarmStartKey& a, const WarmStartKey& b) {
-    if (a.options() != b.options()) {
-      return a.options() < b.options();
-    }
-    return a.starts_digest < b.starts_digest;
-  }
-};
-
-/// The warm-start overlay's outcome under one WarmStartKey: the best warm
-/// candidate and its seed. best always carries the score (feasible,
-/// deadline_violations, makespan) and strategy name; its schedule and
-/// detail are kept only when it strictly beat the plan winner at store
-/// time (`kept`), otherwise they are empty.
-struct WarmStartMemo {
-  StrategyResult best;
-  std::uint64_t seed = 0;
-  bool kept = false;
-};
 
 /// Monotonic counters; a snapshot is returned by ScheduleCache::stats().
 struct CacheStats {
@@ -228,27 +184,6 @@ class ScheduleCache {
   /// both as warnings and keep serving.
   CacheGcStats gc();
 
-  /// Every cached schedule for `graph_fingerprint` that is feasible for
-  /// `tg` (exact counts-only feasibility, same scoring as lookup) and can index
-  /// its jobs, in deterministic (entry file name / key) order — the
-  /// warm-start feed of sched::parallel_search. Disk-backed caches read
-  /// the directory (so schedules stored by other processes and earlier
-  /// runs are found); memory-only caches scan the memory tier and read
-  /// an entry's kept score when it has one. Corrupt or mismatched disk
-  /// entries are skipped (counted in disk_rejects), never an error.
-  /// Warm-start memos are never returned.
-  [[nodiscard]] std::vector<StaticSchedule> feasible_schedules(
-      std::uint64_t graph_fingerprint, const TaskGraph& tg);
-
-  /// The memoized warm-start overlay outcome for `key`, or nullopt.
-  /// Memory tier only; never touches CacheStats.
-  [[nodiscard]] std::optional<WarmStartMemo> lookup_warm_start(const WarmStartKey& key) const;
-
-  /// Memoizes `memo` under `key`, replacing any memo of the same options
-  /// read against an older warm-start set (at most one memo per options
-  /// set and fingerprint is kept). Memory tier only.
-  void store_warm_start(const WarmStartKey& key, WarmStartMemo memo);
-
   /// Counter snapshot (taken under the lock, so internally consistent).
   [[nodiscard]] CacheStats stats() const;
 
@@ -314,7 +249,6 @@ class ScheduleCache {
   std::uint64_t max_bytes_ = 0;
   mutable std::mutex mu_;
   std::map<CacheKey, Entry> memory_;
-  std::map<WarmStartKey, WarmStartMemo> warm_memos_;
   CacheStats stats_;
 };
 

@@ -8,7 +8,6 @@
 #include "sched/partitioned.hpp"
 #include "sched/priorities.hpp"
 #include "sched/registry.hpp"
-#include "sched/warm_start.hpp"
 #include "taskgraph/fingerprint.hpp"
 
 namespace fppn {
@@ -159,12 +158,6 @@ void register_builtin_strategies(StrategyRegistry& registry) {
   }
   registry.add("local-search", [] { return std::make_unique<LocalSearchStrategy>(); });
   registry.add("partitioned-wfd", [] { return std::make_unique<PartitionedStrategy>(); });
-  // Note: parallel_search never enumerates "cached-warm-start" as a plan
-  // candidate (its result depends on cache contents, not just (tg, opts));
-  // it joins searches through the warm-start overlay instead. Registered
-  // so `--strategy cached-warm-start` and user code can still name it.
-  registry.add("cached-warm-start",
-               [] { return std::make_unique<CachedWarmStartStrategy>(); });
 }
 
 }  // namespace sched

@@ -33,14 +33,6 @@ struct StrategyOptions {
   std::uint64_t seed = 1;      ///< RNG seed, seedable strategies only
   int max_iterations = 2000;   ///< move budget, iterative strategies only
   int restarts = 2;            ///< restart count, iterative strategies only
-  /// Extra SP start points for the local-search strategies
-  /// ("local-search" and "cached-warm-start" hand them to
-  /// optimize_priority; parallel_search sets them only in its warm-start
-  /// overlay). Ignored by every other strategy, and deliberately NOT part
-  /// of the cache key (sched/schedule_cache.hpp): results that depend on
-  /// warm starts are never plan entries; the overlay memoizes its own
-  /// outcome under a WarmStartKey that digests the start set.
-  std::vector<std::vector<JobId>> warm_starts;
 };
 
 /// Outcome of one strategy invocation, with the schedule already evaluated

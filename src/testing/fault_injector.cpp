@@ -142,11 +142,12 @@ ssize_t write(int fd, const void* buf, std::size_t len) {
           errno = ECONNRESET;
           return -1;
         default:
-          return ::write(fd, buf, short_len(len, d.roll / 4));
+          len = short_len(len, d.roll / 4);
+          break;
       }
     }
   }
-  return ::write(fd, buf, len);
+  return ::send(fd, buf, len, MSG_NOSIGNAL);
 }
 
 int poll(struct pollfd* fds, nfds_t nfds, int timeout_ms) {

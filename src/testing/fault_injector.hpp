@@ -116,6 +116,8 @@ namespace fault {
 
 int accept(int fd);
 ssize_t read(int fd, void* buf, std::size_t len);
+/// A socket write: send(2) with MSG_NOSIGNAL, so a peer that is gone
+/// fails the call with EPIPE instead of raising SIGPIPE in the host.
 ssize_t write(int fd, const void* buf, std::size_t len);
 int poll(struct pollfd* fds, nfds_t nfds, int timeout_ms);
 ssize_t file_write(int fd, const void* buf, std::size_t len);

@@ -94,7 +94,7 @@ sched::ParallelSearchResult reference_search(const TaskGraph& tg,
     const sched::StrategyOptions sopts = sched::strategy_options_for(opts, c);
     sched::StrategyResult r;
     r.strategy = c.strategy;
-    if (c.strategy == "local-search" || c.strategy == "cached-warm-start") {
+    if (c.strategy == "local-search") {
       r.schedule = reference_optimize_priority(tg, sopts).schedule;
     } else if (c.strategy == "partitioned-wfd") {
       r.schedule = reference_partitioned(tg, sopts);

@@ -12,8 +12,7 @@
 //                                 serially and ranked by
 //                                 better_search_candidate:
 //     the four heuristics           list_schedule of the heuristic order
-//     local-search,                 the reference climb
-//     cached-warm-start
+//     local-search                  the reference climb
 //     partitioned-wfd               wfd_assignment +
 //                                   partitioned_list_schedule
 //
@@ -49,10 +48,8 @@ namespace testing {
 
 /// The winner parallel_search(tg, opts) must pick: every candidate of
 /// enumerate_search_candidates(opts) evaluated serially by its reference
-/// pipeline and ranked by better_search_candidate. opts.workers,
-/// opts.cache and opts.warm_start are ignored, so the result is the cold
-/// plan winner (warm_start_won stays false). Fills best, seed, candidates
-/// and evaluated. Throws like parallel_search, and std::invalid_argument
+/// pipeline and ranked by better_search_candidate. opts.workers and
+/// opts.cache are ignored. Fills best, seed, candidates and evaluated. Throws like parallel_search, and std::invalid_argument
 /// for a candidate strategy outside the built-in set above.
 [[nodiscard]] sched::ParallelSearchResult reference_search(
     const TaskGraph& tg, const sched::ParallelSearchOptions& opts = {});

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -133,7 +134,8 @@ TEST_F(FaultInjectorTest, CountersTrackCallsAndInjections) {
 
 TEST_F(FaultInjectorTest, DisarmedWrappersAreRawSyscalls) {
   int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
+  // A socket pair: fault::write is a socket write (send with MSG_NOSIGNAL).
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   const std::string payload = "passthrough";
   EXPECT_EQ(testing::fault::write(fds[1], payload.data(), payload.size()),
             static_cast<ssize_t>(payload.size()));
@@ -155,7 +157,7 @@ TEST_F(FaultInjectorTest, InjectedWriteFaultsAreWellFormed) {
   FaultInjector& injector = FaultInjector::instance();
   injector.arm(FaultConfig::uniform(13, 1024));
   int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   const std::string payload(4096, 'w');
   for (int i = 0; i < 64; ++i) {
     errno = 0;

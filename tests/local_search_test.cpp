@@ -91,86 +91,6 @@ TEST(LocalSearch, FixesHeuristicAdversarialInstance) {
   EXPECT_TRUE(result.feasible) << result.violations << " violations left";
 }
 
-TEST(LocalSearch, StartPrioritiesNeverMakeTheResultWorse) {
-  // The warm-start hook's core guarantee: the search seeds from the best
-  // of heuristics ∪ warm_starts and only accepts improvements, so
-  // supplying start points — even deliberately bad ones — can never
-  // produce a worse schedule than the plain heuristic start.
-  const auto app = apps::build_fms();
-  const auto derived = derive_task_graph(app.net, app.default_wcets());
-  sched::StrategyOptions opts;
-  opts.processors = 2;
-  opts.max_iterations = 100;
-  opts.restarts = 0;
-  const LocalSearchResult plain = optimize_priority(derived.graph, opts);
-
-  // A worst-case start: reverse job-index order.
-  std::vector<JobId> reversed;
-  for (std::size_t i = derived.graph.job_count(); i > 0; --i) {
-    reversed.push_back(JobId(i - 1));
-  }
-  opts.warm_starts = {reversed};
-  const LocalSearchResult warm = optimize_priority(derived.graph, opts);
-  EXPECT_LE(warm.violations, plain.violations);
-  if (warm.violations == plain.violations) {
-    EXPECT_LE(warm.makespan, plain.makespan);
-  }
-}
-
-TEST(LocalSearch, EqualScoringStartPriorityKeepsTheHeuristicTrajectory) {
-  // A start point that merely ties the best heuristic must not displace
-  // it: the search then walks the exact cold trajectory (same RNG), so
-  // the warm result is bit-identical to the plain one — the "match" half
-  // of the warm-start match-or-beat contract.
-  const auto app = apps::build_fig1();
-  const auto derived = derive_task_graph(app.net, app.fig3_wcets());
-  sched::StrategyOptions opts;
-  opts.processors = 2;
-  opts.seed = 5;
-  const LocalSearchResult plain = optimize_priority(derived.graph, opts);
-
-  opts.warm_starts = {plain.priority};  // scores exactly like the incumbent
-  const LocalSearchResult warm = optimize_priority(derived.graph, opts);
-  EXPECT_EQ(warm.priority, plain.priority);
-  EXPECT_EQ(warm.makespan, plain.makespan);
-  EXPECT_EQ(warm.violations, plain.violations);
-}
-
-TEST(LocalSearch, StrictlyBetterStartPriorityIsAdopted) {
-  // A classic list-scheduling anomaly: independent jobs {4,4,3,3,2} on 2
-  // processors. Every heuristic orders them by index or by descending
-  // WCET (equal deadlines, no edges), which greedy-packs to makespan 9;
-  // the order {4,3,3,4,2} packs to the optimal 8. With a zero move
-  // budget, only the start-priority seeding can reach 8 — proving a
-  // strictly better start point displaces the heuristic seed.
-  TaskGraph tg(Duration::ms(100));
-  const JobId a = tg.add_job(make_job("A", 0, 100, 4, 0));
-  const JobId b = tg.add_job(make_job("B", 0, 100, 4, 1));
-  const JobId c = tg.add_job(make_job("C", 0, 100, 3, 2));
-  const JobId d = tg.add_job(make_job("D", 0, 100, 3, 3));
-  const JobId e = tg.add_job(make_job("E", 0, 100, 2, 4));
-  sched::StrategyOptions opts;
-  opts.processors = 2;
-  opts.max_iterations = 0;
-  opts.restarts = 0;
-  const LocalSearchResult plain = optimize_priority(tg, opts);
-  ASSERT_GT(plain.makespan, Time::ms(8)) << "heuristics already pack optimally";
-
-  opts.warm_starts = {{a, c, d, b, e}};
-  const LocalSearchResult warm = optimize_priority(tg, opts);
-  EXPECT_EQ(warm.makespan, Time::ms(8));
-  EXPECT_EQ(warm.start_priority_index, 0);
-}
-
-TEST(LocalSearch, MalformedStartPriorityThrows) {
-  const auto app = apps::build_fig1();
-  const auto derived = derive_task_graph(app.net, app.fig3_wcets());
-  sched::StrategyOptions opts;
-  opts.processors = 2;
-  opts.warm_starts = {{JobId(0)}};  // not a permutation of all jobs
-  EXPECT_THROW((void)optimize_priority(derived.graph, opts), std::invalid_argument);
-}
-
 TEST(LocalSearch, TrivialGraphs) {
   TaskGraph empty;
   const LocalSearchResult r0 = optimize_priority(empty, {});

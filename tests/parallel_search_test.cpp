@@ -1,8 +1,8 @@
 // Parallel schedule search: bit-identical winner selection regardless of
-// worker-thread count and cache warmth (memory or disk, same or fresh
-// cache instance), never-worse-than-any-single-strategy, the warm-start
-// overlay's memo (hits equal a memo-free recompute, the key invalidates),
-// concurrent Engine solves, and option validation.
+// worker-thread count, cache warmth (memory or disk, same or fresh cache
+// instance) and cache contents (entries of other options, an earlier
+// process's directory), never-worse-than-any-single-strategy, concurrent
+// Engine solves, and option validation.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -21,6 +21,7 @@
 #include "sched/parallel_search.hpp"
 #include "sched/registry.hpp"
 #include "taskgraph/derivation.hpp"
+#include "testing/reference_search.hpp"
 
 namespace fppn {
 namespace {
@@ -339,65 +340,14 @@ TEST(ParallelSearch, BudgetChangeMissesTheCache) {
 }
 
 TEST(ParallelSearch, CachedWarmStartIsNotAPlanCandidate) {
-  // "cached-warm-start" depends on cache contents, so the deterministic
-  // candidate matrix must never contain it implicitly — it joins through
-  // the overlay. Naming it explicitly still works (degenerates to plain
-  // local search).
+  // No strategy depends on cache contents: "cached-warm-start" is not
+  // registered, so the plan never names it and naming it throws.
   sched::ParallelSearchOptions opts = base_options(2);
   for (const sched::SearchCandidate& c : sched::enumerate_search_candidates(opts)) {
     EXPECT_NE(c.strategy, "cached-warm-start");
   }
   opts.strategies = {"cached-warm-start"};
-  const auto explicit_candidates = sched::enumerate_search_candidates(opts);
-  EXPECT_EQ(explicit_candidates.size(), 3u);  // seedable: seeds_per_strategy
-  EXPECT_EQ(explicit_candidates[0].strategy, "cached-warm-start");
-}
-
-TEST(ParallelSearch, WarmStartOverlayMatchesOrBeatsTheColdWinner) {
-  // The acceptance contract of the warm-start overlay: against the same
-  // cache, a warm rerun either reports the bit-identical winner of the
-  // cold run or a strictly better schedule — never a different-but-equal
-  // winner and never a worse one.
-  for (const std::uint64_t graph_seed : {0ULL, 7ULL, 13ULL}) {
-    const TaskGraph tg = random_task_graph(graph_seed);
-    const auto plain = sched::parallel_search(tg, base_options(3));
-
-    sched::ScheduleCache cache;
-    sched::ParallelSearchOptions opts = base_options(3);
-    opts.cache = &cache;
-    opts.warm_start = true;
-    const auto cold = sched::parallel_search(tg, opts);
-    const auto warm = sched::parallel_search(tg, opts);
-
-    // Never worse than the plain (no-cache, no-overlay) winner.
-    for (const auto* run : {&cold, &warm}) {
-      EXPECT_GE(run->best.feasible, plain.best.feasible);
-      EXPECT_LE(run->best.deadline_violations, plain.best.deadline_violations);
-      if (run->best.feasible == plain.best.feasible &&
-          run->best.deadline_violations == plain.best.deadline_violations) {
-        EXPECT_LE(run->best.makespan, plain.best.makespan);
-      }
-      if (!run->warm_start_won) {
-        // Match: the plan winner survived the overlay bit-identically.
-        EXPECT_EQ(run->best.strategy, plain.best.strategy);
-        EXPECT_EQ(run->seed, plain.seed);
-        expect_identical_schedules(run->best.schedule, plain.best.schedule,
-                                   tg.job_count());
-      } else {
-        EXPECT_EQ(run->best.strategy, "cached-warm-start");
-      }
-    }
-    // Cold and warm see the same warm-start set (the overlay's outcome is
-    // cached in the memory tier under a key that captures the set it
-    // read, never as a plan entry), so the two runs are bit-identical end
-    // to end.
-    EXPECT_EQ(warm.best.strategy, cold.best.strategy);
-    EXPECT_EQ(warm.seed, cold.seed);
-    EXPECT_EQ(warm.best.detail, cold.best.detail);
-    EXPECT_EQ(warm.warm_start_won, cold.warm_start_won);
-    EXPECT_EQ(warm.evaluated, 0u);
-    expect_identical_schedules(warm.best.schedule, cold.best.schedule, tg.job_count());
-  }
+  EXPECT_THROW((void)sched::enumerate_search_candidates(opts), sched::UnknownStrategyError);
 }
 
 TEST(ParallelSearch, WarmVsColdBitIdenticalWinnerWithEvictionOn) {
@@ -413,7 +363,6 @@ TEST(ParallelSearch, WarmVsColdBitIdenticalWinnerWithEvictionOn) {
   const std::size_t bound = 12;  // >= the 10-candidate matrix
 
   sched::ParallelSearchOptions opts = base_options(3);
-  opts.warm_start = true;
   sched::ScheduleCache cold_cache(dir, bound);
   opts.cache = &cold_cache;
   const auto cold = sched::parallel_search(tg, opts);
@@ -450,21 +399,8 @@ TaskGraph jittered_fms(std::uint64_t jitter) {
   return derive_task_graph(app.net, wcets).graph;
 }
 
-/// The daemon's quick preset on 2 processors, overlay on.
-sched::ParallelSearchOptions quick_warm_options(sched::ScheduleCache* cache) {
-  sched::ParallelSearchOptions opts;
-  opts.processors = 2;
-  opts.workers = 1;
-  opts.seeds_per_strategy = 1;
-  opts.max_iterations = 400;
-  opts.restarts = 1;
-  opts.cache = cache;
-  opts.warm_start = true;
-  return opts;
-}
-
-/// Bit-for-bit winner equality: strategy, seed, detail, score, every
-/// placement and whether the overlay won.
+/// Bit-for-bit winner equality: strategy, seed, detail, score and every
+/// placement.
 void expect_same_winner(const sched::ParallelSearchResult& a,
                         const sched::ParallelSearchResult& b, std::size_t jobs,
                         const std::string& context) {
@@ -474,149 +410,83 @@ void expect_same_winner(const sched::ParallelSearchResult& a,
   EXPECT_EQ(a.best.makespan, b.best.makespan) << context;
   EXPECT_EQ(a.best.feasible, b.best.feasible) << context;
   EXPECT_EQ(a.best.deadline_violations, b.best.deadline_violations) << context;
-  EXPECT_EQ(a.warm_start_won, b.warm_start_won) << context;
   expect_identical_schedules(a.best.schedule, b.best.schedule, jobs);
 }
 
-TEST(ParallelSearch, WarmStartMemoHitMatchesAMemoFreeRecompute) {
-  // A repeat solve answers the overlay from its memo: it evaluates no warm
-  // candidate (warm_candidates == 0, warm_starts still counts the starts
-  // read) and reports the bit-identical winner of a cache that holds the
-  // same plan entries but no memo, so it has to run the overlay.
-  // Jitter 10 is a variant on which the overlay beats the plan winner, so
-  // the memo that keeps a schedule is exercised too.
-  int warm_wins = 0;
-  for (std::uint64_t jitter = 1; jitter <= 10; ++jitter) {
-    const std::string context = "FMS jitter " + std::to_string(jitter);
-    const TaskGraph tg = jittered_fms(jitter);
-
-    sched::ScheduleCache memo_cache;
-    const sched::ParallelSearchOptions opts = quick_warm_options(&memo_cache);
-    const auto cold = sched::parallel_search(tg, opts);
-    EXPECT_GT(cold.warm_candidates, 0u) << context;
-    const auto hit = sched::parallel_search(tg, opts);
-    EXPECT_EQ(hit.evaluated, 0u) << context;
-    EXPECT_GT(hit.warm_starts, 0u) << context;
-    EXPECT_EQ(hit.warm_starts, cold.warm_starts) << context;
-    EXPECT_EQ(hit.warm_candidates, 0u) << context;
-
-    sched::ScheduleCache fresh_cache;
-    sched::ParallelSearchOptions plan_only = quick_warm_options(&fresh_cache);
-    plan_only.warm_start = false;
-    (void)sched::parallel_search(tg, plan_only);
-    const auto recompute = sched::parallel_search(tg, quick_warm_options(&fresh_cache));
-    EXPECT_EQ(recompute.evaluated, 0u) << context;
-    EXPECT_EQ(recompute.warm_candidates, cold.warm_candidates) << context;
-
-    expect_same_winner(hit, recompute, tg.job_count(), context + ", hit vs recompute");
-    expect_same_winner(hit, cold, tg.job_count(), context + ", hit vs cold");
-    warm_wins += hit.warm_start_won ? 1 : 0;
+/// The cache-contents suite's graphs: the FMS, fig1 and two seeds of
+/// every generated family, by name.
+std::vector<std::pair<std::string, TaskGraph>> contract_graphs() {
+  std::vector<std::pair<std::string, TaskGraph>> graphs;
+  const apps::FmsApp fms = apps::build_fms(true);
+  graphs.emplace_back("fms", derive_task_graph(fms.net, fms.default_wcets()).graph);
+  const apps::Fig1App fig1 = apps::build_fig1();
+  graphs.emplace_back("fig1", derive_task_graph(fig1.net, fig1.fig3_wcets()).graph);
+  for (const gen::Family family : gen::all_families()) {
+    for (const std::uint64_t seed : {1ULL, 2ULL}) {
+      const gen::Scenario s = gen::make_scenario(family, seed);
+      graphs.emplace_back(s.name, derive_task_graph(s.net, s.wcets).graph);
+    }
   }
-  EXPECT_GE(warm_wins, 1) << "no variant exercised a memo that keeps its schedule";
+  return graphs;
 }
 
-TEST(ParallelSearch, WarmStartMemoRecomputesWhenThePlanWinnerGotWorse) {
-  // The memo keeps a schedule only when it beat the plan winner at store
-  // time. A later search whose plan winner is worse (here: a restricted
-  // strategy list over the same cached entries, so the same warm-start
-  // set and memo key) finds the memo better but without a schedule, and
-  // must recompute — with the result a memo-free cache reports.
-  const TaskGraph tg = jittered_fms(1);
-  sched::ScheduleCache cache;
-  const auto full = sched::parallel_search(tg, quick_warm_options(&cache));
-  ASSERT_FALSE(full.warm_start_won);
-  ASSERT_GT(full.warm_candidates, 0u);
-
-  sched::ParallelSearchOptions narrow = quick_warm_options(&cache);
-  narrow.strategies = {"arrival-order"};
-  const auto recomputed = sched::parallel_search(tg, narrow);
-  EXPECT_EQ(recomputed.evaluated, 0u);
-  EXPECT_EQ(recomputed.warm_starts, full.warm_starts);
-  EXPECT_GT(recomputed.warm_candidates, 0u);
-  EXPECT_TRUE(recomputed.warm_start_won);
-
-  // The recompute stored a memo that keeps the schedule: the next narrow
-  // search is a pure hit with the same winner.
-  const auto hit = sched::parallel_search(tg, narrow);
-  EXPECT_EQ(hit.warm_candidates, 0u);
-  expect_same_winner(hit, recomputed, tg.job_count(), "narrow hit vs recompute");
-
-  sched::ScheduleCache fresh;
-  sched::ParallelSearchOptions plan_only = quick_warm_options(&fresh);
-  plan_only.warm_start = false;
-  (void)sched::parallel_search(tg, plan_only);
-  sched::ParallelSearchOptions fresh_narrow = narrow;
-  fresh_narrow.cache = &fresh;
-  const auto reference = sched::parallel_search(tg, fresh_narrow);
-  expect_same_winner(recomputed, reference, tg.job_count(), "recompute vs memo-free");
-}
-
-TEST(ParallelSearch, NewFeasibleScheduleInvalidatesTheWarmStartMemo) {
-  // The memo key digests the warm-start set, so a feasible schedule
-  // stored for the fingerprint after the memo changes the key: the next
-  // search runs the overlay again over the larger set.
-  const TaskGraph tg = jittered_fms(2);
-  sched::ScheduleCache cache;
-  const sched::ParallelSearchOptions opts = quick_warm_options(&cache);
-  const auto cold = sched::parallel_search(tg, opts);
-  ASSERT_GT(cold.warm_starts, 0u);
-  ASSERT_TRUE(cold.best.feasible);
-  ASSERT_EQ(sched::parallel_search(tg, opts).warm_candidates, 0u);
-
-  sched::StrategyOptions other;
-  other.processors = opts.processors;
-  other.seed = 99;
-  other.max_iterations = opts.max_iterations;
-  other.restarts = opts.restarts;
-  cache.store(sched::make_cache_key(tg, "alap-edf", other), cold.best);
-
-  const auto after = sched::parallel_search(tg, opts);
-  EXPECT_EQ(after.evaluated, 0u);
-  EXPECT_EQ(after.warm_starts, cold.warm_starts + 1);
-  EXPECT_GT(after.warm_candidates, 0u);
-  EXPECT_EQ(sched::parallel_search(tg, opts).warm_candidates, 0u);
-}
-
-TEST(ParallelSearch, WarmStartMemoKeyCoversSeedsAndBudget) {
-  // Over one unchanged warm-start set, the overlay is rerun for any
-  // change of the options it forwards to its candidates.
-  const TaskGraph tg = jittered_fms(3);
-  sched::ScheduleCache cache;
-  sched::ParallelSearchOptions plan_only = quick_warm_options(&cache);
-  plan_only.warm_start = false;
-  const sched::ParallelSearchResult plan = sched::parallel_search(tg, plan_only);
-
-  const auto overlay = [&](const sched::ParallelSearchOptions& opts) {
-    sched::ParallelSearchResult result = plan;
-    sched::apply_cached_warm_start(tg, opts, result);
-    return result;
-  };
-  const sched::ParallelSearchOptions opts = quick_warm_options(&cache);
-  ASSERT_GT(overlay(opts).warm_candidates, 0u);
-  const auto hit = overlay(opts);
-  ASSERT_GT(hit.warm_starts, 0u);
-  ASSERT_EQ(hit.warm_candidates, 0u);
-
-  std::vector<std::pair<std::string, sched::ParallelSearchOptions>> variants;
-  variants.emplace_back("seeds_per_strategy", opts);
-  variants.back().second.seeds_per_strategy = 2;
-  variants.emplace_back("base_seed", opts);
-  variants.back().second.base_seed = 5;
-  variants.emplace_back("max_iterations", opts);
-  variants.back().second.max_iterations = 200;
-  variants.emplace_back("restarts", opts);
-  variants.back().second.restarts = 2;
-  for (const auto& [field, changed] : variants) {
-    const auto miss = overlay(changed);
-    EXPECT_EQ(miss.warm_starts, hit.warm_starts) << field;
-    EXPECT_GT(miss.warm_candidates, 0u) << field;
-    EXPECT_EQ(overlay(changed).warm_candidates, 0u) << field;
+TEST(ParallelSearch, WinnerIsIndependentOfCacheContents) {
+  // The cache is a pure memo. A quick-preset solve against a cache that
+  // already holds schedules of other options for the same graph (the
+  // optimize preset, another seed), feasible ones among them, picks the
+  // cacheless reference winner: in the Engine's memory L1, and from a
+  // directory an earlier Engine (a ScheduleCache of its own) wrote.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("fppn_cache_contents_" + std::to_string(::getpid())))
+          .string();
+  engine::SearchConfig quick;
+  quick.processors = 2;
+  quick.workers = 2;
+  std::vector<engine::SearchConfig> others(2, quick);
+  others[0].optimize = true;
+  others[1].seed = 5;
+  std::size_t feasible_fills = 0;
+  for (const auto& [name, tg] : contract_graphs()) {
+    const sched::ParallelSearchResult reference =
+        testing::reference_search(tg, quick.search_options());
+    for (const bool on_disk : {false, true}) {
+      const std::string context = name + (on_disk ? ", disk cache" : ", memory cache");
+      std::filesystem::remove_all(dir);
+      const auto solve = [&](engine::Engine& engine, engine::SearchConfig config) {
+        if (on_disk) {
+          config.cache_dir = dir;
+        } else {
+          config.memory_cache = true;
+        }
+        engine::SolveRequest request;
+        request.graph = &tg;
+        request.config = config;
+        return engine.solve(request).search;
+      };
+      engine::Engine filler;
+      for (const engine::SearchConfig& other : others) {
+        feasible_fills += solve(filler, other).best.feasible ? 1 : 0;
+      }
+      engine::Engine later;
+      const sched::ParallelSearchResult got = solve(on_disk ? later : filler, quick);
+      EXPECT_EQ(got.evaluated, got.candidates) << context << ": no quick entry was cached";
+      EXPECT_EQ(got.best.strategy, reference.best.strategy) << context;
+      EXPECT_EQ(got.seed, reference.seed) << context;
+      EXPECT_EQ(got.best.makespan, reference.best.makespan) << context;
+      EXPECT_EQ(got.best.feasible, reference.best.feasible) << context;
+      EXPECT_EQ(got.best.deadline_violations, reference.best.deadline_violations)
+          << context;
+      expect_identical_schedules(got.best.schedule, reference.best.schedule,
+                                 tg.job_count());
+    }
   }
-  EXPECT_EQ(overlay(opts).warm_candidates, 0u) << "original options still memoized";
+  std::filesystem::remove_all(dir);
+  EXPECT_GT(feasible_fills, 0u) << "no cache held a feasible schedule";
 }
 
 TEST(ParallelSearch, ConcurrentEngineSolvesMatchSerialOneShotSolves) {
-  // One Engine with the memory L1 and the overlay on, hammered by 4
+  // One Engine with the memory L1, hammered by 4
   // threads over 4 FMS variants (so threads solve one variant at the same
   // time): every report equals the serial one-shot solve of its variant.
   constexpr std::size_t kVariants = 4;
@@ -630,7 +500,6 @@ TEST(ParallelSearch, ConcurrentEngineSolvesMatchSerialOneShotSolves) {
   config.processors = 2;
   config.workers = 1;
   config.memory_cache = true;
-  config.warm_start = true;
   std::vector<sched::ParallelSearchResult> serial;
   for (const TaskGraph& tg : graphs) {
     serial.push_back(engine::solve_graph(tg, config).search);

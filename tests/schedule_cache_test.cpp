@@ -339,9 +339,11 @@ TEST(ScheduleCache, StoreOverAScoredKeyDropsTheKeptScore) {
   EXPECT_EQ(second->makespan, one.makespan);
   EXPECT_EQ(second->feasible, one.feasible);
   EXPECT_EQ(second->deadline_violations, one.deadline_violations);
-  // The memory-only warm-start feed reads the kept feasibility: the
-  // replaced entry no longer counts as feasible.
-  EXPECT_TRUE(cache.feasible_schedules(key.fingerprint, derived.graph).empty());
+  // The kept score is now the replacement's: a later hit answers from it.
+  const auto third = cache.lookup(key, derived.graph);
+  ASSERT_TRUE(third.has_value());
+  EXPECT_EQ(third->makespan, one.makespan);
+  EXPECT_FALSE(third->feasible);
 }
 
 TEST(ScheduleCache, DiskPromotedEntryIsScoredAgainstTheQueryGraph) {
@@ -508,8 +510,9 @@ TEST(ScheduleFormat, ExpectedJobCountIsCheckedBeforeSizing) {
 }
 
 TEST(ScheduleCache, HugeJobCountOnDiskIsARejectNotAnError) {
-  // A corrupt "jobs" count must not size anything: both disk readers
-  // count the entry in disk_rejects and treat it as a miss.
+  // A corrupt "jobs" count must not size anything: every lookup that
+  // reads the entry counts it in disk_rejects and treats it as a miss (a
+  // rejected entry is never promoted into memory).
   const TempDir dir("hugejobs");
   const auto derived = fig1_graph();
   const auto key = key_for(derived.graph, 2);
@@ -534,7 +537,7 @@ TEST(ScheduleCache, HugeJobCountOnDiskIsARejectNotAnError) {
   sched::ScheduleCache cache(dir.path());
   EXPECT_FALSE(cache.lookup(key, derived.graph).has_value());
   EXPECT_EQ(cache.stats().disk_rejects, 1u);
-  EXPECT_TRUE(cache.feasible_schedules(key.fingerprint, derived.graph).empty());
+  EXPECT_FALSE(cache.lookup(key, derived.graph).has_value());
   EXPECT_EQ(cache.stats().disk_rejects, 2u);
 }
 
@@ -806,53 +809,6 @@ TEST(ScheduleCache, EvictionAcrossRacingInstancesHoldsTheBound) {
   EXPECT_LE(entry_files(dir.path()).size(), kBound);
   sched::ScheduleCache reader(dir.path(), kBound);
   EXPECT_TRUE(reader.lookup(seeded_key(base, 999), derived.graph).has_value());
-}
-
-TEST(ScheduleCache, FeasibleSchedulesEnumeratesDiskEntries) {
-  const TempDir dir("feasible");
-  const auto derived = fig1_graph();
-  const std::uint64_t fp = fingerprint(derived.graph);
-  const auto base = key_for(derived.graph, 2);
-  {
-    sched::ScheduleCache writer(dir.path());
-    writer.store(seeded_key(base, 1), evaluate(derived.graph, 2));
-    writer.store(seeded_key(base, 2), evaluate(derived.graph, 2));
-    // Infeasible on one processor (10×25 ms of work in a 200 ms frame):
-    // enumerated but filtered out by the feasibility check.
-    auto m1 = key_for(derived.graph, 1);
-    m1.processors = 1;
-    writer.store(m1, evaluate(derived.graph, 1));
-    // A different fingerprint must not leak in.
-    auto foreign = seeded_key(base, 3);
-    foreign.fingerprint ^= 1;
-    writer.store(foreign, evaluate(derived.graph, 2));
-  }
-  sched::ScheduleCache cache(dir.path());
-  const auto schedules = cache.feasible_schedules(fp, derived.graph);
-  EXPECT_EQ(schedules.size(), 2u);
-  for (const StaticSchedule& s : schedules) {
-    EXPECT_TRUE(s.check_feasibility(derived.graph).feasible());
-  }
-  // Deterministic: repeated enumeration returns the same order.
-  const auto again = cache.feasible_schedules(fp, derived.graph);
-  ASSERT_EQ(again.size(), schedules.size());
-  for (std::size_t i = 0; i < schedules.size(); ++i) {
-    for (std::size_t j = 0; j < derived.graph.job_count(); ++j) {
-      const JobId id(j);
-      EXPECT_EQ(again[i].placement(id).start, schedules[i].placement(id).start);
-    }
-  }
-}
-
-TEST(ScheduleCache, FeasibleSchedulesWorksInMemoryOnly) {
-  const auto derived = fig1_graph();
-  const std::uint64_t fp = fingerprint(derived.graph);
-  const auto base = key_for(derived.graph, 2);
-  sched::ScheduleCache cache;
-  EXPECT_TRUE(cache.feasible_schedules(fp, derived.graph).empty());
-  cache.store(seeded_key(base, 1), evaluate(derived.graph, 2));
-  EXPECT_EQ(cache.feasible_schedules(fp, derived.graph).size(), 1u);
-  EXPECT_TRUE(cache.feasible_schedules(fp ^ 1, derived.graph).empty());
 }
 
 }  // namespace

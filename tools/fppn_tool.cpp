@@ -41,9 +41,7 @@
 //
 // --cache-dir enables the on-disk schedule cache (sched::ScheduleCache):
 // repeated searches over the same graph are answered from disk instead of
-// re-evaluated, with the bit-identical winner, and cached feasible
-// schedules warm-start the local search (strict-improvement overlay: a
-// warm rerun matches the cold winner or beats it, never anything else).
+// re-evaluated, with the bit-identical winner of a run without the cache.
 // A bad cache path is a hard error (exit 1), never a silent miss.
 // --cache-max-entries bounds the directory's entry count and
 // --cache-max-bytes its total entry-file size (LRU-style eviction after

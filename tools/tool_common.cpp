@@ -248,8 +248,6 @@ engine::SolveRequest solve_request(const Args& args) {
   config.no_cache = args.no_cache;
   config.cache_max_entries = args.cache_max_entries;
   config.cache_max_bytes = args.cache_max_bytes;
-  // Warm-start stays on (the SearchConfig default): the overlay only ever
-  // matches or strictly improves the winner, so it is always safe on.
 
   return request;
 }
@@ -274,11 +272,6 @@ void print_search_report(const engine::SolveReport& report) {
       "winner: %s, seed %llu)\n",
       result.candidates, result.evaluated, result.cache_hits, result.workers_used,
       result.best.strategy.c_str(), static_cast<unsigned long long>(result.seed));
-  if (result.warm_candidates > 0) {
-    std::printf("warm-start overlay: %zu cached start(s), %zu candidate(s)%s\n",
-                result.warm_starts, result.warm_candidates,
-                result.warm_start_won ? ", improved the plan winner" : "");
-  }
   // Evaluation accounting of the fresh candidate runs (zero when every
   // candidate came from the cache).
   if (result.evals_full + result.evals_incremental > 0) {

@@ -77,9 +77,9 @@ Args parse_args(int argc, char** argv);
 /// attached.
 void print_cache_line(const engine::SolveReport& report);
 
-/// The schedule-search result block `schedule` prints: result line, candidate/cache/worker counts, the
-/// warm-start overlay line and the evaluation accounting. Byte-identical
-/// to the pre-engine tool output.
+/// The schedule-search result block `schedule` prints: result line,
+/// candidate/cache/worker counts and the evaluation accounting.
+/// Byte-identical to the pre-engine tool output.
 void print_search_report(const engine::SolveReport& report);
 
 }  // namespace tool
