@@ -2,7 +2,7 @@
 // the four SP heuristics plus the local-search optimizer — compared on
 // the paper's graphs and on random layered task graphs (feasibility rate
 // and makespan), with the parallel multi-strategy search as the engine's
-// default path.
+// default path, timed on the FMS under both budget presets.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -165,6 +165,27 @@ void BM_ParallelSearchWorkers(benchmark::State& state) {
   state.SetLabel(std::to_string(state.range(0)) + " worker(s)");
 }
 BENCHMARK(BM_ParallelSearchWorkers)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->Unit(benchmark::kMillisecond);
+
+/// The search layer on the FMS (812 jobs, M=2) outside perfbench: one
+/// parallel_search per iteration, no cache — the quick preset on 1
+/// worker (a serve-cold request's search) and the optimize preset on 2
+/// workers (compile-fms's).
+void BM_ParallelSearchOnFms(benchmark::State& state) {
+  const auto app = apps::build_fms();
+  const TaskGraph tg = derive_task_graph(app.net, app.default_wcets()).graph;
+  engine::SearchConfig config;
+  config.processors = 2;
+  config.optimize = state.range(0) != 0;
+  config.workers = static_cast<int>(state.range(1));
+  const sched::ParallelSearchOptions opts = config.search_options();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sched::parallel_search(tg, opts).best.makespan);
+  }
+  state.SetLabel(std::string(config.optimize ? "optimize" : "quick") + " preset, " +
+                 std::to_string(config.workers) + " worker(s)");
+}
+BENCHMARK(BM_ParallelSearchOnFms)->Args({0, 1})->Args({1, 2})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -205,6 +205,34 @@ void Reactor::close_connection(std::uint64_t id) {
   connections_.erase(it);
 }
 
+namespace {
+
+/// True when the peer has closed the connection outright, as opposed to
+/// half-closing its write side. On an AF_UNIX stream socket close()
+/// raises POLLHUP and shutdown(SHUT_WR) does not; on TCP neither does (the
+/// local write side is still open), so a TCP close reads as a half-close.
+bool peer_closed(int fd) {
+  struct pollfd probe;
+  probe.fd = fd;
+  probe.events = POLLIN;
+  probe.revents = 0;
+  return ::poll(&probe, 1, 0) == 1 && (probe.revents & POLLHUP) != 0;
+}
+
+}  // namespace
+
+void Reactor::fail_read(std::uint64_t id, Connection& conn, int error) {
+  ++counters_.read_errors;
+  conn.request.clear();
+  conn.state = ConnState::kAwaiting;
+  set_deadline(id, conn, TimeoutKind::kIdle, 0);
+  if (events_.on_read_error) {
+    events_.on_read_error(id, error);
+  } else {
+    close_connection(id);
+  }
+}
+
 void Reactor::handle_readable(std::uint64_t id, Connection& conn) {
   char buf[kReadChunk];
   for (;;) {
@@ -241,7 +269,11 @@ void Reactor::handle_readable(std::uint64_t id, Connection& conn) {
     }
     if (n == 0) {  // orderly EOF: the request (or the discard) is over
       conn.saw_eof = true;
-      if (conn.state == ConnState::kReading) {
+      if (conn.state == ConnState::kReading && peer_closed(conn.fd)) {
+        // The FIN came from close(), not shutdown(SHUT_WR): nobody is left
+        // to read an answer, so the bytes are a torn prefix, not a request.
+        fail_read(id, conn, ECONNRESET);
+      } else if (conn.state == ConnState::kReading) {
         ++counters_.requests;
         conn.state = ConnState::kAwaiting;
         // Dispatched: the queue-deadline shed in net::Server owns the
@@ -269,16 +301,7 @@ void Reactor::handle_readable(std::uint64_t id, Connection& conn) {
     // Hard read error (ECONNRESET and friends): the request is torn.
     // Never dispatch the truncated bytes — surface the error instead.
     if (conn.state == ConnState::kReading) {
-      ++counters_.read_errors;
-      const int err = errno;
-      conn.request.clear();
-      conn.state = ConnState::kAwaiting;
-      set_deadline(id, conn, TimeoutKind::kIdle, 0);
-      if (events_.on_read_error) {
-        events_.on_read_error(id, err);
-      } else {
-        close_connection(id);
-      }
+      fail_read(id, conn, errno);
     } else {
       conn.saw_eof = true;  // discard side died; stop polling for input
       if (conn.state == ConnState::kWriting &&

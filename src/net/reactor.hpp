@@ -7,9 +7,11 @@
 // Connection lifecycle (one request per connection, EOF-framed):
 //
 //   accept -> kReading   read chunks until the peer half-closes (EOF).
-//               |        A hard read() error or an over-limit request
-//               |        raises on_read_error / on_oversized instead of
-//               |        ever dispatching truncated bytes.
+//               |        A hard read() error, a Unix peer that close()d
+//               |        instead of half-closing (POLLHUP at EOF), or an
+//               |        over-limit request raises on_read_error /
+//               |        on_oversized instead of ever dispatching
+//               |        truncated bytes.
 //               v
 //          kAwaiting     the full request was handed to on_request();
 //               |        the connection waits (unpolled) for
@@ -102,7 +104,7 @@ class Reactor {
     std::uint64_t accepted = 0;      ///< connections accepted
     std::uint64_t requests = 0;      ///< complete requests dispatched
     std::uint64_t oversized = 0;     ///< requests rejected by the size cap
-    std::uint64_t read_errors = 0;   ///< hard read() failures
+    std::uint64_t read_errors = 0;   ///< hard read() failures, Unix close() mid-request
     std::uint64_t write_errors = 0;  ///< responses the peer never took
     std::uint64_t aborted = 0;       ///< reading connections dropped by drain
     std::uint64_t idle_timeouts = 0;     ///< closed: silent after accept
@@ -179,6 +181,9 @@ class Reactor {
   void begin_drain();
   void accept_ready(const Listener& listener);
   void handle_readable(std::uint64_t id, Connection& conn);
+  /// A torn request: counts a read error, drops the bytes and reports
+  /// `error` through on_read_error (or closes the connection).
+  void fail_read(std::uint64_t id, Connection& conn, int error);
   void handle_writable(std::uint64_t id, Connection& conn);
   void close_connection(std::uint64_t id);
 

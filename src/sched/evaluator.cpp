@@ -33,38 +33,36 @@ constexpr int kMaxDeepCompareFailures = 64;
 
 template <class F>
 decltype(auto) Evaluator::on_timebase(F&& f) {
-  if (cg_.has_ticks()) {
-    return f(tick_, cg_.arrival_ticks(), cg_.deadline_ticks(), cg_.wcet_ticks());
+  if (cg_->has_ticks()) {
+    return f(tick_, cg_->arrival_ticks(), cg_->deadline_ticks(), cg_->wcet_ticks());
   }
-  return f(time_, cg_.arrivals(), cg_.deadlines(), cg_.wcets());
+  return f(time_, cg_->arrivals(), cg_->deadlines(), cg_->wcets());
 }
 
 Evaluator::Evaluator(const TaskGraph& tg, std::int64_t processors)
-    : cg_(CompiledTaskGraph::compile(tg)), processors_(processors) {
-  if (processors < 1) {
-    throw std::invalid_argument("evaluator: processors must be >= 1");
-  }
-  if (!tg.is_acyclic()) {
-    throw std::invalid_argument("evaluator: task graph is cyclic");
-  }
+    : Evaluator(std::make_shared<const CompiledTaskGraph>(CompiledTaskGraph::compile(tg)),
+                processors) {}
+
+Evaluator::Evaluator(std::shared_ptr<const CompiledTaskGraph> compiled,
+                     std::int64_t processors)
+    : cg_(std::move(compiled)), processors_(processors) {
+  validate();
   init_scratch();
 }
 
 Evaluator::Evaluator(const TaskGraph& tg, std::int64_t processors,
                      const std::vector<ProcessorId>& assignment)
-    : cg_(CompiledTaskGraph::compile(tg)),
-      processors_(processors),
-      partition_mode_(true) {
-  if (processors < 1) {
-    throw std::invalid_argument("evaluator: processors must be >= 1");
-  }
-  if (!tg.is_acyclic()) {
-    throw std::invalid_argument("evaluator: task graph is cyclic");
-  }
-  const std::size_t n = cg_.job_count();
+    : Evaluator(tg, std::make_shared<const CompiledTaskGraph>(CompiledTaskGraph::compile(tg)),
+                processors, assignment) {}
+
+Evaluator::Evaluator(const TaskGraph& tg, std::shared_ptr<const CompiledTaskGraph> compiled,
+                     std::int64_t processors, const std::vector<ProcessorId>& assignment)
+    : cg_(std::move(compiled)), processors_(processors), partition_mode_(true) {
+  validate();
+  const std::size_t n = cg_->job_count();
   job_proc_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t p = cg_.process_ids()[i];
+    const std::size_t p = cg_->process_ids()[i];
     if (p >= assignment.size() || !assignment[p].is_valid() ||
         static_cast<std::int64_t>(assignment[p].value()) >= processors) {
       throw std::invalid_argument("partitioned schedule: job '" + tg.job(JobId(i)).name +
@@ -75,8 +73,17 @@ Evaluator::Evaluator(const TaskGraph& tg, std::int64_t processors,
   init_scratch();
 }
 
+void Evaluator::validate() {
+  if (processors_ < 1) {
+    throw std::invalid_argument("evaluator: processors must be >= 1");
+  }
+  if (!cg_->is_acyclic()) {
+    throw std::invalid_argument("evaluator: task graph is cyclic");
+  }
+}
+
 void Evaluator::init_scratch() {
-  const std::size_t n = cg_.job_count();
+  const std::size_t n = cg_->job_count();
   const std::size_t m = static_cast<std::size_t>(processors_);
   rank_.resize(n);
   base_order_.resize(n);
@@ -107,7 +114,7 @@ void Evaluator::reserve_checkpoints() {
   if (partition_mode_) {
     return;  // checkpoints are a global-mode feature
   }
-  const std::size_t n = cg_.job_count();
+  const std::size_t n = cg_->job_count();
   on_timebase([&](auto& lane, const auto&, const auto&, const auto&) {
     auto& base = lane.base;
     base.ck.resize(n / std::max<std::size_t>(stride_, 1) + 1);
@@ -120,7 +127,7 @@ void Evaluator::reserve_checkpoints() {
 }
 
 void Evaluator::set_checkpoint_stride(std::size_t stride) {
-  stride_ = stride != 0 ? stride : default_stride(cg_.job_count());
+  stride_ = stride != 0 ? stride : default_stride(cg_->job_count());
   invalidate_baseline();
   reserve_checkpoints();
 }
@@ -131,7 +138,7 @@ void Evaluator::invalidate_baseline() {
 }
 
 void Evaluator::load_rank(const std::vector<JobId>& priority) {
-  const std::size_t n = cg_.job_count();
+  const std::size_t n = cg_->job_count();
   if (priority.size() != n) {
     throw std::invalid_argument("evaluator: SP order must cover every job");
   }
@@ -148,7 +155,7 @@ void Evaluator::load_rank(const std::vector<JobId>& priority) {
 
 void Evaluator::load_rank_for_move(const std::vector<JobId>& priority, std::size_t lo,
                                    std::size_t hi, MoveKind kind) {
-  const std::size_t n = cg_.job_count();
+  const std::size_t n = cg_->job_count();
   if (priority.size() != n) {
     throw std::invalid_argument("evaluator: SP order must cover every job");
   }
@@ -219,12 +226,12 @@ template <Evaluator::Pass P, bool Partitioned, class T, class W>
     const std::vector<W>& wcet, std::size_t lo, std::size_t hi, MoveKind kind) {
   using BusyEntry = std::pair<T, std::uint32_t>;
   constexpr bool kTrackStarted = P == Pass::kBaseline || P == Pass::kMove;
-  const std::size_t n = cg_.job_count();
+  const std::size_t n = cg_->job_count();
   const std::size_t m = static_cast<std::size_t>(processors_);
-  const auto& pred_offsets = cg_.pred_offsets();
-  const auto& succ_offsets = cg_.succ_offsets();
-  const auto& succ_ids = cg_.succ_ids();
-  const auto& sources = cg_.sources_by_arrival();
+  const auto& pred_offsets = cg_->pred_offsets();
+  const auto& succ_offsets = cg_->succ_offsets();
+  const auto& succ_ids = cg_->succ_ids();
+  const auto& sources = cg_->sources_by_arrival();
   auto& base = lane.base;
   auto& ready_at = lane.ready_at;
   auto& busy = lane.busy;
@@ -590,7 +597,7 @@ template <Evaluator::Pass P, bool Partitioned, class T, class W>
 template <class T>
 void Evaluator::finalize_baseline(eval_detail::BaselineStore<T>& base,
                                   std::size_t violations) {
-  const std::size_t n = cg_.job_count();
+  const std::size_t n = cg_->job_count();
   // Suffix aggregates per checkpoint: violations after the checkpoint and
   // the max finish among jobs started after it (one backward pass over
   // the per-start finish log).
@@ -645,11 +652,11 @@ EvalScore Evaluator::evaluate_move(const std::vector<JobId>& priority, std::size
   if (partition_mode_) {
     throw std::logic_error("evaluator: incremental moves require global mode");
   }
-  const std::size_t n = cg_.job_count();
+  const std::size_t n = cg_->job_count();
   if (lo > hi || (n != 0 && hi >= n)) {
     throw std::invalid_argument("evaluator: move positions out of range");
   }
-  if (!(cg_.has_ticks() ? tick_.base.valid : time_.base.valid)) {
+  if (!(cg_->has_ticks() ? tick_.base.valid : time_.base.valid)) {
     // No baseline to lean on — still exact, just a plain full run.
     return evaluate(priority);
   }
@@ -659,9 +666,14 @@ EvalScore Evaluator::evaluate_move(const std::vector<JobId>& priority, std::size
 }
 
 StaticSchedule Evaluator::materialize(const std::vector<JobId>& priority) {
+  EvalScore score;
+  return materialize(priority, score);
+}
+
+StaticSchedule Evaluator::materialize(const std::vector<JobId>& priority, EvalScore& score) {
   load_rank(priority);
-  (void)run_pass<Pass::kMaterialize>();
-  const std::size_t n = cg_.job_count();
+  score = run_pass<Pass::kMaterialize>();
+  const std::size_t n = cg_->job_count();
   StaticSchedule schedule(n, processors_);
   on_timebase([&](const auto& lane, const auto&, const auto&, const auto&) {
     for (std::size_t i = 0; i < n; ++i) {

@@ -87,9 +87,13 @@
 //
 // Thread safety: an Evaluator is mutable scratch — one per search worker,
 // never shared concurrently. Construction is read-only on the task graph.
+// The compiled view is immutable and may be shared by any number of
+// evaluators on any threads (sched/search_context.hpp shares one per
+// search).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -195,11 +199,16 @@ struct Lane {
 
 class Evaluator {
  public:
-  /// Compiles `tg` and sizes all scratch. Throws std::invalid_argument
-  /// when processors < 1 or the graph is cyclic (the same conditions the
-  /// reference list_schedule rejects, checked once here instead of per
-  /// evaluation).
+  /// Compiles `tg` into a view of its own and sizes all scratch. Throws
+  /// std::invalid_argument when processors < 1 or the graph is cyclic
+  /// (the same conditions the reference list_schedule rejects, checked
+  /// once here instead of per evaluation).
   Evaluator(const TaskGraph& tg, std::int64_t processors);
+
+  /// Shares an already compiled view (a SearchContext's): only the
+  /// scratch is sized. Throws like the constructor above; acyclicity
+  /// comes from the view's compile-time flag.
+  Evaluator(std::shared_ptr<const CompiledTaskGraph> compiled, std::int64_t processors);
 
   /// Partition-constrained evaluator: job i is pinned to
   /// `assignment[tg.job(i).process]`. Throws std::invalid_argument under
@@ -208,6 +217,12 @@ class Evaluator {
   /// — checked eagerly here instead of at schedule time.
   Evaluator(const TaskGraph& tg, std::int64_t processors,
             const std::vector<ProcessorId>& assignment);
+
+  /// Partition-constrained evaluator on a shared view, which must be
+  /// CompiledTaskGraph::compile(tg); `tg` only names the job in the
+  /// assignment error. Throws like the constructor above.
+  Evaluator(const TaskGraph& tg, std::shared_ptr<const CompiledTaskGraph> compiled,
+            std::int64_t processors, const std::vector<ProcessorId>& assignment);
 
   /// Scores one SP order without building a schedule. Allocation-free
   /// after the first call. Throws std::invalid_argument when `priority`
@@ -220,6 +235,11 @@ class Evaluator {
   /// testing::partitioned_list_schedule). For incumbents and the
   /// heuristic strategies; this path allocates the schedule it returns.
   [[nodiscard]] StaticSchedule materialize(const std::vector<JobId>& priority);
+
+  /// materialize() that also returns the run's score through `score` —
+  /// bit-identical to evaluate(priority), from the same single pass.
+  [[nodiscard]] StaticSchedule materialize(const std::vector<JobId>& priority,
+                                           EvalScore& score);
 
   /// Full evaluation that also (re)builds the checkpoint store, making
   /// `priority` the incremental baseline. Call on the incumbent order at
@@ -253,12 +273,12 @@ class Evaluator {
 
   /// True when the int64 tick fast path is active; false means the exact
   /// Rational fallback (results are bit-identical either way).
-  [[nodiscard]] bool uses_ticks() const noexcept { return cg_.has_ticks(); }
+  [[nodiscard]] bool uses_ticks() const noexcept { return cg_->has_ticks(); }
 
   /// True for the partition-constrained constructor.
   [[nodiscard]] bool partition_mode() const noexcept { return partition_mode_; }
 
-  [[nodiscard]] const CompiledTaskGraph& compiled() const noexcept { return cg_; }
+  [[nodiscard]] const CompiledTaskGraph& compiled() const noexcept { return *cg_; }
   [[nodiscard]] std::int64_t processor_count() const noexcept { return processors_; }
 
  private:
@@ -268,6 +288,7 @@ class Evaluator {
   /// confluence. Each pass is its own instantiation of simulate().
   enum class Pass : std::uint8_t { kScore, kMaterialize, kBaseline, kMove };
 
+  void validate();
   void init_scratch();
   void reserve_checkpoints();
   void load_rank(const std::vector<JobId>& priority);
@@ -296,10 +317,10 @@ class Evaluator {
   template <class T>
   void finalize_baseline(eval_detail::BaselineStore<T>& base, std::size_t violations);
 
-  [[nodiscard]] Time time_of(std::int64_t ticks) const { return cg_.time_from_ticks(ticks); }
+  [[nodiscard]] Time time_of(std::int64_t ticks) const { return cg_->time_from_ticks(ticks); }
   [[nodiscard]] static const Time& time_of(const Time& t) { return t; }
 
-  CompiledTaskGraph cg_;
+  std::shared_ptr<const CompiledTaskGraph> cg_;
   std::int64_t processors_ = 1;
   bool partition_mode_ = false;
   std::size_t stride_ = 1;

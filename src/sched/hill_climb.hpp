@@ -6,6 +6,12 @@
 // trajectory — the same seeds, moves, acceptances and iterations — so any
 // divergence between the two is a kernel bug, never a search difference.
 //
+// The climb's start points — every heuristic order with its score — come
+// from the caller: production passes the search context's heuristic
+// slots (sched/search_context.hpp), which every candidate of a search
+// shares, and the oracle scores the orders itself with its naive scorer,
+// so the trajectory differential also proves the slots right.
+//
 // A Scorer provides, each returning the exact score of `order`:
 //   EvalScore evaluate(order)                      a plain evaluation
 //   EvalScore evaluate_baseline(order)             also makes `order` the
@@ -28,14 +34,23 @@ namespace sched {
 /// Consecutive non-improving moves before a start point is abandoned.
 inline constexpr int kStaleLimit = 200;
 
-/// Optimizes SP for `tg` under `opts` (processors, seed and budget).
-/// Every score comes from `scorer`, so its evaluation counts are a pure
-/// function of (tg, opts). The eval counters full/incremental/spliced
-/// are left zero for the caller to fill from its scorer.
+/// One start point of the climb: a heuristic's SP order (not owned) and
+/// its exact score.
+struct StartPoint {
+  PriorityHeuristic heuristic = PriorityHeuristic::kAlapEdf;
+  const std::vector<JobId>* order = nullptr;
+  EvalScore score;
+};
+
+/// Optimizes SP from `starts` (one per heuristic, in all_heuristics()
+/// order) under `opts` (seed and budget; the scorer fixes the
+/// processors). Every move score comes from `scorer`, so its evaluation
+/// counts are a pure function of (graph, opts). The eval counters
+/// full/incremental/spliced are left zero for the caller to fill from its
+/// scorer.
 template <class Scorer>
-LocalSearchResult hill_climb(const TaskGraph& tg, const StrategyOptions& opts,
-                             Scorer& scorer) {
-  const std::size_t n = tg.job_count();
+LocalSearchResult hill_climb(const std::vector<StartPoint>& starts,
+                             const StrategyOptions& opts, Scorer& scorer) {
   LocalSearchResult best;
 
   EvalScore best_score;
@@ -46,15 +61,14 @@ LocalSearchResult hill_climb(const TaskGraph& tg, const StrategyOptions& opts,
   };
 
   // Seed with the best plain heuristic; the first one wins ties.
-  for (const PriorityHeuristic h : all_heuristics()) {
-    std::vector<JobId> order = schedule_priority(tg, h);
-    const EvalScore score = scorer.evaluate(order);
-    if (best.priority.empty() || score.better_than(best_score)) {
-      adopt(score);
-      best.priority = std::move(order);
-      best.start_heuristic = h;
+  for (const StartPoint& start : starts) {
+    if (best.priority.empty() || start.score.better_than(best_score)) {
+      adopt(start.score);
+      best.priority = *start.order;
+      best.start_heuristic = start.heuristic;
     }
   }
+  const std::size_t n = best.priority.size();
   if (n < 2) {
     best.schedule = scorer.materialize(best.priority);
     best.feasible = best.violations == 0;

@@ -6,12 +6,16 @@
 // hill-climbs with job-reordering moves under the lexicographic objective
 //   (deadline-violation count, makespan)
 // and optional seeded random restarts. Deterministic for a given seed.
+// The four heuristic start points are read from a sched::SearchContext,
+// so inside a search they are computed and simulated once for every
+// candidate that needs them (sched/search_context.hpp).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "sched/priorities.hpp"
+#include "sched/search_context.hpp"
 #include "sched/strategy.hpp"
 
 namespace fppn {
@@ -33,9 +37,10 @@ struct LocalSearchResult {
 
 /// Optimizes SP for `tg` with `opts.max_iterations` moves per start
 /// point and `opts.restarts` restarts, scoring through the sched::Evaluator
-/// kernel. Never returns a schedule worse than the best plain heuristic
-/// (the search starts from it and only accepts improvements). A start
-/// point is abandoned after 200 consecutive non-improving moves.
+/// kernel on a fresh search context. Never returns a schedule worse than
+/// the best plain heuristic (the search starts from it and only accepts
+/// improvements). A start point is abandoned after 200 consecutive
+/// non-improving moves.
 ///
 /// Deterministic: a pure function of (tg, opts) — all randomness comes
 /// from opts.seed, so equal inputs yield the bit-identical schedule on
@@ -45,5 +50,13 @@ struct LocalSearchResult {
 /// std::invalid_argument when processors < 1 or the graph is cyclic.
 [[nodiscard]] LocalSearchResult optimize_priority(const TaskGraph& tg,
                                                   const sched::StrategyOptions& opts = {});
+
+/// The same search on a shared context: the start points are the
+/// context's heuristic slots and the kernel shares its compiled view, so
+/// the result equals optimize_priority(ctx.graph(), opts) with
+/// opts.processors == ctx.processors(). The evaluation counters cover
+/// the climb only — the slots' simulations belong to the context.
+[[nodiscard]] LocalSearchResult optimize_priority(const sched::SearchContext& ctx,
+                                                  const sched::StrategyOptions& opts);
 
 }  // namespace fppn

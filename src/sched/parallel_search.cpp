@@ -111,16 +111,26 @@ ParallelSearchResult parallel_search(const TaskGraph& tg,
                     : static_cast<int>(std::max(1U, std::thread::hardware_concurrency()));
   workers = std::min<int>(workers, static_cast<int>(std::max<std::size_t>(pending.size(), 1)));
 
+  // One read-only context serves every candidate that misses the cache:
+  // the graph is compiled once and each heuristic order simulated once.
+  // A fully cached search builds none.
+  std::optional<SearchContext> ctx;
+  if (!pending.empty()) {
+    ctx.emplace(tg, opts.processors);
+  }
+
   // Each slot is written by exactly one worker; the selection below ranks
   // over the index-ordered vector after the join, so the outcome cannot
-  // depend on thread interleaving.
+  // depend on thread interleaving. Likewise the error rethrown is the
+  // lowest-indexed candidate's, whichever worker saw it first.
   std::atomic<std::size_t> next{0};
   std::mutex error_mu;
+  std::size_t error_at = pending.size();
   std::exception_ptr first_error;
 
   const auto run_candidate = [&](std::size_t index) {
     const SearchCandidate& c = candidates[index];
-    results[index] = registry.create(c.strategy)->schedule(tg, strategy_options_for(opts, c));
+    results[index] = registry.create(c.strategy)->schedule(*ctx, strategy_options_for(opts, c));
     // Rank by the candidate's registry key, not the strategy's
     // self-reported name(): cache hits rebuild the name from the key, and
     // a strategy registered under a different name must not rank
@@ -138,7 +148,8 @@ ParallelSearchResult parallel_search(const TaskGraph& tg,
         run_candidate(pending[p]);
       } catch (...) {
         const std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) {
+        if (p < error_at) {
+          error_at = p;
           first_error = std::current_exception();
         }
       }

@@ -28,11 +28,15 @@
 // holds, even entries of other options or other graphs, the winner is
 // the cacheless one (regression-tested in parallel_search_test.cpp).
 //
-// Every candidate runs on the evaluation kernel (sched/evaluator.hpp)
-// and shares no scoring state with the others, so its result and its
-// evaluation counts are the same on any worker count. The serial naive
-// search in testing/reference_search.hpp picks the bit-identical winner,
-// which the differential suites and the fuzz loop check.
+// Every candidate runs on the evaluation kernel (sched/evaluator.hpp).
+// The candidates that miss the cache share one read-only SearchContext
+// (sched/search_context.hpp): the graph is compiled once and each
+// heuristic order computed and simulated once, whichever candidate needs
+// it first. The context is a pure function of (graph, processors), so a
+// candidate's result and its evaluation counts are the same on any
+// worker count and equal its standalone run. The serial naive search in
+// testing/reference_search.hpp picks the bit-identical winner, which the
+// differential suites and the fuzz loop check.
 //
 // This is the default scheduling path of fppn_tool and the benches.
 #pragma once
@@ -144,7 +148,9 @@ void apply_cached_warm_start(const TaskGraph& tg, const ParallelSearchOptions& o
 /// std::invalid_argument when the registry/options yield no candidates,
 /// processors < 1, or seeds_per_strategy < 1; UnknownStrategyError for an
 /// unknown strategy name (before any work starts). Any exception thrown by
-/// a strategy or by a cache store is rethrown on the calling thread.
+/// a strategy or by a cache store is rethrown on the calling thread; when
+/// several candidates throw, the lowest-indexed one's exception, on any
+/// worker count.
 /// Thread safety: safe to call concurrently, including with a shared
 /// registry and a shared cache.
 [[nodiscard]] ParallelSearchResult parallel_search(

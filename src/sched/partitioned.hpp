@@ -12,10 +12,11 @@
 // These are the low-level entry points; the engine path is the
 // "partitioned-wfd" SchedulerStrategy registered in the strategy registry
 // (sched/registry.hpp), which participates in parallel_search, the
-// schedule cache and `fppn_tool --strategy`. It computes wfd_assignment
-// once per (graph, processors) and keeps the partition-constrained
-// sched::Evaluator built from it in a per-thread cache, so every seed
-// after the first only schedules a new SP order.
+// schedule cache and `fppn_tool --strategy`. It builds the
+// partition-constrained sched::Evaluator on the search context's shared
+// compiled view and schedules the SP order of the context's heuristic
+// slot (sched/search_context.hpp), so a seed costs one wfd_assignment and
+// one constrained simulation, never a compile or a heuristic order.
 //
 // Determinism: both functions are pure functions of their arguments — the
 // WFD bin choice and all scheduling ties are broken by index, never by

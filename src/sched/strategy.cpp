@@ -1,14 +1,12 @@
 #include "sched/strategy.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "sched/evaluator.hpp"
 #include "sched/local_search.hpp"
 #include "sched/partitioned.hpp"
 #include "sched/priorities.hpp"
 #include "sched/registry.hpp"
-#include "taskgraph/fingerprint.hpp"
 
 namespace fppn {
 namespace sched {
@@ -22,10 +20,17 @@ void finalize_result(const TaskGraph& tg, StrategyResult& result) {
   result.deadline_violations = counts.deadline;
 }
 
+StrategyResult SchedulerStrategy::schedule(const TaskGraph& tg,
+                                           const StrategyOptions& opts) const {
+  const SearchContext ctx(tg, opts.processors);
+  return schedule(ctx, opts);
+}
+
 namespace {
 
-/// One §III-B priority heuristic behind the strategy interface: compute
-/// the SP total order, list-schedule it through the evaluation kernel.
+/// One §III-B priority heuristic behind the strategy interface: the SP
+/// total order list-scheduled through the evaluation kernel — the
+/// context's slot for the heuristic.
 class HeuristicStrategy final : public SchedulerStrategy {
  public:
   HeuristicStrategy(PriorityHeuristic heuristic, std::string description)
@@ -34,14 +39,13 @@ class HeuristicStrategy final : public SchedulerStrategy {
   [[nodiscard]] std::string name() const override { return to_string(heuristic_); }
   [[nodiscard]] std::string description() const override { return description_; }
 
-  [[nodiscard]] StrategyResult schedule(const TaskGraph& tg,
-                                        const StrategyOptions& opts) const override {
+  [[nodiscard]] StrategyResult schedule(const SearchContext& ctx,
+                                        const StrategyOptions& /*opts*/) const override {
     StrategyResult result;
     result.strategy = name();
     result.detail = "list schedule, SP heuristic " + name();
-    const std::vector<JobId> order = schedule_priority(tg, heuristic_);
-    result.schedule = Evaluator(tg, opts.processors).materialize(order);
-    finalize_result(tg, result);
+    result.schedule = ctx.heuristic(heuristic_).schedule;
+    finalize_result(ctx.graph(), result);
     return result;
   }
 
@@ -60,9 +64,9 @@ class LocalSearchStrategy final : public SchedulerStrategy {
   }
   [[nodiscard]] bool seedable() const override { return true; }
 
-  [[nodiscard]] StrategyResult schedule(const TaskGraph& tg,
+  [[nodiscard]] StrategyResult schedule(const SearchContext& ctx,
                                         const StrategyOptions& opts) const override {
-    LocalSearchResult ls_result = optimize_priority(tg, opts);
+    LocalSearchResult ls_result = optimize_priority(ctx, opts);
 
     StrategyResult result;
     result.strategy = name();
@@ -72,7 +76,7 @@ class LocalSearchStrategy final : public SchedulerStrategy {
     result.full_evals = ls_result.full_evals;
     result.incremental_evals = ls_result.incremental_evals;
     result.spliced_evals = ls_result.spliced_evals;
-    finalize_result(tg, result);
+    finalize_result(ctx.graph(), result);
     return result;
   }
 };
@@ -93,8 +97,9 @@ class PartitionedStrategy final : public SchedulerStrategy {
   }
   [[nodiscard]] bool seedable() const override { return true; }
 
-  [[nodiscard]] StrategyResult schedule(const TaskGraph& tg,
+  [[nodiscard]] StrategyResult schedule(const SearchContext& ctx,
                                         const StrategyOptions& opts) const override {
+    const TaskGraph& tg = ctx.graph();
     // Processes are identified by the jobs' ProcessId values; the
     // assignment table must cover the largest one.
     std::size_t process_count = 0;
@@ -112,26 +117,11 @@ class PartitionedStrategy final : public SchedulerStrategy {
     StrategyResult result;
     result.strategy = name();
     result.detail = "partitioned WFD pinning, SP heuristic " + to_string(h);
-    // parallel_search calls this strategy once per (seed, heuristic) on
-    // the same graph; the WFD assignment and the compiled partition
-    // kernel depend only on (graph, processors), so one kernel per worker
-    // thread serves every seed. The evaluator holds no TaskGraph
-    // reference, making the thread-local cache safe across graphs.
-    struct CachedKernel {
-      std::uint64_t fp = 0;
-      std::int64_t processors = 0;
-      std::optional<Evaluator> kernel;
-    };
-    thread_local CachedKernel cache;
-    const std::uint64_t fp = fingerprint(tg);
-    if (!cache.kernel.has_value() || cache.fp != fp ||
-        cache.processors != opts.processors) {
-      cache.kernel.emplace(tg, opts.processors,
-                           wfd_assignment(tg, process_count, opts.processors));
-      cache.fp = fp;
-      cache.processors = opts.processors;
-    }
-    result.schedule = cache.kernel->materialize(schedule_priority(tg, h));
+    // The partition kernel shares the context's compiled view; the SP
+    // order is the heuristic's slot.
+    Evaluator kernel(tg, ctx.compiled(), ctx.processors(),
+                     wfd_assignment(tg, process_count, ctx.processors()));
+    result.schedule = kernel.materialize(ctx.heuristic(h).order);
     finalize_result(tg, result);
     return result;
   }

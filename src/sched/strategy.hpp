@@ -2,22 +2,26 @@
 // engine implements (§III-B policies: the four SP heuristics and the
 // local-search optimizer, plus anything users register).
 //
-// A strategy maps a task graph and one config value (StrategyOptions) to
-// a static schedule; callers discover strategies by name through the
+// A strategy maps a search context (sched/search_context.hpp: the graph,
+// the processor count, the shared compiled view and the lazily simulated
+// heuristic orders) and one config value (StrategyOptions) to a static
+// schedule; callers discover strategies by name through the
 // StrategyRegistry (sched/registry.hpp) and never name concrete heuristic
 // functions. The parallel schedule search (sched/parallel_search.hpp) fans
-// out over registered strategies and seeds. Every built-in strategy — the
-// four heuristics, local search and partitioned-wfd — schedules through
-// the evaluation kernel (sched/evaluator.hpp). The O(n²) rescans they
-// reproduce bit for bit are test oracles under src/testing
-// (testing/list_scheduler.hpp, testing/reference_search.hpp), not a
-// strategy option.
+// out over registered strategies and seeds on one context per search, so
+// no candidate compiles the graph or simulates a heuristic order another
+// candidate already did. Every built-in strategy — the four heuristics,
+// local search and partitioned-wfd — schedules through the evaluation
+// kernel (sched/evaluator.hpp). The O(n²) rescans they reproduce bit for
+// bit are test oracles under src/testing (testing/list_scheduler.hpp,
+// testing/reference_search.hpp), not a strategy option.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "sched/search_context.hpp"
 #include "sched/static_schedule.hpp"
 #include "taskgraph/task_graph.hpp"
 
@@ -67,15 +71,22 @@ class SchedulerStrategy {
   /// search enumerates seeds only for seedable strategies.
   [[nodiscard]] virtual bool seedable() const { return false; }
 
-  /// Computes a complete schedule for `tg`. Implementations must be
-  /// deterministic functions of (tg, opts) — all randomness derived from
-  /// opts.seed — and safe to call from multiple threads on distinct
-  /// instances (the registry hands every caller a fresh instance).
+  /// Computes a complete schedule for `ctx.graph()` on `ctx.processors()`
+  /// processors (the context fixes the processor count; callers build it
+  /// from opts.processors). Implementations must be deterministic
+  /// functions of (graph, opts) — all randomness derived from opts.seed —
+  /// and safe to call from multiple threads on distinct instances sharing
+  /// one context (the registry hands every caller a fresh instance).
   /// Implementations may throw std::invalid_argument for graphs/options
   /// they cannot schedule (e.g. cyclic graphs, processors < 1); the
   /// parallel search rethrows on the calling thread.
-  [[nodiscard]] virtual StrategyResult schedule(const TaskGraph& tg,
+  [[nodiscard]] virtual StrategyResult schedule(const SearchContext& ctx,
                                                 const StrategyOptions& opts) const = 0;
+
+  /// Standalone call: schedules `tg` on a fresh context built for
+  /// opts.processors. Same result as the context overload.
+  [[nodiscard]] StrategyResult schedule(const TaskGraph& tg,
+                                        const StrategyOptions& opts) const;
 };
 
 /// Fills deadline_violations / makespan / feasible of `result` from its

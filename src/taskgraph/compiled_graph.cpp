@@ -80,6 +80,28 @@ CompiledTaskGraph CompiledTaskGraph::compile(const TaskGraph& tg) {
       out.sources_by_arrival_.push_back(static_cast<std::uint32_t>(i));
     }
   }
+
+  // Acyclicity: Kahn's algorithm from the sources; a cycle leaves jobs
+  // that never reach zero remaining predecessors.
+  {
+    std::vector<std::uint32_t> remaining(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      remaining[i] = out.pred_offsets_[i + 1] - out.pred_offsets_[i];
+    }
+    std::vector<std::uint32_t> stack = out.sources_by_arrival_;
+    std::size_t visited = 0;
+    while (!stack.empty()) {
+      const std::uint32_t job = stack.back();
+      stack.pop_back();
+      ++visited;
+      for (std::uint32_t e = out.succ_offsets_[job]; e < out.succ_offsets_[job + 1]; ++e) {
+        if (--remaining[out.succ_ids_[e]] == 0) {
+          stack.push_back(out.succ_ids_[e]);
+        }
+      }
+    }
+    out.acyclic_ = visited == n;
+  }
   std::sort(out.sources_by_arrival_.begin(), out.sources_by_arrival_.end(),
             [&](std::uint32_t a, std::uint32_t b) {
               if (out.arrival_[a] != out.arrival_[b]) {

@@ -34,13 +34,17 @@ namespace fppn {
 
 class CompiledTaskGraph {
  public:
-  /// Builds the flat view. Accepts any graph (including cyclic ones — the
-  /// evaluator performs its own acyclicity check); never throws beyond
-  /// allocation failure.
+  /// Builds the flat view. Accepts any graph, cyclic ones included, and
+  /// records acyclicity once (is_acyclic) for the evaluator to check;
+  /// never throws beyond allocation failure.
   static CompiledTaskGraph compile(const TaskGraph& tg);
 
   [[nodiscard]] std::size_t job_count() const noexcept { return n_; }
   [[nodiscard]] std::size_t edge_count() const noexcept { return pred_ids_.size(); }
+
+  /// True when the precedence edges form no cycle — the same answer as
+  /// TaskGraph::is_acyclic, computed at compile time over the CSR view.
+  [[nodiscard]] bool is_acyclic() const noexcept { return acyclic_; }
 
   /// True when the int64 tick timebase is usable (no overflow anywhere,
   /// including the worst-case simulated makespan).
@@ -108,6 +112,7 @@ class CompiledTaskGraph {
 
  private:
   std::size_t n_ = 0;
+  bool acyclic_ = true;
   bool has_ticks_ = false;
   std::int64_t ticks_per_ms_ = 1;
   std::vector<std::int64_t> arrival_tick_, deadline_tick_, wcet_tick_;

@@ -81,8 +81,19 @@ sched::EvalScore reference_score(const TaskGraph& tg, const std::vector<JobId>& 
 
 LocalSearchResult reference_optimize_priority(const TaskGraph& tg,
                                               const sched::StrategyOptions& opts) {
+  // The start points are scored here, by the naive pipeline, rather than
+  // read from a search context: the climb's trajectory then also checks
+  // the context's heuristic slots.
   ReferenceScorer scorer(tg, opts.processors);
-  return sched::hill_climb(tg, opts, scorer);
+  const std::vector<PriorityHeuristic>& heuristics = all_heuristics();
+  std::vector<std::vector<JobId>> orders;
+  orders.reserve(heuristics.size());
+  std::vector<sched::StartPoint> starts;
+  for (const PriorityHeuristic h : heuristics) {
+    orders.push_back(schedule_priority(tg, h));
+    starts.push_back({h, &orders.back(), scorer.evaluate(orders.back())});
+  }
+  return sched::hill_climb(starts, opts, scorer);
 }
 
 sched::ParallelSearchResult reference_search(const TaskGraph& tg,

@@ -6,8 +6,10 @@
 //
 //   reference_score               list_schedule + count_violations
 //   reference_optimize_priority   the same hill-climb as optimize_priority
-//                                 (sched/hill_climb.hpp), every score from
-//                                 scratch through reference_score
+//                                 (sched/hill_climb.hpp), every score —
+//                                 the start points' too — from scratch
+//                                 through reference_score, not read from
+//                                 a sched::SearchContext
 //   reference_search              parallel_search's candidate matrix, run
 //                                 serially and ranked by
 //                                 better_search_candidate:

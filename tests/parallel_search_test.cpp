@@ -164,12 +164,12 @@ class BrokenStrategy final : public sched::SchedulerStrategy {
   [[nodiscard]] std::string name() const override { return "aaa-broken"; }
   [[nodiscard]] std::string description() const override { return "partial schedule"; }
   [[nodiscard]] sched::StrategyResult schedule(
-      const TaskGraph& tg, const sched::StrategyOptions& opts) const override {
+      const sched::SearchContext& ctx, const sched::StrategyOptions& opts) const override {
     sched::StrategyResult result;
     result.strategy = name();
     result.detail = "leaves every job unplaced";
-    result.schedule = StaticSchedule(tg.job_count(), opts.processors);
-    sched::finalize_result(tg, result);
+    result.schedule = StaticSchedule(ctx.graph().job_count(), opts.processors);
+    sched::finalize_result(ctx.graph(), result);
     return result;
   }
 };
@@ -194,7 +194,7 @@ class ThrowingStrategy final : public sched::SchedulerStrategy {
   [[nodiscard]] std::string name() const override { return "aaa-throws"; }
   [[nodiscard]] std::string description() const override { return "always throws"; }
   [[nodiscard]] sched::StrategyResult schedule(
-      const TaskGraph&, const sched::StrategyOptions&) const override {
+      const sched::SearchContext&, const sched::StrategyOptions&) const override {
     throw std::runtime_error("strategy exploded mid-search");
   }
 };

@@ -282,9 +282,9 @@ TEST(ServeFraming, PeerClosingMidRequestGetsNoAnswerAndNothingLeaks) {
   const std::string cut = truncated_fig1(fig1);
   FramingStack stack(fig1.size());
 
-  // FIN mid-request on the Unix socket: on the wire that is the request
-  // delimiter, so the cut text is answered (a parse error) to a peer
-  // that is gone.
+  // close() mid-request on the Unix socket: the FIN alone would read as
+  // the request delimiter, but the socket also hangs up, so the torn
+  // prefix is a read error, never parsed or answered.
   {
     const int fd = net::connect_endpoint(stack.unix_endpoint());
     ASSERT_GE(fd, 0) << std::strerror(errno);
@@ -311,9 +311,9 @@ TEST(ServeFraming, PeerClosingMidRequestGetsNoAnswerAndNothingLeaks) {
     ::close(fd);
   }
 
-  stack.expect_stats({{"requests", "1"},
-                      {"errors", "1"},
-                      {"read-errors", "1"},
+  stack.expect_stats({{"requests", "0"},
+                      {"errors", "0"},
+                      {"read-errors", "2"},
                       {"oversized", "1"},
                       {"overloaded", "0"}});
   stack.expect_healthy(fig1);
