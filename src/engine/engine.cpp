@@ -3,7 +3,6 @@
 #include <chrono>
 #include <sstream>
 #include <stdexcept>
-#include <vector>
 
 #include "sched/parallel_search.hpp"
 
@@ -90,25 +89,6 @@ sched::ScheduleCache* Engine::cache_for(const SearchConfig& config) {
              .first;
   }
   return it->second.get();
-}
-
-sched::CacheGcStats Engine::gc_disk_caches() {
-  std::vector<sched::ScheduleCache*> caches;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    caches.reserve(disk_caches_.size());
-    for (const auto& [key, cache] : disk_caches_) {
-      caches.push_back(cache.get());
-    }
-  }
-  sched::CacheGcStats total;
-  for (sched::ScheduleCache* cache : caches) {
-    const sched::CacheGcStats pass = cache->gc();
-    total.kept += pass.kept;
-    total.evicted += pass.evicted;
-    total.index_rebuilt = total.index_rebuilt || pass.index_rebuilt;
-  }
-  return total;
 }
 
 SolveReport Engine::solve(const SolveRequest& request) {

@@ -13,8 +13,10 @@
 // An Engine is long-lived: it owns the shared in-memory ScheduleCache
 // (the L1 of fppn_serve — SearchConfig::memory_cache) and one
 // ScheduleCache instance per configured disk directory, reused across
-// solves so repeat requests hit warm in-memory state. One-shot callers
-// (the tool) simply construct, solve once and discard.
+// solves so repeat requests hit warm in-memory state. A bounded disk
+// cache holds its own bounds (every store and disk hit evicts down to
+// them), so the Engine runs no cache maintenance of its own. One-shot
+// callers (the tool) simply construct, solve once and discard.
 //
 // Thread safety: solve() is safe to call concurrently on
 // one Engine — cache instances are internally synchronized and per-solve
@@ -49,13 +51,6 @@ class Engine {
   /// The shared in-memory L1 attached by SearchConfig::memory_cache.
   /// Exposed so a daemon can report cumulative cache stats.
   [[nodiscard]] sched::ScheduleCache& memory_cache() { return memory_cache_; }
-
-  /// Runs ScheduleCache::gc() on every disk-backed cache this Engine has
-  /// opened (the daemon's background gc thread: re-enforce the
-  /// entry/byte bounds while serving). Caches are created lazily by
-  /// solves, so this is a no-op until a cache-configured request ran.
-  /// Returns the pass totals; safe to call concurrently with solve().
-  sched::CacheGcStats gc_disk_caches();
 
  private:
   /// The cache instance `config` asks for (shared per directory+bounds,

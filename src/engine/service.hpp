@@ -47,8 +47,8 @@ struct ServiceOptions {
   bool optimize = false;
   /// Per-request summary lines on stderr.
   bool verbose = false;
-  /// Disk cache instead of the in-memory L1 when set (the background gc
-  /// thread then enforces the bounds while serving).
+  /// Disk cache instead of the in-memory L1 when set (every store and
+  /// disk hit evicts it down to the bounds below).
   std::optional<std::string> cache_dir;
   std::size_t cache_max_entries = 0;
   std::uint64_t cache_max_bytes = 0;

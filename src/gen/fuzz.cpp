@@ -165,9 +165,22 @@ std::optional<std::string> check_policy_trace(const Network& net,
       return "periodic job " + job.name + " started at " + time_str(span.start) +
              " before its arrival " + time_str(job.arrival);
     }
-    for (const JobId p : tg.predecessors(j)) {
+    // Precedence is transitive through a 'false' server job: a predecessor
+    // with no span is replaced by its own predecessors.
+    std::vector<JobId> preds = tg.predecessors(j);
+    std::vector<bool> seen(tg.job_count(), false);
+    while (!preds.empty()) {
+      const JobId p = preds.back();
+      preds.pop_back();
+      if (seen[p.value()]) {
+        continue;
+      }
+      seen[p.value()] = true;
       const auto pit = spans.find(tg.job(p).name);
-      if (pit != spans.end() && pit->second.end > span.start) {
+      if (pit == spans.end()) {
+        const std::vector<JobId>& up = tg.predecessors(p);
+        preds.insert(preds.end(), up.begin(), up.end());
+      } else if (pit->second.end > span.start) {
         return "precedence violated: " + tg.job(p).name + " ends at " +
                time_str(pit->second.end) + " after " + job.name + " starts at " +
                time_str(span.start);

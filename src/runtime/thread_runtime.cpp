@@ -222,6 +222,11 @@ RunResult run_static_order_threads(const Network& net, const DerivedTaskGraph& d
                 monitor.await_tth(job.process, server_window(info, boundary), t,
                                   clock.wall_of(boundary));
             if (!invocation.has_value()) {
+              // A 'false' job completes only after its predecessors, so
+              // its successors stay ordered after them.
+              for (const JobId pred : tg.predecessors(id)) {
+                board.await(frame, pred);
+              }
               log.push_back(LocalEvent{
                   TraceEvent{TraceEventKind::kFalseSkip, frame, ProcessorId(m),
                              job.name, clock.model_of(SteadyClock::now()),

@@ -159,8 +159,9 @@ RunResult run_static_order_vm(const Network& net, const DerivedTaskGraph& derive
                                     jp.burst_rank);
         if (!tth.has_value()) {
           // Marked 'false' at its arrival time A_i (== boundary); the
-          // round completes as soon as the processor reaches it and the
-          // boundary has passed.
+          // round completes as soon as the processor reaches it, the
+          // boundary has passed and every predecessor has completed (its
+          // successors inherit that order).
           run.is_false = true;
           Time ready = boundary;
           if (jp.prev_on_proc.has_value()) {
@@ -168,6 +169,9 @@ RunResult run_static_order_vm(const Network& net, const DerivedTaskGraph& derive
           }
           if (frame > 0 && !jp.prev_on_proc.has_value()) {
             ready = std::max(ready, proc_carry[jp.proc]);
+          }
+          for (const JobId pred : tg.predecessors(id)) {
+            ready = std::max(ready, runs[pred.value()].end);
           }
           run.invocation = boundary;
           run.start = ready;

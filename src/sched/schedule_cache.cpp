@@ -5,9 +5,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 
 #include "io/atomic_file.hpp"
 #include "io/schedule_format.hpp"
@@ -29,19 +29,39 @@ bool is_entry_file(const fs::path& path) {
                       kEntrySuffix) == 0;
 }
 
-/// Entry file names in `directory`, name-sorted for deterministic
-/// iteration. Enumeration failures yield an empty list (the directory was
-/// validated at construction; a racing removal is not an error).
-std::vector<std::string> list_entry_files(const std::string& directory) {
-  std::vector<std::string> files;
+struct EntryFile {
+  fs::file_time_type mtime;
+  std::string name;
+  std::uint64_t bytes = 0;
+};
+
+/// Entry files in `directory`, oldest first: by modification time, then
+/// name, so equal times order deterministically. A file that vanishes
+/// while it is listed sorts oldest with zero bytes; enumeration failures
+/// yield an empty list (the directory was validated at construction; a
+/// racing removal is not an error).
+std::vector<EntryFile> list_entries_oldest_first(const std::string& directory) {
+  std::vector<EntryFile> files;
   std::error_code ec;
   for (fs::directory_iterator it(directory, ec), end; !ec && it != end;
        it.increment(ec)) {
-    if (is_entry_file(it->path())) {
-      files.push_back(it->path().filename().string());
+    if (!is_entry_file(it->path())) {
+      continue;
     }
+    std::error_code stat_ec;
+    EntryFile file;
+    file.mtime = fs::last_write_time(it->path(), stat_ec);
+    if (stat_ec) {
+      file.mtime = fs::file_time_type::min();
+    }
+    file.name = it->path().filename().string();
+    const std::uintmax_t size = fs::file_size(it->path(), stat_ec);
+    file.bytes = stat_ec ? 0 : static_cast<std::uint64_t>(size);
+    files.push_back(std::move(file));
   }
-  std::sort(files.begin(), files.end());
+  std::sort(files.begin(), files.end(), [](const EntryFile& a, const EntryFile& b) {
+    return std::tie(a.mtime, a.name) < std::tie(b.mtime, b.name);
+  });
   return files;
 }
 
@@ -98,7 +118,7 @@ std::optional<StrategyResult> ScheduleCache::lookup(const CacheKey& key,
     if (loaded.has_value()) {
       // Promote so the next probe is O(log n); scored just below.
       entry = &memory_.emplace(key, std::move(*loaded)).first->second;
-      touch_index_locked(key.filename());
+      touch_locked(key.filename());
     }
   }
   if (entry == nullptr) {
@@ -151,200 +171,64 @@ void ScheduleCache::store(const CacheKey& key, const StrategyResult& result) {
     throw std::runtime_error(std::string("schedule cache: ") + e.what());
   }
   const std::lock_guard<std::mutex> lock(mu_);
-  touch_index_locked(key.filename());
+  touch_locked(key.filename());
 }
 
-io::CacheIndex ScheduleCache::load_index_locked(bool* rebuilt) const {
-  if (rebuilt != nullptr) {
-    *rebuilt = false;
-  }
-  const fs::path index_path = fs::path(directory_) / io::kCacheIndexFilename;
-  {
-    std::ifstream in(index_path);
-    if (in) {
-      try {
-        return io::read_cache_index(in);
-      } catch (const io::ParseError&) {
-        // Damaged index: fall through to the rebuild — never a hard error.
-      }
-    }
-  }
-  if (rebuilt != nullptr) {
-    *rebuilt = true;
-  }
-  // Rebuild from the entry files, oldest modification first, so the
-  // reconstructed recency order approximates the lost one. Name order
-  // breaks mtime ties deterministically.
-  struct Stamped {
-    fs::file_time_type mtime;
-    std::string file;
-  };
-  std::vector<Stamped> files;
-  for (const std::string& file : list_entry_files(directory_)) {
-    std::error_code ec;
-    const fs::file_time_type mtime =
-        fs::last_write_time(fs::path(directory_) / file, ec);
-    files.push_back(Stamped{ec ? fs::file_time_type::min() : mtime, file});
-  }
-  std::stable_sort(files.begin(), files.end(), [](const Stamped& a, const Stamped& b) {
-    if (a.mtime != b.mtime) {
-      return a.mtime < b.mtime;
-    }
-    return a.file < b.file;
-  });
-  io::CacheIndex index;
-  for (const Stamped& f : files) {
-    index.touch(f.file);
-  }
-  return index;
-}
-
-void ScheduleCache::reconcile_index_locked(io::CacheIndex& index) const {
-  const std::vector<std::string> on_disk = list_entry_files(directory_);
-  // Drop records whose entry file is gone (evicted or removed by another
-  // process).
-  index.entries.erase(
-      std::remove_if(index.entries.begin(), index.entries.end(),
-                     [&](const io::CacheIndexEntry& e) {
-                       return !std::binary_search(on_disk.begin(), on_disk.end(),
-                                                  e.file);
-                     }),
-      index.entries.end());
-  // Adopt files the index has never seen (stored by a racing process whose
-  // index write lost): we cannot know their true recency, so rank them
-  // newest — evicting a just-written entry would be worse than keeping a
-  // slightly stale one.
-  std::set<std::string> known;
-  for (const io::CacheIndexEntry& e : index.entries) {
-    known.insert(e.file);
-  }
-  for (const std::string& file : on_disk) {
-    if (known.find(file) == known.end()) {
-      index.touch(file);
-    }
-  }
-}
-
-ScheduleCache::EvictOutcome ScheduleCache::evict_locked(io::CacheIndex& index) {
-  // Total entry-file bytes, consulted only under a byte bound. A file that
-  // vanished between indexing and stat counts as zero — eviction then
-  // simply drops its record.
-  std::uint64_t total_bytes = 0;
-  if (max_bytes_ > 0) {
-    for (const io::CacheIndexEntry& e : index.entries) {
-      std::error_code ec;
-      const std::uintmax_t size = fs::file_size(fs::path(directory_) / e.file, ec);
-      total_bytes += ec ? 0 : static_cast<std::uint64_t>(size);
-    }
-  }
-  // `bound_slack` widens the effective bound by the entries whose unlink
-  // failed: they still occupy the directory, but evicting ever-more valid
-  // entries to compensate would trade a transient filesystem blip for
-  // real cache loss. The next pass retries the stuck victims.
-  std::size_t entry_slack = 0;
-  std::uint64_t byte_slack = 0;
-  const auto within_bounds = [&]() {
-    if (max_entries_ > 0 && index.entries.size() > max_entries_ + entry_slack) {
-      return false;
-    }
-    if (max_bytes_ > 0 && total_bytes > max_bytes_ + byte_slack) {
-      return false;
-    }
-    return true;
-  };
-  EvictOutcome out;
-  if (within_bounds()) {
+CacheGcStats ScheduleCache::evict_locked() {
+  const std::vector<EntryFile> files = list_entries_oldest_first(directory_);
+  CacheGcStats out;
+  out.kept = files.size();
+  if (!bounded()) {
     return out;
   }
-  for (const io::CacheIndexEntry& victim : index.oldest_first()) {
-    if (within_bounds()) {
+  // Every victim stops counting against the bound, also one whose unlink
+  // failed: it still occupies the directory, but evicting ever-more valid
+  // entries to compensate would trade a transient filesystem blip for
+  // real cache loss. The next pass retries the stuck victims.
+  std::size_t counted = files.size();
+  std::uint64_t counted_bytes = 0;
+  for (const EntryFile& file : files) {
+    counted_bytes += file.bytes;
+  }
+  for (const EntryFile& victim : files) {
+    if ((max_entries_ == 0 || counted <= max_entries_) &&
+        (max_bytes_ == 0 || counted_bytes <= max_bytes_)) {
       break;
     }
-    const fs::path path = fs::path(directory_) / victim.file;
-    std::uint64_t victim_bytes = 0;
-    if (max_bytes_ > 0) {
-      std::error_code size_ec;
-      const std::uintmax_t size = fs::file_size(path, size_ec);
-      victim_bytes = size_ec ? 0 : static_cast<std::uint64_t>(size);
+    --counted;
+    counted_bytes -= victim.bytes;
+    const fs::path path = fs::path(directory_) / victim.name;
+    std::error_code probe_ec;
+    if (testing::fault::unlink(path.c_str()) != 0 && errno != ENOENT &&
+        fs::exists(path, probe_ec)) {
+      ++out.evict_failures;
+      continue;
     }
-    if (testing::fault::unlink(path.c_str()) != 0 && errno != ENOENT) {
-      std::error_code probe_ec;
-      if (fs::exists(path, probe_ec)) {
-        // Unlink failed and the file is still there: keep its index
-        // record (dropping it would orphan the file outside the bound
-        // forever) and count the failure — the next pass retries.
-        ++out.failed;
-        entry_slack += 1;
-        byte_slack += victim_bytes;
-        continue;
-      }
-    }
-    total_bytes -= victim_bytes;
-    index.erase(victim.file);
+    --out.kept;
     ++out.evicted;
   }
   stats_.evictions += out.evicted;
   return out;
 }
 
-void ScheduleCache::save_index_locked(const io::CacheIndex& index) const {
-  const fs::path index_path = fs::path(directory_) / io::kCacheIndexFilename;
-  try {
-    io::write_file_atomic(index_path.string(), io::write_cache_index(index));
-  } catch (const std::runtime_error& e) {
-    throw std::runtime_error(std::string("schedule cache: ") + e.what());
-  }
-}
-
-void ScheduleCache::touch_index_locked(const std::string& file) {
-  if (max_entries_ == 0 && max_bytes_ == 0) {
-    // Unbounded caches skip index maintenance on the hot path entirely:
-    // gc() rebuilds recency from file modification times when a bound is
-    // ever wanted, and skipping saves a read-modify-write of the index
-    // per store/hit (all under the lock).
-    return;
-  }
-  io::CacheIndex index = load_index_locked(nullptr);
-  index.touch(file);
-  // Reconcile before bounding so the eviction pass sees entries written
-  // by racing processes — the bound holds over the actual directory
-  // contents, not just this process's view of them.
-  reconcile_index_locked(index);
-  (void)evict_locked(index);
-  try {
-    save_index_locked(index);
-  } catch (const std::runtime_error&) {
-    // The index is advisory and this is the hot path (every store and
-    // every promoted hit): an unwritable index — e.g. a read-only shared
-    // cache directory being consumed warm — must not fail lookups or
-    // stores. The bound still held (evictions above are plain removes),
-    // and gc() reports persistent index problems loudly.
+void ScheduleCache::touch_locked(const std::string& file) {
+  // An explicit time rather than the write's own: the kernel stamps
+  // writes from a coarse clock, so back-to-back stores could tie.
+  std::error_code ec;
+  fs::last_write_time(fs::path(directory_) / file, fs::file_time_type::clock::now(), ec);
+  // A failure (read-only shared directory) leaves the old time: recency
+  // is advisory and this is the hot path of every store and promoted hit.
+  if (bounded()) {
+    (void)evict_locked();
   }
 }
 
 CacheGcStats ScheduleCache::gc() {
-  CacheGcStats out;
   if (directory_.empty()) {
-    return out;
+    return CacheGcStats{};
   }
   const std::lock_guard<std::mutex> lock(mu_);
-  io::CacheIndex index = load_index_locked(&out.index_rebuilt);
-  reconcile_index_locked(index);
-  if (max_entries_ > 0 || max_bytes_ > 0) {
-    const EvictOutcome eviction = evict_locked(index);
-    out.evicted = eviction.evicted;
-    out.evict_failures = eviction.failed;
-  }
-  out.kept = index.entries.size();
-  try {
-    save_index_locked(index);
-  } catch (const std::runtime_error&) {
-    // Degraded, not fatal: the index is advisory (a stale or missing one
-    // is rebuilt from the entry files), so a publish failure must not
-    // abort maintenance — report it and let the next pass retry.
-    out.index_write_failed = true;
-  }
-  return out;
+  return evict_locked();
 }
 
 std::optional<ScheduleCache::Entry> ScheduleCache::load_from_disk(const CacheKey& key,

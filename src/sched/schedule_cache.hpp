@@ -26,30 +26,23 @@
 // overwritten on the next store — a fingerprint collision can therefore
 // never smuggle a wrong-sized schedule into a search.
 //
-// Lifecycle: a *bounded* (max_entries > 0 and/or max_bytes > 0)
-// disk-backed cache maintains a recency index (io/cache_index.hpp,
-// "<dir>/cache-index") — every store and every disk-promoted hit bumps
-// the entry's logical sequence number, then evicts the oldest entries
-// (lowest sequence) until the directory holds at most max_entries entry
-// files summing to at most max_bytes, reconciling the index against
-// the actual directory contents first so entries written by racing
-// processes are seen (and bounded) too. Unbounded caches skip index
-// maintenance on the hot path; gc() rebuilds recency from file
-// modification times when needed. gc() runs the same reconcile+evict
-// pass on demand — the engine behind `fppn_tool cache-gc`. The index is
-// advisory: when missing or corrupt it is rebuilt from the entry files,
-// never a hard error, and never a reason to drop a valid entry; an index
-// that cannot be *written* (read-only shared directory) is silently left
-// stale by lookup/store — only gc() reports that loudly. The in-memory
-// tier is a per-process memo and is not evicted; eviction bounds the
-// *directory*.
+// Lifecycle: the directory is its own index. Each entry file's
+// modification time is its recency: store() and a disk-promoted hit set
+// it to the current time. A *bounded* (max_entries > 0 and/or
+// max_bytes > 0) disk-backed cache then lists the entry files, orders
+// them by (mtime, name) and removes the oldest until the directory holds
+// at most max_entries entry files summing to at most max_bytes. The
+// listing is the actual directory contents, so entries written by racing
+// processes are seen (and bounded) too. gc() runs the same pass on
+// demand — the engine behind `fppn_tool cache-gc`. Only "*.sched" files
+// are entries: any other file in the directory is neither counted nor
+// removed. The in-memory tier is a per-process memo and is not evicted;
+// eviction bounds the *directory*.
 //
 // Thread safety: lookup/store/stats/gc are safe to call concurrently on
-// one ScheduleCache (internal mutex). Disk writes —
-// entries and the index — go through a temp file + rename, so concurrent
-// *processes* sharing a cache directory never observe torn files; racing
-// index updates can lose a recency bump, which the next reconcile pass
-// repairs (the bound itself always holds after any store or gc).
+// one ScheduleCache (internal mutex). Entry writes go through a temp
+// file + rename, so concurrent *processes* sharing a cache directory
+// never observe torn files, and the bound holds after any store or gc.
 #pragma once
 
 #include <cstdint>
@@ -61,7 +54,6 @@
 
 #include <map>
 
-#include "io/cache_index.hpp"
 #include "sched/strategy.hpp"
 #include "taskgraph/fingerprint.hpp"
 
@@ -112,17 +104,15 @@ struct CacheStats {
   std::size_t evictions = 0;     ///< entry files removed by the size bound / gc
 };
 
-/// Outcome of one gc() pass over a disk-backed cache directory. Unlink
-/// and index-publish failures are *warnings*, not errors: the pass keeps
-/// going, the victim stays indexed, and the next pass retries — so an
+/// Outcome of one eviction pass over a disk-backed cache directory.
+/// Unlink failures are *warnings*, not errors: the pass keeps going, the
+/// victim stays in the directory, and the next pass retries — so an
 /// injected (or real, e.g. NFS blip) filesystem failure can delay the
 /// bound but never abort maintenance.
 struct CacheGcStats {
-  std::size_t kept = 0;       ///< entry files remaining after the pass
-  std::size_t evicted = 0;    ///< entry files removed by this pass
-  bool index_rebuilt = false; ///< the recency index was missing/corrupt
+  std::size_t kept = 0;     ///< entry files remaining after the pass
+  std::size_t evicted = 0;  ///< entry files removed by this pass
   std::size_t evict_failures = 0;  ///< victims whose unlink failed (kept, retried next pass)
-  bool index_write_failed = false; ///< the rewritten index could not be published
 };
 
 class ScheduleCache {
@@ -141,47 +131,45 @@ class ScheduleCache {
   /// evicted until the remaining files sum to at most max_bytes (a bound
   /// smaller than the newest entry therefore empties the directory — the
   /// bound is a hard cap, not advisory). Both bounds may be combined;
-  /// each 0 means unbounded on that axis. With neither bound set, no
-  /// index is maintained on the hot path (a later gc() rebuilds recency
-  /// from file modification times).
+  /// each 0 means unbounded on that axis. Recency is kept either way (in
+  /// the entry files' modification times), so a later bounded gc() evicts
+  /// the least-recently used entries first.
   explicit ScheduleCache(const std::string& directory, std::size_t max_entries = 0,
                          std::uint64_t max_bytes = 0);
 
   /// Returns the cached result for `key`, scored against `tg`
   /// (finalize_result), or nullopt on a miss. Memory is probed first,
-  /// then disk; a disk hit is promoted into memory and (when bounded)
-  /// bumps the entry's recency in the index — rejected entries are
-  /// neither promoted nor touched. A memory entry is scored on its first
-  /// hit (a promoted disk entry on promotion) and keeps that score for
-  /// later hits, until store() overwrites the key. Entries whose job
+  /// then disk; a disk hit is promoted into memory, its file's
+  /// modification time is set to now and (when bounded) the directory is
+  /// evicted down to the bounds — rejected entries are neither promoted
+  /// nor touched. A memory entry is scored on its first hit (a promoted
+  /// disk entry on promotion) and keeps that score for later hits, until
+  /// store() overwrites the key. Entries whose job
   /// count, processor count or key provenance fields do not match the
   /// query are rejected (counted in CacheStats::disk_rejects) and treated
-  /// as misses, scored or not. Throws only on allocation failure — an
-  /// unwritable index is left stale, not an error.
+  /// as misses, scored or not. Throws only on allocation failure — a
+  /// modification time that cannot be set (read-only shared directory)
+  /// is left as it is, not an error.
   [[nodiscard]] std::optional<StrategyResult> lookup(const CacheKey& key,
                                                      const TaskGraph& tg);
 
   /// Stores `result` under `key`, overwriting any previous entry and its
   /// kept score, in memory and (when disk-backed) on disk. Only the
-  /// schedule and detail are stored; the next lookup scores them. A
-  /// bounded cache then updates the recency index and evicts down to
-  /// max_entries. Entry write
-  /// failures throw std::runtime_error with the failing path (the memory
-  /// tier is updated first, so the in-process cache stays usable even if
-  /// the throw is caught); an unwritable index is left stale, not an
-  /// error.
+  /// schedule and detail are stored; the next lookup scores them. The
+  /// entry file's modification time is set to now, and a bounded cache
+  /// then evicts down to its bounds. Entry write failures throw
+  /// std::runtime_error with the failing path (the memory tier is
+  /// updated first, so the in-process cache stays usable even if the
+  /// throw is caught).
   void store(const CacheKey& key, const StrategyResult& result);
 
-  /// Reconciles the recency index with the actual directory contents
-  /// (adopting entry files written by other processes, dropping records
-  /// of deleted files, rebuilding a missing/corrupt index from file
-  /// modification times) and, when the cache is bounded, evicts down to
-  /// max_entries — the engine behind `fppn_tool cache-gc`. No-op for
+  /// Lists the directory's entry files and, when the cache is bounded,
+  /// evicts the oldest (by modification time, then name) down to the
+  /// bounds — the engine behind `fppn_tool cache-gc`. No-op for
   /// memory-only caches (returns all-zero stats). Never throws for
-  /// filesystem failures: a victim that cannot be unlinked stays indexed
-  /// and counts in evict_failures (retried next pass), and an index that
-  /// cannot be published sets index_write_failed — the callers report
-  /// both as warnings and keep serving.
+  /// filesystem failures: a victim that cannot be unlinked stays in the
+  /// directory and counts in evict_failures (retried next pass) — the
+  /// callers report it as a warning and keep serving.
   CacheGcStats gc();
 
   /// Counter snapshot (taken under the lock, so internally consistent).
@@ -218,31 +206,20 @@ class ScheduleCache {
   /// count is not `jobs`. Caller holds the lock.
   [[nodiscard]] std::optional<Entry> load_from_disk(const CacheKey& key, std::size_t jobs);
 
-  /// Reads the index file; rebuilds it from the entry files (ordered by
-  /// modification time) when missing or corrupt. Caller holds the lock.
-  [[nodiscard]] io::CacheIndex load_index_locked(bool* rebuilt) const;
+  /// Lists the entry files oldest first and, when bounded, removes the
+  /// oldest until both bounds hold. A victim whose file cannot be removed
+  /// is counted in evict_failures and no longer counts against the bound
+  /// in this pass, so a transient failure never costs extra valid
+  /// entries; the next pass retries it. Caller holds the lock.
+  CacheGcStats evict_locked();
 
-  /// Adopts entry files absent from the index (name order, as newest) and
-  /// drops records whose file is gone. Caller holds the lock.
-  void reconcile_index_locked(io::CacheIndex& index) const;
+  [[nodiscard]] bool bounded() const noexcept {
+    return max_entries_ > 0 || max_bytes_ > 0;
+  }
 
-  /// Removes oldest entries (and their files) until the index holds at
-  /// most max_entries_ records (when bounded) whose files sum to at most
-  /// max_bytes_ (when bounded). A victim whose file cannot be removed is
-  /// skipped and kept in the index (counted in `failed`) — the bound is
-  /// then enforced by the next pass. Caller holds the lock.
-  struct EvictOutcome {
-    std::size_t evicted = 0;
-    std::size_t failed = 0;
-  };
-  EvictOutcome evict_locked(io::CacheIndex& index);
-
-  /// Publishes the index atomically. Caller holds the lock.
-  void save_index_locked(const io::CacheIndex& index) const;
-
-  /// Bumps `file` in the on-disk index (load, touch, evict when bounded,
-  /// save). Caller holds the lock.
-  void touch_index_locked(const std::string& file);
+  /// Marks `file` as just used (its modification time := now; a failure
+  /// is ignored) and, when bounded, evicts. Caller holds the lock.
+  void touch_locked(const std::string& file);
 
   std::string directory_;
   std::size_t max_entries_ = 0;

@@ -3,7 +3,9 @@
 // pins two contracts at once — the differential checks stay clean on
 // known-good inputs, and the text format keeps parsing scenarios written
 // by earlier versions of the generator (format drift breaks this test,
-// not a user's saved repro).
+// not a user's saved repro). tests/corpus/regressions/ holds shrunk
+// repros of mismatches that were fixed: each names the check it once
+// tripped and must now replay clean.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,9 +25,9 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::vector<std::string> corpus_files() {
+std::vector<std::string> corpus_files(const std::string& subdir = "corpus") {
   std::vector<std::string> files;
-  const fs::path dir = fs::path(FPPN_TEST_SOURCE_DIR) / "corpus";
+  const fs::path dir = fs::path(FPPN_TEST_SOURCE_DIR) / subdir;
   for (const auto& entry : fs::directory_iterator(dir)) {
     if (entry.path().extension() == ".fppn") {
       files.push_back(entry.path().string());
@@ -60,6 +62,19 @@ TEST(Corpus, EveryEntryReplaysClean) {
         << file << ": " << outcome.verdict.mismatch->check << " — "
         << outcome.verdict.mismatch->detail;
     EXPECT_GT(outcome.verdict.jobs, 0u) << file;
+  }
+}
+
+TEST(Corpus, FixedReprosReplayClean) {
+  const std::vector<std::string> files = corpus_files("corpus/regressions");
+  ASSERT_FALSE(files.empty());
+  for (const std::string& file : files) {
+    const ReplayOutcome outcome = replay_repro(file, FuzzConfig{});
+    EXPECT_FALSE(outcome.expected_check.empty()) << file;
+    EXPECT_FALSE(outcome.verdict.mismatch.has_value())
+        << file << ": " << outcome.verdict.mismatch->check << " — "
+        << outcome.verdict.mismatch->detail;
+    EXPECT_TRUE(outcome.verdict.trace_checked) << file;
   }
 }
 

@@ -1,6 +1,6 @@
-// Byte-mutation sweep over three hand-written parsers that read untrusted
-// text: schedule-cache entries and the cache index (read back from disk)
-// and the .fppn network format (the body of a serve request). Every byte
+// Byte-mutation sweep over two hand-written parsers that read untrusted
+// text: schedule-cache entries (read back from disk) and the .fppn
+// network format (the body of a serve request). Every byte
 // of a valid input is replaced, in turn, by each of a few bytes that
 // stress the grammar, and the input is truncated at every prefix. Each
 // variant must parse or fail with the parser's documented exception;
@@ -22,7 +22,6 @@
 #include "apps/fig1.hpp"
 #include "engine/engine.hpp"
 #include "engine/service.hpp"
-#include "io/cache_index.hpp"
 #include "io/schedule_format.hpp"
 #include "io/text_format.hpp"
 #include "taskgraph/derivation.hpp"
@@ -169,22 +168,6 @@ TEST(ParserMutation, NetworkTextSurvivesEveryByteMutation) {
       });
   EXPECT_GT(parsed, 0u);
   EXPECT_GT(derived, 0u);  // the sweep reached the derivation
-}
-
-TEST(ParserMutation, CacheIndexSurvivesEveryByteMutation) {
-  io::CacheIndex index;
-  index.touch("00000000000000ff-alap-edf-m2-s1-i2000-r2.sched");
-  index.touch("0123456789abcdef-local-search-m4-s3-i2000-r2.sched");
-  index.touch("00000000000000ff-alap-edf-m2-s1-i2000-r2.sched");
-  const std::string text = io::write_cache_index(index);
-  ASSERT_NO_THROW((void)io::read_cache_index_string(text));
-
-  const std::size_t parsed = sweep(
-      text, [](const std::string& s) { (void)io::read_cache_index_string(s); },
-      [](const std::exception& e) {
-        return dynamic_cast<const io::ParseError*>(&e) != nullptr;
-      });
-  EXPECT_GT(parsed, 0u);
 }
 
 TEST(ParserMutation, ServiceRequestSurvivesEveryByteMutation) {

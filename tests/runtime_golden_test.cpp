@@ -9,7 +9,10 @@
 // trace half comes from the traced run_zero_delay on the same plan. The
 // expected values were recorded before the runtime and rational hot paths
 // were optimized, so any change to an output bit — an event, an instant,
-// an order — fails here.
+// an order — fails here. The vm digests were re-recorded once, when a
+// 'false' server job began to complete only after its predecessors: its
+// skip instant, and the start of the few jobs it orders, moved; the
+// histories did not.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -163,10 +166,10 @@ TEST(RuntimeGolden, FmsVmAndZeroDelayAreBitIdentical) {
   const FmsRun fms;
   ASSERT_TRUE(fms.schedule.check_feasibility(fms.derived.graph).feasible());
   const GoldenCase cases[] = {
-      {1, "2c81bc6065c28347", "a6d28b7eb83bd7ac"},
-      {7, "c5e55699192f4850", "aa2dbf66fe9cd3d3"},
-      {42, "4203b2ed3f2301f7", "e8a72e7e2db13df1"},
-      {20260101, "3fcfb6a577ea6786", "5b98a1840f3238d1"},
+      {1, "877d9c17a1efabdc", "a6d28b7eb83bd7ac"},
+      {7, "8ccb6963d059a34e", "aa2dbf66fe9cd3d3"},
+      {42, "8909c40d3b127e58", "e8a72e7e2db13df1"},
+      {20260101, "9c04835ad9ac1a3e", "5b98a1840f3238d1"},
   };
   for (const GoldenCase& c : cases) {
     SCOPED_TRACE("seed " + std::to_string(c.seed));
@@ -203,7 +206,7 @@ TEST(RuntimeGolden, FmsVmOverrunIsBitIdentical) {
   const RunResult vm = run_static_order_vm(fms.app.net, fms.derived, fms.schedule, opts,
                                            fms.inputs(3), fms.commands(3));
   EXPECT_FALSE(vm.met_all_deadlines());
-  EXPECT_EQ(digest_of(vm), "aeb7d7b918706ed6");
+  EXPECT_EQ(digest_of(vm), "ecdeae48f2f2cff3");
 }
 
 }  // namespace

@@ -541,7 +541,7 @@ TEST(ScheduleCache, HugeJobCountOnDiskIsARejectNotAnError) {
   EXPECT_EQ(cache.stats().disk_rejects, 2u);
 }
 
-/// Entry file names (no index, no temp files) currently in `dir`.
+/// Entry file names (no temp files) currently in `dir`.
 std::vector<std::string> entry_files(const std::string& dir) {
   std::vector<std::string> files;
   for (const auto& e : fs::directory_iterator(dir)) {
@@ -659,9 +659,9 @@ TEST(ScheduleCache, EntryAndByteBoundsCombine) {
 }
 
 TEST(ScheduleCache, GcHonorsByteBound) {
-  // Entries written by an unbounded writer (no index maintenance) are
-  // reconciled and evicted down to the byte budget by a later gc() —
-  // the `fppn_tool cache-gc --cache-max-bytes B` path.
+  // Entries written by an unbounded writer are evicted down to the byte
+  // budget by a later gc() — the `fppn_tool cache-gc --cache-max-bytes B`
+  // path.
   const auto derived = fig1_graph();
   const auto result = evaluate(derived.graph, 2);
   const auto base = key_for(derived.graph, 2);
@@ -706,73 +706,70 @@ TEST(ScheduleCache, DiskHitRefreshesRecency) {
             files.end());
 }
 
-TEST(ScheduleCache, MissingIndexIsRebuiltFromEntryFiles) {
-  const TempDir dir("rebuild");
+TEST(ScheduleCache, GcBoundsAPrepopulatedDirectoryByModificationTime) {
+  // A directory filled by an unbounded writer (or shared from another
+  // machine) must gc cleanly: the entry files' modification times order
+  // the eviction down to the bound. Seeds are stored in descending order,
+  // so name order would keep the wrong two.
+  const TempDir dir("prepopulated");
   const auto derived = fig1_graph();
   const auto base = key_for(derived.graph, 2);
   {
     sched::ScheduleCache writer(dir.path());
-    writer.store(seeded_key(base, 1), evaluate(derived.graph, 2));
-    writer.store(seeded_key(base, 2), evaluate(derived.graph, 2));
-  }
-  fs::remove(fs::path(dir.path()) / io::kCacheIndexFilename);
-
-  sched::ScheduleCache cache(dir.path());
-  const sched::CacheGcStats gc = cache.gc();
-  EXPECT_TRUE(gc.index_rebuilt);
-  EXPECT_EQ(gc.kept, 2u);
-  EXPECT_EQ(gc.evicted, 0u);
-  EXPECT_TRUE(fs::exists(fs::path(dir.path()) / io::kCacheIndexFilename));
-  // Entries survived the rebuild and still hit.
-  EXPECT_TRUE(cache.lookup(seeded_key(base, 1), derived.graph).has_value());
-}
-
-TEST(ScheduleCache, CorruptIndexIsRebuiltNotAnError) {
-  const TempDir dir("badindex");
-  const auto derived = fig1_graph();
-  const auto base = key_for(derived.graph, 2);
-  sched::ScheduleCache cache(dir.path(), 2);
-  cache.store(seeded_key(base, 1), evaluate(derived.graph, 2));
-  {
-    std::ofstream out(fs::path(dir.path()) / io::kCacheIndexFilename);
-    out << "not an index at all\n";
-  }
-  // The next store survives the damaged index (rebuild, then bound).
-  cache.store(seeded_key(base, 2), evaluate(derived.graph, 2));
-  EXPECT_EQ(entry_files(dir.path()).size(), 2u);
-  sched::ScheduleCache fresh(dir.path(), 2);
-  const sched::CacheGcStats gc = fresh.gc();
-  EXPECT_EQ(gc.kept, 2u);
-  EXPECT_TRUE(fresh.lookup(seeded_key(base, 2), derived.graph).has_value());
-}
-
-TEST(ScheduleCache, GcBoundsAPrepopulatedDirectoryWithoutIndex) {
-  // A cache directory from before the index existed (or shared from
-  // another machine) must gc cleanly: rebuild by file modification time,
-  // then evict down to the bound.
-  const TempDir dir("noindex");
-  const auto derived = fig1_graph();
-  const auto base = key_for(derived.graph, 2);
-  {
-    sched::ScheduleCache writer(dir.path());
-    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    for (std::uint64_t seed = 4; seed >= 1; --seed) {
       writer.store(seeded_key(base, seed), evaluate(derived.graph, 2));
     }
   }
-  fs::remove(fs::path(dir.path()) / io::kCacheIndexFilename);
   sched::ScheduleCache cache(dir.path(), 2);
   const sched::CacheGcStats gc = cache.gc();
-  EXPECT_TRUE(gc.index_rebuilt);
   EXPECT_EQ(gc.kept, 2u);
   EXPECT_EQ(gc.evicted, 2u);
+  EXPECT_EQ(entry_files(dir.path()),
+            (std::vector<std::string>{seeded_key(base, 1).filename(),
+                                      seeded_key(base, 2).filename()}));
+}
+
+TEST(ScheduleCache, NonEntryFilesAreIgnored) {
+  // Only "*.sched" files are entries. A recency ledger left by an older
+  // version ("cache-index") or any other file is neither counted nor
+  // evicted, and is not an error for lookup, store or gc().
+  const TempDir dir("foreign");
+  const auto derived = fig1_graph();
+  const auto result = evaluate(derived.graph, 2);
+  const auto base = key_for(derived.graph, 2);
+  const std::vector<std::string> foreign = {"cache-index", "notes.txt",
+                                            "seed1.sched.tmp.1.0"};
+  for (const std::string& name : foreign) {
+    std::ofstream out(fs::path(dir.path()) / name);
+    out << "fppn-cache-index v1\nsequence 9\nentries 1\n1 gone.sched\nend\n";
+  }
+  sched::ScheduleCache cache(dir.path(), 2);
+  EXPECT_EQ(cache.gc().kept, 0u);
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    cache.store(seeded_key(base, seed), result);
+  }
   EXPECT_EQ(entry_files(dir.path()).size(), 2u);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  sched::ScheduleCache reader(dir.path(), 2);
+  EXPECT_TRUE(reader.lookup(seeded_key(base, 3), derived.graph).has_value());
+  EXPECT_EQ(reader.stats().disk_rejects, 0u);
+  // A byte bound below one entry empties the directory of entries only.
+  sched::ScheduleCache tiny(dir.path(), 0, 1);
+  const sched::CacheGcStats gc = tiny.gc();
+  EXPECT_EQ(gc.kept, 0u);
+  EXPECT_EQ(gc.evicted, 2u);
+  EXPECT_EQ(gc.evict_failures, 0u);
+  EXPECT_TRUE(entry_files(dir.path()).empty());
+  for (const std::string& name : foreign) {
+    EXPECT_TRUE(fs::exists(fs::path(dir.path()) / name)) << name;
+  }
 }
 
 TEST(ScheduleCache, EvictionAcrossRacingInstancesHoldsTheBound) {
   // Several cache instances (standing in for separate processes) race
-  // stores of distinct keys into one bounded directory. Lost index
-  // updates are legal mid-race; the reconcile pass inside every store —
-  // and a final gc — must still hold the directory at the bound, with
+  // stores of distinct keys into one bounded directory. The eviction
+  // pass inside every store lists the whole directory, so it — and a
+  // final gc — must still hold the directory at the bound, with
   // every surviving entry complete and parseable.
   const TempDir dir("race_evict");
   const auto derived = fig1_graph();

@@ -268,7 +268,6 @@ void run_chaos_round(std::uint64_t seed, const std::string& network) {
   sched::ScheduleCache cache(cache_dir, kCacheBound);
   const sched::CacheGcStats pass = cache.gc();
   EXPECT_EQ(pass.evict_failures, 0u) << "seed " << seed;
-  EXPECT_FALSE(pass.index_write_failed) << "seed " << seed;
   EXPECT_LE(sched_file_count(cache_dir), kCacheBound) << "seed " << seed;
 }
 

@@ -196,6 +196,24 @@ TEST(ServeDaemon, FlagErrorsExitTwo) {
   EXPECT_EQ(bad_workers.err,
             "fppn_serve: expected an integer for --workers, got 'banana'\n");
 
+  // Values outside the target type are rejected, not wrapped: 2^32 + 2
+  // workers would otherwise run 2, and a 2^32 ms deadline would be 0 (off).
+  const CmdResult huge_workers = run_serve("--socket /tmp/x --workers 4294967298");
+  EXPECT_EQ(huge_workers.exit_code, 2);
+  EXPECT_EQ(huge_workers.err,
+            "fppn_serve: --workers must be in [1, 2147483647], got '4294967298'\n");
+
+  const CmdResult huge_idle = run_serve("--socket /tmp/x --idle-timeout-ms 4294967296");
+  EXPECT_EQ(huge_idle.exit_code, 2);
+  EXPECT_EQ(huge_idle.err,
+            "fppn_serve: --idle-timeout-ms must be in [0, 2147483647], got "
+            "'4294967296'\n");
+
+  const CmdResult zero_workers = run_serve("--socket /tmp/x --workers 0");
+  EXPECT_EQ(zero_workers.exit_code, 2);
+  EXPECT_EQ(zero_workers.err,
+            "fppn_serve: --workers must be in [1, 2147483647], got '0'\n");
+
   const CmdResult unknown = run_serve("--socket /tmp/x --frobnicate");
   EXPECT_EQ(unknown.exit_code, 2);
   EXPECT_EQ(unknown.err.find("usage: fppn_serve "), 0u) << unknown.err;

@@ -218,7 +218,7 @@ TEST(ToolCli, CacheGcHonorsEntryAndByteBounds) {
       run_tool("cache-gc --cache-dir '" + cache + "' --cache-max-entries 2");
   EXPECT_EQ(entries.exit_code, 0);
   EXPECT_EQ(entries.out,
-            "cache-gc '" + cache + "': 2 kept, 4 evicted, index rebuilt\n");
+            "cache-gc '" + cache + "': 2 kept, 4 evicted\n");
 
   const CmdResult bytes =
       run_tool("cache-gc --cache-dir '" + cache + "' --cache-max-bytes 1");
@@ -228,9 +228,7 @@ TEST(ToolCli, CacheGcHonorsEntryAndByteBounds) {
   const CmdResult unbounded = run_tool("cache-gc --cache-dir '" + cache + "'");
   EXPECT_EQ(unbounded.exit_code, 0);
   EXPECT_EQ(unbounded.out,
-            "cache-gc '" + cache +
-                "': 0 kept, 0 evicted (no bound given: index maintenance "
-                "only)\n");
+            "cache-gc '" + cache + "': 0 kept, 0 evicted (no bound given)\n");
 }
 
 TEST(ToolCli, FuzzSmokeFindsNoMismatches) {

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "apps/fig1.hpp"
+#include "apps/fms.hpp"
+#include "engine/engine.hpp"
 #include "sched/search.hpp"
 #include "taskgraph/derivation.hpp"
 #include "testing/list_scheduler.hpp"
@@ -252,6 +254,51 @@ TEST(VmRuntime, TraceSummaryCountsConsistent) {
   EXPECT_EQ(r.trace.false_skip_count(), r.false_skips);
   EXPECT_EQ(r.trace.deadline_miss_count(), r.misses.size());
   EXPECT_NE(r.trace.summary().find("jobs executed"), std::string::npos);
+}
+
+TEST(VmRuntime, FalseServerJobCompletesAfterItsPredecessors) {
+  // A jittered FMS whose local-search winner puts a successor of a
+  // 'false' server job (DopplerConfig → BCPConfig) ahead of that job's
+  // own predecessor on the other processor. Transitive reduction removed
+  // the direct edge, so only the false job orders the two: it must wait
+  // for its predecessors, or the BCPData history diverges from the
+  // zero-delay semantics (Prop. 2.1) with every deadline met.
+  apps::FmsApp app = apps::build_fms(true);
+  WcetMap wcets;
+  wcets[app.sensor_input] = Duration::ratio_ms(51, 10);
+  wcets[app.high_freq_bcp] = Duration::ratio_ms(54, 5);
+  wcets[app.low_freq_bcp] = Duration::ratio_ms(157, 10);
+  wcets[app.magn_declin] = Duration::ratio_ms(31, 5);
+  wcets[app.performance] = Duration::ratio_ms(43, 5);
+  wcets[app.anemo_config] = Duration::ratio_ms(11, 10);
+  wcets[app.gps_config] = Duration::ratio_ms(6, 5);
+  wcets[app.irs_config] = Duration::ratio_ms(9, 5);
+  wcets[app.doppler_config] = Duration::ratio_ms(6, 5);
+  wcets[app.bcp_config] = Duration::ratio_ms(13, 10);
+  wcets[app.magn_declin_config] = Duration::ratio_ms(11, 10);
+  wcets[app.performance_config] = Duration::ratio_ms(11, 10);
+  const DerivedTaskGraph derived = derive_task_graph(app.net, wcets);
+  engine::SearchConfig config;
+  config.processors = 2;
+  config.optimize = true;
+  const engine::SolveReport report = engine::solve_graph(derived.graph, config);
+  ASSERT_EQ(report.search.best.strategy, "local-search");
+  constexpr std::int64_t kFrames = 10;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("command seed " + std::to_string(seed));
+    const InputScripts inputs = app.make_inputs(kFrames * 50, seed);
+    const auto commands =
+        app.random_commands(Time() + derived.hyperperiod * Rational(kFrames - 1), seed);
+    VmRunOptions opts;
+    opts.frames = kFrames;
+    const RunResult vm = run_static_order_vm(
+        app.net, derived, report.search.best.schedule, opts, inputs, commands);
+    EXPECT_TRUE(vm.met_all_deadlines());
+    const ZeroDelayResult ref =
+        zero_delay_reference(app.net, derived.hyperperiod, kFrames, inputs, commands);
+    EXPECT_TRUE(vm.histories.functionally_equal(ref.histories))
+        << vm.histories.diff(ref.histories, app.net);
+  }
 }
 
 }  // namespace

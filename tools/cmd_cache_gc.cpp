@@ -6,9 +6,9 @@
 namespace fppn {
 namespace tool {
 
-/// Offline cache maintenance: reconcile the recency index with the entry
-/// files (rebuilding a missing/corrupt index) and, with
-/// --cache-max-entries / --cache-max-bytes, evict down to the bounds —
+/// Offline cache maintenance: with --cache-max-entries /
+/// --cache-max-bytes, evict the least-recently used entry files (oldest
+/// modification time first) down to the bounds; without, count them —
 /// the CLI face of sched::ScheduleCache::gc().
 int cmd_cache_gc(const Args& args) {
   if (!args.cache_dir.has_value()) {
@@ -19,18 +19,14 @@ int cmd_cache_gc(const Args& args) {
                              args.cache_max_bytes);
   const sched::CacheGcStats gc = cache.gc();
   const bool unbounded = args.cache_max_entries == 0 && args.cache_max_bytes == 0;
-  std::printf("cache-gc '%s': %zu kept, %zu evicted%s%s\n", cache.directory().c_str(),
-              gc.kept, gc.evicted, gc.index_rebuilt ? ", index rebuilt" : "",
-              unbounded ? " (no bound given: index maintenance only)" : "");
+  std::printf("cache-gc '%s': %zu kept, %zu evicted%s\n", cache.directory().c_str(),
+              gc.kept, gc.evicted, unbounded ? " (no bound given)" : "");
   // Filesystem failures degraded to warnings (gc() never throws for
   // them); the next pass retries, so they are loud but not fatal.
   if (gc.evict_failures > 0) {
     std::fprintf(stderr,
                  "cache-gc warning: %zu eviction(s) failed (kept, retried next pass)\n",
                  gc.evict_failures);
-  }
-  if (gc.index_write_failed) {
-    std::fprintf(stderr, "cache-gc warning: could not publish the rebuilt index\n");
   }
   return 0;
 }

@@ -29,8 +29,8 @@
 // bounded queue (--queue-capacity) and solve through ONE engine::Engine,
 // so a repeat request for an already-solved fingerprint reports
 // `evaluated 0` — the daemon's L1 (the shared in-memory ScheduleCache,
-// or a disk cache when --cache-dir is given, whose bounds a background
-// gc thread re-enforces every --gc-interval-ms while serving). A full
+// or a disk cache when --cache-dir is given, which every store and disk
+// hit evicts down to --cache-max-entries / --cache-max-bytes). A full
 // queue is answered immediately with "fppn-serve error: overloaded" —
 // backpressure is explicit, never an unbounded backlog.
 //
@@ -58,19 +58,20 @@
 // send FILE, print the response to stdout, exit 0 on an "ok" response —
 // the client half of the CI smoke and the golden serve tests. `--stats`
 // is the same for the stats verb (exit 0 on a "fppn-serve stats" line).
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "engine/engine.hpp"
@@ -83,14 +84,11 @@ using namespace fppn;
 
 namespace {
 
-volatile std::sig_atomic_t g_stop = 0;
 int g_stop_pipe[2] = {-1, -1};  ///< self-pipe: the handler wakes the reactor
 
 void handle_stop_signal(int) {
-  g_stop = 1;
   // One async-signal-safe write makes the pipe's read end readable; the
-  // reactor (and the gc thread) poll it and never drain it, so a single
-  // byte wakes every watcher.
+  // reactor polls it and never drains it.
   if (g_stop_pipe[1] >= 0) {
     const char byte = 1;
     (void)!::write(g_stop_pipe[1], &byte, 1);
@@ -121,7 +119,6 @@ void print_usage(std::FILE* out) {
       "  --cache-dir D          disk schedule cache instead of the in-memory L1\n"
       "  --cache-max-entries N  disk cache entry bound (0 = unbounded)\n"
       "  --cache-max-bytes N    disk cache byte bound (0 = unbounded)\n"
-      "  --gc-interval-ms N     background disk-cache gc period (default 5000)\n"
       "  --idle-timeout-ms N    close connections idle before their first byte\n"
       "                         (default 0 = no deadline)\n"
       "  --request-timeout-ms N close connections whose request is not complete\n"
@@ -145,10 +142,14 @@ void print_usage(std::FILE* out) {
   std::exit(2);
 }
 
+constexpr std::int64_t kNoMax = std::numeric_limits<std::int64_t>::max();
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+
 /// Checked integer parse, fppn_serve's analogue of the fppn_tool helper:
-/// bad values exit 2 with an actionable message naming the flag.
+/// values that are not integers or fall outside [min_value, max_value]
+/// exit 2 with an actionable message naming the flag.
 std::int64_t parse_int_flag(const char* flag, const std::string& value,
-                            std::int64_t min_value) {
+                            std::int64_t min_value, std::int64_t max_value = kNoMax) {
   errno = 0;
   char* end = nullptr;
   const long long parsed = std::strtoll(value.c_str(), &end, 10);
@@ -157,9 +158,15 @@ std::int64_t parse_int_flag(const char* flag, const std::string& value,
                  value.c_str());
     std::exit(2);
   }
-  if (errno == ERANGE || parsed < min_value) {
-    std::fprintf(stderr, "fppn_serve: %s must be >= %lld, got '%s'\n", flag,
-                 static_cast<long long>(min_value), value.c_str());
+  if (errno == ERANGE || parsed < min_value || parsed > max_value) {
+    if (max_value == kNoMax) {
+      std::fprintf(stderr, "fppn_serve: %s must be >= %lld, got '%s'\n", flag,
+                   static_cast<long long>(min_value), value.c_str());
+    } else {
+      std::fprintf(stderr, "fppn_serve: %s must be in [%lld, %lld], got '%s'\n", flag,
+                   static_cast<long long>(min_value),
+                   static_cast<long long>(max_value), value.c_str());
+    }
     std::exit(2);
   }
   return parsed;
@@ -182,7 +189,6 @@ struct ServeArgs {
   std::string cache_dir;
   std::size_t cache_max_entries = 0;
   std::uint64_t cache_max_bytes = 0;
-  std::int64_t gc_interval_ms = 5000;
   int idle_timeout_ms = 0;
   int request_timeout_ms = 0;
   int write_timeout_ms = 0;
@@ -227,10 +233,11 @@ ServeArgs parse_args(int argc, char** argv) {
     } else if (arg == "--stats") {
       a.stats_request = true;
     } else if (arg == "--workers") {
-      a.solver_threads = static_cast<int>(parse_int_flag("--workers", next(), 1));
+      a.solver_threads =
+          static_cast<int>(parse_int_flag("--workers", next(), 1, kIntMax));
     } else if (arg == "--solver-threads") {
       a.solver_threads =
-          static_cast<int>(parse_int_flag("--solver-threads", next(), 1));
+          static_cast<int>(parse_int_flag("--solver-threads", next(), 1, kIntMax));
     } else if (arg == "--queue-capacity") {
       a.queue_capacity =
           static_cast<std::size_t>(parse_int_flag("--queue-capacity", next(), 1));
@@ -242,7 +249,7 @@ ServeArgs parse_args(int argc, char** argv) {
     } else if (arg == "--seed") {
       a.seed = static_cast<std::uint64_t>(parse_int_flag("--seed", next(), 0));
     } else if (arg == "--jobs") {
-      a.jobs = static_cast<int>(parse_int_flag("--jobs", next(), 0));
+      a.jobs = static_cast<int>(parse_int_flag("--jobs", next(), 0, kIntMax));
     } else if (arg == "--optimize") {
       a.optimize = true;
     } else if (arg == "--verbose") {
@@ -255,25 +262,24 @@ ServeArgs parse_args(int argc, char** argv) {
     } else if (arg == "--cache-max-bytes") {
       a.cache_max_bytes =
           static_cast<std::uint64_t>(parse_int_flag("--cache-max-bytes", next(), 0));
-    } else if (arg == "--gc-interval-ms") {
-      a.gc_interval_ms = parse_int_flag("--gc-interval-ms", next(), 1);
     } else if (arg == "--idle-timeout-ms") {
-      a.idle_timeout_ms = static_cast<int>(parse_int_flag("--idle-timeout-ms", next(), 0));
+      a.idle_timeout_ms =
+          static_cast<int>(parse_int_flag("--idle-timeout-ms", next(), 0, kIntMax));
     } else if (arg == "--request-timeout-ms") {
       a.request_timeout_ms =
-          static_cast<int>(parse_int_flag("--request-timeout-ms", next(), 0));
+          static_cast<int>(parse_int_flag("--request-timeout-ms", next(), 0, kIntMax));
     } else if (arg == "--write-timeout-ms") {
       a.write_timeout_ms =
-          static_cast<int>(parse_int_flag("--write-timeout-ms", next(), 0));
+          static_cast<int>(parse_int_flag("--write-timeout-ms", next(), 0, kIntMax));
     } else if (arg == "--queue-deadline-ms") {
       a.queue_deadline_ms =
-          static_cast<int>(parse_int_flag("--queue-deadline-ms", next(), 0));
+          static_cast<int>(parse_int_flag("--queue-deadline-ms", next(), 0, kIntMax));
     } else if (arg == "--degrade-under-load") {
       a.degrade_under_load = true;
     } else if (arg == "--fault-seed") {
       a.fault_seed = static_cast<std::uint64_t>(parse_int_flag("--fault-seed", next(), 0));
     } else if (arg == "--fault-rate") {
-      a.fault_rate = static_cast<int>(parse_int_flag("--fault-rate", next(), 0));
+      a.fault_rate = static_cast<int>(parse_int_flag("--fault-rate", next(), 0, kIntMax));
       if (a.fault_rate > 1024) {
         a.fault_rate = 1024;
       }
@@ -317,39 +323,6 @@ void write_all(int fd, const std::string& data) {
       return;  // peer gone (SIGPIPE is ignored); nothing useful to do
     }
     off += static_cast<std::size_t>(n);
-  }
-}
-
-/// The background gc thread body: every gc_interval_ms, re-enforce the
-/// disk cache bounds; exit when the stop pipe becomes readable (it is
-/// never drained, so one signal byte reaches every watcher).
-void gc_loop(engine::Engine& engine, const ServeArgs& args) {
-  for (;;) {
-    pollfd pfd{g_stop_pipe[0], POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, static_cast<int>(args.gc_interval_ms));
-    if (rc > 0 || g_stop != 0) {
-      return;  // drain began
-    }
-    if (rc < 0 && errno != EINTR) {
-      return;
-    }
-    if (rc == 0) {
-      const sched::CacheGcStats pass = engine.gc_disk_caches();
-      if (args.verbose && (pass.kept + pass.evicted) > 0) {
-        std::fprintf(stderr, "fppn_serve: gc kept %zu evicted %zu%s\n", pass.kept,
-                     pass.evicted, pass.index_rebuilt ? " (index rebuilt)" : "");
-      }
-      // gc() degrades filesystem failures to warnings; the daemon keeps
-      // serving and the next pass retries the victims.
-      if (pass.evict_failures > 0) {
-        std::fprintf(stderr,
-                     "fppn_serve: gc warning: %zu eviction(s) failed (retried)\n",
-                     pass.evict_failures);
-      }
-      if (pass.index_write_failed) {
-        std::fprintf(stderr, "fppn_serve: gc warning: could not publish the index\n");
-      }
-    }
   }
 }
 
@@ -468,16 +441,8 @@ int run_server(const ServeArgs& args) {
   }
   listeners.clear();
 
-  std::thread gc_thread;
-  if (!args.cache_dir.empty()) {
-    gc_thread = std::thread(gc_loop, std::ref(engine), std::cref(args));
-  }
-
   server.run();  // returns drained: every accepted request answered
 
-  if (gc_thread.joinable()) {
-    gc_thread.join();
-  }
   const engine::ServiceStats stats = service.stats();
   std::fprintf(stderr, "fppn_serve: drained; cache served %zu hit(s), %zu miss(es)\n",
                static_cast<std::size_t>(stats.cache_hits),

@@ -44,8 +44,9 @@
 // re-evaluated, with the bit-identical winner of a run without the cache.
 // A bad cache path is a hard error (exit 1), never a silent miss.
 // --cache-max-entries bounds the directory's entry count and
-// --cache-max-bytes its total entry-file size (LRU-style eviction after
-// every store); `cache-gc` runs the same reconcile+evict pass on demand.
+// --cache-max-bytes its total entry-file size (least-recently used entry
+// files, by modification time, are evicted after every store and disk
+// hit); `cache-gc` runs the same eviction pass on demand.
 //
 // Every numeric flag is parsed with a checked helper: a non-integer or
 // out-of-range value exits 2 with an actionable message — never a raw
