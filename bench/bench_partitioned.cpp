@@ -163,7 +163,7 @@ bool print_reuse_report(benchjson::Report& report) {
 
   bool agree = true;
   // Per-call: a fresh evaluator every round — WFD assignment + evaluator
-  // compile paid per seed, which is what partition_and_schedule does.
+  // compile paid per seed.
   const auto fresh_begin = Clock::now();
   std::size_t fresh_checksum = 0;
   for (std::size_t k = 0; k < kRounds; ++k) {

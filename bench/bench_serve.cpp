@@ -137,11 +137,7 @@ class ServeFixture {
     server_ = std::make_unique<net::Server>(
         options, protocol,
         [this](std::string request, const net::RequestInfo& info) {
-          engine::RequestLoad load;
-          load.queue_wait_ms = info.queue_wait_ms;
-          load.queue_depth = info.queue_depth;
-          load.queue_capacity = info.queue_capacity;
-          return service_->handle(std::move(request), load);
+          return service_->handle(std::move(request), info.queue_wait_ms);
         });
     server_->add_listener(
         net::Listener::listen(net::Endpoint::unix_socket(socket_path_)));
@@ -408,7 +404,6 @@ bool print_deadline_report(benchjson::Report& report) {
   report.metric("serve_request_timeouts",
                 static_cast<long long>(stats.request_timeouts));
   report.metric("serve_shed", static_cast<long long>(stats.shed));
-  report.metric("serve_degraded", static_cast<long long>(stats.degraded));
   report.metric("serve_deadline_enforced_agree", static_cast<long long>(ok ? 1 : 0));
   return ok;
 }

@@ -53,14 +53,6 @@ std::string SolveService::handle(const std::string& request,
   }
   const double queue_wait_ms = load.queue_wait_ms;
 
-  // Graceful degradation: an optimize-preset service under sustained
-  // queue pressure (queue at least half full when this request was
-  // popped) answers with the quick preset instead — a worse schedule now
-  // beats a shed request or a deadline miss later. Opt-in and counted.
-  const bool degrade = options_.degrade_under_load && options_.optimize &&
-                       load.queue_capacity > 0 &&
-                       2 * load.queue_depth >= load.queue_capacity;
-
   const Clock::time_point handle_begin = Clock::now();
   std::string response;
   bool ok = false;
@@ -72,7 +64,7 @@ std::string SolveService::handle(const std::string& request,
     solve_request.config.processors = options_.processors;
     solve_request.config.seed = options_.seed;
     solve_request.config.workers = options_.search_workers;
-    solve_request.config.optimize = options_.optimize && !degrade;
+    solve_request.config.optimize = options_.optimize;
     if (options_.cache_dir.has_value()) {
       solve_request.config.cache_dir = options_.cache_dir;
       solve_request.config.cache_max_entries = options_.cache_max_entries;
@@ -114,7 +106,7 @@ std::string SolveService::handle(const std::string& request,
   }
 
   const double total_ms = queue_wait_ms + ms_since(handle_begin);
-  record(ok, degrade, total_ms, report.cache);
+  record(ok, total_ms, report.cache);
 
   if (options_.verbose) {
     std::uint64_t number = 0;
@@ -123,19 +115,15 @@ std::string SolveService::handle(const std::string& request,
       number = request_counter_;
     }
     if (ok) {
-      // " degraded" is the degraded-response marker documented in
-      // docs/FILE_FORMATS.md — absent on full-budget responses, so the
-      // historical line stays byte-identical.
       std::fprintf(stderr,
                    "fppn_serve: #%llu ok fp=%016llx winner=%s evaluated=%zu "
                    "cached=%zu queue-wait=%.2fms parse=%.2fms derive=%.2fms "
-                   "search=%.2fms total=%.2fms%s\n",
+                   "search=%.2fms total=%.2fms\n",
                    static_cast<unsigned long long>(number),
                    static_cast<unsigned long long>(report.fingerprint),
                    report.search.best.strategy.c_str(), report.search.evaluated,
                    report.search.cache_hits, queue_wait_ms, report.parse_ms,
-                   report.derive_ms, report.search_ms, total_ms,
-                   degrade ? " degraded" : "");
+                   report.derive_ms, report.search_ms, total_ms);
     } else {
       std::fprintf(stderr,
                    "fppn_serve: #%llu error %s queue-wait=%.2fms total=%.2fms\n",
@@ -146,7 +134,7 @@ std::string SolveService::handle(const std::string& request,
   return response;
 }
 
-void SolveService::record(bool ok, bool degraded, double total_ms,
+void SolveService::record(bool ok, double total_ms,
                           const sched::CacheStats& cache_delta) {
   const std::lock_guard<std::mutex> lock(mu_);
   ++request_counter_;
@@ -155,9 +143,6 @@ void SolveService::record(bool ok, bool degraded, double total_ms,
     ++counters_.ok;
   } else {
     ++counters_.errors;
-  }
-  if (degraded) {
-    ++counters_.degraded;
   }
   counters_.cache_hits += cache_delta.hits;
   counters_.cache_misses += cache_delta.misses;
@@ -271,7 +256,7 @@ std::string SolveService::render_stats() {
   char line[768];
   std::snprintf(line, sizeof(line),
                 "fppn-serve stats requests %llu ok %llu errors %llu overloaded "
-                "%llu read-errors %llu oversized %llu shed %llu degraded %llu "
+                "%llu read-errors %llu oversized %llu shed %llu "
                 "idle-timeouts %llu request-timeouts %llu write-timeouts %llu "
                 "cache-hits %llu cache-misses %llu hit-rate %.3f p50-ms %.3f "
                 "p99-ms %.3f uptime-ms %.1f\n",
@@ -282,7 +267,6 @@ std::string SolveService::render_stats() {
                 static_cast<unsigned long long>(s.read_errors),
                 static_cast<unsigned long long>(s.oversized),
                 static_cast<unsigned long long>(s.shed),
-                static_cast<unsigned long long>(s.degraded),
                 static_cast<unsigned long long>(s.idle_timeouts),
                 static_cast<unsigned long long>(s.request_timeouts),
                 static_cast<unsigned long long>(s.write_timeouts),

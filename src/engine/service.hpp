@@ -20,6 +20,10 @@
 // all. Latency percentiles are computed over a ring of the most recent
 // kLatencyWindow samples.
 //
+// A response depends only on the request and the ServiceOptions, never
+// on the load the server measured: every request runs the configured
+// preset, however full the queue is.
+//
 // Thread safety: every member is safe to call concurrently (the solver
 // pool runs handle() on N threads while the reactor thread calls the
 // note_*/line hooks).
@@ -54,17 +58,16 @@ struct ServiceOptions {
   std::uint64_t cache_max_bytes = 0;
   /// Echoed in the oversize error line; 0 = unlimited.
   std::size_t max_request_bytes = 0;
-  /// Graceful degradation: with --optimize on and the work queue at
-  /// least half full at pop time, solve this request with the quick
-  /// preset instead (counted in `degraded`, marked in --verbose lines) —
-  /// trading per-request quality for staying under the queue deadline
-  /// instead of shedding. Off by default: degradation must be opted into.
-  bool degrade_under_load = false;
 };
 
 /// The load signals net::Server measured for one request (mirror of
 /// net::RequestInfo, redeclared so the engine layer keeps zero net
-/// dependencies — the daemon's wiring lambda copies the fields).
+/// dependencies — the daemon's wiring lambda copies the fields). Only
+/// queue_wait_ms enters the service's accounting: a request's response
+/// never depends on the load. queue_depth and queue_capacity are read
+/// by nothing here; they stay only because the benchmark harness
+/// (perfbench/src/workloads.cpp) still writes them, and go with that
+/// harness's next change.
 struct RequestLoad {
   double queue_wait_ms = 0.0;
   std::size_t queue_depth = 0;
@@ -87,7 +90,6 @@ struct ServiceStats {
   std::uint64_t read_errors = 0;  ///< rejected: torn request (hard read failure)
   std::uint64_t oversized = 0;    ///< rejected: --max-request-bytes exceeded
   std::uint64_t shed = 0;         ///< rejected: queue wait passed --queue-deadline-ms
-  std::uint64_t degraded = 0;     ///< answered, but with the degraded quick preset
   std::uint64_t idle_timeouts = 0;     ///< closed: silent after accept
   std::uint64_t request_timeouts = 0;  ///< closed: request never completed
   std::uint64_t write_timeouts = 0;    ///< closed: response write stalled
@@ -108,9 +110,8 @@ class SolveService {
   /// Handles one request: the `stats` verb (request text "stats",
   /// surrounding whitespace ignored) or a `.fppn` network to solve.
   /// Returns the full response text; never throws (solve errors become
-  /// "fppn-serve error:" responses, exactly the PR 8 grammar). The load
-  /// signals drive the degrade-under-load decision and the latency
-  /// accounting.
+  /// "fppn-serve error:" responses, exactly the PR 8 grammar). The
+  /// load's queue wait enters the latency accounting.
   [[nodiscard]] std::string handle(const std::string& request,
                                    const RequestLoad& load);
 
@@ -139,8 +140,7 @@ class SolveService {
   [[nodiscard]] ServiceStats stats() const;
 
  private:
-  void record(bool ok, bool degraded, double total_ms,
-              const sched::CacheStats& cache_delta);
+  void record(bool ok, double total_ms, const sched::CacheStats& cache_delta);
 
   Engine& engine_;
   const ServiceOptions options_;

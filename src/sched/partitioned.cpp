@@ -5,8 +5,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "sched/evaluator.hpp"
-
 namespace fppn {
 
 std::vector<ProcessorId> wfd_assignment(const TaskGraph& tg,
@@ -51,18 +49,6 @@ std::vector<ProcessorId> wfd_assignment(const TaskGraph& tg,
     bin[lightest] += demand[p];
   }
   return assignment;
-}
-
-PartitionedResult partition_and_schedule(const TaskGraph& tg,
-                                         std::size_t process_count,
-                                         std::int64_t processors,
-                                         PriorityHeuristic heuristic) {
-  PartitionedResult result;
-  result.assignment = wfd_assignment(tg, process_count, processors);
-  sched::Evaluator kernel(tg, processors, result.assignment);
-  result.schedule = kernel.materialize(schedule_priority(tg, heuristic));
-  result.feasible = result.schedule.count_violations(tg).feasible();
-  return result;
 }
 
 }  // namespace fppn

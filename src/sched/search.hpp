@@ -1,40 +1,30 @@
-// Schedulability search helpers built on the evaluation kernel's list
-// scheduling (sched/evaluator.hpp): find a feasible schedule with the best
-// heuristic, and the minimum processor count that admits one (the
-// experiment loop of §V).
+// The experiment loop of §V: the minimum processor count that admits a
+// feasible static schedule. Each processor count M is asked of the
+// production search (sched/parallel_search.hpp), restricted to the four
+// SP heuristic strategies, so the schedule it reports is the one that
+// search ranks best — there is no second winner rule.
 #pragma once
 
 #include <optional>
 
-#include "sched/priorities.hpp"
-#include "sched/static_schedule.hpp"
+#include "sched/strategy.hpp"
 #include "taskgraph/analysis.hpp"
 
 namespace fppn {
 
-struct ScheduleAttempt {
-  StaticSchedule schedule;
-  PriorityHeuristic heuristic = PriorityHeuristic::kAlapEdf;
-  bool feasible = false;
-  Time makespan;
-};
-
-/// Tries every heuristic on M processors; returns the first feasible
-/// schedule (heuristics in all_heuristics() order), else the attempt with
-/// the fewest deadline violations. Deterministic and safe to call
-/// concurrently; throws std::invalid_argument like sched::Evaluator
-/// (cyclic graph, processors < 1).
-[[nodiscard]] ScheduleAttempt best_schedule(const TaskGraph& tg, std::int64_t processors);
-
 struct MinProcessorsResult {
   std::int64_t processors = 0;   ///< smallest feasible M, 0 when none <= limit
   std::int64_t lower_bound = 0;  ///< ceil(Load) from Prop. 3.1
-  std::optional<ScheduleAttempt> attempt;
+  /// The four-heuristic search's winner on `processors`; empty when no M
+  /// up to the limit is feasible.
+  std::optional<sched::StrategyResult> attempt;
 };
 
-/// Finds the smallest M in [max(1, ceil(Load)), limit] with a feasible
-/// list schedule under any heuristic. Deterministic and safe to call
-/// concurrently; throws like best_schedule.
+/// Finds the smallest M in [max(1, ceil(Load)), limit] at which some SP
+/// heuristic list-schedules `tg` feasibly: M is feasible exactly when the
+/// winner of sched::parallel_search over the heuristic strategies (1
+/// worker, no cache) is. Deterministic and safe to call concurrently;
+/// throws std::invalid_argument like sched::Evaluator (cyclic graph).
 [[nodiscard]] MinProcessorsResult min_processors(const TaskGraph& tg,
                                                  std::int64_t limit = 64);
 

@@ -47,9 +47,8 @@ TranslationResult translate_schedule(const TaskGraph& tg,
       const std::string done_var = "done_" + std::to_string(id.value());
       const std::string skip_var = "skip_" + std::to_string(id.value());
 
-      // Data guard: all predecessors done (skipped predecessors count as
-      // done once their boundary passed; we conservatively require the
-      // skip flag which is pre-set, plus the arrival bound below).
+      // Data guard: all predecessors done (a skipped predecessor is done
+      // once it took its own skip transition).
       std::vector<std::string> pred_vars;
       for (const JobId p : tg.predecessors(id)) {
         pred_vars.push_back("done_" + std::to_string(p.value()));
@@ -86,13 +85,16 @@ TranslationResult translate_schedule(const TaskGraph& tg,
       a.add_transition(end);
       out.end_labels.emplace(end.label, id);
 
-      // Wait -> next: skipped job completes instantly once its arrival
-      // boundary has passed (the false-mark instant of the policy).
+      // Wait -> next: a skipped job completes instantly once its arrival
+      // boundary has passed and its predecessors are done — the policy's
+      // false-mark, which both runtimes take only after the predecessors.
       TaTransition skip;
       skip.from = wait_loc[pos];
       skip.to = next_wait;
       skip.lower_bounds = {ClockBound{"g", (job.arrival - Time()).value()}};
-      skip.guard = [skip_var](const VarEnv& env) { return env.at(skip_var) == 1; };
+      skip.guard = [preds_done, skip_var](const VarEnv& env) {
+        return env.at(skip_var) == 1 && preds_done(env);
+      };
       skip.update = [done_var](VarEnv& env) { env[done_var] = 1; };
       skip.label = "skip " + tg.job(id).name;
       a.add_transition(skip);

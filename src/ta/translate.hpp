@@ -14,8 +14,15 @@
 //
 // Scope: one frame, all jobs present (server jobs treated as invoked —
 // i.e. the worst-case demand the schedule was sized for). Sporadic
-// absence can be modeled by pre-setting the variable skip_<job> to 1,
-// which lets the scheduler bypass the job instantly.
+// absence can be modeled by pre-setting the variable skip_<job> to 1:
+//   Wait_J --(g >= A_J  and  done_P = 1 for every predecessor P;
+//             done_J := 1)--> next Wait
+// so the scheduler bypasses the job without executing it, but — like
+// the 'false' server job of both runtimes — only after its
+// predecessors are done, so a skip never lets a successor overtake them.
+// Server jobs that do run are still gated on g >= A_J, not on their real
+// invocation, so the TA may start one later than the vm does (§IV
+// robustness).
 #pragma once
 
 #include <map>
@@ -36,8 +43,9 @@ struct TranslationResult {
 };
 
 /// Compiles one frame of `schedule` over `tg` into a TA network.
-/// `skipped` jobs (false-marked servers) complete instantly at their
-/// arrival boundary without executing.
+/// `skipped` jobs (false-marked servers) complete without executing, at
+/// their arrival boundary or when their last predecessor is done,
+/// whichever is later.
 [[nodiscard]] TranslationResult translate_schedule(
     const TaskGraph& tg, const StaticSchedule& schedule,
     const std::vector<JobId>& skipped = {});

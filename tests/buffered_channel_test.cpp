@@ -7,6 +7,7 @@
 
 #include "graph/algorithms.hpp"
 #include "runtime/vm_runtime.hpp"
+#include "sched/registry.hpp"
 #include "sched/search.hpp"
 #include "taskgraph/analysis.hpp"
 #include "taskgraph/derivation.hpp"
@@ -162,7 +163,11 @@ TEST(BufferedChannel, VmMatchesZeroDelayUnderPipelining) {
   opts.unfolding = 2;
   opts.truncate_deadlines = false;
   const auto derived = derive_task_graph(p.net, pipeline_wcets(p, 70), opts);
-  const auto attempt = best_schedule(derived.graph, 2);
+  sched::StrategyOptions sched_opts;
+  sched_opts.processors = 2;
+  const sched::StrategyResult attempt =
+      sched::StrategyRegistry::global().create("alap-edf")->schedule(derived.graph,
+                                                                      sched_opts);
   VmRunOptions run_opts;
   run_opts.frames = 3;
   const RunResult run =

@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "fppn/semantics.hpp"
-#include "sched/search.hpp"
+#include "sched/registry.hpp"
 #include "taskgraph/analysis.hpp"
 #include "taskgraph/derivation.hpp"
 
@@ -14,6 +14,13 @@ namespace fppn {
 namespace {
 
 using apps::build_fms;
+
+/// The alap-edf strategy's schedule of `tg` on `processors` processors.
+sched::StrategyResult alap_edf(const TaskGraph& tg, std::int64_t processors) {
+  sched::StrategyOptions opts;
+  opts.processors = processors;
+  return sched::StrategyRegistry::global().create("alap-edf")->schedule(tg, opts);
+}
 
 TEST(FmsApp, TwelveProcesses) {
   const auto app = build_fms();
@@ -105,7 +112,7 @@ TEST(FmsApp, LoadNearPaperAndSingleProcessorFeasible) {
   const LoadResult load = task_graph_load(derived.graph);
   EXPECT_NEAR(load.load_value(), 0.23, 0.05);  // paper: ~0.23; ours: 0.2225
   EXPECT_EQ(load.min_processors(), 1);
-  const auto attempt = best_schedule(derived.graph, 1);
+  const auto attempt = alap_edf(derived.graph, 1);
   EXPECT_TRUE(attempt.feasible);
 }
 
@@ -113,7 +120,7 @@ TEST(FmsApp, MultiProcessorSchedulesAlsoFeasible) {
   const auto app = build_fms();
   const auto derived = derive_task_graph(app.net, app.default_wcets());
   for (const std::int64_t m : {2, 4}) {
-    const auto attempt = best_schedule(derived.graph, m);
+    const auto attempt = alap_edf(derived.graph, m);
     EXPECT_TRUE(attempt.feasible) << m << " processors";
   }
 }

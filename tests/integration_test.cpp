@@ -8,11 +8,18 @@
 #include "apps/fig1.hpp"
 #include "apps/fms.hpp"
 #include "runtime/vm_runtime.hpp"
-#include "sched/search.hpp"
+#include "sched/registry.hpp"
 #include "taskgraph/derivation.hpp"
 
 namespace fppn {
 namespace {
+
+/// The alap-edf strategy's schedule of `tg` on `processors` processors.
+sched::StrategyResult alap_edf(const TaskGraph& tg, std::int64_t processors) {
+  sched::StrategyOptions opts;
+  opts.processors = processors;
+  return sched::StrategyRegistry::global().create("alap-edf")->schedule(tg, opts);
+}
 
 struct SweepParam {
   std::int64_t processors;
@@ -25,7 +32,7 @@ TEST_P(Fig1EndToEnd, PipelineDeterministicUnderJitter) {
   const auto [processors, seed] = GetParam();
   const auto app = apps::build_fig1();
   const auto derived = derive_task_graph(app.net, app.fig3_wcets());
-  const auto attempt = best_schedule(derived.graph, processors);
+  const auto attempt = alap_edf(derived.graph, processors);
   ASSERT_TRUE(attempt.feasible);
 
   const std::int64_t frames = 3;
@@ -67,7 +74,7 @@ TEST_P(FftEndToEnd, SpectraIdenticalOnAnyProcessorCount) {
   const auto app = apps::build_fft(8);
   const auto derived =
       derive_task_graph(app.net, app.uniform_wcets(Duration::ratio_ms(40, 3)));
-  const auto attempt = best_schedule(derived.graph, processors);
+  const auto attempt = alap_edf(derived.graph, processors);
   ASSERT_TRUE(attempt.feasible);
   const std::vector<std::vector<double>> frames = {
       {1, 2, 3, 4, 5, 6, 7, 8}, {8, 7, 6, 5, 4, 3, 2, 1}};
@@ -90,7 +97,7 @@ TEST(FmsEndToEnd, FullHyperperiodOnOneProcessor) {
   // zero-delay reference.
   const auto app = apps::build_fms();
   const auto derived = derive_task_graph(app.net, app.default_wcets());
-  const auto attempt = best_schedule(derived.graph, 1);
+  const auto attempt = alap_edf(derived.graph, 1);
   ASSERT_TRUE(attempt.feasible);
 
   // Keep commands within the span covered by the single frame's server
@@ -120,8 +127,8 @@ TEST(FmsEndToEnd, TwoProcessorRunAgreesWithOneProcessorRun) {
   VmRunOptions opts;
   opts.frames = 1;
 
-  const auto one = best_schedule(derived.graph, 1);
-  const auto two = best_schedule(derived.graph, 2);
+  const auto one = alap_edf(derived.graph, 1);
+  const auto two = alap_edf(derived.graph, 2);
   ASSERT_TRUE(one.feasible);
   ASSERT_TRUE(two.feasible);
   const RunResult r1 =
@@ -140,7 +147,7 @@ TEST(FmsEndToEnd, OriginalUniprocessorPrototypeEquivalence) {
   // uniprocessor fixed-priority execution) vs the multiprocessor VM.
   const auto app = apps::build_fms();
   const auto derived = derive_task_graph(app.net, app.default_wcets());
-  const auto attempt = best_schedule(derived.graph, 3);
+  const auto attempt = alap_edf(derived.graph, 3);
   ASSERT_TRUE(attempt.feasible);
   const InputScripts inputs = app.make_inputs(55, /*seed=*/5);
   VmRunOptions opts;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/fig1.hpp"
+#include "sched/registry.hpp"
 #include "sched/search.hpp"
 #include "taskgraph/derivation.hpp"
 
@@ -139,7 +140,10 @@ TEST(Fig4, GanttChartShowsBothProcessors) {
 TEST(Search, BestScheduleFindsFeasibleHeuristic) {
   const auto app = apps::build_fig1();
   const auto derived = derive_task_graph(app.net, app.fig3_wcets());
-  const ScheduleAttempt attempt = best_schedule(derived.graph, 2);
+  sched::StrategyOptions opts;
+  opts.processors = 2;
+  const sched::StrategyResult attempt =
+      sched::StrategyRegistry::global().create("alap-edf")->schedule(derived.graph, opts);
   EXPECT_TRUE(attempt.feasible);
   EXPECT_LE(attempt.makespan, Time::ms(200));
 }

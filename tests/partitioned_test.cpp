@@ -12,22 +12,33 @@
 #include "sched/evaluator.hpp"
 #include "sched/parallel_search.hpp"
 #include "sched/registry.hpp"
-#include "sched/search.hpp"
 #include "taskgraph/derivation.hpp"
 #include "testing/list_scheduler.hpp"
 
 namespace fppn {
 namespace {
 
+/// A registered strategy's schedule of `tg` on `processors` processors.
+/// partitioned-wfd schedules all_heuristics()[seed % 4] inside its
+/// partition, so seed 0 is alap-edf.
+sched::StrategyResult run_strategy(const std::string& name, const TaskGraph& tg,
+                                   std::int64_t processors, std::uint64_t seed = 0) {
+  sched::StrategyOptions opts;
+  opts.processors = processors;
+  opts.seed = seed;
+  return sched::StrategyRegistry::global().create(name)->schedule(tg, opts);
+}
+
 TEST(Partitioned, AllJobsOfAProcessShareOneProcessor) {
   const auto app = apps::build_fig1();
   const auto derived = derive_task_graph(app.net, app.fig3_wcets());
-  const PartitionedResult result =
-      partition_and_schedule(derived.graph, app.net.process_count(), 3);
+  const sched::StrategyResult result = run_strategy("partitioned-wfd", derived.graph, 3);
+  const std::vector<ProcessorId> assignment =
+      wfd_assignment(derived.graph, app.net.process_count(), 3);
   for (std::size_t i = 0; i < app.net.process_count(); ++i) {
     const auto jobs = derived.graph.jobs_of(ProcessId{i});
     for (const JobId j : jobs) {
-      EXPECT_EQ(result.schedule.placement(j).processor, result.assignment[i])
+      EXPECT_EQ(result.schedule.placement(j).processor, assignment[i])
           << derived.graph.job(j).name;
     }
   }
@@ -37,8 +48,7 @@ TEST(Partitioned, Fig1FeasibleOnThreeProcessors) {
   // Pinning removes migration freedom; the Fig. 3 graph still fits.
   const auto app = apps::build_fig1();
   const auto derived = derive_task_graph(app.net, app.fig3_wcets());
-  const PartitionedResult result =
-      partition_and_schedule(derived.graph, app.net.process_count(), 3);
+  const sched::StrategyResult result = run_strategy("partitioned-wfd", derived.graph, 3);
   EXPECT_TRUE(result.feasible)
       << result.schedule.check_feasibility(derived.graph).to_string(derived.graph);
 }
@@ -53,10 +63,9 @@ TEST(Partitioned, NeverBeatsGlobalScheduling) {
   const auto app = apps::build_fig1();
   const auto derived = derive_task_graph(app.net, app.fig3_wcets());
   for (const std::int64_t m : {2, 3, 4}) {
-    const PartitionedResult pinned =
-        partition_and_schedule(derived.graph, app.net.process_count(), m);
+    const sched::StrategyResult pinned = run_strategy("partitioned-wfd", derived.graph, m);
     if (pinned.feasible) {
-      const ScheduleAttempt global = best_schedule(derived.graph, m);
+      const sched::StrategyResult global = run_strategy("alap-edf", derived.graph, m);
       EXPECT_TRUE(global.feasible) << m;
     }
   }
@@ -65,10 +74,9 @@ TEST(Partitioned, NeverBeatsGlobalScheduling) {
 TEST(Partitioned, FmsSingleProcessorDegeneratesToGlobal) {
   const auto app = apps::build_fms();
   const auto derived = derive_task_graph(app.net, app.default_wcets());
-  const PartitionedResult result =
-      partition_and_schedule(derived.graph, app.net.process_count(), 1);
+  const sched::StrategyResult result = run_strategy("partitioned-wfd", derived.graph, 1);
   EXPECT_TRUE(result.feasible);
-  for (const ProcessorId p : result.assignment) {
+  for (const ProcessorId p : wfd_assignment(derived.graph, app.net.process_count(), 1)) {
     if (p.is_valid()) {
       EXPECT_EQ(p, ProcessorId(0));
     }
@@ -80,8 +88,7 @@ TEST(Partitioned, VmRunsPartitionedScheduleDeterministically) {
   // equal the zero-delay reference.
   const auto app = apps::build_fig1();
   const auto derived = derive_task_graph(app.net, app.fig3_wcets());
-  const PartitionedResult result =
-      partition_and_schedule(derived.graph, app.net.process_count(), 3);
+  const sched::StrategyResult result = run_strategy("partitioned-wfd", derived.graph, 3);
   ASSERT_TRUE(result.feasible);
   const InputScripts inputs = app.make_inputs({5, 6, 7, 8}, {1.5});
   std::map<ProcessId, SporadicScript> scripts;
@@ -262,8 +269,9 @@ void expect_same_placements(const TaskGraph& tg, const StaticSchedule& a,
 }
 
 TEST(Partitioned, KernelAndNaivePipelinesBitIdentical) {
-  // partition_and_schedule with the partition-constrained evaluator vs
-  // the reference O(n²) rescan: same assignment, placements, feasibility.
+  // The partitioned-wfd strategy (the partition-constrained evaluator)
+  // vs the reference O(n²) rescan under the same WFD assignment and SP
+  // order: same placements, feasibility and makespan.
   const auto fig1 = apps::build_fig1();
   const auto fms = apps::build_fms();
   const auto d1 = derive_task_graph(fig1.net, fig1.fig3_wcets());
@@ -277,15 +285,17 @@ TEST(Partitioned, KernelAndNaivePipelinesBitIdentical) {
                         {&d2.graph, fms.net.process_count(), "fms"}};
   for (const Case& c : cases) {
     for (const std::int64_t m : {1, 2, 3, 4}) {
-      for (const PriorityHeuristic h : all_heuristics()) {
-        const PartitionedResult fast = partition_and_schedule(*c.tg, c.processes, m, h);
-        const std::vector<ProcessorId> assignment = wfd_assignment(*c.tg, c.processes, m);
+      for (std::uint64_t seed = 0; seed < all_heuristics().size(); ++seed) {
+        const PriorityHeuristic h = all_heuristics()[seed];
+        const sched::StrategyResult fast = run_strategy("partitioned-wfd", *c.tg, m, seed);
         const StaticSchedule ref = testing::partitioned_list_schedule(
-            *c.tg, assignment, schedule_priority(*c.tg, h), m);
+            *c.tg, wfd_assignment(*c.tg, c.processes, m), schedule_priority(*c.tg, h), m);
         const std::string context = std::string(c.name) + " M" + std::to_string(m) +
                                     " " + to_string(h);
-        EXPECT_EQ(fast.assignment, assignment) << context;
+        EXPECT_EQ(fast.detail, "partitioned WFD pinning, SP heuristic " + to_string(h))
+            << context;
         EXPECT_EQ(fast.feasible, ref.count_violations(*c.tg).feasible()) << context;
+        EXPECT_EQ(fast.makespan, ref.makespan(*c.tg)) << context;
         expect_same_placements(*c.tg, fast.schedule, ref, context);
       }
     }
@@ -320,9 +330,9 @@ TEST(Partitioned, SchedulerReuseMatchesPerCallPipeline) {
 TEST(Partitioned, InvalidInputsRejected) {
   const auto app = apps::build_fig1();
   const auto derived = derive_task_graph(app.net, app.fig3_wcets());
-  EXPECT_THROW(partition_and_schedule(derived.graph, app.net.process_count(), 0),
+  EXPECT_THROW((void)wfd_assignment(derived.graph, app.net.process_count(), 0),
                std::invalid_argument);
-  EXPECT_THROW(partition_and_schedule(derived.graph, 2, 2), std::invalid_argument);
+  EXPECT_THROW((void)wfd_assignment(derived.graph, 2, 2), std::invalid_argument);
   std::vector<ProcessorId> unassigned(app.net.process_count());
   EXPECT_THROW(
       testing::partitioned_list_schedule(

@@ -3,6 +3,13 @@
 #include <gtest/gtest.h>
 
 #include "apps/fft.hpp"
+#include "apps/fig1.hpp"
+#include "apps/fms.hpp"
+#include "gen/scenario.hpp"
+#include "sched/parallel_search.hpp"
+#include "sched/registry.hpp"
+#include "sched/search_context.hpp"
+#include "taskgraph/derivation.hpp"
 
 namespace fppn {
 namespace {
@@ -57,7 +64,10 @@ TEST(Search, LimitRespected) {
 TEST(Search, BestScheduleReturnsLeastViolatingWhenInfeasible) {
   TaskGraph tg;
   tg.add_job(make_job("A", 0, 10, 50));  // hopeless
-  const ScheduleAttempt attempt = best_schedule(tg, 1);
+  sched::StrategyOptions opts;
+  opts.processors = 1;
+  const sched::StrategyResult attempt =
+      sched::StrategyRegistry::global().create("alap-edf")->schedule(tg, opts);
   EXPECT_FALSE(attempt.feasible);
   EXPECT_EQ(attempt.makespan, Time::ms(50));
 }
@@ -88,6 +98,87 @@ TEST(Search, FftNeedsTwoProcessorsWithOverheadJob) {
   const auto loaded = min_processors(derived.graph);
   EXPECT_EQ(loaded.processors, 2);
   EXPECT_GT(task_graph_load(derived.graph).load, Rational(1));
+}
+
+/// min_processors' definition before it asked the search: the smallest M
+/// >= lower_bound at which some heuristic's list schedule misses no
+/// deadline, 0 when none up to `limit` does.
+std::int64_t first_feasible_heuristic_m(const TaskGraph& tg, std::int64_t lower_bound,
+                                        std::int64_t limit) {
+  for (std::int64_t m = lower_bound; m <= limit; ++m) {
+    const sched::SearchContext ctx(tg, m);
+    for (const PriorityHeuristic h : all_heuristics()) {
+      if (ctx.heuristic(h).score.deadline_violations == 0) {
+        return m;
+      }
+    }
+  }
+  return 0;
+}
+
+void expect_min_processors_is_the_search(const TaskGraph& tg, std::int64_t limit,
+                                         const std::string& name) {
+  const MinProcessorsResult result = min_processors(tg, limit);
+  EXPECT_EQ(result.lower_bound,
+            std::max<std::int64_t>(1, task_graph_load(tg).min_processors()))
+      << name;
+  EXPECT_EQ(result.processors, first_feasible_heuristic_m(tg, result.lower_bound, limit))
+      << name;
+  if (result.processors == 0) {
+    EXPECT_FALSE(result.attempt.has_value()) << name;
+    return;
+  }
+  ASSERT_TRUE(result.attempt.has_value()) << name;
+  sched::ParallelSearchOptions opts;
+  opts.processors = result.processors;
+  opts.workers = 1;
+  for (const PriorityHeuristic h : all_heuristics()) {
+    opts.strategies.push_back(to_string(h));
+  }
+  const sched::StrategyResult winner = sched::parallel_search(tg, opts).best;
+  const sched::StrategyResult& got = *result.attempt;
+  EXPECT_TRUE(got.feasible) << name;
+  EXPECT_EQ(got.strategy, winner.strategy) << name;
+  EXPECT_EQ(got.detail, winner.detail) << name;
+  EXPECT_EQ(got.makespan, winner.makespan) << name;
+  ASSERT_EQ(got.schedule.job_count(), tg.job_count()) << name;
+  for (std::size_t i = 0; i < tg.job_count(); ++i) {
+    const JobId j(i);
+    ASSERT_TRUE(got.schedule.is_placed(j)) << name;
+    EXPECT_EQ(got.schedule.placement(j).processor, winner.schedule.placement(j).processor)
+        << name << " " << tg.job(j).name;
+    EXPECT_EQ(got.schedule.placement(j).start, winner.schedule.placement(j).start)
+        << name << " " << tg.job(j).name;
+  }
+}
+
+TEST(Search, MinProcessorsIsTheFourHeuristicSearch) {
+  const auto fms = apps::build_fms();
+  expect_min_processors_is_the_search(
+      derive_task_graph(fms.net, fms.default_wcets()).graph, 8, "fms");
+  const auto fig1 = apps::build_fig1();
+  expect_min_processors_is_the_search(
+      derive_task_graph(fig1.net, fig1.fig3_wcets()).graph, 8, "fig1");
+  const auto fft = apps::build_fft(8);
+  expect_min_processors_is_the_search(
+      derive_task_graph(fft.net, fft.uniform_wcets(Duration::ratio_ms(40, 3))).graph, 8,
+      "fft8");
+  for (const gen::Family family : gen::all_families()) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      const gen::Scenario s = gen::make_scenario(family, seed);
+      expect_min_processors_is_the_search(derive_task_graph(s.net, s.wcets).graph, 8,
+                                          s.name);
+    }
+  }
+}
+
+TEST(Search, MinProcessorsRejectsCyclicGraph) {
+  TaskGraph tg;
+  const JobId a = tg.add_job(make_job("A", 0, 100, 10));
+  const JobId b = tg.add_job(make_job("B", 0, 100, 10));
+  tg.add_edge(a, b);
+  tg.add_edge(b, a);
+  EXPECT_THROW((void)min_processors(tg, 4), std::invalid_argument);
 }
 
 }  // namespace

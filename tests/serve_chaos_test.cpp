@@ -211,11 +211,7 @@ void run_chaos_round(std::uint64_t seed, const std::string& network) {
 
   net::Server server(server_options, protocol,
                      [&service](std::string request, const net::RequestInfo& info) {
-                       engine::RequestLoad load;
-                       load.queue_wait_ms = info.queue_wait_ms;
-                       load.queue_depth = info.queue_depth;
-                       load.queue_capacity = info.queue_capacity;
-                       return service.handle(request, load);
+                       return service.handle(request, info.queue_wait_ms);
                      });
   server.add_listener(
       net::Listener::listen(net::Endpoint::unix_socket(socket_path)));

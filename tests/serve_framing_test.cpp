@@ -213,11 +213,7 @@ class FramingStack {
 
   net::Server::Handler handler() {
     return [this](std::string request, const net::RequestInfo& info) {
-      engine::RequestLoad load;
-      load.queue_wait_ms = info.queue_wait_ms;
-      load.queue_depth = info.queue_depth;
-      load.queue_capacity = info.queue_capacity;
-      return service_.handle(request, load);
+      return service_.handle(request, info.queue_wait_ms);
     };
   }
 

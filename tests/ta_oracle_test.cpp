@@ -8,6 +8,7 @@
 
 #include "apps/fig1.hpp"
 #include "apps/fft.hpp"
+#include "gen/scenario.hpp"
 #include "runtime/vm_runtime.hpp"
 #include "taskgraph/derivation.hpp"
 #include "testing/list_scheduler.hpp"
@@ -120,6 +121,71 @@ TEST(TaOracle, SkippedJobsBypassInstantly) {
     ASSERT_NE(it, vm.end()) << name;
     EXPECT_EQ(it->second.first, start) << name;
   }
+}
+
+TEST(TaOracle, SkippedJobWaitsForItsPredecessors) {
+  // S is 'false' and skipped; its predecessor A runs until 10 on M1 while
+  // S and its successor B wait on M2. The skip happens when A is done,
+  // not at S's arrival 0, so B cannot overtake A.
+  TaskGraph tg(Duration::ms(100));
+  const auto job = [](const std::string& name, std::int64_t wcet) {
+    Job j;
+    j.process = ProcessId{0};
+    j.arrival = Time::ms(0);
+    j.deadline = Time::ms(100);
+    j.wcet = Duration::ms(wcet);
+    j.name = name;
+    return j;
+  };
+  const JobId a = tg.add_job(job("A", 10));
+  const JobId s = tg.add_job(job("S", 5));
+  const JobId b = tg.add_job(job("B", 5));
+  tg.add_edge(a, s);
+  tg.add_edge(s, b);
+  StaticSchedule schedule(tg.job_count(), 2);
+  schedule.place(a, ProcessorId(0), Time::ms(0));
+  schedule.place(s, ProcessorId(1), Time::ms(10));
+  schedule.place(b, ProcessorId(1), Time::ms(15));
+
+  const ta::TaJobTimes oracle = ta::run_schedule_oracle(tg, schedule, {s});
+  EXPECT_EQ(oracle.start.count(s), 0u);
+  EXPECT_EQ(oracle.end.at(a), Time::ms(10));
+  EXPECT_EQ(oracle.start.at(b), Time::ms(10));
+}
+
+TEST(TaOracle, SkippedJobsNeverStartASuccessorBeforeTheVm) {
+  // Generated sporadic scenario 398 under one frame of jittered scripts:
+  // the TA, told which jobs the vm marked 'false', starts no executed job
+  // earlier than the vm. P0[1] waits for the false P2[2], whose
+  // predecessor P2[1] runs until 5/3.
+  const gen::Scenario scenario = gen::make_scenario(gen::Family::kSporadic, 398);
+  const DerivedTaskGraph derived = derive_task_graph(scenario.net, scenario.wcets);
+  const StaticSchedule schedule =
+      testing::list_schedule(derived.graph, PriorityHeuristic::kAlapEdf, 2);
+  const auto scripts = gen::jittered_scripts(scenario.net, 398, 1, derived.hyperperiod);
+  const RunResult run =
+      run_static_order_vm(scenario.net, derived, schedule, VmRunOptions{}, {}, scripts);
+  std::vector<JobId> skipped;
+  std::map<JobId, Time> vm_start;
+  for (const TraceEvent& e : run.trace.events()) {
+    if (e.kind == TraceEventKind::kFalseSkip) {
+      skipped.push_back(*derived.graph.find(e.label));
+    } else if (e.kind == TraceEventKind::kJobRun) {
+      vm_start.emplace(*derived.graph.find(e.label), e.time);
+    }
+  }
+  ASSERT_FALSE(skipped.empty());
+
+  const ta::TaJobTimes oracle = ta::run_schedule_oracle(derived.graph, schedule, skipped);
+  EXPECT_EQ(oracle.start.size(), vm_start.size());
+  for (const auto& [id, start] : oracle.start) {
+    ASSERT_EQ(vm_start.count(id), 1u) << derived.graph.job(id).name;
+    EXPECT_GE(start, vm_start.at(id)) << derived.graph.job(id).name;
+  }
+  const std::optional<JobId> p0 = derived.graph.find("P0[1]");
+  ASSERT_TRUE(p0.has_value());
+  EXPECT_EQ(oracle.start.at(*p0), Time(Rational(5, 3)));
+  EXPECT_EQ(vm_start.at(*p0), Time(Rational(5, 3)));
 }
 
 TEST(TaOracle, TranslationRejectsUnplacedJobs) {

@@ -7,12 +7,20 @@
 #include "apps/fig1.hpp"
 #include "graph/algorithms.hpp"
 #include "runtime/vm_runtime.hpp"
+#include "sched/registry.hpp"
 #include "sched/search.hpp"
 #include "taskgraph/analysis.hpp"
 #include "taskgraph/derivation.hpp"
 
 namespace fppn {
 namespace {
+
+/// The alap-edf strategy's schedule of `tg` on `processors` processors.
+sched::StrategyResult alap_edf(const TaskGraph& tg, std::int64_t processors) {
+  sched::StrategyOptions opts;
+  opts.processors = processors;
+  return sched::StrategyRegistry::global().create("alap-edf")->schedule(tg, opts);
+}
 
 /// A two-process network where the producer's deadline extends past its
 /// period (d > T is explicitly allowed: "we do not put any restrictions on
@@ -122,7 +130,7 @@ TEST(Unfolding, VmRunsUnfoldedFramesCorrectly) {
   DerivationOptions unfold2;
   unfold2.unfolding = 2;
   const auto d2 = derive_task_graph(app.net, app.fig3_wcets(), unfold2);
-  const auto a2 = best_schedule(d2.graph, 2);
+  const auto a2 = alap_edf(d2.graph, 2);
   ASSERT_TRUE(a2.feasible);
   VmRunOptions r2;
   r2.frames = 2;
@@ -130,7 +138,7 @@ TEST(Unfolding, VmRunsUnfoldedFramesCorrectly) {
       run_static_order_vm(app.net, d2, a2.schedule, r2, inputs, {});
 
   const auto d1 = derive_task_graph(app.net, app.fig3_wcets());
-  const auto a1 = best_schedule(d1.graph, 2);
+  const auto a1 = alap_edf(d1.graph, 2);
   VmRunOptions r1;
   r1.frames = 4;
   const RunResult run1 =

@@ -40,9 +40,7 @@
 // drops peers that stop draining their response, and
 // --queue-deadline-ms sheds requests whose queue wait already exceeds
 // the deadline ("fppn-serve error: deadline exceeded" — the solve is
-// skipped entirely). --degrade-under-load answers instead of shedding:
-// when the queue is at least half full, an --optimize daemon solves
-// with the quick preset (counted as `degraded` in stats).
+// skipped entirely).
 //
 // --fault-seed/--fault-rate arm the deterministic fault injector
 // (src/testing/fault_injector.hpp) for chaos testing: accept/read/
@@ -128,8 +126,6 @@ void print_usage(std::FILE* out) {
       "  --queue-deadline-ms N  shed requests that waited longer than N ms in\n"
       "                         the queue: 'fppn-serve error: deadline exceeded'\n"
       "                         (default 0 = never shed)\n"
-      "  --degrade-under-load   with --optimize: fall back to the quick preset\n"
-      "                         when the queue is at least half full\n"
       "  --fault-seed S         fault-injection seed (testing; with --fault-rate)\n"
       "  --fault-rate R         inject R faults per 1024 syscalls (testing;\n"
       "                         default 0 = injector disarmed)\n"
@@ -193,7 +189,6 @@ struct ServeArgs {
   int request_timeout_ms = 0;
   int write_timeout_ms = 0;
   int queue_deadline_ms = 0;
-  bool degrade_under_load = false;
   std::uint64_t fault_seed = 1;
   int fault_rate = 0;  ///< faults per 1024 intercepted calls; 0 = disarmed
 
@@ -274,8 +269,6 @@ ServeArgs parse_args(int argc, char** argv) {
     } else if (arg == "--queue-deadline-ms") {
       a.queue_deadline_ms =
           static_cast<int>(parse_int_flag("--queue-deadline-ms", next(), 0, kIntMax));
-    } else if (arg == "--degrade-under-load") {
-      a.degrade_under_load = true;
     } else if (arg == "--fault-seed") {
       a.fault_seed = static_cast<std::uint64_t>(parse_int_flag("--fault-seed", next(), 0));
     } else if (arg == "--fault-rate") {
@@ -384,7 +377,6 @@ int run_server(const ServeArgs& args) {
   service_options.search_workers = args.jobs;
   service_options.optimize = args.optimize;
   service_options.verbose = args.verbose;
-  service_options.degrade_under_load = args.degrade_under_load;
   if (!args.cache_dir.empty()) {
     service_options.cache_dir = args.cache_dir;
     service_options.cache_max_entries = args.cache_max_entries;
@@ -430,11 +422,7 @@ int run_server(const ServeArgs& args) {
 
   net::Server server(server_options, protocol,
                      [&service](std::string request, const net::RequestInfo& info) {
-                       engine::RequestLoad load;
-                       load.queue_wait_ms = info.queue_wait_ms;
-                       load.queue_depth = info.queue_depth;
-                       load.queue_capacity = info.queue_capacity;
-                       return service.handle(request, load);
+                       return service.handle(request, info.queue_wait_ms);
                      });
   for (net::Listener& listener : listeners) {
     server.add_listener(std::move(listener));
