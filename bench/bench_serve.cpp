@@ -13,7 +13,6 @@
 #include <benchmark/benchmark.h>
 
 #include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -51,47 +50,9 @@ double seconds_since(const Clock::time_point& t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-std::string read_to_eof(int fd) {
-  std::string data;
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n > 0) {
-      data.append(buf, static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    break;
-  }
-  return data;
-}
-
-void write_all(int fd, const std::string& data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-}
-
+/// One EOF-framed request; a failed connect reads as a sentinel.
 std::string roundtrip(const net::Endpoint& endpoint, const std::string& request) {
-  const int fd = net::connect_endpoint(endpoint);
-  if (fd < 0) {
-    return "<connect failed>";
-  }
-  write_all(fd, request);
-  ::shutdown(fd, SHUT_WR);
-  const std::string response = read_to_eof(fd);
-  ::close(fd);
-  return response;
+  return net::exchange(endpoint, request).value_or("<connect failed>");
 }
 
 /// The daemon wired up in-process: one Engine, one SolveService, one
@@ -116,29 +77,8 @@ class ServeFixture {
     options.solver_threads = solver_threads;
     options.queue_capacity = queue_capacity;
     options.request_timeout_ms = request_timeout_ms;
-    net::ServerProtocol protocol;
-    protocol.overloaded = [this] { return service_->overloaded_line(); };
-    protocol.oversized = [this](std::size_t bytes) {
-      return service_->oversized_line(bytes);
-    };
-    protocol.read_error = [this](int error) {
-      return service_->read_error_line(error);
-    };
-    protocol.deadline_exceeded = [this] {
-      return service_->deadline_exceeded_line();
-    };
-    protocol.timed_out = [this](net::Reactor::TimeoutKind kind) {
-      service_->note_timeout(kind == net::Reactor::TimeoutKind::kIdle
-                                 ? engine::ServeTimeout::kIdle
-                                 : kind == net::Reactor::TimeoutKind::kRequest
-                                       ? engine::ServeTimeout::kRequest
-                                       : engine::ServeTimeout::kWrite);
-    };
-    server_ = std::make_unique<net::Server>(
-        options, protocol,
-        [this](std::string request, const net::RequestInfo& info) {
-          return service_->handle(std::move(request), info.queue_wait_ms);
-        });
+    server_ = std::make_unique<net::Server>(options, service_->protocol(),
+                                            service_->handler());
     server_->add_listener(
         net::Listener::listen(net::Endpoint::unix_socket(socket_path_)));
     thread_ = std::thread([this] { server_->run(); });
@@ -274,9 +214,7 @@ bool print_overload_report(benchjson::Report& report) {
   net::ServerOptions options;
   options.solver_threads = 1;
   options.queue_capacity = 1;
-  net::ServerProtocol protocol;
-  protocol.overloaded = [&service] { return service.overloaded_line(); };
-  net::Server server(options, protocol,
+  net::Server server(options, service.protocol(),
                      [&](std::string request, const net::RequestInfo& info) {
                        if (request == "HOLD") {
                          ++active;
@@ -443,7 +381,7 @@ bool print_chaos_report(benchjson::Report& report) {
       // the response lands on a dead peer while faults are firing.
       const int fd = net::connect_endpoint(fixture.endpoint());
       if (fd >= 0) {
-        write_all(fd, request.substr(0, request.size() / 2));
+        net::write_all(fd, request.substr(0, request.size() / 2));
         ::close(fd);
       }
       injected += testing::FaultInjector::instance().injected_total();

@@ -206,19 +206,19 @@ std::string SolveService::deadline_exceeded_line() {
   return "fppn-serve error: deadline exceeded\n";
 }
 
-void SolveService::note_timeout(ServeTimeout kind) {
+void SolveService::note_timeout(net::Reactor::TimeoutKind kind) {
   const char* name = "idle";
   {
     const std::lock_guard<std::mutex> lock(mu_);
     switch (kind) {
-      case ServeTimeout::kIdle:
+      case net::Reactor::TimeoutKind::kIdle:
         ++counters_.idle_timeouts;
         break;
-      case ServeTimeout::kRequest:
+      case net::Reactor::TimeoutKind::kRequest:
         ++counters_.request_timeouts;
         name = "request";
         break;
-      case ServeTimeout::kWrite:
+      case net::Reactor::TimeoutKind::kWrite:
         ++counters_.write_timeouts;
         name = "write";
         break;
@@ -228,6 +228,22 @@ void SolveService::note_timeout(ServeTimeout kind) {
     std::fprintf(stderr, "fppn_serve: closed connection: %s deadline exceeded\n",
                  name);
   }
+}
+
+net::ServerProtocol SolveService::protocol() {
+  net::ServerProtocol p;
+  p.overloaded = [this] { return overloaded_line(); };
+  p.oversized = [this](std::size_t bytes_seen) { return oversized_line(bytes_seen); };
+  p.read_error = [this](int error) { return read_error_line(error); };
+  p.deadline_exceeded = [this] { return deadline_exceeded_line(); };
+  p.timed_out = [this](net::Reactor::TimeoutKind kind) { note_timeout(kind); };
+  return p;
+}
+
+net::Server::Handler SolveService::handler() {
+  return [this](std::string request, const net::RequestInfo& info) {
+    return handle(request, info.queue_wait_ms);
+  };
 }
 
 ServiceStats SolveService::stats() const {

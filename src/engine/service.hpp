@@ -1,5 +1,6 @@
 // engine::SolveService — the protocol-and-observability layer between
-// the net serving stack and engine::Engine: it renders the byte-stable
+// the net serving stack and engine::Engine, and the one place where the
+// two meet: it renders the byte-stable
 // "fppn-serve ..." wire responses (the grammar PR 8's golden tests pin),
 // answers the `stats` verb, and aggregates per-request accounting —
 // counts, cache hit totals and an end-to-end latency distribution
@@ -12,6 +13,10 @@
 //                   the overload/oversize/read-error lines the server's
 //                   protocol hooks request) and all request accounting;
 //   engine::Engine  owns solving.
+// protocol() and handler() are the whole wiring of a service into a
+// net::Server, so a daemon is `net::Server(options, service.protocol(),
+// service.handler())`. net knows nothing of the engine; engine.hpp and
+// solve.hpp stay net-free.
 //
 // Counting model (documented in docs/FILE_FORMATS.md): `requests` are
 // solve attempts the service answered (ok + errors). Transport rejects —
@@ -38,6 +43,7 @@
 #include <vector>
 
 #include "engine/engine.hpp"
+#include "net/server.hpp"
 
 namespace fppn {
 namespace engine {
@@ -60,9 +66,7 @@ struct ServiceOptions {
   std::size_t max_request_bytes = 0;
 };
 
-/// The load signals net::Server measured for one request (mirror of
-/// net::RequestInfo, redeclared so the engine layer keeps zero net
-/// dependencies — the daemon's wiring lambda copies the fields). Only
+/// The load signals net::Server measured for one request. Only
 /// queue_wait_ms enters the service's accounting: a request's response
 /// never depends on the load. queue_depth and queue_capacity are read
 /// by nothing here; they stay only because the benchmark harness
@@ -72,13 +76,6 @@ struct RequestLoad {
   double queue_wait_ms = 0.0;
   std::size_t queue_depth = 0;
   std::size_t queue_capacity = 0;
-};
-
-/// Which reactor deadline expired (mirror of net::Reactor::TimeoutKind).
-enum class ServeTimeout {
-  kIdle,
-  kRequest,
-  kWrite,
 };
 
 /// Snapshot of the aggregate counters (see the counting model above).
@@ -132,7 +129,14 @@ class SolveService {
 
   /// Counts a reactor-deadline close (net::ServerProtocol::timed_out).
   /// Notification only: the peer is gone, so there is no response line.
-  void note_timeout(ServeTimeout kind);
+  void note_timeout(net::Reactor::TimeoutKind kind);
+
+  /// All five net::ServerProtocol hooks bound to this service (the lines
+  /// above and note_timeout). The service must outlive the server.
+  [[nodiscard]] net::ServerProtocol protocol();
+
+  /// The net::Server handler: handle(request, info.queue_wait_ms).
+  [[nodiscard]] net::Server::Handler handler();
 
   /// The `stats` verb response (also what handle() returns for it).
   [[nodiscard]] std::string render_stats();

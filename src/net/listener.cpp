@@ -269,5 +269,48 @@ int connect_endpoint(const Endpoint& endpoint) {
   return fd;
 }
 
+bool write_all(int fd, const std::string& data) {
+  std::size_t off = 0;
+  while (off < data.size()) {
+    const ssize_t n = ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      return false;
+    }
+    off += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+std::string read_to_eof(int fd) {
+  std::string data;
+  char buf[16384];
+  for (;;) {
+    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n > 0) {
+      data.append(buf, static_cast<std::size_t>(n));
+    } else if (n < 0 && errno == EINTR) {
+      continue;
+    } else {
+      return data;
+    }
+  }
+}
+
+std::optional<std::string> exchange(const Endpoint& endpoint,
+                                    const std::string& request) {
+  const int fd = connect_endpoint(endpoint);
+  if (fd < 0) {
+    return std::nullopt;
+  }
+  (void)write_all(fd, request);
+  ::shutdown(fd, SHUT_WR);  // EOF-frames the request
+  std::string response = read_to_eof(fd);
+  ::close(fd);
+  return response;
+}
+
 }  // namespace net
 }  // namespace fppn

@@ -12,12 +12,22 @@
 // path is cleared before bind and unlinked again on close, the daemon
 // contract since PR 8.
 //
+// The client half of the EOF framing lives here too, next to
+// connect_endpoint(): exchange() connects, writes the request, shuts
+// down its write side (the request delimiter), reads the response to EOF
+// and closes. It is the one client of the serving stack — the daemon's
+// client mode, bench_serve and the serving tests all call it. It uses
+// raw syscalls, never the testing::fault wrappers, so a chaos seed's
+// injection schedule covers the server side only, and its writes use
+// MSG_NOSIGNAL, so a peer that is gone never raises SIGPIPE.
+//
 // Thread safety: a Listener is plain state — confine it to one thread
-// (the reactor). connect_endpoint() is a free function usable from any
-// thread (client mode, tests, benches).
+// (the reactor). connect_endpoint() and the client functions are free
+// functions usable from any thread.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 namespace fppn {
@@ -84,6 +94,22 @@ class Listener {
 /// -1 with errno describing the failure — callers render their own
 /// message (the daemon's client mode has a pinned format).
 [[nodiscard]] int connect_endpoint(const Endpoint& endpoint);
+
+/// Writes all of `data` to the socket `fd` with send(MSG_NOSIGNAL).
+/// EINTR is retried; any other error stops the write. Returns true iff
+/// every byte was written.
+bool write_all(int fd, const std::string& data);
+
+/// Reads `fd` until EOF or a hard error (EINTR is retried) and returns
+/// the bytes read.
+[[nodiscard]] std::string read_to_eof(int fd);
+
+/// One EOF-framed request: connect, write `request`, half-close, read
+/// the response to EOF, close. nullopt iff the connect failed, with
+/// errno describing the failure; a write or read failure after the
+/// connect yields whatever response bytes arrived.
+[[nodiscard]] std::optional<std::string> exchange(const Endpoint& endpoint,
+                                                  const std::string& request);
 
 }  // namespace net
 }  // namespace fppn

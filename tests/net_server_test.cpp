@@ -58,47 +58,12 @@ class TempDir {
   std::string path_;
 };
 
-std::string read_to_eof(int fd) {
-  std::string data;
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n > 0) {
-      data.append(buf, static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    break;
-  }
-  return data;
-}
-
-void write_all(int fd, const std::string& data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-}
+using fppn::net::read_to_eof;
+using fppn::net::write_all;
 
 std::string roundtrip(const std::string& socket_path, const std::string& request) {
-  const int fd = fppn::net::connect_endpoint(Endpoint::unix_socket(socket_path));
-  if (fd < 0) {
-    return "<connect failed: " + std::string(std::strerror(errno)) + ">";
-  }
-  write_all(fd, request);
-  ::shutdown(fd, SHUT_WR);
-  const std::string response = read_to_eof(fd);
-  ::close(fd);
-  return response;
+  return fppn::net::exchange(Endpoint::unix_socket(socket_path), request)
+      .value_or("<connect failed>");
 }
 
 TEST(NetServer, FullQueueAnswersOverloadImmediatelyWhileWorkFinishes) {

@@ -4,10 +4,13 @@
 // connection state machine — echo roundtrips, slow readers against large
 // responses, the oversize cap, the hard-read-error path (a torn TCP
 // request must surface as an error, never as a truncated dispatch), and
-// drain aborting half-read connections.
+// drain aborting half-read connections — plus the EOF-framing client
+// (net::exchange) on a missing socket and against a peer that closes
+// without reading.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -16,6 +19,7 @@
 #include <csignal>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -52,48 +56,12 @@ class TempDir {
   std::string path_;
 };
 
-std::string read_to_eof(int fd) {
-  std::string data;
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n > 0) {
-      data.append(buf, static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    break;
-  }
-  return data;
-}
+using fppn::net::read_to_eof;
+using fppn::net::write_all;
 
-void write_all(int fd, const std::string& data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-}
-
-/// One blocking request/response roundtrip against `endpoint`.
+/// One blocking request/response exchange against `endpoint`.
 std::string roundtrip(const Endpoint& endpoint, const std::string& request) {
-  const int fd = fppn::net::connect_endpoint(endpoint);
-  if (fd < 0) {
-    return "<connect failed: " + std::string(std::strerror(errno)) + ">";
-  }
-  write_all(fd, request);
-  ::shutdown(fd, SHUT_WR);
-  const std::string response = read_to_eof(fd);
-  ::close(fd);
-  return response;
+  return fppn::net::exchange(endpoint, request).value_or("<connect failed>");
 }
 
 // ----------------------------------------------------------- Endpoint --
@@ -154,6 +122,45 @@ TEST(ListenerTest, ConnectToAbsentEndpointFails) {
   EXPECT_LT(fppn::net::connect_endpoint(
                 Endpoint::unix_socket(dir.path() + "/nothing.sock")),
             0);
+}
+
+// ------------------------------------------------------------- client --
+
+TEST(NetClient, ExchangeWithAMissingSocketIsNulloptWithErrnoIntact) {
+  const TempDir dir("missing");
+  errno = 0;
+  const std::optional<std::string> response =
+      fppn::net::exchange(Endpoint::unix_socket(dir.path() + "/nothing.sock"), "hello");
+  const int error = errno;
+  EXPECT_FALSE(response.has_value());
+  EXPECT_EQ(error, ENOENT) << std::strerror(error);
+}
+
+TEST(NetClient, PeerClosingWithoutReadingEndsTheExchangeWithoutSigpipe) {
+  // SIGPIPE at its default disposition: a client write that raised it
+  // would kill this process.
+  const auto previous = std::signal(SIGPIPE, SIG_DFL);
+  const TempDir dir("vanish");
+  const Listener listener =
+      Listener::listen(Endpoint::unix_socket(dir.path() + "/v.sock"));
+  // The peer accepts one connection and closes it unread, so the client's
+  // request of several MiB overflows the socket buffer and meets EPIPE.
+  std::thread peer([&listener] {
+    pollfd pfd{listener.fd(), POLLIN, 0};
+    int conn = -1;
+    while (conn < 0 && ::poll(&pfd, 1, 5000) > 0) {
+      conn = listener.accept_connection();
+    }
+    if (conn >= 0) {
+      ::close(conn);
+    }
+  });
+  const std::optional<std::string> response =
+      fppn::net::exchange(listener.endpoint(), std::string(8u << 20, 'x'));
+  peer.join();
+  std::signal(SIGPIPE, previous);
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(*response, "");
 }
 
 // ---------------------------------------------------------- WorkQueue --
@@ -300,7 +307,6 @@ TEST(ReactorTest, TornTcpRequestRaisesReadErrorNotATruncatedDispatch) {
   // read() error like EOF and solved the truncated request. A client
   // that aborts mid-send (RST via SO_LINGER{1,0}) must surface as
   // on_read_error — on_request must never see the partial bytes.
-  std::signal(SIGPIPE, SIG_IGN);
   EchoReactor echo;
   Listener listener = Listener::listen(Endpoint::tcp("127.0.0.1", 0));
   const Endpoint endpoint = listener.endpoint();

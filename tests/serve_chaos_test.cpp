@@ -21,13 +21,10 @@
 #include <gtest/gtest.h>
 
 #include <dirent.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <csignal>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -78,47 +75,9 @@ std::string slurp(const fs::path& p) {
   return ss.str();
 }
 
-std::string read_to_eof(int fd) {
-  std::string data;
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n > 0) {
-      data.append(buf, static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    break;
-  }
-  return data;
-}
-
-void write_all(int fd, const std::string& data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-}
-
 std::string roundtrip(const std::string& socket_path, const std::string& request) {
-  const int fd = fppn::net::connect_endpoint(net::Endpoint::unix_socket(socket_path));
-  if (fd < 0) {
-    return "";  // accept may be saturated by injected faults: a clean miss
-  }
-  write_all(fd, request);
-  ::shutdown(fd, SHUT_WR);
-  const std::string response = read_to_eof(fd);
-  ::close(fd);
-  return response;
+  // accept may be saturated by injected faults: a failed connect is a clean miss
+  return net::exchange(net::Endpoint::unix_socket(socket_path), request).value_or("");
 }
 
 /// Sweep size: FPPN_CHAOS_SEEDS when set (CI runs 200), else 25.
@@ -190,29 +149,7 @@ void run_chaos_round(std::uint64_t seed, const std::string& network) {
   server_options.write_timeout_ms = 500;
   server_options.queue_deadline_ms = 400;
 
-  net::ServerProtocol protocol;
-  protocol.overloaded = [&service] { return service.overloaded_line(); };
-  protocol.oversized = [&service](std::size_t bytes) {
-    return service.oversized_line(bytes);
-  };
-  protocol.read_error = [&service](int error) {
-    return service.read_error_line(error);
-  };
-  protocol.deadline_exceeded = [&service] {
-    return service.deadline_exceeded_line();
-  };
-  protocol.timed_out = [&service](net::Reactor::TimeoutKind kind) {
-    service.note_timeout(kind == net::Reactor::TimeoutKind::kIdle
-                             ? engine::ServeTimeout::kIdle
-                             : kind == net::Reactor::TimeoutKind::kRequest
-                                   ? engine::ServeTimeout::kRequest
-                                   : engine::ServeTimeout::kWrite);
-  };
-
-  net::Server server(server_options, protocol,
-                     [&service](std::string request, const net::RequestInfo& info) {
-                       return service.handle(request, info.queue_wait_ms);
-                     });
+  net::Server server(server_options, service.protocol(), service.handler());
   server.add_listener(
       net::Listener::listen(net::Endpoint::unix_socket(socket_path)));
 
@@ -236,7 +173,7 @@ void run_chaos_round(std::uint64_t seed, const std::string& network) {
     const int fd =
         net::connect_endpoint(net::Endpoint::unix_socket(socket_path));
     if (fd >= 0) {
-      write_all(fd, network.substr(0, network.size() / 2));
+      net::write_all(fd, network.substr(0, network.size() / 2));
       ::close(fd);
     }
   }

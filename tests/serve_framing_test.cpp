@@ -17,6 +17,10 @@
 // every connection exactly, with nothing overloaded, the queue empty, a
 // fresh solve still answered, and the drain completing.
 //
+// The stack is wired by SolveService::protocol() and handler(), as in the
+// daemon; the ServeProtocol tests call each protocol hook directly and
+// check its response line and the one stats counter it moves.
+//
 // The process does not ignore SIGPIPE, so a response written to a peer
 // that is gone must not raise it.
 #include <gtest/gtest.h>
@@ -24,15 +28,16 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "engine/engine.hpp"
 #include "engine/service.hpp"
@@ -54,38 +59,15 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
-/// Sends `data` in writes of at most `chunk` bytes. MSG_NOSIGNAL: a
-/// server that already closed the connection must not kill the client.
-bool send_all(int fd, const std::string& data, std::size_t chunk) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const std::size_t len = std::min(chunk, data.size() - off);
-    const ssize_t n = ::send(fd, data.data() + off, len, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
+/// Sends `data` one byte per write (net::write_all never raises SIGPIPE,
+/// so a server that already closed the connection cannot kill the client).
+bool send_bytewise(int fd, const std::string& data) {
+  for (const char byte : data) {
+    if (!net::write_all(fd, std::string(1, byte))) {
       return false;
     }
-    off += static_cast<std::size_t>(n);
   }
   return true;
-}
-
-std::string read_to_eof(int fd) {
-  std::string data;
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n > 0) {
-      data.append(buf, static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    return data;
-  }
 }
 
 /// The stats line's "name value" pairs.
@@ -109,7 +91,8 @@ class FramingStack {
       : dir_(fs::temp_directory_path() /
              ("fppn_serve_framing_test_" + std::to_string(::getpid()))),
         service_(engine_, service_options(max_request_bytes)),
-        server_(server_options(max_request_bytes), protocol(), handler()) {
+        server_(server_options(max_request_bytes), service_.protocol(),
+                service_.handler()) {
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     unix_ = net::Endpoint::unix_socket((dir_ / "s.sock").string());
@@ -130,17 +113,20 @@ class FramingStack {
   [[nodiscard]] const net::Endpoint& unix_endpoint() const { return unix_; }
   [[nodiscard]] const net::Endpoint& tcp_endpoint() const { return tcp_; }
 
-  /// Connect, send `request` in `chunk`-byte writes, half-close, read the
-  /// response to EOF.
+  /// One EOF-framed request over the Unix socket (net::exchange), or the
+  /// same framing with the request sent in 1-byte writes.
   [[nodiscard]] std::string exchange(const std::string& request,
-                                     std::size_t chunk = 1 << 16) const {
+                                     bool bytewise = false) const {
+    if (!bytewise) {
+      return net::exchange(unix_, request).value_or("<connect failed>");
+    }
     const int fd = net::connect_endpoint(unix_);
     if (fd < 0) {
-      return "<connect failed: " + std::string(std::strerror(errno)) + ">";
+      return "<connect failed>";
     }
-    send_all(fd, request, chunk);
+    send_bytewise(fd, request);
     ::shutdown(fd, SHUT_WR);
-    std::string response = read_to_eof(fd);
+    std::string response = net::read_to_eof(fd);
     ::close(fd);
     return response;
   }
@@ -202,21 +188,6 @@ class FramingStack {
     return options;
   }
 
-  net::ServerProtocol protocol() {
-    net::ServerProtocol p;
-    p.overloaded = [this] { return service_.overloaded_line(); };
-    p.oversized = [this](std::size_t bytes) { return service_.oversized_line(bytes); };
-    p.read_error = [this](int error) { return service_.read_error_line(error); };
-    p.deadline_exceeded = [this] { return service_.deadline_exceeded_line(); };
-    return p;
-  }
-
-  net::Server::Handler handler() {
-    return [this](std::string request, const net::RequestInfo& info) {
-      return service_.handle(request, info.queue_wait_ms);
-    };
-  }
-
   void stop() {
     if (thread_.joinable()) {
       server_.stop();
@@ -266,8 +237,8 @@ TEST(ServeFraming, OneByteWritesFrameLikeOneWrite) {
   (void)stack.exchange(fig1);  // fills the cache: later answers are identical
   const std::string whole = stack.exchange(fig1);
   EXPECT_EQ(whole.rfind("fppn-serve ok fingerprint ", 0), 0u) << whole;
-  EXPECT_EQ(stack.exchange(fig1, 1), whole);
-  EXPECT_EQ(stack.exchange(fig1 + "\n", 1), too_large_line(fig1.size()));
+  EXPECT_EQ(stack.exchange(fig1, /*bytewise=*/true), whole);
+  EXPECT_EQ(stack.exchange(fig1 + "\n", /*bytewise=*/true), too_large_line(fig1.size()));
 
   stack.expect_stats({{"requests", "3"}, {"ok", "3"}, {"oversized", "1"}, {"overloaded", "0"}});
   stack.expect_healthy(fig1);
@@ -284,14 +255,14 @@ TEST(ServeFraming, PeerClosingMidRequestGetsNoAnswerAndNothingLeaks) {
   {
     const int fd = net::connect_endpoint(stack.unix_endpoint());
     ASSERT_GE(fd, 0) << std::strerror(errno);
-    ASSERT_TRUE(send_all(fd, cut, 1));
+    ASSERT_TRUE(send_bytewise(fd, cut));
     ::close(fd);
   }
   // RST mid-request on TCP: a read error, never solved.
   {
     const int fd = net::connect_endpoint(stack.tcp_endpoint());
     ASSERT_GE(fd, 0) << std::strerror(errno);
-    ASSERT_TRUE(send_all(fd, cut, 1));
+    ASSERT_TRUE(send_bytewise(fd, cut));
     struct linger hard_close;
     hard_close.l_onoff = 1;
     hard_close.l_linger = 0;
@@ -303,7 +274,7 @@ TEST(ServeFraming, PeerClosingMidRequestGetsNoAnswerAndNothingLeaks) {
   {
     const int fd = net::connect_endpoint(stack.unix_endpoint());
     ASSERT_GE(fd, 0) << std::strerror(errno);
-    ASSERT_TRUE(send_all(fd, fig1 + fig1.substr(0, 10), 1));
+    ASSERT_TRUE(send_bytewise(fd, fig1 + fig1.substr(0, 10)));
     ::close(fd);
   }
 
@@ -319,13 +290,65 @@ TEST(ServeFraming, HalfCloseBeforeTheRequestEndsIsAnErrorResponse) {
   const std::string fig1 = slurp(kFig1Path);
   FramingStack stack(fig1.size());
 
-  const std::string cut = stack.exchange(truncated_fig1(fig1), 1);
+  const std::string cut = stack.exchange(truncated_fig1(fig1), /*bytewise=*/true);
   EXPECT_EQ(cut.rfind("fppn-serve error: parse error: ", 0), 0u) << cut;
   const std::string empty = stack.exchange("");
   EXPECT_EQ(empty.rfind("fppn-serve error: ", 0), 0u) << empty;
 
   stack.expect_stats({{"requests", "2"}, {"errors", "2"}, {"overloaded", "0"}});
   stack.expect_healthy(fig1);
+}
+
+/// The stats line's counters: every field but the times and the rate.
+std::map<std::string, std::string> counters(engine::SolveService& service) {
+  std::map<std::string, std::string> fields = parse_stats(service.render_stats());
+  for (const char* name : {"hit-rate", "p50-ms", "p99-ms", "uptime-ms"}) {
+    fields.erase(name);
+  }
+  return fields;
+}
+
+/// Calls one hook of a fresh service's protocol() and checks that it
+/// answers `line` and moves `counter`, and only it, from 0 to 1.
+void expect_hook(const std::string& counter, const std::string& line,
+                 const std::function<std::string(const net::ServerProtocol&)>& call) {
+  SCOPED_TRACE(counter);
+  engine::Engine engine;
+  engine::ServiceOptions options;
+  options.max_request_bytes = 64;
+  engine::SolveService service(engine, options);
+  std::map<std::string, std::string> expected = counters(service);
+  ASSERT_EQ(expected.count(counter), 1u);
+  EXPECT_EQ(call(service.protocol()), line);
+  expected[counter] = "1";
+  EXPECT_EQ(counters(service), expected);
+}
+
+TEST(ServeProtocol, EachRejectHookAnswersItsLineAndMovesOnlyItsCounter) {
+  expect_hook("overloaded", "fppn-serve error: overloaded\n",
+              [](const net::ServerProtocol& p) { return p.overloaded(); });
+  expect_hook("oversized", too_large_line(64),
+              [](const net::ServerProtocol& p) { return p.oversized(65); });
+  expect_hook("read-errors",
+              std::string("fppn-serve error: request read failed: ") +
+                  std::strerror(ECONNRESET) + "\n",
+              [](const net::ServerProtocol& p) { return p.read_error(ECONNRESET); });
+  expect_hook("shed", "fppn-serve error: deadline exceeded\n",
+              [](const net::ServerProtocol& p) { return p.deadline_exceeded(); });
+}
+
+TEST(ServeProtocol, TimedOutMovesTheCounterOfItsKind) {
+  const std::pair<net::Reactor::TimeoutKind, const char*> kinds[] = {
+      {net::Reactor::TimeoutKind::kIdle, "idle-timeouts"},
+      {net::Reactor::TimeoutKind::kRequest, "request-timeouts"},
+      {net::Reactor::TimeoutKind::kWrite, "write-timeouts"},
+  };
+  for (const auto& [kind, counter] : kinds) {
+    expect_hook(counter, "", [kind = kind](const net::ServerProtocol& p) {
+      p.timed_out(kind);
+      return std::string();
+    });
+  }
 }
 
 }  // namespace

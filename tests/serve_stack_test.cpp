@@ -60,48 +60,9 @@ std::string slurp(const fs::path& p) {
   return ss.str();
 }
 
-std::string read_to_eof(int fd) {
-  std::string data;
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n > 0) {
-      data.append(buf, static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    break;
-  }
-  return data;
-}
-
-void write_all(int fd, const std::string& data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-}
-
-/// One request/response roundtrip against the daemon.
+/// One request/response exchange against the daemon.
 std::string roundtrip(const Endpoint& endpoint, const std::string& request) {
-  const int fd = fppn::net::connect_endpoint(endpoint);
-  if (fd < 0) {
-    return "<connect failed: " + std::string(std::strerror(errno)) + ">";
-  }
-  write_all(fd, request);
-  ::shutdown(fd, SHUT_WR);
-  const std::string response = read_to_eof(fd);
-  ::close(fd);
-  return response;
+  return fppn::net::exchange(endpoint, request).value_or("<connect failed>");
 }
 
 /// Forks the daemon with the given extra flags, stderr captured to `log`.
@@ -355,7 +316,7 @@ TEST(ServeStack, TornTcpRequestSurfacesAsAReadErrorNotASolve) {
 
   const int fd = fppn::net::connect_endpoint(Endpoint::tcp("127.0.0.1", port));
   ASSERT_GE(fd, 0) << std::strerror(errno);
-  write_all(fd, "process a period 10\n");  // a prefix of a valid network
+  fppn::net::write_all(fd, "process a period 10\n");  // a prefix of a valid network
   struct linger hard_close;
   hard_close.l_onoff = 1;
   hard_close.l_linger = 0;

@@ -214,6 +214,20 @@ TEST(ServeDaemon, FlagErrorsExitTwo) {
   EXPECT_EQ(zero_workers.err,
             "fppn_serve: --workers must be in [1, 2147483647], got '0'\n");
 
+  // --seed spans all of uint64, as in fppn_tool: the largest seed is
+  // accepted (the client then fails to connect, exit 1), a sign is not.
+  const CmdResult max_seed =
+      run_serve("--socket /nonexistent/x.sock --seed 18446744073709551615 --stats");
+  EXPECT_EQ(max_seed.exit_code, 1);
+  EXPECT_EQ(max_seed.err,
+            "fppn_serve: cannot connect to '/nonexistent/x.sock': No such file or "
+            "directory\n");
+
+  const CmdResult negative_seed = run_serve("--socket /tmp/x --seed -1");
+  EXPECT_EQ(negative_seed.exit_code, 2);
+  EXPECT_EQ(negative_seed.err,
+            "fppn_serve: expected an unsigned integer for --seed, got '-1'\n");
+
   const CmdResult unknown = run_serve("--socket /tmp/x --frobnicate");
   EXPECT_EQ(unknown.exit_code, 2);
   EXPECT_EQ(unknown.err.find("usage: fppn_serve "), 0u) << unknown.err;

@@ -2,7 +2,9 @@
 // three layers and nothing else: net::Server (reactor + bounded work
 // queue + solver pool) owns the sockets, engine::SolveService owns every
 // byte of the wire grammar and the per-request accounting, and
-// engine::Engine solves. This file is flag parsing and wiring.
+// engine::Engine solves. This file is flag parsing plus
+// `net::Server(options, service.protocol(), service.handler())`: the
+// hook wiring lives in SolveService, the EOF-framing client in net.
 //
 // Protocol (one connection per request, text both ways):
 //   request:  the bytes of a `.fppn` network description — exactly the
@@ -52,11 +54,11 @@
 // socket file is unlinked), queued requests finish, every response is
 // written — then the process exits 0.
 //
-// `--request FILE` flips the binary into a one-shot client: connect,
-// send FILE, print the response to stdout, exit 0 on an "ok" response —
-// the client half of the CI smoke and the golden serve tests. `--stats`
-// is the same for the stats verb (exit 0 on a "fppn-serve stats" line).
-#include <sys/socket.h>
+// `--request FILE` flips the binary into a one-shot client: send FILE
+// through net::exchange, print the response to stdout, exit 0 on an "ok"
+// response — the client half of the CI smoke and the golden serve tests.
+// `--stats` is the same for the stats verb (exit 0 on a "fppn-serve
+// stats" line).
 #include <unistd.h>
 
 #include <cerrno>
@@ -74,11 +76,13 @@
 
 #include "engine/engine.hpp"
 #include "engine/service.hpp"
+#include "flag_parse.hpp"
 #include "net/listener.hpp"
 #include "net/server.hpp"
 #include "testing/fault_injector.hpp"
 
 using namespace fppn;
+using tool::kIntMax;
 
 namespace {
 
@@ -138,35 +142,7 @@ void print_usage(std::FILE* out) {
   std::exit(2);
 }
 
-constexpr std::int64_t kNoMax = std::numeric_limits<std::int64_t>::max();
-constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
-
-/// Checked integer parse, fppn_serve's analogue of the fppn_tool helper:
-/// values that are not integers or fall outside [min_value, max_value]
-/// exit 2 with an actionable message naming the flag.
-std::int64_t parse_int_flag(const char* flag, const std::string& value,
-                            std::int64_t min_value, std::int64_t max_value = kNoMax) {
-  errno = 0;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(value.c_str(), &end, 10);
-  if (value.empty() || end != value.c_str() + value.size()) {
-    std::fprintf(stderr, "fppn_serve: expected an integer for %s, got '%s'\n", flag,
-                 value.c_str());
-    std::exit(2);
-  }
-  if (errno == ERANGE || parsed < min_value || parsed > max_value) {
-    if (max_value == kNoMax) {
-      std::fprintf(stderr, "fppn_serve: %s must be >= %lld, got '%s'\n", flag,
-                   static_cast<long long>(min_value), value.c_str());
-    } else {
-      std::fprintf(stderr, "fppn_serve: %s must be in [%lld, %lld], got '%s'\n", flag,
-                   static_cast<long long>(min_value),
-                   static_cast<long long>(max_value), value.c_str());
-    }
-    std::exit(2);
-  }
-  return parsed;
-}
+constexpr char kProgram[] = "fppn_serve";
 
 struct ServeArgs {
   std::string socket_path;
@@ -213,6 +189,12 @@ ServeArgs parse_args(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // The next argument as a checked value of flag `arg`: exit 2 if bad.
+    const auto int_value =
+        [&](std::int64_t min_value,
+            std::int64_t max_value = std::numeric_limits<std::int64_t>::max()) {
+          return tool::parse_int_flag(kProgram, arg.c_str(), next(), min_value, max_value);
+        };
     if (arg == "--socket") {
       a.socket_path = next();
     } else if (arg == "--listen") {
@@ -228,23 +210,19 @@ ServeArgs parse_args(int argc, char** argv) {
     } else if (arg == "--stats") {
       a.stats_request = true;
     } else if (arg == "--workers") {
-      a.solver_threads =
-          static_cast<int>(parse_int_flag("--workers", next(), 1, kIntMax));
+      a.solver_threads = static_cast<int>(int_value(1, kIntMax));
     } else if (arg == "--solver-threads") {
-      a.solver_threads =
-          static_cast<int>(parse_int_flag("--solver-threads", next(), 1, kIntMax));
+      a.solver_threads = static_cast<int>(int_value(1, kIntMax));
     } else if (arg == "--queue-capacity") {
-      a.queue_capacity =
-          static_cast<std::size_t>(parse_int_flag("--queue-capacity", next(), 1));
+      a.queue_capacity = static_cast<std::size_t>(int_value(1));
     } else if (arg == "--max-request-bytes") {
-      a.max_request_bytes =
-          static_cast<std::size_t>(parse_int_flag("--max-request-bytes", next(), 0));
+      a.max_request_bytes = static_cast<std::size_t>(int_value(0));
     } else if (arg == "-m") {
-      a.processors = parse_int_flag("-m", next(), 1);
+      a.processors = int_value(1);
     } else if (arg == "--seed") {
-      a.seed = static_cast<std::uint64_t>(parse_int_flag("--seed", next(), 0));
+      a.seed = tool::parse_u64_flag(kProgram, "--seed", next());
     } else if (arg == "--jobs") {
-      a.jobs = static_cast<int>(parse_int_flag("--jobs", next(), 0, kIntMax));
+      a.jobs = static_cast<int>(int_value(0, kIntMax));
     } else if (arg == "--optimize") {
       a.optimize = true;
     } else if (arg == "--verbose") {
@@ -252,27 +230,21 @@ ServeArgs parse_args(int argc, char** argv) {
     } else if (arg == "--cache-dir") {
       a.cache_dir = next();
     } else if (arg == "--cache-max-entries") {
-      a.cache_max_entries =
-          static_cast<std::size_t>(parse_int_flag("--cache-max-entries", next(), 0));
+      a.cache_max_entries = static_cast<std::size_t>(int_value(0));
     } else if (arg == "--cache-max-bytes") {
-      a.cache_max_bytes =
-          static_cast<std::uint64_t>(parse_int_flag("--cache-max-bytes", next(), 0));
+      a.cache_max_bytes = static_cast<std::uint64_t>(int_value(0));
     } else if (arg == "--idle-timeout-ms") {
-      a.idle_timeout_ms =
-          static_cast<int>(parse_int_flag("--idle-timeout-ms", next(), 0, kIntMax));
+      a.idle_timeout_ms = static_cast<int>(int_value(0, kIntMax));
     } else if (arg == "--request-timeout-ms") {
-      a.request_timeout_ms =
-          static_cast<int>(parse_int_flag("--request-timeout-ms", next(), 0, kIntMax));
+      a.request_timeout_ms = static_cast<int>(int_value(0, kIntMax));
     } else if (arg == "--write-timeout-ms") {
-      a.write_timeout_ms =
-          static_cast<int>(parse_int_flag("--write-timeout-ms", next(), 0, kIntMax));
+      a.write_timeout_ms = static_cast<int>(int_value(0, kIntMax));
     } else if (arg == "--queue-deadline-ms") {
-      a.queue_deadline_ms =
-          static_cast<int>(parse_int_flag("--queue-deadline-ms", next(), 0, kIntMax));
+      a.queue_deadline_ms = static_cast<int>(int_value(0, kIntMax));
     } else if (arg == "--fault-seed") {
-      a.fault_seed = static_cast<std::uint64_t>(parse_int_flag("--fault-seed", next(), 0));
+      a.fault_seed = static_cast<std::uint64_t>(int_value(0));
     } else if (arg == "--fault-rate") {
-      a.fault_rate = static_cast<int>(parse_int_flag("--fault-rate", next(), 0, kIntMax));
+      a.fault_rate = static_cast<int>(int_value(0, kIntMax));
       if (a.fault_rate > 1024) {
         a.fault_rate = 1024;
       }
@@ -285,38 +257,6 @@ ServeArgs parse_args(int argc, char** argv) {
     std::exit(2);
   }
   return a;
-}
-
-/// Reads the peer's bytes until EOF (client mode; blocking fd).
-std::string read_to_eof(int fd) {
-  std::string data;
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n > 0) {
-      data.append(buf, static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    break;
-  }
-  return data;
-}
-
-void write_all(int fd, const std::string& data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return;  // peer gone (SIGPIPE is ignored); nothing useful to do
-    }
-    off += static_cast<std::size_t>(n);
-  }
 }
 
 int run_server(const ServeArgs& args) {
@@ -395,35 +335,7 @@ int run_server(const ServeArgs& args) {
   server_options.write_timeout_ms = args.write_timeout_ms;
   server_options.queue_deadline_ms = args.queue_deadline_ms;
 
-  net::ServerProtocol protocol;
-  protocol.overloaded = [&service] { return service.overloaded_line(); };
-  protocol.oversized = [&service](std::size_t bytes) {
-    return service.oversized_line(bytes);
-  };
-  protocol.read_error = [&service](int error) {
-    return service.read_error_line(error);
-  };
-  protocol.deadline_exceeded = [&service] { return service.deadline_exceeded_line(); };
-  protocol.timed_out = [&service](net::Reactor::TimeoutKind kind) {
-    // net stays ignorant of the engine: the mapping between the mirror
-    // enums lives here in the wiring.
-    switch (kind) {
-      case net::Reactor::TimeoutKind::kIdle:
-        service.note_timeout(engine::ServeTimeout::kIdle);
-        break;
-      case net::Reactor::TimeoutKind::kRequest:
-        service.note_timeout(engine::ServeTimeout::kRequest);
-        break;
-      case net::Reactor::TimeoutKind::kWrite:
-        service.note_timeout(engine::ServeTimeout::kWrite);
-        break;
-    }
-  };
-
-  net::Server server(server_options, protocol,
-                     [&service](std::string request, const net::RequestInfo& info) {
-                       return service.handle(request, info.queue_wait_ms);
-                     });
+  net::Server server(server_options, service.protocol(), service.handler());
   for (net::Listener& listener : listeners) {
     server.add_listener(std::move(listener));
   }
@@ -463,20 +375,15 @@ int run_client(const ServeArgs& args) {
                                      ? net::Endpoint::unix_socket(args.socket_path)
                                      : *args.listen_endpoint;
   const std::string& target = use_unix ? args.socket_path : args.listen_text;
-  const int fd = net::connect_endpoint(endpoint);
-  if (fd < 0) {
+  const std::optional<std::string> response = net::exchange(endpoint, request_text);
+  if (!response.has_value()) {
     std::fprintf(stderr, "fppn_serve: cannot connect to '%s': %s\n", target.c_str(),
                  std::strerror(errno));
     return 1;
   }
-  std::signal(SIGPIPE, SIG_IGN);
-  write_all(fd, request_text);
-  ::shutdown(fd, SHUT_WR);  // EOF-frames the request
-  const std::string response = read_to_eof(fd);
-  ::close(fd);
-  std::fputs(response.c_str(), stdout);
+  std::fputs(response->c_str(), stdout);
   const char* expected = args.stats_request ? "fppn-serve stats" : "fppn-serve ok";
-  return response.rfind(expected, 0) == 0 ? 0 : 1;
+  return response->rfind(expected, 0) == 0 ? 0 : 1;
 }
 
 }  // namespace

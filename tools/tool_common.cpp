@@ -1,9 +1,9 @@
 #include "tool_common.hpp"
 
-#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 
+#include "flag_parse.hpp"
 #include "runtime/runtime.hpp"
 #include "sched/registry.hpp"
 
@@ -64,54 +64,9 @@ void usage() {
   std::exit(2);
 }
 
-constexpr std::int64_t kNoMax = std::numeric_limits<std::int64_t>::max();
-
-std::int64_t parse_int_flag(const char* flag, const std::string& value,
-                            std::int64_t min_value, std::int64_t max_value) {
-  errno = 0;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(value.c_str(), &end, 10);
-  if (value.empty() || end != value.c_str() + value.size()) {
-    std::fprintf(stderr, "fppn_tool: expected an integer for %s, got '%s'\n", flag,
-                 value.c_str());
-    std::exit(2);
-  }
-  if (errno == ERANGE) {
-    std::fprintf(stderr, "fppn_tool: %s out of range, got '%s'\n", flag, value.c_str());
-    std::exit(2);
-  }
-  if (parsed < min_value || parsed > max_value) {
-    if (max_value == kNoMax) {
-      std::fprintf(stderr, "fppn_tool: %s must be >= %lld, got '%s'\n", flag,
-                   static_cast<long long>(min_value), value.c_str());
-    } else {
-      std::fprintf(stderr, "fppn_tool: %s must be in [%lld, %lld], got '%s'\n", flag,
-                   static_cast<long long>(min_value),
-                   static_cast<long long>(max_value), value.c_str());
-    }
-    std::exit(2);
-  }
-  return parsed;
-}
-
-std::uint64_t parse_u64_flag(const char* flag, const std::string& value) {
-  errno = 0;
-  char* end = nullptr;
-  const bool has_sign = !value.empty() && (value[0] == '-' || value[0] == '+');
-  const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-  if (value.empty() || has_sign || end != value.c_str() + value.size()) {
-    std::fprintf(stderr, "fppn_tool: expected an unsigned integer for %s, got '%s'\n",
-                 flag, value.c_str());
-    std::exit(2);
-  }
-  if (errno == ERANGE) {
-    std::fprintf(stderr, "fppn_tool: %s out of range, got '%s'\n", flag, value.c_str());
-    std::exit(2);
-  }
-  return parsed;
-}
-
 namespace {
+
+constexpr char kProgram[] = "fppn_tool";
 
 /// Validates a user-supplied registry name; on failure prints the name and
 /// the registered list (kind = "strategy" / "runtime") and exits 2.
@@ -163,10 +118,10 @@ Args parse_args(int argc, char** argv) {
     };
     if (arg == "-m") {
       // Nonsensical values fail here at the CLI, not deep in the engine.
-      a.processors = parse_int_flag("-m", next(), 1);
+      a.processors = parse_int_flag(kProgram, "-m", next(), 1);
       a.processors_given = true;
     } else if (arg == "--seeds") {
-      a.fuzz_seeds = parse_int_flag("--seeds", next(), 1);
+      a.fuzz_seeds = parse_int_flag(kProgram, "--seeds", next(), 1);
     } else if (arg == "--families") {
       a.families = next();
     } else if (arg == "--repro-dir") {
@@ -174,20 +129,19 @@ Args parse_args(int argc, char** argv) {
     } else if (arg == "--replay") {
       a.replay = next();
     } else if (arg == "--shrink-steps") {
-      a.shrink_steps = static_cast<int>(parse_int_flag(
-          "--shrink-steps", next(), 1, std::numeric_limits<int>::max()));
+      a.shrink_steps = static_cast<int>(
+          parse_int_flag(kProgram, "--shrink-steps", next(), 1, kIntMax));
     } else if (arg == "--inject-bug") {
       a.inject_bug = true;
     } else if (arg == "--frames") {
-      a.frames = parse_int_flag("--frames", next(), 0);
+      a.frames = parse_int_flag(kProgram, "--frames", next(), 0);
     } else if (arg == "--unfold") {
-      a.unfold = static_cast<int>(
-          parse_int_flag("--unfold", next(), 1, std::numeric_limits<int>::max()));
+      a.unfold =
+          static_cast<int>(parse_int_flag(kProgram, "--unfold", next(), 1, kIntMax));
     } else if (arg == "--jobs") {
-      a.jobs = static_cast<int>(
-          parse_int_flag("--jobs", next(), 0, std::numeric_limits<int>::max()));
+      a.jobs = static_cast<int>(parse_int_flag(kProgram, "--jobs", next(), 0, kIntMax));
     } else if (arg == "--seed") {
-      a.seed = parse_u64_flag("--seed", next());
+      a.seed = parse_u64_flag(kProgram, "--seed", next());
     } else if (arg == "--wcet") {
       a.uniform_wcet = io::parse_duration(next());
     } else if (arg == "--strategy" || arg == "--heuristic") {
@@ -203,10 +157,10 @@ Args parse_args(int argc, char** argv) {
       a.cache_dir = next();
     } else if (arg == "--cache-max-entries") {
       a.cache_max_entries = static_cast<std::size_t>(parse_int_flag(
-          "--cache-max-entries", next(), 1, std::numeric_limits<int>::max()));
+          kProgram, "--cache-max-entries", next(), 1, kIntMax));
     } else if (arg == "--cache-max-bytes") {
       a.cache_max_bytes = static_cast<std::uint64_t>(
-          parse_int_flag("--cache-max-bytes", next(), 1));
+          parse_int_flag(kProgram, "--cache-max-bytes", next(), 1));
     } else if (arg == "--no-cache") {
       a.no_cache = true;
     } else if (arg == "--optimize") {

@@ -1,6 +1,5 @@
-// Shared plumbing of the fppn_tool subcommand modules: the parsed Args,
-// the checked flag parsers (a non-integer or out-of-range value exits 2
-// with an actionable message — never a raw stoi/stoll exception), usage
+// Shared plumbing of the fppn_tool subcommand modules: the parsed Args
+// (numeric flags through the checked parsers of flag_parse.hpp), usage
 // printing, and the translation of Args into an engine::SolveRequest.
 //
 // Subcommands are thin by design: they parse flags into a SolveRequest,
@@ -12,7 +11,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <limits>
 #include <optional>
 #include <string>
 
@@ -55,16 +53,6 @@ struct Args {
 void print_usage(std::FILE* out);
 
 [[noreturn]] void usage();
-
-/// Checked integer parse for a numeric flag; see the header comment.
-std::int64_t parse_int_flag(const char* flag, const std::string& value,
-                            std::int64_t min_value,
-                            std::int64_t max_value =
-                                std::numeric_limits<std::int64_t>::max());
-
-/// Checked unsigned parse (for --seed): rejects signs, non-digits and
-/// values beyond uint64.
-std::uint64_t parse_u64_flag(const char* flag, const std::string& value);
 
 Args parse_args(int argc, char** argv);
 
