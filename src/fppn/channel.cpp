@@ -26,43 +26,30 @@ std::string to_string(ChannelScope s) {
 
 Value ChannelRuntime::read() {
   if (kind_ == ChannelKind::kFifo) {
-    if (fifo_.empty()) {
-      return no_data();
-    }
-    Value v = std::move(fifo_.front());
-    fifo_.pop_front();
-    return v;
+    return head_ < history_.size() ? history_[head_++] : no_data();
   }
-  return board_.has_value() ? *board_ : no_data();
+  return peek();
 }
 
-void ChannelRuntime::write(Value v) {
-  history_.push_back(v);
-  if (kind_ == ChannelKind::kFifo) {
-    fifo_.push_back(std::move(v));
-  } else {
-    board_ = std::move(v);
-  }
-}
+void ChannelRuntime::write(Value v) { history_.push_back(std::move(v)); }
 
 Value ChannelRuntime::peek() const {
   if (kind_ == ChannelKind::kFifo) {
-    return fifo_.empty() ? no_data() : fifo_.front();
+    return head_ < history_.size() ? history_[head_] : no_data();
   }
-  return board_.has_value() ? *board_ : no_data();
+  return history_.empty() ? no_data() : history_.back();
 }
 
 std::size_t ChannelRuntime::buffered() const noexcept {
   if (kind_ == ChannelKind::kFifo) {
-    return fifo_.size();
+    return history_.size() - head_;
   }
-  return board_.has_value() ? 1 : 0;
+  return history_.empty() ? 0 : 1;
 }
 
 void ChannelRuntime::reset() {
-  fifo_.clear();
-  board_.reset();
   history_.clear();
+  head_ = 0;
 }
 
 }  // namespace fppn

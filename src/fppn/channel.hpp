@@ -6,11 +6,13 @@
 //    reading an uninitialized blackboard yields non-availability.
 // ChannelRuntime also records the full written-value history, which is what
 // Prop. 2.1 (determinism) quantifies over and what the tests compare.
+//
+// The history is the only storage: a blackboard's value is its last
+// entry, and a FIFO's queue is the suffix from a read cursor to the end.
+// A write stores its Value once.
 #pragma once
 
 #include <cstddef>
-#include <deque>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -53,16 +55,19 @@ class ChannelRuntime {
   /// Every value ever written, in order — the channel's output history in
   /// the sense of Prop. 2.1.
   [[nodiscard]] const std::vector<Value>& history() const& noexcept { return history_; }
-  [[nodiscard]] std::vector<Value> history() && noexcept { return std::move(history_); }
+  /// The history moved out; the channel is left empty, as after reset().
+  [[nodiscard]] std::vector<Value> history() && noexcept {
+    head_ = 0;
+    return std::move(history_);
+  }
 
   /// Clears buffered data and history (fresh execution).
   void reset();
 
  private:
   ChannelKind kind_;
-  std::deque<Value> fifo_;
-  std::optional<Value> board_;
   std::vector<Value> history_;
+  std::size_t head_ = 0;  ///< FIFO only: the next unread entry of history_
 };
 
 }  // namespace fppn

@@ -111,24 +111,10 @@ void InvocationPlan::add(Time t, ProcessId p, int count) {
   slots_.insert(slots_.end(), static_cast<std::size_t>(count), Invocation{t, p});
 }
 
-std::vector<InvocationGroup> InvocationPlan::groups() const {
+std::vector<Invocation> InvocationPlan::sorted_slots() const {
   std::vector<Invocation> slots = slots_;
   std::sort(slots.begin(), slots.end(), slot_before);
-  std::vector<InvocationGroup> out;
-  for (std::size_t i = 0; i < slots.size();) {
-    std::size_t end = i + 1;
-    while (end < slots.size() && slots[end].time == slots[i].time) {
-      ++end;
-    }
-    InvocationGroup g;
-    g.time = slots[i].time;
-    g.processes.reserve(end - i);
-    for (; i < end; ++i) {
-      g.processes.push_back(slots[i].process);
-    }
-    out.push_back(std::move(g));
-  }
-  return out;
+  return slots;
 }
 
 InvocationPlan InvocationPlan::build(const Network& net, Time horizon,

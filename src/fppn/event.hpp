@@ -8,7 +8,9 @@
 // An InvocationPlan is a concrete timed sequence (t_1, P_1), (t_2, P_2) ...
 // of simultaneous invocation multisets — the input of the zero-delay
 // semantics (§II-B). It is stored flat: one vector of (instant, process)
-// slots, which groups() sorts once and cuts into the multisets.
+// slots. sorted_slots() sorts a copy once by (instant, process id); each
+// run of equal instants in it is one multiset P_i, so a reader walks the
+// runs and builds no per-instant container.
 #pragma once
 
 #include <cstdint>
@@ -77,22 +79,18 @@ struct Invocation {
   }
 };
 
-/// The multiset of processes invoked at one instant t_i.
-struct InvocationGroup {
-  Time time;
-  std::vector<ProcessId> processes;  ///< sorted by id; bursts = repeats
-};
-
 class Network;  // fwd
 
-/// Timed sequence of simultaneous invocation groups over [0, horizon).
+/// Timed sequence of simultaneous invocation multisets over [0, horizon).
 class InvocationPlan {
  public:
   /// Adds `count` invocations of `p` at `t` (t >= 0 required).
   void add(Time t, ProcessId p, int count = 1);
 
-  /// Groups sorted by time; within a group processes sorted by id.
-  [[nodiscard]] std::vector<InvocationGroup> groups() const;
+  /// The slots sorted by (time, process id): a run of equal times is the
+  /// multiset invoked at that instant, its processes sorted by id and a
+  /// burst as repeats. The plan itself is left in add() order.
+  [[nodiscard]] std::vector<Invocation> sorted_slots() const;
 
   [[nodiscard]] std::size_t invocation_count() const noexcept { return slots_.size(); }
   [[nodiscard]] bool empty() const noexcept { return slots_.empty(); }
@@ -106,7 +104,7 @@ class InvocationPlan {
 
  private:
   /// One invocation per slot in add() order; a burst of m is m equal
-  /// slots. groups() sorts them once by (time, process id).
+  /// slots. sorted_slots() sorts a copy by (time, process id).
   std::vector<Invocation> slots_;
 };
 

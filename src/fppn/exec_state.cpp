@@ -31,9 +31,14 @@ void JobContext::write(const std::string& channel_name, Value v) {
   write(*c, std::move(v));
 }
 
-ExecutionState::ExecutionState(const Network& net, InputScripts inputs,
+const InputScripts& ExecutionState::no_inputs() {
+  static const InputScripts empty;
+  return empty;
+}
+
+ExecutionState::ExecutionState(const Network& net, const InputScripts& inputs,
                                ActionTrace* trace)
-    : net_(&net), inputs_(std::move(inputs)), trace_(trace) {
+    : net_(&net), inputs_(&inputs), trace_(trace) {
   channels_.reserve(net.channel_count());
   for (std::size_t i = 0; i < net.channel_count(); ++i) {
     channels_.emplace_back(net.channel(ChannelId{i}).kind);
@@ -43,7 +48,7 @@ ExecutionState::ExecutionState(const Network& net, InputScripts inputs,
     behaviors_.push_back(net.process(ProcessId{i}).make_behavior());
   }
   job_counts_.assign(net.process_count(), 0);
-  for (const auto& [c, samples] : inputs_) {
+  for (const auto& [c, samples] : inputs) {
     if (net.channel(c).scope != ChannelScope::kExternalInput) {
       throw std::invalid_argument("input script bound to non-input channel '" +
                                   net.channel(c).name + "'");
@@ -99,8 +104,8 @@ Value ExecutionState::do_read(ProcessId p, std::int64_t k, ChannelId c) {
                                "' is not the reader of input '" + decl.name + "'");
       }
       // x?[k]I: sample k (1-based) of the input script.
-      const auto it = inputs_.find(c);
-      if (it == inputs_.end() ||
+      const auto it = inputs_->find(c);
+      if (it == inputs_->end() ||
           static_cast<std::size_t>(k) > it->second.size() || k < 1) {
         v = no_data();
       } else {

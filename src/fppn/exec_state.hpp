@@ -2,11 +2,15 @@
 // process behaviors.
 //
 // ExecutionState owns: one ChannelRuntime per internal channel, one fresh
-// behavior instance per process, per-process job counters k, the external
-// input scripts (sample arrays indexed by k, per §II-A: the k-th job run
-// reads sample [k]) and the histories. The action trace belongs to the
-// caller: the state appends to the ActionTrace it was handed, or records
-// nothing when handed none (the online runtimes compare histories only).
+// behavior instance per process, per-process job counters k and the
+// histories. Two things belong to the caller and must outlive the state:
+//  - the external input scripts (sample arrays indexed by k, per §II-A:
+//    the k-th job run reads sample [k]). The state reads them in place
+//    and copies none; it cannot be built from a temporary InputScripts,
+//    since that would dangle;
+//  - the action trace: the state appends to the ActionTrace it was
+//    handed, or records nothing when handed none (the online runtimes
+//    compare histories only).
 //
 // Both semantics engines drive the same state object: the zero-delay
 // interpreter (semantics.hpp) runs jobs back-to-back at invocation
@@ -71,10 +75,15 @@ class JobContext {
 class ExecutionState {
  public:
   /// Fresh state: channels empty, behaviors newly constructed, counters 0.
-  /// Every action is appended to `*trace` when it is non-null; the trace
-  /// must outlive the state.
-  explicit ExecutionState(const Network& net, InputScripts inputs = {},
+  /// `inputs` is read in place and must outlive the state (default: no
+  /// scripts). Every action is appended to `*trace` when it is non-null;
+  /// the trace must outlive the state.
+  explicit ExecutionState(const Network& net, const InputScripts& inputs = no_inputs(),
                           ActionTrace* trace = nullptr);
+  /// A temporary InputScripts would dangle: build the state from one the
+  /// caller keeps alive.
+  ExecutionState(const Network& net, InputScripts&& inputs,
+                 ActionTrace* trace = nullptr) = delete;
 
   [[nodiscard]] const Network& network() const noexcept { return *net_; }
 
@@ -101,11 +110,14 @@ class ExecutionState {
   Value do_read(ProcessId p, std::int64_t k, ChannelId c);
   void do_write(ProcessId p, std::int64_t k, Time now, ChannelId c, Value v);
 
+  /// The empty scripts a state without inputs reads.
+  static const InputScripts& no_inputs();
+
   const Network* net_;
   std::vector<ChannelRuntime> channels_;                    // internal channels only
   std::vector<std::unique_ptr<ProcessBehavior>> behaviors_; // per process
   std::vector<std::int64_t> job_counts_;                    // per process
-  InputScripts inputs_;
+  const InputScripts* inputs_;                              // the caller's
   std::map<ChannelId, std::vector<OutputSample>> outputs_;
   ActionTrace* trace_;  // the caller's sink; null records nothing
   Time current_time_;

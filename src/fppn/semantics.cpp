@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "graph/algorithms.hpp"
 
@@ -43,6 +44,17 @@ std::vector<ProcessId> order_simultaneous(const Network& net,
 
 namespace {
 
+/// Hash of one simultaneous multiset (process ids sorted, bursts repeated).
+struct MultisetHash {
+  std::size_t operator()(const std::vector<ProcessId>& multiset) const noexcept {
+    std::size_t h = multiset.size();
+    for (const ProcessId p : multiset) {
+      h = (h ^ p.value()) * 0x100000001b3ULL;
+    }
+    return h;
+  }
+};
+
 /// The §II-B interpreter both entry points share: appends every action to
 /// the result's trace when `traced`, else hands ExecutionState the null
 /// sink and keeps the histories only.
@@ -52,19 +64,25 @@ ZeroDelayResult interpret(const Network& net, const InvocationPlan& plan,
   ZeroDelayResult result;
   ExecutionState state(net, inputs, traced ? &result.trace : nullptr);
   // order_simultaneous is a pure function of (net, multiset, tie_break),
-  // and a run repeats the same few multisets: order each one once.
-  std::map<std::vector<ProcessId>, std::vector<ProcessId>> orders;
-  for (const InvocationGroup& group : plan.groups()) {
-    state.advance_time(group.time);
-    auto it = orders.find(group.processes);
+  // and a run repeats the same few multisets: order each one once. `key`
+  // holds the current instant's multiset and is reused for every lookup.
+  std::unordered_map<std::vector<ProcessId>, std::vector<ProcessId>, MultisetHash>
+      orders;
+  std::vector<ProcessId> key;
+  const std::vector<Invocation> slots = plan.sorted_slots();
+  for (std::size_t first = 0, last = 0; first < slots.size(); first = last) {
+    const Time& now = slots[first].time;
+    key.clear();
+    while (last < slots.size() && slots[last].time == now) {
+      key.push_back(slots[last++].process);
+    }
+    state.advance_time(now);
+    auto it = orders.find(key);
     if (it == orders.end()) {
-      it = orders
-               .emplace(group.processes,
-                        order_simultaneous(net, group.processes, tie_break))
-               .first;
+      it = orders.emplace(key, order_simultaneous(net, key, tie_break)).first;
     }
     for (const ProcessId p : it->second) {
-      state.run_job(p, group.time);
+      state.run_job(p, now);
       ++result.jobs_executed;
     }
   }

@@ -1,9 +1,9 @@
 #include "runtime/vm_runtime.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <queue>
 #include <stdexcept>
-
-#include "graph/algorithms.hpp"
 
 namespace fppn {
 namespace {
@@ -30,6 +30,53 @@ struct JobRun {
   Time start;       ///< execution start ('false': the skip instant)
   Time end;         ///< completion ('false': == start)
 };
+
+/// The walk order, identical in every frame: the topological order over
+/// precedence plus the same-processor chains (`next_on_proc`, n for the
+/// last job on a processor) that takes the smallest ready job id first.
+/// That order is unique, so it does not depend on how the edges are
+/// stored. A chain edge that duplicates a precedence edge counts once.
+std::vector<JobId> walk_order(const TaskGraph& tg, const std::vector<JobPlan>& plan,
+                              const std::vector<std::size_t>& next_on_proc) {
+  const std::size_t n = tg.job_count();
+  std::vector<std::size_t> indegree(n);
+  std::vector<char> chain_only(n, 0);  // prev_on_proc -> i is not a precedence edge
+  for (std::size_t i = 0; i < n; ++i) {
+    indegree[i] = tg.predecessors(JobId(i)).size();
+    if (plan[i].prev_on_proc.has_value() &&
+        !tg.has_edge(*plan[i].prev_on_proc, JobId(i))) {
+      chain_only[i] = 1;
+      ++indegree[i];
+    }
+  }
+  std::priority_queue<std::size_t, std::vector<std::size_t>, std::greater<>> ready;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (indegree[i] == 0) {
+      ready.push(i);
+    }
+  }
+  std::vector<JobId> order;
+  order.reserve(n);
+  while (!ready.empty()) {
+    const std::size_t u = ready.top();
+    ready.pop();
+    order.push_back(JobId(u));
+    for (const JobId v : tg.successors(JobId(u))) {
+      if (--indegree[v.value()] == 0) {
+        ready.push(v.value());
+      }
+    }
+    const std::size_t next = next_on_proc[u];
+    if (next != n && chain_only[next] != 0 && --indegree[next] == 0) {
+      ready.push(next);
+    }
+  }
+  if (order.size() != n) {
+    throw std::invalid_argument(
+        "vm runtime: schedule order conflicts with precedence (cycle)");
+  }
+  return order;
+}
 
 }  // namespace
 
@@ -69,44 +116,28 @@ RunResult run_static_order_vm(const Network& net, const DerivedTaskGraph& derive
     }
   }
   const auto order = schedule.per_processor_order();
+  std::vector<std::size_t> next_on_proc(n, n);  // n: last on its processor
   for (std::size_t m = 0; m < order.size(); ++m) {
     for (std::size_t pos = 0; pos < order[m].size(); ++pos) {
       JobPlan& jp = plan[order[m][pos].value()];
       jp.proc = m;
       if (pos > 0) {
         jp.prev_on_proc = order[m][pos - 1];
+        next_on_proc[order[m][pos - 1].value()] = order[m][pos].value();
       }
     }
   }
   {
-    std::map<ProcessId, JobId> last_of_process;
+    std::vector<std::optional<JobId>> last_of_process(net.process_count());
     // Jobs are stored in <J order, which respects per-process k order.
     for (std::size_t i = 0; i < n; ++i) {
-      const ProcessId p = tg.job(JobId(i)).process;
-      const auto it = last_of_process.find(p);
-      if (it != last_of_process.end()) {
-        plan[i].prev_of_process = it->second;
-      }
-      last_of_process[p] = JobId(i);
+      std::optional<JobId>& last = last_of_process[tg.job(JobId(i)).process.value()];
+      plan[i].prev_of_process = last;
+      last = JobId(i);
     }
   }
 
-  // Topological order over precedence + same-processor chains, computed
-  // once (identical in every frame).
-  Digraph combined(n);
-  for (const auto& [u, v] : tg.edges()) {
-    combined.add_edge(NodeId(u.value()), NodeId(v.value()));
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (plan[i].prev_on_proc.has_value()) {
-      combined.add_edge(NodeId(plan[i].prev_on_proc->value()), NodeId(i));
-    }
-  }
-  const auto topo = topological_sort(combined);
-  if (!topo.has_value()) {
-    throw std::invalid_argument(
-        "vm runtime: schedule order conflicts with precedence (cycle)");
-  }
+  const std::vector<JobId> topo = walk_order(tg, plan, next_on_proc);
 
   RunResult result;
   ExecutionState state(net, inputs);  // nothing reads the action trace
@@ -141,9 +172,13 @@ RunResult run_static_order_vm(const Network& net, const DerivedTaskGraph& derive
                                   "arrivals", frame_base, frame_release});
     }
 
-    for (const NodeId node : *topo) {
-      const std::size_t i = node.value();
-      const JobId id(i);
+    result.span_end = std::max(result.span_end, frame_base);
+    if (!oh.is_zero()) {
+      result.span_end = std::max(result.span_end, frame_release);
+    }
+
+    for (const JobId id : topo) {
+      const std::size_t i = id.value();
       const Job& job = tg.job(id);
       const JobPlan& jp = plan[i];
       JobRun& run = runs[i];
@@ -179,6 +214,7 @@ RunResult run_static_order_vm(const Network& net, const DerivedTaskGraph& derive
           result.trace.add(TraceEvent{TraceEventKind::kFalseSkip, frame,
                                       ProcessorId(jp.proc), job.name, ready,
                                       std::nullopt});
+          result.span_end = std::max(result.span_end, ready);
           ++result.false_skips;
           continue;
         }
@@ -215,6 +251,7 @@ RunResult run_static_order_vm(const Network& net, const DerivedTaskGraph& derive
       executed.push_back(Executed{start, frame, id, run.invocation});
       result.trace.add(TraceEvent{TraceEventKind::kJobRun, frame, ProcessorId(jp.proc),
                                   job.name, run.start, run.end});
+      result.span_end = std::max(result.span_end, run.end);
       const Time abs_deadline = frame_base + jp.deadline;
       if (run.end > abs_deadline) {
         result.misses.push_back(DeadlineMiss{frame, id, run.end, abs_deadline});
@@ -259,7 +296,6 @@ RunResult run_static_order_vm(const Network& net, const DerivedTaskGraph& derive
   }
 
   result.histories = std::move(state).histories();
-  result.span_end = result.trace.span_end();
   return result;
 }
 

@@ -18,6 +18,12 @@
 // execution times are injectable (default: the WCETs), and the frame
 // overhead model of §V-A (41/20 ms arrival management) gates job starts.
 // Everything is exact rational time and fully deterministic.
+//
+// A run builds its frame-independent plan once, from arrays: per job its
+// offsets, server data and previous job on the processor and of the
+// process, and one walk order for every frame. That order takes the
+// smallest ready job id first over precedence plus the processor chains,
+// so it is the unique order topological_sort gives on those edges.
 #pragma once
 
 #include <functional>
@@ -58,7 +64,7 @@ struct RunResult {
   std::vector<DeadlineMiss> misses;
   std::size_t jobs_executed = 0;
   std::size_t false_skips = 0;
-  Time span_end;
+  Time span_end;  ///< == trace.span_end(), kept as a running max during the run
 
   [[nodiscard]] bool met_all_deadlines() const { return misses.empty(); }
 };
@@ -73,8 +79,9 @@ struct RunResult {
 /// exact rational, so traces, histories and deadline misses are
 /// bit-identical across runs and platforms. Thread safety: no shared
 /// state; safe to call concurrently. Throws std::invalid_argument when
-/// the schedule does not place every job, frames < 1, or an injected
-/// actual execution time is negative.
+/// the schedule does not place every job, its per-processor order
+/// conflicts with precedence, frames < 1, or an injected actual execution
+/// time is negative. `inputs` is read in place for the whole call.
 [[nodiscard]] RunResult run_static_order_vm(
     const Network& net, const DerivedTaskGraph& derived, const StaticSchedule& schedule,
     const VmRunOptions& opts = {}, const InputScripts& inputs = {},

@@ -83,13 +83,12 @@ TEST(InvocationPlan, GroupsByTimeSortedWithBursts) {
   plan.add(Time::ms(200), ProcessId{1});
   plan.add(Time::ms(0), ProcessId{0}, 2);
   plan.add(Time::ms(0), ProcessId{1});
-  const auto groups = plan.groups();
-  ASSERT_EQ(groups.size(), 2u);
-  EXPECT_EQ(groups[0].time, Time::ms(0));
-  ASSERT_EQ(groups[0].processes.size(), 3u);  // burst of 2 + one more
-  EXPECT_EQ(groups[0].processes[0], ProcessId{0});
-  EXPECT_EQ(groups[0].processes[1], ProcessId{0});
-  EXPECT_EQ(groups[0].processes[2], ProcessId{1});
+  // The run at t=0 holds the burst of 2 plus one more, sorted by id.
+  const std::vector<Invocation> want = {{Time::ms(0), ProcessId{0}},
+                                        {Time::ms(0), ProcessId{0}},
+                                        {Time::ms(0), ProcessId{1}},
+                                        {Time::ms(200), ProcessId{1}}};
+  EXPECT_EQ(plan.sorted_slots(), want);
   EXPECT_EQ(plan.invocation_count(), 4u);
 }
 
@@ -109,11 +108,20 @@ TEST(InvocationPlan, BuildFromNetworkPeriodics) {
   const InvocationPlan plan = InvocationPlan::build(net, Time::ms(400));
   // fast: 0,100,200,300 (4) ; burst: 3 at 0 and 3 at 200 (6).
   EXPECT_EQ(plan.invocation_count(), 10u);
-  const auto groups = plan.groups();
-  ASSERT_EQ(groups.size(), 4u);
-  EXPECT_EQ(groups[0].processes.size(), 4u);  // fast + 3x burst at t=0
-  (void)fast;
-  (void)burst;
+  const std::vector<Invocation> slots = plan.sorted_slots();
+  ASSERT_EQ(slots.size(), 10u);
+  // 3x burst + fast at t=0, then one run per later instant.
+  const std::vector<Invocation> first_run = {{Time::ms(0), fast},
+                                             {Time::ms(0), burst},
+                                             {Time::ms(0), burst},
+                                             {Time::ms(0), burst}};
+  EXPECT_EQ(std::vector<Invocation>(slots.begin(), slots.begin() + 4), first_run);
+  EXPECT_EQ(slots[4], (Invocation{Time::ms(100), fast}));
+  std::size_t instants = 0;
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    instants += i == 0 || slots[i].time != slots[i - 1].time ? 1 : 0;
+  }
+  EXPECT_EQ(instants, 4u);
 }
 
 TEST(InvocationPlan, BuildUsesSporadicScripts) {
@@ -144,17 +152,20 @@ struct Add {
 };
 
 /// The grouping kept next to the flat plan: a map from instant to the
-/// invoked processes, each group sorted by id, bursts as repeats.
-std::vector<InvocationGroup> map_grouping(const std::vector<Add>& adds) {
+/// invoked processes, each multiset sorted by id, bursts as repeats,
+/// flattened in instant order.
+std::vector<Invocation> map_grouping(const std::vector<Add>& adds) {
   std::map<Time, std::vector<ProcessId>> by_time;
   for (const Add& a : adds) {
     by_time[a.time].insert(by_time[a.time].end(), static_cast<std::size_t>(a.count),
                            a.process);
   }
-  std::vector<InvocationGroup> out;
+  std::vector<Invocation> out;
   for (auto& [t, procs] : by_time) {
     std::sort(procs.begin(), procs.end());
-    out.push_back({t, procs});
+    for (const ProcessId p : procs) {
+      out.push_back({t, p});
+    }
   }
   return out;
 }
@@ -167,15 +178,15 @@ std::size_t count_of(const std::vector<Add>& adds) {
   return total;
 }
 
-void expect_same_groups(const InvocationPlan& plan, const std::vector<Add>& adds) {
-  const std::vector<InvocationGroup> want = map_grouping(adds);
-  const std::vector<InvocationGroup> got = plan.groups();
+void expect_same_slots(const InvocationPlan& plan, const std::vector<Add>& adds) {
+  const std::vector<Invocation> want = map_grouping(adds);
+  const std::vector<Invocation> got = plan.sorted_slots();
   EXPECT_EQ(plan.invocation_count(), count_of(adds));
   EXPECT_EQ(plan.empty(), adds.empty());
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].time, want[i].time) << "group " << i;
-    EXPECT_EQ(got[i].processes, want[i].processes) << "group " << i;
+    EXPECT_EQ(got[i].time, want[i].time) << "slot " << i;
+    EXPECT_EQ(got[i].process, want[i].process) << "slot " << i;
   }
 }
 
@@ -186,7 +197,7 @@ TEST(InvocationPlan, FlatGroupingMatchesMapGrouping) {
     const std::size_t adds_n = rng() % 120;
     std::vector<Add> adds;
     for (std::size_t i = 0; i < adds_n; ++i) {
-      // Few distinct instants, some fractional, so groups collect repeats.
+      // Few distinct instants, some fractional, so instants collect repeats.
       const std::int64_t num = static_cast<std::int64_t>(rng() % 25);
       const std::int64_t den = rng() % 4 == 0 ? 3 : 1;
       adds.push_back({Time(Rational(num, den)), ProcessId{rng() % 14},
@@ -202,8 +213,8 @@ TEST(InvocationPlan, FlatGroupingMatchesMapGrouping) {
     for (const Add& a : adds) {
       plan.add(a.time, a.process, a.count);
     }
-    expect_same_groups(plan, adds);
-    expect_same_groups(plan, adds);  // groups() leaves the plan as it was
+    expect_same_slots(plan, adds);
+    expect_same_slots(plan, adds);  // sorted_slots() leaves the plan as it was
   }
 
   // build() on the FMS with random sporadic commands; the add sequence is
@@ -230,7 +241,7 @@ TEST(InvocationPlan, FlatGroupingMatchesMapGrouping) {
         }
       }
     }
-    expect_same_groups(InvocationPlan::build(fms.net, horizon, commands), adds);
+    expect_same_slots(InvocationPlan::build(fms.net, horizon, commands), adds);
   }
 }
 

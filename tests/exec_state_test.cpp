@@ -2,8 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 namespace fppn {
 namespace {
+
+// The state reads the caller's InputScripts in place, so it cannot be
+// built from a temporary one: that would dangle after the full expression.
+static_assert(!std::is_constructible_v<ExecutionState, const Network&, InputScripts&&>);
+static_assert(!std::is_constructible_v<ExecutionState, const Network&, InputScripts>);
+static_assert(!std::is_constructible_v<ExecutionState, const Network&, InputScripts&&,
+                                       ActionTrace*>);
+static_assert(std::is_constructible_v<ExecutionState, const Network&, const InputScripts&>);
+static_assert(std::is_constructible_v<ExecutionState, const Network&, InputScripts&,
+                                      ActionTrace*>);
+static_assert(std::is_constructible_v<ExecutionState, const Network&>);
 
 struct Fixture {
   Network net;
@@ -55,6 +68,20 @@ TEST(ExecutionState, ExternalInputSampledByJobIndex) {
   EXPECT_EQ(writes[0], Value{std::int64_t{10}});
   EXPECT_EQ(writes[1], Value{std::int64_t{20}});
   EXPECT_EQ(writes[2], Value{std::int64_t{-1}});  // no_data fallback
+}
+
+TEST(ExecutionState, ReadsTheCallersScriptsInPlace) {
+  // The scripts are borrowed, not copied: a sample the caller appends
+  // after construction is the one the next job reads.
+  const Fixture f = Fixture::make();
+  InputScripts in;
+  in.emplace(f.in, std::vector<Value>{Value{std::int64_t{10}}});
+  ExecutionState s(f.net, in);
+  s.run_job(f.writer, Time::ms(0));
+  in.at(f.in).emplace_back(std::int64_t{20});
+  s.run_job(f.writer, Time::ms(100));
+  EXPECT_EQ(s.histories().channel_writes.at(f.chan),
+            (std::vector<Value>{Value{std::int64_t{10}}, Value{std::int64_t{20}}}));
 }
 
 TEST(ExecutionState, OutputSamplesCarryIndexAndTime) {

@@ -228,6 +228,19 @@ TEST(ServeDaemon, FlagErrorsExitTwo) {
   EXPECT_EQ(negative_seed.err,
             "fppn_serve: expected an unsigned integer for --seed, got '-1'\n");
 
+  // --fault-seed parses like --seed: 2^63 is accepted, a sign is not.
+  const CmdResult big_fault_seed = run_serve(
+      "--socket /nonexistent/x.sock --fault-seed 9223372036854775808 --stats");
+  EXPECT_EQ(big_fault_seed.exit_code, 1);
+  EXPECT_EQ(big_fault_seed.err,
+            "fppn_serve: cannot connect to '/nonexistent/x.sock': No such file or "
+            "directory\n");
+
+  const CmdResult negative_fault_seed = run_serve("--socket /tmp/x --fault-seed -1");
+  EXPECT_EQ(negative_fault_seed.exit_code, 2);
+  EXPECT_EQ(negative_fault_seed.err,
+            "fppn_serve: expected an unsigned integer for --fault-seed, got '-1'\n");
+
   const CmdResult unknown = run_serve("--socket /tmp/x --frobnicate");
   EXPECT_EQ(unknown.exit_code, 2);
   EXPECT_EQ(unknown.err.find("usage: fppn_serve "), 0u) << unknown.err;

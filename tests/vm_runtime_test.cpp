@@ -9,6 +9,8 @@
 #include "apps/fig1.hpp"
 #include "apps/fms.hpp"
 #include "engine/engine.hpp"
+#include "gen/scenario.hpp"
+#include "graph/algorithms.hpp"
 #include "sched/search.hpp"
 #include "taskgraph/derivation.hpp"
 #include "testing/list_scheduler.hpp"
@@ -298,6 +300,145 @@ TEST(VmRuntime, FalseServerJobCompletesAfterItsPredecessors) {
         zero_delay_reference(app.net, derived.hyperperiod, kFrames, inputs, commands);
     EXPECT_TRUE(vm.histories.functionally_equal(ref.histories))
         << vm.histories.diff(ref.histories, app.net);
+  }
+}
+
+/// The reference walk order: a Digraph of the precedence edges plus the
+/// same-processor chains, then topological_sort (smallest ready id first).
+std::vector<std::string> digraph_walk(const TaskGraph& tg, const StaticSchedule& schedule) {
+  Digraph combined(tg.job_count());
+  for (const auto& [u, v] : tg.edges()) {
+    combined.add_edge(NodeId(u.value()), NodeId(v.value()));
+  }
+  for (const auto& chain : schedule.per_processor_order()) {
+    for (std::size_t pos = 1; pos < chain.size(); ++pos) {
+      combined.add_edge(NodeId(chain[pos - 1].value()), NodeId(chain[pos].value()));
+    }
+  }
+  const auto order = topological_sort(combined);
+  EXPECT_TRUE(order.has_value());
+  std::vector<std::string> names;
+  for (const NodeId node : order.value_or(std::vector<NodeId>{})) {
+    names.push_back(tg.job(JobId(node.value())).name);
+  }
+  return names;
+}
+
+/// The labels of one frame's job events (runs and 'false' skips), in
+/// trace order.
+std::vector<std::string> job_events_of_frame(const TimedTrace& trace, std::int64_t frame) {
+  std::vector<std::string> names;
+  for (const TraceEvent& e : trace.events()) {
+    if (e.frame == frame &&
+        (e.kind == TraceEventKind::kJobRun || e.kind == TraceEventKind::kFalseSkip)) {
+      names.push_back(e.label);
+    }
+  }
+  return names;
+}
+
+TEST(VmRuntime, PlanWalksTheDigraphTopologicalOrderOnGeneratedScenarios) {
+  constexpr std::int64_t kFrames = 2;
+  std::size_t runs = 0;
+  std::size_t duplicate_chain_edges = 0;
+  for (const gen::Family family : gen::all_families()) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      const gen::Scenario s = gen::make_scenario(family, seed);
+      DerivedTaskGraph derived;
+      try {
+        derived = derive_task_graph(s.net, s.wcets);
+      } catch (const std::invalid_argument&) {
+        continue;  // a scenario that does not derive has no schedule to run
+      }
+      const TaskGraph& tg = derived.graph;
+      const auto scripts = gen::jittered_scripts(s.net, seed, kFrames, derived.hyperperiod);
+      for (std::int64_t processors = 1; processors <= 3; ++processors) {
+        SCOPED_TRACE(s.name + " on " + std::to_string(processors) + " processor(s)");
+        const StaticSchedule schedule =
+            testing::list_schedule(tg, PriorityHeuristic::kAlapEdf, processors);
+        for (const auto& chain : schedule.per_processor_order()) {
+          for (std::size_t pos = 1; pos < chain.size(); ++pos) {
+            duplicate_chain_edges += tg.has_edge(chain[pos - 1], chain[pos]) ? 1 : 0;
+          }
+        }
+        const std::vector<std::string> want = digraph_walk(tg, schedule);
+        VmRunOptions opts;
+        opts.frames = kFrames;
+        const RunResult r = run_static_order_vm(s.net, derived, schedule, opts, {}, scripts);
+        for (std::int64_t frame = 0; frame < kFrames; ++frame) {
+          ASSERT_EQ(job_events_of_frame(r.trace, frame), want) << "frame " << frame;
+        }
+        EXPECT_EQ(r.span_end, r.trace.span_end());
+        ++runs;
+      }
+    }
+  }
+  // Every family derives for some seed, and the chains repeat precedence
+  // edges often enough that the count-once rule is exercised.
+  EXPECT_GE(runs, 8u * 3u);
+  EXPECT_GT(duplicate_chain_edges, 0u);
+}
+
+TEST(VmRuntime, RunningSpanEndEqualsTheTraceSpanEnd) {
+  const apps::FmsApp app = apps::build_fms(true);
+  const DerivedTaskGraph derived = derive_task_graph(app.net, app.default_wcets());
+  constexpr std::int64_t kFrames = 4;
+  const InputScripts inputs = app.make_inputs(kFrames * 50, 3);
+  const auto commands =
+      app.random_commands(Time() + derived.hyperperiod * Rational(kFrames - 1), 3);
+  std::size_t missed_runs = 0;
+  for (std::int64_t processors = 1; processors <= 3; ++processors) {
+    SCOPED_TRACE(std::to_string(processors) + " processor(s)");
+    const StaticSchedule schedule =
+        testing::list_schedule(derived.graph, PriorityHeuristic::kAlapEdf, processors);
+    // WCETs; the §V-A overhead model with a per-job sync cost; fractional
+    // actual times that overrun some WCETs 40.5-fold plus 1/3 ms; both.
+    for (int variant = 0; variant < 4; ++variant) {
+      SCOPED_TRACE("variant " + std::to_string(variant));
+      VmRunOptions opts;
+      opts.frames = kFrames;
+      if (variant % 2 == 1) {
+        opts.overhead = OverheadModel::mppa_measured();
+        opts.overhead.per_job_sync = Duration::ratio_ms(1, 7);
+      }
+      if (variant >= 2) {
+        const TaskGraph& tg = derived.graph;
+        opts.actual_time = [&tg](JobId id, std::int64_t frame) {
+          const Duration wcet = tg.job(id).wcet;
+          if ((id.value() + static_cast<std::size_t>(frame)) % 3 == 0) {
+            return wcet * Rational(81, 2) + Duration::ratio_ms(1, 3);
+          }
+          return wcet * Rational(2, 3);
+        };
+      }
+      const RunResult r = run_static_order_vm(app.net, derived, schedule, opts, inputs,
+                                              commands);
+      EXPECT_EQ(r.span_end, r.trace.span_end());
+      missed_runs += r.met_all_deadlines() ? 0 : 1;
+    }
+  }
+  EXPECT_GT(missed_runs, 0u);  // the overrunning variants miss deadlines
+}
+
+TEST(VmRuntime, ScheduleOrderAgainstPrecedenceKeepsItsMessage) {
+  const Fig1Setup s = Fig1Setup::make();
+  const TaskGraph& tg = s.derived.graph;
+  const auto topo = tg.topological_order();
+  ASSERT_TRUE(topo.has_value());
+  ASSERT_GT(tg.edge_count(), 0u);
+  // One processor walking the jobs in reverse topological order: every
+  // precedence edge points against the chain.
+  StaticSchedule reversed(tg.job_count(), 1);
+  std::int64_t start = 0;
+  for (auto it = topo->rbegin(); it != topo->rend(); ++it) {
+    reversed.place(*it, ProcessorId(0), Time::ms(start));
+    start += 10;
+  }
+  try {
+    (void)run_static_order_vm(s.app.net, s.derived, reversed, VmRunOptions{}, {}, {});
+    FAIL() << "a cyclic walk order was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "vm runtime: schedule order conflicts with precedence (cycle)");
   }
 }
 

@@ -242,7 +242,7 @@ ServeArgs parse_args(int argc, char** argv) {
     } else if (arg == "--queue-deadline-ms") {
       a.queue_deadline_ms = static_cast<int>(int_value(0, kIntMax));
     } else if (arg == "--fault-seed") {
-      a.fault_seed = static_cast<std::uint64_t>(int_value(0));
+      a.fault_seed = tool::parse_u64_flag(kProgram, "--fault-seed", next());
     } else if (arg == "--fault-rate") {
       a.fault_rate = static_cast<int>(int_value(0, kIntMax));
       if (a.fault_rate > 1024) {
