@@ -19,8 +19,10 @@
 #include "bench_json.hpp"
 #include "engine/engine.hpp"
 #include "sched/evaluator.hpp"
+#include "sched/hill_climb.hpp"
 #include "sched/local_search.hpp"
 #include "sched/parallel_search.hpp"
+#include "sched/search_context.hpp"
 #include "taskgraph/derivation.hpp"
 #include "testing/reference_search.hpp"
 
@@ -328,6 +330,88 @@ bool print_incremental_report(benchjson::Report& report) {
   return scores_agree && speedup >= 3.0;
 }
 
+/// The incremental layer on the workload it serves: the optimize-preset
+/// hill-climbs of the paper FMS (812 jobs, M=2, seeds 1-3) as the search
+/// runs them, with every evaluate_move call timed. Reports µs per move,
+/// starts simulated per move and the share of moves that spliced, the
+/// median of 5 passes over the three climbs. Informational: no gate.
+void print_fms_move_report(benchjson::Report& report) {
+  const auto app = apps::build_fms(true);
+  const TaskGraph tg = derive_task_graph(app.net, app.default_wcets()).graph;
+  const std::int64_t processors = 2;
+  const sched::SearchContext ctx(tg, processors);
+  std::vector<sched::StartPoint> starts;
+  for (const PriorityHeuristic h : all_heuristics()) {
+    const sched::HeuristicRun& run = ctx.heuristic(h);
+    starts.push_back({h, &run.order, run.score});
+  }
+
+  /// The production kernel with its moves timed and their starts counted.
+  struct TimedScorer {
+    sched::Evaluator kernel;
+    double move_seconds = 0.0;
+    std::uint64_t moves = 0;
+    std::uint64_t move_starts = 0;
+
+    sched::EvalScore evaluate(const std::vector<JobId>& o) { return kernel.evaluate(o); }
+    sched::EvalScore evaluate_baseline(const std::vector<JobId>& o) {
+      return kernel.evaluate_baseline(o);
+    }
+    sched::EvalScore evaluate_move(const std::vector<JobId>& o, std::size_t lo,
+                                   std::size_t hi, sched::MoveKind kind) {
+      const std::uint64_t before = kernel.stats().starts_simulated;
+      const auto begin = std::chrono::steady_clock::now();
+      const sched::EvalScore score = kernel.evaluate_move(o, lo, hi, kind);
+      move_seconds +=
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
+      ++moves;
+      move_starts += kernel.stats().starts_simulated - before;
+      return score;
+    }
+    StaticSchedule materialize(const std::vector<JobId>& o) { return kernel.materialize(o); }
+  };
+
+  constexpr int kPasses = 5;
+  std::vector<double> us_per_move;
+  std::uint64_t moves = 0;
+  std::uint64_t move_starts = 0;
+  std::uint64_t spliced = 0;
+  for (int pass = 0; pass < kPasses; ++pass) {
+    double seconds = 0.0;
+    moves = move_starts = spliced = 0;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      sched::StrategyOptions opts;
+      opts.processors = processors;
+      opts.seed = seed;
+      opts.max_iterations = 2000;  // the optimize preset
+      opts.restarts = 2;
+      TimedScorer scorer{sched::Evaluator(ctx.compiled(), processors)};
+      (void)sched::hill_climb(starts, opts, scorer);
+      seconds += scorer.move_seconds;
+      moves += scorer.moves;
+      move_starts += scorer.move_starts;
+      spliced += scorer.kernel.stats().spliced_evals;
+    }
+    us_per_move.push_back(moves > 0 ? 1e6 * seconds / static_cast<double>(moves) : 0.0);
+  }
+  std::sort(us_per_move.begin(), us_per_move.end());
+  const double move_us = us_per_move[us_per_move.size() / 2];
+  const double starts_per_move =
+      moves > 0 ? static_cast<double>(move_starts) / static_cast<double>(moves) : 0.0;
+  const double splice_ratio =
+      moves > 0 ? static_cast<double>(spliced) / static_cast<double>(moves) : 0.0;
+  std::printf("=== paper FMS climbs, %zu jobs, M=%lld, seeds 1-3 ===\n\n", tg.job_count(),
+              static_cast<long long>(processors));
+  std::printf("moves per pass:   %12llu\n", static_cast<unsigned long long>(moves));
+  std::printf("us per move:      %12.2f (median of %d passes)\n", move_us, kPasses);
+  std::printf("starts per move:  %12.1f of %zu\n", starts_per_move, tg.job_count());
+  std::printf("splice ratio:     %12.3f\n\n", splice_ratio);
+  report.metric("fms_moves", static_cast<long long>(moves));
+  report.metric("fms_move_us", move_us);
+  report.metric("fms_starts_per_move", starts_per_move);
+  report.metric("fms_splice_ratio", splice_ratio);
+}
+
 void BM_KernelEvaluate(benchmark::State& state) {
   const TaskGraph tg = random_task_graph(static_cast<int>(state.range(0)),
                                          static_cast<int>(state.range(0)), 900, 7);
@@ -377,6 +461,7 @@ int main(int argc, char** argv) {
   benchjson::Report report("local_search");
   const bool scores_ok = print_report(report);
   const bool incremental_ok = print_incremental_report(report);
+  print_fms_move_report(report);
   const bool winner_ok = fms_winner_equality(report);
   const std::string json_path = report.write();
   if (!json_path.empty()) {

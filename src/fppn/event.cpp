@@ -112,8 +112,36 @@ void InvocationPlan::add(Time t, ProcessId p, int count) {
 }
 
 std::vector<Invocation> InvocationPlan::sorted_slots() const {
+  // build() adds each process's slots in time order, process by process,
+  // so the slots are a few sorted runs. Merging neighbouring runs
+  // pairwise, which keeps them in process-id order, costs O(N log runs)
+  // compares instead of a sort's O(N log N); an add() order with no runs
+  // degrades to a merge sort.
   std::vector<Invocation> slots = slots_;
-  std::sort(slots.begin(), slots.end(), slot_before);
+  std::vector<std::size_t> bounds{0};
+  for (std::size_t i = 1; i < slots.size(); ++i) {
+    if (slot_before(slots[i], slots[i - 1])) {
+      bounds.push_back(i);
+    }
+  }
+  bounds.push_back(slots.size());
+  std::vector<Invocation> merged(slots.size());
+  std::vector<std::size_t> merged_bounds;
+  while (bounds.size() > 2) {
+    merged_bounds.assign(1, 0);
+    for (std::size_t r = 0; r + 1 < bounds.size(); r += 2) {
+      const auto from = slots.begin();
+      const std::size_t end = bounds[std::min(r + 2, bounds.size() - 1)];
+      std::merge(from + static_cast<std::ptrdiff_t>(bounds[r]),
+                 from + static_cast<std::ptrdiff_t>(bounds[r + 1]),
+                 from + static_cast<std::ptrdiff_t>(bounds[r + 1]),
+                 from + static_cast<std::ptrdiff_t>(end),
+                 merged.begin() + static_cast<std::ptrdiff_t>(bounds[r]), slot_before);
+      merged_bounds.push_back(end);
+    }
+    slots.swap(merged);
+    bounds.swap(merged_bounds);
+  }
   return slots;
 }
 

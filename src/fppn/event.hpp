@@ -8,9 +8,10 @@
 // An InvocationPlan is a concrete timed sequence (t_1, P_1), (t_2, P_2) ...
 // of simultaneous invocation multisets — the input of the zero-delay
 // semantics (§II-B). It is stored flat: one vector of (instant, process)
-// slots. sorted_slots() sorts a copy once by (instant, process id); each
-// run of equal instants in it is one multiset P_i, so a reader walks the
-// runs and builds no per-instant container.
+// slots. sorted_slots() orders a copy once by (instant, process id),
+// merging the per-process runs build() emits; each run of equal instants
+// in it is one multiset P_i, so a reader walks the runs and builds no
+// per-instant container.
 #pragma once
 
 #include <cstdint>
@@ -89,7 +90,9 @@ class InvocationPlan {
 
   /// The slots sorted by (time, process id): a run of equal times is the
   /// multiset invoked at that instant, its processes sorted by id and a
-  /// burst as repeats. The plan itself is left in add() order.
+  /// burst as repeats. The plan itself is left in add() order. Merges the
+  /// plan's already sorted runs, so build()'s one run per process costs
+  /// O(N log processes) compares; any add() order comes out sorted.
   [[nodiscard]] std::vector<Invocation> sorted_slots() const;
 
   [[nodiscard]] std::size_t invocation_count() const noexcept { return slots_.size(); }
@@ -104,7 +107,7 @@ class InvocationPlan {
 
  private:
   /// One invocation per slot in add() order; a burst of m is m equal
-  /// slots. sorted_slots() sorts a copy by (time, process id).
+  /// slots.
   std::vector<Invocation> slots_;
 };
 

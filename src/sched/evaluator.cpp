@@ -1,8 +1,10 @@
 #include "sched/evaluator.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <functional>
 #include <stdexcept>
+#include <type_traits>
 
 namespace fppn {
 namespace sched {
@@ -23,11 +25,15 @@ std::size_t default_stride(std::size_t n) {
   return s;
 }
 
-/// A confluence compare that got past the cheap O(1) checks but failed on
-/// deep state this many times stops probing: the move genuinely changed
-/// the schedule and the remaining tail is cheaper to simulate than to
-/// keep comparing. Purely a cost bound — never affects the score.
-constexpr int kMaxDeepCompareFailures = 64;
+/// The baseline key of SP position r. Keys are odd so a rotation can
+/// key its pulled job 2·lo, between positions lo-1 and lo.
+constexpr std::uint32_t key_of(std::size_t r) { return static_cast<std::uint32_t>(2 * r + 1); }
+
+/// Whether two job ranges hold the same jobs, as one memory compare.
+bool same_jobs(const JobId* a, const JobId* b, std::size_t count) {
+  static_assert(std::has_unique_object_representations_v<JobId>);
+  return count == 0 || std::memcmp(a, b, count * sizeof(JobId)) == 0;
+}
 
 }  // namespace
 
@@ -85,16 +91,12 @@ void Evaluator::validate() {
 void Evaluator::init_scratch() {
   const std::size_t n = cg_->job_count();
   const std::size_t m = static_cast<std::size_t>(processors_);
-  rank_.resize(n);
-  base_order_.resize(n);
+  key_.resize(n);
+  job_at_.resize(2 * n);
   seen_.resize(n);
   remaining_.resize(n);
-  started_.resize(n);
   placed_proc_.resize(n);
-  ready_heap_.reserve(n);
   free_procs_.reserve(m);
-  cmp_a_.reserve(m);
-  cmp_b_.reserve(n);
   if (partition_mode_) {
     proc_ready_.resize(m);
     proc_free_flag_.resize(m);
@@ -104,7 +106,6 @@ void Evaluator::init_scratch() {
     lane.start.resize(n);
     lane.busy.reserve(m);
     lane.pending.reserve(n);
-    lane.cmp_pairs.reserve(n);
   });
   stride_ = default_stride(n);
   reserve_checkpoints();
@@ -112,17 +113,23 @@ void Evaluator::init_scratch() {
 
 void Evaluator::reserve_checkpoints() {
   if (partition_mode_) {
-    return;  // checkpoints are a global-mode feature
+    return;  // the incremental API is a global-mode feature
   }
   const std::size_t n = cg_->job_count();
+  base_key_.resize(n);
+  base_job_at_.resize(2 * n);
+  base_order_.resize(n);
+  move_stamp_.resize(n);
   on_timebase([&](auto& lane, const auto&, const auto&, const auto&) {
     auto& base = lane.base;
     base.ck.resize(n / std::max<std::size_t>(stride_, 1) + 1);
-    base.finish_log.resize(n);
-    base.chosen_rank.resize(n);
-    base.second_rank.resize(n);
+    base.pop_job.resize(n);
+    base.pop_t.resize(n);
+    base.second_key.resize(n);
     base.entry_idx.resize(n);
     base.start_idx.resize(n);
+    base.suffix_viol.resize(n + 1);
+    base.suffix_max.resize(n + 1);
   });
 }
 
@@ -137,7 +144,8 @@ void Evaluator::invalidate_baseline() {
   time_.base.valid = false;
 }
 
-void Evaluator::load_rank(const std::vector<JobId>& priority) {
+void Evaluator::load_keys(const std::vector<JobId>& priority, std::vector<std::uint32_t>& key,
+                          std::vector<std::uint32_t>& job_at) {
   const std::size_t n = cg_->job_count();
   if (priority.size() != n) {
     throw std::invalid_argument("evaluator: SP order must cover every job");
@@ -149,73 +157,30 @@ void Evaluator::load_rank(const std::vector<JobId>& priority) {
       throw std::invalid_argument("evaluator: SP order is not a permutation");
     }
     seen_[i] = 1;
-    rank_[i] = static_cast<std::uint32_t>(r);
+    key[i] = key_of(r);
+    job_at[key_of(r)] = static_cast<std::uint32_t>(i);
   }
 }
-
-void Evaluator::load_rank_for_move(const std::vector<JobId>& priority, std::size_t lo,
-                                   std::size_t hi, MoveKind kind) {
-  const std::size_t n = cg_->job_count();
-  if (priority.size() != n) {
-    throw std::invalid_argument("evaluator: SP order must cover every job");
-  }
-  if (n == 0) {
-    return;
-  }
-  const auto mismatch = [] {
-    throw std::invalid_argument(
-        "evaluator: order is not the claimed perturbation of the baseline");
-  };
-  const auto copy_range = [&](std::size_t from, std::size_t to, std::size_t shift) {
-    // priority[r] must equal the baseline at position r - shift.
-    for (std::size_t r = from; r < to; ++r) {
-      const std::size_t i = priority[r].value();
-      if (i != base_order_[r - shift]) {
-        mismatch();
-      }
-      rank_[i] = static_cast<std::uint32_t>(r);
-    }
-  };
-  copy_range(0, lo, 0);
-  copy_range(hi + 1, n, 0);
-  if (priority[lo].value() != base_order_[hi]) {
-    mismatch();
-  }
-  rank_[base_order_[hi]] = static_cast<std::uint32_t>(lo);
-  if (kind == MoveKind::kSwap) {
-    if (priority[hi].value() != base_order_[lo]) {
-      mismatch();
-    }
-    rank_[base_order_[lo]] = static_cast<std::uint32_t>(hi);
-    copy_range(lo + 1, hi, 0);
-  } else {
-    copy_range(lo + 1, hi + 1, 1);
-  }
-}
-
 
 /// The event-driven list-scheduling simulation behind every pass. Decision
 /// rule identical to the reference list_schedule: at every instant t,
-/// repeatedly start the lowest-rank ready job on the smallest-index free
+/// repeatedly start the lowest-key ready job on the smallest-index free
 /// processor; when nothing can start, advance t to the next event (a
 /// processor release, a pending readiness, or a source arrival). In
 /// partition mode the rule is the same with each job's processor fixed:
-/// one rank-keyed ready heap per processor, and the globally lowest-rank
+/// one key-ordered ready heap per processor, and the globally lowest-key
 /// job whose own processor is free starts first (the reference
 /// partitioned_list_schedule). Both modes start from every processor
 /// busy until t = 0.
 ///
 /// Pass-specific work happens at `if constexpr` points only:
 ///   kMaterialize records each start time and processor;
-///   kBaseline records the per-start decision logs and snapshots the
-///     complete state every `stride` starts, right after the start's
-///     successor propagation (every heap key is then strictly in the
-///     future, so a later run can resume at the top of the loop);
-///   kMove resumes from the latest checkpoint at or before the first pop
-///     the move can influence and, once every moved job has started,
-///     probes for confluence with the baseline at checkpoint boundaries.
-/// Exact by construction: resumption replays the identical decision
-/// sequence, and the splice is gated on a full state comparison.
+///   kBaseline logs each pop, copies the state every `stride` starts
+///     right after the start's successor propagation (every event key is
+///     then strictly in the future, so a later run can resume at the top
+///     of the loop) and fills the suffix aggregates at the end;
+///   kMove resumes from a checkpoint and splices the baseline's suffix
+///     once the run has rejoined it (see the header).
 ///
 /// Kept out of line: with the global and the partitioned tick loops both
 /// inlined into one evaluate() body, the partitioned loop measured ~20%
@@ -225,13 +190,15 @@ template <Evaluator::Pass P, bool Partitioned, class T, class W>
     eval_detail::Lane<T>& lane, const std::vector<T>& arrival, const std::vector<T>& deadline,
     const std::vector<W>& wcet, std::size_t lo, std::size_t hi, MoveKind kind) {
   using BusyEntry = std::pair<T, std::uint32_t>;
-  constexpr bool kTrackStarted = P == Pass::kBaseline || P == Pass::kMove;
+  constexpr bool kOnBaseline = P == Pass::kBaseline || P == Pass::kMove;
   const std::size_t n = cg_->job_count();
   const std::size_t m = static_cast<std::size_t>(processors_);
   const auto& pred_offsets = cg_->pred_offsets();
   const auto& succ_offsets = cg_->succ_offsets();
   const auto& succ_ids = cg_->succ_ids();
   const auto& sources = cg_->sources_by_arrival();
+  const std::vector<std::uint32_t>& key = kOnBaseline ? base_key_ : key_;
+  const std::vector<std::uint32_t>& job_at = kOnBaseline ? base_job_at_ : job_at_;
   auto& base = lane.base;
   auto& ready_at = lane.ready_at;
   auto& busy = lane.busy;
@@ -243,40 +210,39 @@ template <Evaluator::Pass P, bool Partitioned, class T, class W>
   std::size_t src_ptr = 0;
   T t{};
 
-  // kMove: the jobs whose relative priority the move changed — the two
-  // swapped jobs, or for a rotation just the job pulled from hi to lo
-  // (the shifted window keeps its internal and external relative order).
-  std::uint32_t key_a = 0;  // new rank lo
-  std::uint32_t key_b = 0;  // swap only: new rank hi
-  bool two_keys = false;
+  // kMove: the jobs whose relative priority the move changed, with their
+  // keys already patched — the two swapped jobs, or for a rotation just
+  // the job pulled from hi to lo (the shifted window keeps its order).
+  std::uint32_t job_a = 0;  // promoted: new position lo
+  std::uint32_t job_b = 0;  // swap only: demoted to position hi
+  bool two_jobs = false;
+  std::ptrdiff_t diff = 0;  // |started set ^ baseline's first `started` pops|
+  T horizon{};
   std::size_t resume = 0;
   if constexpr (P == Pass::kBaseline) {
     base.valid = false;
     base.stride = stride_;
     base.count = 0;
   } else if constexpr (P == Pass::kMove) {
-    if (n == 0) {
-      return EvalScore{0, time_of(T{})};
+    job_a = static_cast<std::uint32_t>(base_order_[hi].value());
+    job_b = static_cast<std::uint32_t>(base_order_[lo].value());
+    two_jobs = kind == MoveKind::kSwap && hi != lo;
+    if (++move_epoch_ == 0) {
+      std::fill(move_stamp_.begin(), move_stamp_.end(), 0U);
+      move_epoch_ = 1;
     }
-    key_a = base_order_[hi];
-    key_b = base_order_[lo];
-    two_keys = kind == MoveKind::kSwap && hi != lo;
-    // Exact first pop the move can influence. The promoted job (new rank
-    // lo) steals a pop at the first baseline decision at or after its
-    // ready-entry whose chosen rank is >= lo; every earlier pop picks a
-    // job that still outranks it, and jobs whose ranks merely shifted
-    // with a rotation keep their relative order, so those decisions
-    // replay verbatim. For a swap the demoted job additionally loses its
-    // own pop iff the runner-up there had rank < hi. Resume from the
-    // latest checkpoint at or before that pop.
-    std::size_t kstar = base.entry_idx[key_a];
-    while (kstar < n && base.chosen_rank[kstar] < lo) {
+    // Exact first pop the move can influence (see the header), scanned
+    // under the patched keys: an unmoved job keys below key_of(lo) iff
+    // below 2·lo, a moved job never does, so the scan stops at the
+    // promoted job's own pop at the latest.
+    std::size_t kstar = base.entry_idx[job_a];
+    while (kstar < n && key[base.pop_job[kstar]] < 2 * lo) {
       ++kstar;
     }
-    if (two_keys) {
-      const std::size_t ka = base.start_idx[key_b];
-      if (ka < kstar && base.second_rank[ka] < hi) {
-        kstar = ka;
+    if (two_jobs) {
+      const std::size_t kb = base.start_idx[job_b];
+      if (kb < kstar && base.second_key[kb] < key_of(hi)) {
+        kstar = kb;
       }
     }
     resume = std::min(base.count, kstar / base.stride);
@@ -289,19 +255,19 @@ template <Evaluator::Pass P, bool Partitioned, class T, class W>
     src_ptr = ck.src_ptr;
     violations = ck.violations;
     last_finish = ck.last_finish;
-    std::copy(ck.started_flags.begin(), ck.started_flags.end(), started_.begin());
     std::copy(ck.ready_at.begin(), ck.ready_at.end(), ready_at.begin());
     std::copy(ck.remaining.begin(), ck.remaining.end(), remaining_.begin());
-    busy.assign(ck.busy.begin(), ck.busy.end());
-    pending.assign(ck.pending.begin(), ck.pending.end());
-    free_procs_.assign(ck.free_procs.begin(), ck.free_procs.end());
-    // Sorted-ascending snapshots are valid min-heap layouts as-is; only
-    // the ready set needs re-keying under the perturbed ranks.
-    ready_heap_.clear();
-    for (const std::uint32_t job : ck.ready_jobs) {
-      ready_heap_.push_back((static_cast<std::uint64_t>(rank_[job]) << 32) | job);
+    busy = ck.busy;
+    pending = ck.pending;
+    free_procs_ = ck.free_procs;
+    ready_ = ck.ready;
+    // The snapshot holds a ready moved job under its baseline key; two
+    // ready swapped jobs just trade keys.
+    const bool a_ready = ready_.contains(key_of(hi));
+    if (two_jobs ? a_ready != ready_.contains(key_of(lo)) : a_ready) {
+      ready_.erase(a_ready ? key_of(hi) : key_of(lo));
+      ready_.insert(a_ready ? key[job_a] : key[job_b]);
     }
-    std::make_heap(ready_heap_.begin(), ready_heap_.end(), std::greater<std::uint64_t>());
     ++stats_.resumed_evals;
   } else {
     for (std::size_t i = 0; i < n; ++i) {
@@ -314,11 +280,8 @@ template <Evaluator::Pass P, bool Partitioned, class T, class W>
       }
       std::fill(proc_free_flag_.begin(), proc_free_flag_.end(), std::uint8_t{0});
     } else {
-      ready_heap_.clear();
+      ready_.clear(2 * n);
       free_procs_.clear();
-    }
-    if constexpr (kTrackStarted) {
-      std::fill(started_.begin(), started_.end(), std::uint8_t{0});
     }
     pending.clear();
     busy.clear();
@@ -330,14 +293,20 @@ template <Evaluator::Pass P, bool Partitioned, class T, class W>
     }
   }
   const std::size_t first_start = started;
+  std::size_t unstarted_moved = (P == Pass::kMove && base.start_idx[job_a] >= started ? 1 : 0) +
+                                (two_jobs && base.start_idx[job_b] >= started ? 1 : 0);
 
   const auto push_ready = [&](std::uint32_t job) {
     if constexpr (P == Pass::kBaseline) {
       base.entry_idx[job] = static_cast<std::uint32_t>(started);
     }
-    auto& heap = Partitioned ? proc_ready_[job_proc_[job]] : ready_heap_;
-    heap.push_back((static_cast<std::uint64_t>(rank_[job]) << 32) | job);
-    std::push_heap(heap.begin(), heap.end(), std::greater<std::uint64_t>());
+    if constexpr (Partitioned) {
+      auto& heap = proc_ready_[job_proc_[job]];
+      heap.push_back((static_cast<std::uint64_t>(key[job]) << 32) | job);
+      std::push_heap(heap.begin(), heap.end(), std::greater<std::uint64_t>());
+    } else {
+      ready_.insert(key[job]);
+    }
   };
   const auto release = [&](std::uint32_t proc) {
     if constexpr (Partitioned) {
@@ -347,14 +316,9 @@ template <Evaluator::Pass P, bool Partitioned, class T, class W>
       std::push_heap(free_procs_.begin(), free_procs_.end(), std::greater<std::uint32_t>());
     }
   };
-  // The next start at t, if any: the lowest-rank ready job and its
+  // The next start at t, if any: the lowest-key ready job and its
   // processor (the smallest free index, or the job's own when free).
   const auto pick = [&](std::uint32_t& job, std::uint32_t& proc) -> bool {
-    const auto pop_job = [&job](std::vector<std::uint64_t>& heap) {
-      job = static_cast<std::uint32_t>(heap.front());
-      std::pop_heap(heap.begin(), heap.end(), std::greater<std::uint64_t>());
-      heap.pop_back();
-    };
     if constexpr (Partitioned) {
       // O(m) scan over the heap tops of the free processors.
       std::uint64_t best_key = ~std::uint64_t{0};
@@ -369,71 +333,22 @@ template <Evaluator::Pass P, bool Partitioned, class T, class W>
       if (best == m) {
         return false;
       }
-      pop_job(proc_ready_[best]);
+      auto& heap = proc_ready_[best];
+      job = static_cast<std::uint32_t>(heap.front());
+      std::pop_heap(heap.begin(), heap.end(), std::greater<std::uint64_t>());
+      heap.pop_back();
       proc = static_cast<std::uint32_t>(best);
     } else {
-      if (ready_heap_.empty() || free_procs_.empty()) {
+      if (ready_.size == 0 || free_procs_.empty()) {
         return false;
       }
-      pop_job(ready_heap_);
+      const std::uint32_t k = ready_.front();
+      ready_.erase(k);
+      job = job_at[k];
       proc = free_procs_.front();
       std::pop_heap(free_procs_.begin(), free_procs_.end(), std::greater<std::uint32_t>());
       free_procs_.pop_back();
     }
-    return true;
-  };
-
-  // kMove: exact state comparison against a baseline checkpoint, cheapest
-  // checks first: O(1) scalars, then the event-heap fronts (snapshots are
-  // sorted, so their fronts are the minima), then the O(n) state walk. A
-  // false result only skips the splice — never changes a score.
-  int deep_failures = 0;
-  const auto confluent = [&](const eval_detail::EvalCheckpoint<T>& ck) -> bool {
-    if (t != ck.t || src_ptr != ck.src_ptr || busy.size() != ck.busy.size() ||
-        pending.size() != ck.pending.size() || ready_heap_.size() != ck.ready_jobs.size() ||
-        free_procs_.size() != ck.free_procs.size()) {
-      return false;
-    }
-    if (!busy.empty() && busy.front() != ck.busy.front()) {
-      return false;
-    }
-    if (!pending.empty() && pending.front() != ck.pending.front()) {
-      return false;
-    }
-    ++deep_failures;  // provisional; undone on success
-    if (!std::equal(started_.begin(), started_.end(), ck.started_flags.begin())) {
-      return false;
-    }
-    cmp_a_.assign(free_procs_.begin(), free_procs_.end());
-    std::sort(cmp_a_.begin(), cmp_a_.end());
-    if (cmp_a_ != ck.free_procs) {
-      return false;
-    }
-    cmp_b_.clear();
-    for (const std::uint64_t key : ready_heap_) {
-      cmp_b_.push_back(static_cast<std::uint32_t>(key));
-    }
-    std::sort(cmp_b_.begin(), cmp_b_.end());
-    if (cmp_b_ != ck.ready_jobs) {
-      return false;
-    }
-    auto& pairs = lane.cmp_pairs;
-    pairs.assign(busy.begin(), busy.end());
-    std::sort(pairs.begin(), pairs.end());
-    if (pairs != ck.busy) {
-      return false;
-    }
-    pairs.assign(pending.begin(), pending.end());
-    std::sort(pairs.begin(), pairs.end());
-    if (pairs != ck.pending) {
-      return false;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (started_[i] == 0 && ready_at[i] != ck.ready_at[i]) {
-        return false;
-      }
-    }
-    --deep_failures;
     return true;
   };
 
@@ -483,18 +398,32 @@ template <Evaluator::Pass P, bool Partitioned, class T, class W>
         release(proc);
       }
       if constexpr (P == Pass::kBaseline) {
-        // Decision log for the k-th pop: the started job's rank, the
-        // next-best ready rank at that instant (heap front — nothing has
-        // been pushed since the pop), and the job→pop-index inverse.
-        base.finish_log[started] = finish;
-        base.chosen_rank[started] = rank_[job];
-        base.second_rank[started] =
-            ready_heap_.empty() ? ~std::uint32_t{0}
-                                : static_cast<std::uint32_t>(ready_heap_.front() >> 32);
+        // Pop log: the started job, its instant, the next-best ready key
+        // (nothing has been pushed since the pop) and the job->pop inverse.
+        base.pop_job[started] = job;
+        base.pop_t[started] = t;
+        base.second_key[started] = ready_.size == 0 ? ~std::uint32_t{0} : ready_.front();
         base.start_idx[job] = static_cast<std::uint32_t>(started);
-      }
-      if constexpr (kTrackStarted) {
-        started_[job] = 1;
+      } else if constexpr (P == Pass::kMove) {
+        // `diff` after adding `job` to this run's started set and the
+        // baseline's pop `started` to its own; `horizon` over the jobs
+        // started at another instant than in the baseline.
+        move_stamp_[job] = move_epoch_;
+        const std::uint32_t base_job = base.pop_job[started];
+        if (job != base_job) {
+          diff += base.start_idx[job] < started ? -1 : 1;
+          diff += move_stamp_[base_job] == move_epoch_ ? -1 : 1;
+        }
+        const T& base_start = base.pop_t[base.start_idx[job]];
+        if (t != base_start) {
+          const T later = add_wcet(t < base_start ? base_start : t, wcet[job]);
+          if (horizon < later) {
+            horizon = later;
+          }
+        }
+        if (job == job_a || (two_jobs && job == job_b)) {
+          --unstarted_moved;
+        }
       }
       ++started;
       for (std::uint32_t e = succ_offsets[job]; e < succ_offsets[job + 1]; ++e) {
@@ -519,45 +448,24 @@ template <Evaluator::Pass P, bool Partitioned, class T, class W>
           ck.violations = violations;
           ck.t = t;
           ck.last_finish = last_finish;
-          ck.started_flags.assign(started_.begin(), started_.end());
           ck.ready_at.assign(ready_at.begin(), ready_at.end());
           ck.remaining.assign(remaining_.begin(), remaining_.end());
-          ck.ready_jobs.clear();
-          for (const std::uint64_t key : ready_heap_) {
-            ck.ready_jobs.push_back(static_cast<std::uint32_t>(key));
-          }
-          // Sorted ascending is both the canonical form for the
-          // confluence compare and a valid min-heap layout for restore.
-          std::sort(ck.ready_jobs.begin(), ck.ready_jobs.end());
-          ck.busy.assign(busy.begin(), busy.end());
-          std::sort(ck.busy.begin(), ck.busy.end());
-          ck.pending.assign(pending.begin(), pending.end());
-          std::sort(ck.pending.begin(), ck.pending.end());
-          ck.free_procs.assign(free_procs_.begin(), free_procs_.end());
-          std::sort(ck.free_procs.begin(), ck.free_procs.end());
+          ck.ready = ready_;
+          ck.busy = busy;
+          ck.pending = pending;
+          ck.free_procs = free_procs_;
         }
       } else if constexpr (P == Pass::kMove) {
-        // The candidate can only have re-joined the baseline once every
-        // key job has started — from then on the unstarted jobs' relative
-        // priorities match the baseline (for a rotation the shifted ranks
-        // differ by one but order-isomorphically), so an exact state
-        // match implies an identical tail. Confluence is absorbing, so
-        // probing only at checkpoint boundaries loses nothing.
-        if (started_[key_a] != 0 && (!two_keys || started_[key_b] != 0) && started < n &&
-            started % base.stride == 0 && deep_failures < kMaxDeepCompareFailures) {
-          const std::size_t idx = started / base.stride - 1;
-          if (idx < base.count && base.ck[idx].started == started &&
-              confluent(base.ck[idx])) {
-            // The baseline's tail is this candidate's tail: splice the
-            // memoized suffix aggregates.
-            stats_.starts_simulated += started - first_start;
-            ++stats_.spliced_evals;
-            T mk = last_finish;
-            if (mk < base.ck[idx].suffix_max_finish) {
-              mk = base.ck[idx].suffix_max_finish;
-            }
-            return EvalScore{violations + base.ck[idx].suffix_violations, time_of(mk)};
+        // Rejoined the baseline (see the header): splice its suffix.
+        if (unstarted_moved == 0 && diff == 0 && !(t < horizon) && started < n &&
+            t == base.pop_t[started - 1]) {
+          stats_.starts_simulated += started - first_start;
+          ++stats_.spliced_evals;
+          T mk = last_finish;
+          if (mk < base.suffix_max[started]) {
+            mk = base.suffix_max[started];
           }
+          return EvalScore{violations + base.suffix_viol[started], time_of(mk)};
         }
       }
     }
@@ -589,31 +497,18 @@ template <Evaluator::Pass P, bool Partitioned, class T, class W>
   }
   stats_.starts_simulated += started - first_start;
   if constexpr (P == Pass::kBaseline) {
-    finalize_baseline(base, violations);
+    // Suffix aggregates over pops >= k, one backward pass.
+    base.suffix_viol[n] = 0;
+    base.suffix_max[n] = T{};
+    for (std::size_t k = n; k-- > 0;) {
+      const std::uint32_t job = base.pop_job[k];
+      const T finish = add_wcet(base.pop_t[k], wcet[job]);
+      base.suffix_viol[k] = base.suffix_viol[k + 1] + (deadline[job] < finish ? 1 : 0);
+      base.suffix_max[k] = base.suffix_max[k + 1] < finish ? finish : base.suffix_max[k + 1];
+    }
+    base.valid = true;
   }
   return EvalScore{violations, time_of(last_finish)};
-}
-
-template <class T>
-void Evaluator::finalize_baseline(eval_detail::BaselineStore<T>& base,
-                                  std::size_t violations) {
-  const std::size_t n = cg_->job_count();
-  // Suffix aggregates per checkpoint: violations after the checkpoint and
-  // the max finish among jobs started after it (one backward pass over
-  // the per-start finish log).
-  std::size_t ci = base.count;
-  T running{};
-  for (std::size_t k = n; k-- > 0;) {
-    while (ci > 0 && base.ck[ci - 1].started == k + 1) {
-      --ci;
-      base.ck[ci].suffix_max_finish = running;
-      base.ck[ci].suffix_violations = violations - base.ck[ci].violations;
-    }
-    if (running < base.finish_log[k]) {
-      running = base.finish_log[k];
-    }
-  }
-  base.valid = true;
 }
 
 template <Evaluator::Pass P>
@@ -630,7 +525,7 @@ EvalScore Evaluator::run_pass(std::size_t lo, std::size_t hi, MoveKind kind) {
 }
 
 EvalScore Evaluator::evaluate(const std::vector<JobId>& priority) {
-  load_rank(priority);
+  load_keys(priority, key_, job_at_);
   ++stats_.full_evals;
   return run_pass<Pass::kScore>();
 }
@@ -639,10 +534,8 @@ EvalScore Evaluator::evaluate_baseline(const std::vector<JobId>& priority) {
   if (partition_mode_) {
     throw std::logic_error("evaluator: incremental baseline requires global mode");
   }
-  load_rank(priority);
-  for (std::size_t r = 0; r < base_order_.size(); ++r) {
-    base_order_[r] = static_cast<std::uint32_t>(priority[r].value());
-  }
+  load_keys(priority, base_key_, base_job_at_);
+  base_order_.assign(priority.begin(), priority.end());
   ++stats_.full_evals;
   return run_pass<Pass::kBaseline>();
 }
@@ -660,9 +553,50 @@ EvalScore Evaluator::evaluate_move(const std::vector<JobId>& priority, std::size
     // No baseline to lean on — still exact, just a plain full run.
     return evaluate(priority);
   }
-  load_rank_for_move(priority, lo, hi, kind);
+  if (priority.size() != n) {
+    throw std::invalid_argument("evaluator: SP order must cover every job");
+  }
   ++stats_.incremental_evals;
-  return run_pass<Pass::kMove>(lo, hi, kind);
+  if (n == 0) {
+    return EvalScore{0, Time()};
+  }
+  // `priority` must be exactly the claimed perturbation of the baseline
+  // (which, the baseline being a validated permutation, also proves it is
+  // one): everything outside [lo, hi] in place, the window as claimed.
+  const JobId* const p = priority.data();
+  const JobId* const b = base_order_.data();
+  const bool swap = kind == MoveKind::kSwap;
+  bool claimed = same_jobs(p, b, lo) && same_jobs(p + hi + 1, b + hi + 1, n - hi - 1) &&
+                 p[lo] == b[hi];
+  if (swap) {
+    claimed = claimed && p[hi] == b[lo] &&
+              (hi == lo || same_jobs(p + lo + 1, b + lo + 1, hi - lo - 1));
+  } else {
+    claimed = claimed && same_jobs(p + lo + 1, b + lo, hi - lo);
+  }
+  if (!claimed) {
+    throw std::invalid_argument(
+        "evaluator: order is not the claimed perturbation of the baseline");
+  }
+  // Patch the moved jobs' keys, score, restore.
+  const std::uint32_t a = static_cast<std::uint32_t>(b[hi].value());
+  const auto exchange = [&] {
+    std::swap(base_key_[a], base_key_[b[lo].value()]);
+    std::swap(base_job_at_[key_of(lo)], base_job_at_[key_of(hi)]);
+  };
+  if (swap) {
+    exchange();
+  } else {
+    base_key_[a] = static_cast<std::uint32_t>(2 * lo);
+    base_job_at_[2 * lo] = a;
+  }
+  const EvalScore score = run_pass<Pass::kMove>(lo, hi, kind);
+  if (swap) {
+    exchange();
+  } else {
+    base_key_[a] = key_of(hi);
+  }
+  return score;
 }
 
 StaticSchedule Evaluator::materialize(const std::vector<JobId>& priority) {
@@ -671,7 +605,7 @@ StaticSchedule Evaluator::materialize(const std::vector<JobId>& priority) {
 }
 
 StaticSchedule Evaluator::materialize(const std::vector<JobId>& priority, EvalScore& score) {
-  load_rank(priority);
+  load_keys(priority, key_, job_at_);
   score = run_pass<Pass::kMaterialize>();
   const std::size_t n = cg_->job_count();
   StaticSchedule schedule(n, processors_);

@@ -10,8 +10,9 @@
 // that with an event-driven simulation over a CompiledTaskGraph flat view
 // (taskgraph/compiled_graph.hpp):
 //
-//   - a rank-keyed min-heap of ready jobs and a min-heap of free
-//     processor indices replace the O(n) highest-priority-ready scan,
+//   - a priority-keyed two-level bitset of ready jobs (two
+//     count-trailing-zeros per pop) and a min-heap of free processor
+//     indices replace the O(n) highest-priority-ready scan,
 //   - a (free-time, processor) min-heap plus a pending-ready heap replace
 //     the O(n) next-event scan,
 //   - on the int64 tick timebase every comparison is integer; when ticks
@@ -24,54 +25,60 @@
 //
 // Incremental evaluation (the local-search move loop):
 //
-//   evaluate_baseline() runs the full simulation and snapshots the
-//   complete simulation state (time, event heaps, ready set, readiness
-//   times, started set) every `checkpoint_stride()` starts — O(√n)
-//   checkpoints by default, owned by the evaluator and reused without
-//   reallocation. evaluate_move(order, lo, hi, kind) then scores a
-//   swap/rotate perturbation of the baseline order by
+//   evaluate_baseline() runs the full simulation and logs, per pop k, the
+//   started job and its instant (pop_job, pop_t), plus suffix aggregates
+//   over pops >= k (violations, max finish). Every `checkpoint_stride()`
+//   starts — O(√n) times — it copies the raw simulation state into a
+//   preallocated checkpoint; checkpoints serve resumption only.
+//   evaluate_move(order, lo, hi, kind) then scores a swap/rotate
+//   perturbation of the baseline order by
 //
+//     - patching the moved jobs' priority keys only: the baseline keys
+//       position r as 2r+1, a rotation keys the pulled job 2·lo (just
+//       ahead of position lo) and a swap exchanges two keys,
 //     - resuming from the latest checkpoint at or before the exact first
-//       pop the move can influence, computed from per-start decision logs
-//       recorded with the baseline: the promoted job (new rank lo) steals
-//       its first baseline pop at or after its ready-entry whose chosen
-//       rank is >= lo, and a swap's demoted job loses its own pop iff the
-//       runner-up there outranked its new position. Every earlier
-//       decision replays verbatim (a rotation's shifted window keeps its
-//       relative order), so the restored state is exactly what a
-//       from-scratch run would reach,
-//     - once every moved job has started, comparing the live state
-//       against the baseline checkpoint at the same started-count; on an
-//       exact match the two simulations are confluent and the memoized
-//       suffix (violation count + suffix max finish) is spliced in
-//       without simulating the tail. Confluence is an absorbing state, so
-//       probing only at checkpoint boundaries loses nothing. On periodic
-//       workloads the machine drains at frame boundaries, which bounds
-//       how far a perturbation can propagate — most moves splice within
-//       a frame or two of the divergence.
+//       pop the move can influence, computed from the pop logs: the
+//       promoted job steals its first baseline pop at or after its
+//       ready-entry whose chosen key is not below its new one, and a
+//       swap's demoted job loses its own pop iff the runner-up there
+//       outranked its new key. Every earlier decision replays verbatim,
+//     - splicing the baseline's suffix the moment the move rejoins it.
+//       After each start the move keeps, in O(1), `diff`: the size of the
+//       symmetric difference between its started set and the baseline's
+//       first k pops, and `horizon`: the latest finish, in either run, of
+//       any job it started at another instant than the baseline. Once the
+//       moved jobs have started, diff == 0, t >= horizon and
+//       t == pop_t[k-1], both runs stand at the same instant of the same
+//       decision round with the same started set. Every job whose finish
+//       differs has finished in both, so the busy processors carry equal
+//       finish times, the same jobs are ready or pending at the same
+//       times (a readiness time differs only where both are <= t, which
+//       no later decision can tell apart), and the unstarted jobs have
+//       the baseline's relative keys. The rest of the run is the
+//       baseline's up to processor names, which no score reads. The
+//       instant test is needed: a zero-WCET job can restore the started
+//       set later than the baseline had it, while the baseline had a
+//       processor to spend in between. Periodic workloads drain at frame
+//       boundaries, so most moves rejoin within a frame.
 //
-//   Both shortcuts are exact, never heuristic: resumption replays the
-//   identical decision sequence (all heap keys are unique, so pops are
-//   layout-independent), and the splice is gated on a full state
-//   comparison, not a hash. evaluate_move therefore returns the
-//   bit-identical score a from-scratch evaluate() of the same order
-//   produces — regression-proved move-by-move by the incremental
-//   differential suite in tests/evaluator_test.cpp.
+//   Both shortcuts are exact, never heuristic, so evaluate_move returns
+//   the bit-identical score of a from-scratch evaluate() of the same
+//   order — regression-proved move by move in tests/evaluator_test.cpp.
 //
 // Partition-constrained mode (the "partitioned-wfd" strategy, the §V
 // static mapping mu_i): the three-argument constructor pins every job to
 // one processor (its process's assigned bin). The simulation then keeps
 // one rank-keyed ready heap per processor and starts, at every instant,
 // the globally lowest-rank job whose own processor is free — bit-identical
-// to the reference testing::partitioned_list_schedule rescan. Checkpoints
-// are a global-mode feature; partition mode supports
+// to the reference testing::partitioned_list_schedule rescan. The
+// incremental API is a global-mode feature; partition mode supports
 // evaluate()/materialize().
 //
 // One simulation loop serves every entry point. evaluate, materialize,
 // evaluate_baseline and evaluate_move each run their own instantiation
 // of one templated simulation (pass x partition mode x timebase). The
 // passes differ only at compile-time branches (recording placements,
-// recording decision logs and checkpoints, resuming and splicing), and
+// pop logs and checkpoints, resuming and splicing), and
 // partition mode only in how a ready job is queued, how a processor is
 // taken and released, and how the next start is picked. No mode flag is
 // tested inside the loop.
@@ -92,6 +99,7 @@
 // search).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -139,10 +147,51 @@ struct EvalStats {
 
 namespace eval_detail {
 
-/// One baseline snapshot: the complete simulation state immediately after
-/// the `started`-th job start (successor propagation included). At that
-/// instant every heap key is strictly greater than `t` except free
-/// processors, so resuming at the top of the event loop is exact.
+/// The global mode's ready set over priority keys: a two-level bitset.
+/// Bit k of `words` is set while the job with key k is ready, bit w of
+/// `summary` while words[w] != 0. Insert and erase are O(1); the smallest
+/// key is a summary scan from `first` (a lower bound on the first
+/// non-zero summary word) and two count-trailing-zeros.
+struct ReadySet {
+  std::vector<std::uint64_t> words;
+  std::vector<std::uint64_t> summary;
+  std::size_t size = 0;
+  std::size_t first = 0;
+
+  static std::uint64_t bit(std::size_t i) { return std::uint64_t{1} << (i & 63U); }
+  void clear(std::size_t keys) {
+    words.assign((keys + 63) / 64, 0);
+    summary.assign((words.size() + 63) / 64, 0);
+    size = first = 0;
+  }
+  [[nodiscard]] bool contains(std::uint32_t key) const { return (words[key >> 6] & bit(key)) != 0; }
+  void insert(std::uint32_t key) {
+    words[key >> 6] |= bit(key);
+    summary[key >> 12] |= bit(key >> 6);
+    first = std::min<std::size_t>(first, key >> 12);
+    ++size;
+  }
+  void erase(std::uint32_t key) {
+    if ((words[key >> 6] &= ~bit(key)) == 0) {
+      summary[key >> 12] &= ~bit(key >> 6);
+    }
+    --size;
+  }
+  /// The smallest key; the set must not be empty.
+  [[nodiscard]] std::uint32_t front() {
+    while (summary[first] == 0) {
+      ++first;
+    }
+    const std::size_t w = (first << 6) | static_cast<unsigned>(__builtin_ctzll(summary[first]));
+    return static_cast<std::uint32_t>((w << 6) | static_cast<unsigned>(__builtin_ctzll(words[w])));
+  }
+};
+
+/// One baseline snapshot: the raw simulation state immediately after the
+/// `started`-th job start (successor propagation included). At that
+/// instant every event key is strictly greater than `t`, so resuming at
+/// the top of the event loop is exact, and the heaps restore as they were
+/// copied.
 template <class T>
 struct EvalCheckpoint {
   std::size_t started = 0;
@@ -150,48 +199,42 @@ struct EvalCheckpoint {
   std::size_t violations = 0;
   T t{};
   T last_finish{};
-  // Memoized suffix aggregates (filled after the baseline run completes).
-  std::size_t suffix_violations = 0;
-  T suffix_max_finish{};
-  // Snapshots (job ids / raw heap arrays; ready jobs stored rank-free so
-  // they can be re-keyed under the perturbed order).
-  std::vector<std::uint8_t> started_flags;
   std::vector<T> ready_at;
   std::vector<std::uint32_t> remaining;
-  std::vector<std::uint32_t> ready_jobs;
+  ReadySet ready;  ///< under the baseline keys
   std::vector<std::pair<T, std::uint32_t>> busy;
   std::vector<std::pair<T, std::uint32_t>> pending;
   std::vector<std::uint32_t> free_procs;
 };
 
-/// The checkpoint store for one timebase. `ck` slots are preallocated and
-/// reused across baselines — allocation-free in steady state.
+/// The baseline of one timebase: checkpoints for resumption and the
+/// per-pop logs behind the resume bound and the splice test. Preallocated
+/// and reused across baselines — allocation-free in steady state.
 template <class T>
 struct BaselineStore {
   bool valid = false;
   std::size_t stride = 0;
   std::size_t count = 0;
   std::vector<EvalCheckpoint<T>> ck;
-  std::vector<T> finish_log;  ///< finish time of the k-th started job
-  // Per-start decision logs, used to compute the exact first pop a move
-  // can influence (the resume bound for evaluate_move).
-  std::vector<std::uint32_t> chosen_rank;     ///< rank started at pop k
-  std::vector<std::uint32_t> second_rank;     ///< next-best ready rank at pop k
-  std::vector<std::uint32_t> entry_idx;       ///< pop count when job became ready
-  std::vector<std::uint32_t> start_idx;       ///< pop index that started job
+  std::vector<std::uint32_t> pop_job;     ///< job started at pop k
+  std::vector<T> pop_t;                   ///< instant of pop k
+  std::vector<std::uint32_t> second_key;  ///< next-best ready key at pop k
+  std::vector<std::uint32_t> entry_idx;   ///< pop count when job became ready
+  std::vector<std::uint32_t> start_idx;   ///< pop index that started job
+  std::vector<std::size_t> suffix_viol;   ///< violations among pops >= k (n+1)
+  std::vector<T> suffix_max;              ///< max finish among pops >= k (n+1)
 };
 
 /// The simulation scratch of one timebase (int64 ticks or exact Time):
-/// readiness times, the (time, index) event heaps, materialized starts,
-/// the confluence-compare scratch and the checkpoint store. Only the
-/// lane of the graph's active timebase is sized.
+/// readiness times, the (time, index) event heaps, materialized starts
+/// and the baseline store. Only the lane of the graph's active timebase
+/// is sized.
 template <class T>
 struct Lane {
   std::vector<T> ready_at;
   std::vector<std::pair<T, std::uint32_t>> busy;     ///< (free time, processor)
   std::vector<std::pair<T, std::uint32_t>> pending;  ///< (ready time, job)
   std::vector<T> start;
-  std::vector<std::pair<T, std::uint32_t>> cmp_pairs;
   BaselineStore<T> base;
 };
 
@@ -241,10 +284,10 @@ class Evaluator {
   [[nodiscard]] StaticSchedule materialize(const std::vector<JobId>& priority,
                                            EvalScore& score);
 
-  /// Full evaluation that also (re)builds the checkpoint store, making
-  /// `priority` the incremental baseline. Call on the incumbent order at
-  /// the start of a climb and after every accepted move. Score is
-  /// bit-identical to evaluate(). Global mode only (throws
+  /// Full evaluation that also (re)builds the checkpoints and per-pop
+  /// logs, making `priority` the incremental baseline. Call on the
+  /// incumbent order at the start of a climb and after every accepted
+  /// move. Score is bit-identical to evaluate(). Global mode only (throws
   /// std::logic_error in partition mode).
   [[nodiscard]] EvalScore evaluate_baseline(const std::vector<JobId>& priority);
 
@@ -252,10 +295,9 @@ class Evaluator {
   /// be exactly the claimed perturbation of the baseline (see MoveKind);
   /// this is verified and a mismatch throws std::invalid_argument.
   /// Resumes from the latest compatible checkpoint and splices the
-  /// memoized suffix on confluence; the result is bit-identical to
-  /// evaluate(priority). Falls back to a full run (still exact) when no
-  /// baseline is set or no checkpoint is compatible. Does not modify the
-  /// baseline.
+  /// baseline's suffix once the run rejoins it; the result is
+  /// bit-identical to evaluate(priority). Falls back to a full run (still
+  /// exact) when no baseline is set. Does not modify the baseline.
   [[nodiscard]] EvalScore evaluate_move(const std::vector<JobId>& priority,
                                         std::size_t lo, std::size_t hi,
                                         MoveKind kind);
@@ -283,21 +325,19 @@ class Evaluator {
 
  private:
   /// What one simulation pass does besides scoring: kMaterialize records
-  /// starts and processors, kBaseline records decision logs and
-  /// checkpoints, kMove resumes from a checkpoint and probes for
-  /// confluence. Each pass is its own instantiation of simulate().
+  /// starts and processors, kBaseline records the per-pop logs and
+  /// checkpoints, kMove resumes from a checkpoint and tests for the
+  /// splice after every start. Each pass is its own instantiation of
+  /// simulate().
   enum class Pass : std::uint8_t { kScore, kMaterialize, kBaseline, kMove };
 
   void validate();
   void init_scratch();
   void reserve_checkpoints();
-  void load_rank(const std::vector<JobId>& priority);
-  // Verifies that `priority` is exactly the claimed perturbation of the
-  // stored baseline order (which, the baseline being a validated
-  // permutation, also proves `priority` is one) and loads rank_ in the
-  // same pass.
-  void load_rank_for_move(const std::vector<JobId>& priority, std::size_t lo,
-                          std::size_t hi, MoveKind kind);
+  /// Validates that `priority` is a permutation of all jobs and keys
+  /// position r as 2r+1 in `key` (job -> key) and `job_at` (key -> job).
+  void load_keys(const std::vector<JobId>& priority, std::vector<std::uint32_t>& key,
+                 std::vector<std::uint32_t>& job_at);
 
   /// Calls f(lane, arrival, deadline, wcet) on the active timebase.
   template <class F>
@@ -314,9 +354,6 @@ class Evaluator {
                      const std::vector<T>& deadline, const std::vector<W>& wcet,
                      std::size_t lo, std::size_t hi, MoveKind kind);
 
-  template <class T>
-  void finalize_baseline(eval_detail::BaselineStore<T>& base, std::size_t violations);
-
   [[nodiscard]] Time time_of(std::int64_t ticks) const { return cg_->time_from_ticks(ticks); }
   [[nodiscard]] static const Time& time_of(const Time& t) { return t; }
 
@@ -326,16 +363,22 @@ class Evaluator {
   std::size_t stride_ = 1;
   EvalStats stats_;
 
-  // Scratch, reused across evaluations.
-  std::vector<std::uint32_t> rank_;       ///< rank_[job] = SP position
-  std::vector<std::uint32_t> base_order_; ///< baseline order (move verification)
-  std::vector<std::uint8_t> seen_;        ///< permutation validation
-  std::vector<std::uint32_t> remaining_;  ///< unfinished predecessor counts
-  std::vector<std::uint8_t> started_;     ///< started flags (confluence check)
-  std::vector<std::uint64_t> ready_heap_; ///< (rank << 32 | job) min-heap
-  std::vector<std::uint32_t> free_procs_; ///< free processor-index min-heap
+  // Scratch, reused across evaluations. A job's priority key is 2r+1 for
+  // SP position r; evaluate() and materialize() key through key_/job_at_,
+  // the baseline and its moves through base_key_/base_job_at_, which a
+  // move patches for the moved jobs and restores.
+  std::vector<std::uint32_t> key_;          ///< job -> key
+  std::vector<std::uint32_t> job_at_;       ///< key -> job
+  std::vector<std::uint32_t> base_key_;
+  std::vector<std::uint32_t> base_job_at_;
+  std::vector<JobId> base_order_;           ///< baseline order (move verification)
+  std::vector<std::uint8_t> seen_;          ///< permutation validation
+  std::vector<std::uint32_t> remaining_;    ///< unfinished predecessor counts
+  eval_detail::ReadySet ready_;             ///< global-mode ready jobs by key
+  std::vector<std::uint32_t> free_procs_;   ///< free processor-index min-heap
   std::vector<std::uint32_t> placed_proc_;
-  std::vector<std::uint32_t> cmp_a_, cmp_b_;  ///< confluence-compare scratch
+  std::vector<std::uint32_t> move_stamp_;   ///< == move_epoch_: started by this move
+  std::uint32_t move_epoch_ = 0;
   // Partition-mode scratch.
   std::vector<std::uint32_t> job_proc_;       ///< job -> pinned processor
   std::vector<std::vector<std::uint64_t>> proc_ready_;  ///< per-proc ready heaps

@@ -1,6 +1,7 @@
 // The SP hill-climb behind optimize_priority, written once over its
-// scorer. Production instantiates it with sched::Evaluator (checkpointed
-// incremental move scoring, local_search.cpp); the test oracle
+// scorer. Production instantiates it with sched::Evaluator (incremental
+// move scoring: checkpoint resume and suffix splice, local_search.cpp);
+// the test oracle
 // instantiates it with the naive testing::list_schedule + count_violations
 // scorer (testing/reference_search.cpp). Both walk the identical
 // trajectory — the same seeds, moves, acceptances and iterations — so any
@@ -120,7 +121,7 @@ LocalSearchResult hill_climb(const std::vector<StartPoint>& starts,
           current, lo, hi, swap_move ? MoveKind::kSwap : MoveKind::kRotate);
       if (score.better_than(current_score)) {
         // Re-score the accepted order as the baseline of the next move;
-        // the score is the same, only the scorer's checkpoints move.
+        // the score is the same, only the scorer's baseline moves.
         current_score = scorer.evaluate_baseline(current);
         stale = 0;
         if (current_score.better_than(best_score)) {

@@ -16,12 +16,17 @@
 #include <filesystem>
 #include <random>
 
+#include "apps/fms.hpp"
+#include "gen/rng.hpp"
 #include "gen/scenario.hpp"
+#include "sched/hill_climb.hpp"
 #include "sched/local_search.hpp"
 #include "sched/parallel_search.hpp"
 #include "sched/partitioned.hpp"
 #include "sched/registry.hpp"
 #include "sched/schedule_cache.hpp"
+#include "sched/search_context.hpp"
+#include "taskgraph/derivation.hpp"
 #include "taskgraph/task_graph.hpp"
 #include "testing/list_scheduler.hpp"
 #include "testing/reference_search.hpp"
@@ -743,6 +748,8 @@ TEST(EvaluatorIncremental, StatsOnAFixedMoveSequenceArePinned) {
   // the differential suites cannot see a resume or a splice silently
   // turning into a full run. These totals were recorded on a fixed move
   // sequence and must not change unless the resume or splice rule does.
+  // (Splicing at checkpoint boundaries only, on a full state compare,
+  // read 588 spliced moves and 5953 starts.)
   sched::EvalStats total;
   for (std::uint64_t g = 0; g < 40; ++g) {
     const TaskGraph tg = g % 2 == 0 ? random_task_graph(g + 7000)
@@ -780,8 +787,202 @@ TEST(EvaluatorIncremental, StatsOnAFixedMoveSequenceArePinned) {
   EXPECT_EQ(total.full_evals, 46u);
   EXPECT_EQ(total.incremental_evals, 1200u);
   EXPECT_EQ(total.resumed_evals, 814u);
-  EXPECT_EQ(total.spliced_evals, 588u);
-  EXPECT_EQ(total.starts_simulated, 5953u);
+  EXPECT_EQ(total.spliced_evals, 804u);
+  EXPECT_EQ(total.starts_simulated, 4924u);
+}
+
+// ---------------------------------------------------------------------------
+// Splice differential: evaluate_move against a from-scratch evaluate() on
+// every move of full production climbs, and for each splice condition a
+// hand-built graph that a splice without that condition scores wrong.
+
+/// A hill_climb scorer that scores every move incrementally and again
+/// from scratch on a second kernel, and counts disagreements.
+class CheckingScorer {
+ public:
+  CheckingScorer(const std::shared_ptr<const CompiledTaskGraph>& cg, std::int64_t processors)
+      : inc_(cg, processors), scratch_(cg, processors) {}
+
+  sched::EvalScore evaluate(const std::vector<JobId>& order) { return inc_.evaluate(order); }
+  sched::EvalScore evaluate_baseline(const std::vector<JobId>& order) {
+    return inc_.evaluate_baseline(order);
+  }
+  sched::EvalScore evaluate_move(const std::vector<JobId>& order, std::size_t lo,
+                                 std::size_t hi, sched::MoveKind kind) {
+    const sched::EvalScore got = inc_.evaluate_move(order, lo, hi, kind);
+    const sched::EvalScore want = scratch_.evaluate(order);
+    if (got.deadline_violations != want.deadline_violations ||
+        got.makespan != want.makespan) {
+      ++mismatches;
+    }
+    return got;
+  }
+  StaticSchedule materialize(const std::vector<JobId>& order) {
+    return inc_.materialize(order);
+  }
+  [[nodiscard]] const sched::Evaluator& kernel() const { return inc_; }
+
+  std::size_t mismatches = 0;
+
+ private:
+  sched::Evaluator inc_;
+  sched::Evaluator scratch_;
+};
+
+struct ClimbTotals {
+  std::uint64_t moves = 0;
+  std::uint64_t spliced = 0;
+  std::uint64_t rational_moves = 0;
+};
+
+/// Full climbs on `tg` under both search budgets (the quick preset's 400
+/// iterations with 1 restart, the optimize preset's 2000 with 2) and
+/// seeds 1-3, every move checked against a from-scratch evaluation.
+void expect_climbs_splice_exactly(const TaskGraph& tg, std::int64_t processors,
+                                  const std::string& context, ClimbTotals& totals) {
+  const sched::SearchContext ctx(tg, processors);
+  std::vector<sched::StartPoint> starts;
+  for (const PriorityHeuristic h : all_heuristics()) {
+    const sched::HeuristicRun& run = ctx.heuristic(h);
+    starts.push_back({h, &run.order, run.score});
+  }
+  for (const auto& [iterations, restarts] : {std::pair{400, 1}, std::pair{2000, 2}}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      sched::StrategyOptions opts;
+      opts.processors = processors;
+      opts.seed = seed;
+      opts.max_iterations = iterations;
+      opts.restarts = restarts;
+      CheckingScorer scorer(ctx.compiled(), processors);
+      (void)sched::hill_climb(starts, opts, scorer);
+      EXPECT_EQ(scorer.mismatches, 0u) << context << " M=" << processors << " budget "
+                                       << iterations << " seed " << seed;
+      const sched::EvalStats& st = scorer.kernel().stats();
+      totals.moves += st.incremental_evals;
+      totals.spliced += st.spliced_evals;
+      totals.rational_moves += scorer.kernel().uses_ticks() ? 0 : st.incremental_evals;
+    }
+  }
+}
+
+TEST(EvaluatorSplice, EveryClimbMoveOnPaperAndJitteredFmsMatchesAFullRun) {
+  // The paper FMS and 8 variants with every WCET raised by k/10 ms, k in
+  // 0..9 per process (the end-to-end benchmark's draw), on 2 processors.
+  const apps::FmsApp app = apps::build_fms(true);
+  ClimbTotals totals;
+  for (std::uint64_t jitter = 0; jitter <= 8; ++jitter) {
+    WcetMap wcets = app.default_wcets();
+    if (jitter != 0) {
+      gen::Rng rng(jitter);
+      for (auto& entry : wcets) {
+        entry.second += Duration::ratio_ms(rng.range(0, 9), 10);
+      }
+    }
+    const TaskGraph tg = derive_task_graph(app.net, wcets).graph;
+    ASSERT_EQ(tg.job_count(), 812u);
+    expect_climbs_splice_exactly(tg, 2, "fms jitter " + std::to_string(jitter), totals);
+  }
+  EXPECT_GT(totals.moves, 0u);
+  EXPECT_GT(totals.spliced, totals.moves / 2);
+}
+
+TEST(EvaluatorSplice, EveryClimbMoveOnEveryGeneratorFamilyMatchesAFullRun) {
+  // The near-overflow family's lcm overflows int64 ticks: its climbs run
+  // on the Rational lane, every other family's on ticks.
+  ClimbTotals totals;
+  for (const gen::Family family : gen::all_families()) {
+    const gen::Scenario s = gen::make_scenario(family, 1);
+    const TaskGraph tg = derive_task_graph(s.net, s.wcets).graph;
+    for (std::int64_t processors = 1; processors <= 3; ++processors) {
+      expect_climbs_splice_exactly(tg, processors, s.name, totals);
+    }
+  }
+  EXPECT_GT(totals.moves, 0u);
+  EXPECT_GT(totals.spliced, 0u);
+  EXPECT_GT(totals.rational_moves, 0u);
+}
+
+/// Scores the baseline `order` and the move (lo, hi, kind) of it on every
+/// checkpoint stride (1, the default, n) and checks both against the
+/// expected scores, which a from-scratch evaluate() must also give.
+void expect_move_scores(const TaskGraph& tg, std::int64_t processors,
+                        const std::vector<JobId>& order, std::size_t lo, std::size_t hi,
+                        sched::MoveKind kind, const sched::EvalScore& want_base,
+                        const sched::EvalScore& want_move) {
+  std::vector<JobId> moved = order;
+  apply_move(moved, lo, hi, kind == sched::MoveKind::kSwap);
+  sched::Evaluator scratch(tg, processors);
+  ASSERT_EQ(scratch.evaluate(moved).deadline_violations, want_move.deadline_violations);
+  ASSERT_EQ(scratch.evaluate(moved).makespan, want_move.makespan);
+  for (const std::size_t stride : {std::size_t{1}, std::size_t{0}, tg.job_count()}) {
+    sched::Evaluator inc(tg, processors);
+    inc.set_checkpoint_stride(stride);
+    const sched::EvalScore base = inc.evaluate_baseline(order);
+    EXPECT_EQ(base.deadline_violations, want_base.deadline_violations) << "stride " << stride;
+    EXPECT_EQ(base.makespan, want_base.makespan) << "stride " << stride;
+    const sched::EvalScore got = inc.evaluate_move(moved, lo, hi, kind);
+    EXPECT_EQ(got.deadline_violations, want_move.deadline_violations) << "stride " << stride;
+    EXPECT_EQ(got.makespan, want_move.makespan) << "stride " << stride;
+  }
+}
+
+sched::EvalScore score(std::size_t violations, std::int64_t makespan_ms) {
+  return sched::EvalScore{violations, Time::ms(makespan_ms)};
+}
+
+TEST(EvaluatorSplice, NeedsTheMovedJobsStarted) {
+  // M=1. Before the swapped jobs b and c start, the move replays the
+  // baseline exactly (same set, same instant), but its future differs:
+  // a [0,1], c [1,2], b [2,3] misses b's deadline 2.
+  TaskGraph tg(Duration::ms(10));
+  const JobId a = tg.add_job(make_job("a", Time::ms(0), Time::ms(10), Duration::ms(1), 0));
+  const JobId b = tg.add_job(make_job("b", Time::ms(1), Time::ms(2), Duration::ms(1), 1));
+  const JobId c = tg.add_job(make_job("c", Time::ms(1), Time::ms(3), Duration::ms(1), 2));
+  expect_move_scores(tg, 1, {a, b, c}, 1, 2, sched::MoveKind::kSwap, score(0, 3),
+                     score(1, 3));
+}
+
+TEST(EvaluatorSplice, NeedsTheSameStartedSet) {
+  // M=1. Pulling l ahead of the zero-WCET z starts l at z's baseline
+  // instant, so after one start the instants and the horizon agree, but
+  // the started sets are {l} and {z}: z then waits for l and misses.
+  TaskGraph tg(Duration::ms(10));
+  const JobId z = tg.add_job(make_job("z", Time::ms(0), Time::ms(1), Duration::ms(0), 0));
+  const JobId l = tg.add_job(make_job("l", Time::ms(0), Time::ms(2), Duration::ms(2), 1));
+  expect_move_scores(tg, 1, {z, l}, 0, 1, sched::MoveKind::kRotate, score(0, 2),
+                     score(1, 2));
+}
+
+TEST(EvaluatorSplice, NeedsTheHorizon) {
+  // M=2. Baseline a,b,c,d: a [0,1], b [0,3], c [1,2], d [2,3] (late).
+  // Swapping b and c: a [0,1], c [0,1], b [1,4], d [1,2]. After three
+  // starts both runs have {a,b,c} at instant 1, but b still runs in both
+  // with different finishes (3 vs 4), which frees a processor for d.
+  TaskGraph tg(Duration::ms(10));
+  const JobId a = tg.add_job(make_job("a", Time::ms(0), Time::ms(10), Duration::ms(1), 0));
+  const JobId b = tg.add_job(make_job("b", Time::ms(0), Time::ms(10), Duration::ms(3), 1));
+  const JobId c = tg.add_job(make_job("c", Time::ms(0), Time::ms(10), Duration::ms(1), 2));
+  const JobId d = tg.add_job(make_job("d", Time::ms(0), Time::ms(2), Duration::ms(1), 3));
+  expect_move_scores(tg, 2, {a, b, c, d}, 1, 2, sched::MoveKind::kSwap, score(1, 3),
+                     score(0, 4));
+}
+
+TEST(EvaluatorSplice, NeedsTheSameInstant) {
+  // M=2, y -> j -> x with j zero-WCET. Baseline w1,y,w2,j,x: w1 [0,1],
+  // y [0,2], w2 [1,2], j at 2, x [2,3]. Swapping y and w2: w1 [0,1],
+  // w2 [0,1], y [1,3], j at 3, x [3,4]. After four starts both runs have
+  // the same set and every differing finish is at or before 3, but the
+  // move stands at 3 and the baseline at 2, where it started x at once.
+  TaskGraph tg(Duration::ms(10));
+  const JobId w1 = tg.add_job(make_job("w1", Time::ms(0), Time::ms(10), Duration::ms(1), 0));
+  const JobId y = tg.add_job(make_job("y", Time::ms(0), Time::ms(10), Duration::ms(2), 1));
+  const JobId w2 = tg.add_job(make_job("w2", Time::ms(0), Time::ms(10), Duration::ms(1), 2));
+  const JobId j = tg.add_job(make_job("j", Time::ms(0), Time::ms(10), Duration::ms(0), 3));
+  const JobId x = tg.add_job(make_job("x", Time::ms(0), Time::ms(3), Duration::ms(1), 4));
+  tg.add_edge(y, j);
+  tg.add_edge(j, x);
+  expect_move_scores(tg, 2, {w1, y, w2, j, x}, 1, 2, sched::MoveKind::kSwap, score(0, 3),
+                     score(1, 4));
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 #include <tuple>
 
 #include "apps/fms.hpp"
@@ -243,6 +244,50 @@ TEST(InvocationPlan, FlatGroupingMatchesMapGrouping) {
     }
     expect_same_slots(InvocationPlan::build(fms.net, horizon, commands), adds);
   }
+}
+
+TEST(InvocationPlan, AnyAddOrderComesOutInTimeThenProcessOrder) {
+  // build()'s slots are one time-ordered run per process. The same slots
+  // added in other orders — reversed (every run one slot long), shuffled,
+  // and two processes' runs interleaved slot by slot — must come out
+  // identical to build()'s.
+  const apps::FmsApp fms = apps::build_fms(true);
+  const Time horizon = Time::ms(25000);
+  const auto commands = fms.random_commands(Time::ms(30000), 3);
+  const std::vector<Invocation> want =
+      InvocationPlan::build(fms.net, horizon, commands).sorted_slots();
+  ASSERT_GT(want.size(), 100u);
+  for (std::size_t k = 1; k < want.size(); ++k) {
+    ASSERT_TRUE(std::tie(want[k - 1].time, want[k - 1].process) <=
+                std::tie(want[k].time, want[k].process))
+        << "slot " << k;
+  }
+  const auto sorted_after_adding = [](const std::vector<Invocation>& order) {
+    InvocationPlan plan;
+    for (const Invocation& slot : order) {
+      plan.add(slot.time, slot.process);
+    }
+    return plan.sorted_slots();
+  };
+  EXPECT_EQ(sorted_after_adding({want.rbegin(), want.rend()}), want);
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    std::vector<Invocation> shuffled = want;
+    std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937_64(seed));
+    EXPECT_EQ(sorted_after_adding(shuffled), want) << "seed " << seed;
+  }
+
+  // Two descending runs of one process each, interleaved: p1 at 9, p0 at
+  // 9, p1 at 8, ... — no two neighbours in (time, process) order.
+  std::vector<Invocation> interleaved;
+  std::vector<Invocation> expected;
+  for (std::int64_t ms = 9; ms >= 0; --ms) {
+    interleaved.push_back({Time::ms(ms), ProcessId{1}});
+    interleaved.push_back({Time::ms(ms), ProcessId{0}});
+    expected.insert(expected.begin(), {{Time::ms(ms), ProcessId{0}},
+                                       {Time::ms(ms), ProcessId{1}}});
+  }
+  EXPECT_EQ(sorted_after_adding(interleaved), expected);
+  EXPECT_TRUE(sorted_after_adding({}).empty());
 }
 
 TEST(EventKind, ToString) {
