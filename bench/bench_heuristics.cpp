@@ -14,6 +14,7 @@
 #include "bench_graphs.hpp"
 #include "bench_json.hpp"
 #include "engine/engine.hpp"
+#include "gen/rng.hpp"
 #include "sched/parallel_search.hpp"
 #include "sched/registry.hpp"
 #include "taskgraph/analysis.hpp"
@@ -170,10 +171,22 @@ BENCHMARK(BM_ParallelSearchWorkers)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 /// The search layer on the FMS (812 jobs, M=2) outside perfbench: one
 /// parallel_search per iteration, no cache — the quick preset on 1
 /// worker (a serve-cold request's search) and the optimize preset on 2
-/// workers (compile-fms's).
+/// workers (compile-fms's). The third argument is a jitter seed: 0 is the
+/// paper FMS, whose integral times take Rational's inline fast path;
+/// otherwise every process WCET is raised by k/10 ms, k in 0..9 drawn
+/// from the seed — perfbench's variant draw, which the served inputs
+/// use.
 void BM_ParallelSearchOnFms(benchmark::State& state) {
   const auto app = apps::build_fms();
-  const TaskGraph tg = derive_task_graph(app.net, app.default_wcets()).graph;
+  WcetMap wcets = app.default_wcets();
+  const auto jitter = static_cast<std::uint64_t>(state.range(2));
+  if (jitter != 0) {
+    gen::Rng rng(jitter);
+    for (auto& entry : wcets) {
+      entry.second += Duration::ratio_ms(rng.range(0, 9), 10);
+    }
+  }
+  const TaskGraph tg = derive_task_graph(app.net, wcets).graph;
   engine::SearchConfig config;
   config.processors = 2;
   config.optimize = state.range(0) != 0;
@@ -183,9 +196,11 @@ void BM_ParallelSearchOnFms(benchmark::State& state) {
     benchmark::DoNotOptimize(sched::parallel_search(tg, opts).best.makespan);
   }
   state.SetLabel(std::string(config.optimize ? "optimize" : "quick") + " preset, " +
-                 std::to_string(config.workers) + " worker(s)");
+                 std::to_string(config.workers) + " worker(s), " +
+                 (jitter == 0 ? std::string("paper FMS") : "jitter " + std::to_string(jitter)));
 }
-BENCHMARK(BM_ParallelSearchOnFms)->Args({0, 1})->Args({1, 2})
+BENCHMARK(BM_ParallelSearchOnFms)->Args({0, 1, 0})->Args({1, 2, 0})
+    ->Args({0, 1, 3})->Args({1, 2, 3})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

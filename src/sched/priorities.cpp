@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <tuple>
 
 #include "taskgraph/analysis.hpp"
 
@@ -98,6 +99,83 @@ std::vector<JobId> schedule_priority(const TaskGraph& tg, PriorityHeuristic heur
       std::sort(order.begin(), order.end(), tie);
       break;
     }
+  }
+  return order;
+}
+
+std::optional<std::vector<JobId>> schedule_priority(const CompiledTaskGraph& view,
+                                                   PriorityHeuristic heuristic) {
+  if (!view.has_ticks() || !view.is_acyclic()) {
+    return std::nullopt;
+  }
+  const std::size_t n = view.job_count();
+  const std::vector<std::int64_t>& arrival = view.arrival_ticks();
+  const std::vector<std::int64_t>& deadline = view.deadline_ticks();
+  const std::vector<std::int64_t>& wcet = view.wcet_ticks();
+  const std::vector<std::uint32_t>& succ_offsets = view.succ_offsets();
+  const std::vector<std::uint32_t>& succ_ids = view.succ_ids();
+  const std::vector<std::uint32_t>& topo = view.topological_order();
+
+  // key[i] sorts ascending: the first-order key of each heuristic, with
+  // the b-level negated so that the longer path comes first.
+  std::vector<std::int64_t> key(n);
+  switch (heuristic) {
+    case PriorityHeuristic::kAlapEdf:
+      // D'_i = min(D_i, min over successors j of D'_j - C_j).
+      for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+        const std::uint32_t i = *it;
+        std::int64_t t = deadline[i];
+        for (std::uint32_t e = succ_offsets[i]; e < succ_offsets[i + 1]; ++e) {
+          const std::uint32_t j = succ_ids[e];
+          std::int64_t latest = 0;
+          if (__builtin_sub_overflow(key[j], wcet[j], &latest)) {
+            return std::nullopt;
+          }
+          t = std::min(t, latest);
+        }
+        key[i] = t;
+      }
+      break;
+    case PriorityHeuristic::kBLevel: {
+      // level_i = max(0, max over successors j of level_j) + C_i. No
+      // overflow: WCETs are >= 0 and a level is at most the total WCET,
+      // which compile() bounds by int64 for the view to have ticks.
+      std::vector<std::int64_t> level(n);
+      for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+        const std::uint32_t i = *it;
+        std::int64_t best = 0;
+        for (std::uint32_t e = succ_offsets[i]; e < succ_offsets[i + 1]; ++e) {
+          best = std::max(best, level[succ_ids[e]]);
+        }
+        level[i] = best + wcet[i];
+        key[i] = -level[i];
+      }
+      break;
+    }
+    case PriorityHeuristic::kDeadlineMonotonic:
+      for (std::size_t i = 0; i < n; ++i) {
+        if (__builtin_sub_overflow(deadline[i], arrival[i], &key[i])) {
+          return std::nullopt;
+        }
+      }
+      break;
+    case PriorityHeuristic::kArrivalOrder:
+      key = arrival;
+      break;
+  }
+
+  // One flat array of (key, arrival, id) triples: the tuple order is the
+  // tie-break.
+  std::vector<std::tuple<std::int64_t, std::int64_t, std::uint32_t>> entries;
+  entries.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    entries.emplace_back(key[i], arrival[i], static_cast<std::uint32_t>(i));
+  }
+  std::sort(entries.begin(), entries.end());
+  std::vector<JobId> order;
+  order.reserve(n);
+  for (const auto& entry : entries) {
+    order.emplace_back(std::get<2>(entry));
   }
   return order;
 }

@@ -1,6 +1,9 @@
 #include "sched/search_context.hpp"
 
 #include <exception>
+#include <optional>
+#include <utility>
+#include <vector>
 
 namespace fppn {
 namespace sched {
@@ -19,9 +22,11 @@ const HeuristicRun& SearchContext::heuristic(PriorityHeuristic h) const {
     // exception instead.
     try {
       HeuristicRun& run = runs_[slot];
-      // Order first: under alap-edf and b-level a cyclic graph fails in
-      // the heuristic's own analysis, with its own message.
-      run.order = schedule_priority(*tg_, h);
+      // Order first, on the view's ticks when it has them. Otherwise the
+      // Rational oracle: under alap-edf and b-level a cyclic graph fails
+      // there, in the heuristic's own analysis, with its own message.
+      std::optional<std::vector<JobId>> order = schedule_priority(*compiled_, h);
+      run.order = order ? std::move(*order) : schedule_priority(*tg_, h);
       run.schedule = Evaluator(compiled_, processors_).materialize(run.order, run.score);
     } catch (...) {
       errors_[slot] = std::current_exception();

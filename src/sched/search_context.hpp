@@ -10,8 +10,15 @@
 //   - the graph and the processor count,
 //   - one CompiledTaskGraph, shared by every candidate's Evaluator; its
 //     compile-time acyclicity flag is the Evaluator's cycle check,
-//   - one lazy slot per heuristic: the SP order, list-scheduled once by
-//     a single materialize pass into its schedule and score.
+//   - one lazy slot per heuristic: the SP order, computed on the view's
+//     int64 ticks and stored topological order (the Rational
+//     schedule_priority when the view has no ticks or the graph is
+//     cyclic), list-scheduled once by a single materialize pass into its
+//     schedule and score.
+//
+// The built-in strategies also score their candidates on the view:
+// finalize_result(ctx, result) (sched/strategy.hpp) counts violations on
+// ticks, with the Rational walk as its fallback.
 //
 // Each slot is filled on first use under std::call_once, so a standalone
 // call to one heuristic fills only its own slot and concurrent candidates
@@ -63,10 +70,11 @@ class SearchContext {
     return compiled_;
   }
 
-  /// The slot of `h`, filled on first use: schedule_priority, then one
-  /// Evaluator::materialize on the shared view. Throws like
-  /// schedule_priority, then like the Evaluator constructor — on the
-  /// first use and on every later one.
+  /// The slot of `h`, filled on first use: schedule_priority on the
+  /// shared view (on the graph when the view cannot serve it), then one
+  /// Evaluator::materialize on the view. Throws like schedule_priority,
+  /// then like the Evaluator constructor — on the first use and on every
+  /// later one.
   [[nodiscard]] const HeuristicRun& heuristic(PriorityHeuristic h) const;
 
  private:

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
+
+#include "taskgraph/compiled_graph.hpp"
 
 namespace fppn {
 
@@ -223,6 +226,72 @@ ViolationCounts StaticSchedule::count_violations(const TaskGraph& tg) const {
     }
   });
   return counts;
+}
+
+std::optional<ScheduleScore> StaticSchedule::score_on_ticks(
+    const CompiledTaskGraph& view) const {
+  const std::size_t n = view.job_count();
+  if (!view.has_ticks() || placements_.size() != n) {
+    return std::nullopt;
+  }
+  const std::vector<std::int64_t>& arrival = view.arrival_ticks();
+  const std::vector<std::int64_t>& deadline = view.deadline_ticks();
+  const std::vector<std::int64_t>& wcet = view.wcet_ticks();
+  const std::vector<std::uint32_t>& succ_offsets = view.succ_offsets();
+  const std::vector<std::uint32_t>& succ_ids = view.succ_ids();
+
+  // The walk of walk_violations, kind by kind, on ticks.
+  ViolationCounts counts;
+  std::vector<std::int64_t> start(n);
+  std::vector<std::int64_t> finish(n);
+  std::int64_t last = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!placements_[i].has_value()) {
+      ++counts.unscheduled;
+      continue;
+    }
+    const std::optional<std::int64_t> s = view.ticks_from_time(placements_[i]->start);
+    if (!s || __builtin_add_overflow(*s, wcet[i], &finish[i])) {
+      return std::nullopt;
+    }
+    start[i] = *s;
+    if (start[i] < arrival[i]) {
+      ++counts.arrival;
+    }
+    if (finish[i] > deadline[i]) {
+      ++counts.deadline;
+    }
+    last = std::max(last, finish[i]);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!placements_[i].has_value()) {
+      continue;
+    }
+    for (std::uint32_t e = succ_offsets[i]; e < succ_offsets[i + 1]; ++e) {
+      const std::uint32_t j = succ_ids[e];
+      if (placements_[j].has_value() && finish[i] > start[j]) {
+        ++counts.precedence;
+      }
+    }
+  }
+  // Mutex: adjacent pairs in one flat (processor, start, job) sort.
+  std::vector<std::tuple<std::size_t, std::int64_t, std::uint32_t>> slots;
+  slots.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (placements_[i].has_value()) {
+      slots.emplace_back(placements_[i]->processor.value(), start[i],
+                         static_cast<std::uint32_t>(i));
+    }
+  }
+  std::sort(slots.begin(), slots.end());
+  for (std::size_t k = 1; k < slots.size(); ++k) {
+    const auto& [prev_processor, prev_start, prev_job] = slots[k - 1];
+    const auto& [processor, start_tick, job] = slots[k];
+    if (prev_processor == processor && finish[prev_job] > start_tick) {
+      ++counts.mutex;
+    }
+  }
+  return ScheduleScore{counts, view.time_from_ticks(last)};
 }
 
 std::string StaticSchedule::to_gantt(const TaskGraph& tg, std::size_t cols) const {

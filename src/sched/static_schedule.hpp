@@ -83,6 +83,15 @@ struct ViolationCounts {
   [[nodiscard]] bool feasible() const noexcept { return total() == 0; }
 };
 
+class CompiledTaskGraph;
+
+/// A schedule's violation counts and makespan together — what
+/// StaticSchedule::score_on_ticks returns.
+struct ScheduleScore {
+  ViolationCounts counts;
+  Time makespan;
+};
+
 class StaticSchedule {
  public:
   StaticSchedule() = default;
@@ -128,9 +137,20 @@ class StaticSchedule {
   /// violation tallies with no report, no Violation records and no
   /// per-processor vector-of-vectors — the mutex pass sorts one flat
   /// index array instead. The choice for callers that only need scores
-  /// (finalize_result, the reference search oracle). Deterministic;
+  /// (finalize_result on a graph, the reference search oracle). Deterministic;
   /// never throws.
   [[nodiscard]] ViolationCounts count_violations(const TaskGraph& tg) const;
+
+  /// makespan and count_violations of the graph `view` was compiled from,
+  /// on the view's int64 ticks: each start converted exactly by
+  /// ticks_from_time, every finish a checked add, precedence over the CSR
+  /// successors and mutex in one flat (processor, start, job) sort. The
+  /// identical counts and makespan, or nullopt when the view has no
+  /// ticks, the schedule covers another job count, a start is off the
+  /// tick grid or an add overflows — the caller then asks the TaskGraph
+  /// overloads. Deterministic; never throws beyond allocation failure.
+  [[nodiscard]] std::optional<ScheduleScore> score_on_ticks(
+      const CompiledTaskGraph& view) const;
 
   /// ASCII Gantt chart (Fig. 4 style), `cols` characters wide.
   [[nodiscard]] std::string to_gantt(const TaskGraph& tg, std::size_t cols = 100) const;

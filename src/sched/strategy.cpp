@@ -1,6 +1,7 @@
 #include "sched/strategy.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "sched/evaluator.hpp"
 #include "sched/local_search.hpp"
@@ -11,13 +12,28 @@
 namespace fppn {
 namespace sched {
 
-void finalize_result(const TaskGraph& tg, StrategyResult& result) {
-  result.makespan = result.schedule.makespan(tg);
-  // Counts-only feasibility: identical numbers to check_feasibility,
-  // none of its violation records or detail strings.
-  const ViolationCounts counts = result.schedule.count_violations(tg);
+namespace {
+
+void set_score(StrategyResult& result, const ViolationCounts& counts, Time makespan) {
+  result.makespan = std::move(makespan);
   result.feasible = counts.feasible();
   result.deadline_violations = counts.deadline;
+}
+
+}  // namespace
+
+void finalize_result(const TaskGraph& tg, StrategyResult& result) {
+  // Counts-only feasibility: identical numbers to check_feasibility,
+  // none of its violation records or detail strings.
+  set_score(result, result.schedule.count_violations(tg), result.schedule.makespan(tg));
+}
+
+void finalize_result(const SearchContext& ctx, StrategyResult& result) {
+  if (const auto score = result.schedule.score_on_ticks(*ctx.compiled())) {
+    set_score(result, score->counts, score->makespan);
+  } else {
+    finalize_result(ctx.graph(), result);
+  }
 }
 
 StrategyResult SchedulerStrategy::schedule(const TaskGraph& tg,
@@ -45,7 +61,7 @@ class HeuristicStrategy final : public SchedulerStrategy {
     result.strategy = name();
     result.detail = "list schedule, SP heuristic " + name();
     result.schedule = ctx.heuristic(heuristic_).schedule;
-    finalize_result(ctx.graph(), result);
+    finalize_result(ctx, result);
     return result;
   }
 
@@ -76,7 +92,7 @@ class LocalSearchStrategy final : public SchedulerStrategy {
     result.full_evals = ls_result.full_evals;
     result.incremental_evals = ls_result.incremental_evals;
     result.spliced_evals = ls_result.spliced_evals;
-    finalize_result(ctx.graph(), result);
+    finalize_result(ctx, result);
     return result;
   }
 };
@@ -122,7 +138,7 @@ class PartitionedStrategy final : public SchedulerStrategy {
     Evaluator kernel(tg, ctx.compiled(), ctx.processors(),
                      wfd_assignment(tg, process_count, ctx.processors()));
     result.schedule = kernel.materialize(ctx.heuristic(h).order);
-    finalize_result(tg, result);
+    finalize_result(ctx, result);
     return result;
   }
 };

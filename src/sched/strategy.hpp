@@ -90,11 +90,22 @@ class SchedulerStrategy {
 };
 
 /// Fills deadline_violations / makespan / feasible of `result` from its
-/// schedule — shared by all strategy implementations (and by cache
-/// lookups) so every result, fresh or cached, is scored identically.
+/// schedule with the exact Rational walk (StaticSchedule::makespan and
+/// count_violations). The scorer of the cache's first hit, of user
+/// strategies and of the reference oracle (testing/reference_search.hpp),
+/// which thus stays independent of the tick scorer below.
 /// Deterministic and thread-safe (pure function of tg + the schedule);
 /// never throws.
 void finalize_result(const TaskGraph& tg, StrategyResult& result);
+
+/// The same fill on the context's compiled view — the scorer of every
+/// built-in strategy: StaticSchedule::score_on_ticks, or the TaskGraph
+/// overload when the view has no ticks, a start is off the tick grid or
+/// an add overflows. Every result, fresh or cached, is scored
+/// identically: tests/tick_scoring_test.cpp checks both overloads on
+/// every candidate schedule of every built-in strategy. Deterministic,
+/// thread-safe; never throws.
+void finalize_result(const SearchContext& ctx, StrategyResult& result);
 
 }  // namespace sched
 }  // namespace fppn

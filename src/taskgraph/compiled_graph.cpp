@@ -81,26 +81,29 @@ CompiledTaskGraph CompiledTaskGraph::compile(const TaskGraph& tg) {
     }
   }
 
-  // Acyclicity: Kahn's algorithm from the sources; a cycle leaves jobs
-  // that never reach zero remaining predecessors.
+  // Acyclicity and a topological order: Kahn's algorithm from the
+  // sources; a cycle leaves jobs that never reach zero remaining
+  // predecessors, and then no order is kept.
   {
     std::vector<std::uint32_t> remaining(n);
     for (std::size_t i = 0; i < n; ++i) {
       remaining[i] = out.pred_offsets_[i + 1] - out.pred_offsets_[i];
     }
     std::vector<std::uint32_t> stack = out.sources_by_arrival_;
-    std::size_t visited = 0;
+    out.topo_order_.reserve(n);
     while (!stack.empty()) {
       const std::uint32_t job = stack.back();
       stack.pop_back();
-      ++visited;
+      out.topo_order_.push_back(job);
       for (std::uint32_t e = out.succ_offsets_[job]; e < out.succ_offsets_[job + 1]; ++e) {
         if (--remaining[out.succ_ids_[e]] == 0) {
           stack.push_back(out.succ_ids_[e]);
         }
       }
     }
-    out.acyclic_ = visited == n;
+    if (out.topo_order_.size() != n) {
+      out.topo_order_ = {};
+    }
   }
   std::sort(out.sources_by_arrival_.begin(), out.sources_by_arrival_.end(),
             [&](std::uint32_t a, std::uint32_t b) {

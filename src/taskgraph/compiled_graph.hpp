@@ -1,20 +1,26 @@
 // CompiledTaskGraph — a flat, cache-friendly view of a TaskGraph for the
 // schedule-evaluation hot path (sched/evaluator.hpp).
 //
-// Two pieces:
+// Three pieces:
 //
 //   CSR adjacency   predecessor/successor ids packed into two flat arrays
 //                   with offset tables, so the inner scheduling loop walks
 //                   edges with zero pointer chasing and zero allocation.
+//
+//   topological     the order of the compile-time Kahn pass that decides
+//   order           acyclicity, kept for the longest-path analyses behind
+//                   the SP orders (ALAP times, b-levels), which walk it in
+//                   reverse instead of sorting the graph again.
 //
 //   tick timebase   all arrivals/deadlines/WCETs are exact rationals with
 //                   a common denominator L = lcm of every denominator in
 //                   the graph. When L and every scaled value — including
 //                   the largest time the simulation can ever reach,
 //                   max arrival + total WCET — fit in int64, the view
-//                   carries integer "ticks" (value * L) and the evaluator
-//                   runs on plain int64 comparisons. Otherwise has_ticks
-//                   is false and the evaluator falls back to exact
+//                   carries integer "ticks" (value * L) and the evaluator,
+//                   the SP orders and the scoring of a search's built-in
+//                   candidates run on plain int64 comparisons. Otherwise
+//                   has_ticks is false and each falls back to exact
 //                   Rational arithmetic. Either way results are exact and
 //                   bit-identical: ticks are a lossless rescaling, never a
 //                   rounding.
@@ -44,7 +50,16 @@ class CompiledTaskGraph {
 
   /// True when the precedence edges form no cycle — the same answer as
   /// TaskGraph::is_acyclic, computed at compile time over the CSR view.
-  [[nodiscard]] bool is_acyclic() const noexcept { return acyclic_; }
+  [[nodiscard]] bool is_acyclic() const noexcept { return topo_order_.size() == n_; }
+
+  /// Every job once, each after all of its predecessors: the order of the
+  /// compile-time Kahn pass that decides is_acyclic (not the min-id order
+  /// of TaskGraph::topological_order). Empty when the graph is cyclic.
+  /// The longest-path analyses of the tick SP orders walk it in reverse
+  /// (sched/priorities.hpp).
+  [[nodiscard]] const std::vector<std::uint32_t>& topological_order() const noexcept {
+    return topo_order_;
+  }
 
   /// True when the int64 tick timebase is usable (no overflow anywhere,
   /// including the worst-case simulated makespan).
@@ -112,7 +127,6 @@ class CompiledTaskGraph {
 
  private:
   std::size_t n_ = 0;
-  bool acyclic_ = true;
   bool has_ticks_ = false;
   std::int64_t ticks_per_ms_ = 1;
   std::vector<std::int64_t> arrival_tick_, deadline_tick_, wcet_tick_;
@@ -120,6 +134,7 @@ class CompiledTaskGraph {
   std::vector<Duration> wcet_;
   std::vector<std::uint32_t> pred_offsets_, pred_ids_, succ_offsets_, succ_ids_;
   std::vector<std::uint32_t> sources_by_arrival_;
+  std::vector<std::uint32_t> topo_order_;  ///< Kahn order; empty when cyclic
   std::vector<std::size_t> process_id_;
 };
 

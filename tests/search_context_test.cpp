@@ -5,7 +5,9 @@
 // through the reference oracle (testing/reference_search.hpp), which
 // shares nothing. Each heuristic slot equals Evaluator::evaluate and the
 // naive list_schedule + count_violations, concurrent fills of one context
-// agree, and a cyclic graph is rejected with the message it always got.
+// agree, and a cyclic graph is rejected with the message it always got:
+// the tick SP orders (sched/priorities.hpp) leave a cyclic graph to the
+// Rational ones, which own the messages.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -396,8 +398,9 @@ TEST(SearchContext, CyclicGraphIsRejectedWithTheMessagesItAlwaysGot) {
   }
 
   // parallel_search rethrows the lowest-indexed candidate's error (the
-  // registry's first name, alap-edf) on any worker count.
-  for (const int workers : {1, 2, 4}) {
+  // registry's first name, alap-edf) on any worker count, 0 being the
+  // hardware concurrency.
+  for (const int workers : {0, 1, 2, 3, 4, 8}) {
     sched::ParallelSearchOptions opts;
     opts.processors = 2;
     opts.workers = workers;

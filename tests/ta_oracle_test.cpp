@@ -6,8 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <set>
+
 #include "apps/fig1.hpp"
 #include "apps/fft.hpp"
+#include "apps/fms.hpp"
+#include "engine/engine.hpp"
 #include "gen/scenario.hpp"
 #include "runtime/vm_runtime.hpp"
 #include "taskgraph/derivation.hpp"
@@ -186,6 +191,90 @@ TEST(TaOracle, SkippedJobsNeverStartASuccessorBeforeTheVm) {
   ASSERT_TRUE(p0.has_value());
   EXPECT_EQ(oracle.start.at(*p0), Time(Rational(5, 3)));
   EXPECT_EQ(vm_start.at(*p0), Time(Rational(5, 3)));
+}
+
+TEST(TaOracle, FmsFalseServerJobHoldsItsSuccessorBehindItsPredecessors) {
+  // The FMS variant of VmRuntime.FalseServerJobCompletesAfterItsPredecessors
+  // under one vm frame of its local-search winner (command seed 13).
+  // Told the vm's false set, the TA starts no executed job earlier than
+  // the vm. DopplerConfig[32] is 'false'; its predecessor DopplerConfig[31]
+  // runs on the other processor until 3002.5, and BCPConfig[32], placed
+  // right behind the false job, waits for it. A skip that ignores the
+  // predecessors starts BCPConfig[32] at 3001.8.
+  apps::FmsApp app = apps::build_fms(true);
+  WcetMap wcets;
+  wcets[app.sensor_input] = Duration::ratio_ms(51, 10);
+  wcets[app.high_freq_bcp] = Duration::ratio_ms(54, 5);
+  wcets[app.low_freq_bcp] = Duration::ratio_ms(157, 10);
+  wcets[app.magn_declin] = Duration::ratio_ms(31, 5);
+  wcets[app.performance] = Duration::ratio_ms(43, 5);
+  wcets[app.anemo_config] = Duration::ratio_ms(11, 10);
+  wcets[app.gps_config] = Duration::ratio_ms(6, 5);
+  wcets[app.irs_config] = Duration::ratio_ms(9, 5);
+  wcets[app.doppler_config] = Duration::ratio_ms(6, 5);
+  wcets[app.bcp_config] = Duration::ratio_ms(13, 10);
+  wcets[app.magn_declin_config] = Duration::ratio_ms(11, 10);
+  wcets[app.performance_config] = Duration::ratio_ms(11, 10);
+  const DerivedTaskGraph derived = derive_task_graph(app.net, wcets);
+  const TaskGraph& tg = derived.graph;
+  engine::SearchConfig config;
+  config.processors = 2;
+  config.optimize = true;
+  const engine::SolveReport report = engine::solve_graph(tg, config);
+  ASSERT_EQ(report.search.best.strategy, "local-search");
+  const StaticSchedule& schedule = report.search.best.schedule;
+
+  constexpr std::uint64_t kSeed = 13;
+  VmRunOptions opts;
+  opts.frames = 1;
+  const RunResult run =
+      run_static_order_vm(app.net, derived, schedule, opts, app.make_inputs(50, kSeed),
+                          app.random_commands(Time() + derived.hyperperiod, kSeed));
+  std::set<JobId> skipped;
+  std::map<JobId, Time> vm_start;
+  for (const TraceEvent& e : run.trace.events()) {
+    if (e.kind == TraceEventKind::kFalseSkip) {
+      skipped.insert(*tg.find(e.label));
+    } else if (e.kind == TraceEventKind::kJobRun) {
+      vm_start.emplace(*tg.find(e.label), e.time);
+    }
+  }
+
+  const ta::TaJobTimes oracle = ta::run_schedule_oracle(
+      tg, schedule, std::vector<JobId>(skipped.begin(), skipped.end()));
+  EXPECT_EQ(oracle.start.size(), vm_start.size());
+  for (const auto& [id, start] : oracle.start) {
+    ASSERT_EQ(vm_start.count(id), 1u) << tg.job(id).name;
+    EXPECT_GE(start, vm_start.at(id)) << tg.job(id).name;
+  }
+
+  // Every executed BCPConfig job right behind a false DopplerConfig job
+  // waits for the false job's predecessors on the other processor.
+  for (const std::vector<JobId>& chain : schedule.per_processor_order()) {
+    for (std::size_t k = 0; k + 1 < chain.size(); ++k) {
+      const JobId s = chain[k];
+      const JobId b = chain[k + 1];
+      if (skipped.count(s) == 0 || tg.job(s).process != app.doppler_config ||
+          tg.job(b).process != app.bcp_config || oracle.start.count(b) == 0) {
+        continue;
+      }
+      for (const JobId p : tg.predecessors(s)) {
+        if (oracle.end.count(p) == 0 ||
+            schedule.placement(p).processor == schedule.placement(s).processor) {
+          continue;
+        }
+        EXPECT_GE(oracle.start.at(b), oracle.end.at(p))
+            << tg.job(b).name << " starts before " << tg.job(p).name << " ends";
+      }
+    }
+  }
+  const std::optional<JobId> predecessor = tg.find("DopplerConfig[31]");
+  const std::optional<JobId> false_job = tg.find("DopplerConfig[32]");
+  const std::optional<JobId> successor = tg.find("BCPConfig[32]");
+  ASSERT_TRUE(predecessor && false_job && successor);
+  ASSERT_EQ(skipped.count(*false_job), 1u);
+  EXPECT_EQ(oracle.end.at(*predecessor), Time(Rational(6005, 2)));
+  EXPECT_EQ(oracle.start.at(*successor), Time(Rational(6005, 2)));
 }
 
 TEST(TaOracle, TranslationRejectsUnplacedJobs) {
