@@ -131,7 +131,7 @@ std::optional<std::string> check_policy_trace(const Network& net,
                                               std::uint64_t seed) {
   const auto scripts = jittered_scripts(net, seed, 1, derived.hyperperiod);
   const RunResult run =
-      run_static_order_vm(net, derived, schedule, VmRunOptions{}, {}, scripts);
+      run_static_order_vm(net, derived, schedule, RunOptions{}, {}, scripts);
   const TaskGraph& tg = derived.graph;
   struct Span {
     Time start;

@@ -248,20 +248,6 @@ std::optional<std::vector<EdgeFate>> edge_fates(std::size_t node_count,
   return fate;
 }
 
-std::vector<std::size_t> longest_path_depths(const Digraph& g) {
-  const auto order = topological_sort(g);
-  if (!order) {
-    throw std::invalid_argument("longest_path_depths requires a DAG");
-  }
-  std::vector<std::size_t> depth(g.node_count(), 0);
-  for (const NodeId u : *order) {
-    for (const NodeId v : g.successors(u)) {
-      depth[v.value()] = std::max(depth[v.value()], depth[u.value()] + 1);
-    }
-  }
-  return depth;
-}
-
 std::string to_dot(const Digraph& g, const std::function<std::string(NodeId)>& label,
                    const std::string& graph_name) {
   std::ostringstream os;

@@ -78,10 +78,6 @@ enum class EdgeFate : std::uint8_t {
 [[nodiscard]] std::optional<std::vector<EdgeFate>> edge_fates(
     std::size_t node_count, const std::vector<EdgePair>& edges, bool reduce);
 
-/// Longest path length (in edges) ending at each node; the task-graph
-/// critical path in job counts. Precondition: DAG.
-[[nodiscard]] std::vector<std::size_t> longest_path_depths(const Digraph& g);
-
 /// Graphviz text; `label(n)` supplies the node label.
 [[nodiscard]] std::string to_dot(const Digraph& g,
                                  const std::function<std::string(NodeId)>& label,

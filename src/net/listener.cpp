@@ -20,13 +20,6 @@ namespace net {
 
 namespace {
 
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) {
-    (void)::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  }
-}
-
 sockaddr_un unix_address(const std::string& path) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
@@ -224,6 +217,13 @@ void Listener::close() {
     if (endpoint_.kind == Endpoint::Kind::kUnix) {
       ::unlink(endpoint_.path.c_str());
     }
+  }
+}
+
+void set_nonblocking(int fd) {
+  const int flags = ::fcntl(fd, F_GETFL, 0);
+  if (flags >= 0) {
+    (void)::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
   }
 }
 

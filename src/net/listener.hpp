@@ -90,6 +90,9 @@ class Listener {
   Endpoint endpoint_;
 };
 
+/// Sets O_NONBLOCK on `fd`; a failing fcntl leaves the fd as it was.
+void set_nonblocking(int fd);
+
 /// Blocking client connect to `endpoint`. Returns the connected fd, or
 /// -1 with errno describing the failure — callers render their own
 /// message (the daemon's client mode has a pinned format).

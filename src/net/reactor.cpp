@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <fcntl.h>
 #include <limits>
 
 #include "testing/fault_injector.hpp"
@@ -17,13 +16,6 @@ namespace {
 
 constexpr std::size_t kReadChunk = 64 * 1024;
 
-void make_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) {
-    (void)::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  }
-}
-
 }  // namespace
 
 void Reactor::add_listener(Listener listener) {
@@ -33,8 +25,8 @@ void Reactor::add_listener(Listener listener) {
 void Reactor::open_wakeup_pipe() {
   int fds[2] = {-1, -1};
   if (::pipe(fds) == 0) {
-    make_nonblocking(fds[0]);
-    make_nonblocking(fds[1]);
+    set_nonblocking(fds[0]);
+    set_nonblocking(fds[1]);
     wakeup_read_ = fds[0];
     const std::lock_guard<std::mutex> lock(mu_);
     wakeup_write_ = fds[1];

@@ -18,11 +18,7 @@ class VmRuntime final : public Runtime {
       const StaticSchedule& schedule, const RunOptions& opts,
       const InputScripts& inputs,
       const std::map<ProcessId, SporadicScript>& sporadics) const override {
-    VmRunOptions vm;
-    vm.frames = opts.frames;
-    vm.overhead = opts.overhead;
-    vm.actual_time = opts.actual_time;
-    return run_static_order_vm(net, derived, schedule, vm, inputs, sporadics);
+    return run_static_order_vm(net, derived, schedule, opts, inputs, sporadics);
   }
 };
 
@@ -39,11 +35,7 @@ class ThreadRuntime final : public Runtime {
       const StaticSchedule& schedule, const RunOptions& opts,
       const InputScripts& inputs,
       const std::map<ProcessId, SporadicScript>& sporadics) const override {
-    ThreadRunOptions th;
-    th.frames = opts.frames;
-    th.micros_per_model_ms = opts.micros_per_model_ms;
-    th.actual_time = opts.actual_time;
-    return run_static_order_threads(net, derived, schedule, th, inputs, sporadics);
+    return run_static_order_threads(net, derived, schedule, opts, inputs, sporadics);
   }
 };
 

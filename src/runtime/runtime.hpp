@@ -1,10 +1,13 @@
 // runtime::Runtime — the uniform execution-backend interface.
 //
 // Both deployments of the static-order policy (§IV) sit behind one
-// `run(net, derived, schedule, opts)` entry point with a shared
-// RunOptions/RunResult contract:
+// `run(net, derived, schedule, opts)` entry point with one RunOptions and
+// one RunResult type, which the backends' own run functions take too:
 //   "vm"      — the deterministic simulated-time virtual multiprocessor,
 //   "threads" — the real std::thread deployment (the paper's Linux runtime).
+// Both decide which server jobs are 'false' from the caller's sporadic
+// scripts by the same rule (runtime/sporadic_window.hpp); "threads" only
+// delivers each decision at its wall-clock instant.
 // Backends are discovered by name through RuntimeRegistry, mirroring the
 // scheduling-strategy registry; registering a new backend is one add()
 // call, no engine edits:
@@ -26,15 +29,9 @@
 namespace fppn {
 namespace runtime {
 
-/// Backend-agnostic run options — the union of what the backends honor.
-/// Fields a backend does not model are ignored (overhead on "threads",
-/// wall-clock scale on "vm").
-struct RunOptions {
-  std::int64_t frames = 1;
-  OverheadModel overhead;             ///< frame overhead model ("vm" only)
-  ActualTimeFn actual_time;           ///< per-job actual times; default WCET
-  double micros_per_model_ms = 50.0;  ///< wall scale ("threads" only)
-};
+/// The one run-options type of both backends (runtime/vm_runtime.hpp);
+/// each backend ignores the field it does not model.
+using fppn::RunOptions;
 
 class Runtime {
  public:

@@ -31,14 +31,4 @@ std::optional<Time> tth_invocation_in(const std::vector<Time>& sorted,
   return window.contains(cand) ? std::optional<Time>(cand) : std::nullopt;
 }
 
-int count_invocations_in(const std::vector<Time>& sorted, const ServerWindow& window) {
-  const auto lo = window.right_closed
-                      ? std::upper_bound(sorted.begin(), sorted.end(), window.a)
-                      : std::lower_bound(sorted.begin(), sorted.end(), window.a);
-  const auto hi = window.right_closed
-                      ? std::upper_bound(sorted.begin(), sorted.end(), window.b)
-                      : std::lower_bound(sorted.begin(), sorted.end(), window.b);
-  return static_cast<int>(hi - lo);
-}
-
 }  // namespace fppn

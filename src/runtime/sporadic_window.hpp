@@ -17,9 +17,9 @@
 // Every function here is a pure function of its arguments (exact rational
 // arithmetic, no state): deterministic, safe to call concurrently, and
 // non-throwing for the argument ranges produced by the derivation —
-// callers pass `sorted` ascending (both lookup helpers binary-search it
-// with lower_bound/upper_bound, so on unsorted input they merely return
-// wrong answers; they never throw).
+// callers pass `sorted` ascending (tth_invocation_in binary-searches it
+// with lower_bound/upper_bound, so on unsorted input it merely returns a
+// wrong answer; it never throws).
 #pragma once
 
 #include <optional>
@@ -58,9 +58,5 @@ struct ServerWindow {
 /// when fewer than t occurred — the corresponding server job is 'false'.
 [[nodiscard]] std::optional<Time> tth_invocation_in(const std::vector<Time>& sorted,
                                                     const ServerWindow& window, int t);
-
-/// Number of real invocations inside `window`.
-[[nodiscard]] int count_invocations_in(const std::vector<Time>& sorted,
-                                       const ServerWindow& window);
 
 }  // namespace fppn

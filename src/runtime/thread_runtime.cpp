@@ -1,6 +1,5 @@
 #include "runtime/thread_runtime.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -47,53 +46,6 @@ class WallClock {
   double scale_;
 };
 
-/// Online monitor of sporadic invocations: the injector posts, workers
-/// wait for the t-th invocation in a window or for the window to close.
-class SporadicMonitor {
- public:
-  void post(ProcessId p, const Time& t) {
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      arrived_[p].push_back(t);  // injector posts in nondecreasing order
-    }
-    cv_.notify_all();
-  }
-
-  /// Blocks until the t-th invocation of p inside `window` is known
-  /// (returns its time stamp) or until wall time `boundary_wall` passes
-  /// (returns nullopt: the server job is 'false'). A small wall-clock
-  /// grace period absorbs injector jitter for invocations stamped exactly
-  /// at the boundary — the FPPN requirement of synchronous event arrival;
-  /// membership itself is always decided on exact *model* time stamps.
-  std::optional<Time> await_tth(ProcessId p, const ServerWindow& window, int t,
-                                WallPoint boundary_wall) {
-    boundary_wall += std::chrono::milliseconds(2);
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-      const auto it = arrived_.find(p);
-      if (it != arrived_.end()) {
-        if (const auto found = tth_invocation_in(it->second, window, t);
-            found.has_value()) {
-          return found;
-        }
-      }
-      if (cv_.wait_until(lock, boundary_wall) == std::cv_status::timeout) {
-        // Window closed: final decision on what has arrived.
-        const auto it2 = arrived_.find(p);
-        if (it2 != arrived_.end()) {
-          return tth_invocation_in(it2->second, window, t);
-        }
-        return std::nullopt;
-      }
-    }
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::map<ProcessId, std::vector<Time>> arrived_;
-};
-
 /// Per-frame completion flags with cross-thread waiting.
 class CompletionBoard {
  public:
@@ -136,7 +88,7 @@ class CompletionBoard {
 
 RunResult run_static_order_threads(const Network& net, const DerivedTaskGraph& derived,
                                    const StaticSchedule& schedule,
-                                   const ThreadRunOptions& opts,
+                                   const RunOptions& opts,
                                    const InputScripts& inputs,
                                    const std::map<ProcessId, SporadicScript>& sporadics) {
   const TaskGraph& tg = derived.graph;
@@ -154,7 +106,6 @@ RunResult run_static_order_threads(const Network& net, const DerivedTaskGraph& d
   const auto order = schedule.per_processor_order();
 
   WallClock clock(opts.micros_per_model_ms);
-  SporadicMonitor monitor;
   CompletionBoard board(n, opts.frames);
 
   // Previous job of the same process (for cross-frame k-order safety).
@@ -188,21 +139,6 @@ RunResult run_static_order_threads(const Network& net, const DerivedTaskGraph& d
   };
   std::vector<std::vector<LocalEvent>> local(order.size());
 
-  // Injector thread: posts sporadic invocations at their wall times.
-  std::vector<std::pair<Time, ProcessId>> injections;
-  for (const auto& [p, script] : sporadics) {
-    for (const Time& t : script.times()) {
-      injections.emplace_back(t, p);
-    }
-  }
-  std::sort(injections.begin(), injections.end());
-  std::thread injector([&] {
-    for (const auto& [t, p] : injections) {
-      std::this_thread::sleep_until(clock.wall_of(t));
-      monitor.post(p, t);
-    }
-  });
-
   std::vector<std::thread> workers;
   workers.reserve(order.size());
   for (std::size_t m = 0; m < order.size(); ++m) {
@@ -212,33 +148,34 @@ RunResult run_static_order_threads(const Network& net, const DerivedTaskGraph& d
         const Time frame_base = Time() + h * Rational(frame);
         for (const JobId id : order[m]) {
           const Job& job = tg.job(id);
-          // ---- Synchronize invocation.
-          std::optional<Time> invocation;
+          // ---- Synchronize invocation: membership from the script,
+          // delivery at its wall time ('false': at the subset boundary).
+          std::optional<Time> invocation = frame_base + (job.arrival - Time());
+          Time delivery = *invocation;
           if (job.is_server) {
             const ServerInfo& info = derived.servers.at(job.process);
             const int t = static_cast<int>((job.k - 1) % info.burst) + 1;
             const Time boundary = subset_boundary(info, frame, job.subset, h);
-            invocation =
-                monitor.await_tth(job.process, server_window(info, boundary), t,
-                                  clock.wall_of(boundary));
-            if (!invocation.has_value()) {
-              // A 'false' job completes only after its predecessors, so
-              // its successors stay ordered after them.
-              for (const JobId pred : tg.predecessors(id)) {
-                board.await(frame, pred);
-              }
-              log.push_back(LocalEvent{
-                  TraceEvent{TraceEventKind::kFalseSkip, frame, ProcessorId(m),
-                             job.name, clock.model_of(SteadyClock::now()),
-                             std::nullopt},
-                  std::nullopt});
-              board.mark(frame, id);
-              continue;
+            const auto script = sporadics.find(job.process);
+            invocation = script == sporadics.end()
+                             ? std::nullopt
+                             : tth_invocation_in(script->second.times(),
+                                                 server_window(info, boundary), t);
+            delivery = invocation.value_or(boundary);
+          }
+          std::this_thread::sleep_until(clock.wall_of(delivery));
+          if (!invocation.has_value()) {
+            // A 'false' job completes only after its predecessors, so
+            // its successors stay ordered after them.
+            for (const JobId pred : tg.predecessors(id)) {
+              board.await(frame, pred);
             }
-          } else {
-            const Time inv = frame_base + (job.arrival - Time());
-            std::this_thread::sleep_until(clock.wall_of(inv));
-            invocation = inv;
+            log.push_back(LocalEvent{
+                TraceEvent{TraceEventKind::kFalseSkip, frame, ProcessorId(m), job.name,
+                           clock.model_of(SteadyClock::now()), std::nullopt},
+                std::nullopt});
+            board.mark(frame, id);
+            continue;
           }
           // ---- Synchronize precedence (predecessors may run anywhere).
           for (const JobId pred : tg.predecessors(id)) {
@@ -284,7 +221,6 @@ RunResult run_static_order_threads(const Network& net, const DerivedTaskGraph& d
   for (std::thread& w : workers) {
     w.join();
   }
-  injector.join();
 
   RunResult result;
   for (std::int64_t frame = 0; frame < opts.frames; ++frame) {

@@ -81,7 +81,7 @@ std::vector<JobId> walk_order(const TaskGraph& tg, const std::vector<JobPlan>& p
 }  // namespace
 
 RunResult run_static_order_vm(const Network& net, const DerivedTaskGraph& derived,
-                              const StaticSchedule& schedule, const VmRunOptions& opts,
+                              const StaticSchedule& schedule, const RunOptions& opts,
                               const InputScripts& inputs,
                               const std::map<ProcessId, SporadicScript>& sporadics) {
   const TaskGraph& tg = derived.graph;

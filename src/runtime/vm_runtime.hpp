@@ -24,6 +24,10 @@
 // process, and one walk order for every frame. That order takes the
 // smallest ready job id first over precedence plus the processor chains,
 // so it is the unique order topological_sort gives on those edges.
+//
+// RunOptions, RunResult and the 'false' rule for server jobs (the t-th
+// invocation of the caller's script in the subset window, or none) are
+// shared with the threads backend (runtime/thread_runtime.hpp).
 #pragma once
 
 #include <functional>
@@ -52,11 +56,21 @@ struct DeadlineMiss {
   Time deadline;
 };
 
-struct VmRunOptions {
+/// The run options of both backends: run_static_order_vm,
+/// run_static_order_threads and runtime::Runtime all take this one type.
+/// A backend ignores the field it does not model: the overhead model on
+/// "threads", the wall-clock scale on "vm".
+struct RunOptions {
   std::int64_t frames = 1;
-  OverheadModel overhead;        ///< default: none
-  ActualTimeFn actual_time;      ///< default (null): WCET
+  OverheadModel overhead;             ///< frame overhead model ("vm" only); default none
+  ActualTimeFn actual_time;           ///< per-job actual times; default (null) WCET
+  double micros_per_model_ms = 50.0;  ///< wall scale ("threads" only): 1 model ms = 50 us
 };
+
+/// The vm's former name for RunOptions. Kept only because the benchmark
+/// harness (perfbench/src/workloads.cpp) still names it; it goes with that
+/// harness's next change.
+using VmRunOptions = RunOptions;
 
 struct RunResult {
   TimedTrace trace;
@@ -72,8 +86,10 @@ struct RunResult {
 /// Executes `frames` repetitions of the schedule frame.
 ///
 /// `sporadics` gives the real invocation time stamps of each sporadic
-/// process over the whole run (global time, not per frame). `inputs` are
-/// the external-input sample arrays.
+/// process over the whole run (global time, not per frame); a server job
+/// is the t-th invocation of its window in that script, or 'false'
+/// (tth_invocation_in). run_static_order_threads decides membership by
+/// the same rule. `inputs` are the external-input sample arrays.
 ///
 /// Deterministic: a pure function of its arguments — simulated time is
 /// exact rational, so traces, histories and deadline misses are
@@ -84,7 +100,7 @@ struct RunResult {
 /// time is negative. `inputs` is read in place for the whole call.
 [[nodiscard]] RunResult run_static_order_vm(
     const Network& net, const DerivedTaskGraph& derived, const StaticSchedule& schedule,
-    const VmRunOptions& opts = {}, const InputScripts& inputs = {},
+    const RunOptions& opts = {}, const InputScripts& inputs = {},
     const std::map<ProcessId, SporadicScript>& sporadics = {});
 
 /// The zero-delay reference for the same run: periodic invocations over

@@ -113,59 +113,4 @@ std::string render_gantt(const TimedTrace& trace, std::int64_t processors,
   return os.str();
 }
 
-std::string render_gantt_svg(const TimedTrace& trace, std::int64_t processors,
-                             const GanttOptions& opts) {
-  const Window w = make_window(trace, opts);
-  const int row_h = 28;
-  const int label_w = 52;
-  const int chart_w = 900;
-  const int rows = static_cast<int>(processors) + (opts.show_overhead_row ? 1 : 0);
-  const int height = rows * row_h + 40;
-  const auto x_of = [&](double t) {
-    return label_w + (t - w.t0) / (w.t1 - w.t0) * chart_w;
-  };
-  std::ostringstream os;
-  os << "<svg xmlns='http://www.w3.org/2000/svg' width='" << (label_w + chart_w + 20)
-     << "' height='" << height << "' font-family='monospace' font-size='11'>\n";
-  for (int m = 0; m < rows; ++m) {
-    const int y = 10 + m * row_h;
-    const std::string name =
-        m < processors ? "M" + std::to_string(m + 1) : "RT";
-    os << "<text x='4' y='" << (y + row_h / 2 + 4) << "'>" << name << "</text>\n";
-    os << "<line x1='" << label_w << "' y1='" << (y + row_h - 4) << "' x2='"
-       << (label_w + chart_w) << "' y2='" << (y + row_h - 4)
-       << "' stroke='#ccc'/>\n";
-  }
-  for (const TraceEvent& e : trace.events()) {
-    const double t0 = e.time.to_double_ms();
-    const double t1 = e.end.value_or(e.time).to_double_ms();
-    int row = -1;
-    const char* fill = "#7aa7d8";
-    if (e.kind == TraceEventKind::kJobRun && e.processor.is_valid()) {
-      row = static_cast<int>(e.processor.value());
-    } else if (e.kind == TraceEventKind::kOverhead && opts.show_overhead_row) {
-      row = static_cast<int>(processors);
-      fill = "#d8a77a";
-    } else if (e.kind == TraceEventKind::kDeadlineMiss) {
-      os << "<text x='" << x_of(t0) << "' y='" << (height - 8)
-         << "' fill='red'>!</text>\n";
-      continue;
-    } else {
-      continue;
-    }
-    const int y = 10 + row * row_h;
-    os << "<rect x='" << x_of(t0) << "' y='" << y << "' width='"
-       << std::max(1.0, x_of(t1) - x_of(t0)) << "' height='" << (row_h - 8)
-       << "' fill='" << fill << "' stroke='#345'/>\n";
-    os << "<text x='" << (x_of(t0) + 2) << "' y='" << (y + row_h / 2 + 2) << "'>"
-       << e.label << "</text>\n";
-  }
-  os << "<text x='" << label_w << "' y='" << (height - 8) << "'>" << w.t0
-     << "</text>\n";
-  os << "<text x='" << (label_w + chart_w - 40) << "' y='" << (height - 8) << "'>"
-     << w.t1 << " ms</text>\n";
-  os << "</svg>\n";
-  return os.str();
-}
-
 }  // namespace fppn

@@ -1,6 +1,6 @@
 // Gantt-chart renderers for timed traces (Fig. 6 style): one row per
-// processor plus a "RT" row for runtime-overhead spans; ASCII for the
-// terminal, SVG for documentation.
+// processor plus a "RT" row for runtime-overhead spans, in ASCII for the
+// terminal.
 #pragma once
 
 #include <cstdint>
@@ -22,10 +22,5 @@ struct GanttOptions {
 /// events still get a row).
 [[nodiscard]] std::string render_gantt(const TimedTrace& trace, std::int64_t processors,
                                        const GanttOptions& opts = {});
-
-/// Standalone SVG document of the same chart.
-[[nodiscard]] std::string render_gantt_svg(const TimedTrace& trace,
-                                           std::int64_t processors,
-                                           const GanttOptions& opts = {});
 
 }  // namespace fppn

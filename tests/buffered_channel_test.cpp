@@ -168,7 +168,7 @@ TEST(BufferedChannel, VmMatchesZeroDelayUnderPipelining) {
   const sched::StrategyResult attempt =
       sched::StrategyRegistry::global().create("alap-edf")->schedule(derived.graph,
                                                                       sched_opts);
-  VmRunOptions run_opts;
+  RunOptions run_opts;
   run_opts.frames = 3;
   const RunResult run =
       run_static_order_vm(p.net, derived, attempt.schedule, run_opts, {}, {});

@@ -55,14 +55,6 @@ TEST(Gantt, WindowRestriction) {
   EXPECT_NE(chart.find("fft["), std::string::npos);
 }
 
-TEST(Gantt, SvgIsWellFormedish) {
-  const std::string svg = render_gantt_svg(sample_trace(), 2);
-  EXPECT_EQ(svg.rfind("<svg", 0), 0u);
-  EXPECT_NE(svg.find("</svg>"), std::string::npos);
-  EXPECT_NE(svg.find("gen[1]"), std::string::npos);
-  EXPECT_NE(svg.find("rect"), std::string::npos);
-}
-
 TEST(Gantt, EmptyTraceRendersAxes) {
   const TimedTrace empty;
   const std::string chart = render_gantt(empty, 1);

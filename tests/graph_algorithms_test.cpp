@@ -210,17 +210,6 @@ TEST(EdgeFates, AgreesWithTransitiveReductionOnRandomDags) {
   }
 }
 
-TEST(LongestPathDepths, Chain) {
-  Digraph g(4);
-  g.add_edge(NodeId(0), NodeId(1));
-  g.add_edge(NodeId(1), NodeId(2));
-  g.add_edge(NodeId(0), NodeId(3));
-  const auto depth = longest_path_depths(g);
-  EXPECT_EQ(depth[0], 0u);
-  EXPECT_EQ(depth[2], 2u);
-  EXPECT_EQ(depth[3], 1u);
-}
-
 TEST(ToDot, ContainsNodesAndEdges) {
   const Digraph g = diamond();
   const std::string dot =

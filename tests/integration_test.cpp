@@ -44,7 +44,7 @@ TEST_P(Fig1EndToEnd, PipelineDeterministicUnderJitter) {
       app.make_inputs({3, 1, 4, 1, 5, 9, 2, 6}, {1.5, 2.5, 3.5, 4.5, 5.5, 6.5});
 
   // Jittered actual execution times, always within the WCET.
-  VmRunOptions opts;
+  RunOptions opts;
   opts.frames = frames;
   opts.actual_time = [seed](JobId id, std::int64_t frame) {
     const std::uint64_t mix =
@@ -79,7 +79,7 @@ TEST_P(FftEndToEnd, SpectraIdenticalOnAnyProcessorCount) {
   const std::vector<std::vector<double>> frames = {
       {1, 2, 3, 4, 5, 6, 7, 8}, {8, 7, 6, 5, 4, 3, 2, 1}};
   const InputScripts inputs = app.make_inputs(frames);
-  VmRunOptions opts;
+  RunOptions opts;
   opts.frames = 2;
   const RunResult run =
       run_static_order_vm(app.net, derived, attempt.schedule, opts, inputs, {});
@@ -104,7 +104,7 @@ TEST(FmsEndToEnd, FullHyperperiodOnOneProcessor) {
   // subsets (left-closed windows end T_u before the frame does).
   const auto scripts = app.random_commands(Time::ms(9000), /*seed=*/11);
   const InputScripts inputs = app.make_inputs(55, /*seed=*/11);
-  VmRunOptions opts;
+  RunOptions opts;
   opts.frames = 1;
   const RunResult run =
       run_static_order_vm(app.net, derived, attempt.schedule, opts, inputs, scripts);
@@ -124,7 +124,7 @@ TEST(FmsEndToEnd, TwoProcessorRunAgreesWithOneProcessorRun) {
   const auto derived = derive_task_graph(app.net, app.default_wcets());
   const auto scripts = app.random_commands(Time::ms(9000), /*seed=*/23);
   const InputScripts inputs = app.make_inputs(55, /*seed=*/23);
-  VmRunOptions opts;
+  RunOptions opts;
   opts.frames = 1;
 
   const auto one = alap_edf(derived.graph, 1);
@@ -150,7 +150,7 @@ TEST(FmsEndToEnd, OriginalUniprocessorPrototypeEquivalence) {
   const auto attempt = alap_edf(derived.graph, 3);
   ASSERT_TRUE(attempt.feasible);
   const InputScripts inputs = app.make_inputs(55, /*seed=*/5);
-  VmRunOptions opts;
+  RunOptions opts;
   opts.frames = 1;
   const RunResult run =
       run_static_order_vm(app.net, derived, attempt.schedule, opts, inputs, {});

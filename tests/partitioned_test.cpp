@@ -93,7 +93,7 @@ TEST(Partitioned, VmRunsPartitionedScheduleDeterministically) {
   const InputScripts inputs = app.make_inputs({5, 6, 7, 8}, {1.5});
   std::map<ProcessId, SporadicScript> scripts;
   scripts.emplace(app.coef_b, SporadicScript({Time::ms(110)}, 2, Duration::ms(700)));
-  VmRunOptions opts;
+  RunOptions opts;
   opts.frames = 2;
   const RunResult run = run_static_order_vm(app.net, derived, result.schedule, opts,
                                             inputs, scripts);

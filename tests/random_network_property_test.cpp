@@ -171,7 +171,7 @@ TEST_P(RandomNetworkPipeline, FullPipelineInvariantsHold) {
                  spec.burst, spec.period,
                  Time() + derived.hyperperiod * Rational(frames - 1), ++salt));
     }
-    VmRunOptions opts;
+    RunOptions opts;
     opts.frames = frames;
     opts.actual_time = [seed, &tg](JobId id, std::int64_t frame) {
       const std::uint64_t mix =

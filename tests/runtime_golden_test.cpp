@@ -175,7 +175,7 @@ TEST(RuntimeGolden, FmsVmAndZeroDelayAreBitIdentical) {
     SCOPED_TRACE("seed " + std::to_string(c.seed));
     const InputScripts in = fms.inputs(c.seed);
     const auto cmds = fms.commands(c.seed);
-    VmRunOptions opts;
+    RunOptions opts;
     opts.frames = kFrames;
     const RunResult vm =
         run_static_order_vm(fms.app.net, fms.derived, fms.schedule, opts, in, cmds);
@@ -196,7 +196,7 @@ TEST(RuntimeGolden, FmsVmAndZeroDelayAreBitIdentical) {
 // missed; pins the carry-over, overhead and miss events bit for bit.
 TEST(RuntimeGolden, FmsVmOverrunIsBitIdentical) {
   const FmsRun fms;
-  VmRunOptions opts;
+  RunOptions opts;
   opts.frames = kFrames;
   opts.overhead = OverheadModel::mppa_measured();
   const TaskGraph& tg = fms.derived.graph;

@@ -27,7 +27,7 @@ std::map<std::string, std::pair<Time, Time>> vm_times(
     const Network& net, const DerivedTaskGraph& derived,
     const StaticSchedule& schedule,
     const std::map<ProcessId, SporadicScript>& scripts) {
-  VmRunOptions opts;
+  RunOptions opts;
   opts.frames = 1;
   const RunResult r = run_static_order_vm(net, derived, schedule, opts, {}, scripts);
   std::map<std::string, std::pair<Time, Time>> out;
@@ -169,7 +169,7 @@ TEST(TaOracle, SkippedJobsNeverStartASuccessorBeforeTheVm) {
       testing::list_schedule(derived.graph, PriorityHeuristic::kAlapEdf, 2);
   const auto scripts = gen::jittered_scripts(scenario.net, 398, 1, derived.hyperperiod);
   const RunResult run =
-      run_static_order_vm(scenario.net, derived, schedule, VmRunOptions{}, {}, scripts);
+      run_static_order_vm(scenario.net, derived, schedule, RunOptions{}, {}, scripts);
   std::vector<JobId> skipped;
   std::map<JobId, Time> vm_start;
   for (const TraceEvent& e : run.trace.events()) {
@@ -225,7 +225,7 @@ TEST(TaOracle, FmsFalseServerJobHoldsItsSuccessorBehindItsPredecessors) {
   const StaticSchedule& schedule = report.search.best.schedule;
 
   constexpr std::uint64_t kSeed = 13;
-  VmRunOptions opts;
+  RunOptions opts;
   opts.frames = 1;
   const RunResult run =
       run_static_order_vm(app.net, derived, schedule, opts, app.make_inputs(50, kSeed),

@@ -30,8 +30,8 @@ struct Rig {
   }
 };
 
-ThreadRunOptions fast_options(std::int64_t frames) {
-  ThreadRunOptions opts;
+RunOptions fast_options(std::int64_t frames) {
+  RunOptions opts;
   opts.frames = frames;
   opts.micros_per_model_ms = 100.0;  // 200 ms frame -> 20 ms wall
   // Sleep far less than the WCET so OS jitter cannot cause misses.
@@ -98,7 +98,7 @@ TEST(ThreadRuntime, GenerousDeadlinesAreMet) {
   // With 2 ms model execution inside 200 ms frames and a 10x wall scale,
   // even a loaded CI machine should meet every deadline.
   const Rig s = Rig::make(2);
-  ThreadRunOptions opts = fast_options(2);
+  RunOptions opts = fast_options(2);
   opts.micros_per_model_ms = 300.0;
   const RunResult r = run_static_order_threads(s.app.net, s.derived, s.schedule, opts,
                                                s.inputs, {});
@@ -108,7 +108,7 @@ TEST(ThreadRuntime, GenerousDeadlinesAreMet) {
 
 TEST(ThreadRuntime, RejectsBadInput) {
   const Rig s = Rig::make(2);
-  ThreadRunOptions opts;
+  RunOptions opts;
   opts.frames = 0;
   EXPECT_THROW(
       run_static_order_threads(s.app.net, s.derived, s.schedule, opts, {}, {}),

@@ -132,14 +132,14 @@ TEST(Unfolding, VmRunsUnfoldedFramesCorrectly) {
   const auto d2 = derive_task_graph(app.net, app.fig3_wcets(), unfold2);
   const auto a2 = alap_edf(d2.graph, 2);
   ASSERT_TRUE(a2.feasible);
-  VmRunOptions r2;
+  RunOptions r2;
   r2.frames = 2;
   const RunResult run2 =
       run_static_order_vm(app.net, d2, a2.schedule, r2, inputs, {});
 
   const auto d1 = derive_task_graph(app.net, app.fig3_wcets());
   const auto a1 = alap_edf(d1.graph, 2);
-  VmRunOptions r1;
+  RunOptions r1;
   r1.frames = 4;
   const RunResult run1 =
       run_static_order_vm(app.net, d1, a1.schedule, r1, inputs, {});

@@ -44,7 +44,7 @@ struct Fig1Setup {
 
 TEST(VmRuntime, Prop41FeasibleScheduleMeetsDeadlines) {
   const Fig1Setup s = Fig1Setup::make();
-  VmRunOptions opts;
+  RunOptions opts;
   opts.frames = 4;
   const RunResult r = run_static_order_vm(s.app.net, s.derived, s.schedule, opts,
                                           s.inputs(4), {});
@@ -56,7 +56,7 @@ TEST(VmRuntime, Prop41FeasibleScheduleMeetsDeadlines) {
 
 TEST(VmRuntime, MatchesZeroDelayReferenceWithoutSporadics) {
   const Fig1Setup s = Fig1Setup::make();
-  VmRunOptions opts;
+  RunOptions opts;
   opts.frames = 3;
   const InputScripts in = s.inputs(3);
   const RunResult r = run_static_order_vm(s.app.net, s.derived, s.schedule, opts, in, {});
@@ -76,7 +76,7 @@ TEST(VmRuntime, MatchesZeroDelayReferenceWithSporadics) {
     scripts.emplace(s.app.coef_b,
                     SporadicScript::random(2, Duration::ms(700),
                                            Time::ms(200 * (frames - 1)), seed));
-    VmRunOptions opts;
+    RunOptions opts;
     opts.frames = frames;
     const InputScripts in = s.inputs(frames);
     const RunResult r =
@@ -94,7 +94,7 @@ TEST(VmRuntime, RobustToShorterActualTimes) {
   // §IV motivation: starts synchronize on invocations/predecessors, so
   // running faster than WCET cannot break precedence or determinism.
   const Fig1Setup s = Fig1Setup::make();
-  VmRunOptions fast;
+  RunOptions fast;
   fast.frames = 2;
   fast.actual_time = [](JobId id, std::int64_t frame) {
     return Duration::ms(5 + ((id.value() + static_cast<std::size_t>(frame)) % 7));
@@ -102,7 +102,7 @@ TEST(VmRuntime, RobustToShorterActualTimes) {
   const InputScripts in = s.inputs(2);
   const RunResult quick = run_static_order_vm(s.app.net, s.derived, s.schedule, fast,
                                               in, {});
-  VmRunOptions nominal;
+  RunOptions nominal;
   nominal.frames = 2;
   const RunResult slow = run_static_order_vm(s.app.net, s.derived, s.schedule, nominal,
                                              in, {});
@@ -113,7 +113,7 @@ TEST(VmRuntime, RobustToShorterActualTimes) {
 
 TEST(VmRuntime, WcetOverrunMayMissButStaysDeterministic) {
   const Fig1Setup s = Fig1Setup::make();
-  VmRunOptions overrun;
+  RunOptions overrun;
   overrun.frames = 2;
   overrun.actual_time = [](JobId, std::int64_t) { return Duration::ms(60); };
   const InputScripts in = s.inputs(2);
@@ -133,7 +133,7 @@ TEST(VmRuntime, SporadicAtExactBoundaryHandledPerFig2) {
   std::map<ProcessId, SporadicScript> scripts;
   scripts.emplace(s.app.coef_b,
                   SporadicScript({Time::ms(200)}, 2, Duration::ms(700)));
-  VmRunOptions opts;
+  RunOptions opts;
   opts.frames = 3;
   const RunResult r = run_static_order_vm(s.app.net, s.derived, s.schedule, opts,
                                           s.inputs(3), scripts);
@@ -174,7 +174,7 @@ TEST(VmRuntime, EarlySporadicInvocationMayStartBeforeBoundary) {
   // Invocation at t=10 falls in the (0, 100] window of subset 2 (A_i=100).
   std::map<ProcessId, SporadicScript> scripts;
   scripts.emplace(spor, SporadicScript({Time::ms(10)}, 1, Duration::ms(150)));
-  VmRunOptions opts;
+  RunOptions opts;
   opts.frames = 1;
   const RunResult r = run_static_order_vm(net, derived, schedule, opts, {}, scripts);
   bool found = false;
@@ -191,7 +191,7 @@ TEST(VmRuntime, EarlySporadicInvocationMayStartBeforeBoundary) {
 
 TEST(VmRuntime, OverheadModelDelaysFrameStart) {
   const Fig1Setup s = Fig1Setup::make();
-  VmRunOptions opts;
+  RunOptions opts;
   opts.frames = 2;
   opts.overhead = OverheadModel{Duration::ms(41), Duration::ms(20), Duration::zero()};
   const RunResult r = run_static_order_vm(s.app.net, s.derived, s.schedule, opts,
@@ -208,7 +208,7 @@ TEST(VmRuntime, OverheadModelDelaysFrameStart) {
 
 TEST(VmRuntime, FrameRepetitionKeepsPeriodicPhase) {
   const Fig1Setup s = Fig1Setup::make();
-  VmRunOptions opts;
+  RunOptions opts;
   opts.frames = 3;
   const RunResult r = run_static_order_vm(s.app.net, s.derived, s.schedule, opts,
                                           s.inputs(3), {});
@@ -229,17 +229,17 @@ TEST(VmRuntime, RejectsIncompleteSchedule) {
   StaticSchedule partial(s.derived.graph.job_count(), 2);
   partial.place(JobId(0), ProcessorId(0), Time::ms(0));
   EXPECT_THROW(
-      run_static_order_vm(s.app.net, s.derived, partial, VmRunOptions{}, {}, {}),
+      run_static_order_vm(s.app.net, s.derived, partial, RunOptions{}, {}, {}),
       std::invalid_argument);
 }
 
 TEST(VmRuntime, RejectsBadOptions) {
   const Fig1Setup s = Fig1Setup::make();
-  VmRunOptions opts;
+  RunOptions opts;
   opts.frames = 0;
   EXPECT_THROW(run_static_order_vm(s.app.net, s.derived, s.schedule, opts, {}, {}),
                std::invalid_argument);
-  VmRunOptions negative;
+  RunOptions negative;
   negative.actual_time = [](JobId, std::int64_t) { return -Duration::ms(1); };
   EXPECT_THROW(
       run_static_order_vm(s.app.net, s.derived, s.schedule, negative, {}, {}),
@@ -248,7 +248,7 @@ TEST(VmRuntime, RejectsBadOptions) {
 
 TEST(VmRuntime, TraceSummaryCountsConsistent) {
   const Fig1Setup s = Fig1Setup::make();
-  VmRunOptions opts;
+  RunOptions opts;
   opts.frames = 2;
   const RunResult r = run_static_order_vm(s.app.net, s.derived, s.schedule, opts,
                                           s.inputs(2), {});
@@ -291,7 +291,7 @@ TEST(VmRuntime, FalseServerJobCompletesAfterItsPredecessors) {
     const InputScripts inputs = app.make_inputs(kFrames * 50, seed);
     const auto commands =
         app.random_commands(Time() + derived.hyperperiod * Rational(kFrames - 1), seed);
-    VmRunOptions opts;
+    RunOptions opts;
     opts.frames = kFrames;
     const RunResult vm = run_static_order_vm(
         app.net, derived, report.search.best.schedule, opts, inputs, commands);
@@ -362,7 +362,7 @@ TEST(VmRuntime, PlanWalksTheDigraphTopologicalOrderOnGeneratedScenarios) {
           }
         }
         const std::vector<std::string> want = digraph_walk(tg, schedule);
-        VmRunOptions opts;
+        RunOptions opts;
         opts.frames = kFrames;
         const RunResult r = run_static_order_vm(s.net, derived, schedule, opts, {}, scripts);
         for (std::int64_t frame = 0; frame < kFrames; ++frame) {
@@ -395,7 +395,7 @@ TEST(VmRuntime, RunningSpanEndEqualsTheTraceSpanEnd) {
     // actual times that overrun some WCETs 40.5-fold plus 1/3 ms; both.
     for (int variant = 0; variant < 4; ++variant) {
       SCOPED_TRACE("variant " + std::to_string(variant));
-      VmRunOptions opts;
+      RunOptions opts;
       opts.frames = kFrames;
       if (variant % 2 == 1) {
         opts.overhead = OverheadModel::mppa_measured();
@@ -435,7 +435,7 @@ TEST(VmRuntime, ScheduleOrderAgainstPrecedenceKeepsItsMessage) {
     start += 10;
   }
   try {
-    (void)run_static_order_vm(s.app.net, s.derived, reversed, VmRunOptions{}, {}, {});
+    (void)run_static_order_vm(s.app.net, s.derived, reversed, RunOptions{}, {}, {});
     FAIL() << "a cyclic walk order was accepted";
   } catch (const std::invalid_argument& e) {
     EXPECT_STREQ(e.what(), "vm runtime: schedule order conflicts with precedence (cycle)");
