@@ -9,12 +9,15 @@
 // 2x the request deadline while healthy clients are served
 // (serve_deadline_enforced_agree), and a seeded fault-injection sweep
 // finishing crash-free with uncorrupted responses
-// (serve_chaos_crash_free_agree).
+// (serve_chaos_crash_free_agree). It also reports, as numbers only, what
+// one hot FMS request costs per layer inside SolveService::handle: parse,
+// derive, fingerprint, cache lookups and render, beside handle itself.
 #include <benchmark/benchmark.h>
 
 #include <poll.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -29,12 +32,17 @@
 #include <thread>
 #include <vector>
 
+#include "apps/fms.hpp"
 #include "bench_json.hpp"
 #include "engine/engine.hpp"
 #include "engine/service.hpp"
 #include "gen/scenario.hpp"
+#include "io/schedule_format.hpp"
+#include "io/text_format.hpp"
 #include "net/listener.hpp"
 #include "net/server.hpp"
+#include "sched/parallel_search.hpp"
+#include "taskgraph/fingerprint.hpp"
 #include "testing/fault_injector.hpp"
 
 namespace {
@@ -399,6 +407,87 @@ bool print_chaos_report(benchjson::Report& report) {
   return ok;
 }
 
+/// Median wall time of `reps` calls of `f`, in ms.
+template <class F>
+double median_ms(int reps, F&& f) {
+  std::vector<double> samples;
+  samples.reserve(static_cast<std::size_t>(reps));
+  for (int i = 0; i < reps; ++i) {
+    const Clock::time_point t0 = Clock::now();
+    f();
+    samples.push_back(seconds_since(t0) * 1000.0);
+  }
+  std::nth_element(samples.begin(), samples.begin() + reps / 2, samples.end());
+  return samples[static_cast<std::size_t>(reps / 2)];
+}
+
+/// One hot request layer by layer: the paper FMS (812 jobs) as the
+/// daemon's quick preset answers it from the memory cache. Each stage
+/// runs on its own through the public API the handler uses, so the
+/// stages add up to roughly what handle() costs in one call; the rest
+/// is the request copy, the cache's schedule copies and teardown.
+/// Numbers only, no gate: they swing with the host.
+void print_hot_request_layers(benchjson::Report& report) {
+  constexpr int kReps = 400;
+  const auto app = apps::build_fms(true);
+  const std::string text = io::write_network(app.net, app.default_wcets());
+
+  engine::Engine engine;
+  engine::ServiceOptions options;
+  options.processors = 2;
+  options.seed = 1;
+  options.search_workers = 1;
+  engine::SolveService service(engine, options);
+  const std::string warm = service.handle(text, 0.0);  // fills the cache
+
+  engine::SearchConfig config;
+  config.processors = options.processors;
+  config.seed = options.seed;
+  config.workers = options.search_workers;
+  const sched::ParallelSearchOptions search = config.search_options();
+  const std::vector<sched::SearchCandidate> candidates =
+      sched::enumerate_search_candidates(search);
+
+  const io::ParsedNetwork parsed = io::parse_network_string(text);
+  const DerivedTaskGraph derived = derive_task_graph(parsed.net, parsed.wcets);
+  const std::uint64_t fp = fingerprint(derived.graph);
+  const io::ScheduleEntry entry =
+      io::read_schedule_entry_string(warm.substr(warm.find('\n') + 1));
+
+  const double parse_ms =
+      median_ms(kReps, [&] { benchmark::DoNotOptimize(io::parse_network_string(text)); });
+  const double derive_ms = median_ms(kReps, [&] {
+    benchmark::DoNotOptimize(derive_task_graph(parsed.net, parsed.wcets));
+  });
+  const double fingerprint_ms =
+      median_ms(kReps, [&] { benchmark::DoNotOptimize(fingerprint(derived.graph)); });
+  const double lookup_ms = median_ms(kReps, [&] {
+    for (const sched::SearchCandidate& c : candidates) {
+      const sched::CacheKey key =
+          sched::make_cache_key(fp, c.strategy, sched::strategy_options_for(search, c));
+      benchmark::DoNotOptimize(engine.memory_cache().lookup(key, derived.graph));
+    }
+  });
+  const double render_ms =
+      median_ms(kReps, [&] { benchmark::DoNotOptimize(io::write_schedule_entry(entry)); });
+  const double handle_ms =
+      median_ms(kReps, [&] { benchmark::DoNotOptimize(service.handle(text, 0.0)); });
+  const double stages_ms = parse_ms + derive_ms + fingerprint_ms + lookup_ms + render_ms;
+
+  std::printf(
+      "hot request (paper FMS, %zu jobs, %zu edges, %zu cache lookups), medians of %d:\n"
+      "  parse %.3fms  derive %.3fms  fingerprint %.3fms  lookups %.3fms  render %.3fms\n"
+      "  sum of stages %.3fms  handle %.3fms\n",
+      derived.graph.job_count(), derived.graph.edge_count(), candidates.size(), kReps,
+      parse_ms, derive_ms, fingerprint_ms, lookup_ms, render_ms, stages_ms, handle_ms);
+  report.metric("serve_hot_parse_ms", parse_ms);
+  report.metric("serve_hot_derive_ms", derive_ms);
+  report.metric("serve_hot_fingerprint_ms", fingerprint_ms);
+  report.metric("serve_hot_lookup_ms", lookup_ms);
+  report.metric("serve_hot_render_ms", render_ms);
+  report.metric("serve_hot_handle_ms", handle_ms);
+}
+
 void BM_WarmServeRoundtrip(benchmark::State& state) {
   static ServeFixture* fixture = [] {
     auto* f = new ServeFixture("micro");
@@ -434,6 +523,7 @@ int main(int argc, char** argv) {
   const bool overload_ok = print_overload_report(report);
   const bool deadline_ok = print_deadline_report(report);
   const bool chaos_ok = print_chaos_report(report);
+  print_hot_request_layers(report);
   const std::string json_path = report.write();
   if (!json_path.empty()) {
     std::printf("\nwrote %s\n", json_path.c_str());

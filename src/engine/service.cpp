@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <string_view>
 
 #include "io/schedule_format.hpp"
+#include "taskgraph/fingerprint.hpp"
 
 namespace fppn {
 namespace engine {
@@ -17,15 +19,16 @@ double ms_since(Clock::time_point begin) {
   return std::chrono::duration<double, std::milli>(Clock::now() - begin).count();
 }
 
-/// `text` with surrounding ASCII whitespace stripped (verb matching).
-std::string trimmed(const std::string& text) {
+/// True iff `text` is `verb` with surrounding ASCII whitespace (compared
+/// in place: a request can be a whole network).
+bool is_verb(const std::string& text, std::string_view verb) {
   const char* ws = " \t\r\n";
   const std::size_t first = text.find_first_not_of(ws);
   if (first == std::string::npos) {
-    return {};
+    return verb.empty();
   }
   const std::size_t last = text.find_last_not_of(ws);
-  return text.substr(first, last - first + 1);
+  return std::string_view(text).substr(first, last - first + 1) == verb;
 }
 
 /// Nearest-rank percentile of an unsorted sample copy.
@@ -48,7 +51,7 @@ SolveService::SolveService(Engine& engine, ServiceOptions options)
 
 std::string SolveService::handle(const std::string& request,
                                  const RequestLoad& load) {
-  if (trimmed(request) == "stats") {
+  if (is_verb(request, "stats")) {
     return render_stats();
   }
   const double queue_wait_ms = load.queue_wait_ms;
@@ -74,15 +77,20 @@ std::string SolveService::handle(const std::string& request,
     }
     report = engine_.solve(solve_request);
 
-    char status[256];
-    std::snprintf(status, sizeof(status),
-                  "fppn-serve ok fingerprint %016llx candidates %zu evaluated %zu "
-                  "cached %zu winner %s seed %llu feasible %d\n",
-                  static_cast<unsigned long long>(report.fingerprint),
-                  report.search.candidates, report.search.evaluated,
-                  report.search.cache_hits, report.search.best.strategy.c_str(),
-                  static_cast<unsigned long long>(report.search.seed),
-                  report.feasible() ? 1 : 0);
+    // The status line and the entry go into one buffer.
+    response = "fppn-serve ok fingerprint ";
+    response += fingerprint_hex(report.fingerprint);
+    response += " candidates ";
+    response += std::to_string(report.search.candidates);
+    response += " evaluated ";
+    response += std::to_string(report.search.evaluated);
+    response += " cached ";
+    response += std::to_string(report.search.cache_hits);
+    response += " winner ";
+    response += report.search.best.strategy;
+    response += " seed ";
+    response += std::to_string(report.search.seed);
+    response += report.feasible() ? " feasible 1\n" : " feasible 0\n";
 
     io::ScheduleEntry entry;
     entry.fingerprint = report.fingerprint;
@@ -93,9 +101,9 @@ std::string SolveService::handle(const std::string& request,
         solve_request.config.search_options();
     entry.max_iterations = opts.max_iterations;
     entry.restarts = opts.restarts;
-    entry.detail = report.search.best.detail;
-    entry.schedule = report.search.best.schedule;
-    response = std::string(status) + io::write_schedule_entry(entry);
+    entry.detail = std::move(report.search.best.detail);
+    entry.schedule = std::move(report.search.best.schedule);
+    io::append_schedule_entry(response, entry);
     ok = true;
   } catch (const io::ParseError& e) {
     error_detail = std::string("parse error: ") + e.what();

@@ -12,6 +12,7 @@
 #include "runtime/vm_runtime.hpp"
 #include "ta/translate.hpp"
 #include "taskgraph/fingerprint.hpp"
+#include "testing/reference_fingerprint.hpp"
 #include "testing/reference_search.hpp"
 
 namespace fppn::gen {
@@ -277,6 +278,19 @@ FuzzVerdict check_network(const Network& net, const WcetMap& wcets,
          "synthetic scoring fault fires on graphs with >= 2 jobs (got " +
              std::to_string(v.jobs) + ")");
     return v;
+  }
+
+  // The fingerprint names cache entries on disk: the lockstep production
+  // hash must give the byte-serial reference's value on every graph.
+  {
+    const std::uint64_t lanes = fingerprint(derived.graph);
+    const std::uint64_t serial = testing::reference_fingerprint(derived.graph);
+    if (lanes != serial) {
+      fail("fingerprint", "fingerprint " + fingerprint_hex(lanes) +
+                              " differs from the byte-serial reference " +
+                              fingerprint_hex(serial));
+      return v;
+    }
   }
 
   try {

@@ -47,8 +47,9 @@ struct FuzzConfig {
 
 /// One detected disagreement, named by the check that tripped.
 struct FuzzMismatch {
-  std::string check;   ///< "derivation", "roundtrip", "reference-winner",
-                       ///< "ta-oracle", "policy-trace", "injected-bug"
+  std::string check;   ///< "derivation", "fingerprint", "roundtrip",
+                       ///< "reference-winner", "ta-oracle", "policy-trace",
+                       ///< "injected-bug"
   std::string detail;  ///< human-readable specifics
   std::int64_t processors = 2;
 };

@@ -1,5 +1,6 @@
 #include "io/schedule_format.hpp"
 
+#include <charconv>
 #include <sstream>
 
 #include "io/line_parser.hpp"
@@ -7,27 +8,62 @@
 
 namespace fppn::io {
 
-std::string write_schedule_entry(const ScheduleEntry& entry) {
-  std::ostringstream out;
-  out << "fppn-schedule v" << kScheduleFormatVersion << '\n';
-  out << "fingerprint " << fingerprint_hex(entry.fingerprint) << '\n';
-  out << "strategy " << entry.strategy << '\n';
-  out << "seed " << entry.seed << '\n';
-  out << "processors " << entry.processors << '\n';
-  out << "budget " << entry.max_iterations << ' ' << entry.restarts << '\n';
-  out << "detail " << entry.detail << '\n';
-  out << "jobs " << entry.schedule.job_count() << '\n';
-  for (std::size_t i = 0; i < entry.schedule.job_count(); ++i) {
+namespace {
+
+/// Writes the decimal spelling of `v` (std::to_string's digits) at `at`.
+template <class Int>
+char* put_int(char* at, Int v) {
+  return std::to_chars(at, at + 24, v).ptr;
+}
+
+}  // namespace
+
+void append_schedule_entry(std::string& out, const ScheduleEntry& entry) {
+  const StaticSchedule& schedule = entry.schedule;
+  out.reserve(out.size() + 160 + entry.strategy.size() + entry.detail.size() +
+              schedule.job_count() * 24);
+  out += "fppn-schedule v" + std::to_string(kScheduleFormatVersion);
+  out += "\nfingerprint " + fingerprint_hex(entry.fingerprint);
+  out += "\nstrategy ";
+  out += entry.strategy;
+  out += "\nseed " + std::to_string(entry.seed);
+  out += "\nprocessors " + std::to_string(entry.processors);
+  out += "\nbudget " + std::to_string(entry.max_iterations) + ' ' +
+         std::to_string(entry.restarts);
+  out += "\ndetail ";
+  out += entry.detail;
+  out += "\njobs " + std::to_string(schedule.job_count()) + '\n';
+  // One "place" line per placed job, each run of integers written with
+  // to_chars into `line`: four of at most 20 characters and separators.
+  char line[128];
+  for (std::size_t i = 0; i < schedule.job_count(); ++i) {
     const JobId id(i);
-    if (!entry.schedule.is_placed(id)) {
+    if (!schedule.is_placed(id)) {
       continue;  // partial schedules: unplaced jobs simply have no line
     }
-    const Placement& p = entry.schedule.placement(id);
-    out << "place " << i << ' ' << p.processor.value() << ' '
-        << p.start.value().to_string() << '\n';
+    // The start as Rational::to_string spells it: "num" or "num/den".
+    const Placement& p = schedule.placement(id);
+    const Rational& start = p.start.value();
+    out += "place ";
+    char* at = put_int(line, i);
+    *at++ = ' ';
+    at = put_int(at, p.processor.value());
+    *at++ = ' ';
+    at = put_int(at, start.num());
+    if (start.den() != 1) {
+      *at++ = '/';
+      at = put_int(at, start.den());
+    }
+    *at++ = '\n';
+    out.append(line, static_cast<std::size_t>(at - line));
   }
-  out << "end\n";
-  return out.str();
+  out += "end\n";
+}
+
+std::string write_schedule_entry(const ScheduleEntry& entry) {
+  std::string out;
+  append_schedule_entry(out, entry);
+  return out;
 }
 
 ScheduleEntry read_schedule_entry(std::istream& in,

@@ -10,6 +10,12 @@
 // "25" / "40/3" spelling as the .fppn network format, so placements
 // round-trip exactly (canonical numerator/denominator).
 //
+// The writer fills one reserved std::string with std::to_chars: the bytes
+// are what an iostream writer gives (decimal integers, "num" or "num/den"
+// starts as Rational::to_string spells them), without a stream or a
+// per-line string. tests/io_test.cpp pins the bytes of recorded entries,
+// fractional, partial and extreme ones included.
+//
 // Deterministic: write_schedule_entry is a pure function of the entry;
 // read(write(e)) reproduces every field bit-identically.
 // Thread safety: both functions are stateless and safe to call
@@ -45,6 +51,9 @@ struct ScheduleEntry {
 
 /// Renders an entry in format version kScheduleFormatVersion. Never throws.
 [[nodiscard]] std::string write_schedule_entry(const ScheduleEntry& entry);
+/// The same bytes, appended to `out` (the wire response renders its
+/// status line and the entry into one buffer).
+void append_schedule_entry(std::string& out, const ScheduleEntry& entry);
 
 /// Parses one entry and consumes the stream to its end. Throws ParseError
 /// (with a 1-based line number) on a wrong magic/version line, malformed

@@ -21,6 +21,7 @@
 #include <iosfwd>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "fppn/network.hpp"
 #include "taskgraph/derivation.hpp"
@@ -56,6 +57,6 @@ struct ParsedNetwork {
 [[nodiscard]] std::string write_network(const Network& net, const WcetMap& wcets = {});
 
 /// Parses "200" or "40/3" as a duration in ms. Throws std::invalid_argument.
-[[nodiscard]] Duration parse_duration(const std::string& text);
+[[nodiscard]] Duration parse_duration(std::string_view text);
 
 }  // namespace fppn::io

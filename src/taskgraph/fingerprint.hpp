@@ -15,6 +15,21 @@
 // different graph (schedules address jobs by index) and a different
 // fingerprint.
 //
+// The byte encoding is a frozen contract. Cache file names and entry
+// headers are spelled from the value and outlive any one binary, so a
+// changed bit orphans every entry a deployed cache holds. Each job's
+// digest is FNV-1a over its fields, every integer as 8 little-endian
+// bytes (rationals as numerator then denominator), the name as its
+// length then its bytes; each edge's digest is FNV-1a over (from, to).
+// Every digest goes through a splitmix64 scramble into a wrapping sum,
+// and one final FNV-1a chain covers the job and edge counts, the
+// hyperperiod and the two sums. The digests are independent and the sum
+// is commutative, so the implementation runs several FNV chains in
+// lockstep, one job or edge per lane; each lane sees exactly the bytes a
+// serial chain would. testing/reference_fingerprint.hpp keeps the
+// byte-serial encoding as the oracle, and tests/fingerprint_test.cpp pins
+// recorded digests.
+//
 // Deterministic: a pure function of the graph contents; stable across
 // runs, processes and platforms (no pointer or locale dependence).
 // Thread safety: safe to call concurrently on the same graph (read-only).

@@ -44,6 +44,32 @@ bool TaskGraph::add_edge(JobId from, JobId to) {
   return true;
 }
 
+void TaskGraph::add_new_edges(
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges) {
+  const std::size_t n = jobs_.size();
+  std::vector<std::uint32_t> out_degree(n, 0);
+  std::vector<std::uint32_t> in_degree(n, 0);
+  for (const auto& [from, to] : edges) {
+    if (from >= n || to >= n) {
+      throw std::invalid_argument("task graph: job id out of range");
+    }
+    if (from == to) {
+      throw std::invalid_argument("task graph: self-loop rejected");
+    }
+    ++out_degree[from];
+    ++in_degree[to];
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    succs_[i].reserve(succs_[i].size() + out_degree[i]);
+    preds_[i].reserve(preds_[i].size() + in_degree[i]);
+  }
+  for (const auto& [from, to] : edges) {
+    succs_[from].emplace_back(to);
+    preds_[to].emplace_back(from);
+  }
+  edge_count_ += edges.size();
+}
+
 bool TaskGraph::remove_edge(JobId from, JobId to) {
   check_job(from);
   check_job(to);

@@ -54,6 +54,12 @@ class TaskGraph {
   /// Adds a precedence edge; parallel edges are ignored. Throws on
   /// self-loops or out-of-range ids.
   bool add_edge(JobId from, JobId to);
+  /// Adds a batch of edges that are new: pairwise distinct and none
+  /// already in the graph (a repeat is not detected). Each is appended
+  /// as add_edge would, in list order, but every adjacency list grows
+  /// once, to its final size. Throws, adding none, on a self-loop or an
+  /// out-of-range id.
+  void add_new_edges(const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges);
   /// Removes an edge if present, keeping the order of the other edges.
   bool remove_edge(JobId from, JobId to);
   [[nodiscard]] bool has_edge(JobId from, JobId to) const;

@@ -1,15 +1,32 @@
 // Task-graph fingerprints: sensitivity to every observable field,
-// construction-order independence, stability, and absence of collisions
-// over families of near-identical graphs.
+// construction-order independence, stability, absence of collisions over
+// families of near-identical graphs, the digests pinned for the paper's
+// case studies and the seed corpus (cache file names are spelled from
+// them), and identity with the byte-serial reference encoding.
 #include "taskgraph/fingerprint.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <limits>
+#include <map>
 #include <random>
 #include <set>
+#include <sstream>
 
+#include "apps/fft.hpp"
 #include "apps/fig1.hpp"
+#include "apps/fms.hpp"
+#include "gen/scenario.hpp"
+#include "io/text_format.hpp"
 #include "taskgraph/derivation.hpp"
+#include "testing/reference_fingerprint.hpp"
+
+#ifndef FPPN_TEST_SOURCE_DIR
+#error "FPPN_TEST_SOURCE_DIR must point at the tests/ source directory"
+#endif
 
 namespace fppn {
 namespace {
@@ -164,6 +181,163 @@ TEST(Fingerprint, NoCollisionsOverRandomFamily) {
         Duration::ratio_ms(1 + static_cast<std::int64_t>(rng() % 1000), 7);
     const bool fresh = seen.insert(fingerprint(tg)).second;
     EXPECT_TRUE(fresh) << "collision at trial " << trial;
+  }
+}
+
+// ---- The frozen encoding. Every digest below was recorded from the
+// byte-serial encoding (testing::reference_fingerprint); a deployed cache
+// names its entry files by these values, so none may change.
+
+TEST(FingerprintPinned, PaperCaseStudies) {
+  {
+    const auto app = apps::build_fms(true);
+    const auto derived = derive_task_graph(app.net, app.default_wcets());
+    ASSERT_EQ(derived.graph.job_count(), 812u);
+    ASSERT_EQ(derived.graph.edge_count(), 1124u);
+    EXPECT_EQ(fingerprint(derived.graph), 0x52a443f49f46f7d0ULL);
+  }
+  {
+    const auto app = apps::build_fig1();
+    const auto derived = derive_task_graph(app.net, app.fig3_wcets());
+    EXPECT_EQ(fingerprint(derived.graph), 0xe11dfad27166df06ULL);
+  }
+  {
+    const auto app = apps::build_fft();
+    const auto derived =
+        derive_task_graph(app.net, app.uniform_wcets(Duration::ratio_ms(40, 3)));
+    EXPECT_EQ(fingerprint(derived.graph), 0x194e3d92a104b5c6ULL);
+  }
+}
+
+TEST(FingerprintPinned, SeedCorpus) {
+  const std::map<std::string, std::uint64_t> pinned = {
+      {"diamond-11.fppn", 0x7d7fd1140e3671abULL},
+      {"fanout-11.fppn", 0x05c2117b8739a7a1ULL},
+      {"fractional-11.fppn", 0x1c0ca257d73e8c51ULL},
+      {"multirate-11.fppn", 0x20147d0358434f3bULL},
+      {"nearoverflow-11.fppn", 0xcb60c4cd836060c6ULL},
+      {"pipeline-11.fppn", 0x1bb9e9cc912587e9ULL},
+      {"randomdag-11.fppn", 0x717f5d3ea48ab0c9ULL},
+      {"sporadic-11.fppn", 0x9b1964ca8a245144ULL},
+  };
+  namespace fs = std::filesystem;
+  std::set<std::string> seen;
+  for (const auto& entry :
+       fs::directory_iterator(fs::path(FPPN_TEST_SOURCE_DIR) / "corpus")) {
+    if (entry.path().extension() != ".fppn") {
+      continue;
+    }
+    const std::string name = entry.path().filename().string();
+    const auto it = pinned.find(name);
+    ASSERT_NE(it, pinned.end()) << "no pinned fingerprint for corpus entry " << name;
+    std::ifstream in(entry.path());
+    const io::ParsedNetwork parsed = io::parse_network(in);
+    const auto derived = derive_task_graph(parsed.net, parsed.wcets);
+    EXPECT_EQ(fingerprint_hex(fingerprint(derived.graph)), fingerprint_hex(it->second))
+        << name;
+    seen.insert(name);
+  }
+  EXPECT_EQ(seen.size(), pinned.size());
+}
+
+// ---- Production against the byte-serial oracle.
+
+TEST(FingerprintOracle, EveryGeneratorFamily) {
+  for (const gen::Family family : gen::all_families()) {
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+      const gen::Scenario s = gen::make_scenario(family, seed);
+      const auto derived = derive_task_graph(s.net, s.wcets);
+      ASSERT_EQ(fingerprint(derived.graph), testing::reference_fingerprint(derived.graph))
+          << s.name;
+    }
+  }
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const TaskGraph layered = gen::layered_task_graph(seed);
+    ASSERT_EQ(fingerprint(layered), testing::reference_fingerprint(layered)) << seed;
+    const TaskGraph edge_case = gen::edge_case_task_graph(seed);
+    ASSERT_EQ(fingerprint(edge_case), testing::reference_fingerprint(edge_case)) << seed;
+  }
+}
+
+/// A chain-plus-skip graph of `jobs` jobs, names of varying length
+/// (including empty ones) so lanes run out of name bytes at different
+/// points.
+TaskGraph hand_built(std::size_t jobs) {
+  TaskGraph tg(Duration::ratio_ms(700, 3));
+  for (std::size_t i = 0; i < jobs; ++i) {
+    Job j;
+    j.process = ProcessId{i % 3};
+    j.k = static_cast<std::int64_t>(i) + 1;
+    j.arrival = Time::ms(static_cast<std::int64_t>(i) * 10);
+    j.deadline = Time() + Duration::ratio_ms(static_cast<std::int64_t>(i) * 30 + 100, 3);
+    j.wcet = Duration::ratio_ms(static_cast<std::int64_t>(i) + 1, 7);
+    j.is_server = i % 2 == 1;
+    j.subset = j.is_server ? static_cast<std::int64_t>(i) : 0;
+    j.name = std::string(i * 5 % 11, static_cast<char>('a' + i));
+    tg.add_job(j);
+  }
+  for (std::size_t i = 1; i < jobs; ++i) {
+    tg.add_edge(JobId(i - 1), JobId(i));
+    if (i >= 3) {
+      tg.add_edge(JobId(i - 3), JobId(i));
+    }
+  }
+  return tg;
+}
+
+TEST(FingerprintOracle, HandBuiltGraphsOfEveryLaneRemainder) {
+  for (const std::size_t jobs : {0, 1, 3, 5, 7}) {
+    const TaskGraph tg = hand_built(jobs);
+    EXPECT_EQ(fingerprint(tg), testing::reference_fingerprint(tg)) << jobs << " jobs";
+  }
+  // A graph without a hyperperiod or edges at all.
+  EXPECT_EQ(fingerprint(TaskGraph()), testing::reference_fingerprint(TaskGraph()));
+}
+
+TEST(FingerprintOracle, NamesOfUnequalLengths) {
+  const std::vector<std::vector<std::string>> name_sets = {
+      {"", "", "", ""},
+      {"", "a", "", "abcdefghijklmnopqrstuvwxyz"},
+      {"FilterA[1]", "DopplerConfig[32]", "x", ""},
+      {std::string(300, 'q'), "", std::string("\xff\x00\x80", 3), "B"},
+      {"one", "two", "three", "four", "fifteen chars!!", "sixteen chars!!!"},
+  };
+  for (const auto& names : name_sets) {
+    TaskGraph tg = hand_built(names.size());
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      tg.job(JobId(i)).name = names[i];
+    }
+    EXPECT_EQ(fingerprint(tg), testing::reference_fingerprint(tg)) << names.size();
+  }
+  // Embedded NUL bytes are name bytes too.
+  TaskGraph tg = hand_built(2);
+  tg.job(JobId(0)).name = std::string("a\0b", 3);
+  tg.job(JobId(1)).name = std::string("a\0c", 3);
+  EXPECT_EQ(fingerprint(tg), testing::reference_fingerprint(tg));
+  TaskGraph other = tg;
+  other.job(JobId(1)).name = std::string("a\0b", 3);
+  EXPECT_NE(fingerprint(tg), fingerprint(other));
+}
+
+TEST(FingerprintOracle, ExtremeFieldValues) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  for (const std::size_t jobs : {1, 4, 5}) {
+    TaskGraph tg = hand_built(jobs);
+    for (std::size_t i = 0; i < jobs; ++i) {
+      Job& j = tg.job(JobId(i));
+      const bool low = i % 2 == 0;
+      j.k = low ? kMin : kMax;
+      j.subset = low ? kMax : kMin;
+      j.arrival = Time() + Duration(Rational(low ? kMin : kMax));
+      j.deadline = Time() + Duration(Rational(kMax, low ? kMax - 1 : 3));
+      j.wcet = Duration(Rational(low ? kMin + 1 : kMax, 5));
+      if (i == 0) {
+        j.process = ProcessId{};  // the invalid id hashes as ~0
+      }
+    }
+    tg.set_hyperperiod(Duration(Rational(kMax, 2)));
+    EXPECT_EQ(fingerprint(tg), testing::reference_fingerprint(tg)) << jobs << " jobs";
   }
 }
 
