@@ -35,9 +35,8 @@ void print_report() {
     for (const int jitter : {0, 1, 2}) {
       engine::SearchConfig config;
       config.processors = m;
+      config.optimize = true;  // its budget, on one seed
       config.seeds_per_strategy = 1;
-      config.max_iterations = 2000;  // the pre-engine defaults
-      config.restarts = 2;
       const auto attempt = engine::solve_graph(derived.graph, config).search.best;
       runtime::RunOptions opts;
       opts.frames = frames;

@@ -30,8 +30,8 @@ sched::StrategyOptions quick_options(std::int64_t processors, std::uint64_t seed
   sched::StrategyOptions opts;
   opts.processors = processors;
   opts.seed = seed;
-  opts.max_iterations = 400;
-  opts.restarts = 1;
+  opts.max_iterations = sched::kQuickPreset.max_iterations;
+  opts.restarts = sched::kQuickPreset.restarts;
   return opts;
 }
 
@@ -104,10 +104,8 @@ void print_report() {
       const TaskGraph tg = random_task_graph(6, 6, 180, seed);
       engine::SearchConfig config;
       config.processors = 4;
-      config.seeds_per_strategy = 2;
+      config.seeds_per_strategy = 2;  // on the quick preset's budget
       config.seed = seed + 1;
-      config.max_iterations = 400;
-      config.restarts = 1;
       const auto report = engine::solve_graph(tg, config);
       feasible += report.feasible() ? 1 : 0;
       makespan_sum += report.search.best.makespan.to_double_ms();
@@ -158,8 +156,7 @@ void BM_ParallelSearchWorkers(benchmark::State& state) {
   config.processors = 4;
   config.workers = static_cast<int>(state.range(0));
   config.seeds_per_strategy = 4;
-  config.max_iterations = 400;
-  config.restarts = 2;  // the pre-engine ParallelSearchOptions default
+  config.restarts = sched::kOptimizePreset.restarts;  // on the quick preset's iterations
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine::solve_graph(tg, config).search.best.makespan);
   }

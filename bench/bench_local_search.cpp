@@ -80,9 +80,7 @@ bool fms_winner_equality(benchjson::Report& report) {
   engine::SearchConfig config;
   config.processors = 1;
   config.workers = 2;
-  config.seeds_per_strategy = 2;
-  config.max_iterations = 400;
-  config.restarts = 1;
+  config.seeds_per_strategy = 2;  // on the quick preset's budget
   const sched::ParallelSearchResult fast =
       engine::solve_graph(derived.graph, config).search;
   const sched::ParallelSearchResult reference =
@@ -382,9 +380,7 @@ void print_fms_move_report(benchjson::Report& report) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
       sched::StrategyOptions opts;
       opts.processors = processors;
-      opts.seed = seed;
-      opts.max_iterations = 2000;  // the optimize preset
-      opts.restarts = 2;
+      opts.seed = seed;  // and the default budget, the optimize preset
       TimedScorer scorer{sched::Evaluator(ctx.compiled(), processors)};
       (void)sched::hill_climb(starts, opts, scorer);
       seconds += scorer.move_seconds;

@@ -1,7 +1,6 @@
 #include "engine/engine.hpp"
 
 #include <chrono>
-#include <sstream>
 #include <stdexcept>
 
 #include "sched/parallel_search.hpp"
@@ -75,17 +74,17 @@ sched::ScheduleCache* Engine::cache_for(const SearchConfig& config) {
   if (!config.cache_dir.has_value()) {
     return config.memory_cache ? &memory_cache_ : nullptr;
   }
-  std::ostringstream key;
-  key << *config.cache_dir << '|' << config.cache_max_entries << '|'
-      << config.cache_max_bytes;
   const std::lock_guard<std::mutex> lock(mu_);
-  auto it = disk_caches_.find(key.str());
+  auto it = disk_caches_.find(
+      std::tie(*config.cache_dir, config.cache_max_entries, config.cache_max_bytes));
   if (it == disk_caches_.end()) {
     // Throws on a bad path: loud, not a silent miss.
     it = disk_caches_
-             .emplace(key.str(), std::make_unique<sched::ScheduleCache>(
-                                     *config.cache_dir, config.cache_max_entries,
-                                     config.cache_max_bytes))
+             .emplace(DiskCacheKey{*config.cache_dir, config.cache_max_entries,
+                                   config.cache_max_bytes},
+                      std::make_unique<sched::ScheduleCache>(*config.cache_dir,
+                                                             config.cache_max_entries,
+                                                             config.cache_max_bytes))
              .first;
   }
   return it->second.get();

@@ -24,10 +24,12 @@
 // worker pool.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <tuple>
 
 #include "engine/solve.hpp"
 #include "sched/schedule_cache.hpp"
@@ -58,11 +60,15 @@ class Engine {
   /// std::runtime_error for an unusable cache directory.
   sched::ScheduleCache* cache_for(const SearchConfig& config);
 
+  /// (directory, max_entries, max_bytes) of a disk-backed cache.
+  using DiskCacheKey = std::tuple<std::string, std::size_t, std::uint64_t>;
+
   std::mutex mu_;
-  /// Disk-backed caches keyed by "dir|max_entries|max_bytes" — one shared
-  /// instance per configuration, so concurrent solves share the memory
-  /// tier and the eviction bookkeeping.
-  std::map<std::string, std::unique_ptr<sched::ScheduleCache>> disk_caches_;
+  /// Disk-backed caches, one shared instance per configuration, so
+  /// concurrent solves share the memory tier and the eviction
+  /// bookkeeping. Transparent compare: a solve looks its cache up by a
+  /// tuple of references, without building a key.
+  std::map<DiskCacheKey, std::unique_ptr<sched::ScheduleCache>, std::less<>> disk_caches_;
   sched::ScheduleCache memory_cache_;
 };
 

@@ -42,10 +42,31 @@ double percentile(std::vector<double> samples, double p) {
   return samples[std::min(rank, samples.size() - 1)];
 }
 
+/// The one SearchConfig every request of a service solves with.
+SearchConfig request_config(const ServiceOptions& options) {
+  SearchConfig config;
+  config.processors = options.processors;
+  config.seed = options.seed;
+  config.workers = options.search_workers;
+  config.optimize = options.optimize;
+  if (options.cache_dir.has_value()) {
+    config.cache_dir = options.cache_dir;
+    config.cache_max_entries = options.cache_max_entries;
+    config.cache_max_bytes = options.cache_max_bytes;
+  } else {
+    config.memory_cache = true;  // the shared L1 across requests
+  }
+  return config;
+}
+
 }  // namespace
 
 SolveService::SolveService(Engine& engine, ServiceOptions options)
-    : engine_(engine), options_(std::move(options)), started_(Clock::now()) {
+    : engine_(engine),
+      options_(std::move(options)),
+      config_(request_config(options_)),
+      search_(config_.search_options()),
+      started_(Clock::now()) {
   latency_ring_.reserve(256);
 }
 
@@ -64,17 +85,7 @@ std::string SolveService::handle(const std::string& request,
   try {
     SolveRequest solve_request;
     solve_request.network_text = request;
-    solve_request.config.processors = options_.processors;
-    solve_request.config.seed = options_.seed;
-    solve_request.config.workers = options_.search_workers;
-    solve_request.config.optimize = options_.optimize;
-    if (options_.cache_dir.has_value()) {
-      solve_request.config.cache_dir = options_.cache_dir;
-      solve_request.config.cache_max_entries = options_.cache_max_entries;
-      solve_request.config.cache_max_bytes = options_.cache_max_bytes;
-    } else {
-      solve_request.config.memory_cache = true;  // the shared L1 across requests
-    }
+    solve_request.config = config_;
     report = engine_.solve(solve_request);
 
     // The status line and the entry go into one buffer.
@@ -92,17 +103,12 @@ std::string SolveService::handle(const std::string& request,
     response += std::to_string(report.search.seed);
     response += report.feasible() ? " feasible 1\n" : " feasible 0\n";
 
-    io::ScheduleEntry entry;
-    entry.fingerprint = report.fingerprint;
-    entry.strategy = report.search.best.strategy;
-    entry.seed = report.search.seed;
-    entry.processors = report.processors;
-    const sched::ParallelSearchOptions opts =
-        solve_request.config.search_options();
-    entry.max_iterations = opts.max_iterations;
-    entry.restarts = opts.restarts;
-    entry.detail = std::move(report.search.best.detail);
-    entry.schedule = std::move(report.search.best.schedule);
+    sched::StrategyResult& best = report.search.best;
+    const sched::SearchCandidate winner{best.strategy, report.search.seed};
+    const io::ScheduleEntry entry{
+        sched::make_cache_key(report.fingerprint, winner.strategy,
+                              sched::strategy_options_for(search_, winner)),
+        std::move(best.detail), std::move(best.schedule)};
     io::append_schedule_entry(response, entry);
     ok = true;
   } catch (const io::ParseError& e) {

@@ -148,6 +148,10 @@ class SolveService {
 
   Engine& engine_;
   const ServiceOptions options_;
+  /// What every request solves with, resolved once from options_: the
+  /// search config, and its search options for the response's entry.
+  const SearchConfig config_;
+  const sched::ParallelSearchOptions search_;
   const std::chrono::steady_clock::time_point started_;
 
   mutable std::mutex mu_;

@@ -7,32 +7,16 @@ namespace fppn {
 namespace engine {
 
 sched::ParallelSearchOptions SearchConfig::search_options() const {
+  // Explicit overrides beat the preset.
+  const sched::SearchPreset& preset = optimize ? sched::kOptimizePreset : sched::kQuickPreset;
   sched::ParallelSearchOptions opts;
   opts.processors = processors;
+  opts.seed = seed;
+  opts.max_iterations = max_iterations.value_or(preset.max_iterations);
+  opts.restarts = restarts.value_or(preset.restarts);
   opts.workers = workers;
   opts.strategies = strategies;
-  opts.base_seed = seed;
-  // The two presets fppn_tool has always used: a plain call keeps
-  // iterative strategies on a small budget so it stays quick; --optimize
-  // buys the full fan-out. Explicit overrides beat the preset.
-  if (optimize) {
-    opts.seeds_per_strategy = 3;
-    opts.max_iterations = 2000;
-    opts.restarts = 2;
-  } else {
-    opts.seeds_per_strategy = 1;
-    opts.max_iterations = 400;
-    opts.restarts = 1;
-  }
-  if (seeds_per_strategy.has_value()) {
-    opts.seeds_per_strategy = *seeds_per_strategy;
-  }
-  if (max_iterations.has_value()) {
-    opts.max_iterations = *max_iterations;
-  }
-  if (restarts.has_value()) {
-    opts.restarts = *restarts;
-  }
+  opts.seeds_per_strategy = seeds_per_strategy.value_or(preset.seeds_per_strategy);
   return opts;
 }
 

@@ -2,16 +2,24 @@
 // describe a scheduling problem (SolveRequest), one consolidated knob set
 // (SearchConfig) and one structured outcome (SolveReport).
 //
-// SearchConfig is the single user-facing source of the search plumbing:
+// SearchConfig is the user-facing source of the search plumbing:
 // strategy restriction, seeds, workers, budget and cache directory/bounds.
-// It derives the lower-level options in exactly one place
-// (search_options()), and those pass down unchanged: ParallelSearchOptions
-// yields one StrategyOptions per candidate, which the strategy (and
-// optimize_priority) take as is. The determinism contract — same request,
-// bit-identical winner, regardless of workers, cache warmth or cache
-// contents — is therefore enforced once, for every caller
-// (engine/engine.hpp holds the Engine that executes requests). Production search always runs the
-// incremental evaluation kernel; the naive reference pipeline it must match lives in testing/reference_search.hpp.
+// Its budget is a named preset (sched::kQuickPreset or
+// sched::kOptimizePreset) plus optional per-field overrides;
+// search_options() resolves it into sched::ParallelSearchOptions, and
+// from there the provenance only grows: ParallelSearchOptions extends the
+// one budget record sched::StrategyOptions, each candidate runs with that
+// record and its own seed (which the strategy and optimize_priority take
+// as is), and the candidate's sched::CacheKey — also the header of its
+// .sched entry and of the wire response's entry — is the record plus the
+// graph fingerprint and the strategy name. No layer copies the fields one
+// by one. The determinism contract — same request, bit-identical winner,
+// regardless of workers, cache warmth or cache contents — is therefore
+// enforced once, for every caller (engine/engine.hpp holds the Engine
+// that executes requests; SolveService resolves its config once, when it
+// is built). Production search always runs the incremental evaluation
+// kernel; the naive reference pipeline it must match lives in
+// testing/reference_search.hpp.
 #pragma once
 
 #include <cstdint>
@@ -26,12 +34,10 @@
 namespace fppn {
 namespace engine {
 
-/// Every knob a solve may depend on, consolidated. Field groups map onto
-/// the lower layers as follows: processors/workers/strategies/seed and
-/// the budget resolve into sched::ParallelSearchOptions (and from there
-/// into one StrategyOptions per candidate); the cache group selects the
-/// ScheduleCache the Engine attaches. search_options() is the only
-/// translation site.
+/// Every knob a solve may depend on, consolidated. processors, workers,
+/// strategies, seed and the budget resolve into
+/// sched::ParallelSearchOptions (search_options()); the cache group
+/// selects the ScheduleCache the Engine attaches.
 struct SearchConfig {
   std::int64_t processors = 2;
   /// Parallel-search worker threads; 0 = hardware concurrency.
@@ -40,9 +46,9 @@ struct SearchConfig {
   std::vector<std::string> strategies;
   std::uint64_t seed = 1;
 
-  /// Budget preset: false = the quick preset (1 seed per strategy, 400
-  /// iterations, 1 restart), true = the optimizing preset (3 seeds, 2000
-  /// iterations, 2 restarts) — the presets fppn_tool has always used.
+  /// Budget preset: false = sched::kQuickPreset (1 seed per strategy,
+  /// 400 iterations, 1 restart), true = sched::kOptimizePreset (3 seeds,
+  /// 2000 iterations, 2 restarts).
   bool optimize = false;
   /// Explicit budget overrides; unset fields come from the preset.
   std::optional<int> seeds_per_strategy;
@@ -64,9 +70,9 @@ struct SearchConfig {
   /// Byte-size bound on the disk directory's entry files; 0 = unbounded.
   std::uint64_t cache_max_bytes = 0;
 
-  /// The resolved low-level options — the single place SearchConfig is
-  /// translated for the search layers. Cache fields are handled by
-  /// the Engine, not here. Deterministic; never throws.
+  /// The resolved search options: the preset, overridden field by field.
+  /// Cache fields are handled by the Engine, not here. Deterministic;
+  /// never throws.
   [[nodiscard]] sched::ParallelSearchOptions search_options() const;
 };
 

@@ -3,9 +3,11 @@
 // grammar and an annotated example).
 //
 // One entry is one StaticSchedule plus the provenance needed to verify the
-// entry still matches the query that produced it: graph fingerprint,
-// strategy name, seed, processor count, search budget and the strategy's
-// human-readable detail line. Line-oriented; starts with the magic/version
+// entry still matches the query that produced it — the sched::CacheKey it
+// was stored under (graph fingerprint, strategy name, seed, processor
+// count, search budget), which ScheduleEntry extends, so a disk hit is
+// checked with one key compare — and the strategy's human-readable
+// detail line. Line-oriented; starts with the magic/version
 // line "fppn-schedule v1" and ends with "end". Rationals use the same
 // "25" / "40/3" spelling as the .fppn network format, so placements
 // round-trip exactly (canonical numerator/denominator).
@@ -28,6 +30,7 @@
 #include <string>
 
 #include "io/text_format.hpp"
+#include "sched/schedule_cache.hpp"
 #include "sched/static_schedule.hpp"
 
 namespace fppn::io {
@@ -37,15 +40,11 @@ namespace fppn::io {
 /// rewrites the entry).
 constexpr int kScheduleFormatVersion = 1;
 
-/// One cache entry: a schedule plus its provenance.
-struct ScheduleEntry {
-  std::uint64_t fingerprint = 0;   ///< taskgraph fingerprint (16 hex digits)
-  std::string strategy;            ///< producing strategy's registry name
-  std::uint64_t seed = 0;          ///< seed the strategy ran with
-  std::int64_t processors = 0;     ///< processor count scheduled for
-  int max_iterations = 0;          ///< iteration budget of the search
-  int restarts = 0;                ///< restart budget of the search
-  std::string detail;              ///< StrategyResult::detail, verbatim
+/// One cache entry: its key (the provenance header: fingerprint,
+/// strategy, seed, processors, budget) plus the strategy's detail line
+/// and the schedule.
+struct ScheduleEntry : sched::CacheKey {
+  std::string detail;  ///< StrategyResult::detail, verbatim
   StaticSchedule schedule;
 };
 

@@ -58,8 +58,7 @@ Server::Server(ServerOptions options, ServerProtocol protocol, Handler handler)
               /*on_drain=*/
               [this] { queue_.close(); },
           },
-          Reactor::Options{options.max_request_bytes, options.idle_timeout_ms,
-                           options.request_timeout_ms, options.write_timeout_ms}) {
+          options) {
   if (options_.stop_fd >= 0) {
     reactor_.watch_stop_fd(options_.stop_fd);
   }

@@ -38,20 +38,15 @@
 namespace fppn {
 namespace net {
 
-struct ServerOptions {
+/// The reactor's options (the request size cap, protocol.oversized
+/// beyond it, and the per-connection deadlines; see net/reactor.hpp) plus
+/// the queue and solver pool's own.
+struct ServerOptions : Reactor::Options {
   int solver_threads = 2;
   std::size_t queue_capacity = 64;
-  /// Requests larger than this are rejected (protocol.oversized);
-  /// 0 = unlimited.
-  std::size_t max_request_bytes = 0;
   /// Readable => drain (the daemon's signal self-pipe). Not owned;
   /// -1 = stop() only.
   int stop_fd = -1;
-  // Per-connection reactor deadlines, forwarded to Reactor::Options
-  // (all in ms, 0 = off; see net/reactor.hpp for the exact windows).
-  int idle_timeout_ms = 0;
-  int request_timeout_ms = 0;
-  int write_timeout_ms = 0;
   /// A popped request whose queue wait already exceeds this is answered
   /// with protocol.deadline_exceeded instead of the handler — stale-work
   /// shedding: the client has likely given up, so solving would burn a

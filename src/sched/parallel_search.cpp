@@ -26,7 +26,7 @@ std::vector<SearchCandidate> enumerate_search_candidates(const ParallelSearchOpt
     const int seeds = strategy->seedable() ? opts.seeds_per_strategy : 1;
     for (int s = 0; s < seeds; ++s) {
       candidates.push_back(
-          SearchCandidate{name, opts.base_seed + static_cast<std::uint64_t>(s)});
+          SearchCandidate{name, opts.seed + static_cast<std::uint64_t>(s)});
     }
   }
   if (candidates.empty()) {
@@ -37,11 +37,8 @@ std::vector<SearchCandidate> enumerate_search_candidates(const ParallelSearchOpt
 
 StrategyOptions strategy_options_for(const ParallelSearchOptions& opts,
                                      const SearchCandidate& candidate) {
-  StrategyOptions sopts;
-  sopts.processors = opts.processors;
+  StrategyOptions sopts = opts;
   sopts.seed = candidate.seed;
-  sopts.max_iterations = opts.max_iterations;
-  sopts.restarts = opts.restarts;
   return sopts;
 }
 

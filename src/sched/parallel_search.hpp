@@ -52,19 +52,17 @@
 namespace fppn {
 namespace sched {
 
-struct ParallelSearchOptions {
-  std::int64_t processors = 2;
+/// The budget record (processors, the base seed, the iterative budget)
+/// plus the search's own knobs. The seed is the first of every seedable
+/// strategy's seeds.
+struct ParallelSearchOptions : StrategyOptions {
   /// Worker threads; 0 = std::thread::hardware_concurrency().
   int workers = 0;
   /// Strategy names to try; empty = every strategy in the registry.
   /// Unknown names throw UnknownStrategyError before any work starts.
   std::vector<std::string> strategies;
-  /// Seeds tried per *seedable* strategy: base_seed .. base_seed+n-1.
-  int seeds_per_strategy = 3;
-  std::uint64_t base_seed = 1;
-  /// Budget forwarded to iterative strategies.
-  int max_iterations = 2000;
-  int restarts = 2;
+  /// Seeds tried per *seedable* strategy: seed .. seed+n-1.
+  int seeds_per_strategy = kOptimizePreset.seeds_per_strategy;
   /// Optional schedule cache (not owned; must outlive the call). Null
   /// disables caching. The same cache may serve concurrent searches.
   ScheduleCache* cache = nullptr;
@@ -121,9 +119,9 @@ struct SearchCandidate {
     const ParallelSearchOptions& opts,
     const StrategyRegistry& registry = StrategyRegistry::global());
 
-/// The StrategyOptions a candidate is evaluated with: processors and
-/// budget from the search options, seed from the candidate. Also the
-/// basis of the candidate's cache key. Deterministic; never throws.
+/// The StrategyOptions a candidate is evaluated with: the search's budget
+/// record with the candidate's seed. Also the basis of the candidate's
+/// cache key. Deterministic; never throws.
 [[nodiscard]] StrategyOptions strategy_options_for(const ParallelSearchOptions& opts,
                                                    const SearchCandidate& candidate);
 

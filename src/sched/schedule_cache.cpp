@@ -76,19 +76,7 @@ std::string CacheKey::filename() const {
 
 CacheKey make_cache_key(std::uint64_t graph_fingerprint, const std::string& strategy,
                         const StrategyOptions& opts) {
-  CacheKey key;
-  key.fingerprint = graph_fingerprint;
-  key.strategy = strategy;
-  key.seed = opts.seed;
-  key.processors = opts.processors;
-  key.max_iterations = opts.max_iterations;
-  key.restarts = opts.restarts;
-  return key;
-}
-
-CacheKey make_cache_key(const TaskGraph& tg, const std::string& strategy,
-                        const StrategyOptions& opts) {
-  return make_cache_key(fingerprint(tg), strategy, opts);
+  return CacheKey{opts, graph_fingerprint, strategy};
 }
 
 ScheduleCache::ScheduleCache(const std::string& directory, std::size_t max_entries,
@@ -152,15 +140,7 @@ void ScheduleCache::store(const CacheKey& key, const StrategyResult& result) {
   if (directory_.empty()) {
     return;
   }
-  io::ScheduleEntry entry;
-  entry.fingerprint = key.fingerprint;
-  entry.strategy = key.strategy;
-  entry.seed = key.seed;
-  entry.processors = key.processors;
-  entry.max_iterations = key.max_iterations;
-  entry.restarts = key.restarts;
-  entry.detail = result.detail;
-  entry.schedule = result.schedule;
+  const io::ScheduleEntry entry{key, result.detail, result.schedule};
 
   // Shared temp-file + atomic-rename writer: concurrent stores of the
   // same key — same process or not — never leave a torn entry behind.
@@ -247,9 +227,7 @@ std::optional<ScheduleCache::Entry> ScheduleCache::load_from_disk(const CacheKey
   }
   // The file name encodes the key, but verify the header provenance too:
   // a renamed or hand-edited entry must not satisfy the wrong query.
-  if (entry.fingerprint != key.fingerprint || entry.strategy != key.strategy ||
-      entry.seed != key.seed || entry.processors != key.processors ||
-      entry.max_iterations != key.max_iterations || entry.restarts != key.restarts) {
+  if (entry != key) {
     ++stats_.disk_rejects;
     return std::nullopt;
   }

@@ -60,23 +60,21 @@
 namespace fppn {
 namespace sched {
 
-/// Everything a strategy result may depend on besides the graph contents.
-struct CacheKey {
+/// Everything a strategy result may depend on besides the graph contents:
+/// the strategy's options plus the graph fingerprint and the strategy's
+/// registry name. Also the provenance header of an entry file
+/// (io::ScheduleEntry extends it).
+struct CacheKey : StrategyOptions {
   std::uint64_t fingerprint = 0;  ///< fingerprint(tg)
   std::string strategy;           ///< registry name
-  std::uint64_t seed = 0;
-  std::int64_t processors = 0;
-  int max_iterations = 0;
-  int restarts = 0;
 
-  friend bool operator<(const CacheKey& a, const CacheKey& b) {
-    return std::tie(a.fingerprint, a.strategy, a.seed, a.processors, a.max_iterations,
-                    a.restarts) < std::tie(b.fingerprint, b.strategy, b.seed,
-                                           b.processors, b.max_iterations, b.restarts);
+  /// Every field, in the key's order.
+  [[nodiscard]] auto tie() const {
+    return std::tie(fingerprint, strategy, seed, processors, max_iterations, restarts);
   }
-  friend bool operator==(const CacheKey& a, const CacheKey& b) {
-    return !(a < b) && !(b < a);
-  }
+  friend bool operator<(const CacheKey& a, const CacheKey& b) { return a.tie() < b.tie(); }
+  friend bool operator==(const CacheKey& a, const CacheKey& b) { return a.tie() == b.tie(); }
+  friend bool operator!=(const CacheKey& a, const CacheKey& b) { return !(a == b); }
 
   /// Filesystem-safe entry file name, e.g.
   /// "3a1f...9c-local-search-m2-seed3-it2000-r2.sched". Strategy names are
@@ -84,13 +82,9 @@ struct CacheKey {
   [[nodiscard]] std::string filename() const;
 };
 
-/// Builds the key for one (strategy, seed) candidate from the options the
-/// parallel search forwards to strategies. Deterministic; never throws.
-[[nodiscard]] CacheKey make_cache_key(const TaskGraph& tg, const std::string& strategy,
-                                      const StrategyOptions& opts);
-
-/// Same, with the graph fingerprint precomputed — the parallel search
-/// fingerprints once per call and keys every candidate from it.
+/// The key of one (strategy, seed) candidate: `opts` (as
+/// strategy_options_for gives them) plus the graph fingerprint and the
+/// strategy name. Deterministic; never throws.
 [[nodiscard]] CacheKey make_cache_key(std::uint64_t graph_fingerprint,
                                       const std::string& strategy,
                                       const StrategyOptions& opts);

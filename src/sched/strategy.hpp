@@ -28,15 +28,34 @@
 namespace fppn {
 namespace sched {
 
-/// Options understood by every strategy — the one config value a
-/// strategy receives, passed down unchanged (optimize_priority takes it
-/// as is). Iteration/seed fields are ignored by strategies that are not
-/// iterative/seedable.
+/// A named search budget: the seeds tried per seedable strategy and the
+/// move budget of iterative ones.
+struct SearchPreset {
+  int seeds_per_strategy;
+  int max_iterations;
+  int restarts;
+};
+
+/// The quick preset: a plain fppn_tool call and every fppn_serve request
+/// unless --optimize is given.
+inline constexpr SearchPreset kQuickPreset{1, 400, 1};
+/// The optimizing preset (--optimize), and the default budget of
+/// StrategyOptions and ParallelSearchOptions.
+inline constexpr SearchPreset kOptimizePreset{3, 2000, 2};
+
+/// The one budget record: options understood by every strategy, the one
+/// config value a strategy receives, passed down unchanged
+/// (optimize_priority takes it as is). ParallelSearchOptions and the
+/// cache's CacheKey (hence the .sched entry header) extend it rather than
+/// restate it. Iteration/seed fields are ignored by strategies that are
+/// not iterative/seedable.
 struct StrategyOptions {
   std::int64_t processors = 2;
-  std::uint64_t seed = 1;      ///< RNG seed, seedable strategies only
-  int max_iterations = 2000;   ///< move budget, iterative strategies only
-  int restarts = 2;            ///< restart count, iterative strategies only
+  std::uint64_t seed = 1;  ///< RNG seed, seedable strategies only
+  /// Move budget, iterative strategies only.
+  int max_iterations = kOptimizePreset.max_iterations;
+  /// Restart count, iterative strategies only.
+  int restarts = kOptimizePreset.restarts;
 };
 
 /// Outcome of one strategy invocation, with the schedule already evaluated

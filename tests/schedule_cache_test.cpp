@@ -65,7 +65,7 @@ sched::CacheKey key_for(const TaskGraph& tg, std::int64_t processors) {
   opts.seed = 1;
   opts.max_iterations = 400;
   opts.restarts = 1;
-  return sched::make_cache_key(tg, "alap-edf", opts);
+  return sched::make_cache_key(fingerprint(tg), "alap-edf", opts);
 }
 
 TEST(ScheduleFormat, EntryRoundTripsBitIdentically) {
@@ -267,6 +267,48 @@ TEST(ScheduleCache, CorruptDiskEntryIsAMissNotAnError) {
   EXPECT_TRUE(fresh.lookup(key, derived.graph).has_value());
 }
 
+TEST(ScheduleCache, DiskHeaderDiscriminatesEveryField) {
+  // A renamed or hand-edited entry can never satisfy the wrong query: an
+  // entry under the key's file name whose header differs from the key in
+  // exactly one field is a miss and one disk reject.
+  const TempDir dir("provenance");
+  const auto derived = fig1_graph();
+  const auto key = key_for(derived.graph, 2);
+  const auto result = evaluate(derived.graph, 2);
+  const fs::path path = fs::path(dir.path()) / key.filename();
+  const auto write = [&](const io::ScheduleEntry& entry) {
+    std::ofstream out(path, std::ios::trunc);
+    out << io::write_schedule_entry(entry);
+  };
+
+  write(io::ScheduleEntry{key, result.detail, result.schedule});
+  {
+    sched::ScheduleCache cache(dir.path());
+    EXPECT_TRUE(cache.lookup(key, derived.graph).has_value()) << "unedited";
+    EXPECT_EQ(cache.stats().disk_rejects, 0u);
+  }
+
+  const struct {
+    const char* field;
+    void (*edit)(sched::CacheKey&);
+  } edits[] = {
+      {"fingerprint", [](sched::CacheKey& k) { k.fingerprint ^= 1; }},
+      {"strategy", [](sched::CacheKey& k) { k.strategy = "b-level"; }},
+      {"seed", [](sched::CacheKey& k) { k.seed = 2; }},
+      {"processors", [](sched::CacheKey& k) { k.processors = 3; }},
+      {"iterations", [](sched::CacheKey& k) { k.max_iterations = 2000; }},
+      {"restarts", [](sched::CacheKey& k) { k.restarts = 5; }},
+  };
+  for (const auto& [field, edit] : edits) {
+    io::ScheduleEntry entry{key, result.detail, result.schedule};
+    edit(entry);
+    write(entry);
+    sched::ScheduleCache cache(dir.path());
+    EXPECT_FALSE(cache.lookup(key, derived.graph).has_value()) << field;
+    EXPECT_EQ(cache.stats().disk_rejects, 1u) << field;
+  }
+}
+
 TEST(ScheduleCache, MismatchedJobCountIsRejected) {
   // Fingerprint-collision safety net: an entry whose schedule cannot index
   // the queried graph must never be returned.
@@ -440,7 +482,10 @@ TEST(ScheduleFormat, RejectsLeadingPlusInSignedFields) {
   const auto derived = fig1_graph();
   io::ScheduleEntry entry;
   entry.strategy = "alap-edf";
+  entry.seed = 0;
   entry.processors = 2;
+  entry.max_iterations = 0;
+  entry.restarts = 0;
   entry.schedule = evaluate(derived.graph, 2).schedule;
   const std::string text = io::write_schedule_entry(entry);
 

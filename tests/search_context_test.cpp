@@ -120,7 +120,7 @@ sched::ParallelSearchOptions options(std::int64_t processors, int seeds,
   sched::ParallelSearchOptions opts;
   opts.processors = processors;
   opts.seeds_per_strategy = seeds;
-  opts.base_seed = base_seed;
+  opts.seed = base_seed;
   opts.max_iterations = iterations;
   opts.restarts = 1;
   return opts;
@@ -212,7 +212,7 @@ TEST(SearchContext, EveryCandidateMatchesStandaloneAndReferenceOnAnyWorkerCount)
         sched::ParallelSearchOptions single = c.opts;
         single.strategies = {candidate.strategy};
         single.seeds_per_strategy = 1;
-        single.base_seed = candidate.seed;
+        single.seed = candidate.seed;
         reference = testing::reference_search(c.tg, single).best;
       }
 

@@ -223,6 +223,18 @@ TEST(ServeDaemon, FlagErrorsExitTwo) {
             "fppn_serve: cannot connect to '/nonexistent/x.sock': No such file or "
             "directory\n");
 
+  // --fault-rate counts faults per 1024 calls: 1024 is accepted (the
+  // client then fails to connect), 1025 is rejected, not clamped.
+  const CmdResult max_rate =
+      run_serve("--socket /nonexistent/x.sock --fault-rate 1024 --stats");
+  EXPECT_EQ(max_rate.exit_code, 1);
+  EXPECT_EQ(max_rate.err,
+            "fppn_serve: cannot connect to '/nonexistent/x.sock': No such file or "
+            "directory\n");
+  const CmdResult over_rate = run_serve("--socket /tmp/x --fault-rate 1025 --stats");
+  EXPECT_EQ(over_rate.exit_code, 2);
+  EXPECT_EQ(over_rate.err, "fppn_serve: --fault-rate must be in [0, 1024], got '1025'\n");
+
   const CmdResult negative_seed = run_serve("--socket /tmp/x --seed -1");
   EXPECT_EQ(negative_seed.exit_code, 2);
   EXPECT_EQ(negative_seed.err,

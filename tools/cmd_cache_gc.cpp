@@ -11,14 +11,15 @@ namespace tool {
 /// modification time first) down to the bounds; without, count them —
 /// the CLI face of sched::ScheduleCache::gc().
 int cmd_cache_gc(const Args& args) {
-  if (!args.cache_dir.has_value()) {
+  const engine::SearchConfig& config = args.request.config;
+  if (!config.cache_dir.has_value()) {
     std::fprintf(stderr, "fppn_tool: cache-gc requires --cache-dir D\n");
     return 2;
   }
-  sched::ScheduleCache cache(*args.cache_dir, args.cache_max_entries,
-                             args.cache_max_bytes);
+  sched::ScheduleCache cache(*config.cache_dir, config.cache_max_entries,
+                             config.cache_max_bytes);
   const sched::CacheGcStats gc = cache.gc();
-  const bool unbounded = args.cache_max_entries == 0 && args.cache_max_bytes == 0;
+  const bool unbounded = config.cache_max_entries == 0 && config.cache_max_bytes == 0;
   std::printf("cache-gc '%s': %zu kept, %zu evicted%s\n", cache.directory().c_str(),
               gc.kept, gc.evicted, unbounded ? " (no bound given)" : "");
   // Filesystem failures degraded to warnings (gc() never throws for

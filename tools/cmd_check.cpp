@@ -6,7 +6,7 @@ namespace fppn {
 namespace tool {
 
 int cmd_check(const Args& args) {
-  const auto parsed = engine::load_network(args.file);
+  const auto parsed = engine::load_network(*args.request.network_path);
   std::printf("ok: %zu processes, %zu channels\n", parsed.net.process_count(),
               parsed.net.channel_count());
   std::string why;

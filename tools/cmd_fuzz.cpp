@@ -23,7 +23,7 @@ void print_mismatch(const gen::FuzzMismatch& m, const char* repro_path) {
 /// agree, 1 hard error, 2 bad usage, 4 at least one mismatch detected.
 int cmd_fuzz(const Args& args) {
   gen::FuzzConfig check;
-  check.processors = args.processors_given ? args.processors : 0;
+  check.processors = args.processors_given ? args.request.config.processors : 0;
   check.inject_bug = args.inject_bug;
   if (args.shrink_steps > 0) {
     check.shrink_limit = args.shrink_steps;
@@ -45,7 +45,7 @@ int cmd_fuzz(const Args& args) {
   }
 
   gen::FuzzRunConfig cfg;
-  cfg.base_seed = args.seed;
+  cfg.base_seed = args.request.config.seed;
   cfg.seeds = args.fuzz_seeds;
   cfg.repro_dir = args.repro_dir;
   cfg.check = check;

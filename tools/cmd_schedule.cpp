@@ -7,7 +7,7 @@ namespace fppn {
 namespace tool {
 
 int cmd_schedule(const Args& args) {
-  const engine::SolveReport report = engine::solve_once(solve_request(args));
+  const engine::SolveReport report = engine::solve_once(args.request);
   print_cache_line(report);
   print_search_report(report);
   if (!report.feasible()) {

@@ -11,7 +11,7 @@ namespace fppn {
 namespace tool {
 
 int cmd_simulate(const Args& args) {
-  const engine::SolveReport report = engine::solve_once(solve_request(args));
+  const engine::SolveReport report = engine::solve_once(args.request);
   print_cache_line(report);
   if (!report.feasible()) {
     std::printf("warning: no feasible schedule found; simulating anyway\n");
@@ -22,7 +22,7 @@ int cmd_simulate(const Args& args) {
   std::map<ProcessId, SporadicScript> scripts;
   const Time horizon =
       Time() + derived.hyperperiod * Rational(std::max<std::int64_t>(args.frames - 1, 0));
-  std::uint64_t salt = args.seed;
+  std::uint64_t salt = args.request.config.seed;
   for (const auto& [p, info] : derived.servers) {
     (void)info;
     const EventSpec& spec = parsed.net.process(p).event;
@@ -37,7 +37,7 @@ int cmd_simulate(const Args& args) {
                                   opts, {}, scripts);
   std::printf("%s\n", run.trace.summary().c_str());
   GanttOptions gopts;
-  std::printf("%s", render_gantt(run.trace, args.processors, gopts).c_str());
+  std::printf("%s", render_gantt(run.trace, args.request.config.processors, gopts).c_str());
   return run.met_all_deadlines() ? 0 : 3;
 }
 

@@ -7,8 +7,8 @@ namespace fppn {
 namespace tool {
 
 int cmd_taskgraph(const Args& args) {
-  const auto parsed = engine::load_network(args.file);
-  const auto derived = engine::derive_network(parsed, solve_request(args));
+  const auto parsed = engine::load_network(*args.request.network_path);
+  const auto derived = engine::derive_network(parsed, args.request);
   if (args.dot) {
     std::printf("%s", derived.graph.to_dot().c_str());
     return 0;

@@ -131,8 +131,8 @@ void print_usage(std::FILE* out) {
       "                         the queue: 'fppn-serve error: deadline exceeded'\n"
       "                         (default 0 = never shed)\n"
       "  --fault-seed S         fault-injection seed (testing; with --fault-rate)\n"
-      "  --fault-rate R         inject R faults per 1024 syscalls (testing;\n"
-      "                         default 0 = injector disarmed)\n"
+      "  --fault-rate R         inject R faults per 1024 syscalls, R in [0, 1024]\n"
+      "                         (testing; default 0 = injector disarmed)\n"
       "  --request FILE         client mode: send FILE, print the response\n"
       "  --stats                client mode: query the stats verb\n");
 }
@@ -150,21 +150,8 @@ struct ServeArgs {
   std::optional<net::Endpoint> listen_endpoint;  ///< parsed --listen
   std::string request_file;                      ///< non-empty = client mode
   bool stats_request = false;                    ///< client mode: stats verb
-  int solver_threads = 2;
-  std::size_t queue_capacity = 64;
-  std::size_t max_request_bytes = 8u << 20;  ///< 8 MiB default
-  std::int64_t processors = 2;
-  std::uint64_t seed = 1;
-  int jobs = 0;
-  bool optimize = false;
-  bool verbose = false;
-  std::string cache_dir;
-  std::size_t cache_max_entries = 0;
-  std::uint64_t cache_max_bytes = 0;
-  int idle_timeout_ms = 0;
-  int request_timeout_ms = 0;
-  int write_timeout_ms = 0;
-  int queue_deadline_ms = 0;
+  engine::ServiceOptions service;
+  net::ServerOptions server;
   std::uint64_t fault_seed = 1;
   int fault_rate = 0;  ///< faults per 1024 intercepted calls; 0 = disarmed
 
@@ -181,6 +168,7 @@ ServeArgs parse_args(int argc, char** argv) {
     }
   }
   ServeArgs a;
+  a.server.max_request_bytes = 8u << 20;  // 8 MiB default
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> std::string {
@@ -209,49 +197,50 @@ ServeArgs parse_args(int argc, char** argv) {
       a.request_file = next();
     } else if (arg == "--stats") {
       a.stats_request = true;
-    } else if (arg == "--workers") {
-      a.solver_threads = static_cast<int>(int_value(1, kIntMax));
-    } else if (arg == "--solver-threads") {
-      a.solver_threads = static_cast<int>(int_value(1, kIntMax));
+    } else if (arg == "--workers" || arg == "--solver-threads") {
+      a.server.solver_threads = static_cast<int>(int_value(1, kIntMax));
     } else if (arg == "--queue-capacity") {
-      a.queue_capacity = static_cast<std::size_t>(int_value(1));
+      a.server.queue_capacity = static_cast<std::size_t>(int_value(1));
     } else if (arg == "--max-request-bytes") {
-      a.max_request_bytes = static_cast<std::size_t>(int_value(0));
+      a.server.max_request_bytes = static_cast<std::size_t>(int_value(0));
     } else if (arg == "-m") {
-      a.processors = int_value(1);
+      a.service.processors = int_value(1);
     } else if (arg == "--seed") {
-      a.seed = tool::parse_u64_flag(kProgram, "--seed", next());
+      a.service.seed = tool::parse_u64_flag(kProgram, "--seed", next());
     } else if (arg == "--jobs") {
-      a.jobs = static_cast<int>(int_value(0, kIntMax));
+      a.service.search_workers = static_cast<int>(int_value(0, kIntMax));
     } else if (arg == "--optimize") {
-      a.optimize = true;
+      a.service.optimize = true;
     } else if (arg == "--verbose") {
-      a.verbose = true;
+      a.service.verbose = true;
     } else if (arg == "--cache-dir") {
-      a.cache_dir = next();
+      // An empty directory means none: the in-memory L1.
+      a.service.cache_dir = next();
+      if (a.service.cache_dir->empty()) {
+        a.service.cache_dir.reset();
+      }
     } else if (arg == "--cache-max-entries") {
-      a.cache_max_entries = static_cast<std::size_t>(int_value(0));
+      a.service.cache_max_entries = static_cast<std::size_t>(int_value(0));
     } else if (arg == "--cache-max-bytes") {
-      a.cache_max_bytes = static_cast<std::uint64_t>(int_value(0));
+      a.service.cache_max_bytes = static_cast<std::uint64_t>(int_value(0));
     } else if (arg == "--idle-timeout-ms") {
-      a.idle_timeout_ms = static_cast<int>(int_value(0, kIntMax));
+      a.server.idle_timeout_ms = static_cast<int>(int_value(0, kIntMax));
     } else if (arg == "--request-timeout-ms") {
-      a.request_timeout_ms = static_cast<int>(int_value(0, kIntMax));
+      a.server.request_timeout_ms = static_cast<int>(int_value(0, kIntMax));
     } else if (arg == "--write-timeout-ms") {
-      a.write_timeout_ms = static_cast<int>(int_value(0, kIntMax));
+      a.server.write_timeout_ms = static_cast<int>(int_value(0, kIntMax));
     } else if (arg == "--queue-deadline-ms") {
-      a.queue_deadline_ms = static_cast<int>(int_value(0, kIntMax));
+      a.server.queue_deadline_ms = static_cast<int>(int_value(0, kIntMax));
     } else if (arg == "--fault-seed") {
       a.fault_seed = tool::parse_u64_flag(kProgram, "--fault-seed", next());
     } else if (arg == "--fault-rate") {
-      a.fault_rate = static_cast<int>(int_value(0, kIntMax));
-      if (a.fault_rate > 1024) {
-        a.fault_rate = 1024;
-      }
+      a.fault_rate = static_cast<int>(int_value(0, 1024));
     } else {
       usage();
     }
   }
+  // One flag sizes both the reactor's cap and the service's error line.
+  a.service.max_request_bytes = a.server.max_request_bytes;
   if (a.socket_path.empty() && !a.listen_endpoint.has_value()) {
     std::fprintf(stderr, "fppn_serve: --socket PATH is required\n");
     std::exit(2);
@@ -259,7 +248,7 @@ ServeArgs parse_args(int argc, char** argv) {
   return a;
 }
 
-int run_server(const ServeArgs& args) {
+int run_server(ServeArgs args) {
   std::signal(SIGPIPE, SIG_IGN);
   if (args.fault_rate > 0) {
     testing::FaultInjector::instance().arm(
@@ -298,44 +287,23 @@ int run_server(const ServeArgs& args) {
     const net::Endpoint& ep = listener.endpoint();
     if (ep.kind == net::Endpoint::Kind::kUnix) {
       std::fprintf(stderr, "fppn_serve: listening on '%s' (%d worker(s), m=%lld)\n",
-                   ep.path.c_str(), args.solver_threads,
-                   static_cast<long long>(args.processors));
+                   ep.path.c_str(), args.server.solver_threads,
+                   static_cast<long long>(args.service.processors));
     } else {
       // The bound port (ephemeral binds resolve to a real one) — tests
       // and scripts parse it from this line.
       std::fprintf(stderr,
                    "fppn_serve: listening on tcp %s:%u (%d worker(s), m=%lld)\n",
                    ep.host.c_str(), static_cast<unsigned>(ep.port),
-                   args.solver_threads, static_cast<long long>(args.processors));
+                   args.server.solver_threads,
+                   static_cast<long long>(args.service.processors));
     }
   }
 
   engine::Engine engine;
-  engine::ServiceOptions service_options;
-  service_options.processors = args.processors;
-  service_options.seed = args.seed;
-  service_options.search_workers = args.jobs;
-  service_options.optimize = args.optimize;
-  service_options.verbose = args.verbose;
-  if (!args.cache_dir.empty()) {
-    service_options.cache_dir = args.cache_dir;
-    service_options.cache_max_entries = args.cache_max_entries;
-    service_options.cache_max_bytes = args.cache_max_bytes;
-  }
-  service_options.max_request_bytes = args.max_request_bytes;
-  engine::SolveService service(engine, service_options);
-
-  net::ServerOptions server_options;
-  server_options.solver_threads = args.solver_threads;
-  server_options.queue_capacity = args.queue_capacity;
-  server_options.max_request_bytes = args.max_request_bytes;
-  server_options.stop_fd = g_stop_pipe[0];
-  server_options.idle_timeout_ms = args.idle_timeout_ms;
-  server_options.request_timeout_ms = args.request_timeout_ms;
-  server_options.write_timeout_ms = args.write_timeout_ms;
-  server_options.queue_deadline_ms = args.queue_deadline_ms;
-
-  net::Server server(server_options, service.protocol(), service.handler());
+  engine::SolveService service(engine, args.service);
+  args.server.stop_fd = g_stop_pipe[0];
+  net::Server server(args.server, service.protocol(), service.handler());
   for (net::Listener& listener : listeners) {
     server.add_listener(std::move(listener));
   }

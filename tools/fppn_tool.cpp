@@ -3,12 +3,12 @@
 // schedules and simulate the online policy. This is the analogue of the
 // paper's publicly released code-generation tool [10] for this library.
 //
-// This file is only the dispatcher. Flag parsing and the Args ->
-// engine::SolveRequest translation live in tools/tool_common.*; each
-// subcommand is one thin module in tools/cmd_*.cpp (declared in
-// tools/commands.hpp); all scheduling behavior — presets, cache
-// attachment, the determinism contract — lives in src/engine, shared with
-// fppn_serve, the benches and the fuzz loop.
+// This file is only the dispatcher. Flag parsing (straight into the
+// engine::SolveRequest the invocation describes) lives in
+// tools/tool_common.*; each subcommand is one thin module in
+// tools/cmd_*.cpp (declared in tools/commands.hpp); all scheduling
+// behavior — presets, cache attachment, the determinism contract — lives
+// in src/engine, shared with fppn_serve, the benches and the fuzz loop.
 //
 // Scheduling goes through the strategy registry (pass any registered name
 // to --strategy; `fppn_tool --help` lists them) and --optimize runs the

@@ -99,6 +99,8 @@ Args parse_args(int argc, char** argv) {
   }
   Args a;
   a.command = argv[1];
+  engine::SolveRequest& request = a.request;
+  engine::SearchConfig& config = request.config;
   // cache-gc operates on a cache directory and fuzz on generated
   // scenarios (or --replay FILE), not a network file positional.
   const bool takes_file = a.command != "cache-gc" && a.command != "fuzz";
@@ -106,7 +108,7 @@ Args parse_args(int argc, char** argv) {
     if (argc < 3) {
       usage();
     }
-    a.file = argv[2];
+    request.network_path = argv[2];
   }
   for (int i = takes_file ? 3 : 2; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -118,7 +120,7 @@ Args parse_args(int argc, char** argv) {
     };
     if (arg == "-m") {
       // Nonsensical values fail here at the CLI, not deep in the engine.
-      a.processors = parse_int_flag(kProgram, "-m", next(), 1);
+      config.processors = parse_int_flag(kProgram, "-m", next(), 1);
       a.processors_given = true;
     } else if (arg == "--seeds") {
       a.fuzz_seeds = parse_int_flag(kProgram, "--seeds", next(), 1);
@@ -136,35 +138,36 @@ Args parse_args(int argc, char** argv) {
     } else if (arg == "--frames") {
       a.frames = parse_int_flag(kProgram, "--frames", next(), 0);
     } else if (arg == "--unfold") {
-      a.unfold =
+      request.unfold =
           static_cast<int>(parse_int_flag(kProgram, "--unfold", next(), 1, kIntMax));
     } else if (arg == "--jobs") {
-      a.jobs = static_cast<int>(parse_int_flag(kProgram, "--jobs", next(), 0, kIntMax));
+      config.workers =
+          static_cast<int>(parse_int_flag(kProgram, "--jobs", next(), 0, kIntMax));
     } else if (arg == "--seed") {
-      a.seed = parse_u64_flag(kProgram, "--seed", next());
+      config.seed = parse_u64_flag(kProgram, "--seed", next());
     } else if (arg == "--wcet") {
-      a.uniform_wcet = io::parse_duration(next());
+      request.uniform_wcet = io::parse_duration(next());
     } else if (arg == "--strategy" || arg == "--heuristic") {
       // --heuristic is the pre-registry spelling, kept as an alias.
-      a.strategy = next();
-      require_known(sched::StrategyRegistry::global(), "strategy", "strategies",
-                    *a.strategy);
+      const std::string name = next();
+      require_known(sched::StrategyRegistry::global(), "strategy", "strategies", name);
+      config.strategies = {name};
     } else if (arg == "--runtime") {
       a.runtime = next();
       require_known(runtime::RuntimeRegistry::global(), "runtime", "runtimes",
                     a.runtime);
     } else if (arg == "--cache-dir") {
-      a.cache_dir = next();
+      config.cache_dir = next();
     } else if (arg == "--cache-max-entries") {
-      a.cache_max_entries = static_cast<std::size_t>(parse_int_flag(
+      config.cache_max_entries = static_cast<std::size_t>(parse_int_flag(
           kProgram, "--cache-max-entries", next(), 1, kIntMax));
     } else if (arg == "--cache-max-bytes") {
-      a.cache_max_bytes = static_cast<std::uint64_t>(
+      config.cache_max_bytes = static_cast<std::uint64_t>(
           parse_int_flag(kProgram, "--cache-max-bytes", next(), 1));
     } else if (arg == "--no-cache") {
-      a.no_cache = true;
+      config.no_cache = true;
     } else if (arg == "--optimize") {
-      a.optimize = true;
+      config.optimize = true;
     } else if (arg == "--dot") {
       a.dot = true;
     } else if (arg == "--gantt") {
@@ -182,28 +185,6 @@ Args parse_args(int argc, char** argv) {
     }
   }
   return a;
-}
-
-engine::SolveRequest solve_request(const Args& args) {
-  engine::SolveRequest request;
-  request.network_path = args.file;
-  request.unfold = args.unfold;
-  request.uniform_wcet = args.uniform_wcet;
-
-  engine::SearchConfig& config = request.config;
-  config.processors = args.processors;
-  config.workers = args.jobs;
-  if (args.strategy.has_value()) {
-    config.strategies = {*args.strategy};
-  }
-  config.seed = args.seed;
-  config.optimize = args.optimize;
-  config.cache_dir = args.cache_dir;
-  config.no_cache = args.no_cache;
-  config.cache_max_entries = args.cache_max_entries;
-  config.cache_max_bytes = args.cache_max_bytes;
-
-  return request;
 }
 
 void print_cache_line(const engine::SolveReport& report) {

@@ -1,8 +1,9 @@
 // Shared plumbing of the fppn_tool subcommand modules: the parsed Args
-// (numeric flags through the checked parsers of flag_parse.hpp), usage
-// printing, and the translation of Args into an engine::SolveRequest.
+// (numeric flags through the checked parsers of flag_parse.hpp, the
+// network and search flags straight into an engine::SolveRequest) and
+// usage printing.
 //
-// Subcommands are thin by design: they parse flags into a SolveRequest,
+// Subcommands are thin by design: they take the parsed SolveRequest,
 // call engine::Engine::solve() (tools/cmd_*.cpp declare themselves in
 // tools/commands.hpp) and format the SolveReport. All scheduling
 // behavior — presets, cache attachment, determinism — lives in
@@ -20,20 +21,14 @@
 namespace fppn {
 namespace tool {
 
-/// Every flag fppn_tool understands, across all subcommands.
+/// Every flag fppn_tool understands, across all subcommands. The network
+/// file, derivation and search flags are parsed straight into the engine
+/// request the invocation describes (also the fuzz loop's -m and --seed,
+/// and cache-gc's directory and bounds).
 struct Args {
   std::string command;
-  std::string file;
-  std::int64_t processors = 2;
+  engine::SolveRequest request;
   std::int64_t frames = 1;
-  int unfold = 1;
-  int jobs = 0;  ///< parallel-search workers; 0 = hardware concurrency
-  std::uint64_t seed = 1;
-  std::size_t cache_max_entries = 0;  ///< 0 = unbounded cache directory
-  std::uint64_t cache_max_bytes = 0;  ///< 0 = no byte-size bound
-  std::optional<Duration> uniform_wcet;
-  std::optional<std::string> strategy;
-  std::optional<std::string> cache_dir;
   std::string runtime = "vm";
   // fuzz subcommand
   std::int64_t fuzz_seeds = 100;
@@ -43,8 +38,6 @@ struct Args {
   std::optional<std::string> replay;
   bool inject_bug = false;
   bool processors_given = false;
-  bool no_cache = false;
-  bool optimize = false;
   bool dot = false;
   bool gantt = false;
   OverheadModel overhead;
@@ -55,10 +48,6 @@ void print_usage(std::FILE* out);
 [[noreturn]] void usage();
 
 Args parse_args(int argc, char** argv);
-
-/// The engine request this invocation describes: network file input,
-/// derivation knobs and the consolidated SearchConfig.
-[[nodiscard]] engine::SolveRequest solve_request(const Args& args);
 
 /// The per-solve cache stats line ("cache '<dir>': N hit(s), ...") the
 /// cached subcommands print before their result. No-op when no cache was
