@@ -11,7 +11,8 @@
 // finishing crash-free with uncorrupted responses
 // (serve_chaos_crash_free_agree). It also reports, as numbers only, what
 // one hot FMS request costs per layer inside SolveService::handle: parse,
-// derive, fingerprint, cache lookups and render, beside handle itself.
+// derive, fingerprint, cache lookups, render and the derived graph's
+// teardown, beside handle itself.
 #include <benchmark/benchmark.h>
 
 #include <poll.h>
@@ -28,6 +29,7 @@
 #include <cstring>
 #include <filesystem>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -407,6 +409,13 @@ bool print_chaos_report(benchjson::Report& report) {
   return ok;
 }
 
+/// The median of `samples` (reordered).
+double median_of(std::vector<double>& samples) {
+  const auto mid = samples.begin() + static_cast<std::ptrdiff_t>(samples.size() / 2);
+  std::nth_element(samples.begin(), mid, samples.end());
+  return *mid;
+}
+
 /// Median wall time of `reps` calls of `f`, in ms.
 template <class F>
 double median_ms(int reps, F&& f) {
@@ -417,16 +426,17 @@ double median_ms(int reps, F&& f) {
     f();
     samples.push_back(seconds_since(t0) * 1000.0);
   }
-  std::nth_element(samples.begin(), samples.begin() + reps / 2, samples.end());
-  return samples[static_cast<std::size_t>(reps / 2)];
+  return median_of(samples);
 }
 
 /// One hot request layer by layer: the paper FMS (812 jobs) as the
 /// daemon's quick preset answers it from the memory cache. Each stage
-/// runs on its own through the public API the handler uses, so the
+/// runs on its own through the public API the handler uses: parse,
+/// derive, fingerprint, the cache lookups, the render, and the teardown
+/// (freeing the derived graph, which derive's figure leaves out), so the
 /// stages add up to roughly what handle() costs in one call; the rest
-/// is the request copy, the cache's schedule copies and teardown.
-/// Numbers only, no gate: they swing with the host.
+/// is the request copy and the cache's schedule copies. Numbers only, no
+/// gate: they swing with the host.
 void print_hot_request_layers(benchjson::Report& report) {
   constexpr int kReps = 400;
   const auto app = apps::build_fms(true);
@@ -456,9 +466,21 @@ void print_hot_request_layers(benchjson::Report& report) {
 
   const double parse_ms =
       median_ms(kReps, [&] { benchmark::DoNotOptimize(io::parse_network_string(text)); });
-  const double derive_ms = median_ms(kReps, [&] {
-    benchmark::DoNotOptimize(derive_task_graph(parsed.net, parsed.wcets));
-  });
+  // Derive and teardown time the two halves of one derived graph's life.
+  std::vector<double> derive_samples;
+  std::vector<double> teardown_samples;
+  for (int i = 0; i < kReps; ++i) {
+    std::optional<DerivedTaskGraph> graph;
+    const Clock::time_point t0 = Clock::now();
+    graph.emplace(derive_task_graph(parsed.net, parsed.wcets));
+    const Clock::time_point t1 = Clock::now();
+    benchmark::DoNotOptimize(graph->graph.edge_count());
+    graph.reset();
+    derive_samples.push_back(std::chrono::duration<double, std::milli>(t1 - t0).count());
+    teardown_samples.push_back(seconds_since(t1) * 1000.0);
+  }
+  const double derive_ms = median_of(derive_samples);
+  const double teardown_ms = median_of(teardown_samples);
   const double fingerprint_ms =
       median_ms(kReps, [&] { benchmark::DoNotOptimize(fingerprint(derived.graph)); });
   const double lookup_ms = median_ms(kReps, [&] {
@@ -472,19 +494,22 @@ void print_hot_request_layers(benchjson::Report& report) {
       median_ms(kReps, [&] { benchmark::DoNotOptimize(io::write_schedule_entry(entry)); });
   const double handle_ms =
       median_ms(kReps, [&] { benchmark::DoNotOptimize(service.handle(text, 0.0)); });
-  const double stages_ms = parse_ms + derive_ms + fingerprint_ms + lookup_ms + render_ms;
+  const double stages_ms =
+      parse_ms + derive_ms + fingerprint_ms + lookup_ms + render_ms + teardown_ms;
 
   std::printf(
       "hot request (paper FMS, %zu jobs, %zu edges, %zu cache lookups), medians of %d:\n"
       "  parse %.3fms  derive %.3fms  fingerprint %.3fms  lookups %.3fms  render %.3fms\n"
-      "  sum of stages %.3fms  handle %.3fms\n",
+      "  teardown %.3fms  sum of stages %.3fms  handle %.3fms\n",
       derived.graph.job_count(), derived.graph.edge_count(), candidates.size(), kReps,
-      parse_ms, derive_ms, fingerprint_ms, lookup_ms, render_ms, stages_ms, handle_ms);
+      parse_ms, derive_ms, fingerprint_ms, lookup_ms, render_ms, teardown_ms, stages_ms,
+      handle_ms);
   report.metric("serve_hot_parse_ms", parse_ms);
   report.metric("serve_hot_derive_ms", derive_ms);
   report.metric("serve_hot_fingerprint_ms", fingerprint_ms);
   report.metric("serve_hot_lookup_ms", lookup_ms);
   report.metric("serve_hot_render_ms", render_ms);
+  report.metric("serve_hot_teardown_ms", teardown_ms);
   report.metric("serve_hot_handle_ms", handle_ms);
 }
 

@@ -168,7 +168,8 @@ std::optional<std::string> check_policy_trace(const Network& net,
     }
     // Precedence is transitive through a 'false' server job: a predecessor
     // with no span is replaced by its own predecessors.
-    std::vector<JobId> preds = tg.predecessors(j);
+    const JobIdRange direct = tg.predecessors(j);
+    std::vector<JobId> preds(direct.begin(), direct.end());
     std::vector<bool> seen(tg.job_count(), false);
     while (!preds.empty()) {
       const JobId p = preds.back();
@@ -179,7 +180,7 @@ std::optional<std::string> check_policy_trace(const Network& net,
       seen[p.value()] = true;
       const auto pit = spans.find(tg.job(p).name);
       if (pit == spans.end()) {
-        const std::vector<JobId>& up = tg.predecessors(p);
+        const JobIdRange up = tg.predecessors(p);
         preds.insert(preds.end(), up.begin(), up.end());
       } else if (pit->second.end > span.start) {
         return "precedence violated: " + tg.job(p).name + " ends at " +

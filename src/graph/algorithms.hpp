@@ -73,8 +73,11 @@ enum class EdgeFate : std::uint8_t {
 /// redundant. One Kahn pass doubles as the acyclicity check: nullopt when
 /// the edges form a cycle (a self-loop included). Reachability is a bitset
 /// per node filled in reverse topological order, node_count²/8 bytes,
-/// freed before returning. The transitive reduction of a DAG is unique,
-/// so the result equals transitive_reduction's on the same graph.
+/// freed before returning. The rows are dense, node_count bits each: on
+/// task graphs of a few hundred jobs the pass costs its per-edge walks,
+/// not its row width, and rows trimmed to the positions their readers
+/// test measured slower end to end. The transitive reduction of a DAG is
+/// unique, so the result equals transitive_reduction's on the same graph.
 [[nodiscard]] std::optional<std::vector<EdgeFate>> edge_fates(
     std::size_t node_count, const std::vector<EdgePair>& edges, bool reduce);
 

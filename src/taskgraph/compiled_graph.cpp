@@ -53,26 +53,15 @@ CompiledTaskGraph CompiledTaskGraph::compile(const TaskGraph& tg) {
     out.process_id_.push_back(j.process.value());
   }
 
-  // CSR adjacency, in the task graph's deterministic per-job edge order.
-  out.pred_offsets_.assign(n + 1, 0);
-  out.succ_offsets_.assign(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.pred_offsets_[i + 1] =
-        out.pred_offsets_[i] +
-        static_cast<std::uint32_t>(tg.predecessors(JobId(i)).size());
-    out.succ_offsets_[i + 1] =
-        out.succ_offsets_[i] +
-        static_cast<std::uint32_t>(tg.successors(JobId(i)).size());
-  }
-  out.pred_ids_.reserve(out.pred_offsets_[n]);
-  out.succ_ids_.reserve(out.succ_offsets_[n]);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (const JobId p : tg.predecessors(JobId(i))) {
-      out.pred_ids_.push_back(static_cast<std::uint32_t>(p.value()));
-    }
-    for (const JobId s : tg.successors(JobId(i))) {
-      out.succ_ids_.push_back(static_cast<std::uint32_t>(s.value()));
-    }
+  // CSR adjacency: the task graph's own arrays, in its deterministic
+  // per-job edge order.
+  out.pred_offsets_ = tg.pred_offsets();
+  out.pred_ids_ = tg.pred_ids();
+  out.succ_offsets_ = tg.succ_offsets();
+  out.succ_ids_ = tg.succ_ids();
+  if (n == 0) {
+    out.pred_offsets_.assign(1, 0);
+    out.succ_offsets_.assign(1, 0);
   }
 
   for (std::size_t i = 0; i < n; ++i) {

@@ -4,8 +4,9 @@
 // Three pieces:
 //
 //   CSR adjacency   predecessor/successor ids packed into two flat arrays
-//                   with offset tables, so the inner scheduling loop walks
-//                   edges with zero pointer chasing and zero allocation.
+//                   with offset tables (copies of the task graph's own CSR
+//                   arrays), so the inner scheduling loop walks edges with
+//                   zero pointer chasing and zero allocation.
 //
 //   topological     the order of the compile-time Kahn pass that decides
 //   order           acyclicity, kept for the longest-path analyses behind

@@ -160,14 +160,19 @@ DerivedTaskGraph derive_task_graph(const Network& net, const WcetMap& wcet,
   // Count the jobs before anything per job is allocated: burst·H/T' per
   // process, exact because H is a multiple of every T'.
   std::size_t job_total = 0;
+  std::vector<std::size_t> jobs_per_process(n);
   for (std::size_t i = 0; i < n; ++i) {
     const Rational& hv = h.value();
     const Rational& tv = prime[i].period.value();
     const __int128 instants = static_cast<__int128>(hv.num()) * tv.den() /
                               (static_cast<__int128>(hv.den()) * tv.num());
-    if (instants > static_cast<__int128>(kMaxDerivedJobs) ||
-        (job_total += static_cast<std::size_t>(instants) *
-                      static_cast<std::size_t>(prime[i].burst)) > kMaxDerivedJobs) {
+    const bool too_many = instants > static_cast<__int128>(kMaxDerivedJobs);
+    if (!too_many) {
+      jobs_per_process[i] =
+          static_cast<std::size_t>(instants) * static_cast<std::size_t>(prime[i].burst);
+      job_total += jobs_per_process[i];
+    }
+    if (too_many || job_total > kMaxDerivedJobs) {
       throw std::invalid_argument("task graph derivation: the frame holds more than " +
                                   std::to_string(kMaxDerivedJobs) + " jobs");
     }
@@ -209,7 +214,20 @@ DerivedTaskGraph derive_task_graph(const Network& net, const WcetMap& wcet,
 
   TaskGraph tg(h);
   tg.reserve(job_total);
-  std::vector<EdgePair> edges;  // generating edges, in insertion order
+  // Generating edges, in insertion order: at most one same-process edge
+  // and one per FP'-partner for every job, plus two per buffered-channel
+  // writer job.
+  std::vector<EdgePair> edges;
+  {
+    std::size_t bound = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      bound += jobs_per_process[i] * (1 + partners[i].size());
+    }
+    for (const ChannelId c : buffered_channels) {
+      bound += 2 * jobs_per_process[net.channel(c).writer.value()];
+    }
+    edges.reserve(bound);
+  }
   constexpr std::uint32_t kNone = ~std::uint32_t{0};
   std::vector<std::int64_t> k_count(n, 0);
   // Latest job of each process so far: jobs are appended in <J order, so
@@ -337,9 +355,10 @@ DerivedTaskGraph derive_task_graph(const Network& net, const WcetMap& wcet,
   }
 
   // ---- Step 5: transitive reduction, on the edge list: the surviving
-  // edges are added once, in generation order, so every adjacency list
-  // has the order the generating edges gave it. edge_fates has dropped
-  // the repeats, so the kept edges go in as one batch of new edges.
+  // edges are compacted in generation order and become the graph's CSR
+  // arrays in one counting pass, so every adjacency list has the order
+  // the generating edges gave it. edge_fates has dropped the repeats, so
+  // the kept edges go in as one batch of new edges.
   const std::optional<std::vector<EdgeFate>> fates =
       edge_fates(tg.job_count(), edges, opts.transitive_reduce);
   if (!fates.has_value()) {

@@ -20,9 +20,10 @@
 // The implementation is one pass. Step 2 sorts (instant, process) slots
 // and orders each instant's processes by a min-id Kahn pass over the FP'
 // subgraph the instant induces. Step 3 appends its generating edges, and
-// then the buffered-channel edges, to one list; the transitive reduction
-// runs on that list (graph/algorithms.hpp, edge_fates), and each surviving
-// edge is added to the TaskGraph once, in list order. Job parameters stay
+// then the buffered-channel edges, to one list reserved up front; the
+// transitive reduction runs on that list (graph/algorithms.hpp,
+// edge_fates), and the surviving edges, in list order, become the
+// TaskGraph's CSR adjacency in one counting pass. Job parameters stay
 // exact Rationals. testing/reference_derivation.hpp keeps the edge-by-edge
 // derivation as the oracle this one must equal, adjacency order included.
 #pragma once

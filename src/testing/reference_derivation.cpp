@@ -56,7 +56,7 @@ std::string job_text(const Job& j) {
   return os.str();
 }
 
-std::string ids(const std::vector<JobId>& list) {
+std::string ids(JobIdRange list) {
   std::string out;
   for (const JobId id : list) {
     out += std::to_string(id.value()) + " ";

@@ -210,6 +210,60 @@ TEST(EdgeFates, AgreesWithTransitiveReductionOnRandomDags) {
   }
 }
 
+TEST(EdgeFates, AgreesWithTransitiveReductionOnWideBandedDags) {
+  // Reachability rows span many 64-bit words (the random DAGs above fit
+  // in one): mostly short edges, a band in topological order as in a
+  // derived task graph, a few long ones, chains across word boundaries,
+  // and every other round relabelled ids.
+  std::uint64_t state = 777;
+  const auto next = [&state] {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return state >> 33;
+  };
+  for (int round = 0; round < 40; ++round) {
+    const std::size_t n = 60 + next() % 400;
+    const std::size_t band = 1 + next() % 90;
+    std::vector<std::uint32_t> label(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      label[i] = static_cast<std::uint32_t>(i);
+    }
+    if (round % 2 == 1) {
+      for (std::size_t i = n - 1; i > 0; --i) {
+        std::swap(label[i], label[next() % (i + 1)]);
+      }
+    }
+    std::vector<EdgePair> edges;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t out = next() % 4;
+      for (std::size_t k = 0; k < out; ++k) {
+        const std::size_t reach = next() % 10 == 0 ? n : band;
+        const std::size_t j = i + 1 + next() % reach;
+        if (j < n) {
+          edges.emplace_back(label[i], label[j]);
+        }
+      }
+    }
+    Digraph g(n);
+    for (const auto& [u, v] : edges) {
+      g.add_edge(NodeId(u), NodeId(v));
+    }
+    transitive_reduction(g);
+    const auto fates = edge_fates(n, edges, true);
+    ASSERT_TRUE(fates.has_value());
+    std::size_t kept = 0;
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      const bool in_reduced = g.has_edge(NodeId(edges[e].first), NodeId(edges[e].second));
+      if ((*fates)[e] == EdgeFate::kKept) {
+        ++kept;
+        EXPECT_TRUE(in_reduced) << "round " << round << " edge " << e;
+      } else if ((*fates)[e] == EdgeFate::kRedundant) {
+        EXPECT_FALSE(in_reduced) << "round " << round << " edge " << e;
+      }
+    }
+    EXPECT_EQ(kept, g.edge_count()) << "round " << round;
+  }
+}
+
 TEST(ToDot, ContainsNodesAndEdges) {
   const Digraph g = diamond();
   const std::string dot =

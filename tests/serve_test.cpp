@@ -253,6 +253,22 @@ TEST(ServeDaemon, FlagErrorsExitTwo) {
   EXPECT_EQ(negative_fault_seed.err,
             "fppn_serve: expected an unsigned integer for --fault-seed, got '-1'\n");
 
+  // The cache flags' rule, the same in fppn_tool: an empty directory and
+  // a bound without a directory are usage errors (0 = unbounded).
+  const CmdResult empty_dir = run_serve("--socket /tmp/x --cache-dir ''");
+  EXPECT_EQ(empty_dir.exit_code, 2);
+  EXPECT_EQ(empty_dir.err, "fppn_serve: --cache-dir must not be empty\n");
+  const CmdResult entries_alone = run_serve("--socket /tmp/x --cache-max-entries 0");
+  EXPECT_EQ(entries_alone.exit_code, 2);
+  EXPECT_EQ(entries_alone.err, "fppn_serve: --cache-max-entries requires --cache-dir\n");
+  const CmdResult bytes_alone = run_serve("--socket /tmp/x --cache-max-bytes 4096");
+  EXPECT_EQ(bytes_alone.exit_code, 2);
+  EXPECT_EQ(bytes_alone.err, "fppn_serve: --cache-max-bytes requires --cache-dir\n");
+  const CmdResult negative_bound =
+      run_serve("--socket /tmp/x --cache-dir /tmp/c --cache-max-bytes -1");
+  EXPECT_EQ(negative_bound.exit_code, 2);
+  EXPECT_EQ(negative_bound.err, "fppn_serve: --cache-max-bytes must be >= 0, got '-1'\n");
+
   const CmdResult unknown = run_serve("--socket /tmp/x --frobnicate");
   EXPECT_EQ(unknown.exit_code, 2);
   EXPECT_EQ(unknown.err.find("usage: fppn_serve "), 0u) << unknown.err;

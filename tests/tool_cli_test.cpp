@@ -229,6 +229,16 @@ TEST(ToolCli, CacheGcHonorsEntryAndByteBounds) {
   EXPECT_EQ(unbounded.exit_code, 0);
   EXPECT_EQ(unbounded.out,
             "cache-gc '" + cache + "': 0 kept, 0 evicted (no bound given)\n");
+
+  // A bound of 0 is unbounded, as in fppn_serve.
+  ASSERT_EQ(run_tool("schedule " + kFig1 + " --cache-dir '" + cache +
+                     "' --cache-max-entries 0 --cache-max-bytes 0")
+                .exit_code,
+            0);
+  const CmdResult zero = run_tool("cache-gc --cache-dir '" + cache +
+                                  "' --cache-max-entries 0 --cache-max-bytes 0");
+  EXPECT_EQ(zero.exit_code, 0);
+  EXPECT_EQ(zero.out, "cache-gc '" + cache + "': 6 kept, 0 evicted (no bound given)\n");
 }
 
 TEST(ToolCli, FuzzSmokeFindsNoMismatches) {
@@ -256,8 +266,20 @@ TEST(ToolCli, FlagErrorsExitTwoWithTheOffendingValue) {
        "fppn_tool: --frames must be >= 0, got '-3'\n"},
       {"schedule " + kFig1 + " --seed -5",
        "fppn_tool: expected an unsigned integer for --seed, got '-5'\n"},
+      // The cache flags' rule, the same in fppn_serve: an empty directory
+      // and a bound without a directory are usage errors; 0 is unbounded.
+      {"schedule " + kFig1 + " --cache-dir ''",
+       "fppn_tool: --cache-dir must not be empty\n"},
       {"schedule " + kFig1 + " --cache-max-bytes 0",
-       "fppn_tool: --cache-max-bytes must be >= 1, got '0'\n"},
+       "fppn_tool: --cache-max-bytes requires --cache-dir\n"},
+      {"schedule " + kFig1 + " --cache-max-entries 5",
+       "fppn_tool: --cache-max-entries requires --cache-dir\n"},
+      {"cache-gc --cache-max-entries 0",
+       "fppn_tool: --cache-max-entries requires --cache-dir\n"},
+      {"schedule " + kFig1 + " --cache-dir /tmp/x --cache-max-entries -1",
+       "fppn_tool: --cache-max-entries must be in [0, 2147483647], got '-1'\n"},
+      {"schedule " + kFig1 + " --cache-dir /tmp/x --cache-max-bytes -1",
+       "fppn_tool: --cache-max-bytes must be >= 0, got '-1'\n"},
   };
   for (const auto& [args, message] : errors) {
     const CmdResult r = run_tool(args);

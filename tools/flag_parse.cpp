@@ -62,5 +62,21 @@ std::uint64_t parse_u64_flag(const char* program, const char* flag,
   return parsed;
 }
 
+std::string parse_cache_dir_flag(const char* program, const std::string& value) {
+  if (value.empty()) {
+    std::fprintf(stderr, "%s: --cache-dir must not be empty\n", program);
+    std::exit(2);
+  }
+  return value;
+}
+
+void require_cache_dir_for_bound(const char* program, const char* bound_flag,
+                                 bool cache_dir_given) {
+  if (bound_flag != nullptr && !cache_dir_given) {
+    std::fprintf(stderr, "%s: %s requires --cache-dir\n", program, bound_flag);
+    std::exit(2);
+  }
+}
+
 }  // namespace tool
 }  // namespace fppn

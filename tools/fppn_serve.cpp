@@ -119,8 +119,11 @@ void print_usage(std::FILE* out) {
       "  --optimize             the optimizing search preset per request\n"
       "  --verbose              per-request summary lines on stderr\n"
       "  --cache-dir D          disk schedule cache instead of the in-memory L1\n"
-      "  --cache-max-entries N  disk cache entry bound (0 = unbounded)\n"
-      "  --cache-max-bytes N    disk cache byte bound (0 = unbounded)\n"
+      "                         (must not be empty)\n"
+      "  --cache-max-entries N  disk cache entry bound (0 = unbounded;\n"
+      "                         requires --cache-dir)\n"
+      "  --cache-max-bytes N    disk cache byte bound (0 = unbounded;\n"
+      "                         requires --cache-dir)\n"
       "  --idle-timeout-ms N    close connections idle before their first byte\n"
       "                         (default 0 = no deadline)\n"
       "  --request-timeout-ms N close connections whose request is not complete\n"
@@ -169,6 +172,7 @@ ServeArgs parse_args(int argc, char** argv) {
   }
   ServeArgs a;
   a.server.max_request_bytes = 8u << 20;  // 8 MiB default
+  const char* cache_bound_flag = nullptr;  // the last cache bound given
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> std::string {
@@ -214,15 +218,13 @@ ServeArgs parse_args(int argc, char** argv) {
     } else if (arg == "--verbose") {
       a.service.verbose = true;
     } else if (arg == "--cache-dir") {
-      // An empty directory means none: the in-memory L1.
-      a.service.cache_dir = next();
-      if (a.service.cache_dir->empty()) {
-        a.service.cache_dir.reset();
-      }
+      a.service.cache_dir = tool::parse_cache_dir_flag(kProgram, next());
     } else if (arg == "--cache-max-entries") {
       a.service.cache_max_entries = static_cast<std::size_t>(int_value(0));
+      cache_bound_flag = "--cache-max-entries";
     } else if (arg == "--cache-max-bytes") {
       a.service.cache_max_bytes = static_cast<std::uint64_t>(int_value(0));
+      cache_bound_flag = "--cache-max-bytes";
     } else if (arg == "--idle-timeout-ms") {
       a.server.idle_timeout_ms = static_cast<int>(int_value(0, kIntMax));
     } else if (arg == "--request-timeout-ms") {
@@ -239,6 +241,8 @@ ServeArgs parse_args(int argc, char** argv) {
       usage();
     }
   }
+  tool::require_cache_dir_for_bound(kProgram, cache_bound_flag,
+                                    a.service.cache_dir.has_value());
   // One flag sizes both the reactor's cap and the service's error line.
   a.service.max_request_bytes = a.server.max_request_bytes;
   if (a.socket_path.empty() && !a.listen_endpoint.has_value()) {

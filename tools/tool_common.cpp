@@ -32,13 +32,15 @@ void print_usage(std::FILE* out) {
                "  --unfold U       unfolding factor for the derivation\n"
                "  --seed S         RNG seed (search/sporadic scripts)\n"
                "  --cache-dir D    on-disk schedule cache (schedule/simulate);\n"
-               "                   D is created when its parent exists, else error\n"
+               "                   D is created when its parent exists, else error;\n"
+               "                   must not be empty\n"
                "  --cache-max-entries N  bound the cache directory to N entries\n"
-               "                   (LRU-style eviction; also the cache-gc bound)\n"
+               "                   (LRU-style eviction; also the cache-gc bound;\n"
+               "                   0 = unbounded; requires --cache-dir)\n"
                "  --cache-max-bytes B  bound the cache directory's entry files to\n"
                "                   B bytes total (oldest evicted first; combines\n"
                "                   with --cache-max-entries, also honored by\n"
-               "                   cache-gc)\n"
+               "                   cache-gc; 0 = unbounded; requires --cache-dir)\n"
                "  --no-cache       disable the schedule cache even with --cache-dir\n"
                "  --dot | --gantt  graph/schedule rendering\n"
                "  --seeds N        fuzz: scenario count (default 100)\n"
@@ -110,6 +112,7 @@ Args parse_args(int argc, char** argv) {
     }
     request.network_path = argv[2];
   }
+  const char* cache_bound_flag = nullptr;  // the last cache bound given
   for (int i = takes_file ? 3 : 2; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> std::string {
@@ -157,13 +160,15 @@ Args parse_args(int argc, char** argv) {
       require_known(runtime::RuntimeRegistry::global(), "runtime", "runtimes",
                     a.runtime);
     } else if (arg == "--cache-dir") {
-      config.cache_dir = next();
+      config.cache_dir = parse_cache_dir_flag(kProgram, next());
     } else if (arg == "--cache-max-entries") {
       config.cache_max_entries = static_cast<std::size_t>(parse_int_flag(
-          kProgram, "--cache-max-entries", next(), 1, kIntMax));
+          kProgram, "--cache-max-entries", next(), 0, kIntMax));
+      cache_bound_flag = "--cache-max-entries";
     } else if (arg == "--cache-max-bytes") {
       config.cache_max_bytes = static_cast<std::uint64_t>(
-          parse_int_flag(kProgram, "--cache-max-bytes", next(), 1));
+          parse_int_flag(kProgram, "--cache-max-bytes", next(), 0));
+      cache_bound_flag = "--cache-max-bytes";
     } else if (arg == "--no-cache") {
       config.no_cache = true;
     } else if (arg == "--optimize") {
@@ -184,6 +189,7 @@ Args parse_args(int argc, char** argv) {
       usage();
     }
   }
+  require_cache_dir_for_bound(kProgram, cache_bound_flag, config.cache_dir.has_value());
   return a;
 }
 
