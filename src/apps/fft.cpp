@@ -3,6 +3,9 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <vector>
+
+#include "apps/bound_channel.hpp"
 
 namespace fppn::apps {
 namespace {
@@ -45,10 +48,15 @@ Value to_value(const std::complex<double>& z) {
 /// Generator: bit-reverse the k-th input block onto the stage-0 lines.
 class GeneratorBehavior final : public ProcessBehavior {
  public:
-  GeneratorBehavior(int points, int stages) : points_(points), stages_(stages) {}
+  GeneratorBehavior(int points, int stages) : points_(points), stages_(stages) {
+    lines_.reserve(static_cast<std::size_t>(points));
+    for (int line = 0; line < points; ++line) {
+      lines_.emplace_back(line_name(0, line));
+    }
+  }
 
   void on_job(JobContext& ctx) override {
-    const Value in = ctx.read("FFTIn");
+    const Value in = in_.read(ctx);
     std::vector<double> block(static_cast<std::size_t>(points_), 0.0);
     if (const auto* vec = std::get_if<std::vector<double>>(&in)) {
       for (std::size_t i = 0; i < block.size() && i < vec->size(); ++i) {
@@ -57,56 +65,68 @@ class GeneratorBehavior final : public ProcessBehavior {
     }
     for (int line = 0; line < points_; ++line) {
       const int src = bit_reverse(line, stages_);
-      ctx.write(line_name(0, line),
-                to_value({block[static_cast<std::size_t>(src)], 0.0}));
+      lines_[static_cast<std::size_t>(line)].write(
+          ctx, to_value({block[static_cast<std::size_t>(src)], 0.0}));
     }
   }
 
  private:
   int points_;
   int stages_;
+  BoundChannel in_{"FFTIn"};
+  std::vector<BoundChannel> lines_;  ///< stage-0 line i
 };
 
 /// FFT2_<s>_<i>: one radix-2 decimation-in-time butterfly.
 class ButterflyBehavior final : public ProcessBehavior {
  public:
   ButterflyBehavior(int stage, int line_a, int line_b, std::complex<double> twiddle)
-      : stage_(stage), line_a_(line_a), line_b_(line_b), twiddle_(twiddle) {}
+      : in_a_(line_name(stage, line_a)),
+        in_b_(line_name(stage, line_b)),
+        out_a_(line_name(stage + 1, line_a)),
+        out_b_(line_name(stage + 1, line_b)),
+        twiddle_(twiddle) {}
 
   void on_job(JobContext& ctx) override {
-    const std::complex<double> a = as_complex(ctx.read(line_name(stage_, line_a_)));
-    const std::complex<double> b = as_complex(ctx.read(line_name(stage_, line_b_)));
+    const std::complex<double> a = as_complex(in_a_.read(ctx));
+    const std::complex<double> b = as_complex(in_b_.read(ctx));
     const std::complex<double> t = twiddle_ * b;
-    ctx.write(line_name(stage_ + 1, line_a_), to_value(a + t));
-    ctx.write(line_name(stage_ + 1, line_b_), to_value(a - t));
+    out_a_.write(ctx, to_value(a + t));
+    out_b_.write(ctx, to_value(a - t));
   }
 
  private:
-  int stage_;
-  int line_a_;
-  int line_b_;
+  BoundChannel in_a_;
+  BoundChannel in_b_;
+  BoundChannel out_a_;
+  BoundChannel out_b_;
   std::complex<double> twiddle_;
 };
 
 /// Consumer: gather the naturally-ordered spectrum, emit interleaved re/im.
 class ConsumerBehavior final : public ProcessBehavior {
  public:
-  ConsumerBehavior(int points, int stages) : points_(points), stages_(stages) {}
+  ConsumerBehavior(int points, int stages) {
+    lines_.reserve(static_cast<std::size_t>(points));
+    for (int line = 0; line < points; ++line) {
+      lines_.emplace_back(line_name(stages, line));
+    }
+  }
 
   void on_job(JobContext& ctx) override {
     std::vector<double> out;
-    out.reserve(static_cast<std::size_t>(points_) * 2);
-    for (int line = 0; line < points_; ++line) {
-      const std::complex<double> z = as_complex(ctx.read(line_name(stages_, line)));
+    out.reserve(lines_.size() * 2);
+    for (BoundChannel& line : lines_) {
+      const std::complex<double> z = as_complex(line.read(ctx));
       out.push_back(z.real());
       out.push_back(z.imag());
     }
-    ctx.write("FFTOut", out);
+    out_.write(ctx, out);
   }
 
  private:
-  int points_;
-  int stages_;
+  std::vector<BoundChannel> lines_;  ///< last-stage line i
+  BoundChannel out_{"FFTOut"};
 };
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "apps/bound_channel.hpp"
+
 namespace fppn::apps {
 namespace {
 
@@ -19,11 +21,16 @@ double as_double(const Value& v, double fallback) {
 class InputABehavior final : public ProcessBehavior {
  public:
   void on_job(JobContext& ctx) override {
-    const Value x = ctx.read("InA");
+    const Value x = in_.read(ctx);
     const double sample = as_double(x, 0.0);
-    ctx.write("inA_fA", sample);
-    ctx.write("inA_fB", sample);
+    to_fa_.write(ctx, sample);
+    to_fb_.write(ctx, sample);
   }
+
+ private:
+  BoundChannel in_{"InA"};
+  BoundChannel to_fa_{"inA_fA"};
+  BoundChannel to_fb_{"inA_fB"};
 };
 
 /// FilterA: leaky integrator over the (every other invocation) input,
@@ -31,71 +38,98 @@ class InputABehavior final : public ProcessBehavior {
 class FilterABehavior final : public ProcessBehavior {
  public:
   void on_job(JobContext& ctx) override {
-    const Value x = ctx.read("inA_fA");
+    const Value x = in_.read(ctx);
     if (has_data(x)) {
       acc_ = 0.5 * acc_ + as_double(x, 0.0);
     } else {
       acc_ = 0.5 * acc_;  // decay between input samples
     }
-    const double gain = as_double(ctx.read("fbA"), 1.0);
+    const double gain = as_double(feedback_.read(ctx), 1.0);
     const double out = acc_ * gain;
-    ctx.write("fA_nA", out);
-    ctx.write("mixA", out);
+    to_norm_.write(ctx, out);
+    to_mix_.write(ctx, out);
   }
 
  private:
   double acc_ = 0.0;
+  BoundChannel in_{"inA_fA"};
+  BoundChannel feedback_{"fbA"};
+  BoundChannel to_norm_{"fA_nA"};
+  BoundChannel to_mix_{"mixA"};
 };
 
 /// NormA: soft normalizer; also produces FilterA's feedback gain.
 class NormABehavior final : public ProcessBehavior {
  public:
   void on_job(JobContext& ctx) override {
-    const double v = as_double(ctx.read("fA_nA"), 0.0);
+    const double v = as_double(in_.read(ctx), 0.0);
     const double norm = v / (1.0 + std::abs(v));
-    ctx.write("nA_outA", norm);
-    ctx.write("fbA", 1.0 / (1.0 + std::abs(v)));
+    to_out_.write(ctx, norm);
+    feedback_.write(ctx, 1.0 / (1.0 + std::abs(v)));
   }
+
+ private:
+  BoundChannel in_{"fA_nA"};
+  BoundChannel to_out_{"nA_outA"};
+  BoundChannel feedback_{"fbA"};
 };
 
 class OutputABehavior final : public ProcessBehavior {
  public:
   void on_job(JobContext& ctx) override {
-    const Value v = ctx.read("nA_outA");
-    ctx.write("Out1", has_data(v) ? v : Value{0.0});
+    const Value v = in_.read(ctx);
+    out_.write(ctx, has_data(v) ? v : Value{0.0});
   }
+
+ private:
+  BoundChannel in_{"nA_outA"};
+  BoundChannel out_{"Out1"};
 };
 
 /// CoefB: store the sporadically commanded coefficient on the blackboard.
 class CoefBBehavior final : public ProcessBehavior {
  public:
   void on_job(JobContext& ctx) override {
-    const Value c = ctx.read("CoefIn");
+    const Value c = in_.read(ctx);
     if (has_data(c)) {
-      ctx.write("coefB", as_double(c, 1.0));
+      board_.write(ctx, as_double(c, 1.0));
     }
   }
+
+ private:
+  BoundChannel in_{"CoefIn"};
+  BoundChannel board_{"coefB"};
 };
 
 /// FilterB: gain filter with the last commanded coefficient.
 class FilterBBehavior final : public ProcessBehavior {
  public:
   void on_job(JobContext& ctx) override {
-    const double x = as_double(ctx.read("inA_fB"), 0.0);
-    const double c = as_double(ctx.read("coefB"), 1.0);
-    ctx.write("fB_outB", c * x);
+    const double x = as_double(in_.read(ctx), 0.0);
+    const double c = as_double(coef_.read(ctx), 1.0);
+    out_.write(ctx, c * x);
   }
+
+ private:
+  BoundChannel in_{"inA_fB"};
+  BoundChannel coef_{"coefB"};
+  BoundChannel out_{"fB_outB"};
 };
 
 /// OutputB: mix the FilterB output (when present) with the FilterA path.
 class OutputBBehavior final : public ProcessBehavior {
  public:
   void on_job(JobContext& ctx) override {
-    const Value y = ctx.read("fB_outB");
-    const Value m = ctx.read("mixA");
+    const Value y = filtered_.read(ctx);
+    const Value m = mix_.read(ctx);
     const double out = as_double(y, 0.0) + 0.25 * as_double(m, 0.0);
-    ctx.write("Out2", out);
+    out_.write(ctx, out);
   }
+
+ private:
+  BoundChannel filtered_{"fB_outB"};
+  BoundChannel mix_{"mixA"};
+  BoundChannel out_{"Out2"};
 };
 
 template <class B>

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "apps/bound_channel.hpp"
+
 namespace fppn::apps {
 namespace {
 
@@ -30,11 +32,16 @@ std::vector<double> as_block(const Value& v, std::size_t size) {
 class SensorInputBehavior final : public ProcessBehavior {
  public:
   void on_job(JobContext& ctx) override {
-    const Value in = ctx.read("Sensors");
+    const Value in = sensors_.read(ctx);
     const std::vector<double> block = as_block(in, 4);
-    ctx.write("SensorData", block);
-    ctx.write("SensorDataLF", block);
+    high_freq_.write(ctx, block);
+    low_freq_.write(ctx, block);
   }
+
+ private:
+  BoundChannel sensors_{"Sensors"};
+  BoundChannel high_freq_{"SensorData"};
+  BoundChannel low_freq_{"SensorDataLF"};
 };
 
 /// A config process: latch the k-th commanded value onto its blackboard.
@@ -44,15 +51,15 @@ class ConfigBehavior final : public ProcessBehavior {
       : input_(std::move(input)), board_(std::move(board)) {}
 
   void on_job(JobContext& ctx) override {
-    const Value cmd = ctx.read(input_);
+    const Value cmd = input_.read(ctx);
     if (has_data(cmd)) {
-      ctx.write(board_, as_double(cmd, 1.0));
+      board_.write(ctx, as_double(cmd, 1.0));
     }
   }
 
  private:
-  std::string input_;
-  std::string board_;
+  BoundChannel input_;
+  BoundChannel board_;
 };
 
 /// HighFreqBCP: weighted fusion of the four sensor readings with the
@@ -61,13 +68,13 @@ class ConfigBehavior final : public ProcessBehavior {
 class HighFreqBcpBehavior final : public ProcessBehavior {
  public:
   void on_job(JobContext& ctx) override {
-    const std::vector<double> s = as_block(ctx.read("SensorData"), 4);
-    const double w_anemo = as_double(ctx.read("AnemoData"), 1.0);
-    const double w_gps = as_double(ctx.read("GPSData"), 1.0);
-    const double w_irs = as_double(ctx.read("IRSData"), 1.0);
-    const double w_doppler = as_double(ctx.read("DopplerData"), 1.0);
-    const double gain = as_double(ctx.read("BCPConfigData"), 1.0);
-    const double declination = as_double(ctx.read("Declination"), 0.0);
+    const std::vector<double> s = as_block(sensors_.read(ctx), 4);
+    const double w_anemo = as_double(anemo_.read(ctx), 1.0);
+    const double w_gps = as_double(gps_.read(ctx), 1.0);
+    const double w_irs = as_double(irs_.read(ctx), 1.0);
+    const double w_doppler = as_double(doppler_.read(ctx), 1.0);
+    const double gain = as_double(gain_.read(ctx), 1.0);
+    const double declination = as_double(declination_.read(ctx), 0.0);
     const double wsum = w_anemo + w_gps + w_irs + w_doppler;
     const double fused =
         wsum > 0.0
@@ -75,28 +82,42 @@ class HighFreqBcpBehavior final : public ProcessBehavior {
             : 0.0;
     // First-order smoothing: the "best computed position".
     bcp_ = 0.75 * bcp_ + 0.25 * gain * (fused + declination);
-    ctx.write("BCPData", bcp_);
-    ctx.write("BCPForPerf", bcp_);
-    ctx.write("BCPForDeclin", bcp_);
-    ctx.write("BCP", bcp_);
+    to_low_freq_.write(ctx, bcp_);
+    to_performance_.write(ctx, bcp_);
+    to_declin_.write(ctx, bcp_);
+    out_.write(ctx, bcp_);
   }
 
  private:
   double bcp_ = 0.0;
+  BoundChannel sensors_{"SensorData"};
+  BoundChannel anemo_{"AnemoData"};
+  BoundChannel gps_{"GPSData"};
+  BoundChannel irs_{"IRSData"};
+  BoundChannel doppler_{"DopplerData"};
+  BoundChannel gain_{"BCPConfigData"};
+  BoundChannel declination_{"Declination"};
+  BoundChannel to_low_freq_{"BCPData"};
+  BoundChannel to_performance_{"BCPForPerf"};
+  BoundChannel to_declin_{"BCPForDeclin"};
+  BoundChannel out_{"BCP"};
 };
 
 /// LowFreqBCP: slow consolidation of the high-rate BCP with raw sensors.
 class LowFreqBcpBehavior final : public ProcessBehavior {
  public:
   void on_job(JobContext& ctx) override {
-    const std::vector<double> s = as_block(ctx.read("SensorDataLF"), 4);
-    const double bcp = as_double(ctx.read("BCPData"), 0.0);
+    const std::vector<double> s = as_block(sensors_.read(ctx), 4);
+    const double bcp = as_double(bcp_.read(ctx), 0.0);
     consolidated_ = 0.5 * consolidated_ + 0.5 * (0.8 * bcp + 0.05 * (s[1] + s[2]));
-    ctx.write("BCPLow", consolidated_);
+    out_.write(ctx, consolidated_);
   }
 
  private:
   double consolidated_ = 0.0;
+  BoundChannel sensors_{"SensorDataLF"};
+  BoundChannel bcp_{"BCPData"};
+  BoundChannel out_{"BCPLow"};
 };
 
 /// MagnDeclin with the paper's period-reduction trick: at the reduced
@@ -110,32 +131,38 @@ class MagnDeclinBehavior final : public ProcessBehavior {
     if ((ctx.job_index() - 1) % stride_ != 0) {
       return;  // light invocation: body skipped
     }
-    const double bcp = as_double(ctx.read("BCPForDeclin"), 0.0);
-    const double table = as_double(ctx.read("MagnDeclinConfigData"), 1.0);
+    const double bcp = as_double(bcp_.read(ctx), 0.0);
+    const double table = as_double(table_.read(ctx), 1.0);
     // Toy IGRF-like declination as a smooth function of position.
     const double declination = 0.1 * table * std::sin(bcp / 60.0);
-    ctx.write("Declination", declination);
+    out_.write(ctx, declination);
   }
 
  private:
   int stride_;
+  BoundChannel bcp_{"BCPForDeclin"};
+  BoundChannel table_{"MagnDeclinConfigData"};
+  BoundChannel out_{"Declination"};
 };
 
 /// Performance: fuel-usage prediction from the BCP trajectory.
 class PerformanceBehavior final : public ProcessBehavior {
  public:
   void on_job(JobContext& ctx) override {
-    const double bcp = as_double(ctx.read("BCPForPerf"), 0.0);
-    const double model = as_double(ctx.read("PerformanceConfigData"), 1.0);
+    const double bcp = as_double(bcp_.read(ctx), 0.0);
+    const double model = as_double(model_.read(ctx), 1.0);
     const double ground_speed = std::abs(bcp - last_bcp_);
     last_bcp_ = bcp;
     fuel_ += model * (0.5 + 0.01 * ground_speed);
-    ctx.write("FuelPrediction", fuel_);
+    out_.write(ctx, fuel_);
   }
 
  private:
   double last_bcp_ = 0.0;
   double fuel_ = 0.0;
+  BoundChannel bcp_{"BCPForPerf"};
+  BoundChannel model_{"PerformanceConfigData"};
+  BoundChannel out_{"FuelPrediction"};
 };
 
 template <class B, class... Args>

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "engine/engine.hpp"
@@ -139,10 +140,10 @@ std::optional<std::string> check_policy_trace(const Network& net,
     Time end;
     std::size_t processor = 0;
   };
-  std::map<std::string, Span> spans;
+  std::map<std::string_view, Span> spans;  // views of run.trace's labels
   for (const TraceEvent& e : run.trace.of_kind(TraceEventKind::kJobRun)) {
     if (!e.end.has_value()) {
-      return "job-run event without an end: " + e.label;
+      return "job-run event without an end: " + std::string(e.label);
     }
     spans[e.label] = Span{e.time, *e.end, e.processor.value()};
   }

@@ -48,10 +48,14 @@ class Runtime {
   /// std::invalid_argument on incomplete schedules or bad options
   /// (frames < 1, negative actual execution times).
   ///
-  /// Determinism: every backend must produce output histories
-  /// functionally equal to the zero-delay reference (Prop. 4.1) — "vm" is
-  /// additionally bit-deterministic in its trace times, while "threads"
-  /// measures wall time, so its trace/deadline numbers carry OS jitter.
+  /// Determinism: on a run that meets every deadline, every backend
+  /// produces output histories functionally equal to the zero-delay
+  /// reference (Prop. 4.1). Across frames a backend keeps only
+  /// same-process order, so after a deadline miss a job may read an
+  /// FP-related job of the next frame and the histories may differ
+  /// (ROADMAP.md, open item 1). "vm" is additionally bit-deterministic in
+  /// its trace times, while "threads" measures wall time, so its
+  /// trace/deadline numbers carry OS jitter.
   /// Thread safety: backends are stateless; one instance may serve
   /// concurrent run() calls, and make_runtime hands out fresh instances
   /// anyway.

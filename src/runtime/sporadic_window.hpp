@@ -17,11 +17,18 @@
 // Every function here is a pure function of its arguments (exact rational
 // arithmetic, no state): deterministic, safe to call concurrently, and
 // non-throwing for the argument ranges produced by the derivation —
-// callers pass `sorted` ascending (tth_invocation_in binary-searches it
-// with lower_bound/upper_bound, so on unsorted input it merely returns a
-// wrong answer; it never throws).
+// callers pass `sorted` ascending (tth_invocation_in binary-searches it,
+// so on unsorted input it merely returns a wrong answer; it never throws).
+//
+// InvocationCursor gives the same answers for a run of windows of one
+// process: it keeps the first in-window index of the last window and
+// moves it forward, so a walk whose window starts never decrease (the
+// vm's, per process) pays amortized O(1) per server job instead of a
+// binary search. Both apply one membership rule (sporadic_window.cpp);
+// the cursor only finds the first in-window index differently.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <vector>
 
@@ -58,5 +65,24 @@ struct ServerWindow {
 /// when fewer than t occurred — the corresponding server job is 'false'.
 [[nodiscard]] std::optional<Time> tth_invocation_in(const std::vector<Time>& sorted,
                                                     const ServerWindow& window, int t);
+
+/// tth_invocation_in over one process's script, for windows queried in
+/// order. A window whose start does not move backwards (and keeps the
+/// closure kind of the previous one) advances the cursor past the
+/// invocations before it; any other window falls back to the binary
+/// search. Answers always equal tth_invocation_in's. Holds a pointer to
+/// `sorted`, which must outlive it; not thread-safe (one cursor per
+/// walker).
+class InvocationCursor {
+ public:
+  explicit InvocationCursor(const std::vector<Time>& sorted) : sorted_(&sorted) {}
+
+  [[nodiscard]] std::optional<Time> tth_in(const ServerWindow& window, int t);
+
+ private:
+  const std::vector<Time>* sorted_;
+  std::size_t first_ = 0;             ///< first index not before `last_`
+  std::optional<ServerWindow> last_;  ///< the previous query's window
+};
 
 }  // namespace fppn

@@ -132,6 +132,14 @@ RunResult run_static_order_threads(const Network& net, const DerivedTaskGraph& d
   ExecutionState state(net, inputs);
   std::mutex state_mu;
 
+  // Each job's name stored once in the run's trace; the workers only
+  // read the views.
+  RunResult result;
+  std::vector<std::string_view> labels(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    labels[i] = result.trace.intern(tg.job(JobId(i)).name);
+  }
+
   // Collected per-worker, merged afterwards.
   struct LocalEvent {
     TraceEvent event;
@@ -171,8 +179,9 @@ RunResult run_static_order_threads(const Network& net, const DerivedTaskGraph& d
               board.await(frame, pred);
             }
             log.push_back(LocalEvent{
-                TraceEvent{TraceEventKind::kFalseSkip, frame, ProcessorId(m), job.name,
-                           clock.model_of(SteadyClock::now()), std::nullopt},
+                TraceEvent{TraceEventKind::kFalseSkip, frame, ProcessorId(m),
+                           labels[id.value()], clock.model_of(SteadyClock::now()),
+                           std::nullopt},
                 std::nullopt});
             board.mark(frame, id);
             continue;
@@ -204,14 +213,14 @@ RunResult run_static_order_threads(const Network& net, const DerivedTaskGraph& d
           const Time t_start = clock.model_of(wall_start);
           const Time t_end = clock.model_of(wall_end);
           log.push_back(LocalEvent{TraceEvent{TraceEventKind::kJobRun, frame,
-                                              ProcessorId(m), job.name, t_start,
-                                              t_end},
+                                              ProcessorId(m), labels[id.value()],
+                                              t_start, t_end},
                                    std::nullopt});
           const Time abs_deadline = frame_base + (job.deadline - Time());
           if (t_end > abs_deadline) {
             log.push_back(LocalEvent{
                 TraceEvent{TraceEventKind::kDeadlineMiss, frame, ProcessorId(m),
-                           job.name, t_end, std::nullopt},
+                           labels[id.value()], t_end, std::nullopt},
                 DeadlineMiss{frame, id, t_end, abs_deadline}});
           }
         }
@@ -222,7 +231,6 @@ RunResult run_static_order_threads(const Network& net, const DerivedTaskGraph& d
     w.join();
   }
 
-  RunResult result;
   for (std::int64_t frame = 0; frame < opts.frames; ++frame) {
     result.trace.add(TraceEvent{TraceEventKind::kFrameStart, frame, ProcessorId(),
                                 "frame " + std::to_string(frame),

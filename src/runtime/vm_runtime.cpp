@@ -20,7 +20,8 @@ struct JobPlan {
   const ServerInfo* server = nullptr;
   int burst_rank = 0;      ///< t: the job stands for the t-th invocation of its window
   Duration subset_offset;  ///< (subset - 1) * T': subset boundary - frame base
-  const std::vector<Time>* invocations = nullptr;  ///< sorted; null: no script
+  InvocationCursor* cursor = nullptr;  ///< the process's script; null: no script
+  std::string_view label;  ///< the job's name, stored once in the run's trace
 };
 
 /// Dynamic per-frame resolution of one job.
@@ -97,6 +98,17 @@ RunResult run_static_order_vm(const Network& net, const DerivedTaskGraph& derive
   }
   const Duration h = derived.hyperperiod;
 
+  // One script cursor per sporadic process: the walk visits a process's
+  // server jobs by nondecreasing window start.
+  std::vector<InvocationCursor> cursors;
+  cursors.reserve(sporadics.size());
+  std::vector<InvocationCursor*> cursor_of(net.process_count(), nullptr);
+  for (const auto& [process, script] : sporadics) {
+    if (process.value() < cursor_of.size()) {
+      // SporadicScript stores its times sorted.
+      cursor_of[process.value()] = &cursors.emplace_back(script.times());
+    }
+  }
   // Static plan: frame offsets, server data, previous job on the same
   // processor / of the same process.
   std::vector<JobPlan> plan(n);
@@ -109,10 +121,7 @@ RunResult run_static_order_vm(const Network& net, const DerivedTaskGraph& derive
       jp.server = &derived.servers.at(job.process);
       jp.burst_rank = static_cast<int>((job.k - 1) % jp.server->burst) + 1;
       jp.subset_offset = jp.server->server_period * Rational(job.subset - 1);
-      const auto script = sporadics.find(job.process);
-      if (script != sporadics.end()) {
-        jp.invocations = &script->second.times();  // SporadicScript stores sorted
-      }
+      jp.cursor = cursor_of[job.process.value()];
     }
   }
   const auto order = schedule.per_processor_order();
@@ -142,6 +151,9 @@ RunResult run_static_order_vm(const Network& net, const DerivedTaskGraph& derive
   RunResult result;
   ExecutionState state(net, inputs);  // nothing reads the action trace
   result.trace.reserve(static_cast<std::size_t>(opts.frames) * (n + 2));
+  for (std::size_t i = 0; i < n; ++i) {
+    plan[i].label = result.trace.intern(tg.job(JobId(i)).name);
+  }
 
   // Cross-frame carry-over: completion of the last job per processor and
   // per process (the static-order walk is sequential per processor; jobs
@@ -188,10 +200,9 @@ RunResult run_static_order_vm(const Network& net, const DerivedTaskGraph& derive
       if (jp.server != nullptr) {
         const Time boundary = frame_base + jp.subset_offset;
         const std::optional<Time> tth =
-            jp.invocations == nullptr
+            jp.cursor == nullptr
                 ? std::nullopt
-                : tth_invocation_in(*jp.invocations, server_window(*jp.server, boundary),
-                                    jp.burst_rank);
+                : jp.cursor->tth_in(server_window(*jp.server, boundary), jp.burst_rank);
         if (!tth.has_value()) {
           // Marked 'false' at its arrival time A_i (== boundary); the
           // round completes as soon as the processor reaches it, the
@@ -212,7 +223,7 @@ RunResult run_static_order_vm(const Network& net, const DerivedTaskGraph& derive
           run.start = ready;
           run.end = ready;
           result.trace.add(TraceEvent{TraceEventKind::kFalseSkip, frame,
-                                      ProcessorId(jp.proc), job.name, ready,
+                                      ProcessorId(jp.proc), jp.label, ready,
                                       std::nullopt});
           result.span_end = std::max(result.span_end, ready);
           ++result.false_skips;
@@ -250,13 +261,13 @@ RunResult run_static_order_vm(const Network& net, const DerivedTaskGraph& derive
       run.end = start + exec;
       executed.push_back(Executed{start, frame, id, run.invocation});
       result.trace.add(TraceEvent{TraceEventKind::kJobRun, frame, ProcessorId(jp.proc),
-                                  job.name, run.start, run.end});
+                                  jp.label, run.start, run.end});
       result.span_end = std::max(result.span_end, run.end);
       const Time abs_deadline = frame_base + jp.deadline;
       if (run.end > abs_deadline) {
         result.misses.push_back(DeadlineMiss{frame, id, run.end, abs_deadline});
         result.trace.add(TraceEvent{TraceEventKind::kDeadlineMiss, frame,
-                                    ProcessorId(jp.proc), job.name, run.end,
+                                    ProcessorId(jp.proc), jp.label, run.end,
                                     std::nullopt});
       }
       ++result.jobs_executed;

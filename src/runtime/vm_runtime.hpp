@@ -23,7 +23,11 @@
 // offsets, server data and previous job on the processor and of the
 // process, and one walk order for every frame. That order takes the
 // smallest ready job id first over precedence plus the processor chains,
-// so it is the unique order topological_sort gives on those edges.
+// so it is the unique order topological_sort gives on those edges. The
+// walk reaches a sporadic process's server jobs by nondecreasing window
+// start, so each process's script has one InvocationCursor for the run.
+// Each job's name is stored once in the run's trace, and its events
+// share it.
 //
 // RunOptions, RunResult and the 'false' rule for server jobs (the t-th
 // invocation of the caller's script in the subset window, or none) are
@@ -88,8 +92,9 @@ struct RunResult {
 /// `sporadics` gives the real invocation time stamps of each sporadic
 /// process over the whole run (global time, not per frame); a server job
 /// is the t-th invocation of its window in that script, or 'false'
-/// (tth_invocation_in). run_static_order_threads decides membership by
-/// the same rule. `inputs` are the external-input sample arrays.
+/// (tth_invocation_in, found by an InvocationCursor).
+/// run_static_order_threads decides membership by the same rule.
+/// `inputs` are the external-input sample arrays.
 ///
 /// Deterministic: a pure function of its arguments — simulated time is
 /// exact rational, so traces, histories and deadline misses are
@@ -105,8 +110,11 @@ struct RunResult {
 
 /// The zero-delay reference for the same run: periodic invocations over
 /// [0, frames*H) plus the sporadic scripts, executed with the zero-delay
-/// semantics. Prop. 4.1 + Prop. 2.1 imply the VM histories must be
-/// functionally equal to this (the property tests verify it).
+/// semantics. By Prop. 4.1 + Prop. 2.1 the VM histories of a run that
+/// meets every deadline are functionally equal to this (the property
+/// tests verify it). Across frames the vm keeps only same-process order,
+/// so after a deadline miss the histories may differ (ROADMAP.md, open
+/// item 1).
 /// Histories only: it records no Act* trace (result.trace stays empty);
 /// run_zero_delay on InvocationPlan::build(net, frames*H, sporadics) is
 /// the traced run with equal histories and jobs_executed.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 namespace fppn {
@@ -30,7 +31,7 @@ Window make_window(const TimedTrace& trace, const GanttOptions& opts) {
   return Window{t0, std::max(t1, t0 + 1.0), opts.columns};
 }
 
-void paint(std::string& row, std::size_t c0, std::size_t c1, const std::string& name) {
+void paint(std::string& row, std::size_t c0, std::size_t c1, std::string_view name) {
   if (c1 <= c0) {
     c1 = c0 + 1;
   }
@@ -66,7 +67,7 @@ std::string render_gantt(const TimedTrace& trace, std::int64_t processors,
         }
         break;
       case TraceEventKind::kOverhead:
-        paint(rt_row, w.col(start), w.col(end), "RT:" + e.label);
+        paint(rt_row, w.col(start), w.col(end), std::string("RT:").append(e.label));
         any_overhead = true;
         break;
       case TraceEventKind::kFrameStart:

@@ -1,6 +1,7 @@
 #include "sim/timed_trace.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <sstream>
 
 namespace fppn {
@@ -19,6 +20,41 @@ std::string to_string(TraceEventKind k) {
       return "deadline-miss";
   }
   return "?";
+}
+
+std::string_view TimedTrace::intern(std::string_view text) {
+  if (text.empty()) {
+    return {};
+  }
+  if (labels_.empty() || labels_.back().capacity - labels_.back().used < text.size()) {
+    // Each new block doubles the last, so owns() searches few blocks.
+    constexpr std::size_t kFirstBlock = 1024;
+    const std::size_t capacity = std::max(
+        text.size(), labels_.empty() ? kFirstBlock : 2 * labels_.back().capacity);
+    labels_.push_back(LabelBlock{std::make_unique<char[]>(capacity), capacity, 0});
+  }
+  LabelBlock& block = labels_.back();
+  char* const out = block.bytes.get() + block.used;
+  std::copy(text.begin(), text.end(), out);
+  block.used += text.size();
+  return {out, text.size()};
+}
+
+void TimedTrace::add(TraceEvent e) {
+  if (!owns(e.label)) {
+    e.label = intern(e.label);
+  }
+  events_.push_back(e);
+}
+
+bool TimedTrace::owns(std::string_view label) const {
+  // std::less orders pointers into unrelated arrays too.
+  const std::less<const char*> before;
+  return std::any_of(labels_.rbegin(), labels_.rend(), [&](const LabelBlock& block) {
+    const char* const begin = block.bytes.get();
+    return !before(label.data(), begin) &&
+           !before(begin + block.used, label.data() + label.size());
+  });
 }
 
 std::vector<TraceEvent> TimedTrace::of_kind(TraceEventKind k) const {

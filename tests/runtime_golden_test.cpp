@@ -42,7 +42,7 @@ class Digest {
   }
   void u64(std::uint64_t v) { bytes(&v, sizeof v); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void str(const std::string& s) {
+  void str(std::string_view s) {
     u64(s.size());
     bytes(s.data(), s.size());
   }

@@ -114,7 +114,7 @@ std::vector<std::string> false_skips_of_frame(const RunResult& run, std::int64_t
   std::vector<std::string> names;
   for (const TraceEvent& e : run.trace.events()) {
     if (e.kind == TraceEventKind::kFalseSkip && e.frame == frame) {
-      names.push_back(e.label);
+      names.emplace_back(e.label);
     }
   }
   std::sort(names.begin(), names.end());

@@ -174,9 +174,9 @@ TEST(TaOracle, SkippedJobsNeverStartASuccessorBeforeTheVm) {
   std::map<JobId, Time> vm_start;
   for (const TraceEvent& e : run.trace.events()) {
     if (e.kind == TraceEventKind::kFalseSkip) {
-      skipped.push_back(*derived.graph.find(e.label));
+      skipped.push_back(*derived.graph.find(std::string(e.label)));
     } else if (e.kind == TraceEventKind::kJobRun) {
-      vm_start.emplace(*derived.graph.find(e.label), e.time);
+      vm_start.emplace(*derived.graph.find(std::string(e.label)), e.time);
     }
   }
   ASSERT_FALSE(skipped.empty());
@@ -234,9 +234,9 @@ TEST(TaOracle, FmsFalseServerJobHoldsItsSuccessorBehindItsPredecessors) {
   std::map<JobId, Time> vm_start;
   for (const TraceEvent& e : run.trace.events()) {
     if (e.kind == TraceEventKind::kFalseSkip) {
-      skipped.insert(*tg.find(e.label));
+      skipped.insert(*tg.find(std::string(e.label)));
     } else if (e.kind == TraceEventKind::kJobRun) {
-      vm_start.emplace(*tg.find(e.label), e.time);
+      vm_start.emplace(*tg.find(std::string(e.label)), e.time);
     }
   }
 

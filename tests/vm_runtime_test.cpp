@@ -331,7 +331,7 @@ std::vector<std::string> job_events_of_frame(const TimedTrace& trace, std::int64
   for (const TraceEvent& e : trace.events()) {
     if (e.frame == frame &&
         (e.kind == TraceEventKind::kJobRun || e.kind == TraceEventKind::kFalseSkip)) {
-      names.push_back(e.label);
+      names.emplace_back(e.label);
     }
   }
   return names;
