@@ -2,15 +2,13 @@
 //
 // The paper defines execution as a trace over actions Act: waits w(tau),
 // channel reads x?c, channel writes x!c, external-I/O samples x?[k]I,
-// x![k]O. We record job boundaries too so traces can be projected per
-// process/job. Traces are the object the zero-delay semantics produces and
-// the object the determinism tests compare (after projecting away waits
-// and job interleaving).
+// x![k]O. We record job boundaries too, so a trace shows which job run
+// each access belongs to. Traces are the object the zero-delay semantics
+// produces and the object the determinism tests compare (after projecting
+// away waits and job interleaving).
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <string>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -72,24 +70,10 @@ class ActionTrace {
   [[nodiscard]] std::size_t size() const noexcept { return actions_.size(); }
   [[nodiscard]] bool empty() const noexcept { return actions_.empty(); }
 
-  /// Only the write actions on a given channel, in order — the channel
-  /// history Prop. 2.1 speaks about.
-  [[nodiscard]] std::vector<WriteAction> writes_to(ChannelId c) const;
-
-  /// Only the actions of a given process.
-  [[nodiscard]] std::vector<Action> of_process(ProcessId p) const;
-
   void clear() { actions_.clear(); }
 
  private:
   std::vector<Action> actions_;
 };
-
-class Network;  // fwd
-
-/// Renders "w(0) InputA[1]:read(in)=5 InputA[1]:write(c1)=25 ..." style
-/// text; one action per line when `multiline`.
-[[nodiscard]] std::string trace_to_string(const ActionTrace& trace, const Network& net,
-                                          bool multiline = true);
 
 }  // namespace fppn

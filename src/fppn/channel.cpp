@@ -12,18 +12,6 @@ std::string to_string(ChannelKind k) {
   return "?";
 }
 
-std::string to_string(ChannelScope s) {
-  switch (s) {
-    case ChannelScope::kInternal:
-      return "internal";
-    case ChannelScope::kExternalInput:
-      return "external-input";
-    case ChannelScope::kExternalOutput:
-      return "external-output";
-  }
-  return "?";
-}
-
 Value ChannelRuntime::read() {
   if (kind_ == ChannelKind::kFifo) {
     return head_ < history_.size() ? history_[head_++] : no_data();
@@ -45,11 +33,6 @@ std::size_t ChannelRuntime::buffered() const noexcept {
     return history_.size() - head_;
   }
   return history_.empty() ? 0 : 1;
-}
-
-void ChannelRuntime::reset() {
-  history_.clear();
-  head_ = 0;
 }
 
 }  // namespace fppn

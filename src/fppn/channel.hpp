@@ -29,8 +29,6 @@ enum class ChannelKind : std::uint8_t { kFifo, kBlackboard };
 /// boundary (I and O in Def. 2.1, partitioned over event generators).
 enum class ChannelScope : std::uint8_t { kInternal, kExternalInput, kExternalOutput };
 
-[[nodiscard]] std::string to_string(ChannelScope s);
-
 /// Mutable state of one internal channel during an execution.
 class ChannelRuntime {
  public:
@@ -55,14 +53,12 @@ class ChannelRuntime {
   /// Every value ever written, in order — the channel's output history in
   /// the sense of Prop. 2.1.
   [[nodiscard]] const std::vector<Value>& history() const& noexcept { return history_; }
-  /// The history moved out; the channel is left empty, as after reset().
+  /// The history moved out; the channel is left with no history and
+  /// nothing buffered.
   [[nodiscard]] std::vector<Value> history() && noexcept {
     head_ = 0;
     return std::move(history_);
   }
-
-  /// Clears buffered data and history (fresh execution).
-  void reset();
 
  private:
   ChannelKind kind_;

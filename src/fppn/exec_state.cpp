@@ -31,11 +31,6 @@ void JobContext::write(const std::string& channel_name, Value v) {
   write(*c, std::move(v));
 }
 
-const InputScripts& ExecutionState::no_inputs() {
-  static const InputScripts empty;
-  return empty;
-}
-
 ExecutionState::ExecutionState(const Network& net, const InputScripts& inputs,
                                ActionTrace* trace)
     : net_(&net), inputs_(&inputs), trace_(trace) {
@@ -80,11 +75,6 @@ void ExecutionState::advance_time(Time t) {
   }
   current_time_ = t;
   time_started_ = true;
-}
-
-std::int64_t ExecutionState::job_count(ProcessId p) const {
-  (void)net_->process(p);
-  return job_counts_[p.value()];
 }
 
 Value ExecutionState::do_read(ProcessId p, std::int64_t k, ChannelId c) {
@@ -179,11 +169,6 @@ ExecutionHistories ExecutionState::histories() && {
   }
   h.output_samples = std::move(outputs_);
   return h;
-}
-
-const ChannelRuntime& ExecutionState::channel_state(ChannelId c) const {
-  (void)net_->channel(c);
-  return channels_[c.value()];
 }
 
 }  // namespace fppn

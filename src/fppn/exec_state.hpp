@@ -75,11 +75,11 @@ class JobContext {
 class ExecutionState {
  public:
   /// Fresh state: channels empty, behaviors newly constructed, counters 0.
-  /// `inputs` is read in place and must outlive the state (default: no
-  /// scripts). Every action is appended to `*trace` when it is non-null;
-  /// the trace must outlive the state.
-  explicit ExecutionState(const Network& net, const InputScripts& inputs = no_inputs(),
-                          ActionTrace* trace = nullptr);
+  /// `inputs` is read in place and must outlive the state. Every action is
+  /// appended to `*trace` when it is non-null; the trace must outlive the
+  /// state.
+  ExecutionState(const Network& net, const InputScripts& inputs,
+                 ActionTrace* trace = nullptr);
   /// A temporary InputScripts would dangle: build the state from one the
   /// caller keeps alive.
   ExecutionState(const Network& net, InputScripts&& inputs,
@@ -94,24 +94,16 @@ class ExecutionState {
   /// Moves model time to t, recording w(t) (time must not decrease).
   void advance_time(Time t);
 
-  /// Number of completed job runs of p so far.
-  [[nodiscard]] std::int64_t job_count(ProcessId p) const;
-
   /// Snapshot of all channel histories + external output samples.
   [[nodiscard]] ExecutionHistories histories() const&;
   /// The same, moved out of a state that is finished with.
   [[nodiscard]] ExecutionHistories histories() &&;
-
-  [[nodiscard]] const ChannelRuntime& channel_state(ChannelId c) const;
 
  private:
   friend class JobContext;
 
   Value do_read(ProcessId p, std::int64_t k, ChannelId c);
   void do_write(ProcessId p, std::int64_t k, Time now, ChannelId c, Value v);
-
-  /// The empty scripts a state without inputs reads.
-  static const InputScripts& no_inputs();
 
   const Network* net_;
   std::vector<ChannelRuntime> channels_;                    // internal channels only

@@ -50,25 +50,6 @@ std::size_t ExecutionHistories::fingerprint() const {
   return h;
 }
 
-std::string ExecutionHistories::to_string(const Network& net) const {
-  std::ostringstream os;
-  for (const auto& [c, values] : channel_writes) {
-    os << net.channel(c).name << ":";
-    for (const Value& v : values) {
-      os << " " << v;
-    }
-    os << "\n";
-  }
-  for (const auto& [c, samples] : output_samples) {
-    os << net.channel(c).name << " (output):";
-    for (const OutputSample& s : samples) {
-      os << " [" << s.k << "]@" << s.time << "=" << s.value;
-    }
-    os << "\n";
-  }
-  return os.str();
-}
-
 std::string ExecutionHistories::diff(const ExecutionHistories& other,
                                      const Network& net) const {
   std::ostringstream os;

@@ -50,9 +50,6 @@ class ExecutionHistories {
   /// equally (used for cheap cross-run comparisons in property tests).
   [[nodiscard]] std::size_t fingerprint() const;
 
-  /// Human-readable dump (for test failure messages).
-  [[nodiscard]] std::string to_string(const Network& net) const;
-
   /// First difference description, or empty when functionally equal.
   [[nodiscard]] std::string diff(const ExecutionHistories& other,
                                  const Network& net) const;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 
 #include "graph/algorithms.hpp"
@@ -130,54 +129,6 @@ Duration Network::hyperperiod() const {
     throw std::logic_error("hyperperiod undefined: empty network");
   }
   return h;
-}
-
-std::vector<ChannelId> Network::external_inputs() const {
-  std::vector<ChannelId> out;
-  for (std::size_t i = 0; i < channels_.size(); ++i) {
-    if (channels_[i].scope == ChannelScope::kExternalInput) {
-      out.push_back(ChannelId{i});
-    }
-  }
-  return out;
-}
-
-std::vector<ChannelId> Network::external_outputs() const {
-  std::vector<ChannelId> out;
-  for (std::size_t i = 0; i < channels_.size(); ++i) {
-    if (channels_[i].scope == ChannelScope::kExternalOutput) {
-      out.push_back(ChannelId{i});
-    }
-  }
-  return out;
-}
-
-std::string Network::to_dot() const {
-  std::ostringstream os;
-  os << "digraph fppn {\n  rankdir=LR;\n";
-  for (std::size_t i = 0; i < processes_.size(); ++i) {
-    const ProcessDecl& p = processes_[i];
-    os << "  p" << i << " [shape=" << (p.event.kind == EventKind::kSporadic ? "octagon" : "box")
-       << ", label=\"" << p.name << "\\n";
-    if (p.event.burst > 1) {
-      os << p.event.burst << " per ";
-    }
-    os << p.event.period.to_string() << "ms\"];\n";
-  }
-  for (const ChannelDecl& c : channels_) {
-    if (c.scope != ChannelScope::kInternal) {
-      continue;
-    }
-    os << "  p" << c.writer.value() << " -> p" << c.reader.value() << " [label=\""
-       << c.name << "\"" << (c.kind == ChannelKind::kBlackboard ? ", style=bold" : "")
-       << "];\n";
-  }
-  for (const auto& [u, v] : fp_.edges()) {
-    os << "  p" << u.value() << " -> p" << v.value()
-       << " [style=dashed, color=gray, constraint=false];\n";
-  }
-  os << "}\n";
-  return os.str();
 }
 
 // ---------------------------------------------------------------- builder

@@ -138,14 +138,6 @@ class Network {
   /// schedulable subclass. (Footnote 4: lcm over rationals.)
   [[nodiscard]] Duration hyperperiod() const;
 
-  /// External input / output channel ids in declaration order.
-  [[nodiscard]] std::vector<ChannelId> external_inputs() const;
-  [[nodiscard]] std::vector<ChannelId> external_outputs() const;
-
-  /// DOT rendering of the process network graph (channels as edges,
-  /// FP shown as dashed edges).
-  [[nodiscard]] std::string to_dot() const;
-
  private:
   friend class NetworkBuilder;
 

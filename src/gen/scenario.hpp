@@ -9,13 +9,10 @@
 // rendering on every platform, thread count and process invocation (the
 // generator draws from gen::Rng, never from std:: distributions).
 //
-// Two layers:
-//  - network-level scenarios (ScenarioSpec -> Network + WcetMap) feed the
-//    fuzz loop in gen/fuzz.*; the spec stays mutable so the shrinker can
-//    delta-debug it;
-//  - graph-level families (layered_task_graph, edge_case_task_graph) feed
-//    the evaluator/search differential suites directly — this is where
-//    zero-WCET jobs live, which network derivation rejects by design.
+// Scenarios (ScenarioSpec -> Network + WcetMap) feed the fuzz loop in
+// gen/fuzz.*; the spec stays mutable so the shrinker can delta-debug it.
+// The graph-level families with zero-WCET jobs, which network derivation
+// rejects by design, are test inputs (tests/graph_families.hpp).
 #pragma once
 
 #include <cstdint>
@@ -26,7 +23,6 @@
 
 #include "fppn/network.hpp"
 #include "taskgraph/derivation.hpp"
-#include "taskgraph/task_graph.hpp"
 
 namespace fppn::gen {
 
@@ -120,15 +116,5 @@ struct Scenario {
 [[nodiscard]] std::map<ProcessId, SporadicScript> jittered_scripts(
     const Network& net, std::uint64_t seed, std::int64_t frames,
     const Duration& hyperperiod);
-
-/// Graph-level family for the evaluator/search differential suites: a
-/// layered DAG with fractional WCETs, random arrivals and forward fan-out
-/// (the shape the old ad-hoc per-test generators produced, now shared and
-/// platform-deterministic).
-[[nodiscard]] TaskGraph layered_task_graph(std::uint64_t seed);
-
-/// Graph-level edge cases: zero-WCET jobs, all-identical jobs (tie
-/// storms), tick-overflow denominators, trivial/antichain shapes.
-[[nodiscard]] TaskGraph edge_case_task_graph(std::uint64_t seed);
 
 }  // namespace fppn::gen

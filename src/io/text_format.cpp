@@ -251,8 +251,7 @@ std::string write_network(const Network& net, const WcetMap& wcets) {
      << net.channel_count() << " channels)\n";
   for (std::size_t i = 0; i < net.process_count(); ++i) {
     const ProcessDecl& p = net.process(ProcessId{i});
-    os << "process " << p.name << " "
-       << (p.event.kind == EventKind::kSporadic ? "sporadic" : "periodic");
+    os << "process " << p.name << " " << to_string(p.event.kind);
     if (p.event.burst != 1 || p.event.kind == EventKind::kSporadic) {
       os << " burst=" << p.event.burst;
     }

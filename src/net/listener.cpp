@@ -183,16 +183,6 @@ Listener::Listener(Listener&& other) noexcept
   other.fd_ = -1;
 }
 
-Listener& Listener::operator=(Listener&& other) noexcept {
-  if (this != &other) {
-    close();
-    fd_ = other.fd_;
-    endpoint_ = std::move(other.endpoint_);
-    other.fd_ = -1;
-  }
-  return *this;
-}
-
 Listener::~Listener() { close(); }
 
 int Listener::accept_connection() const {

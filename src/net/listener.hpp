@@ -65,7 +65,7 @@ class Listener {
   [[nodiscard]] static Listener listen(const Endpoint& endpoint, int backlog = 64);
 
   Listener(Listener&& other) noexcept;
-  Listener& operator=(Listener&& other) noexcept;
+  Listener& operator=(Listener&&) = delete;
   Listener(const Listener&) = delete;
   Listener& operator=(const Listener&) = delete;
   ~Listener();

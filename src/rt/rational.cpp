@@ -87,12 +87,6 @@ std::string Rational::to_string() const {
   return std::to_string(num_) + "/" + std::to_string(den_);
 }
 
-Rational Rational::operator-() const {
-  Rational r = *this;
-  r.num_ = checked_neg(r.num_);
-  return r;
-}
-
 // Subtracts directly rather than adding -rhs, so the difference stays
 // exact when rhs's numerator is INT64_MIN.
 Rational& Rational::add_general(const Rational& rhs, bool subtract) {
@@ -158,17 +152,6 @@ std::int64_t Rational::floor_div(const Rational& a, const Rational& b) {
   return (a / b).floor();
 }
 
-Rational Rational::gcd(const Rational& a, const Rational& b) {
-  if (a.is_negative() || b.is_negative()) {
-    throw RationalError("rational gcd requires non-negative operands");
-  }
-  if (a.is_zero()) return b;
-  if (b.is_zero()) return a;
-  const std::int64_t n = std::gcd(a.num_, b.num_);
-  const std::int64_t d = checked_mul(a.den_ / std::gcd(a.den_, b.den_), b.den_);
-  return {n, d};
-}
-
 Rational Rational::lcm(const Rational& a, const Rational& b) {
   if (!a.is_positive() || !b.is_positive()) {
     throw RationalError("rational lcm requires positive operands");
@@ -178,12 +161,6 @@ Rational Rational::lcm(const Rational& a, const Rational& b) {
   const std::int64_t d = std::gcd(a.den_, b.den_);
   return {n, d};
 }
-
-Rational Rational::abs(const Rational& r) { return r.is_negative() ? -r : r; }
-
-Rational Rational::min(const Rational& a, const Rational& b) { return a <= b ? a : b; }
-
-Rational Rational::max(const Rational& a, const Rational& b) { return a >= b ? a : b; }
 
 std::ostream& operator<<(std::ostream& os, const Rational& r) {
   return os << r.to_string();

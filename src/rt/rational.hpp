@@ -56,9 +56,6 @@ class Rational {
   /// "7/3" or "5" when the denominator is 1.
   [[nodiscard]] std::string to_string() const;
 
-  /// Throws RationalError for -INT64_MIN, which int64 cannot hold.
-  Rational operator-() const;
-
   /// Throw RationalError when the exact result leaves int64 and, for
   /// operands that are not both integers, when a cross product does.
   Rational& operator+=(const Rational& rhs) {
@@ -130,19 +127,10 @@ class Rational {
   /// Exact quotient floor(a/b) for b > 0; used for job index -> burst window.
   [[nodiscard]] static std::int64_t floor_div(const Rational& a, const Rational& b);
 
-  /// gcd of two non-negative rationals: gcd(a_n/a_d, b_n/b_d) =
-  /// gcd(a_n, b_n) / lcm(a_d, b_d).
-  [[nodiscard]] static Rational gcd(const Rational& a, const Rational& b);
-
   /// lcm of two positive rationals: lcm(a_n/a_d, b_n/b_d) =
   /// lcm(a_n, b_n) / gcd(a_d, b_d). This is the hyperperiod operator
   /// (footnote 4 of the paper). Throws RationalError if either is <= 0.
   [[nodiscard]] static Rational lcm(const Rational& a, const Rational& b);
-
-  /// Throws RationalError for INT64_MIN, like unary minus.
-  [[nodiscard]] static Rational abs(const Rational& r);
-  [[nodiscard]] static Rational min(const Rational& a, const Rational& b);
-  [[nodiscard]] static Rational max(const Rational& a, const Rational& b);
 
  private:
   /// Throws RationalError when den_ < 0 and either field is INT64_MIN.

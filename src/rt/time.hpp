@@ -81,7 +81,6 @@ class Duration {
   friend bool operator<=(const Duration& a, const Duration& b) { return !(b < a); }
   friend bool operator>=(const Duration& a, const Duration& b) { return !(a < b); }
 
-  Duration operator-() const { return Duration(-value_); }
   Duration& operator+=(const Duration& d) {
     value_ += d.value_;
     return *this;

@@ -133,17 +133,6 @@ void Evaluator::reserve_checkpoints() {
   });
 }
 
-void Evaluator::set_checkpoint_stride(std::size_t stride) {
-  stride_ = stride != 0 ? stride : default_stride(cg_->job_count());
-  invalidate_baseline();
-  reserve_checkpoints();
-}
-
-void Evaluator::invalidate_baseline() {
-  tick_.base.valid = false;
-  time_.base.valid = false;
-}
-
 void Evaluator::load_keys(const std::vector<JobId>& priority, std::vector<std::uint32_t>& key,
                           std::vector<std::uint32_t>& job_at) {
   const std::size_t n = cg_->job_count();

@@ -27,9 +27,10 @@
 //
 //   evaluate_baseline() runs the full simulation and logs, per pop k, the
 //   started job and its instant (pop_job, pop_t), plus suffix aggregates
-//   over pops >= k (violations, max finish). Every `checkpoint_stride()`
-//   starts — O(√n) times — it copies the raw simulation state into a
-//   preallocated checkpoint; checkpoints serve resumption only.
+//   over pops >= k (violations, max finish). Every ~√n starts — O(√n)
+//   times; tests set other strides through testing::EvaluatorProbe — it
+//   copies the raw simulation state into a preallocated checkpoint;
+//   checkpoints serve resumption only.
 //   evaluate_move(order, lo, hi, kind) then scores a swap/rotate
 //   perturbation of the baseline order by
 //
@@ -110,6 +111,10 @@
 #include "taskgraph/task_graph.hpp"
 
 namespace fppn {
+namespace testing {
+struct EvaluatorProbe;
+}  // namespace testing
+
 namespace sched {
 
 /// The local-search objective of one candidate evaluation, lexicographic:
@@ -302,15 +307,6 @@ class Evaluator {
                                         std::size_t lo, std::size_t hi,
                                         MoveKind kind);
 
-  /// Drops the incremental baseline (checkpoints are retained as
-  /// capacity, not content).
-  void invalidate_baseline();
-
-  /// Checkpoint stride in job starts; 0 restores the default (~√n).
-  /// Changing the stride invalidates the baseline.
-  void set_checkpoint_stride(std::size_t stride);
-  [[nodiscard]] std::size_t checkpoint_stride() const noexcept { return stride_; }
-
   [[nodiscard]] const EvalStats& stats() const noexcept { return stats_; }
 
   /// True when the int64 tick fast path is active; false means the exact
@@ -324,6 +320,8 @@ class Evaluator {
   [[nodiscard]] std::int64_t processor_count() const noexcept { return processors_; }
 
  private:
+  friend struct testing::EvaluatorProbe;
+
   /// What one simulation pass does besides scoring: kMaterialize records
   /// starts and processors, kBaseline records the per-pop logs and
   /// checkpoints, kMove resumes from a checkpoint and tests for the

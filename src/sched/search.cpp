@@ -9,8 +9,11 @@ namespace fppn {
 
 MinProcessorsResult min_processors(const TaskGraph& tg, std::int64_t limit) {
   MinProcessorsResult result;
-  const LoadResult load = task_graph_load(tg);
-  result.lower_bound = std::max<std::int64_t>(1, load.min_processors());
+  const NecessaryCondition nc = check_necessary_condition(tg, limit);
+  result.lower_bound = std::max<std::int64_t>(1, nc.load.min_processors());
+  if (!nc.window_fit) {
+    return result;  // a job misses its deadline on any M (Prop. 3.1)
+  }
   sched::ParallelSearchOptions opts;
   opts.workers = 1;
   for (const PriorityHeuristic h : all_heuristics()) {

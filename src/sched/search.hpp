@@ -23,8 +23,10 @@ struct MinProcessorsResult {
 /// Finds the smallest M in [max(1, ceil(Load)), limit] at which some SP
 /// heuristic list-schedules `tg` feasibly: M is feasible exactly when the
 /// winner of sched::parallel_search over the heuristic strategies (1
-/// worker, no cache) is. Deterministic and safe to call concurrently;
-/// throws std::invalid_argument like sched::Evaluator (cyclic graph).
+/// worker, no cache) is. A graph failing Prop. 3.1's window condition
+/// (some A'_i + C_i > D'_i) is infeasible on every M and is answered
+/// without a search. Deterministic and safe to call concurrently; throws
+/// std::invalid_argument like asap_times (cyclic graph).
 [[nodiscard]] MinProcessorsResult min_processors(const TaskGraph& tg,
                                                  std::int64_t limit = 64);
 

@@ -6,22 +6,6 @@
 
 namespace fppn {
 
-std::string to_string(TraceEventKind k) {
-  switch (k) {
-    case TraceEventKind::kFrameStart:
-      return "frame-start";
-    case TraceEventKind::kOverhead:
-      return "overhead";
-    case TraceEventKind::kJobRun:
-      return "job-run";
-    case TraceEventKind::kFalseSkip:
-      return "false-skip";
-    case TraceEventKind::kDeadlineMiss:
-      return "deadline-miss";
-  }
-  return "?";
-}
-
 std::string_view TimedTrace::intern(std::string_view text) {
   if (text.empty()) {
     return {};

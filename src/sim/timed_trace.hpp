@@ -24,8 +24,6 @@ enum class TraceEventKind : std::uint8_t {
   kDeadlineMiss,   ///< job completed after its absolute deadline (instant)
 };
 
-[[nodiscard]] std::string to_string(TraceEventKind k);
-
 struct TraceEvent {
   TraceEventKind kind;
   std::int64_t frame = 0;

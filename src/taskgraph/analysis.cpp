@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 
 namespace fppn {
@@ -96,7 +95,6 @@ LoadResult task_graph_load(const TaskGraph& tg, const std::vector<Time>& asap,
 NecessaryCondition check_necessary_condition(const TaskGraph& tg,
                                              std::int64_t processors) {
   NecessaryCondition nc;
-  nc.processors_checked = processors;
   const auto asap = asap_times(tg);
   const auto alap = alap_times(tg);
   for (std::size_t i = 0; i < tg.job_count(); ++i) {
@@ -109,29 +107,6 @@ NecessaryCondition check_necessary_condition(const TaskGraph& tg,
   nc.load = task_graph_load(tg, asap, alap);
   nc.load_fits = nc.load.min_processors() <= processors;
   return nc;
-}
-
-std::string NecessaryCondition::to_string(const TaskGraph& tg) const {
-  std::ostringstream os;
-  os << "necessary condition on M=" << processors_checked << ": "
-     << (holds() ? "HOLDS" : "VIOLATED");
-  if (!window_fit && first_unfit_job.has_value()) {
-    os << "; job " << tg.job(*first_unfit_job).name << " cannot fit its ASAP/ALAP window";
-  }
-  os << "; load=" << load.load.to_string() << " (~" << load.load_value() << ")"
-     << " over window [" << load.window_start << ", " << load.window_end << ")"
-     << " => needs >= " << load.min_processors() << " processor(s)";
-  return os.str();
-}
-
-Duration critical_path_length(const TaskGraph& tg) {
-  const auto asap = asap_times(tg);
-  Duration longest;
-  for (std::size_t i = 0; i < tg.job_count(); ++i) {
-    const Time finish = asap[i] + tg.job(JobId{i}).wcet;
-    longest = std::max(longest, finish - Time());
-  }
-  return longest;
 }
 
 }  // namespace fppn

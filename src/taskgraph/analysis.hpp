@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "taskgraph/task_graph.hpp"
@@ -52,19 +51,13 @@ struct NecessaryCondition {
   bool window_fit = true;     ///< all A'_i + C_i <= D'_i
   std::optional<JobId> first_unfit_job;
   LoadResult load;
-  std::int64_t processors_checked = 0;
   bool load_fits = true;      ///< ceil(load) <= M
 
   [[nodiscard]] bool holds() const { return window_fit && load_fits; }
-  [[nodiscard]] std::string to_string(const TaskGraph& tg) const;
 };
 
 /// Evaluates the necessary schedulability condition for M processors.
 [[nodiscard]] NecessaryCondition check_necessary_condition(const TaskGraph& tg,
                                                            std::int64_t processors);
-
-/// Critical-path length: the longest chain of WCETs through the graph
-/// honoring arrivals; a lower bound on the makespan on any processor count.
-[[nodiscard]] Duration critical_path_length(const TaskGraph& tg);
 
 }  // namespace fppn

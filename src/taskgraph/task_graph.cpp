@@ -70,10 +70,6 @@ void append_batch(std::vector<std::uint32_t>& offsets, std::vector<std::uint32_t
 
 }  // namespace
 
-bool operator==(JobIdRange a, JobIdRange b) noexcept {
-  return std::equal(a.first_, a.last_, b.first_, b.last_);
-}
-
 JobId TaskGraph::add_job(Job job) {
   if (job.wcet.is_negative()) {
     throw std::invalid_argument("job '" + job.name + "': negative WCET");
@@ -169,13 +165,6 @@ bool TaskGraph::has_edge(JobId from, JobId to) const {
 }
 
 const Job& TaskGraph::job(JobId id) const {
-  if (!id.is_valid() || id.value() >= jobs_.size()) {
-    throw std::invalid_argument("task graph: job id out of range");
-  }
-  return jobs_[id.value()];
-}
-
-Job& TaskGraph::job(JobId id) {
   if (!id.is_valid() || id.value() >= jobs_.size()) {
     throw std::invalid_argument("task graph: job id out of range");
   }

@@ -91,14 +91,14 @@ class JobIdRange {
   [[nodiscard]] bool empty() const noexcept { return first_ == last_; }
   JobId operator[](std::size_t k) const noexcept { return JobId(first_[k]); }
 
-  /// Same ids in the same order.
-  friend bool operator==(JobIdRange a, JobIdRange b) noexcept;
-  friend bool operator!=(JobIdRange a, JobIdRange b) noexcept { return !(a == b); }
-
  private:
   const std::uint32_t* first_ = nullptr;
   const std::uint32_t* last_ = nullptr;
 };
+
+namespace testing {
+struct TaskGraphProbe;
+}  // namespace testing
 
 class TaskGraph {
  public:
@@ -129,7 +129,6 @@ class TaskGraph {
   [[nodiscard]] std::size_t edge_count() const noexcept { return succ_ids_.size(); }
 
   [[nodiscard]] const Job& job(JobId id) const;
-  [[nodiscard]] Job& job(JobId id);
   [[nodiscard]] const std::vector<Job>& jobs() const noexcept { return jobs_; }
 
   /// Pred(i) and Succ(i) of §III-B, in edge insertion order: views into
@@ -195,6 +194,8 @@ class TaskGraph {
   [[nodiscard]] std::string to_table() const;
 
  private:
+  friend struct testing::TaskGraphProbe;
+
   void check_job(JobId id) const;
 
   std::vector<Job> jobs_;

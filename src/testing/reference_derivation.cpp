@@ -56,6 +56,10 @@ std::string job_text(const Job& j) {
   return os.str();
 }
 
+bool same_ids(JobIdRange a, JobIdRange b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
+
 std::string ids(JobIdRange list) {
   std::string out;
   for (const JobId id : list) {
@@ -332,11 +336,11 @@ std::string derivation_difference(const DerivedTaskGraph& got,
       return "job " + std::to_string(i) + ": " + job_text(g.job(id)) + " vs " +
              job_text(w.job(id));
     }
-    if (g.successors(id) != w.successors(id)) {
+    if (!same_ids(g.successors(id), w.successors(id))) {
       return "successors of " + std::to_string(i) + ": " + ids(g.successors(id)) + "vs " +
              ids(w.successors(id));
     }
-    if (g.predecessors(id) != w.predecessors(id)) {
+    if (!same_ids(g.predecessors(id), w.predecessors(id))) {
       return "predecessors of " + std::to_string(i) + ": " + ids(g.predecessors(id)) +
              "vs " + ids(w.predecessors(id));
     }

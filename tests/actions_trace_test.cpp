@@ -7,6 +7,7 @@
 
 #include "fppn/network.hpp"
 #include "sim/overhead.hpp"
+#include "trace_text.hpp"
 
 namespace fppn {
 namespace {
@@ -44,37 +45,15 @@ ActionTrace sample(const Fixture& f) {
   return t;
 }
 
-TEST(ActionTrace, WritesToFiltersByChannel) {
-  const Fixture f = make();
-  const ActionTrace t = sample(f);
-  const auto writes = t.writes_to(f.c);
-  ASSERT_EQ(writes.size(), 2u);
-  EXPECT_EQ(writes[0].value, Value{1.0});
-  EXPECT_EQ(writes[1].k, 2);
-  EXPECT_TRUE(t.writes_to(ChannelId{99}).empty());
-}
-
-TEST(ActionTrace, OfProcessExcludesWaitsAndOthers) {
-  const Fixture f = make();
-  const ActionTrace t = sample(f);
-  const auto p_actions = t.of_process(f.p);
-  EXPECT_EQ(p_actions.size(), 6u);  // 2x (start, write, end)
-  const auto q_actions = t.of_process(f.q);
-  EXPECT_EQ(q_actions.size(), 3u);
-  for (const Action& a : p_actions) {
-    EXPECT_FALSE(std::holds_alternative<WaitAction>(a));
-  }
-}
-
 TEST(ActionTrace, RenderedFormMatchesPaperNotation) {
   const Fixture f = make();
-  const std::string s = trace_to_string(sample(f), f.net, /*multiline=*/false);
+  const std::string s = testing::trace_to_string(sample(f), f.net, /*multiline=*/false);
   EXPECT_NE(s.find("w(0)"), std::string::npos);
   EXPECT_NE(s.find("P[1]:write(c)=1"), std::string::npos);
   EXPECT_NE(s.find("Q[1]:read(c)=1"), std::string::npos);
   EXPECT_NE(s.find("w(100)"), std::string::npos);
   // Multiline variant: one action per line.
-  const std::string ml = trace_to_string(sample(f), f.net, /*multiline=*/true);
+  const std::string ml = testing::trace_to_string(sample(f), f.net, /*multiline=*/true);
   EXPECT_EQ(static_cast<std::size_t>(std::count(ml.begin(), ml.end(), '\n')),
             sample(f).size() - 1);
 }

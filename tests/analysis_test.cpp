@@ -113,27 +113,7 @@ TEST(NecessaryCondition, WindowFitViolation) {
   const NecessaryCondition nc = check_necessary_condition(tg, 4);
   EXPECT_FALSE(nc.holds());
   EXPECT_FALSE(nc.window_fit);
-  ASSERT_TRUE(nc.first_unfit_job.has_value());
-  const std::string report = nc.to_string(tg);
-  EXPECT_NE(report.find("VIOLATED"), std::string::npos);
-}
-
-TEST(NecessaryCondition, ReportMentionsLoad) {
-  TaskGraph tg;
-  tg.add_job(make_job("A", 0, 100, 50));
-  const NecessaryCondition nc = check_necessary_condition(tg, 1);
-  EXPECT_TRUE(nc.holds());
-  EXPECT_NE(nc.to_string(tg).find("load=1/2"), std::string::npos);
-}
-
-TEST(CriticalPath, ChainLength) {
-  EXPECT_EQ(critical_path_length(chain()), Duration::ms(80));  // ends at 80
-}
-
-TEST(CriticalPath, RespectsArrivals) {
-  TaskGraph tg;
-  tg.add_job(make_job("late", 500, 600, 10));
-  EXPECT_EQ(critical_path_length(tg), Duration::ms(510));
+  EXPECT_EQ(nc.first_unfit_job, std::optional<JobId>(a));
 }
 
 TEST(AsapAlap, CyclicGraphRejected) {

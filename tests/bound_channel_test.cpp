@@ -18,6 +18,8 @@
 namespace fppn {
 namespace {
 
+const InputScripts kNoInputs;
+
 using apps::BoundChannel;
 
 /// Writer W -> FIFO "c" -> reader R, both periodic at 100 ms; W runs
@@ -40,7 +42,7 @@ std::string failure_of(const std::string& who, std::function<void(JobContext&)> 
   const auto nothing = [](JobContext&) {};
   const Network net = who == "W" ? two_process_net(std::move(body), nothing)
                                  : two_process_net(nothing, std::move(body));
-  ExecutionState state(net);
+  ExecutionState state(net, kNoInputs);
   try {
     state.run_job(*net.find_process(who), Time());
   } catch (const std::invalid_argument& e) {
@@ -96,7 +98,7 @@ TEST(BoundChannel, BoundAccessMatchesTheNameLookupOverManyJobs) {
   // The same W -> R exchange by name and through bound channels gives
   // equal histories, job after job.
   const auto run = [](const Network& net) {
-    ExecutionState state(net);
+    ExecutionState state(net, kNoInputs);
     for (int job = 0; job < 5; ++job) {
       state.run_job(*net.find_process("W"), Time::ms(100 * job));
       state.run_job(*net.find_process("R"), Time::ms(100 * job));

@@ -198,7 +198,8 @@ TEST(BufferedChannel, OverflowGuardTrips) {
       b.periodic("r", Duration::ms(100), Duration::ms(100), no_op_behavior());
   b.buffered_fifo("q", w, r, 2);
   const Network net = std::move(b).build();
-  ExecutionState state(net);
+  const InputScripts no_inputs;
+  ExecutionState state(net, no_inputs);
   EXPECT_THROW(state.run_job(w, Time::ms(0)), std::logic_error);
 }
 

@@ -70,15 +70,6 @@ TEST(ChannelRuntime, HistoryRecordsEveryWrite) {
   EXPECT_EQ(c.history()[1], Value{2.0});
 }
 
-TEST(ChannelRuntime, ResetClearsEverything) {
-  ChannelRuntime c(ChannelKind::kFifo);
-  c.write(Value{1.0});
-  c.reset();
-  EXPECT_EQ(c.buffered(), 0u);
-  EXPECT_TRUE(c.history().empty());
-  EXPECT_FALSE(has_data(c.read()));
-}
-
 /// The channel as a queue, a last-value slot and a separate history: the
 /// reference ChannelRuntime's single history vector must agree with.
 class ReferenceChannel {
@@ -118,12 +109,6 @@ class ReferenceChannel {
   }
 
   [[nodiscard]] const std::vector<Value>& history() const { return history_; }
-
-  void reset() {
-    fifo_.clear();
-    board_.reset();
-    history_.clear();
-  }
 
  private:
   ChannelKind kind_;
@@ -165,11 +150,8 @@ TEST(ChannelRuntime, MatchesQueueAndSlotReferenceOnRandomSequences) {
           want.write(v);
         } else if (op < 10) {
           ASSERT_EQ(got.read(), want.read()) << "step " << step;
-        } else if (op < 11) {
+        } else {
           ASSERT_EQ(got.peek(), want.peek()) << "step " << step;
-        } else if (rng() % 8 == 0) {
-          got.reset();
-          want.reset();
         }
         ASSERT_EQ(got.buffered(), want.buffered()) << "step " << step;
         ASSERT_EQ(got.history(), want.history()) << "step " << step;
@@ -207,20 +189,18 @@ TEST(ChannelRuntime, BufferedFifoOverflowStillThrows) {
   b.buffered_fifo("q", w, r, 3);
   b.priority(w, r);
   const Network net = std::move(b).build();
-  ExecutionState state(net);
+  const InputScripts no_inputs;
+  ExecutionState state(net, no_inputs);
   state.run_job(w, Time::ms(0));  // 2 buffered
   state.run_job(r, Time::ms(0));  // 1 buffered, 2 in the history
-  EXPECT_EQ(state.channel_state(ChannelId{0}).buffered(), 1u);
-  EXPECT_EQ(state.channel_state(ChannelId{0}).history().size(), 2u);
   state.run_job(w, Time::ms(100));  // 3 buffered: at capacity, no throw
-  EXPECT_EQ(state.channel_state(ChannelId{0}).buffered(), 3u);
+  EXPECT_EQ(state.histories().channel_writes.at(ChannelId{0}).size(), 4u);
   EXPECT_THROW(state.run_job(w, Time::ms(200)), std::logic_error);  // 4 > 3
 }
 
 TEST(ChannelKind, ToString) {
   EXPECT_EQ(to_string(ChannelKind::kFifo), "fifo");
   EXPECT_EQ(to_string(ChannelKind::kBlackboard), "blackboard");
-  EXPECT_EQ(to_string(ChannelScope::kExternalInput), "external-input");
 }
 
 }  // namespace

@@ -162,7 +162,7 @@ TEST_F(Fig3Test, LoadAndNecessaryCondition) {
   const NecessaryCondition nc1 = check_necessary_condition(derived_.graph, 1);
   EXPECT_FALSE(nc1.holds());
   const NecessaryCondition nc2 = check_necessary_condition(derived_.graph, 2);
-  EXPECT_TRUE(nc2.holds()) << nc2.to_string(derived_.graph);
+  EXPECT_TRUE(nc2.holds()) << "load " << nc2.load.load;
 }
 
 }  // namespace

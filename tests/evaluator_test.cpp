@@ -30,8 +30,33 @@
 #include "taskgraph/task_graph.hpp"
 #include "testing/list_scheduler.hpp"
 #include "testing/reference_search.hpp"
+#include "graph_families.hpp"
 
 namespace fppn {
+namespace testing {
+
+/// The incremental kernel's test-only knobs, reached as a friend so the
+/// production Evaluator carries no toggle for them.
+struct EvaluatorProbe {
+  /// Checkpoints every `stride` job starts; 0 keeps the current stride
+  /// (the ~√n default of a fresh evaluator). Drops the baseline.
+  static void set_checkpoint_stride(sched::Evaluator& e, std::size_t stride) {
+    if (stride != 0) {
+      e.stride_ = stride;
+    }
+    invalidate_baseline(e);
+    e.reserve_checkpoints();
+  }
+
+  /// Drops the incremental baseline, so the next move runs in full.
+  static void invalidate_baseline(sched::Evaluator& e) {
+    e.tick_.base.valid = false;
+    e.time_.base.valid = false;
+  }
+};
+
+}  // namespace testing
+
 namespace {
 
 namespace fs = std::filesystem;
@@ -67,12 +92,10 @@ Job make_job(const std::string& name, Time arrival, Time deadline, Duration wcet
 }
 
 /// Random layered DAG with staggered arrivals and fractional WCETs —
-/// the shared gen:: family (platform-deterministic, denominators 1..7,
-/// ties at decision instants, idle gaps, infeasible frames). The same
-/// generator feeds the fuzz loop, so differential coverage here and
-/// there stays aligned.
+/// the shared test family (platform-deterministic, denominators 1..7,
+/// ties at decision instants, idle gaps, infeasible frames).
 TaskGraph random_task_graph(std::uint64_t seed) {
-  return gen::layered_task_graph(seed);
+  return testing::layered_task_graph(seed);
 }
 
 std::vector<JobId> random_permutation(std::size_t n, std::mt19937_64& rng) {
@@ -190,7 +213,7 @@ TEST(EvaluatorDifferential, EdgeCaseFamiliesMatchReference) {
   // trivial/antichain graphs — 40 graphs covering all four variants.
   std::size_t rational_graphs = 0;
   for (std::uint64_t g = 0; g < 40; ++g) {
-    const TaskGraph tg = gen::edge_case_task_graph(g);
+    const TaskGraph tg = testing::edge_case_task_graph(g);
     if (tg.job_count() == 0) {
       continue;
     }
@@ -525,8 +548,8 @@ TEST(EvaluatorIncremental, CheckpointStrideExtremesBitIdentical) {
     sched::Evaluator k1(tg, processors);
     sched::Evaluator kd(tg, processors);
     sched::Evaluator kn(tg, processors);
-    k1.set_checkpoint_stride(1);
-    kn.set_checkpoint_stride(n);
+    testing::EvaluatorProbe::set_checkpoint_stride(k1, 1);
+    testing::EvaluatorProbe::set_checkpoint_stride(kn, n);
     std::vector<JobId> current = schedule_priority(tg, PriorityHeuristic::kAlapEdf);
     sched::EvalScore cur = k1.evaluate_baseline(current);
     ASSERT_EQ(cur.makespan, kd.evaluate_baseline(current).makespan);
@@ -578,7 +601,7 @@ TEST(EvaluatorIncremental, MoveWithoutBaselineFallsBackToFullRun) {
 
   // Invalidation drops the baseline the same way.
   (void)kernel.evaluate_baseline(order);
-  kernel.invalidate_baseline();
+  testing::EvaluatorProbe::invalidate_baseline(kernel);
   const sched::EvalScore after =
       kernel.evaluate_move(order, 0, 1, sched::MoveKind::kSwap);
   EXPECT_EQ(after.makespan, full.makespan);
@@ -657,7 +680,7 @@ TEST(EvaluatorIncremental, EdgeCaseMovesMatchReferenceOnEveryStride) {
   std::size_t rational_moves = 0;
   std::size_t zero_wcet_moves = 0;
   for (std::uint64_t g = 0; g < 80; ++g) {
-    const TaskGraph tg = gen::edge_case_task_graph(g);
+    const TaskGraph tg = testing::edge_case_task_graph(g);
     const std::size_t n = tg.job_count();
     if (n == 0) {
       continue;
@@ -665,7 +688,7 @@ TEST(EvaluatorIncremental, EdgeCaseMovesMatchReferenceOnEveryStride) {
     const std::int64_t processors = 1 + static_cast<std::int64_t>(g % 3);
     for (const std::size_t stride : {std::size_t{1}, std::size_t{0}, n}) {
       sched::Evaluator inc(tg, processors);
-      inc.set_checkpoint_stride(stride);
+      testing::EvaluatorProbe::set_checkpoint_stride(inc, stride);
       std::mt19937_64 rng(g * 409 + stride);
       std::vector<JobId> current = schedule_priority(tg, PriorityHeuristic::kAlapEdf);
       sched::EvalScore cur = inc.evaluate_baseline(current);
@@ -707,7 +730,7 @@ TEST(EvaluatorPartition, EdgeCaseKernelMatchesPartitionedOracle) {
   std::size_t rational_graphs = 0;
   std::size_t zero_wcet_graphs = 0;
   for (std::uint64_t g = 0; g < 80; ++g) {
-    const TaskGraph tg = gen::edge_case_task_graph(g);
+    const TaskGraph tg = testing::edge_case_task_graph(g);
     if (tg.job_count() == 0) {
       continue;
     }
@@ -753,7 +776,7 @@ TEST(EvaluatorIncremental, StatsOnAFixedMoveSequenceArePinned) {
   sched::EvalStats total;
   for (std::uint64_t g = 0; g < 40; ++g) {
     const TaskGraph tg = g % 2 == 0 ? random_task_graph(g + 7000)
-                                    : gen::edge_case_task_graph(g);
+                                    : testing::edge_case_task_graph(g);
     const std::size_t n = tg.job_count();
     if (n == 0) {
       continue;
@@ -916,7 +939,7 @@ void expect_move_scores(const TaskGraph& tg, std::int64_t processors,
   ASSERT_EQ(scratch.evaluate(moved).makespan, want_move.makespan);
   for (const std::size_t stride : {std::size_t{1}, std::size_t{0}, tg.job_count()}) {
     sched::Evaluator inc(tg, processors);
-    inc.set_checkpoint_stride(stride);
+    testing::EvaluatorProbe::set_checkpoint_stride(inc, stride);
     const sched::EvalScore base = inc.evaluate_baseline(order);
     EXPECT_EQ(base.deadline_violations, want_base.deadline_violations) << "stride " << stride;
     EXPECT_EQ(base.makespan, want_base.makespan) << "stride " << stride;

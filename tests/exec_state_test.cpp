@@ -4,6 +4,8 @@
 
 #include <type_traits>
 
+#include "trace_text.hpp"
+
 namespace fppn {
 namespace {
 
@@ -16,7 +18,8 @@ static_assert(!std::is_constructible_v<ExecutionState, const Network&, InputScri
 static_assert(std::is_constructible_v<ExecutionState, const Network&, const InputScripts&>);
 static_assert(std::is_constructible_v<ExecutionState, const Network&, InputScripts&,
                                       ActionTrace*>);
-static_assert(std::is_constructible_v<ExecutionState, const Network&>);
+
+const InputScripts kNoInputs;
 
 struct Fixture {
   Network net;
@@ -46,12 +49,10 @@ struct Fixture {
 
 TEST(ExecutionState, JobCountsIncrement) {
   const Fixture f = Fixture::make();
-  ExecutionState s(f.net);
-  EXPECT_EQ(s.job_count(f.writer), 0);
+  ExecutionState s(f.net, kNoInputs);
   EXPECT_EQ(s.run_job(f.writer, Time::ms(0)), 1);
   EXPECT_EQ(s.run_job(f.writer, Time::ms(100)), 2);
-  EXPECT_EQ(s.job_count(f.writer), 2);
-  EXPECT_EQ(s.job_count(f.reader), 0);
+  EXPECT_EQ(s.run_job(f.reader, Time::ms(100)), 1);  // counted per process
 }
 
 TEST(ExecutionState, ExternalInputSampledByJobIndex) {
@@ -86,7 +87,7 @@ TEST(ExecutionState, ReadsTheCallersScriptsInPlace) {
 
 TEST(ExecutionState, OutputSamplesCarryIndexAndTime) {
   const Fixture f = Fixture::make();
-  ExecutionState s(f.net);
+  ExecutionState s(f.net, kNoInputs);
   s.run_job(f.writer, Time::ms(0));
   s.run_job(f.reader, Time::ms(5));
   const auto h = s.histories();
@@ -109,7 +110,7 @@ TEST(ExecutionState, AccessControlEnforced) {
   b.fifo("c", w, r);
   b.priority(w, r);
   const Network net = std::move(b).build();
-  ExecutionState s(net);
+  ExecutionState s(net, kNoInputs);
   EXPECT_THROW(s.run_job(w, Time::ms(0)), std::logic_error);
 }
 
@@ -121,7 +122,7 @@ TEST(ExecutionState, WriteToInputAndReadFromOutputRejected) {
                                  }));
   b.external_input("in", p);
   const Network net = std::move(b).build();
-  ExecutionState s(net);
+  ExecutionState s(net, kNoInputs);
   EXPECT_THROW(s.run_job(p, Time::ms(0)), std::logic_error);
 }
 
@@ -132,7 +133,7 @@ TEST(ExecutionState, UnknownChannelNameRejected) {
                                    (void)ctx.read("ghost");
                                  }));
   const Network net = std::move(b).build();
-  ExecutionState s(net);
+  ExecutionState s(net, kNoInputs);
   EXPECT_THROW(s.run_job(p, Time::ms(0)), std::invalid_argument);
 }
 
@@ -145,7 +146,7 @@ TEST(ExecutionState, InputScriptOnNonInputChannelRejected) {
 
 TEST(ExecutionState, TimeMonotonicityEnforced) {
   const Fixture f = Fixture::make();
-  ExecutionState s(f.net);
+  ExecutionState s(f.net, kNoInputs);
   s.advance_time(Time::ms(100));
   EXPECT_THROW(s.advance_time(Time::ms(50)), std::logic_error);
   EXPECT_NO_THROW(s.advance_time(Time::ms(100)));  // equal is fine
@@ -167,7 +168,7 @@ TEST(ExecutionState, TraceRecordsActions) {
   EXPECT_TRUE(std::holds_alternative<ReadAction>(actions[2]));
   EXPECT_TRUE(std::holds_alternative<WriteAction>(actions[3]));
   EXPECT_TRUE(std::holds_alternative<JobEndAction>(actions[4]));
-  const std::string rendered = trace_to_string(trace, f.net, false);
+  const std::string rendered = testing::trace_to_string(trace, f.net, false);
   EXPECT_NE(rendered.find("W[1]:read(in)=7"), std::string::npos);
 }
 
@@ -221,10 +222,10 @@ TEST(ExecutionState, BehaviorStateIsFreshPerExecution) {
                                  [] { return std::make_unique<Counter>(); });
   const ChannelId out = b.external_output("out", p);
   const Network net = std::move(b).build();
-  ExecutionState s1(net);
+  ExecutionState s1(net, kNoInputs);
   s1.run_job(p, Time::ms(0));
   s1.run_job(p, Time::ms(100));
-  ExecutionState s2(net);
+  ExecutionState s2(net, kNoInputs);
   s2.run_job(p, Time::ms(0));
   EXPECT_EQ(s1.histories().output_samples.at(out).back().value, Value{std::int64_t{2}});
   EXPECT_EQ(s2.histories().output_samples.at(out).back().value, Value{std::int64_t{1}});

@@ -23,13 +23,28 @@
 #include "io/text_format.hpp"
 #include "taskgraph/derivation.hpp"
 #include "testing/reference_fingerprint.hpp"
+#include "graph_families.hpp"
 
 #ifndef FPPN_TEST_SOURCE_DIR
 #error "FPPN_TEST_SOURCE_DIR must point at the tests/ source directory"
 #endif
 
 namespace fppn {
+namespace testing {
+
+/// Writes a built graph's jobs in place, past add_job's checks: the
+/// extreme-value cases below hold values add_job rejects.
+struct TaskGraphProbe {
+  static Job& job(TaskGraph& tg, JobId id) { return tg.jobs_.at(id.value()); }
+};
+
+}  // namespace testing
+
 namespace {
+
+Job& mutable_job(TaskGraph& tg, std::size_t i) {
+  return testing::TaskGraphProbe::job(tg, JobId(i));
+}
 
 TaskGraph small_graph() {
   TaskGraph tg(Duration::ms(200));
@@ -67,42 +82,42 @@ TEST(Fingerprint, SensitiveToEveryJobField) {
 
   {
     TaskGraph tg = small_graph();
-    tg.job(JobId(2)).wcet = Duration::ms(26);
+    mutable_job(tg, 2).wcet = Duration::ms(26);
     EXPECT_NE(fingerprint(tg), base) << "wcet change not detected";
   }
   {
     TaskGraph tg = small_graph();
-    tg.job(JobId(2)).deadline = Time::ms(199);
+    mutable_job(tg, 2).deadline = Time::ms(199);
     EXPECT_NE(fingerprint(tg), base) << "deadline change not detected";
   }
   {
     TaskGraph tg = small_graph();
-    tg.job(JobId(2)).arrival = Time::ms(1);
+    mutable_job(tg, 2).arrival = Time::ms(1);
     EXPECT_NE(fingerprint(tg), base) << "arrival change not detected";
   }
   {
     TaskGraph tg = small_graph();
-    tg.job(JobId(2)).process = ProcessId{9};
+    mutable_job(tg, 2).process = ProcessId{9};
     EXPECT_NE(fingerprint(tg), base) << "process change not detected";
   }
   {
     TaskGraph tg = small_graph();
-    tg.job(JobId(2)).k = 2;
+    mutable_job(tg, 2).k = 2;
     EXPECT_NE(fingerprint(tg), base) << "invocation index change not detected";
   }
   {
     TaskGraph tg = small_graph();
-    tg.job(JobId(2)).is_server = true;
+    mutable_job(tg, 2).is_server = true;
     EXPECT_NE(fingerprint(tg), base) << "server flag change not detected";
   }
   {
     TaskGraph tg = small_graph();
-    tg.job(JobId(2)).subset = 1;
+    mutable_job(tg, 2).subset = 1;
     EXPECT_NE(fingerprint(tg), base) << "subset change not detected";
   }
   {
     TaskGraph tg = small_graph();
-    tg.job(JobId(2)).name = "renamed";
+    mutable_job(tg, 2).name = "renamed";
     EXPECT_NE(fingerprint(tg), base) << "name change not detected";
   }
   {
@@ -176,8 +191,8 @@ TEST(Fingerprint, NoCollisionsOverRandomFamily) {
   for (int trial = 0; trial < 512; ++trial) {
     TaskGraph tg = small_graph();
     // Unique WCET vector per trial: trial index encoded in milliseconds.
-    tg.job(JobId(0)).wcet = Duration::ms(25 + trial);
-    tg.job(JobId(1)).wcet =
+    mutable_job(tg, 0).wcet = Duration::ms(25 + trial);
+    mutable_job(tg, 1).wcet =
         Duration::ratio_ms(1 + static_cast<std::int64_t>(rng() % 1000), 7);
     const bool fresh = seen.insert(fingerprint(tg)).second;
     EXPECT_TRUE(fresh) << "collision at trial " << trial;
@@ -252,9 +267,9 @@ TEST(FingerprintOracle, EveryGeneratorFamily) {
     }
   }
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
-    const TaskGraph layered = gen::layered_task_graph(seed);
+    const TaskGraph layered = testing::layered_task_graph(seed);
     ASSERT_EQ(fingerprint(layered), testing::reference_fingerprint(layered)) << seed;
-    const TaskGraph edge_case = gen::edge_case_task_graph(seed);
+    const TaskGraph edge_case = testing::edge_case_task_graph(seed);
     ASSERT_EQ(fingerprint(edge_case), testing::reference_fingerprint(edge_case)) << seed;
   }
 }
@@ -305,17 +320,17 @@ TEST(FingerprintOracle, NamesOfUnequalLengths) {
   for (const auto& names : name_sets) {
     TaskGraph tg = hand_built(names.size());
     for (std::size_t i = 0; i < names.size(); ++i) {
-      tg.job(JobId(i)).name = names[i];
+      mutable_job(tg, i).name = names[i];
     }
     EXPECT_EQ(fingerprint(tg), testing::reference_fingerprint(tg)) << names.size();
   }
   // Embedded NUL bytes are name bytes too.
   TaskGraph tg = hand_built(2);
-  tg.job(JobId(0)).name = std::string("a\0b", 3);
-  tg.job(JobId(1)).name = std::string("a\0c", 3);
+  mutable_job(tg, 0).name = std::string("a\0b", 3);
+  mutable_job(tg, 1).name = std::string("a\0c", 3);
   EXPECT_EQ(fingerprint(tg), testing::reference_fingerprint(tg));
   TaskGraph other = tg;
-  other.job(JobId(1)).name = std::string("a\0b", 3);
+  mutable_job(other, 1).name = std::string("a\0b", 3);
   EXPECT_NE(fingerprint(tg), fingerprint(other));
 }
 
@@ -325,7 +340,7 @@ TEST(FingerprintOracle, ExtremeFieldValues) {
   for (const std::size_t jobs : {1, 4, 5}) {
     TaskGraph tg = hand_built(jobs);
     for (std::size_t i = 0; i < jobs; ++i) {
-      Job& j = tg.job(JobId(i));
+      Job& j = mutable_job(tg, i);
       const bool low = i % 2 == 0;
       j.k = low ? kMin : kMax;
       j.subset = low ? kMax : kMin;

@@ -129,11 +129,5 @@ TEST(Gantt, EmptyTraceRendersAxes) {
   EXPECT_NE(chart.find("M1"), std::string::npos);
 }
 
-TEST(TraceEventKind, Names) {
-  EXPECT_EQ(to_string(TraceEventKind::kJobRun), "job-run");
-  EXPECT_EQ(to_string(TraceEventKind::kDeadlineMiss), "deadline-miss");
-  EXPECT_EQ(to_string(TraceEventKind::kFrameStart), "frame-start");
-}
-
 }  // namespace
 }  // namespace fppn

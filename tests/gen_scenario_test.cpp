@@ -13,6 +13,7 @@
 #include "gen/rng.hpp"
 #include "io/text_format.hpp"
 #include "taskgraph/fingerprint.hpp"
+#include "graph_families.hpp"
 
 namespace fppn::gen {
 namespace {
@@ -178,12 +179,12 @@ TEST(GenScenario, JitteredScriptsAreDeterministicAndAdmissible) {
 
 TEST(GenGraphFamilies, LayeredAndEdgeCaseGraphsAreDeterministic) {
   for (const std::uint64_t seed : {0ULL, 5ULL, 123ULL}) {
-    EXPECT_EQ(fingerprint(layered_task_graph(seed)),
-              fingerprint(layered_task_graph(seed)));
-    EXPECT_EQ(fingerprint(edge_case_task_graph(seed)),
-              fingerprint(edge_case_task_graph(seed)));
-    EXPECT_NE(fingerprint(layered_task_graph(seed)),
-              fingerprint(layered_task_graph(seed + 1)));
+    EXPECT_EQ(fingerprint(testing::layered_task_graph(seed)),
+              fingerprint(testing::layered_task_graph(seed)));
+    EXPECT_EQ(fingerprint(testing::edge_case_task_graph(seed)),
+              fingerprint(testing::edge_case_task_graph(seed)));
+    EXPECT_NE(fingerprint(testing::layered_task_graph(seed)),
+              fingerprint(testing::layered_task_graph(seed + 1)));
   }
 }
 
@@ -193,14 +194,14 @@ TEST(GenGraphFamilies, EdgeCaseVariantsCoverTheAdvertisedShapes) {
   // trivial/antichain shapes. Spot-check each advertised property.
   bool saw_zero_wcet = false;
   for (std::uint64_t seed = 0; seed < 16; seed += 4) {
-    const TaskGraph tg = edge_case_task_graph(seed);
+    const TaskGraph tg = testing::edge_case_task_graph(seed);
     for (const Job& j : tg.jobs()) {
       saw_zero_wcet = saw_zero_wcet || j.wcet == Duration();
     }
   }
   EXPECT_TRUE(saw_zero_wcet);
   for (std::uint64_t seed = 1; seed < 16; seed += 4) {
-    const TaskGraph tg = edge_case_task_graph(seed);
+    const TaskGraph tg = testing::edge_case_task_graph(seed);
     ASSERT_GE(tg.job_count(), 2u);
     const Job& first = tg.jobs().front();
     for (const Job& j : tg.jobs()) {

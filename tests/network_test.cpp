@@ -72,8 +72,6 @@ TEST(Network, ChannelBookkeeping) {
   EXPECT_EQ(net.channel(c).scope, ChannelScope::kInternal);
   EXPECT_EQ(net.channel(in).scope, ChannelScope::kExternalInput);
   EXPECT_EQ(net.channel(out).scope, ChannelScope::kExternalOutput);
-  EXPECT_EQ(net.external_inputs(), std::vector<ChannelId>{in});
-  EXPECT_EQ(net.external_outputs(), std::vector<ChannelId>{out});
   EXPECT_EQ(net.internal_channels_of(a), std::vector<ChannelId>{c});
   EXPECT_EQ(net.process(a).writes.size(), 1u);
   EXPECT_EQ(net.process(b).reads.size(), 1u);
@@ -186,17 +184,6 @@ TEST(Network, ExplicitPriorityWinsOverAutoRule) {
   const Network net = std::move(b).build();
   EXPECT_TRUE(net.has_priority(slow, fast));
   EXPECT_FALSE(net.has_priority(fast, slow));
-}
-
-TEST(Network, ToDotMentionsProcessesAndChannels) {
-  ProcessId a, b;
-  NetworkBuilder builder = two_process_builder(&a, &b);
-  builder.fifo("stream", a, b);
-  builder.priority(a, b);
-  const Network net = std::move(builder).build();
-  const std::string dot = net.to_dot();
-  EXPECT_NE(dot.find("\"A\\n100ms\""), std::string::npos);
-  EXPECT_NE(dot.find("stream"), std::string::npos);
 }
 
 }  // namespace

@@ -22,14 +22,15 @@
 #include "sched/registry.hpp"
 #include "taskgraph/derivation.hpp"
 #include "testing/reference_search.hpp"
+#include "graph_families.hpp"
 
 namespace fppn {
 namespace {
 
-/// Random layered DAG from the shared gen:: family (the same generator
-/// the fuzz loop and the evaluator differential suite draw from).
+/// Random layered DAG from the shared test family (the same generator
+/// the evaluator differential suite draws from).
 TaskGraph random_task_graph(std::uint64_t seed) {
-  return gen::layered_task_graph(seed);
+  return testing::layered_task_graph(seed);
 }
 
 /// Full placement equality: same processor and start time for every job.

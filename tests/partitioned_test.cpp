@@ -14,6 +14,7 @@
 #include "sched/registry.hpp"
 #include "taskgraph/derivation.hpp"
 #include "testing/list_scheduler.hpp"
+#include "graph_families.hpp"
 
 namespace fppn {
 namespace {
@@ -201,7 +202,7 @@ TEST(Partitioned, ZeroDemandProcessesStillGetAProcessor) {
   // each job in its own process, so about half of them have zero demand.
   std::size_t zero_demand = 0;
   for (std::uint64_t g = 0; g < 40; ++g) {
-    const TaskGraph tg = gen::edge_case_task_graph(g);
+    const TaskGraph tg = testing::edge_case_task_graph(g);
     std::size_t process_count = 0;
     for (const Job& j : tg.jobs()) {
       process_count = std::max(process_count, j.process.value() + 1);
@@ -222,7 +223,7 @@ TEST(PartitionedStrategy, DefaultSearchCompletesOnEdgeCaseGraphs) {
   // The default search runs partitioned-wfd among every strategy; a
   // zero-demand process must not make it throw.
   for (std::uint64_t g = 0; g < 40; ++g) {
-    const TaskGraph tg = gen::edge_case_task_graph(g);
+    const TaskGraph tg = testing::edge_case_task_graph(g);
     if (tg.job_count() == 0) {
       continue;
     }

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "gen/scenario.hpp"
+#include "graph_families.hpp"
 
 namespace fppn {
 namespace {
@@ -87,7 +87,7 @@ TEST(SchedulePriority, DeadlineMonotonicTieBreaksOnGeneratedGraphs) {
   std::size_t id_ties = 0;
   for (std::uint64_t seed = 0; seed < 100; ++seed) {
     const TaskGraph tg =
-        seed % 2 == 0 ? gen::layered_task_graph(seed) : gen::edge_case_task_graph(seed);
+        seed % 2 == 0 ? testing::layered_task_graph(seed) : testing::edge_case_task_graph(seed);
     const auto order = schedule_priority(tg, PriorityHeuristic::kDeadlineMonotonic);
     ASSERT_EQ(order.size(), tg.job_count());
     for (std::size_t k = 1; k < order.size(); ++k) {

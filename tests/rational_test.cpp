@@ -115,11 +115,6 @@ TEST(Rational, LcmRequiresPositive) {
   EXPECT_THROW((void)Rational::lcm(Rational(-1), Rational(1)), RationalError);
 }
 
-TEST(Rational, GcdOfFractions) {
-  EXPECT_EQ(Rational::gcd(Rational(1, 2), Rational(1, 3)), Rational(1, 6));
-  EXPECT_EQ(Rational::gcd(Rational(0), Rational(5)), Rational(5));
-}
-
 TEST(Rational, FmsHyperperiods) {
   // The exact hyperperiods of §V-B: original 40 s, reduced 10 s.
   const Rational original = Rational::lcm(
@@ -136,12 +131,6 @@ TEST(Rational, ToStringAndDouble) {
   EXPECT_EQ(Rational(7, 3).to_string(), "7/3");
   EXPECT_EQ(Rational(5).to_string(), "5");
   EXPECT_DOUBLE_EQ(Rational(1, 4).to_double(), 0.25);
-}
-
-TEST(Rational, AbsMinMax) {
-  EXPECT_EQ(Rational::abs(Rational(-3, 2)), Rational(3, 2));
-  EXPECT_EQ(Rational::min(Rational(1, 3), Rational(1, 4)), Rational(1, 4));
-  EXPECT_EQ(Rational::max(Rational(1, 3), Rational(1, 4)), Rational(1, 3));
 }
 
 TEST(Rational, HashEqualValuesCollide) {
@@ -183,19 +172,11 @@ TEST(Rational, FastAndGeneralPathsThrowTheSameText) {
             "rational arithmetic overflow in multiplication");
 }
 
-TEST(Rational, UnaryMinus) {
-  EXPECT_EQ(-Rational(3, 7), Rational(-3, 7));
-  EXPECT_EQ(-Rational(0), Rational(0));
-}
-
 // -INT64_MIN does not fit in int64: every negation throws instead of
 // wrapping (signed overflow is undefined behaviour).
 TEST(Rational, NegatingInt64MinThrows) {
   constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
   constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
-  EXPECT_THROW((void)-Rational(kMin), RationalError);
-  EXPECT_THROW((void)-Rational(kMin, 3), RationalError);
-  EXPECT_EQ(-Rational(kMin + 1), Rational(kMax));
   // A negative denominator is normalized by negating both fields.
   EXPECT_THROW(Rational(1, kMin), RationalError);
   EXPECT_THROW(Rational(kMin, -1), RationalError);
@@ -204,21 +185,11 @@ TEST(Rational, NegatingInt64MinThrows) {
   // Division inverts the divisor, so it negates a negative one.
   EXPECT_THROW((void)(Rational(1) / Rational(kMin)), RationalError);
   try {
-    (void)-Rational(kMin);
+    (void)Rational(1, kMin);
     ADD_FAILURE() << "no throw";
   } catch (const RationalError& e) {
     EXPECT_STREQ(e.what(), "rational arithmetic overflow in negation");
   }
-}
-
-TEST(Rational, AbsOfInt64MinThrows) {
-  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
-  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
-  EXPECT_THROW((void)Rational::abs(Rational(kMin)), RationalError);
-  EXPECT_THROW((void)Rational::abs(Rational(kMin, 5)), RationalError);
-  EXPECT_EQ(Rational::abs(Rational(kMin + 1)), Rational(kMax));
-  EXPECT_EQ(Rational::abs(Rational(kMax)), Rational(kMax));
-  EXPECT_EQ(Rational::abs(Rational(kMin + 1, 7)), Rational(kMax, 7));
 }
 
 // Subtraction is exact where the difference fits, even when the

@@ -25,6 +25,7 @@
 #include "runtime/vm_runtime.hpp"
 #include "taskgraph/derivation.hpp"
 #include "testing/list_scheduler.hpp"
+#include "trace_text.hpp"
 
 namespace fppn {
 namespace {
@@ -134,7 +135,7 @@ std::string digest_of(const RunResult& r) {
 std::string digest_of(const ZeroDelayResult& r, const ActionTrace& trace,
                       const Network& net) {
   Digest d;
-  d.str(trace_to_string(trace, net));
+  d.str(testing::trace_to_string(trace, net));
   d.histories(r.histories);
   d.u64(r.jobs_executed);
   return d.hex();

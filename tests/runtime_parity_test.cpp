@@ -26,7 +26,7 @@ struct Fixture {
   std::map<ProcessId, SporadicScript> sporadics;
   StaticSchedule schedule;
 
-  explicit Fixture(std::int64_t frames) {
+  Fixture() {
     // Both invocations early enough that every run horizon in this file
     // (frames >= 1) serves them; a near-horizon invocation would be served
     // by the static-order runs one frame later than the zero-delay
@@ -38,13 +38,12 @@ struct Fixture {
     opts.processors = 2;
     opts.seeds_per_strategy = 1;
     schedule = sched::parallel_search(derived.graph, opts).best.schedule;
-    (void)frames;
   }
 };
 
 TEST(RuntimeParity, VmAndThreadsProduceFunctionallyEqualHistories) {
   const std::int64_t frames = 3;
-  Fixture f(frames);
+  Fixture f;
 
   runtime::RunOptions vm_opts;
   vm_opts.frames = frames;
@@ -59,13 +58,16 @@ TEST(RuntimeParity, VmAndThreadsProduceFunctionallyEqualHistories) {
 
   EXPECT_EQ(vm.jobs_executed, th.jobs_executed);
   EXPECT_EQ(vm.false_skips, th.false_skips);
+  // Equal histories presuppose met deadlines (runtime.hpp): the miss
+  // counts tell a broken precondition from a broken runtime.
   EXPECT_TRUE(vm.histories.functionally_equal(th.histories))
+      << "misses: vm " << vm.misses.size() << ", threads " << th.misses.size() << "\n"
       << th.histories.diff(vm.histories, f.app.net);
 }
 
 TEST(RuntimeParity, BothBackendsMatchZeroDelayReference) {
   const std::int64_t frames = 2;
-  Fixture f(frames);
+  Fixture f;
   const ZeroDelayResult ref = zero_delay_reference(f.app.net, f.derived.hyperperiod,
                                                    frames, f.inputs, f.sporadics);
   for (const std::string& name : runtime::RuntimeRegistry::global().names()) {
@@ -75,7 +77,8 @@ TEST(RuntimeParity, BothBackendsMatchZeroDelayReference) {
     const RunResult run = runtime::make_runtime(name)->run(
         f.app.net, f.derived, f.schedule, opts, f.inputs, f.sporadics);
     EXPECT_TRUE(run.histories.functionally_equal(ref.histories))
-        << name << ":\n" << run.histories.diff(ref.histories, f.app.net);
+        << name << " (" << run.misses.size() << " misses):\n"
+        << run.histories.diff(ref.histories, f.app.net);
   }
 }
 
@@ -83,7 +86,7 @@ TEST(RuntimeParity, BackendSpecificOptionsAreIgnoredByTheOther) {
   // The shared RunOptions carries the union of backend knobs; a backend
   // must ignore fields it does not model rather than reject them.
   const std::int64_t frames = 1;
-  Fixture f(frames);
+  Fixture f;
   runtime::RunOptions opts;
   opts.frames = frames;
   opts.overhead = OverheadModel::mppa_measured();  // vm-only knob
@@ -97,7 +100,7 @@ TEST(RuntimeParity, BackendSpecificOptionsAreIgnoredByTheOther) {
 }
 
 TEST(RuntimeParity, IncompleteScheduleRejectedByBothBackends) {
-  Fixture f(1);
+  Fixture f;
   StaticSchedule empty(f.derived.graph.job_count(), 2);  // nothing placed
   for (const std::string& name : runtime::RuntimeRegistry::global().names()) {
     runtime::RunOptions opts;

@@ -34,6 +34,7 @@
 #include "taskgraph/derivation.hpp"
 #include "testing/list_scheduler.hpp"
 #include "testing/reference_search.hpp"
+#include "graph_families.hpp"
 
 namespace fppn {
 namespace {
@@ -348,7 +349,7 @@ TEST(SearchContext, CompiledAcyclicityFlagMatchesTheGraph) {
     EXPECT_TRUE(c.tg.is_acyclic()) << c.name;
   }
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    const TaskGraph tg = gen::layered_task_graph(seed);
+    const TaskGraph tg = testing::layered_task_graph(seed);
     EXPECT_TRUE(CompiledTaskGraph::compile(tg).is_acyclic()) << "layered " << seed;
   }
 }

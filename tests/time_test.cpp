@@ -54,7 +54,7 @@ TEST(Duration, MinMax) {
 TEST(Duration, SignPredicates) {
   EXPECT_TRUE(Duration::zero().is_zero());
   EXPECT_TRUE(Duration::ms(1).is_positive());
-  EXPECT_TRUE((-Duration::ms(1)).is_negative());
+  EXPECT_TRUE(Duration::ms(-1).is_negative());
 }
 
 TEST(Duration, Accumulation) {

@@ -1,43 +1,22 @@
-#include "fppn/actions.hpp"
+// The text rendering of an ActionTrace that the trace tests read and
+// RuntimeGolden digests. Only tests render action traces, so it lives
+// here rather than in the library.
+#pragma once
 
 #include <sstream>
+#include <string>
+#include <type_traits>
+#include <variant>
 
+#include "fppn/actions.hpp"
 #include "fppn/network.hpp"
 
-namespace fppn {
+namespace fppn::testing {
 
-std::vector<WriteAction> ActionTrace::writes_to(ChannelId c) const {
-  std::vector<WriteAction> out;
-  for (const Action& a : actions_) {
-    if (const auto* w = std::get_if<WriteAction>(&a); w != nullptr && w->channel == c) {
-      out.push_back(*w);
-    }
-  }
-  return out;
-}
-
-std::vector<Action> ActionTrace::of_process(ProcessId p) const {
-  std::vector<Action> out;
-  for (const Action& a : actions_) {
-    const bool match = std::visit(
-        [&](const auto& act) {
-          using T = std::decay_t<decltype(act)>;
-          if constexpr (std::is_same_v<T, WaitAction>) {
-            return false;
-          } else {
-            return act.process == p;
-          }
-        },
-        a);
-    if (match) {
-      out.push_back(a);
-    }
-  }
-  return out;
-}
-
-std::string trace_to_string(const ActionTrace& trace, const Network& net,
-                            bool multiline) {
+/// Renders "w(0) InputA[1]:read(in)=5 InputA[1]:write(c1)=25 ..." style
+/// text; one action per line when `multiline`.
+inline std::string trace_to_string(const ActionTrace& trace, const Network& net,
+                                   bool multiline = true) {
   std::ostringstream os;
   const char* sep = multiline ? "\n" : " ";
   bool first = true;
@@ -68,4 +47,4 @@ std::string trace_to_string(const ActionTrace& trace, const Network& net,
   return os.str();
 }
 
-}  // namespace fppn
+}  // namespace fppn::testing

@@ -240,7 +240,7 @@ TEST(VmRuntime, RejectsBadOptions) {
   EXPECT_THROW(run_static_order_vm(s.app.net, s.derived, s.schedule, opts, {}, {}),
                std::invalid_argument);
   RunOptions negative;
-  negative.actual_time = [](JobId, std::int64_t) { return -Duration::ms(1); };
+  negative.actual_time = [](JobId, std::int64_t) { return Duration::ms(-1); };
   EXPECT_THROW(
       run_static_order_vm(s.app.net, s.derived, s.schedule, negative, {}, {}),
       std::invalid_argument);
