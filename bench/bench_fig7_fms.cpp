@@ -105,28 +105,48 @@ BENCHMARK(BM_FmsVmOneFrame)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 /// inputs and sporadic commands, then the zero-delay reference for the
 /// same inputs and the history compare (Prop. 4.1). Commands end one
 /// hyperperiod before the horizon, which the vm serves a frame late.
-void BM_FmsExecute(benchmark::State& state) {
-  constexpr std::int64_t kFrames = 10;
-  const auto app = apps::build_fms(/*reduced_period=*/true);
-  const auto derived = derive_task_graph(app.net, app.default_wcets());
-  engine::SearchConfig config;
-  config.processors = 2;
-  config.workers = 2;
-  config.optimize = true;
-  config.no_cache = true;
-  const StaticSchedule schedule = engine::solve_graph(derived.graph, config).search.best.schedule;
-  const Duration h = derived.hyperperiod;
-  const auto blocks = static_cast<std::size_t>(
-      kFrames * static_cast<std::int64_t>(h.to_double_ms() / 200.0 + 0.5));
-  const InputScripts inputs = app.make_inputs(blocks, /*seed=*/11);
-  const auto commands = app.random_commands(Time() + h * Rational(kFrames - 1), 11);
+/// BM_FmsVmRun and BM_FmsZeroDelay time the op's two halves alone.
+struct FmsExecution {
+  static constexpr std::int64_t kFrames = 10;
+
+  FmsExecution()
+      : app(apps::build_fms(/*reduced_period=*/true)),
+        derived(derive_task_graph(app.net, app.default_wcets())),
+        h(derived.hyperperiod) {
+    engine::SearchConfig config;
+    config.processors = 2;
+    config.workers = 2;
+    config.optimize = true;
+    config.no_cache = true;
+    schedule = engine::solve_graph(derived.graph, config).search.best.schedule;
+    const auto blocks = static_cast<std::size_t>(
+        kFrames * static_cast<std::int64_t>(h.to_double_ms() / 200.0 + 0.5));
+    inputs = app.make_inputs(blocks, /*seed=*/11);
+    commands = app.random_commands(Time() + h * Rational(kFrames - 1), 11);
+    opts.frames = kFrames;
+  }
+
+  [[nodiscard]] RunResult run_vm() const {
+    return run_static_order_vm(app.net, derived, schedule, opts, inputs, commands);
+  }
+  [[nodiscard]] ZeroDelayResult run_reference() const {
+    return zero_delay_reference(app.net, h, kFrames, inputs, commands);
+  }
+
+  apps::FmsApp app;
+  DerivedTaskGraph derived;
+  Duration h;
+  StaticSchedule schedule;
+  InputScripts inputs;
+  std::map<ProcessId, SporadicScript> commands;
   RunOptions opts;
-  opts.frames = kFrames;
+};
+
+void BM_FmsExecute(benchmark::State& state) {
+  const FmsExecution fx;
   for (auto _ : state) {
-    const RunResult run =
-        run_static_order_vm(app.net, derived, schedule, opts, inputs, commands);
-    const ZeroDelayResult reference =
-        zero_delay_reference(app.net, h, kFrames, inputs, commands);
+    const RunResult run = fx.run_vm();
+    const ZeroDelayResult reference = fx.run_reference();
     const bool equal = run.histories.functionally_equal(reference.histories);
     if (!equal || !run.met_all_deadlines()) {
       state.SkipWithError("vm histories differ from the zero-delay reference");
@@ -136,6 +156,24 @@ void BM_FmsExecute(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FmsExecute)->Unit(benchmark::kMillisecond);
+
+void BM_FmsVmRun(benchmark::State& state) {
+  const FmsExecution fx;
+  for (auto _ : state) {
+    const RunResult run = fx.run_vm();
+    benchmark::DoNotOptimize(run.jobs_executed);
+  }
+}
+BENCHMARK(BM_FmsVmRun)->Unit(benchmark::kMillisecond);
+
+void BM_FmsZeroDelay(benchmark::State& state) {
+  const FmsExecution fx;
+  for (auto _ : state) {
+    const ZeroDelayResult reference = fx.run_reference();
+    benchmark::DoNotOptimize(reference.jobs_executed);
+  }
+}
+BENCHMARK(BM_FmsZeroDelay)->Unit(benchmark::kMillisecond);
 
 void BM_FmsLoadMetric(benchmark::State& state) {
   const auto app = apps::build_fms();

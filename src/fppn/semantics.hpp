@@ -17,14 +17,20 @@
 // a real execution needs the histories alone: run_zero_delay_histories is
 // the same interpreter handing ExecutionState the null sink, so it builds
 // no Action (and copies no channel Value into one).
+//
+// The interpreter orders each instant's multiset with one
+// SimultaneousOrder: a Kahn pass over the FP subgraph the multiset
+// induces, on bitsets and counters sized once per run. An instant costs
+// one pass and allocates nothing; no order is cached between instants.
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <vector>
 
 #include "fppn/event.hpp"
 #include "fppn/exec_state.hpp"
 #include "fppn/network.hpp"
+#include "graph/digraph.hpp"
 
 namespace fppn {
 
@@ -54,11 +60,44 @@ struct ZeroDelayResult {
                                                        const InputScripts& inputs = {});
 
 /// The job execution order the zero-delay semantics uses for one
-/// simultaneous group: FP-topological, bursts of the same process kept
-/// adjacent in invocation order. Exposed for task-graph derivation
-/// (§III-A step 2 simulates exactly this order).
-[[nodiscard]] std::vector<ProcessId> order_simultaneous(
-    const Network& net, const std::vector<ProcessId>& invoked_multiset,
-    SimultaneityTieBreak tie_break = SimultaneityTieBreak::kByProcessId);
+/// simultaneous group: FP-topological; among ready FP-unrelated processes
+/// the smallest id first (the largest for kByReverseProcessId); a burst
+/// of one process kept adjacent. The same order topological_sort_subset
+/// gives the group's distinct processes under that preference, each
+/// repeated by its multiplicity. One Kahn pass over the subgraph of `fp`
+/// the group induces, on bitsets and counters sized once for `fp`: after
+/// the first groups have grown the output, ordering a group allocates
+/// nothing. Holds a pointer to `fp`, which must outlive it; not
+/// thread-safe (one per run).
+class SimultaneousOrder {
+ public:
+  explicit SimultaneousOrder(const Digraph& fp,
+                             SimultaneityTieBreak tie_break = SimultaneityTieBreak::kByProcessId);
+
+  /// Adds one invocation of `p` to the pending group. Throws
+  /// std::invalid_argument when `p` is not a node of `fp`.
+  void add(ProcessId p);
+
+  /// The pending group's jobs in order; the group is empty afterwards.
+  /// The view holds until the next add(). Throws std::invalid_argument
+  /// when the group induces an FP cycle (impossible for a valid FPPN: FP
+  /// is a DAG); the group is empty then too.
+  [[nodiscard]] const std::vector<ProcessId>& take();
+
+ private:
+  /// The member of `ready_` the tie-break picks, std::size_t(-1) when none.
+  [[nodiscard]] std::size_t pick_ready() const;
+  /// Empties the group: clears the counters and both bitsets.
+  void clear_group();
+
+  const Digraph* fp_;
+  bool largest_first_;
+  std::vector<std::uint32_t> count_;     ///< invocations of each process in the group
+  std::vector<std::uint32_t> pending_;   ///< unordered FP predecessors inside the group
+  std::vector<std::uint64_t> member_;    ///< bitset: the group's distinct processes
+  std::vector<std::uint64_t> ready_;     ///< bitset: members whose predecessors are ordered
+  std::size_t distinct_ = 0;             ///< set bits of member_
+  std::vector<ProcessId> order_;
+};
 
 }  // namespace fppn

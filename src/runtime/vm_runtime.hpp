@@ -17,7 +17,19 @@
 // The virtual platform replaces the paper's Kalray MPPA: per-job actual
 // execution times are injectable (default: the WCETs), and the frame
 // overhead model of §V-A (41/20 ms arrival management) gates job starts.
-// Everything is exact rational time and fully deterministic.
+// Every result is exact and fully deterministic.
+//
+// The timebase is an int64 tick grid with an exact fallback. The frame
+// loop is written once, as a template over its time representation
+// (VmFrameLoop, vm_runtime.cpp). The grid is the lcm of the denominators
+// of the deployment's times: job arrivals, deadlines and WCETs, the
+// hyperperiod and the server periods. The loop runs on ticks when the
+// overhead model and the sporadic scripts lie on that grid and every
+// frame base plus offset fits in int64; execution times, including the
+// actual_time answers, are checked as they are added, and one that is
+// off the grid or overflows hands the run to the exact Time loop, which
+// replays the answers already given. Ticks are a lossless rescaling, so
+// both loops give bit-identical traces, misses, span_end and histories.
 //
 // A run builds its frame-independent plan once, from arrays: per job its
 // offsets, server data and previous job on the processor and of the
@@ -27,7 +39,8 @@
 // walk reaches a sporadic process's server jobs by nondecreasing window
 // start, so each process's script has one InvocationCursor for the run.
 // Each job's name is stored once in the run's trace, and its events
-// share it.
+// share it. The bodies run after the walk, sorted into causal order on
+// the loop's own keys.
 //
 // RunOptions, RunResult and the 'false' rule for server jobs (the t-th
 // invocation of the caller's script in the subset window, or none) are
@@ -47,6 +60,9 @@
 #include "taskgraph/derivation.hpp"
 
 namespace fppn {
+namespace testing {
+struct VmTicksProbe;
+}  // namespace testing
 
 /// Actual execution time of a job instance; frame is 0-based. Returning a
 /// duration larger than the WCET models WCET under-estimation (the
@@ -97,8 +113,9 @@ struct RunResult {
 /// `inputs` are the external-input sample arrays.
 ///
 /// Deterministic: a pure function of its arguments — simulated time is
-/// exact rational, so traces, histories and deadline misses are
-/// bit-identical across runs and platforms. Thread safety: no shared
+/// exact (int64 ticks or rational), so traces, histories and deadline
+/// misses are bit-identical across runs and platforms. `opts.actual_time`
+/// is called once per executed job, in walk order. Thread safety: no shared
 /// state; safe to call concurrently. Throws std::invalid_argument when
 /// the schedule does not place every job, its per-processor order
 /// conflicts with precedence, frames < 1, or an injected actual execution
@@ -107,6 +124,26 @@ struct RunResult {
     const Network& net, const DerivedTaskGraph& derived, const StaticSchedule& schedule,
     const RunOptions& opts = {}, const InputScripts& inputs = {},
     const std::map<ProcessId, SporadicScript>& sporadics = {});
+
+/// The frame loop behind run_static_order_vm, reached only through it:
+/// run_static_order_vm always tries ticks first; the tests compare the
+/// tick loop with the exact one through testing::VmTicksProbe.
+class VmFrameLoop {
+  friend RunResult run_static_order_vm(const Network& net, const DerivedTaskGraph& derived,
+                                       const StaticSchedule& schedule,
+                                       const RunOptions& opts, const InputScripts& inputs,
+                                       const std::map<ProcessId, SporadicScript>& sporadics);
+  friend struct testing::VmTicksProbe;
+
+  /// The run on int64 ticks when `try_ticks` and the run fits a grid,
+  /// else on exact Time. `on_ticks`, when not null, receives which loop
+  /// produced the result.
+  static RunResult run(const Network& net, const DerivedTaskGraph& derived,
+                       const StaticSchedule& schedule, const RunOptions& opts,
+                       const InputScripts& inputs,
+                       const std::map<ProcessId, SporadicScript>& sporadics, bool try_ticks,
+                       bool* on_ticks);
+};
 
 /// The zero-delay reference for the same run: periodic invocations over
 /// [0, frames*H) plus the sporadic scripts, executed with the zero-delay

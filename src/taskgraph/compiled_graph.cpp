@@ -2,37 +2,15 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 #include <optional>
+
+#include "rt/tick_grid.hpp"
 
 namespace fppn {
 
 namespace {
 
 constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
-
-/// lcm(l, den) with overflow detection; returns false when it no longer
-/// fits in int64.
-bool lcm_into(std::int64_t& l, std::int64_t den) {
-  const std::int64_t g = std::gcd(l, den);
-  const std::int64_t reduced = l / g;
-  if (reduced > kMax / den) {
-    return false;
-  }
-  l = reduced * den;
-  return true;
-}
-
-/// value.num() * (l / value.den()), or nullopt on overflow. Exact: den
-/// divides l by construction.
-std::optional<std::int64_t> to_ticks(const Rational& value, std::int64_t l) {
-  const std::int64_t scale = l / value.den();
-  const __int128 wide = static_cast<__int128>(value.num()) * scale;
-  if (wide > kMax || wide < -static_cast<__int128>(kMax) - 1) {
-    return std::nullopt;
-  }
-  return static_cast<std::int64_t>(wide);
-}
 
 }  // namespace
 
@@ -110,9 +88,9 @@ CompiledTaskGraph CompiledTaskGraph::compile(const TaskGraph& tg) {
   std::int64_t l = 1;
   bool ok = true;
   for (std::size_t i = 0; i < n && ok; ++i) {
-    ok = lcm_into(l, out.arrival_[i].value().den()) &&
-         lcm_into(l, out.deadline_[i].value().den()) &&
-         lcm_into(l, out.wcet_[i].value().den());
+    ok = ticks::lcm_into(l, out.arrival_[i].value().den()) &&
+         ticks::lcm_into(l, out.deadline_[i].value().den()) &&
+         ticks::lcm_into(l, out.wcet_[i].value().den());
   }
   if (ok) {
     out.arrival_tick_.reserve(n);
@@ -121,9 +99,9 @@ CompiledTaskGraph CompiledTaskGraph::compile(const TaskGraph& tg) {
     __int128 total_wcet = 0;
     __int128 max_arrival = 0;
     for (std::size_t i = 0; i < n && ok; ++i) {
-      const auto a = to_ticks(out.arrival_[i].value(), l);
-      const auto d = to_ticks(out.deadline_[i].value(), l);
-      const auto c = to_ticks(out.wcet_[i].value(), l);
+      const auto a = ticks::on_grid(out.arrival_[i].value(), l);
+      const auto d = ticks::on_grid(out.deadline_[i].value(), l);
+      const auto c = ticks::on_grid(out.wcet_[i].value(), l);
       if (!a || !d || !c) {
         ok = false;
         break;
@@ -152,11 +130,7 @@ Time CompiledTaskGraph::time_from_ticks(std::int64_t ticks) const {
 }
 
 std::optional<std::int64_t> CompiledTaskGraph::ticks_from_time(const Time& t) const {
-  const Rational& r = t.value();
-  if (ticks_per_ms_ % r.den() != 0) {
-    return std::nullopt;
-  }
-  return to_ticks(r, ticks_per_ms_);
+  return ticks::on_grid(t.value(), ticks_per_ms_);
 }
 
 }  // namespace fppn

@@ -7,19 +7,85 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
 #include <set>
 #include <string>
 
 #include "apps/fft.hpp"
 #include "apps/fig1.hpp"
 #include "apps/fms.hpp"
+#include "gen/rng.hpp"
 #include "gen/scenario.hpp"
+#include "graph/algorithms.hpp"
 #include "runtime/vm_runtime.hpp"
 #include "taskgraph/derivation.hpp"
 #include "trace_text.hpp"
 
 namespace fppn {
 namespace {
+
+/// One group's order as the interpreter computes it.
+std::vector<ProcessId> order_of(
+    const Digraph& fp, const std::vector<ProcessId>& group,
+    SimultaneityTieBreak tie_break = SimultaneityTieBreak::kByProcessId) {
+  SimultaneousOrder order(fp, tie_break);
+  for (const ProcessId p : group) {
+    order.add(p);
+  }
+  return order.take();
+}
+
+/// The oracle: topological_sort_subset over the group's distinct
+/// processes under the tie-break's preference, each repeated by its
+/// multiplicity; nullopt on a cycle.
+std::optional<std::vector<ProcessId>> reference_order(const Digraph& fp,
+                                                      const std::vector<ProcessId>& group,
+                                                      SimultaneityTieBreak tie_break) {
+  std::map<ProcessId, std::size_t> multiplicity;
+  for (const ProcessId p : group) {
+    ++multiplicity[p];
+  }
+  std::vector<NodeId> subset;
+  for (const auto& [p, count] : multiplicity) {
+    subset.push_back(NodeId(p.value()));
+  }
+  const auto prefer = [tie_break](NodeId a, NodeId b) {
+    return tie_break == SimultaneityTieBreak::kByProcessId ? a < b : a > b;
+  };
+  const auto nodes = topological_sort_subset(fp, subset, prefer);
+  if (!nodes.has_value()) {
+    return std::nullopt;
+  }
+  std::vector<ProcessId> out;
+  for (const NodeId v : *nodes) {
+    out.insert(out.end(), multiplicity[ProcessId(v.value())], ProcessId(v.value()));
+  }
+  return out;
+}
+
+/// A random FP DAG on `n` processes: edges only from lower to higher
+/// rank of a shuffled ranking, so ids do not follow the topology.
+Digraph random_fp_dag(gen::Rng& rng, std::size_t n) {
+  std::vector<std::size_t> rank(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    rank[i] = i;
+  }
+  for (std::size_t i = n; i > 1; --i) {
+    std::swap(rank[i - 1], rank[static_cast<std::size_t>(
+                               rng.range(0, static_cast<std::int64_t>(i) - 1))]);
+  }
+  Digraph fp(n);
+  const std::int64_t density = rng.range(1, 30);  // percent of pairs related
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = 0; b < n; ++b) {
+      if (rank[a] < rank[b] && rng.chance(density, 100)) {
+        fp.add_edge(NodeId(a), NodeId(b));
+      }
+    }
+  }
+  return fp;
+}
 
 TEST(OrderSimultaneous, RespectsFunctionalPriority) {
   NetworkBuilder b;
@@ -29,7 +95,7 @@ TEST(OrderSimultaneous, RespectsFunctionalPriority) {
       b.periodic("lo", Duration::ms(100), Duration::ms(100), no_op_behavior());
   b.priority(hi, lo);
   const Network net = std::move(b).build();
-  const auto order = order_simultaneous(net, {lo, hi});
+  const auto order = order_of(net.priority_graph(), {lo, hi});
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], hi);
   EXPECT_EQ(order[1], lo);
@@ -43,7 +109,7 @@ TEST(OrderSimultaneous, BurstsStayAdjacent) {
       b.periodic("lo", Duration::ms(100), Duration::ms(100), no_op_behavior());
   b.priority(hi, lo);
   const Network net = std::move(b).build();
-  const auto order = order_simultaneous(net, {lo, hi, hi, hi});
+  const auto order = order_of(net.priority_graph(), {lo, hi, hi, hi});
   ASSERT_EQ(order.size(), 4u);
   EXPECT_EQ(order[0], hi);
   EXPECT_EQ(order[1], hi);
@@ -58,11 +124,84 @@ TEST(OrderSimultaneous, TieBreakOnlyAffectsUnrelated) {
   const ProcessId c =
       b.periodic("c", Duration::ms(100), Duration::ms(100), no_op_behavior());
   const Network net = std::move(b).build();
-  const auto fwd = order_simultaneous(net, {a, c}, SimultaneityTieBreak::kByProcessId);
+  const auto fwd = order_of(net.priority_graph(), {a, c}, SimultaneityTieBreak::kByProcessId);
   const auto rev =
-      order_simultaneous(net, {a, c}, SimultaneityTieBreak::kByReverseProcessId);
+      order_of(net.priority_graph(), {a, c}, SimultaneityTieBreak::kByReverseProcessId);
   EXPECT_EQ(fwd[0], a);
   EXPECT_EQ(rev[0], c);
+}
+
+// The Kahn pass against topological_sort_subset: random FP DAGs of 1 to
+// 200 processes (so the bitsets span one to four words), random
+// multisets with bursts, both tie-breaks, one SimultaneousOrder reused
+// for every group of a graph as the interpreter reuses it.
+TEST(OrderSimultaneous, MatchesTopologicalSortSubsetOnRandomDags) {
+  gen::Rng rng(0x5eed0de5ULL);
+  std::size_t groups = 0;
+  std::size_t wide_groups = 0;  // a member above id 63
+  std::size_t max_n = 0;
+  for (int graph = 0; graph < 120; ++graph) {
+    const std::size_t n =
+        graph < 8 ? static_cast<std::size_t>(graph + 1)
+                  : static_cast<std::size_t>(rng.range(1, 200));
+    max_n = std::max(max_n, n);
+    const Digraph fp = random_fp_dag(rng, n);
+    for (const SimultaneityTieBreak tie_break :
+         {SimultaneityTieBreak::kByProcessId, SimultaneityTieBreak::kByReverseProcessId}) {
+      SimultaneousOrder order(fp, tie_break);
+      for (int g = 0; g < 12; ++g) {
+        std::vector<ProcessId> group;
+        const std::int64_t distinct = rng.range(1, static_cast<std::int64_t>(n));
+        for (std::int64_t k = 0; k < distinct; ++k) {
+          const ProcessId p(static_cast<std::size_t>(
+              rng.range(0, static_cast<std::int64_t>(n) - 1)));
+          const std::int64_t burst = rng.chance(1, 4) ? rng.range(2, 5) : 1;
+          group.insert(group.end(), static_cast<std::size_t>(burst), p);
+        }
+        for (std::size_t k = group.size(); k > 1; --k) {  // any arrival order
+          std::swap(group[k - 1], group[static_cast<std::size_t>(
+                                      rng.range(0, static_cast<std::int64_t>(k) - 1))]);
+        }
+        for (const ProcessId p : group) {
+          order.add(p);
+          wide_groups += p.value() >= 64 ? 1 : 0;
+        }
+        const auto want = reference_order(fp, group, tie_break);
+        ASSERT_TRUE(want.has_value());
+        ASSERT_EQ(order.take(), *want)
+            << "graph " << graph << " (" << n << " processes), group " << g;
+        ++groups;
+      }
+    }
+  }
+  EXPECT_EQ(groups, 120u * 2u * 12u);
+  EXPECT_GT(wide_groups, 0u);
+  EXPECT_GE(max_n, 190u);
+}
+
+TEST(OrderSimultaneous, CyclicGroupThrowsAndLeavesTheOrderUsable) {
+  Digraph fp(70);
+  fp.add_edge(NodeId(3), NodeId(66));
+  fp.add_edge(NodeId(66), NodeId(3));
+  fp.add_edge(NodeId(0), NodeId(3));
+  SimultaneousOrder order(fp);
+  order.add(ProcessId(66));
+  order.add(ProcessId(0));
+  order.add(ProcessId(3));
+  try {
+    (void)order.take();
+    FAIL() << "a cyclic group was ordered";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "simultaneous invocation group cannot be ordered: FP cycle");
+  }
+  EXPECT_FALSE(reference_order(fp, {ProcessId(66), ProcessId(0), ProcessId(3)},
+                               SimultaneityTieBreak::kByProcessId)
+                   .has_value());
+  // The failed group is gone: the next one is ordered on its own.
+  order.add(ProcessId(3));
+  order.add(ProcessId(0));
+  EXPECT_EQ(order.take(), (std::vector<ProcessId>{ProcessId(0), ProcessId(3)}));
+  EXPECT_THROW(order.add(ProcessId(70)), std::invalid_argument);
 }
 
 // The paper's §II-A example trace: a producer squares input sample [1] at
